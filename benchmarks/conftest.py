@@ -24,35 +24,14 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: (pytest captures ordinary prints; the summary is always visible).
 _EMITTED = []
 
-#: Machine-readable conflict-analysis datapoints recorded this session,
-#: written to ``benchmarks/results/BENCH_conflict.json`` at session end so
-#: the incremental-path perf trajectory is tracked across commits.
-_CONFLICT_BENCH: dict = {}
-
-#: Planner-throughput datapoints (warm vs cold plan() latency, epochs/sec
-#: at several queue depths), written to ``BENCH_planner.json``.
-_PLANNER_BENCH: dict = {}
-
-#: Executor-throughput datapoints (warm vs cold build latency, prefix-hit
-#: rates, builds/sec by speculation depth, and the figure-12-style
-#: end-to-end cell), written to ``BENCH_exec.json``.
-_EXEC_BENCH: dict = {}
-
-#: Parallel-backend datapoints (wall-clock build-phase speedup of the
-#: process pool over the serial local backend on the figure-12 cell),
-#: written to ``BENCH_parallel.json``.
-_PARALLEL_BENCH: dict = {}
-
-#: Risk-batching datapoints (changes/hour with and without speculative
-#: batching across a worker sweep at the figure-12 high-load rate),
-#: written to ``BENCH_batch.json``.
-_BATCH_BENCH: dict = {}
-
-#: Sharded-queue datapoints (warm per-change analyze+sweep latency of the
-#: partition-sharded analyzer vs the monolithic one at deep pending
-#: depths, plus the service-path fingerprint smoke), written to
-#: ``BENCH_shard.json``.
-_SHARD_BENCH: dict = {}
+#: Machine-readable datapoints recorded this session, by suite then
+#: kernel; merged into ``benchmarks/results/BENCH_<suite>.json`` at
+#: session end so each suite's perf trajectory is tracked across commits.
+#: Suites: ``conflict`` (analysis latency), ``planner`` (warm vs cold
+#: plan()), ``exec`` (warm vs cold builds, prefix hits), ``parallel``
+#: (process-pool wall speedup), ``batch`` (risk batching changes/hour),
+#: ``shard`` (sharded sweep latency + fingerprint smoke).
+_BENCH: dict = {}
 
 
 def emit(name: str, text: str) -> None:
@@ -64,61 +43,34 @@ def emit(name: str, text: str) -> None:
     _EMITTED.append(text)
 
 
-def record_conflict_bench(key: str, payload: dict) -> None:
-    """Record one conflict-benchmark datapoint for BENCH_conflict.json."""
-    _CONFLICT_BENCH[key] = payload
+def record_bench(suite: str, kernel: str, payload: dict) -> None:
+    """Record one datapoint for ``BENCH_<suite>.json``."""
+    _BENCH.setdefault(suite, {})[kernel] = payload
 
 
-def record_planner_bench(key: str, payload: dict) -> None:
-    """Record one planner-throughput datapoint for BENCH_planner.json."""
-    _PLANNER_BENCH[key] = payload
+def _merge_bench_json(suite: str, kernels: dict) -> None:
+    """Fold this session's kernels into the suite's existing file.
 
-
-def record_exec_bench(key: str, payload: dict) -> None:
-    """Record one executor-throughput datapoint for BENCH_exec.json."""
-    _EXEC_BENCH[key] = payload
-
-
-def record_parallel_bench(key: str, payload: dict) -> None:
-    """Record one parallel-speedup datapoint for BENCH_parallel.json."""
-    _PARALLEL_BENCH[key] = payload
-
-
-def record_batch_bench(key: str, payload: dict) -> None:
-    """Record one risk-batching datapoint for BENCH_batch.json."""
-    _BATCH_BENCH[key] = payload
-
-
-def record_shard_bench(key: str, payload: dict) -> None:
-    """Record one sharded-queue datapoint for BENCH_shard.json."""
-    _SHARD_BENCH[key] = payload
-
-
-def _write_bench_json(filename: str, kernels: dict) -> None:
+    Kernels this session did not run keep their last recorded values, so
+    a smoke run (one kernel) never erases the full-run series.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"BENCH_{suite}.json"
+    merged = {}
+    if path.exists():
+        merged = json.loads(path.read_text()).get("kernels", {})
+    merged.update(kernels)
     document = {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "kernels": kernels,
+        "kernels": merged,
     }
-    (RESULTS_DIR / filename).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n"
-    )
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _CONFLICT_BENCH:
-        _write_bench_json("BENCH_conflict.json", _CONFLICT_BENCH)
-    if _PLANNER_BENCH:
-        _write_bench_json("BENCH_planner.json", _PLANNER_BENCH)
-    if _EXEC_BENCH:
-        _write_bench_json("BENCH_exec.json", _EXEC_BENCH)
-    if _PARALLEL_BENCH:
-        _write_bench_json("BENCH_parallel.json", _PARALLEL_BENCH)
-    if _BATCH_BENCH:
-        _write_bench_json("BENCH_batch.json", _BATCH_BENCH)
-    if _SHARD_BENCH:
-        _write_bench_json("BENCH_shard.json", _SHARD_BENCH)
+    for suite, kernels in _BENCH.items():
+        _merge_bench_json(suite, kernels)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -23,7 +23,7 @@ import os
 
 import pytest
 
-from benchmarks.conftest import emit, record_batch_bench
+from benchmarks.conftest import emit, record_bench
 from repro.changes.truth import build_outcome, potential_conflict
 from repro.experiments.runner import format_table, make_stream, run_cell
 from repro.parallel import workload
@@ -132,7 +132,8 @@ def test_batch_throughput_figure12_highload():
                 stats.bisections,
             )
         )
-        record_batch_bench(
+        record_bench(
+            "batch",
             f"figure12_rate{HIGH_LOAD_RATE}_w{workers}",
             {
                 "workers": workers,
@@ -148,7 +149,8 @@ def test_batch_throughput_figure12_highload():
                 "red_commits": 0,
             },
         )
-    record_batch_bench(
+    record_bench(
+        "batch",
         "figure12_highload_speedup",
         {
             "workers": WORKER_SWEEP[0],
@@ -190,7 +192,8 @@ def test_batch_off_fingerprint_smoke():
     plain = workload.run_cell(files, changes, service_workers=2)
     off = _run_service_cell_batching_off(files, changes)
     on = workload.run_cell(files, changes, service_workers=2, batching=True)
-    record_batch_bench(
+    record_bench(
+        "batch",
         "smoke_fingerprint",
         {
             "plain_fingerprint": plain.fingerprint,

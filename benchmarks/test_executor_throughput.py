@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_exec_bench
+from benchmarks.conftest import record_bench
 from repro.planner.controller import FullStackBuildController
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
@@ -74,7 +74,8 @@ def test_build_warm_vs_cold(depth, request):
     warm = _per_call(lambda: warm_controller.execute(key, changes), 10, 5)
     cold = _per_call(lambda: cold_controller.execute(key, changes), 2, 5)
     speedup = cold / warm if warm else float("inf")
-    record_exec_bench(
+    record_bench(
+        "exec",
         f"build_depth_{depth}",
         {
             "speculation_depth": depth,
@@ -109,7 +110,8 @@ def test_speculation_chain_throughput(depth, request):
 
     incremental_seconds, stats = run(incremental=True)
     scratch_seconds, _ = run(incremental=False)
-    record_exec_bench(
+    record_bench(
+        "exec",
         f"chain_depth_{depth}",
         {
             "speculation_depth": depth,
@@ -145,8 +147,9 @@ def test_figure12_cell_before_after(request):
             strategy=SubmitQueueStrategy(
                 StaticPredictor(success=0.9, conflict=0.05)
             ),
-            config=CoreServiceConfig(
-                workers=8, incremental_executor=incremental
+            config=CoreServiceConfig(workers=8),
+            controller=FullStackBuildController(
+                monorepo.repo, incremental=incremental
             ),
         )
         batch = [
@@ -167,7 +170,8 @@ def test_figure12_cell_before_after(request):
     assert [d.committed for d in incremental_decisions] == [
         d.committed for d in scratch_decisions
     ]
-    record_exec_bench(
+    record_bench(
+        "exec",
         "figure12_cell",
         {
             "changes": 16,

@@ -9,7 +9,7 @@ workers.
 
 import pytest
 
-from benchmarks.conftest import emit, record_conflict_bench
+from benchmarks.conftest import emit, record_bench
 from repro.experiments import figure13
 
 WORKERS = (100, 300)
@@ -90,7 +90,8 @@ def test_incremental_analyzer_counters():
         f"  pair checks           {stats.checks} ({stats.fast_path_rate:.1%} fast path,"
         f" {stats.cached} cached)",
     )
-    record_conflict_bench(
+    record_bench(
+        "conflict",
         "fig13_incremental_counters",
         {
             "analyses": stats.analyses,

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_conflict_bench
+from benchmarks.conftest import record_bench
 from repro.buildsys.hashing import TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph
 from repro.conflict.analyzer import ConflictAnalyzer
@@ -114,7 +114,8 @@ def test_analyzer_warm_speedup_vs_cold(big_monorepo, request):
     warm = _best_of(warm_analyze, 10)
     cold = _best_of(cold_analyze, 3)
     speedup = cold / warm if warm else float("inf")
-    record_conflict_bench(
+    record_bench(
+        "conflict",
         "analyzer_warm_vs_cold",
         {
             "monorepo_layers": [8, 16, 32, 32],
@@ -152,7 +153,8 @@ def test_incremental_rehash_after_one_file_edit(big_monorepo, request):
     full = _best_of(full_rehash, 3)
     incremental = _best_of(incremental_rehash, 10)
     speedup = full / incremental if incremental else float("inf")
-    record_conflict_bench(
+    record_bench(
+        "conflict",
         "rehash_one_file_edit",
         {
             "targets_total": len(graph),

@@ -19,7 +19,7 @@ import os
 
 import pytest
 
-from benchmarks.conftest import emit, record_parallel_bench
+from benchmarks.conftest import emit, record_bench
 from repro.experiments.runner import format_table
 from repro.parallel.workload import mint_cell, run_cell
 from repro.workload.repo_synth import MonorepoSpec
@@ -56,7 +56,8 @@ def _table(results):
 def _record(name, results):
     serial = results[0].wall_seconds
     for r in results:
-        record_parallel_bench(
+        record_bench(
+            "parallel",
             f"{name}_{r.backend.replace(':', '_')}",
             {
                 "backend": r.backend,
@@ -77,9 +78,8 @@ def test_parallel_throughput_figure12():
     """Acceptance: >= 2.5x at 4 workers, same decisions, same fingerprint."""
     files, changes = mint_cell(seed=23, count=16)
     results = [
-        run_cell(files, changes, backend=backend, parallel_workers=workers,
-                 step_wall_seconds=STEP_WALL)
-        for backend, workers in (("local", None), ("process", 2), ("process", 4))
+        run_cell(files, changes, backend=backend, step_wall_seconds=STEP_WALL)
+        for backend in ("local", "process:2", "process:4")
     ]
     emit("parallel_throughput", _table(results))
     _record("figure12", results)
@@ -102,9 +102,9 @@ def test_parallel_throughput_smoke():
         seed=7, count=6, spec=MonorepoSpec(layers=(3, 4, 3), fan_in=2)
     )
     results = [
-        run_cell(files, changes, backend=backend, parallel_workers=workers,
-                 service_workers=4, step_wall_seconds=0.005)
-        for backend, workers in (("local", None), ("process", 2))
+        run_cell(files, changes, backend=backend, service_workers=4,
+                 step_wall_seconds=0.005)
+        for backend in ("local", "process:2")
     ]
     emit("parallel_throughput_smoke", _table(results))
     _record("smoke", results)

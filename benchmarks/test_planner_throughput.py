@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_planner_bench
+from benchmarks.conftest import record_bench
 from repro.changes.state import ChangeRecord
 from repro.changes.truth import potential_conflict
 from repro.conflict.conflict_graph import ConflictGraph
@@ -71,7 +71,8 @@ def test_plan_warm_vs_cold(depth, request):
 
     cold = _per_call(cold_plan, calls=1, repeats=5)
     speedup = cold / warm if warm else float("inf")
-    record_planner_bench(
+    record_bench(
+        "planner",
         f"plan_depth_{depth}",
         {
             "queue_depth": depth,
@@ -125,7 +126,8 @@ def test_engine_dirty_one_change(request):
     recomputed = engine.stats.commit_prob_recomputed
     cold = _per_call(cold_select, calls=1, repeats=3)
     speedup = cold / incremental if incremental else float("inf")
-    record_planner_bench(
+    record_bench(
+        "planner",
         "engine_dirty_one_change",
         {
             "queue_depth": depth,

@@ -26,12 +26,12 @@ import time
 
 import pytest
 
-from benchmarks.conftest import emit, record_shard_bench
+from benchmarks.conftest import emit, record_bench
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.experiments.runner import format_table
 from repro.parallel import workload
-from repro.sharding import PartitionedPendingQueue, ShardedConflictAnalyzer
+from repro.sharding import create_queue_backend
 from repro.sharding.workload import mint_partitioned_cell
 
 #: The deep cell: pending depth, island count, shard count.
@@ -57,28 +57,27 @@ def _mint_deep_cell():
 def _time_sweep(files, changes, sharded):
     """Warm per-change analyze+sweep seconds over the full pending set.
 
-    Mirrors the planner's submit path — analyze the change, then extend
-    the conflict graph against everything already pending — with analyses
-    pre-warmed so the timed region isolates the pairwise sweep the
-    monolithic path spends O(pending) on.
+    Mirrors the planner's submit path — enqueue the change, analyze it,
+    then extend the conflict graph against everything already pending —
+    with analyses (and shard routes) pre-warmed so the timed region
+    isolates the pairwise sweep the monolithic path spends O(pending) on.
     """
     if sharded:
-        analyzer = ShardedConflictAnalyzer(dict(files), shards=SHARDS)
-        queue = PartitionedPendingQueue(analyzer, shard_count=SHARDS)
+        analyzer, queue = create_queue_backend(f"sharded:{SHARDS}", dict(files))
     else:
         analyzer = ConflictAnalyzer(dict(files))
         queue = None
     batch = copy.deepcopy(changes)
-    if queue is not None:
-        for change in batch:
-            queue.enqueue(change)
     for change in batch:
         analyzer.analyze(change)  # warm the per-change caches
+        if queue is not None:
+            analyzer.shard_of(change)
     graph = ConflictGraph(analyzer.conflict)
     started = time.perf_counter()
     for change in batch:
         analyzer.analyze(change)
         if queue is not None:
+            queue.enqueue(change)
             graph.add(change, queue.conflict_candidates(change))
         else:
             graph.add(change)
@@ -105,6 +104,8 @@ def test_shard_sweep_speedup_deep_queue():
     shard_wall, shard_checks, skipped = _time_sweep(
         files, changes, sharded=True
     )
+    # Every pair the monolithic sweep tests is either tested or skipped.
+    assert shard_checks + skipped == mono_checks
     speedup = mono_wall / shard_wall if shard_wall > 0 else float("inf")
     mono_ms = mono_wall * 1000.0 / len(changes)
     shard_ms = shard_wall * 1000.0 / len(changes)
@@ -117,7 +118,8 @@ def test_shard_sweep_speedup_deep_queue():
     assert shard_service.committed == mono_service.committed == len(changes)
     assert mono_service.mainline_green and shard_service.mainline_green
 
-    record_shard_bench(
+    record_bench(
+        "shard",
         f"deep_queue_p{PENDING_DEPTH}_s{SHARDS}",
         {
             "pending": len(changes),
@@ -164,7 +166,8 @@ def test_sharded_fingerprint_smoke():
         files, copy.deepcopy(changes), service_workers=4,
         queue_backend="sharded:4",
     )
-    record_shard_bench(
+    record_bench(
+        "shard",
         "smoke_fingerprint",
         {
             "plain_fingerprint": plain.fingerprint,

@@ -8,7 +8,7 @@ appends a change to it.
 
 from repro.changes.change import Change, Developer, GroundTruth, Revision
 from repro.changes.state import ChangeLedger, ChangeRecord
-from repro.changes.queue import PendingQueue, ShardedQueue
+from repro.changes.queue import PendingQueue
 
 __all__ = [
     "Change",
@@ -18,5 +18,4 @@ __all__ = [
     "GroundTruth",
     "PendingQueue",
     "Revision",
-    "ShardedQueue",
 ]

@@ -1,22 +1,14 @@
-"""Pending-change queues.
+"""The pending-change queue.
 
 :class:`PendingQueue` is the logical single queue SubmitQueue presents
 ("the illusion of a single queue", section 3.2): strict arrival order with
-removal on decision.
-
-:class:`ShardedQueue` — hash-routed shards — is deprecated: hash routing
-spreads load but says nothing about conflicts, so it was never wired into
-the service.  The live sharded queue is
-:class:`repro.sharding.queue.PartitionedPendingQueue`, which routes by
-the target-graph partition owning each change's paths (section 7.1) so
-the conflict sweep can skip other partitions entirely.  The shim stays
-importable (same hash routing, same API) for callers of the old export.
+removal on decision.  The partition-aware variant the sharded service
+plans over is :class:`repro.sharding.queue.PartitionedPendingQueue`, a
+subclass that adds a shard index over the same pending set.
 """
 
 from __future__ import annotations
 
-import hashlib
-import warnings
 from typing import Dict, Iterator, List, Optional
 
 from repro.changes.change import Change
@@ -101,59 +93,3 @@ class PendingQueue:
                 break
             earlier.append(change)
         return earlier
-
-
-class ShardedQueue:
-    """N independent FIFO shards with stable assignment by change id.
-
-    .. deprecated::
-        Hash routing balances load but cannot bound the conflict sweep;
-        use :class:`repro.sharding.queue.PartitionedPendingQueue` (via
-        ``create_queue_backend("sharded:N")``) instead.
-    """
-
-    def __init__(self, shards: int = 4) -> None:
-        if shards <= 0:
-            raise ValueError("shard count must be positive")
-        warnings.warn(
-            "ShardedQueue is deprecated: use "
-            "repro.sharding.PartitionedPendingQueue (the partition-aware "
-            "queue behind create_queue_backend('sharded:N'))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._shards: List[PendingQueue] = [PendingQueue() for _ in range(shards)]
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_for(self, change_id: ChangeId) -> int:
-        digest = hashlib.sha256(change_id.encode("utf-8")).digest()
-        return int.from_bytes(digest[:4], "big") % len(self._shards)
-
-    def shard(self, index: int) -> PendingQueue:
-        return self._shards[index]
-
-    def enqueue(self, change: Change) -> int:
-        """Enqueue into the owning shard; returns the shard index."""
-        index = self.shard_for(change.change_id)
-        self._shards[index].enqueue(change)
-        return index
-
-    def remove(self, change_id: ChangeId) -> Change:
-        return self._shards[self.shard_for(change_id)].remove(change_id)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, change_id: ChangeId) -> bool:
-        return change_id in self._shards[self.shard_for(change_id)]
-
-    def all_pending(self) -> List[Change]:
-        """All pending changes across shards, in global submit order."""
-        merged: List[Change] = []
-        for shard in self._shards:
-            merged.extend(shard)
-        merged.sort(key=lambda c: (c.submitted_at, c.change_id))
-        return merged

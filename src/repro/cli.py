@@ -595,12 +595,8 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     )
     files, changes = mint_cell(seed=args.seed, count=args.changes)
     results = [
-        run_cell(files, changes, backend=spec, parallel_workers=workers,
-                 step_wall_seconds=step_wall)
-        for spec, workers in (
-            ("local", None),
-            ("process", args.workers),
-        )
+        run_cell(files, changes, backend=spec, step_wall_seconds=step_wall)
+        for spec in ("local", f"process:{args.workers}")
     ]
     if queue_backend is not None:
         results.append(

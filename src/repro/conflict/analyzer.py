@@ -42,12 +42,12 @@ from repro.changes.change import Change
 from repro.conflict.union_graph import UnionGraph
 from repro.errors import PatchConflictError
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import CounterStats
 from repro.types import AffectedTarget, ChangeId, Path, TargetName
 from repro.vcs.patch import Patch, three_way_conflicts
 
 
-class ConflictAnalyzerStats:
+class ConflictAnalyzerStats(CounterStats):
     """Counters for fast/slow path usage and incremental effectiveness.
 
     The first four feed the section-5.2 benches; the incremental group
@@ -62,9 +62,7 @@ class ConflictAnalyzerStats:
 
     Every counter lives in a :class:`~repro.obs.registry.MetricsRegistry`
     (the analyzer's recorder's, when one is attached, so conflict series
-    appear in the run's Prometheus/JSON dumps); the attribute API
-    (``stats.fast_path``, ``stats.fast_path += 1``) is a thin shim over
-    those series for the pre-registry callers and benches.
+    appear in the run's Prometheus/JSON dumps).
     """
 
     #: attribute -> (metric name, labels, help).
@@ -112,29 +110,6 @@ class ConflictAnalyzerStats:
             "Invalidated analyses recomputed on next use.",
         ),
     }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {
-            attr: registry.counter(name, help_text, labels)
-            for attr, (name, labels, help_text) in self._SERIES.items()
-        }
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "_counters", counters)
-
-    def __getattr__(self, name: str):
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            counters[name].set_(float(value))
-        else:
-            object.__setattr__(self, name, value)
 
     @property
     def checks(self) -> int:
@@ -191,6 +166,7 @@ class ConflictAnalyzer:
         self.stats = ConflictAnalyzerStats(
             recorder.registry if recorder.enabled else None
         )
+        self._count = self.stats.counters
 
     # -- per-change analysis ------------------------------------------------
 
@@ -212,7 +188,7 @@ class ConflictAnalyzer:
             # A head advance dropped this change's cached analysis; this
             # recompute is the work the carry-over failed to save.
             self._invalidated.discard(change.change_id)
-            self.stats.analyses_recomputed += 1
+            self._count["analyses_recomputed"].inc()
         return analysis
 
     def _analyze_patch(self, patch: Patch) -> _ChangeAnalysis:
@@ -231,9 +207,9 @@ class ConflictAnalyzer:
             graph is not self._base_graph
             and graph.structure() != self._base_structure
         )
-        self.stats.analyses += 1
-        self.stats.targets_rehashed += hasher.computed
-        self.stats.targets_total += len(graph)
+        self._count["analyses"].inc()
+        self._count["targets_rehashed"].inc(hasher.computed)
+        self._count["targets_total"].inc(len(graph))
         return _ChangeAnalysis(
             patch=patch,
             touched=touched,
@@ -309,7 +285,7 @@ class ConflictAnalyzer:
 
         Pairwise verdicts survive only when both sides were revalidated.
         """
-        self.stats.head_advances += 1
+        self._count["head_advances"].inc()
         if committed_paths is None:
             self._rebuild(new_snapshot)
             return
@@ -320,8 +296,8 @@ class ConflictAnalyzer:
             new_graph, new_snapshot, seed_hashes=self._base_hashes, dirty=seeds
         )
         new_hashes = hasher.all_hashes()
-        self.stats.targets_rehashed += hasher.computed
-        self.stats.targets_total += len(new_graph)
+        self._count["targets_rehashed"].inc(hasher.computed)
+        self._count["targets_total"].inc(len(new_graph))
         commit_affected = delta_names(
             delta_from_dirty(self._base_hashes, new_hashes, hasher.dirty_closure)
         )
@@ -339,7 +315,7 @@ class ConflictAnalyzer:
                 survivors[change_id] = self._rebase_analysis(
                     analysis, new_snapshot, new_hashes
                 )
-        self.stats.analyses_revalidated += len(survivors)
+        self._count["analyses_revalidated"].inc(len(survivors))
         # Dropped analyses are *invalidated*, not yet recomputed: the
         # recompute counter moves when analyze() actually redoes the work.
         self._invalidated.update(
@@ -411,7 +387,7 @@ class ConflictAnalyzer:
             return False
         key = tuple(sorted((first.change_id, second.change_id)))
         if key in self._pair_cache:
-            self.stats.cached += 1
+            self._count["cached"].inc()
             return self._pair_cache[key]
         verdict = self._conflict_uncached(first, second)
         self._pair_cache[key] = verdict
@@ -422,15 +398,15 @@ class ConflictAnalyzer:
         # Textual overlap is a conflict regardless of target structure: the
         # patches cannot even merge cleanly.
         if three_way_conflicts(first.patch, second.patch):
-            self.stats.textual += 1
+            self._count["textual"].inc()
             return True
         a = self.analyze(first)
         b = self.analyze(second)
         if not a.structure_changed and not b.structure_changed:
             # Fast path: structure identical, name intersection is exact.
-            self.stats.fast_path += 1
+            self._count["fast_path"].inc()
             return bool(delta_names(a.delta) & delta_names(b.delta))
-        self.stats.slow_path += 1
+        self._count["slow_path"].inc()
         union = UnionGraph(
             self._base_graph,
             self._base_hashes,
@@ -476,6 +452,7 @@ class LabelConflictAnalyzer:
 
     def __init__(self) -> None:
         self.stats = ConflictAnalyzerStats()
+        self._count = self.stats.counters
 
     def affected_names(self, change: Change) -> FrozenSet[TargetName]:
         if change.ground_truth is None:
@@ -490,5 +467,5 @@ class LabelConflictAnalyzer:
     def conflict(self, first: Change, second: Change) -> bool:
         if first.change_id == second.change_id:
             return False
-        self.stats.fast_path += 1
+        self._count["fast_path"].inc()
         return bool(self.affected_names(first) & self.affected_names(second))

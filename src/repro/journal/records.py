@@ -34,8 +34,10 @@ from repro.types import BuildKey
 from repro.vcs.patch import FileOp, OpKind, Patch
 
 #: Bump when a record's shape changes incompatibly; readers refuse
-#: journals stamped with a version they do not know.
-SCHEMA_VERSION = 1
+#: journals stamped with any other version (there is no back-reader).
+#: v2: the ``init`` config shrank to ``workers`` / ``max_pump_minutes`` /
+#: ``overlapped`` / ``queue_backend`` with the service's option surface.
+SCHEMA_VERSION = 2
 
 INIT = "init"
 SUBMIT = "submit"
@@ -263,8 +265,7 @@ def batch_record(
 
     Emitted only when the risk-batching strategy resolves a batch build,
     so journals of batching-off runs stay byte-identical to the golden
-    pins — the same conditional-key discipline as the overlapped config
-    flag.
+    pins.
     """
     return {
         "t": BATCH,
@@ -304,8 +305,8 @@ def check_records(records: Sequence[Mapping[str, object]]) -> None:
     version = head.get("v")
     if version != SCHEMA_VERSION:
         raise JournalCorruptError(
-            f"unknown journal schema version {version!r} "
-            f"(this reader supports {SCHEMA_VERSION})",
+            f"unsupported journal schema version {version!r} "
+            f"(this reader supports only {SCHEMA_VERSION})",
             line=1,
         )
     for line_no, record in enumerate(records[1:], start=2):

@@ -171,7 +171,6 @@ def recover(
     journal_dir: str,
     strategy=None,
     recorder: Recorder = NULL_RECORDER,
-    store=None,
     attach: bool = True,
     fsync: bool = False,
     snapshot_every: Optional[int] = None,
@@ -217,7 +216,6 @@ def recover(
             repo,
             strategy,
             config=replace(config, journal=verifier),
-            store=store,
             recorder=recorder,
         )
     else:
@@ -226,7 +224,6 @@ def recover(
             config,
             strategy,
             recorder=recorder,
-            store=store,
         )
         verifier = ReplayVerifier(records, start=snapshot_index + 1)
         service.attach_journal(verifier)

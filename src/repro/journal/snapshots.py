@@ -49,30 +49,21 @@ def is_quiescent(service) -> bool:
 
 
 def encode_config(config) -> Dict[str, object]:
-    payload: Dict[str, object] = {
+    """The journaled part of a ``CoreServiceConfig``.
+
+    The concrete build-backend spec is irrelevant to replay — decisions
+    are bit-identical across backends — but the overlapped record *tempo*
+    (epoch records journaled at resolution, not dispatch) is not, so
+    replay must run with some backend attached: ``overlapped`` says
+    whether one was.  ``journal`` and ``step_wall_seconds`` are wall-side
+    only and never journaled.
+    """
+    return {
         "workers": config.workers,
         "max_pump_minutes": config.max_pump_minutes,
-        "refresh_analyzer_on_commit": config.refresh_analyzer_on_commit,
-        "incremental_analyzer": config.incremental_analyzer,
-        "incremental_executor": config.incremental_executor,
+        "overlapped": config.build_backend is not None,
+        "queue_backend": config.queue_backend,
     }
-    # Emitted only when a build backend is attached, so serial journals
-    # (including every pre-overlap golden pin) stay byte-identical.  The
-    # concrete backend spec is irrelevant to replay — decisions are
-    # bit-identical across backends — but the overlapped record *tempo*
-    # (epoch records journaled at resolution, not dispatch) is not, so
-    # replay must run with some backend attached.
-    if getattr(config, "build_backend", None) is not None:
-        payload["overlapped"] = True
-    # Same conditional-key discipline for the queue backend: monolithic
-    # journals stay byte-identical.  Decisions are bit-identical across
-    # queue backends, so the keys are observability (which backend made
-    # this journal) rather than a replay requirement.
-    if getattr(config, "queue_backend", None) is not None:
-        payload["queue_backend"] = config.queue_backend
-        if getattr(config, "queue_shards", None) is not None:
-            payload["queue_shards"] = config.queue_shards
-    return payload
 
 
 def decode_config(payload: Mapping[str, object]):
@@ -81,16 +72,12 @@ def decode_config(payload: Mapping[str, object]):
     return CoreServiceConfig(
         workers=payload["workers"],
         max_pump_minutes=payload["max_pump_minutes"],
-        refresh_analyzer_on_commit=payload["refresh_analyzer_on_commit"],
-        incremental_analyzer=payload["incremental_analyzer"],
-        incremental_executor=payload["incremental_executor"],
         # Overlapped journals replay through the serial local backend:
         # same record tempo, no worker processes during recovery.
-        build_backend="local" if payload.get("overlapped") else None,
+        build_backend="local" if payload["overlapped"] else None,
         # Sharded journals replay sharded (verdicts are identical either
         # way; keeping the backend preserves shard metrics on recovery).
-        queue_backend=payload.get("queue_backend"),
-        queue_shards=payload.get("queue_shards"),
+        queue_backend=payload["queue_backend"],
     )
 
 
@@ -310,7 +297,6 @@ def restore_service(
     config,
     strategy,
     recorder=None,
-    store=None,
 ):
     """A fresh ``CoreService`` carrying the snapshot's state.
 
@@ -329,7 +315,6 @@ def restore_service(
         repo,
         strategy,
         config=replace(config, journal=None),
-        store=store,
         recorder=recorder,
     )
     service.clock.advance_to(state["at"])

@@ -70,13 +70,6 @@ class Counter:
             raise MetricsError(f"counter {self.name} cannot decrease")
         self._value += amount
 
-    def set_(self, value: float) -> None:
-        """Directly assign the value (legacy-stat shim only; see
-        :class:`~repro.conflict.analyzer.ConflictAnalyzerStats`)."""
-        if value < self._value:
-            raise MetricsError(f"counter {self.name} cannot decrease")
-        self._value = float(value)
-
 
 class Gauge:
     """A sample that can move in both directions."""
@@ -347,3 +340,29 @@ class MetricsRegistry:
                 "series": series_list,
             }
         return out
+
+
+class CounterStats:
+    """One component's named counters, registered in a shared registry.
+
+    Subclasses list ``_SERIES`` (attribute -> metric name, labels, help).
+    The owning component increments the handles in :attr:`counters`;
+    everyone else reads ``stats.<attribute>`` as an int, so benches and
+    tests see the same numbers the Prometheus/JSON dumps carry.
+    """
+
+    _SERIES: Mapping[str, Tuple[str, Optional[Mapping[str, str]], str]] = {}
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        if registry is None:
+            registry = MetricsRegistry()
+        self.counters: Dict[str, Counter] = {
+            attr: registry.counter(name, help_text, labels)
+            for attr, (name, labels, help_text) in self._SERIES.items()
+        }
+
+    def __getattr__(self, name: str) -> int:
+        counter = self.__dict__.get("counters", {}).get(name)
+        if counter is None:
+            raise AttributeError(name)
+        return int(counter.value)

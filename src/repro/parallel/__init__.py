@@ -1,28 +1,27 @@
 """Process-parallel speculation builds (ROADMAP item: multi-core scale-out).
 
-Backend selection lives in exactly one place — :func:`create_build_backend`
-— mirroring the AutoQueueBackend pattern: callers name a *spec* string,
-never a concrete class, and everything upstream of the backend seam
-(`BuildExecutor`, `WorkerPool`, the planner) stays backend-agnostic.
+Backend selection lives in exactly one place — :func:`create_build_backend`:
+callers name a *spec* string, never a concrete class, and everything
+upstream of the backend seam (`BuildExecutor`, `WorkerPool`, the planner)
+stays backend-agnostic.
 
 Specs:
 
 ``"local"``
-    Inline serial execution — the correctness oracle.
+    Inline serial execution — the correctness oracle, and what journal
+    recovery replays overlapped runs through.
 ``"process"`` / ``"process:N"``
-    A ``ProcessPoolExecutor`` with ``os.cpu_count()`` (or ``N``) workers.
-``"auto"``
-    ``process`` when the machine has more than one core, else ``local``.
+    A ``ProcessPoolExecutor`` with ``os.cpu_count()`` (or ``N >= 1``)
+    workers.
 
 This package is imported lazily: the serial service path never touches
-it (enforced by a dep-hygiene test and a CI check), so selecting no
-backend costs nothing.
+it (enforced by a dep-hygiene test), so selecting no backend costs
+nothing.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.errors import ParallelExecutionError
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -48,36 +47,25 @@ __all__ = [
 
 
 def create_build_backend(
-    spec: str = "auto",
-    *,
-    workers: Optional[int] = None,
-    recorder: Recorder = NULL_RECORDER,
+    spec: str, *, recorder: Recorder = NULL_RECORDER
 ) -> BuildBackend:
     """The canonical backend factory — the only component that knows the
-    concrete backend classes.
-
-    ``workers`` overrides the worker count for process backends (a
-    ``process:N`` suffix in the spec wins over the keyword).
-    """
-    name, _, suffix = (spec or "auto").partition(":")
+    concrete backend classes.  Bad specs raise
+    :class:`~repro.errors.ParallelExecutionError`."""
+    name, colon, suffix = spec.partition(":")
     name = name.strip().lower()
-    if suffix:
-        try:
-            workers = int(suffix)
-        except ValueError:
-            raise ParallelExecutionError(
-                f"malformed backend spec {spec!r}: worker count must be an integer"
-            )
-    if name == "auto":
-        cores = os.cpu_count() or 1
-        name = "process" if cores > 1 else "local"
-        if workers is None:
-            workers = cores
     if name == "local":
         return LocalBuildBackend(recorder=recorder)
     if name == "process":
-        count = workers if workers is not None else (os.cpu_count() or 1)
-        return ProcessBuildBackend(count, recorder=recorder)
+        workers = os.cpu_count() or 1
+        if colon:
+            if not suffix.isdecimal() or int(suffix) < 1:
+                raise ParallelExecutionError(
+                    f"malformed backend spec {spec!r}: worker count must "
+                    "be a positive integer"
+                )
+            workers = int(suffix)
+        return ProcessBuildBackend(workers, recorder=recorder)
     raise ParallelExecutionError(
-        f"unknown build backend {spec!r} (expected auto, local, or process[:N])"
+        f"unknown build backend {spec!r} (expected local or process[:N])"
     )

@@ -1,19 +1,18 @@
 """Build backends: where a batch of speculation builds physically runs.
 
-Exactly one seam, in two tempos.  :meth:`BuildBackend.submit_batch`
-hands a batch of picklable :class:`~repro.parallel.payload.BuildRequest`
-objects to the backend and returns a token immediately — the overlapped
-pump loop keeps planning while the work runs.  :meth:`BuildBackend.collect`
-blocks on a token and returns the batch's
+Exactly one seam: :meth:`BuildBackend.submit_batch` hands a batch of
+picklable :class:`~repro.parallel.payload.BuildRequest` objects to the
+backend and returns a token immediately — the overlapped pump loop keeps
+planning while the work runs.  :meth:`BuildBackend.collect` blocks on a
+token and returns the batch's
 :class:`~repro.parallel.payload.BuildResponse` objects **in request
-order** — the deterministic quiescent point.  :meth:`BuildBackend.run_batch`
-is the synchronous composition of the two.  Everything upstream
+order** — the deterministic quiescent point.  Everything upstream
 (`BuildExecutor`, `WorkerPool`, the planner) is backend-agnostic; only
 :func:`repro.parallel.create_build_backend` knows the concrete classes.
 
 * :class:`LocalBuildBackend` — runs each request inline on the calling
-  thread.  The serial correctness oracle and the fallback when no extra
-  cores are available.
+  thread, at collection.  The serial correctness oracle, and the backend
+  journal recovery replays overlapped runs through.
 * :class:`ProcessBuildBackend` — fans requests out to a
   ``concurrent.futures.ProcessPoolExecutor``.  Completion order is
   nondeterministic; responses are *collected* as they land (so the
@@ -34,7 +33,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.parallel.payload import BuildRequest, BuildResponse
 from repro.parallel.worker import execute_request
 
-#: How long ``run_batch`` waits on the pool before giving the idle hook
+#: How long ``collect`` waits on the pool before giving the idle hook
 #: another turn (seconds).  Purely a latency/overlap knob — results are
 #: re-ordered at the end, so the value can never affect behaviour.
 IDLE_POLL_SECONDS = 0.002
@@ -71,7 +70,7 @@ class _BackendMetrics:
         )
         self.batch_seconds = recorder.histogram(
             "executor_parallel_batch_seconds",
-            "Wall seconds spent completing one run_batch call.",
+            "Wall seconds from a batch's submission to its collection.",
             buckets=WALL_SECOND_BUCKETS,
         )
         self._busy: dict = {}
@@ -99,15 +98,23 @@ class BuildBackend(abc.ABC):
 
     def __init__(self) -> None:
         self._next_token = 0
-        self._deferred: dict = {}
+
+    def _new_token(self) -> int:
+        token = self._next_token
+        self._next_token += 1
+        return token
 
     @abc.abstractmethod
-    def run_batch(
+    def submit_batch(self, requests: Sequence[BuildRequest]) -> int:
+        """Hand a batch over for execution; return a token immediately."""
+
+    @abc.abstractmethod
+    def collect(
         self,
-        requests: Sequence[BuildRequest],
+        token: int,
         idle_hook: Optional[Callable[[], None]] = None,
     ) -> List[BuildResponse]:
-        """Execute every request; return responses in *request order*.
+        """Block until ``token``'s batch is done; responses in *request order*.
 
         ``idle_hook`` is called repeatedly while the backend waits on
         remote work — the parent's chance to overlap pump-loop work
@@ -115,30 +122,6 @@ class BuildBackend(abc.ABC):
         must be outcome-neutral: nothing they do may change what the
         batch returns.
         """
-
-    def submit_batch(self, requests: Sequence[BuildRequest]) -> int:
-        """Hand a batch over for execution; return a token immediately.
-
-        The base implementation merely parks the requests and executes
-        them inside :meth:`collect` — correct (and exactly the serial
-        oracle's tempo) for any backend without real asynchrony.
-        Concurrent backends override this to start work *now*.
-        """
-        token = self._next_token
-        self._next_token += 1
-        self._deferred[token] = list(requests)
-        return token
-
-    def collect(
-        self,
-        token: int,
-        idle_hook: Optional[Callable[[], None]] = None,
-    ) -> List[BuildResponse]:
-        """Block until ``token``'s batch is done; responses in request order."""
-        requests = self._deferred.pop(token, None)
-        if requests is None:
-            raise ParallelExecutionError(f"unknown or already-collected batch token {token}")
-        return self.run_batch(requests, idle_hook=idle_hook)
 
     def close(self) -> None:
         """Release pool resources; idempotent."""
@@ -151,22 +134,37 @@ class BuildBackend(abc.ABC):
 
 
 class LocalBuildBackend(BuildBackend):
-    """Inline execution on the calling thread — the serial oracle."""
+    """Inline execution on the calling thread — the serial oracle.
+
+    ``submit_batch`` merely parks the requests; they execute inside
+    ``collect``, which is exactly the serial path's tempo.
+    """
 
     name = "local"
     worker_count = 1
 
     def __init__(self, recorder: Recorder = NULL_RECORDER) -> None:
         super().__init__()
+        self._parked: dict = {}
         self._metrics = (
             _BackendMetrics(recorder, self.name) if recorder.enabled else None
         )
 
-    def run_batch(
+    def submit_batch(self, requests: Sequence[BuildRequest]) -> int:
+        token = self._new_token()
+        self._parked[token] = list(requests)
+        return token
+
+    def collect(
         self,
-        requests: Sequence[BuildRequest],
+        token: int,
         idle_hook: Optional[Callable[[], None]] = None,
     ) -> List[BuildResponse]:
+        requests = self._parked.pop(token, None)
+        if requests is None:
+            raise ParallelExecutionError(
+                f"unknown or already-collected batch token {token}"
+            )
         started = time.perf_counter()
         metrics = self._metrics
         responses: List[BuildResponse] = []
@@ -230,8 +228,7 @@ class ProcessBuildBackend(BuildBackend):
         submissions and planning further epochs while these requests
         execute in worker processes.
         """
-        token = self._next_token
-        self._next_token += 1
+        token = self._new_token()
         pool = self._ensure_pool()
         metrics = self._metrics
         futures = {}
@@ -296,13 +293,6 @@ class ProcessBuildBackend(BuildBackend):
         if metrics is not None:
             metrics.batch_seconds.observe(time.perf_counter() - started)
         return [response for response in ordered if response is not None]
-
-    def run_batch(
-        self,
-        requests: Sequence[BuildRequest],
-        idle_hook: Optional[Callable[[], None]] = None,
-    ) -> List[BuildResponse]:
-        return self.collect(self.submit_batch(requests), idle_hook=idle_hook)
 
     def close(self) -> None:
         # Drain anything still in flight so worker processes exit cleanly

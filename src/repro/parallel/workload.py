@@ -79,7 +79,6 @@ def run_cell(
     files: Dict[str, str],
     changes: List[Change],
     backend: Optional[str] = None,
-    parallel_workers: Optional[int] = None,
     service_workers: int = 8,
     step_wall_seconds: float = 0.0,
     recorder: Recorder = NULL_RECORDER,
@@ -96,10 +95,10 @@ def run_cell(
     batching strategy (same predictor), so mirrored runs compare landing
     rates with everything else held fixed.
 
-    ``queue_backend`` selects the pending-queue/analyzer pair (the
-    ``repro.sharding.create_queue_backend`` seam, e.g. ``"sharded:4"``);
-    ``None`` keeps the monolithic pair.  Fingerprints must match across
-    queue backends exactly as they do across build backends.
+    ``queue_backend`` (``"sharded[:N]"``) selects the partition-sharded
+    pending-queue/analyzer pair; ``None`` keeps the monolithic pair.
+    Fingerprints must match across queue backends exactly as they do
+    across build backends.
     """
     from repro.predictor.predictors import StaticPredictor
     from repro.service.core import CoreService, CoreServiceConfig
@@ -119,7 +118,6 @@ def run_cell(
         config=CoreServiceConfig(
             workers=service_workers,
             build_backend=backend,
-            parallel_workers=parallel_workers,
             step_wall_seconds=step_wall_seconds,
             queue_backend=queue_backend,
         ),
@@ -139,11 +137,6 @@ def run_cell(
     sim_minutes = service.clock.now
     mainline_green = all(service.repo.mainline_green_flags())
     label = backend or "serial"
-    if backend == "process" or (backend or "").startswith("process:"):
-        workers = parallel_workers
-        if workers is None and service.backend is not None:
-            workers = service.backend.worker_count
-        label = f"process:{workers}"
     if queue_backend is not None:
         label = f"{label}+{queue_backend}"
     service.close()

@@ -71,10 +71,7 @@ class BuildController(abc.ABC):
     ) -> List[BuildExecution]:
         """Execute one epoch's selected builds, results in selection order.
 
-        The default runs each build serially through :meth:`execute`;
-        controllers with a parallel backend attached override this to fan
-        the batch out while still *returning* in selection order — the
-        planner's deterministic quiescent point.
+        Runs each build serially through :meth:`execute`.
 
         ``batch_members`` (aligned with ``keys`` when present) carries the
         speculative-batch membership riding on each build — metadata the
@@ -656,40 +653,12 @@ class FullStackBuildController(BuildController):
         changes_by_id: Mapping[ChangeId, Change],
         batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> List[BuildExecution]:
-        """One epoch's builds — fanned out when a backend is attached.
+        """One epoch's builds, run inline in selection order.
 
-        Requests are dispatched together; responses come back in request
-        order (the backend contract) and merge sequentially, so the
-        parent's cache and prefix state evolve exactly as if the batch
-        had run inline.  Without a backend (or in from-scratch reference
-        mode) this is the plain serial loop.  ``batch_members`` threads
-        speculative-batch membership into each request as metadata.
+        With a backend attached (and ``incremental=True``) the planner
+        takes :meth:`dispatch_batch` instead and never calls this.
         """
-        if self._backend is None or not self.incremental:
-            return [self.execute(key, changes_by_id) for key in keys]
-        members = (
-            list(batch_members)
-            if batch_members is not None
-            else [()] * len(keys)
-        )
-        if len(members) != len(keys):
-            raise ValueError("batch_members must align with keys")
-        requests = [
-            self._build_request(
-                position, key, changes_by_id, batch_members=group
-            )
-            for position, (key, group) in enumerate(zip(keys, members))
-        ]
-        responses = self._backend.run_batch(requests, idle_hook=self.idle_hook)
-        if len(responses) != len(requests):
-            raise ParallelExecutionError(
-                f"backend returned {len(responses)} responses "
-                f"for {len(requests)} requests"
-            )
-        return [
-            self._merge_response(key, response)
-            for key, response in zip(keys, responses)
-        ]
+        return [self.execute(key, changes_by_id) for key in keys]
 
     def execute(
         self, key: BuildKey, changes_by_id: Mapping[ChangeId, Change]

@@ -445,9 +445,8 @@ class PlannerEngine:
         re-running a deterministic strategy over identical state starts
         and aborts nothing, so the planner returns an empty
         :class:`PlanResult` without consulting the strategy at all.
-        Strategies whose selection is not a pure function of the view
-        (call-count-dependent test doubles) opt out by setting
-        ``deterministic_select = False``.
+        A caller that changes what the strategy would select behind the
+        planner's back calls :meth:`invalidate_plan_cache` first.
         """
         self.stats.plan_calls += 1
         if self.recorder.enabled:
@@ -460,10 +459,7 @@ class PlannerEngine:
             for ahead_id, behind_id in propose(self._view):
                 self.reorder(ahead_id, behind_id)
         fingerprint = self._plan_fingerprint()
-        if (
-            fingerprint == self._last_plan_fingerprint
-            and getattr(self.strategy, "deterministic_select", True)
-        ):
+        if fingerprint == self._last_plan_fingerprint:
             self.stats.plan_calls_skipped += 1
             if self._metrics is not None:
                 self._metrics.replans_skipped.inc()
@@ -631,9 +627,9 @@ class PlannerEngine:
                 }
             )
             return scheduled
-        # Inline path: controllers that can fan a whole batch out expose
-        # execute_batch; plain stubs may only have execute.  Either way
-        # the executions come back in selection order.
+        # Inline path: BuildController subclasses expose execute_batch;
+        # plain stubs may only have execute.  Either way the executions
+        # come back in selection order.
         execute_batch = getattr(self.controller, "execute_batch", None)
         if execute_batch is not None:
             if batch_members is not None:

@@ -7,15 +7,12 @@ watch the queue — a thin, stateless layer over the core service wiring.
 from repro.service.api import ChangeStatus, SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.service.handlers import ApiHandlers, render_status_page
-from repro.service.storage import PersistentLedgerMirror, SubmitQueueStore
 
 __all__ = [
     "ApiHandlers",
     "ChangeStatus",
     "CoreService",
     "CoreServiceConfig",
-    "PersistentLedgerMirror",
     "SubmitQueueService",
-    "SubmitQueueStore",
     "render_status_page",
 ]

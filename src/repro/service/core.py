@@ -34,53 +34,39 @@ from repro.vcs.repository import Repository
 
 @dataclass
 class CoreServiceConfig:
-    """Deployment-ish knobs for a core-service instance."""
+    """The service's whole selection surface: six fields, one path each.
 
+    The conflict analyzer is always refreshed after a mainline commit and
+    advanced incrementally; builds always execute incrementally; idle-time
+    analysis warming is always on when a build backend is attached.
+    """
+
+    #: Simulated build workers (the planner's per-epoch build budget).
     workers: int = 8
+    #: A single ``pump()`` advancing the clock further than this raises.
     max_pump_minutes: float = 60.0 * 24 * 30
-    #: Refresh the conflict analyzer after every mainline commit (the
-    #: analyzer is pinned to a HEAD snapshot).
-    refresh_analyzer_on_commit: bool = True
-    #: Advance the analyzer incrementally across commits (carry over cached
-    #: per-change analyses whose validity is unaffected by the committed
-    #: delta) instead of rebuilding it from scratch.
-    incremental_analyzer: bool = True
-    #: Execute builds incrementally (memoized per-base build contexts,
-    #: overlay merges, speculation-prefix reuse) instead of recomputing
-    #: both snapshot sides from scratch per build.  Bit-identical outcomes
-    #: either way; only applies to the default controller.
-    incremental_executor: bool = True
     #: Durable event journal (a :class:`~repro.journal.JournalWriter`).
     #: ``None`` — the default — attaches the zero-cost null sink.  This
     #: field is read once at construction; attach/detach later via
     #: :meth:`CoreService.attach_journal` (the config object may be the
     #: shared default instance and must never be mutated).
     journal: Optional[JournalSink] = None
-    #: Build-backend spec for ``repro.parallel.create_build_backend``
-    #: ("auto", "local", "process", "process:N").  ``None`` — the default
-    #: — keeps builds inline and never imports ``repro.parallel``.
-    #: Decisions are bit-identical across backends; what the journal must
-    #: preserve is only the overlapped *record tempo* (epoch records are
-    #: emitted at resolution, not dispatch), so the spec itself is not
-    #: journaled — snapshots carry a single ``overlapped`` flag and
-    #: recovery replays overlapped runs through the serial local backend.
+    #: Build-backend spec for ``repro.parallel.create_build_backend``:
+    #: ``"local"`` or ``"process[:N]"``.  ``None`` — the default — keeps
+    #: builds inline and never imports ``repro.parallel``.  Decisions are
+    #: bit-identical across backends; what the journal must preserve is
+    #: only the overlapped *record tempo* (epoch records are emitted at
+    #: resolution, not dispatch), so the journaled config carries a single
+    #: ``overlapped`` flag and recovery replays overlapped runs through
+    #: the serial ``"local"`` backend.
     build_backend: Optional[str] = None
-    #: Worker-process count for process backends (``None``: backend default).
-    parallel_workers: Optional[int] = None
-    #: Queue-backend spec for ``repro.sharding.create_queue_backend``
-    #: ("auto", "local", "sharded", "sharded:N", "redis-stub[:N]").
-    #: ``None`` — the default — keeps the monolithic queue + analyzer and
-    #: never imports ``repro.sharding``.  Decisions, commit order, and
-    #: state fingerprints are bit-identical across queue backends (the
-    #: sharded sweep only skips provably-disjoint pairs), so the spec is
-    #: journaled for observability, and recovery may replay a sharded run
-    #: through any backend.
+    #: Queue-backend spec for ``repro.sharding.create_queue_backend``:
+    #: ``"sharded[:N]"``.  ``None`` — the default — keeps the monolithic
+    #: queue + analyzer and never imports ``repro.sharding``.  Decisions,
+    #: commit order, and state fingerprints are bit-identical either way
+    #: (the sharded sweep only skips provably-disjoint pairs); the spec is
+    #: journaled so a recovered service keeps its shard metrics.
     queue_backend: Optional[str] = None
-    #: Partition count for sharded queue backends (``None``: spec/default).
-    queue_shards: Optional[int] = None
-    #: While the backend waits on in-flight builds, warm conflict-analyzer
-    #: state for queued submissions (outcome-neutral overlap).
-    overlap_analysis: bool = True
     #: Synthetic wall-clock cost per executed build step, forwarded to
     #: backend workers (models the real compile/test subprocess; 0 keeps
     #: execution purely synthetic).  Wall-clock only — never influences
@@ -111,14 +97,9 @@ class CoreService:
         strategy: Strategy,
         config: CoreServiceConfig = CoreServiceConfig(),
         controller: Optional[BuildController] = None,
-        store=None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
-        """``store``: an optional
-        :class:`~repro.service.storage.SubmitQueueStore`; submissions and
-        decisions are mirrored into it (the MySQL role of section 7.1).
-
-        ``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
+        """``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
         when attached, the whole stack — planner epochs and builds,
         speculation-engine selections, conflict-analyzer counters, build
         cache hits, turnaround and greenness — reports through it.  The
@@ -126,40 +107,23 @@ class CoreService:
         self.repo = repo
         self.config = config
         self.recorder = recorder
-        self._store_mirror = None
-        if store is not None:
-            from repro.service.storage import PersistentLedgerMirror
-
-            self._store_mirror = PersistentLedgerMirror(store)
         self.controller = (
             controller
             if controller is not None
-            else FullStackBuildController(
-                repo,
-                recorder=recorder,
-                incremental=config.incremental_executor,
-            )
+            else FullStackBuildController(repo, recorder=recorder)
         )
-        self._queue_backend = None
         queue = None
+        snapshot = repo.snapshot().to_dict()
         if config.queue_backend is not None:
             # Lazy import — the single place the service touches
             # repro.sharding, so the default path never loads it.
             from repro.sharding import create_queue_backend
 
-            self._queue_backend = create_queue_backend(
-                config.queue_backend, shards=config.queue_shards
-            )
-            self._analyzer = self._queue_backend.create_analyzer(
-                repo.snapshot().to_dict(), recorder=recorder
-            )
-            queue = self._queue_backend.create_queue(
-                self._analyzer, recorder=recorder
+            self._analyzer, queue = create_queue_backend(
+                config.queue_backend, snapshot, recorder
             )
         else:
-            self._analyzer = ConflictAnalyzer(
-                repo.snapshot().to_dict(), recorder=recorder
-            )
+            self._analyzer = ConflictAnalyzer(snapshot, recorder=recorder)
         self.planner = PlannerEngine(
             strategy=strategy,
             controller=self.controller,
@@ -187,17 +151,11 @@ class CoreService:
                 from repro.parallel import create_build_backend
 
                 self._backend = create_build_backend(
-                    config.build_backend,
-                    workers=config.parallel_workers,
-                    recorder=recorder,
+                    config.build_backend, recorder=recorder
                 )
                 attach(
                     self._backend,
-                    idle_hook=(
-                        self._warm_pending_analysis
-                        if config.overlap_analysis
-                        else None
-                    ),
+                    idle_hook=self._warm_pending_analysis,
                     step_wall_seconds=config.step_wall_seconds,
                 )
         self._journal = config.journal if config.journal is not None else NULL_JOURNAL
@@ -224,20 +182,16 @@ class CoreService:
         return self._analyzer.conflict(first, second)
 
     def _maybe_refresh_analyzer(self) -> None:
-        if (
-            not self.config.refresh_analyzer_on_commit
-            or self.repo.head() == self._head_at_analyzer
-        ):
+        """Advance the analyzer (pinned to a HEAD snapshot) past new commits."""
+        if self.repo.head() == self._head_at_analyzer:
             return
-        committed_paths = (
-            self._committed_paths_since(self._head_at_analyzer)
-            if self.config.incremental_analyzer
-            else None
+        # Unknown paths (old head not an ancestor of the new one) degrade
+        # to a from-scratch rebuild inside advance_base; known paths carry
+        # cached analyses over.
+        self._analyzer.advance_base(
+            self.repo.snapshot().to_dict(),
+            self._committed_paths_since(self._head_at_analyzer),
         )
-        # Unknown paths (incremental disabled, or old head not an ancestor
-        # of the new one) degrade to a from-scratch rebuild inside
-        # advance_base; known paths carry cached analyses over.
-        self._analyzer.advance_base(self.repo.snapshot().to_dict(), committed_paths)
         self._head_at_analyzer = self.repo.head()
 
     def _committed_paths_since(self, old_head) -> Optional[Set[str]]:
@@ -252,11 +206,6 @@ class CoreService:
     @property
     def analyzer(self) -> ConflictAnalyzer:
         return self._analyzer
-
-    @property
-    def queue_backend(self):
-        """The attached queue backend, or ``None`` on the monolithic path."""
-        return self._queue_backend
 
     # -- journaling ---------------------------------------------------------
 
@@ -291,8 +240,6 @@ class CoreService:
                 track="service",
                 change_id=change.change_id,
             )
-        if self._store_mirror is not None:
-            self._store_mirror.on_submit(change, self.clock.now)
         self._replan()
 
     def enqueue(self, change: Change, at: Optional[float] = None) -> None:
@@ -375,8 +322,6 @@ class CoreService:
                 detach()
             self._backend.close()
             self._backend = None
-        if self._queue_backend is not None:
-            self._queue_backend.close()
 
     def pump(self) -> List[Decision]:
         """Advance time until every submitted change is decided."""
@@ -499,8 +444,6 @@ class CoreService:
             # Decided changes leave the pending set; evict them so the
             # analyzer's per-change and pair caches stay bounded.
             self._analyzer.forget(decision.change_id)
-            if self._store_mirror is not None:
-                self._store_mirror.on_decision(decision)
         self._replan()
         return new_decisions
 

@@ -11,20 +11,11 @@ cross-partition "straddlers" (:mod:`repro.sharding.analyzer`) — with
 verdicts, commit order, and state fingerprints bit-identical to the
 monolithic path.
 
-Backend selection lives in exactly one place — :func:`create_queue_backend`
-— the AutoQueueBackend pattern, mirroring
-:func:`repro.parallel.create_build_backend`.  Specs:
-
-``"local"``
-    Monolithic ``PendingQueue`` + ``ConflictAnalyzer`` — the oracle.
-``"sharded"`` / ``"sharded:N"``
-    Partition-aware queue + sharded analyzer over ``N`` partitions
-    (default 4).
-``"redis-stub"`` / ``"redis-stub:N"``
-    Sharded, with queue membership mirrored into an in-process
-    Redis-shaped store (the distributed future's wire shape).
-``"auto"``
-    ``sharded:4`` on multi-core machines, else ``local``.
+Selection lives in exactly one place — :func:`create_queue_backend`,
+mirroring :func:`repro.parallel.create_build_backend`.  The one spec is
+``"sharded"`` / ``"sharded:N"``: a partition-aware queue plus a sharded
+analyzer over ``N >= 1`` partitions (default 4).  The monolithic pair is
+what the service builds when no spec is given.
 
 This package is imported lazily: the default service path never touches
 it (enforced by a dep-hygiene test), so selecting no backend costs
@@ -33,88 +24,62 @@ nothing.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+from typing import Mapping, Tuple
 
 from repro.errors import ShardingError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sharding.analyzer import ShardAnalyzer, ShardedConflictAnalyzer
-from repro.sharding.backend import (
-    FakeRedis,
-    LocalQueueBackend,
-    QueueBackend,
-    RedisBackedPendingQueue,
-    RedisStubQueueBackend,
-    ShardedQueueBackend,
-)
 from repro.sharding.partition import PartitionerStats, TargetPartitioner
 from repro.sharding.queue import (
     STRADDLER_SHARD,
     PartitionedPendingQueue,
     shard_label,
 )
+from repro.types import Path
 
 __all__ = [
-    "FakeRedis",
-    "LocalQueueBackend",
     "PartitionedPendingQueue",
     "PartitionerStats",
-    "QueueBackend",
-    "RedisBackedPendingQueue",
-    "RedisStubQueueBackend",
     "STRADDLER_SHARD",
     "ShardAnalyzer",
     "ShardedConflictAnalyzer",
-    "ShardedQueueBackend",
     "ShardingError",
     "TargetPartitioner",
     "create_queue_backend",
     "shard_label",
 ]
 
-#: Shard count ``auto`` picks on multi-core machines.
-AUTO_SHARDS = 4
+#: Partition count of a bare ``"sharded"`` spec.
+DEFAULT_SHARDS = 4
 
 
 def create_queue_backend(
-    spec: str = "auto",
-    *,
-    shards: Optional[int] = None,
+    spec: str,
+    base_snapshot: Mapping[Path, str],
     recorder: Recorder = NULL_RECORDER,
-) -> QueueBackend:
-    """The canonical queue-backend factory — the only component that
-    knows the concrete backend classes.
+) -> Tuple[ShardedConflictAnalyzer, PartitionedPendingQueue]:
+    """Parse ``sharded[:N]`` and build the matched analyzer/queue pair.
 
-    ``shards`` overrides the partition count for sharded backends (a
-    ``sharded:N`` suffix in the spec wins over the keyword).  The
-    ``recorder`` keyword is accepted for seam symmetry with
-    :func:`repro.parallel.create_build_backend`; backends themselves are
-    recorder-free (the analyzer and queue each take one at creation).
+    Bad specs raise :class:`~repro.errors.ShardingError` before anything
+    is built.
     """
-    name, _, suffix = (spec or "auto").partition(":")
-    name = name.strip().lower()
-    if suffix:
-        try:
-            shards = int(suffix)
-        except ValueError:
-            raise ShardingError(
-                f"malformed queue backend spec {spec!r}: "
-                "shard count must be an integer"
-            )
-    if name == "auto":
-        cores = os.cpu_count() or 1
-        name = "sharded" if cores > 1 else "local"
-        if shards is None:
-            shards = AUTO_SHARDS
-    if name == "local":
-        return LocalQueueBackend()
-    if name == "sharded":
-        return ShardedQueueBackend(shards if shards is not None else AUTO_SHARDS)
-    if name == "redis-stub":
-        return RedisStubQueueBackend(
-            shards if shards is not None else AUTO_SHARDS
+    name, colon, suffix = spec.partition(":")
+    if name.strip().lower() != "sharded":
+        raise ShardingError(
+            f"unknown queue backend {spec!r} (expected sharded[:N])"
         )
-    raise ShardingError(
-        f"unknown queue backend {spec!r} "
-        "(expected auto, local, sharded[:N], or redis-stub[:N])"
+    shards = DEFAULT_SHARDS
+    if colon:
+        if not suffix.isdecimal() or int(suffix) < 1:
+            raise ShardingError(
+                f"malformed queue backend spec {spec!r}: shard count must "
+                "be a positive integer"
+            )
+        shards = int(suffix)
+    analyzer = ShardedConflictAnalyzer(
+        base_snapshot, recorder=recorder, shards=shards
     )
+    queue = PartitionedPendingQueue(
+        analyzer, shard_count=analyzer.shard_count, recorder=recorder
+    )
+    return analyzer, queue

@@ -67,9 +67,11 @@ class ShardedConflictAnalyzer(ConflictAnalyzer):
         )
         self._routes: Dict[ChangeId, int] = {}
         self._routes_version = self.partitioner.version
-        #: Pairwise checks answered ``False`` by routing alone (the work
-        #: the monolithic analyzer would have spent on provably-disjoint
-        #: pairs).  Mirrored to the recorder when one is attached.
+        #: Pairwise checks routing made unnecessary: the pairs the
+        #: monolithic sweep tests that the queue's candidate narrowing
+        #: never offered, plus any answered ``False`` by :meth:`conflict`
+        #: directly — so ``stats.checks + pair_checks_skipped`` equals the
+        #: monolithic check count.  Mirrored to the recorder when attached.
         self.pair_checks_skipped = 0
         self._skip_counter = (
             recorder.counter(
@@ -127,6 +129,12 @@ class ShardedConflictAnalyzer(ConflictAnalyzer):
     def shard_label_of(self, change: Change) -> str:
         return shard_label(self.shard_of(change))
 
+    def note_pairs_skipped(self, count: int) -> None:
+        """Record ``count`` pair checks routing made unnecessary."""
+        self.pair_checks_skipped += count
+        if self._skip_counter is not None:
+            self._skip_counter.inc(count)
+
     # -- analyzer surface ------------------------------------------------------
 
     def conflict(self, first: Change, second: Change) -> bool:
@@ -140,9 +148,7 @@ class ShardedConflictAnalyzer(ConflictAnalyzer):
             ):
                 # Provably disjoint (see module docstring): the monolithic
                 # answer is False without analyzing either side.
-                self.pair_checks_skipped += 1
-                if self._skip_counter is not None:
-                    self._skip_counter.inc()
+                self.note_pairs_skipped(1)
                 return False
         return super().conflict(first, second)
 

@@ -1,7 +1,6 @@
-"""The partition-aware pending queue (the live ``ShardedQueue``).
+"""The partition-aware pending queue.
 
-Replaces the dead hash-routed ``repro.changes.queue.ShardedQueue``: a
-change is routed to the partition owning its touched paths, and changes
+A change is routed to the partition owning its touched paths, and changes
 whose paths span partitions (or touch BUILD files / unowned paths) land
 in the global *straddler* shard.  The queue subclasses
 :class:`~repro.changes.queue.PendingQueue`, so global submit order,
@@ -88,8 +87,9 @@ class PartitionedPendingQueue(PendingQueue):
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         """``router`` duck-types the sharded analyzer: ``shard_of(change)``
-        returning a shard index (``STRADDLER_SHARD`` for straddlers) and a
-        monotonically increasing ``version`` property."""
+        returning a shard index (``STRADDLER_SHARD`` for straddlers), a
+        monotonically increasing ``version`` property, and
+        ``note_pairs_skipped(count)`` to account the narrowed-away pairs."""
         super().__init__()
         self.router = router
         self.shard_count = shard_count
@@ -208,14 +208,19 @@ class PartitionedPendingQueue(PendingQueue):
         non-straddler shards are provably non-conflicting, so skipping
         them leaves the conflict graph's edge set bit-identical to the
         monolithic sweep.
+
+        Call once per change, right after enqueueing it (as the planner
+        does): every other pending change is then older, the monolithic
+        sweep would test all of them, and the ones left out here are
+        reported to the router as skipped pair checks — the narrowing
+        happens here, so those pairs never reach the analyzer to count.
         """
         self._sync_routes()
         shard = self._shard_of[change.change_id]
         if shard == STRADDLER_SHARD:
-            candidates = [
+            return [
                 c.change_id for c in self if c.change_id != change.change_id
             ]
-            return candidates
         pool = [
             cid
             for cid in self._members.get(shard, [])
@@ -227,6 +232,7 @@ class PartitionedPendingQueue(PendingQueue):
             if cid in self._by_id
         )
         pool.sort(key=self._sequence.__getitem__)
+        self.router.note_pairs_skipped(len(self) - 1 - len(pool))
         return pool
 
     # -- instrumentation ------------------------------------------------------

@@ -57,7 +57,7 @@ from typing import (
 from repro.changes.change import Change
 from repro.changes.state import ChangeRecord
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.registry import UNIT_BUCKETS, MetricsRegistry
+from repro.obs.registry import UNIT_BUCKETS, CounterStats
 from repro.predictor.predictors import Predictor
 from repro.speculation.batching import BatchPlan, plan_batches
 from repro.speculation.probability import (
@@ -88,15 +88,13 @@ class ScoredBuild:
         return self.key.change_id
 
 
-class SpeculationEngineStats:
+class SpeculationEngineStats(CounterStats):
     """Incremental-selection effectiveness counters.
 
     Mirrors :class:`~repro.conflict.analyzer.ConflictAnalyzerStats`: every
     counter lives in a :class:`~repro.obs.registry.MetricsRegistry` (the
     engine's recorder's, when one is attached, so the series appear in the
-    run's Prometheus/JSON dumps); the attribute API (``stats.skipped_replans``,
-    ``stats.skipped_replans += 1``) is a thin shim over those series for
-    benches and tests.
+    run's Prometheus/JSON dumps).
     """
 
     #: attribute -> (metric name, labels, help).
@@ -140,29 +138,6 @@ class SpeculationEngineStats:
             "Merge-heap nodes served from an enumerator's memoized prefix.",
         ),
     }
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        counters = {
-            attr: registry.counter(name, help_text, labels)
-            for attr, (name, labels, help_text) in self._SERIES.items()
-        }
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "_counters", counters)
-
-    def __getattr__(self, name: str):
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            return int(counters[name].value)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        counters = object.__getattribute__(self, "_counters")
-        if name in counters:
-            counters[name].set_(float(value))
-        else:
-            object.__setattr__(self, name, value)
 
     @property
     def skip_rate(self) -> float:
@@ -260,6 +235,7 @@ class SpeculationEngine:
         self.stats = SpeculationEngineStats(
             recorder.registry if recorder.enabled else None
         )
+        self._count = self.stats.counters
         # -- carry-over state (see module docstring) ------------------------
         #: Fingerprint + result of the last computed round.
         self._prev_fingerprint: Optional[tuple] = None
@@ -284,6 +260,7 @@ class SpeculationEngine:
         self.stats = SpeculationEngineStats(
             recorder.registry if recorder.enabled else None
         )
+        self._count = self.stats.counters
 
     def invalidate_carry_over(self) -> None:
         """Drop all incremental state; the next round recomputes cold."""
@@ -506,8 +483,8 @@ class SpeculationEngine:
                 order, ancestors, p_success, p_conflict, decided
             )
             reused = 0
-        self.stats.commit_prob_reused += reused
-        self.stats.commit_prob_recomputed += len(order) - reused
+        self._count["commit_prob_reused"].inc(reused)
+        self._count["commit_prob_recomputed"].inc(len(order) - reused)
         self._prev_probs = {cid: result[cid] for cid in order}
         self._prev_inputs = dict(inputs)
         self._seen_round = True
@@ -543,14 +520,14 @@ class SpeculationEngine:
             tuple((cid, inputs[cid]) for cid in order),
             budget,
         )
-        self.stats.selections += 1
+        self._count["selections"].inc()
         if (
             self._prev_selection is not None
             and fingerprint == self._prev_fingerprint
         ):
             # Nothing the selection depends on moved since last epoch:
             # the previous round's answer is this round's answer.
-            self.stats.skipped_replans += 1
+            self._count["skipped_replans"].inc()
             return list(self._prev_selection)
 
         commit_probabilities = self._incremental_commit_probabilities(
@@ -586,7 +563,7 @@ class SpeculationEngine:
                 enumerator is not None
                 and self._enum_signatures.get(change_id) == signature
             ):
-                self.stats.enumerators_reused += 1
+                self._count["enumerators_reused"].inc()
             else:
                 enumerator = SubsetEnumerator(
                     change_id,
@@ -597,7 +574,7 @@ class SpeculationEngine:
                 )
                 self._enumerators[change_id] = enumerator
                 self._enum_signatures[change_id] = signature
-                self.stats.enumerators_rebuilt += 1
+                self._count["enumerators_rebuilt"].inc()
             generated_before += enumerator.generated_count
             cursor = enumerator.replay()
             cursors[change_id] = cursor
@@ -624,7 +601,7 @@ class SpeculationEngine:
         self._nodes_expanded = generated_after - generated_before
         # Every consumed node either came from a memoized prefix or was
         # generated fresh; the difference is exactly the replayed count.
-        self.stats.nodes_replayed += consumed - self._nodes_expanded
+        self._count["nodes_replayed"].inc(consumed - self._nodes_expanded)
         self._prune_departed(order)
         self._prev_fingerprint = fingerprint
         self._prev_selection = list(selected)

@@ -21,20 +21,14 @@ class Strategy(abc.ABC):
     #: Human-readable name used in benchmark tables.
     name: str = "strategy"
 
-    #: Whether :meth:`select` is a pure function of ``(view, budget)``.
-    #: When True (every production strategy), the planner may answer an
-    #: epoch whose input fingerprint is unchanged with the previous
-    #: result without calling :meth:`select` at all.  Set to False in
-    #: strategies whose selection depends on hidden state that moves per
-    #: call (e.g. call-counting test doubles) to opt out of the skip.
-    deterministic_select: bool = True
-
     @abc.abstractmethod
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
         """The top-``budget`` builds to have running right now.
 
         Order encodes priority: the planner starts from the front and
-        aborts running builds that are absent from the list.
+        aborts running builds that are absent from the list.  Must be a
+        pure function of ``(view, budget)``: the planner answers an epoch
+        whose input fingerprint is unchanged without calling it at all.
         """
 
     # -- optional hooks (the planner duck-types these) ----------------------

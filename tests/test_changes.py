@@ -10,7 +10,7 @@ from repro.changes.change import (
     next_change_id,
     next_revision_id,
 )
-from repro.changes.queue import PendingQueue, ShardedQueue
+from repro.changes.queue import PendingQueue
 from repro.changes.state import ChangeLedger
 from repro.changes.truth import (
     build_outcome,
@@ -209,33 +209,3 @@ class TestPendingQueue:
     def test_unknown_removal(self):
         with pytest.raises(UnknownChangeError):
             PendingQueue().remove("nope")
-
-
-class TestShardedQueue:
-    def test_stable_shard_assignment(self):
-        sharded = ShardedQueue(shards=4)
-        change = labeled(["//a:a"])
-        index = sharded.enqueue(change)
-        assert sharded.shard_for(change.change_id) == index
-        assert change.change_id in sharded
-
-    def test_global_order_across_shards(self):
-        sharded = ShardedQueue(shards=3)
-        changes = [labeled([f"//t:{i}"]) for i in range(10)]
-        for i, change in enumerate(changes):
-            change.submitted_at = float(i)
-            sharded.enqueue(change)
-        assert [c.change_id for c in sharded.all_pending()] == [
-            c.change_id for c in changes
-        ]
-
-    def test_remove_routes_to_shard(self):
-        sharded = ShardedQueue(shards=2)
-        change = labeled(["//a:a"])
-        sharded.enqueue(change)
-        sharded.remove(change.change_id)
-        assert len(sharded) == 0
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardedQueue(shards=0)

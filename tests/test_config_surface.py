@@ -1,0 +1,87 @@
+"""The service's configuration surface, pinned.
+
+Six ``CoreServiceConfig`` fields, two spec grammars (``local`` /
+``process[:N]`` and ``sharded[:N]``), one journal schema version.  A new
+option, spec name, or constructor argument has to change this module.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from repro.errors import JournalCorruptError, ParallelExecutionError, ShardingError
+from repro.journal import records as rec
+from repro.journal.snapshots import decode_config, encode_config
+from repro.parallel import create_build_backend
+from repro.service.core import CoreService, CoreServiceConfig
+from repro.sharding import create_queue_backend
+
+BUILD_SPECS = (None, "local", "process", "process:2")
+QUEUE_SPECS = (None, "sharded", "sharded:3")
+
+
+def test_config_has_exactly_six_fields():
+    assert {f.name for f in dataclasses.fields(CoreServiceConfig)} == {
+        "workers",
+        "max_pump_minutes",
+        "journal",
+        "build_backend",
+        "queue_backend",
+        "step_wall_seconds",
+    }
+
+
+def test_service_constructor_arguments():
+    assert list(inspect.signature(CoreService.__init__).parameters) == [
+        "self", "repo", "strategy", "config", "controller", "recorder",
+    ]
+
+
+@pytest.mark.parametrize("queue_spec", QUEUE_SPECS)
+@pytest.mark.parametrize("build_spec", BUILD_SPECS)
+def test_journaled_config_round_trips(build_spec, queue_spec):
+    config = CoreServiceConfig(
+        workers=5,
+        max_pump_minutes=90.0,
+        build_backend=build_spec,
+        queue_backend=queue_spec,
+    )
+    payload = encode_config(config)
+    assert set(payload) == {
+        "workers", "max_pump_minutes", "overlapped", "queue_backend",
+    }
+    # Replay needs the overlapped record tempo, not the worker processes:
+    # every build backend decodes to the serial "local" one.
+    assert decode_config(payload) == dataclasses.replace(
+        config, build_backend=None if build_spec is None else "local"
+    )
+    assert encode_config(decode_config(payload)) == payload
+
+
+@pytest.mark.parametrize(
+    "spec", ["auto", "redis-stub:2", "sharded:2", "quantum", "process:x",
+             "process:many", "process:0", "process:-1", ""],
+)
+def test_build_factory_rejects_bad_specs_with_typed_error(spec):
+    with pytest.raises(ParallelExecutionError):
+        create_build_backend(spec)
+
+
+@pytest.mark.parametrize(
+    "spec", ["auto", "redis-stub:2", "local", "process:2", "bogus",
+             "sharded:zero", "sharded:0", "sharded:-1", ""],
+)
+def test_queue_factory_rejects_bad_specs_with_typed_error(spec):
+    with pytest.raises(ShardingError):
+        create_queue_backend(spec, {})
+
+
+def test_v1_journal_is_refused_naming_both_versions():
+    head = rec.init_record(0.0, {}, {}, {})
+    assert head["v"] == rec.SCHEMA_VERSION == 2
+    head["v"] = 1
+    with pytest.raises(JournalCorruptError) as excinfo:
+        rec.check_records([head])
+    assert "version 1" in str(excinfo.value)
+    assert "only 2" in str(excinfo.value)

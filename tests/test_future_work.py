@@ -37,7 +37,6 @@ class _FlipFlopStrategy(Strategy):
     """Selects a build on odd calls, nothing on even calls."""
 
     name = "flipflop"
-    deterministic_select = False  # call-count dependent: no replan skip
 
     def __init__(self, key):
         self.key = key
@@ -64,6 +63,7 @@ class TestPreemptionGrace:
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
         planner.plan(0.0)                      # starts the build
+        planner.invalidate_plan_cache()        # selection is call-count dependent
         result = planner.plan(25.0)            # deselects; 5 min remaining
         assert result.aborted == []
         assert planner.workers.is_running(key)
@@ -74,6 +74,7 @@ class TestPreemptionGrace:
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
         planner.plan(0.0)
+        planner.invalidate_plan_cache()
         result = planner.plan(5.0)             # 25 min remaining > grace
         assert key in result.aborted
 
@@ -83,6 +84,7 @@ class TestPreemptionGrace:
         planner = self._planner(grace=0.0, key=key)
         planner.submit(change, 0.0)
         planner.plan(0.0)
+        planner.invalidate_plan_cache()
         result = planner.plan(29.0)            # 1 min remaining, no grace
         assert key in result.aborted
 

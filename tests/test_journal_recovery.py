@@ -18,7 +18,7 @@ from repro.journal import (
     summarize,
     verify_journal,
 )
-from repro.journal.records import SNAPSHOT
+from repro.journal.records import SCHEMA_VERSION, SNAPSHOT
 from repro.journal.snapshots import capture_state, restore_service
 from repro.strategies.speculate_all import SpeculateAllStrategy
 
@@ -145,7 +145,7 @@ class TestCrashingJournal:
     def test_crash_counting(self, tmp_path):
         inner = JournalWriter(str(tmp_path / "j"))
         crashing = CrashingJournal(inner, crash_after=1, before_write=True)
-        crashing.append({"t": "init", "v": 1})
+        crashing.append({"t": "init", "v": SCHEMA_VERSION})
         with pytest.raises(SimulatedCrashError):
             crashing.append({"t": "stall", "at": 1.0})
         with pytest.raises(SimulatedCrashError):
@@ -232,7 +232,7 @@ class TestCli:
         service, journal_dir = reference
         assert main(["journal", "inspect", journal_dir]) == 0
         out = capsys.readouterr().out
-        assert "schema version: 1" in out and "commits:" in out
+        assert f"schema version: {SCHEMA_VERSION}" in out and "commits:" in out
 
         assert main(["journal", "verify", journal_dir, "--replay"]) == 0
         assert "ok" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 from repro.buildsys.executor import BuildExecutor, BuildReport
 from repro.buildsys.steps import StepResult, StepSpec
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
-from repro.changes.queue import PendingQueue, ShardedQueue
+from repro.changes.queue import PendingQueue
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import UnknownChangeError
 from repro.planner.workers import WorkerPool
@@ -53,13 +53,6 @@ class TestQueueAccessors:
             queue.get("nope")
         with pytest.raises(UnknownChangeError):
             queue.sequence_of("nope")
-
-    def test_sharded_shard_accessor(self):
-        sharded = ShardedQueue(shards=3)
-        change = labeled()
-        index = sharded.enqueue(change)
-        assert change.change_id in sharded.shard(index)
-        assert sharded.shard_count == 3
 
 
 class TestConflictGraphAccessors:

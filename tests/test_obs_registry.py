@@ -27,9 +27,6 @@ class TestCounters:
         counter = MetricsRegistry().counter("c")
         with pytest.raises(MetricsError):
             counter.inc(-1.0)
-        counter.set_(5.0)
-        with pytest.raises(MetricsError):
-            counter.set_(4.0)
 
     def test_labelled_series_are_distinct(self):
         registry = MetricsRegistry()

@@ -148,7 +148,6 @@ class TestAbort:
         class FickleStrategy(SingleQueueStrategy):
             # Selects nothing on even calls to force aborts.
             calls = 0
-            deterministic_select = False  # call-count dependent: no skip
 
             def select(self, view, budget):
                 type(self).calls += 1
@@ -160,6 +159,7 @@ class TestAbort:
         planner.submit(labeled(), 0.0)
         first = planner.plan(0.0)   # selects, starts 1
         assert len(first.started) == 1
+        planner.invalidate_plan_cache()  # selection is call-count dependent
         second = planner.plan(1.0)  # selects nothing -> aborts (stall guard restarts)
         assert len(second.aborted) == 1
         assert planner.stats.builds_aborted == 1

@@ -44,9 +44,7 @@ def _drive(backend, script):
     service = CoreService(
         Repository(dict(FILES)),
         SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
-        config=CoreServiceConfig(
-            workers=3, build_backend=backend, parallel_workers=2
-        ),
+        config=CoreServiceConfig(workers=3, build_backend=backend),
     )
     batch = copy.deepcopy(CHANGE_POOL)
     decisions = []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
-from repro.changes.queue import PendingQueue, ShardedQueue
+from repro.changes.queue import PendingQueue
 from repro.metrics.cdf import Cdf
 from repro.metrics.collector import GreennessTracker
 
@@ -42,18 +42,6 @@ class TestQueueProperties:
         assert [c.change_id for c in queue] == [c.change_id for c in reference]
         assert queue.head() is (reference[0] if reference else None)
         assert len(queue) == len(reference)
-
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=40))
-    @settings(max_examples=40)
-    def test_sharded_queue_preserves_global_order(self, shards, count):
-        sharded = ShardedQueue(shards=shards)
-        changes = [make_change(i) for i in range(count)]
-        for change in changes:
-            sharded.enqueue(change)
-        assert [c.change_id for c in sharded.all_pending()] == [
-            c.change_id for c in changes
-        ]
-        assert len(sharded) == count
 
 
 class TestCdfProperties:

@@ -1,11 +1,12 @@
-"""Target-graph-partitioned sharding: partitioner, queue, backends, service.
+"""Target-graph-partitioned sharding: partitioner, queue, analyzer, service.
 
 Covers the tentpole invariants — deterministic partitioning, incremental
 refresh, path-based routing with straddler semantics, the
-``create_queue_backend`` seam (including the Redis-shaped stub), and the
+``create_queue_backend`` seam, skipped-pair accounting, and the
 cross-partition ancestor-edge invariant (with and without risk batching)
-— plus the satellite fixes (``earlier_than`` pivot scan, the deprecated
-hash-``ShardedQueue`` shim, shard metrics in ``/slo`` and the report).
+— plus the satellite fixes (``earlier_than`` pivot scan, shard metrics in
+``/slo`` and the report).  Spec validation and the journaled config live
+in ``test_config_surface.py``.
 """
 
 import copy
@@ -16,22 +17,19 @@ import pytest
 
 from repro.buildsys.loader import load_build_graph
 from repro.changes.change import Change, next_change_id, next_revision_id
-from repro.changes.queue import PendingQueue, ShardedQueue
+from repro.changes.queue import PendingQueue
+from repro.conflict.analyzer import ConflictAnalyzer
+from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import ShardingError
 from repro.journal import fingerprint_digest
-from repro.journal.snapshots import decode_config, encode_config
 from repro.obs.recorder import Recorder
 from repro.obs.slo import compute_slo
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sharding import (
     STRADDLER_SHARD,
-    FakeRedis,
-    LocalQueueBackend,
     PartitionedPendingQueue,
-    RedisStubQueueBackend,
     ShardedConflictAnalyzer,
-    ShardedQueueBackend,
     TargetPartitioner,
     create_queue_backend,
 )
@@ -314,67 +312,43 @@ class TestPendingQueueSatellites:
         ]
         assert queue.earlier_than(changes[0].change_id) == []
 
-    def test_hash_sharded_queue_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            sharded = ShardedQueue(shards=3)
-        # The shim keeps the old hash-routing behavior intact.
-        change = _clean(0)
-        index = sharded.enqueue(change)
-        assert index == sharded.shard_for(change.change_id)
-        assert change.change_id in sharded
-        assert sharded.all_pending()[0].change_id == change.change_id
-
 
 # -- backend seam --------------------------------------------------------------
 
 
 class TestQueueBackendSeam:
-    def test_spec_parsing(self):
-        assert isinstance(create_queue_backend("local"), LocalQueueBackend)
-        sharded = create_queue_backend("sharded:3")
-        assert isinstance(sharded, ShardedQueueBackend)
-        assert sharded.shards == 3
-        stub = create_queue_backend("redis-stub:2")
-        assert isinstance(stub, RedisStubQueueBackend)
-        assert stub.shards == 2
-        auto = create_queue_backend("auto")
-        assert isinstance(auto, (LocalQueueBackend, ShardedQueueBackend))
+    def test_spec_yields_matched_pair(self):
+        analyzer, queue = create_queue_backend("sharded:3", dict(FILES))
+        assert isinstance(analyzer, ShardedConflictAnalyzer)
+        assert isinstance(queue, PartitionedPendingQueue)
+        assert queue.router is analyzer
+        assert analyzer.shard_count == queue.shard_count == 3
+        default, _ = create_queue_backend("sharded", dict(FILES))
+        assert default.shard_count == 4
 
-    def test_bad_specs_raise(self):
-        with pytest.raises(ShardingError):
-            create_queue_backend("bogus")
-        with pytest.raises(ShardingError):
-            create_queue_backend("sharded:zero")
-        with pytest.raises(ShardingError):
-            create_queue_backend("sharded:0")
 
-    def test_keyword_shards_apply(self):
-        backend = create_queue_backend("sharded", shards=7)
-        assert backend.shards == 7
-
-    def test_fake_redis_command_surface(self):
-        store = FakeRedis()
-        assert store.hset("h", "a", "1") == 1
-        assert store.hset("h", "a", "2") == 0
-        assert store.hget("h", "a") == "2"
-        assert store.hlen("h") == 1
-        assert store.hdel("h", "a") == 1
-        store.rpush("l", "x")
-        store.rpush("l", "y")
-        assert store.lrange("l", 0, -1) == ["x", "y"]
-        assert store.lrem("l", 1, "x") == 1
-        assert store.llen("l") == 1
-
-    def test_redis_stub_mirrors_membership(self):
-        service = _service(queue_backend="redis-stub:2")
-        store = service.queue_backend.store
-        service.submit(_clean(0))
-        service.submit(_clean(1))
-        assert store.hlen("sq:routes") == 2
-        service.pump()
-        assert store.hlen("sq:routes") == 0  # drained queue, drained mirror
-        assert store.commands > 0
-        service.close()
+class TestSkippedPairAccounting:
+    def test_performed_plus_skipped_equals_monolithic_on_8_islands(self):
+        """Satellite: the narrowing point counts the pairs it removes."""
+        files, changes = mint_partitioned_cell(islands=8, count=64, seed=1911)
+        mono = ConflictAnalyzer(dict(files))
+        mono_graph = ConflictGraph(mono.conflict)
+        for change in copy.deepcopy(changes):
+            mono_graph.add(change)
+        recorder = Recorder()
+        analyzer, queue = create_queue_backend("sharded:8", dict(files), recorder)
+        graph = ConflictGraph(analyzer.conflict)
+        for change in copy.deepcopy(changes):
+            queue.enqueue(change)  # the planner's order: enqueue, then sweep
+            graph.add(change, queue.conflict_candidates(change))
+        pairs = len(changes) * (len(changes) - 1) // 2
+        assert mono.stats.checks == pairs
+        assert 0 < analyzer.stats.checks < pairs
+        assert analyzer.pair_checks_skipped > 0
+        assert analyzer.stats.checks + analyzer.pair_checks_skipped == pairs
+        assert graph.edge_count() == mono_graph.edge_count()
+        skipped = recorder.registry.counter("shard_pair_checks_skipped_total")
+        assert skipped.value == analyzer.pair_checks_skipped
 
 
 # -- service integration -------------------------------------------------------
@@ -384,7 +358,7 @@ class TestShardedService:
     def test_fingerprint_matches_monolithic(self):
         files, changes = mint_partitioned_cell(islands=3, count=12, seed=5)
         traces = []
-        for backend in (None, "sharded:3", "redis-stub:2"):
+        for backend in (None, "sharded:3"):
             service = CoreService(
                 Repository(dict(files)),
                 SubmitQueueStrategy(
@@ -403,7 +377,6 @@ class TestShardedService:
             )
             service.close()
         assert traces[1] == traces[0]
-        assert traces[2] == traces[0]
 
     def test_sharding_narrows_the_sweep(self):
         mono = _service()
@@ -554,25 +527,6 @@ class TestShardObservability:
         recorder.write_jsonl(path)
         report = format_report(load_trace(path))
         assert "sharded submissions routed" in report
-
-
-# -- journal config ------------------------------------------------------------
-
-
-class TestJournalConfig:
-    def test_monolithic_config_payload_unchanged(self):
-        payload = encode_config(CoreServiceConfig())
-        assert "queue_backend" not in payload
-        assert "queue_shards" not in payload
-
-    def test_sharded_config_round_trips(self):
-        config = CoreServiceConfig(queue_backend="sharded:2", queue_shards=2)
-        payload = encode_config(config)
-        assert payload["queue_backend"] == "sharded:2"
-        assert payload["queue_shards"] == 2
-        decoded = decode_config(payload)
-        assert decoded.queue_backend == "sharded:2"
-        assert decoded.queue_shards == 2
 
 
 # -- dependency hygiene --------------------------------------------------------
