@@ -1,12 +1,14 @@
 """Executor throughput: incremental vs from-scratch full-stack builds.
 
 The incremental executor memoizes the base-side graph/hash work per
-mainline head, applies patches as copy-on-write overlays with dirty-set
-rehashing, and reuses speculation-prefix states across parent/child
-builds.  These benchmarks measure warm-vs-cold build latency against an
-unchanged base at several speculation depths, the prefix-hit rate and
-builds/sec of sequential speculation chains, and a figure-12-style
-end-to-end before/after cell; every datapoint lands in
+mainline head and folds each build's whole patch stack onto it in one
+step: one copy-on-write overlay, one dirty-set rehash.  Nothing merged is
+kept between builds, so "warm" here means *a memoized base context plus
+a one-step derive* — what every build after the first on a head pays.
+These benchmarks measure warm-vs-cold build latency against an unchanged
+base at several speculation depths, builds/sec of sequential speculation
+chains, and a figure-12-style end-to-end before/after cell; every
+datapoint lands in
 ``BENCH_exec.json`` (the executor counterpart of ``BENCH_planner.json``).
 """
 
@@ -68,7 +70,7 @@ def test_build_warm_vs_cold(depth, request):
     key = BuildKey(ids[-1], frozenset(ids[:-1]))
     warm_controller = _controller(monorepo, incremental=True)
     cold_controller = _controller(monorepo, incremental=False)
-    warm_controller.execute(key, changes)  # prime context + prefix caches
+    warm_controller.execute(key, changes)  # prime the base context
     cold_controller.execute(key, changes)  # prime the artifact cache only
 
     warm = _per_call(lambda: warm_controller.execute(key, changes), 10, 5)
@@ -93,7 +95,11 @@ def test_build_warm_vs_cold(depth, request):
 
 @pytest.mark.parametrize("depth", CHAIN_DEPTHS)
 def test_speculation_chain_throughput(depth, request):
-    """Sequential parent-then-child chains: prefix reuse vs from-scratch."""
+    """Sequential parent-then-child chains: one-step derive vs from-scratch.
+
+    Each build extends the last one's stack — the case a merged-state
+    cache would serve best and the one-step fold re-derives in full.
+    """
     monorepo = SyntheticMonorepo(SPEC, seed=11)
     changes, ids = _chain(monorepo, depth)
     keys = [
@@ -121,13 +127,11 @@ def test_speculation_chain_throughput(depth, request):
             "incremental_builds_per_sec": len(keys) / incremental_seconds,
             "scratch_builds_per_sec": len(keys) / scratch_seconds,
             "speedup": scratch_seconds / incremental_seconds,
-            "prefix_hit_rate": stats.prefix_hit_rate,
             "targets_rehashed": stats.targets_rehashed,
             "base_context_loads": stats.base_context_loads,
         },
     )
     if depth >= 4 and not request.config.getoption("--benchmark-disable"):
-        assert stats.prefix_hit_rate > 0.0
         assert stats.base_context_loads == 1
 
 

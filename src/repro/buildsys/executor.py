@@ -13,10 +13,15 @@ step.  Three entry points matter to SubmitQueue:
   pre-derived :class:`BuildContext` objects, so the O(repo) graph load and
   whole-snapshot hashing are paid once per mainline head instead of once
   per build.
+
+:meth:`BuildContext.derive_stack` is the one place a speculation stack
+``H ⊕ S ⊕ C`` is folded onto the base context; the serial controller and
+the parallel workers both call it.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional
 
@@ -27,6 +32,7 @@ from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import StepResult, evaluate_step
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import Path, TargetName
+from repro.vcs.patch import Patch, SnapshotOverlay
 
 
 @dataclass
@@ -92,8 +98,9 @@ class BuildContext:
     + ``all_hashes`` cost once; every context derived from it with
     :meth:`derive` pays only for the touched packages and the dirty
     reverse-dependency closure (the same machinery the conflict analyzer
-    uses).  Contexts are immutable value holders — safe to memoize per
-    base commit and per speculation prefix.
+    uses).  :meth:`derive_stack` folds a whole patch stack in one such
+    step.  Contexts are immutable value holders — safe to memoize per
+    base commit.
 
     ``dirty_since_base`` accumulates the union of dirty closures along the
     derivation chain back to the root context: any target whose digest can
@@ -169,6 +176,25 @@ class BuildContext:
             depth=self.depth + 1,
             topo_holder=self._topo_holder if graph is self.graph else None,
         )
+
+    def derive_stack(self, patches: Iterable[Patch]) -> "BuildContext":
+        """The context for this snapshot with ``patches`` applied in order.
+
+        Each patch is checked against the view the patches before it
+        produce, so :class:`~repro.errors.PatchConflictError` is raised at
+        the same patch, with the same path and message, as applying them
+        one by one.  The stack then costs *one* overlay above this
+        snapshot and *one* rehash of the union's reverse-dependency
+        closure, however many patches it holds.
+        """
+        delta: Dict[Path, Optional[str]] = {}
+        # A deleted path maps to None in ``delta``; ``check_applies`` reads
+        # through ``get`` and treats None as missing, which is what we want.
+        view = ChainMap(delta, self.snapshot)
+        for patch in patches:
+            patch.check_applies(view)
+            delta.update(patch.delta())
+        return self.derive(SnapshotOverlay(self.snapshot, delta), delta)
 
     def as_root(self, flatten_above_depth: Optional[int] = None) -> "BuildContext":
         """This context re-labelled as a derivation root (new mainline base).

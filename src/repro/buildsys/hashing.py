@@ -33,11 +33,10 @@ import hashlib
 from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.target import Target
+from repro.buildsys.target import Target, hash_frame
 from repro.types import Path, TargetName
 
-_SEPARATOR = b"\x00"
-_MISSING = b"<missing>"
+_ABSENT_FRAME = hash_frame(b"absent", b"<missing>")
 
 
 def dirty_targets(
@@ -49,9 +48,12 @@ def dirty_targets(
 
     A target is dirty when a touched path is one of its sources, or when
     its declaration differs from ``base_graph``'s (new targets included).
-    Targets structurally shared between the graphs (the common case after
-    :func:`repro.buildsys.loader.reload_packages`) are identity-compared
-    first, so the scan costs O(targets) pointer checks plus O(touched).
+    When ``graph`` *is* ``base_graph`` — what
+    :func:`repro.buildsys.loader.reload_packages` returns for a
+    content-only change — no declaration can differ and only the touched
+    paths' owners are returned, O(touched).  Otherwise targets structurally
+    shared between the graphs are identity-compared first, so the scan
+    costs O(targets) pointer checks plus O(touched).
 
     Reverse-dependency propagation is *not* included — callers (and the
     seeded :class:`TargetHasher`) expand the closure themselves.
@@ -59,6 +61,8 @@ def dirty_targets(
     dirty: Set[TargetName] = set()
     for path in touched_paths:
         dirty.update(graph.targets_owning(path))
+    if graph is base_graph:
+        return dirty
     for target in graph:
         if target.name in dirty:
             continue
@@ -109,33 +113,25 @@ class TargetHasher:
                 if name in graph and name not in self.dirty_closure
             }
 
-    def _feed(self, hasher, tag: bytes, payload: bytes) -> None:
-        hasher.update(tag)
-        hasher.update(str(len(payload)).encode("ascii"))
-        hasher.update(_SEPARATOR)
-        hasher.update(payload)
-
     def _digest(self, target: Target) -> str:
-        hasher = hashlib.sha256()
-        self._feed(hasher, b"name", target.name.encode("utf-8"))
-        for kind in target.steps:
-            self._feed(hasher, b"step", kind.value.encode("utf-8"))
-        for src in target.srcs:
-            content: Optional[str] = self._files.get(src)
-            self._feed(hasher, b"src", src.encode("utf-8"))
+        head, src_frames, dep_frames = target.hash_frames
+        files = self._files
+        memo = self._memo
+        parts = [head]
+        for src, frame in zip(target.srcs, src_frames):
+            content: Optional[str] = files.get(src)
+            parts.append(frame)
             if content is None:
-                self._feed(hasher, b"absent", _MISSING)
+                parts.append(_ABSENT_FRAME)
             else:
-                self._feed(hasher, b"content", content.encode("utf-8"))
-        for dep in target.deps:
-            self._feed(hasher, b"dep", dep.encode("utf-8"))
-            self._feed(
-                hasher,
-                b"dephash",
-                self._memo.get(dep, "<unknown>").encode("ascii"),
+                parts.append(hash_frame(b"content", content.encode("utf-8")))
+        for dep, frame in zip(target.deps, dep_frames):
+            parts.append(frame)
+            parts.append(
+                hash_frame(b"dephash", memo.get(dep, "<unknown>").encode("ascii"))
             )
         self.computed += 1
-        return hasher.hexdigest()
+        return hashlib.sha256(b"".join(parts)).hexdigest()
 
     def _compute(self, names: Iterable[TargetName]) -> None:
         """Digest ``names`` (skipping memoized ones) dependencies-first.

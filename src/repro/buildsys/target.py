@@ -11,6 +11,7 @@ semantically identical BUILD files always produce identical graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from repro.types import DEFAULT_STEP_ORDER, Path, StepKind, TargetName
@@ -19,6 +20,11 @@ from repro.types import DEFAULT_STEP_ORDER, Path, StepKind, TargetName
 DEFAULT_STEPS: Tuple[StepKind, ...] = (StepKind.COMPILE, StepKind.UNIT_TEST)
 
 _STEP_RANK = {kind: index for index, kind in enumerate(DEFAULT_STEP_ORDER)}
+
+
+def hash_frame(tag: bytes, payload: bytes) -> bytes:
+    """One length-prefixed Algorithm-1 hash-input frame: tag, size, NUL, payload."""
+    return b"%s%d\x00%s" % (tag, len(payload), payload)
 
 
 def _split_label(name: object) -> Tuple[str, str]:
@@ -93,6 +99,25 @@ class Target:
     @property
     def short_name(self) -> str:
         return target_short_name(self.name)
+
+    @cached_property
+    def hash_frames(self) -> Tuple[bytes, Tuple[bytes, ...], Tuple[bytes, ...]]:
+        """The declaration's hash-input frames, encoded once per target.
+
+        ``(name + step frames, one frame per src, one frame per dep)`` in
+        declaration order; :class:`~repro.buildsys.hashing.TargetHasher`
+        interleaves the per-snapshot content and dependency digests.
+        Targets are shared between graphs, so every rehash after the first
+        reuses these bytes.
+        """
+        head = hash_frame(b"name", self.name.encode("utf-8")) + b"".join(
+            hash_frame(b"step", kind.value.encode("utf-8")) for kind in self.steps
+        )
+        return (
+            head,
+            tuple(hash_frame(b"src", src.encode("utf-8")) for src in self.srcs),
+            tuple(hash_frame(b"dep", dep.encode("utf-8")) for dep in self.deps),
+        )
 
     def definition(self) -> Tuple:
         """The target's structural identity (everything but file contents).

@@ -400,8 +400,15 @@ class ConflictAnalyzer:
         if three_way_conflicts(first.patch, second.patch):
             self._count["textual"].inc()
             return True
-        a = self.analyze(first)
-        b = self.analyze(second)
+        try:
+            a = self.analyze(first)
+            b = self.analyze(second)
+        except PatchConflictError:
+            # A patch that no longer applies to the base has no delta to
+            # compare.  Assume a conflict: the change queues behind the
+            # other one, and its own build reports the merge conflict.
+            self._count["textual"].inc()
+            return True
         if not a.structure_changed and not b.structure_changed:
             # Fast path: structure identical, name intersection is exact.
             self._count["fast_path"].inc()

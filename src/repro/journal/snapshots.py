@@ -8,7 +8,7 @@ process-global counter), the planner's ledger/decision history, queue
 sequencing, worker duration history, and the shared artifact cache.
 
 What is deliberately *not* captured — analyzer caches, memoized build
-contexts, speculation-prefix states, strategy carry-over — is exactly
+contexts, strategy carry-over — is exactly
 the state the incremental property suites (PRs 2-5) prove bit-identical
 to a cold rebuild: restoring fresh instances changes counters like cache
 hit rates, never outcomes, durations, or decisions.  The artifact cache

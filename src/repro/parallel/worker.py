@@ -14,10 +14,11 @@ applied exactly once, deterministically, when the parent replays the
 response through its own :class:`~repro.buildsys.cache.ArtifactCache` in
 selection order.  What workers *do* keep between requests is pure,
 outcome-neutral CPU state: memoized :class:`BuildContext` roots per base
-head and derived speculation-prefix contexts, the same O(delta)
-machinery the serial controller uses (contexts are value holders; step
-results are functions of the merged snapshot alone, so cache warmth can
-never change an outcome — only how fast it is computed).
+head.  Each request folds its stack onto that root with the same
+:meth:`~repro.buildsys.executor.BuildContext.derive_stack` the serial
+controller calls (contexts are value holders; step results are functions
+of the merged snapshot alone, so cache warmth can never change an
+outcome — only how fast it is computed).
 
 ``step_wall_seconds`` models the real wall cost of one hermetic step
 (the compile/test subprocess a production CI worker would spawn) as a
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Tuple
+from typing import List
 
 from repro.buildsys.executor import BuildContext
 from repro.buildsys.steps import evaluate_step
@@ -41,77 +42,25 @@ from repro.types import CommitId
 #: Memoized root contexts per base head (mirrors the serial controller's
 #: ``BASE_CONTEXT_CAPACITY``).
 _BASE_CAPACITY = 4
-#: Memoized speculation-prefix contexts, keyed ``(base, frozenset(ids))``.
-_PREFIX_CAPACITY = 128
 
 _base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
-_prefix_contexts: "OrderedDict[Tuple[CommitId, FrozenSet[str]], BuildContext]" = (
-    OrderedDict()
-)
 
 
 def reset_worker_state() -> None:
     """Drop all memoized contexts (test isolation; never required)."""
     _base_contexts.clear()
-    _prefix_contexts.clear()
-
-
-def _remember(cache: OrderedDict, key, value, capacity: int) -> None:
-    cache[key] = value
-    cache.move_to_end(key)
-    while len(cache) > capacity:
-        cache.popitem(last=False)
 
 
 def _base_context(request: BuildRequest) -> BuildContext:
     context = _base_contexts.get(request.base_commit_id)
     if context is None:
         context = BuildContext.load(request.base_snapshot)
-        _remember(_base_contexts, request.base_commit_id, context, _BASE_CAPACITY)
+        _base_contexts[request.base_commit_id] = context
+        while len(_base_contexts) > _BASE_CAPACITY:
+            _base_contexts.popitem(last=False)
     else:
         _base_contexts.move_to_end(request.base_commit_id)
     return context
-
-
-def _merged_context(request: BuildRequest, base: BuildContext) -> BuildContext:
-    """Fold the assumed patches, then the change's own patch, onto the base.
-
-    Fold order matches the serial controller's ``_prefix_context``:
-    ``request.assumed`` arrives pre-sorted by change id, and every
-    intermediate prefix is memoized so sibling and child speculations in
-    later requests resume from it.  Raises
-    :class:`~repro.errors.PatchConflictError` exactly where the serial
-    merge would.
-    """
-    head = request.base_commit_id
-    ids = [cid for cid, _ in request.assumed]
-    context = base
-    start = 0
-    for length in range(len(ids), 0, -1):
-        cached = _prefix_contexts.get((head, frozenset(ids[:length])))
-        if cached is not None:
-            _prefix_contexts.move_to_end((head, frozenset(ids[:length])))
-            context, start = cached, length
-            break
-    for position in range(start, len(ids)):
-        patch = request.assumed[position][1]
-        context = context.derive(patch.apply(context.snapshot), patch.paths)
-        _remember(
-            _prefix_contexts,
-            (head, frozenset(ids[: position + 1])),
-            context,
-            _PREFIX_CAPACITY,
-        )
-    stack = (head, frozenset(ids) | {request.change_id})
-    merged = _prefix_contexts.get(stack)
-    if merged is None:
-        merged = context.derive(
-            request.patch.apply(context.snapshot), request.patch.paths
-        )
-        _remember(_prefix_contexts, stack, merged, _PREFIX_CAPACITY)
-    else:
-        _prefix_contexts.move_to_end(stack)
-    return merged
 
 
 def execute_request(request: BuildRequest) -> BuildResponse:
@@ -144,7 +93,12 @@ def execute_request(request: BuildRequest) -> BuildResponse:
         merge_begin = time.perf_counter() - started
         base = _base_context(request)
         try:
-            merged = _merged_context(request, base)
+            # ``request.assumed`` arrives sorted by change id — the serial
+            # controller's fold order — so a conflict surfaces at the same
+            # patch with the same message.
+            merged = base.derive_stack(
+                [patch for _, patch in request.assumed] + [request.patch]
+            )
         except PatchConflictError as exc:
             _span("merge", "merge", merge_begin)
             return BuildResponse(

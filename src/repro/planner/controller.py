@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.executor import BuildContext, BuildExecutor, BuildReport
@@ -31,7 +31,7 @@ from repro.changes.truth import stack_outcome
 from repro.errors import ParallelExecutionError, PatchConflictError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import BuildKey, ChangeId, CommitId, TargetName
-from repro.vcs.patch import Patch, squash
+from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
 
 
@@ -135,9 +135,10 @@ class ExecutorReuseStats:
     base_context_reuses: int = 0
     #: Base contexts advanced across a commit in O(delta) instead of reloaded.
     base_context_advances: int = 0
-    #: Speculation-prefix cache hits (merged snapshot + hashes reused).
+    #: Merged ``H ⊕ S ⊕ C`` contexts reused instead of derived.  None is
+    #: kept between builds, so this stays 0; the field is read by name.
     prefix_hits: int = 0
-    #: Prefix states derived because no cached ancestor covered them.
+    #: Merged contexts derived, one ``derive_stack`` per build.
     prefix_misses: int = 0
     #: Target digests recomputed by incremental derivations.
     targets_rehashed: int = 0
@@ -146,26 +147,6 @@ class ExecutorReuseStats:
     def prefix_hit_rate(self) -> float:
         lookups = self.prefix_hits + self.prefix_misses
         return self.prefix_hits / lookups if lookups else 0.0
-
-
-class _ExecutorMetrics:
-    """Hoisted recorder handles for the incremental-execution counters."""
-
-    __slots__ = ("base_context_reused", "prefix_hits", "prefix_misses")
-
-    def __init__(self, recorder: Recorder) -> None:
-        self.base_context_reused = recorder.counter(
-            "executor_base_context_reused_total",
-            "Builds served from a memoized per-base build context.",
-        )
-        self.prefix_hits = recorder.counter(
-            "executor_prefix_hits_total",
-            "Speculation-prefix cache hits (merged snapshot + hashes reused).",
-        )
-        self.prefix_misses = recorder.counter(
-            "executor_prefix_misses_total",
-            "Speculation-prefix derivations the cache could not serve.",
-        )
 
 
 class FullStackBuildController(BuildController):
@@ -182,13 +163,12 @@ class FullStackBuildController(BuildController):
     * the base side (graph + Algorithm-1 hashes) is a
       :class:`~repro.buildsys.executor.BuildContext` memoized per mainline
       head and *advanced* in O(delta) when a change lands;
-    * patches apply as copy-on-write overlays and rehash only the dirty
-      reverse-dependency closure;
-    * a speculation-prefix cache keyed by ``(base commit,
-      frozenset(assumed))`` lets a build of ``H ⊕ S ⊕ C`` reuse the merged
-      snapshot and hashes its parent build ``H ⊕ S`` derived — the paper's
-      tree-structured step elimination applied at the snapshot/hash layer,
-      not just the artifact layer.
+    * a build of ``H ⊕ S ⊕ C`` folds its whole stack onto that context in
+      one :meth:`~repro.buildsys.executor.BuildContext.derive_stack`: one
+      copy-on-write overlay and one rehash of the union's dirty
+      reverse-dependency closure, whatever ``|S|`` is.  No merged state is
+      kept between builds; the paper's tree-structured step elimination
+      lives in the artifact cache alone.
 
     Outcomes, step counts, durations, and target order are bit-identical
     to ``incremental=False`` (enforced by a hypothesis property test).
@@ -208,10 +188,7 @@ class FullStackBuildController(BuildController):
         cached_step_minutes: float = 0.01,
         recorder: Recorder = NULL_RECORDER,
         incremental: bool = True,
-        prefix_capacity: int = 128,
     ) -> None:
-        if prefix_capacity <= 0:
-            raise ValueError("prefix_capacity must be positive")
         self._repo = repo
         self.recorder = recorder
         self.executor = BuildExecutor(cache, recorder=recorder)
@@ -219,13 +196,16 @@ class FullStackBuildController(BuildController):
         self.cached_step_minutes = cached_step_minutes
         self.base_commit_id = repo.head()
         self.incremental = incremental
-        self.prefix_capacity = prefix_capacity
         self.stats = ExecutorReuseStats()
-        self._metrics = _ExecutorMetrics(recorder) if recorder.enabled else None
-        self._base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
-        self._prefix_cache: "OrderedDict[Tuple[CommitId, FrozenSet[ChangeId]], BuildContext]" = (
-            OrderedDict()
+        self._base_context_reused = (
+            recorder.counter(
+                "executor_base_context_reused_total",
+                "Builds served from a memoized per-base build context.",
+            )
+            if recorder.enabled
+            else None
         )
+        self._base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
         # Parallel-backend seam (see repro.parallel): None means every
         # build runs inline through execute() — the serial oracle.
         self._backend = None
@@ -242,19 +222,8 @@ class FullStackBuildController(BuildController):
         ] = []
 
     def refresh_base(self) -> None:
-        """Re-pin the merge base to the current mainline HEAD.
-
-        Prefix-cache entries derived against any other base can never be
-        looked up again (keys carry the base commit), so they are evicted
-        here rather than left to age out of the LRU.
-        """
+        """Re-pin the merge base to the current mainline HEAD."""
         self.base_commit_id = self._repo.head()
-        if self._prefix_cache:
-            stale = [
-                key for key in self._prefix_cache if key[0] != self.base_commit_id
-            ]
-            for key in stale:
-                del self._prefix_cache[key]
 
     def on_commit(
         self, change: Change, changes_by_id: Mapping[ChangeId, Change]
@@ -264,17 +233,12 @@ class FullStackBuildController(BuildController):
         Called by the planner exactly when the change's decisive build
         succeeded, so the mainline stays green by construction.  The
         memoized base context advances with the commit: the new head's
-        context is the committed change's patch folded onto the old one
-        (or, better, the decisive build's already-cached prefix state),
+        context is the committed change's patch folded onto the old one,
         never a from-scratch reload.
         """
         if change.patch is None:
             raise ValueError(f"change {change.change_id} carries no patch")
-        old_head = self.base_commit_id
-        old_ctx = self._base_contexts.get(old_head)
-        advanced = self._prefix_cache.get(
-            (old_head, frozenset((change.change_id,)))
-        )
+        old_ctx = self._base_contexts.get(self.base_commit_id)
         self._repo.commit_to_mainline(
             change.patch,
             message=change.description or change.change_id,
@@ -282,17 +246,14 @@ class FullStackBuildController(BuildController):
             green=True,
         )
         self.refresh_base()
-        if self.incremental:
-            if advanced is None and old_ctx is not None:
-                # commit_to_mainline just applied this patch to the same
-                # snapshot, so the derivation cannot conflict.
-                advanced = self._derive(old_ctx, change.patch)
-            if advanced is not None:
-                self.stats.base_context_advances += 1
-                self._remember_base(
-                    self.base_commit_id,
-                    advanced.as_root(self.BASE_FLATTEN_DEPTH),
-                )
+        if self.incremental and old_ctx is not None:
+            # commit_to_mainline just applied this patch to the same
+            # snapshot, so the derivation cannot conflict.
+            advanced = self._derive_stack(old_ctx, (change.patch,))
+            self.stats.base_context_advances += 1
+            self._remember_base(
+                self.base_commit_id, advanced.as_root(self.BASE_FLATTEN_DEPTH)
+            )
         if self.recorder.enabled:
             self.recorder.counter(
                 "service_mainline_commits_total",
@@ -326,63 +287,17 @@ class FullStackBuildController(BuildController):
         else:
             self._base_contexts.move_to_end(self.base_commit_id)
             self.stats.base_context_reuses += 1
-            if self._metrics is not None:
-                self._metrics.base_context_reused.inc()
+            if self._base_context_reused is not None:
+                self._base_context_reused.inc()
         return context
 
-    def _derive(self, context: BuildContext, patch: Patch) -> BuildContext:
-        """Fold one patch onto a context; raises PatchConflictError."""
-        derived = context.derive(patch.apply(context.snapshot), patch.paths)
+    def _derive_stack(
+        self, context: BuildContext, patches: Sequence[Patch]
+    ) -> BuildContext:
+        """Fold a patch stack onto a context; raises PatchConflictError."""
+        derived = context.derive_stack(patches)
         self.stats.targets_rehashed += derived.rehashed
         return derived
-
-    def _prefix_put(
-        self, key: Tuple[CommitId, FrozenSet[ChangeId]], context: BuildContext
-    ) -> None:
-        self._prefix_cache[key] = context
-        self._prefix_cache.move_to_end(key)
-        while len(self._prefix_cache) > self.prefix_capacity:
-            self._prefix_cache.popitem(last=False)
-
-    def _prefix_lookup(
-        self, key: Tuple[CommitId, FrozenSet[ChangeId]]
-    ) -> Optional[BuildContext]:
-        context = self._prefix_cache.get(key)
-        if context is None:
-            return None
-        self._prefix_cache.move_to_end(key)
-        self.stats.prefix_hits += 1
-        if self._metrics is not None:
-            self._metrics.prefix_hits.inc()
-        return context
-
-    def _prefix_context(
-        self, base_context: BuildContext, assumed: Sequence[Change]
-    ) -> BuildContext:
-        """The context for the assumed stack, reusing the deepest cached prefix.
-
-        Patches fold in sorted-change-id order (matching the from-scratch
-        merge order), and every intermediate prefix is cached so sibling
-        and child speculations start from it.
-        """
-        if not assumed:
-            return base_context
-        base = self.base_commit_id
-        ids = [other.change_id for other in assumed]
-        context = base_context
-        start = 0
-        for length in range(len(ids), 0, -1):
-            cached = self._prefix_lookup((base, frozenset(ids[:length])))
-            if cached is not None:
-                context, start = cached, length
-                break
-        for position in range(start, len(assumed)):
-            context = self._derive(context, assumed[position].patch)
-            self.stats.prefix_misses += 1
-            if self._metrics is not None:
-                self._metrics.prefix_misses.inc()
-            self._prefix_put((base, frozenset(ids[: position + 1])), context)
-        return context
 
     # -- parallel backend seam ----------------------------------------------
 
@@ -624,7 +539,7 @@ class FullStackBuildController(BuildController):
         """Wait for every dispatched batch and merge it, in dispatch order.
 
         Merging in dispatch order (and, within a batch, selection order)
-        makes the parent's artifact/prefix caches evolve exactly as the
+        makes the parent's artifact cache evolve exactly as the
         inline serial path would have — the property the bit-identity
         oracle tests pin.
         """
@@ -672,20 +587,12 @@ class FullStackBuildController(BuildController):
             return self._execute_scratch(key, change, assumed)
 
         base_context = self._base_context()
-        # Merge in submission order; a textual conflict fails the build the
-        # same way a failed merge fails it in production.
+        # Merge in sorted-id order, the change last; a textual conflict
+        # fails the build the same way a failed merge fails it in production.
         try:
-            prefix = self._prefix_context(base_context, assumed)
-            stack_key = (self.base_commit_id, key.assumed | {key.change_id})
-            merged = self._prefix_lookup(stack_key)
-            if merged is None:
-                merged = self._derive(prefix, change.patch)
-                self.stats.prefix_misses += 1
-                if self._metrics is not None:
-                    self._metrics.prefix_misses.inc()
-                # The merged state doubles as the prefix for any child
-                # speculation that assumes this change on top of the stack.
-                self._prefix_put(stack_key, merged)
+            merged = self._derive_stack(
+                base_context, [other.patch for other in assumed + [change]]
+            )
         except PatchConflictError as exc:
             return BuildExecution(
                 key=key,
@@ -693,6 +600,7 @@ class FullStackBuildController(BuildController):
                 duration=self.step_minutes,
                 failure_reason=f"merge conflict: {exc}",
             )
+        self.stats.prefix_misses += 1
         report = self.executor.build_between(
             base_context, merged, stop_on_failure=True
         )

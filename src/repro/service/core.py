@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
-from repro.errors import SimulationError
+from repro.errors import PatchConflictError, SimulationError
 from repro.journal import records as journal_records
 from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -292,10 +292,13 @@ class CoreService:
             # per-shard view — the views share the parent's caches, so
             # this is the same computation scoped to the owning shard.
             view_for = getattr(self._analyzer, "shard_view_for", None)
-            if view_for is not None:
-                view_for(change).analyze(change)
-            else:
-                self._analyzer.analyze(change)
+            analyzer = self._analyzer if view_for is None else view_for(change)
+            try:
+                analyzer.analyze(change)
+            except PatchConflictError:
+                # Nothing to warm: the patch no longer applies to the head,
+                # and the change's own build will report the merge conflict.
+                pass
             if self.recorder.enabled:
                 self.recorder.counter(
                     "service_overlap_warm_analyses_total",

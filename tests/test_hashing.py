@@ -1,5 +1,7 @@
 """Unit tests for repro.buildsys.hashing (Algorithm 1) and delta sets."""
 
+import hashlib
+
 import pytest
 
 from repro.buildsys.delta import (
@@ -10,7 +12,7 @@ from repro.buildsys.delta import (
     equation6_conflict,
 )
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import TargetHasher
+from repro.buildsys.hashing import TargetHasher, dirty_targets
 from repro.buildsys.loader import load_build_graph
 from repro.buildsys.target import Target
 
@@ -70,6 +72,46 @@ class TestTargetHasher:
         with_src = TargetHasher(graph, {"p/x.py": ""}).hash_of("//p:t")
         without = TargetHasher(graph, {}).hash_of("//p:t")
         assert with_src != without
+
+
+    def test_digest_is_the_documented_frame_sequence(self):
+        """Pins the Algorithm-1 byte layout: tag, payload size, NUL, payload
+        for name, each step, each src + its content (or the absent marker),
+        each dep + its digest — fed in that order."""
+
+        def digest(*frames):
+            hasher = hashlib.sha256()
+            for tag, payload in frames:
+                hasher.update(tag + str(len(payload)).encode() + b"\x00" + payload)
+            return hasher.hexdigest()
+
+        graph = BuildGraph([
+            Target("//p:u", srcs=("p/y.py",)),
+            Target("//p:t", srcs=("p/gone.py", "p/x.py"), deps=("//p:u",)),
+        ])
+        hashes = TargetHasher(graph, {"p/x.py": "héllo", "p/y.py": ""}).all_hashes()
+        steps = [(b"step", b"compile"), (b"step", b"unit_test")]
+        dep = digest(
+            (b"name", b"//p:u"), *steps, (b"src", b"p/y.py"), (b"content", b"")
+        )
+        assert hashes["//p:u"] == dep
+        assert hashes["//p:t"] == digest(
+            (b"name", b"//p:t"),
+            *steps,
+            (b"src", b"p/gone.py"),
+            (b"absent", b"<missing>"),
+            (b"src", b"p/x.py"),
+            (b"content", "héllo".encode("utf-8")),
+            (b"dep", b"//p:u"),
+            (b"dephash", dep.encode("ascii")),
+        )
+
+    def test_dirty_targets_same_graph_is_just_the_owners(self, chain_snapshot):
+        graph = load_build_graph(chain_snapshot)
+        reloaded = load_build_graph(chain_snapshot)  # equal, not identical
+        touched = ["mid/mid.py", "not/owned.txt"]
+        assert dirty_targets(graph, graph, touched) == {"//mid:mid"}
+        assert dirty_targets(graph, reloaded, touched) == {"//mid:mid"}
 
 
 class TestAffectedTargets:

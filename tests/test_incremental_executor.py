@@ -1,8 +1,8 @@
 """Unit tests for incremental build execution.
 
 Covers the :class:`~repro.buildsys.executor.BuildContext` derivation
-chain, the controller's per-base context memo and speculation-prefix
-cache, the running-counter :class:`BuildReport`, the allocation-free
+chain, the controller's per-base context memo and its one-derive-per-build
+stack fold, the running-counter :class:`BuildReport`, the allocation-free
 artifact-cache hits, and the incremental counters on the obs registry.
 The cross-path bit-identity guarantee is enforced separately by the
 hypothesis property test (``test_property_incremental_executor.py``).
@@ -31,6 +31,20 @@ def _ctx_and_patch(snapshot, files, base=None):
 
 def _derive(context, patch):
     return context.derive(patch.apply(context.snapshot), patch.paths)
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """Every ``BuildContext.derive`` call's touched-path set, in order."""
+    calls = []
+    original = BuildContext.derive
+
+    def counting(self, snapshot, touched_paths):
+        calls.append(set(touched_paths))
+        return original(self, snapshot, touched_paths)
+
+    monkeypatch.setattr(BuildContext, "derive", counting)
+    return calls
 
 
 class TestBuildContext:
@@ -217,19 +231,24 @@ class TestIncrementalController:
         assert controller.stats.base_context_loads == 1
         assert controller.stats.base_context_reuses == 1
 
-    def test_prefix_cache_reuses_parent_merge(self, monorepo):
+    def test_one_derive_per_execute_whatever_the_stack_depth(
+        self, monorepo, derive_calls
+    ):
         controller = FullStackBuildController(monorepo.repo)
-        parent = monorepo.make_clean_change()
-        child = monorepo.make_clean_change()
-        changes = {c.change_id: c for c in (parent, child)}
-        controller.execute(BuildKey(parent.change_id), changes)
-        assert controller.stats.prefix_hits == 0
-        # The child assumes the parent: its prefix is exactly the parent
-        # build's merged state, already in the cache.
-        controller.execute(
-            BuildKey(child.change_id, frozenset({parent.change_id})), changes
+        chain = [monorepo.make_clean_change() for _ in range(5)]
+        changes = {c.change_id: c for c in chain}
+        key = BuildKey(
+            chain[-1].change_id, frozenset(c.change_id for c in chain[:-1])
         )
-        assert controller.stats.prefix_hits >= 1
+        assert controller.execute(key, changes).success
+        # One overlay over the base covering the whole stack's paths.
+        assert derive_calls == [set().union(*(c.patch.paths for c in chain))]
+        # Re-executing the same key derives again: nothing is kept.
+        controller.execute(key, changes)
+        assert len(derive_calls) == 2
+        stats = controller.stats
+        assert (stats.prefix_hits, stats.prefix_misses) == (0, 2)
+        assert stats.prefix_hit_rate == 0.0
 
     def test_on_commit_advances_base_without_reload(self, monorepo):
         controller = FullStackBuildController(monorepo.repo)
@@ -246,27 +265,23 @@ class TestIncrementalController:
         assert controller.stats.base_context_loads == 1
         assert monorepo.repo.is_green()
 
-    def test_refresh_base_purges_stale_prefixes(self, monorepo):
+    def test_one_derive_per_commit_and_one_load_across_commits(
+        self, monorepo, derive_calls
+    ):
         controller = FullStackBuildController(monorepo.repo)
-        parent = monorepo.make_clean_change()
-        child = monorepo.make_clean_change()
-        changes = {c.change_id: c for c in (parent, child)}
-        controller.execute(BuildKey(parent.change_id), changes)
-        assert controller._prefix_cache
-        controller.on_commit(parent, changes)
-        assert all(
-            key[0] == controller.base_commit_id
-            for key in controller._prefix_cache
-        )
-
-    def test_prefix_capacity_bounds_cache(self, monorepo):
-        controller = FullStackBuildController(monorepo.repo, prefix_capacity=2)
         changes = {}
-        for _ in range(4):
+        for _ in range(FullStackBuildController.BASE_FLATTEN_DEPTH + 2):
             change = monorepo.make_clean_change()
             changes[change.change_id] = change
-            controller.execute(BuildKey(change.change_id), changes)
-        assert len(controller._prefix_cache) <= 2
+            assert controller.execute(BuildKey(change.change_id), changes).success
+            before = len(derive_calls)
+            controller.on_commit(change, changes)
+            assert len(derive_calls) == before + 1
+        # The base advanced commit by commit, past a flatten, on one load.
+        assert controller.stats.base_context_loads == 1
+        assert controller.stats.base_context_advances == len(changes)
+        assert len(derive_calls) == 2 * len(changes)
+        assert monorepo.repo.is_green()
 
     def test_merge_conflict_duration_and_reason(self, monorepo):
         controller = FullStackBuildController(monorepo.repo, step_minutes=3.0)
@@ -317,5 +332,4 @@ class TestIncrementalController:
             BuildKey(child.change_id, frozenset({parent.change_id})), changes
         )
         assert recorder.counter("executor_base_context_reused_total").value >= 1
-        assert recorder.counter("executor_prefix_hits_total").value >= 1
-        assert recorder.counter("executor_prefix_misses_total").value >= 1
+        assert "executor_prefix_" not in recorder.prometheus_text()

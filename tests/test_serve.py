@@ -156,6 +156,50 @@ class TestWriteEndpoints:
         assert _post_json(f"{served.url}/nope", {}, expect=404)["ok"] is False
 
 
+class TestStalePatchOverHttp:
+    def test_post_changes_returns_the_rejection(self):
+        """A patch cut before its file moved on mainline, submitted while
+        another change is pending, comes back as a decision, not an error."""
+        from repro.predictor.predictors import StaticPredictor
+        from repro.service.api import SubmitQueueService
+        from repro.service.core import CoreService, CoreServiceConfig
+        from repro.service.handlers import ApiHandlers
+        from repro.strategies.submitqueue import SubmitQueueStrategy
+        from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
+
+        synth = SyntheticMonorepo(MonorepoSpec(layers=(3, 4), fan_in=2), seed=7)
+        core = CoreService(
+            synth.repo,
+            SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.1)),
+            config=CoreServiceConfig(workers=4),
+        )
+        handlers = ApiHandlers(SubmitQueueService(core))
+        first, second = synth.target_names(layer=0)[:2]
+        landed = synth.make_clean_change(first)
+        stale = synth.make_clean_change(first)
+        pending = synth.make_clean_change(second)
+        for change in (landed, stale, pending):
+            handlers.register_draft(change)
+        server = ObservabilityServer(core, handlers=handlers, port=0)
+        server.start_background()
+        try:
+            url = f"{server.url}/changes"
+            assert _post_json(url, {"change_id": landed.change_id, "wait": True})[
+                "status"
+            ]["state"] == "committed"
+            assert _post_json(url, {"change_id": pending.change_id})["ok"] is True
+            decided = _post_json(url, {"change_id": stale.change_id, "wait": True})
+            assert decided["ok"] is True
+            assert decided["status"]["state"] == "rejected"
+            assert decided["status"]["reason"].startswith("merge conflict")
+            status = _get_json(f"{server.url}/changes/{pending.change_id}")
+            assert status["status"]["state"] == "committed"
+        finally:
+            server.shutdown()
+            server.close()
+            core.close()
+
+
 class TestLifecycleAndWorkloads:
     def test_post_shutdown_stops_the_server(self):
         core, handlers = build_quickstart_service(

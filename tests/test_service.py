@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import UnknownChangeError
+from repro.journal import JournalWriter, fingerprint_digest, recover
 from repro.predictor.predictors import StaticPredictor
 from repro.service.api import SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
@@ -76,6 +77,65 @@ class TestLanding:
         status = service.land_change(second, wait=True)
         assert status.is_landed
         assert len(monorepo.repo.mainline_history()) == 3  # root + 2
+
+
+def _land_then_mint_stale(service, monorepo):
+    """Land one edit of a file; return a second edit cut before it landed."""
+    target = monorepo.target_names(layer=0)[0]
+    landed = monorepo.make_clean_change(target)
+    stale = monorepo.make_clean_change(target)
+    assert landed.patch.paths == stale.patch.paths
+    assert service.land_change(landed, wait=True).is_landed
+    return stale
+
+
+class TestStalePatch:
+    """A MODIFY cut from pre-landing content is rejected, never raised."""
+
+    @pytest.mark.parametrize("other_pending", [False, True])
+    def test_rejected_as_merge_conflict_in_both_queue_states(
+        self, service, monorepo, other_pending
+    ):
+        stale = _land_then_mint_stale(service, monorepo)
+        other = monorepo.make_clean_change(monorepo.target_names(layer=0)[1])
+        if other_pending:
+            service.land_change(other)
+        service.land_change(stale)
+        service.process()
+        status = service.status(stale.change_id)
+        assert status.state is ChangeState.REJECTED
+        assert status.reason.startswith("merge conflict")
+        if other_pending:
+            assert service.status(other.change_id).is_landed
+        assert service.queue_depth() == 0
+        assert service.mainline_is_green()
+
+    def test_idle_hook_skips_a_stale_queued_change(self, service, monorepo):
+        stale = _land_then_mint_stale(service, monorepo)
+        core = service._core
+        core.enqueue(stale, at=core.clock.now + 1.0)
+        core._warm_pending_analysis()  # what a backend calls while waiting
+        core.pump()
+        assert service.status(stale.change_id).reason.startswith("merge conflict")
+
+    def test_journal_replays_clean(self, monorepo, tmp_path):
+        writer = JournalWriter(str(tmp_path / "journal"))
+        core = CoreService(
+            repo=monorepo.repo,
+            strategy=SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.1)),
+            config=CoreServiceConfig(workers=4, journal=writer),
+        )
+        service = SubmitQueueService(core)
+        stale = _land_then_mint_stale(service, monorepo)
+        service.land_change(
+            monorepo.make_clean_change(monorepo.target_names(layer=0)[1])
+        )
+        service.land_change(stale)
+        service.process()
+        writer.close()
+        assert service.status(stale.change_id).state is ChangeState.REJECTED
+        report = recover(str(tmp_path / "journal"), attach=False)
+        assert fingerprint_digest(report.service) == fingerprint_digest(core)
 
 
 class TestStatus:
