@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.types import DEFAULT_STEP_ORDER, Path, StepKind, TargetName
 
@@ -127,7 +127,3 @@ class Target:
         what gates the conflict analyzer's name-intersection fast path.
         """
         return (self.name, self.srcs, self.deps, self.steps)
-
-    def with_deps(self, deps: Sequence[TargetName]) -> "Target":
-        """A copy of this target with a different dependency list."""
-        return Target(self.name, srcs=self.srcs, deps=tuple(deps), steps=self.steps)

@@ -56,9 +56,6 @@ class ChangeRecord:
     def mark_rejected(self, at: float, reason: str = "a build step failed") -> None:
         self._transition(ChangeState.REJECTED, at, reason)
 
-    def mark_aborted(self, at: float, reason: str = "withdrawn") -> None:
-        self._transition(ChangeState.ABORTED, at, reason)
-
 
 class ChangeLedger:
     """Registry of every change SubmitQueue has seen, by id."""

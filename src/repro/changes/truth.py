@@ -118,12 +118,6 @@ def stack_outcome(changes: "list[Change]") -> bool:
     return True
 
 
-def clear_conflict_cache() -> None:
-    """Drop memoized pairwise verdicts (long benchmark sessions call this
-    between workloads to bound memory)."""
-    _REAL_CONFLICT_CACHE.clear()
-
-
 def build_outcome(change: Change, assumed: Iterable[Change]) -> bool:
     """Ground-truth outcome of the build ``H ⊕ assumed ⊕ change``.
 

@@ -35,9 +35,10 @@ from repro.vcs.patch import FileOp, OpKind, Patch
 
 #: Bump when a record's shape changes incompatibly; readers refuse
 #: journals stamped with any other version (there is no back-reader).
-#: v2: the ``init`` config shrank to ``workers`` / ``max_pump_minutes`` /
-#: ``overlapped`` / ``queue_backend`` with the service's option surface.
-SCHEMA_VERSION = 2
+#: v3: the ``init`` config is ``workers`` / ``max_pump_minutes`` /
+#: ``queue_backend``, and every run journals ``epoch`` / ``build_start`` /
+#: ``worker`` records at resolution, in dispatch order.
+SCHEMA_VERSION = 3
 
 INIT = "init"
 SUBMIT = "submit"

@@ -12,7 +12,10 @@ Recovery restores a ``CoreService`` in three moves:
    against the journal.  Replay is therefore its own oracle: any
    nondeterminism between the crashed run and the recovering one raises
    :class:`~repro.errors.JournalReplayError` instead of silently
-   producing a diverged service.
+   producing a diverged service.  The replaying service has no build
+   backend, whatever the crashed one ran under: records are journaled
+   at resolution in dispatch order by every service alike, so where the
+   builds physically ran left no trace to reproduce.
 
 A crash can also lose records *after* the last applied state transition
 (append-then-apply means the journal can run ahead of — never behind —
@@ -233,22 +236,18 @@ def recover(
         try:
             record = verifier.peek_driver()
         except JournalReplayError:
-            # Overlapped runs journal their epoch/build-start records at
+            # Epoch/build-start/worker records are journaled at
             # *resolution*, so after re-driving the submits that
-            # dispatched them the records are still pending in the
-            # backend.  Resolve and re-peek: the deferred emissions are
-            # checked like any others (a genuine divergence still
-            # surfaces, now from append() with full context).
-            planner = getattr(service, "planner", None)
-            if planner is None or not planner.has_pending_builds():
-                raise
+            # dispatched them the records are still owed.  Resolve and
+            # re-peek: the emissions are checked like any others, and with
+            # nothing to resolve the re-peek raises the same error.
             service._resolve_builds()
             record = verifier.peek_driver()
         if record is None:
             break
         kind = record["t"]
         if kind == rec.SUBMIT:
-            # Overlapped runs journal submissions at their *fire* time,
+            # Enqueued submissions are journaled at their *fire* time,
             # which can sit between build completions; advance the clock
             # so the re-emitted record's timestamp matches (a no-op for
             # submissions journaled at the current time).

@@ -51,17 +51,13 @@ def is_quiescent(service) -> bool:
 def encode_config(config) -> Dict[str, object]:
     """The journaled part of a ``CoreServiceConfig``.
 
-    The concrete build-backend spec is irrelevant to replay — decisions
-    are bit-identical across backends — but the overlapped record *tempo*
-    (epoch records journaled at resolution, not dispatch) is not, so
-    replay must run with some backend attached: ``overlapped`` says
-    whether one was.  ``journal`` and ``step_wall_seconds`` are wall-side
-    only and never journaled.
+    ``journal``, ``build_backend`` and ``step_wall_seconds`` are
+    wall-side only — records and decisions are byte-identical whichever
+    backend ran the builds — and never journaled.
     """
     return {
         "workers": config.workers,
         "max_pump_minutes": config.max_pump_minutes,
-        "overlapped": config.build_backend is not None,
         "queue_backend": config.queue_backend,
     }
 
@@ -72,9 +68,6 @@ def decode_config(payload: Mapping[str, object]):
     return CoreServiceConfig(
         workers=payload["workers"],
         max_pump_minutes=payload["max_pump_minutes"],
-        # Overlapped journals replay through the serial local backend:
-        # same record tempo, no worker processes during recovery.
-        build_backend="local" if payload["overlapped"] else None,
         # Sharded journals replay sharded (verdicts are identical either
         # way; keeping the backend preserves shard metrics on recovery).
         queue_backend=payload["queue_backend"],

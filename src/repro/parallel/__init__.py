@@ -8,15 +8,15 @@ stays backend-agnostic.
 Specs:
 
 ``"local"``
-    Inline serial execution — the correctness oracle, and what journal
-    recovery replays overlapped runs through.
+    Serial in-process execution of the same request/response path the
+    worker processes run — the backend seam's correctness oracle.
 ``"process"`` / ``"process:N"``
     A ``ProcessPoolExecutor`` with ``os.cpu_count()`` (or ``N >= 1``)
     workers.
 
-This package is imported lazily: the serial service path never touches
-it (enforced by a dep-hygiene test), so selecting no backend costs
-nothing.
+This package is imported lazily: a service without a backend — and
+journal recovery, whatever backend wrote the journal — never touches it
+(enforced by dep-hygiene tests), so selecting no backend costs nothing.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Exactly one seam: :meth:`BuildBackend.submit_batch` hands a batch of
 picklable :class:`~repro.parallel.payload.BuildRequest` objects to the
-backend and returns a token immediately — the overlapped pump loop keeps
-planning while the work runs.  :meth:`BuildBackend.collect` blocks on a
+backend and returns a token immediately — the pump loop keeps planning
+while the work runs.  :meth:`BuildBackend.collect` blocks on a
 token and returns the batch's
 :class:`~repro.parallel.payload.BuildResponse` objects **in request
 order** — the deterministic quiescent point.  Everything upstream
@@ -11,8 +11,7 @@ order** — the deterministic quiescent point.  Everything upstream
 :func:`repro.parallel.create_build_backend` knows the concrete classes.
 
 * :class:`LocalBuildBackend` — runs each request inline on the calling
-  thread, at collection.  The serial correctness oracle, and the backend
-  journal recovery replays overlapped runs through.
+  thread, at collection.  The serial correctness oracle.
 * :class:`ProcessBuildBackend` — fans requests out to a
   ``concurrent.futures.ProcessPoolExecutor``.  Completion order is
   nondeterministic; responses are *collected* as they land (so the
@@ -137,7 +136,7 @@ class LocalBuildBackend(BuildBackend):
     """Inline execution on the calling thread — the serial oracle.
 
     ``submit_batch`` merely parks the requests; they execute inside
-    ``collect``, which is exactly the serial path's tempo.
+    ``collect``.
     """
 
     name = "local"

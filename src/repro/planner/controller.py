@@ -51,7 +51,17 @@ class BuildExecution:
 
 
 class BuildController(abc.ABC):
-    """Interface the planner uses to run builds."""
+    """Interface the planner uses to run builds.
+
+    The planner only ever *dispatches* a batch and later *resolves* it
+    (section 6: builds run asynchronously and report back); a controller
+    that has nowhere else to run them inherits the defaults below, which
+    run the batch at dispatch and hand the outcomes over at resolution.
+    """
+
+    def __init__(self) -> None:
+        #: Batches run at dispatch and not yet resolved, in dispatch order.
+        self._parked: List[List[Tuple[BuildKey, BuildExecution]]] = []
 
     @abc.abstractmethod
     def execute(
@@ -79,6 +89,31 @@ class BuildController(abc.ABC):
         """
         return [self.execute(key, changes_by_id) for key in keys]
 
+    def dispatch_batch(
+        self,
+        keys: Sequence[BuildKey],
+        changes_by_id: Mapping[ChangeId, Change],
+        span_ids: Optional[Sequence[int]] = None,
+        now: Optional[float] = None,
+        batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
+    ) -> None:
+        """Start one epoch's builds; :meth:`resolve_dispatches` reports them.
+
+        ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
+        (sim dispatch time) are the planner's trace context, used only by
+        controllers that run builds in another process.
+        """
+        executions = self.execute_batch(keys, changes_by_id, batch_members)
+        self._parked.append(list(zip(keys, executions)))
+
+    def resolve_dispatches(
+        self,
+    ) -> List[List[Tuple[BuildKey, BuildExecution]]]:
+        """Every dispatched batch's ``(key, execution)`` pairs, in dispatch
+        order and, within a batch, selection order."""
+        resolved, self._parked = self._parked, []
+        return resolved
+
 
 class LabelBuildController(BuildController):
     """Ground-truth outcomes with a step-elimination cost model.
@@ -95,6 +130,7 @@ class LabelBuildController(BuildController):
         stacking_overhead: float = 0.35,
         default_duration: float = 30.0,
     ) -> None:
+        super().__init__()
         if stacking_overhead < 0.0:
             raise ValueError("stacking_overhead must be non-negative")
         self.step_elimination = step_elimination
@@ -189,6 +225,7 @@ class FullStackBuildController(BuildController):
         recorder: Recorder = NULL_RECORDER,
         incremental: bool = True,
     ) -> None:
+        super().__init__()
         self._repo = repo
         self.recorder = recorder
         self.executor = BuildExecutor(cache, recorder=recorder)
@@ -207,7 +244,7 @@ class FullStackBuildController(BuildController):
         )
         self._base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
         # Parallel-backend seam (see repro.parallel): None means every
-        # build runs inline through execute() — the serial oracle.
+        # batch runs inline, at dispatch, through execute_batch().
         self._backend = None
         #: Outcome-neutral callable the backend invokes while waiting on
         #: in-flight worker results (the service's overlap hook).
@@ -312,14 +349,20 @@ class FullStackBuildController(BuildController):
 
         ``idle_hook`` runs while the backend waits on in-flight builds and
         must be outcome-neutral.  ``step_wall_seconds`` is the synthetic
-        wall cost per hermetic step forwarded to workers.
+        wall cost per hermetic step forwarded to workers.  Workers fold
+        patch stacks incrementally, so the from-scratch reference mode
+        has no backend form and refuses one.
         """
+        if not self.incremental:
+            raise ParallelExecutionError(
+                "a build backend needs incremental=True"
+            )
         self._backend = backend
         self.idle_hook = idle_hook
         self.step_wall_seconds = step_wall_seconds
 
     def detach_backend(self):
-        """Back to inline execution; returns the detached backend."""
+        """Back to running batches inline; returns the detached backend."""
         if self._pending_dispatches:
             raise ParallelExecutionError(
                 "cannot detach a backend with unresolved dispatched batches"
@@ -485,24 +528,26 @@ class FullStackBuildController(BuildController):
         now: Optional[float] = None,
         batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> None:
-        """Start one epoch's builds on the backend without waiting.
+        """Start one epoch's builds without waiting for them.
 
-        The overlapped half of the seam: requests are serialized against
-        the *current* base head (no mainline commit can land between a
+        Without a backend the batch runs now through :meth:`execute_batch`
+        and is parked.  With one, requests are serialized against the
+        *current* base head (no mainline commit can land between a
         dispatch and its resolution — resolutions happen before the event
-        loop pops anything) and shipped to the backend.  The matching
-        :meth:`resolve_dispatches` call merges the responses later, in
-        dispatch order, at the pump loop's next quiescent point.
+        loop pops anything) and shipped to the backend.  Either way the
+        matching :meth:`resolve_dispatches` call hands the outcomes over
+        later, in dispatch order, at the driver's next quiescent point.
 
         ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
         (sim dispatch time) thread the parent's trace context into each
         request: workers see a non-empty ``trace_id``, capture per-step
         wall spans, and resolution splices them under the build span.
         """
-        if self._backend is None or not self.incremental:
-            raise ParallelExecutionError(
-                "dispatch_batch needs an attached backend and incremental mode"
+        if self._backend is None:
+            super().dispatch_batch(
+                keys, changes_by_id, batch_members=batch_members
             )
+            return
         ids = list(span_ids) if span_ids is not None else [0] * len(keys)
         if len(ids) != len(keys):
             raise ValueError("span_ids must align with keys")
@@ -530,19 +575,18 @@ class FullStackBuildController(BuildController):
         token = self._backend.submit_batch(requests)
         self._pending_dispatches.append((token, list(keys), ids, now))
 
-    def has_pending_dispatches(self) -> bool:
-        return bool(self._pending_dispatches)
-
     def resolve_dispatches(
         self,
     ) -> List[List[Tuple[BuildKey, BuildExecution]]]:
         """Wait for every dispatched batch and merge it, in dispatch order.
 
         Merging in dispatch order (and, within a batch, selection order)
-        makes the parent's artifact cache evolve exactly as the
-        inline serial path would have — the property the bit-identity
+        makes the parent's artifact cache evolve exactly as running the
+        batches inline at dispatch does — the property the bit-identity
         oracle tests pin.
         """
+        if self._backend is None:
+            return super().resolve_dispatches()
         pending, self._pending_dispatches = self._pending_dispatches, []
         resolved: List[List[Tuple[BuildKey, BuildExecution]]] = []
         for token, keys, span_ids, at in pending:
@@ -568,11 +612,8 @@ class FullStackBuildController(BuildController):
         changes_by_id: Mapping[ChangeId, Change],
         batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> List[BuildExecution]:
-        """One epoch's builds, run inline in selection order.
-
-        With a backend attached (and ``incremental=True``) the planner
-        takes :meth:`dispatch_batch` instead and never calls this.
-        """
+        """One epoch's builds, run inline in selection order — what
+        :meth:`dispatch_batch` does when no backend is attached."""
         return [self.execute(key, changes_by_id) for key in keys]
 
     def execute(

@@ -6,7 +6,13 @@ Event-driven core shared by every strategy:
   graph, freeze the change's conflicting-ancestor list;
 * :meth:`PlannerEngine.plan` — ask the strategy for the current most
   valuable builds, abort running builds that fell out of the selection,
-  start newly selected ones on free workers;
+  assign newly selected ones to free workers and dispatch them to the
+  build controller;
+* :meth:`PlannerEngine.resolve_pending` — the one way an outcome comes
+  back (section 6's asynchronous build controller): the driver calls it
+  at its next quiescent point and times a completion event for every
+  build it returns, whether the controller ran the builds inline or on
+  worker processes;
 * :meth:`PlannerEngine.complete` — record a finished build, then commit or
   reject every change whose fate is now decided (a change's *decisive*
   build is the one whose assumed set equals the ancestors that actually
@@ -25,6 +31,7 @@ from repro.changes.change import Change
 from repro.changes.queue import PendingQueue
 from repro.changes.state import ChangeLedger, ChangeRecord
 from repro.conflict.conflict_graph import ConflictGraph
+from repro.errors import PlannerError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.planner.controller import BuildController, BuildExecution
 from repro.planner.workers import WorkerPool
@@ -33,17 +40,16 @@ from repro.types import BuildKey, ChangeId, ChangeState
 
 @dataclass(frozen=True)
 class ScheduledBuild:
-    """A build the planner just started; the simulator times it.
+    """A resolved build whose completion the driver must time.
 
-    ``duration`` is ``None`` while the build is *dispatched but not yet
-    resolved* — the overlapped path hands the work to a build backend at
-    plan time and learns the duration at the next quiescent point
-    (:meth:`PlannerEngine.resolve_pending`); the simulator must not
-    schedule a completion event until then.
+    Minted only by :meth:`PlannerEngine.resolve_pending`: a build has no
+    duration until its dispatch resolves, so :meth:`PlannerEngine.plan`
+    reports bare keys and the driver schedules completion events from
+    what resolution returns.
     """
 
     key: BuildKey
-    duration: Optional[float]
+    duration: float
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class Decision:
 class BuildRecord:
     """Planner-side bookkeeping for one build key.
 
-    ``execution`` is ``None`` between an overlapped dispatch and its
+    ``execution`` is ``None`` between a build's dispatch and its
     resolution; completions can only fire after resolution (the event is
     scheduled then), so every consumer of the outcome sees it filled.
     """
@@ -245,13 +251,6 @@ class PlannerView:
         """Number of pending changes this one conflicts with (any order)."""
         return len(self._planner.conflict_graph.neighbors(change_id))
 
-    def completed_outcome(self, key: BuildKey) -> Optional[bool]:
-        """Outcome of a finished build, or ``None``."""
-        record = self._planner.builds.get(key)
-        if record is None or not record.done or record.aborted:
-            return None
-        return record.execution.success
-
 
 class PlannerEngine:
     """Shared orchestration: queue + conflict graph + workers + decisions."""
@@ -314,10 +313,9 @@ class PlannerEngine:
         #: full plan() — every later state mutation (submit, complete,
         #: reorder) perturbs at least one component relative to it.
         self._last_plan_fingerprint: Optional[tuple] = None
-        #: Overlapped-dispatch bookkeeping: one entry per batch handed to
-        #: the controller's backend and not yet resolved, in dispatch
-        #: order — ``{"keys": [...], "at": dispatch clock}``.
-        self._pending_resolution: List[Dict[str, object]] = []
+        #: One ``(dispatch clock, records)`` entry per batch handed to the
+        #: controller and not yet resolved, in dispatch order.
+        self._pending_resolution: List[tuple] = []
 
     # -- submission ---------------------------------------------------------
 
@@ -512,7 +510,7 @@ class PlannerEngine:
                 existing = self.builds.get(key)
                 if existing is None or existing.aborted or not existing.done:
                     if not self.workers.is_running(key):
-                        started.append(self._start(key, now))
+                        started = self._start_batch([key], now)
         # Snapshot at exit: the starts/aborts above already mutated the
         # running set, so this fingerprint describes the state the *next*
         # plan() will see if nothing happens in between.
@@ -554,99 +552,50 @@ class PlannerEngine:
             self.recorder.finish_span(self._epoch_span, at=now)
             self._epoch_span = None
 
-    def _start(self, key: BuildKey, now: float) -> ScheduledBuild:
-        return self._start_batch([key], now)[0]
-
-    def _start_batch(
-        self, keys: List[BuildKey], now: float
-    ) -> List[ScheduledBuild]:
-        """Execute and assign a batch of selected builds.
+    def _start_batch(self, keys: List[BuildKey], now: float) -> List[BuildKey]:
+        """Assign workers to a batch of selected builds and dispatch it.
 
         Worker slots are claimed in longest-processing-time-first order
         over the pool's EWMA duration history (section 6's history-based
-        balancing); everything else — execution, bookkeeping, spans, the
-        returned schedule — stays in selection order, so event timing and
+        balancing); everything else — records, spans, the dispatch, the
+        returned keys — stays in selection order, so event timing and
         build outcomes are unchanged by the assignment policy.
+
+        Everything the *selection* depends on (worker occupancy, running
+        set, per-change counters) is updated here; executions, step
+        counters and durations arrive at :meth:`resolve_pending`.
         """
         if not keys:
             return []
         # Batch-protocol strategies annotate selected keys with the batch
         # membership riding on them; the controller threads it into each
-        # BuildRequest as outcome-neutral metadata.  The kwarg is passed
-        # only when some key carries members, so plain strategies and
-        # two-argument stub controllers are untouched.
+        # BuildRequest as outcome-neutral metadata.
         members_of = getattr(self.strategy, "scheduled_batch_members", None)
         batch_members: Optional[List[tuple]] = None
         if members_of is not None:
             groups = [tuple(members_of(key)) for key in keys]
             if any(groups):
                 batch_members = groups
-        # Overlapped path: a controller with a backend attached takes the
-        # batch asynchronously — executions (and durations) arrive at the
-        # next quiescent point via resolve_pending().  Everything the
-        # *selection* depends on (worker occupancy, running set, stats
-        # the strategies read) is updated now, identically to the inline
-        # path, so decisions cannot diverge.
-        if (
-            getattr(self.controller, "backend", None) is not None
-            and getattr(self.controller, "incremental", False)
-        ):
-            # Records (and their tracer spans) are minted *before* the
-            # dispatch so each request can carry its build span's id
-            # across the process boundary; span allocation order matches
-            # the old post-dispatch order (selection order), and
-            # dispatch_batch reads only controller state, so outcomes
-            # and trace shapes are unchanged.
-            self._assign_workers(keys, now)
-            scheduled = [self._register_dispatch(key, now) for key in keys]
-            records = [self.builds[key] for key in keys]
-            span_ids = [
+        self._assign_workers(keys, now)
+        # Records (and their tracer spans) are minted *before* the
+        # dispatch so each request can carry its build span's id across a
+        # process boundary.
+        records = [self._register_dispatch(key, now) for key in keys]
+        self.controller.dispatch_batch(
+            keys,
+            self.all_changes,
+            span_ids=[
                 record.span.span_id if record.span is not None else 0
                 for record in records
-            ]
-            dispatch_kwargs = (
-                {"batch_members": batch_members}
-                if batch_members is not None
-                else {}
-            )
-            self.controller.dispatch_batch(
-                keys,
-                self.all_changes,
-                span_ids=span_ids,
-                now=now,
-                **dispatch_kwargs,
-            )
-            self._pending_resolution.append(
-                {
-                    "keys": list(keys),
-                    # The records minted above: resolution must only time
-                    # a completion for a dispatch that is still current
-                    # (not aborted, not superseded by a re-dispatch).
-                    "records": records,
-                    "at": now,
-                }
-            )
-            return scheduled
-        # Inline path: BuildController subclasses expose execute_batch;
-        # plain stubs may only have execute.  Either way the executions
-        # come back in selection order.
-        execute_batch = getattr(self.controller, "execute_batch", None)
-        if execute_batch is not None:
-            if batch_members is not None:
-                executions = execute_batch(
-                    keys, self.all_changes, batch_members=batch_members
-                )
-            else:
-                executions = execute_batch(keys, self.all_changes)
-        else:
-            executions = [
-                self.controller.execute(key, self.all_changes) for key in keys
-            ]
-        self._assign_workers(keys, now)
-        return [
-            self._register_start(key, execution, now)
-            for key, execution in zip(keys, executions)
-        ]
+            ],
+            now=now,
+            batch_members=batch_members,
+        )
+        # The records minted above ride along: resolution must only time
+        # a completion for a dispatch that is still current (not aborted,
+        # not superseded by a re-dispatch).
+        self._pending_resolution.append((now, records))
+        return list(keys)
 
     def _assign_workers(self, keys: List[BuildKey], now: float) -> None:
         for key in self.workers.assignment_order(keys):
@@ -659,38 +608,8 @@ class PlannerEngine:
                     self._metrics.assignments_warm.inc()
                     self._metrics.assignment_estimate.observe(estimate)
 
-    def _register_start(
-        self, key: BuildKey, execution: BuildExecution, now: float
-    ) -> ScheduledBuild:
-        if key not in self.builds:
-            self._builds_by_change.setdefault(key.change_id, []).append(key)
-        build = BuildRecord(key=key, execution=execution, started_at=now)
-        self.builds[key] = build
-        record = self.records.get(key.change_id)
-        if record is not None:
-            record.builds_scheduled += 1
-        self.stats.builds_started += 1
-        self.stats.steps_executed += execution.steps_executed
-        self.stats.steps_cached += execution.steps_cached
-        if self.recorder.enabled:
-            build.span = self.recorder.start_span(
-                "build",
-                category="build",
-                track=f"change:{key.change_id}",
-                at=now,
-                parent=self._epoch_span,
-                key=key.label() if hasattr(key, "label") else str(key),
-                change_id=key.change_id,
-                assumed=len(key.assumed),
-            )
-            self._metrics.builds_started.inc()
-            if execution.steps_executed or execution.steps_cached:
-                self._metrics.steps_executed.inc(execution.steps_executed)
-                self._metrics.steps_cached.inc(execution.steps_cached)
-        return ScheduledBuild(key=key, duration=execution.duration)
-
-    def _register_dispatch(self, key: BuildKey, now: float) -> ScheduledBuild:
-        """Dispatch-time half of :meth:`_register_start` (overlapped path).
+    def _register_dispatch(self, key: BuildKey, now: float) -> BuildRecord:
+        """Mint the build record at dispatch time.
 
         Everything the next ``plan()`` can read is updated here — the
         build record, per-change counters, ``builds_started`` — while the
@@ -717,31 +636,28 @@ class PlannerEngine:
                 assumed=len(key.assumed),
             )
             self._metrics.builds_started.inc()
-        return ScheduledBuild(key=key, duration=None)
-
-    def has_pending_builds(self) -> bool:
-        """Are there dispatched batches awaiting resolution?"""
-        return bool(self._pending_resolution)
+        return build
 
     def resolve_pending(self) -> List["ResolvedBatch"]:
         """Merge every dispatched batch back in — the quiescent point.
 
-        Called by the event loop before it pops anything, so the clock
-        has not moved since the dispatches: completion events computed
-        from ``batch.at + duration`` land exactly where the inline path
-        would have put them, and the artifact-cache merges replay in
-        dispatch order — decisions stay bit-identical to the serial
-        oracle.
+        The one place executions enter the planner.  Drivers call it
+        before their event loop pops anything, so the clock has not moved
+        since the dispatches: completion events are timed at
+        ``batch.at + duration``, and the controller merges batches in
+        dispatch order, so the artifact cache — and with it every
+        duration and decision — evolves identically whether the builds
+        ran inline or on a backend.
         """
         if not self._pending_resolution:
             return []
-        infos, self._pending_resolution = self._pending_resolution, []
+        pending, self._pending_resolution = self._pending_resolution, []
         merged = self.controller.resolve_dispatches()
         batches: List[ResolvedBatch] = []
-        for info, results in zip(infos, merged):
+        for (at, records), results in zip(pending, merged):
             executions: List[BuildExecution] = []
             live: List[ScheduledBuild] = []
-            for record, (key, execution) in zip(info["records"], results):
+            for record, (key, execution) in zip(records, results):
                 record.execution = execution
                 self.stats.steps_executed += execution.steps_executed
                 self.stats.steps_cached += execution.steps_cached
@@ -753,8 +669,8 @@ class PlannerEngine:
                 executions.append(execution)
                 # Time a completion only for dispatches that are still
                 # current: aborted or re-dispatched keys were merged for
-                # their cache effects (the inline path executed them
-                # too) but must not produce a (duplicate) event.
+                # their cache effects but must not produce a (duplicate)
+                # event.
                 if not record.aborted and self.builds.get(key) is record:
                     live.append(
                         ScheduledBuild(key=key, duration=execution.duration)
@@ -766,17 +682,12 @@ class PlannerEngine:
                     # letting finish_open sweep it at export time.
                     self.recorder.finish_span(
                         record.span,
-                        at=info["at"] + execution.duration,
+                        at=at + execution.duration,
                         superseded=True,
                     )
                     record.span = None
             batches.append(
-                ResolvedBatch(
-                    at=info["at"],
-                    keys=list(info["keys"]),
-                    executions=executions,
-                    live=live,
-                )
+                ResolvedBatch(at=at, executions=executions, live=live)
             )
         return batches
 
@@ -809,6 +720,10 @@ class PlannerEngine:
         record = self.builds.get(key)
         if record is None or record.aborted or record.done:
             return []  # stale completion (build was aborted meanwhile)
+        if record.execution is None:
+            raise PlannerError(
+                f"build {key.label()} completed before its dispatch resolved"
+            )
         self.workers.release(key, now)
         record.completed_at = now
         self.stats.builds_completed += 1
@@ -963,20 +878,21 @@ class PlannerEngine:
 class PlanResult:
     """What one :meth:`PlannerEngine.plan` call did."""
 
-    started: List[ScheduledBuild]
+    #: Builds dispatched this epoch, in selection order.  Durations exist
+    #: only on what :meth:`PlannerEngine.resolve_pending` returns.
+    started: List[BuildKey]
     aborted: List[BuildKey]
 
 
 @dataclass(frozen=True)
 class ResolvedBatch:
-    """One dispatched batch after resolution (overlapped path).
+    """One dispatched batch after resolution.
 
-    ``keys``/``executions`` cover the whole batch in selection order
-    (for journaling); ``live`` holds only the builds that still need a
+    ``executions`` covers the whole batch in selection order (for
+    journaling); ``live`` holds only the builds that still need a
     completion event timed at ``at + duration``.
     """
 
     at: float
-    keys: List[BuildKey]
     executions: List[BuildExecution]
     live: List[ScheduledBuild]

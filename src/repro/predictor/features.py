@@ -204,10 +204,6 @@ class FeatureExtractor:
 
     # -- history feedback ---------------------------------------------------
 
-    def observe_submit(self, change: Change) -> None:
-        """Count a submit attempt against its revision."""
-        self._revision_submits[change.revision_id] += 1
-
     def observe_outcome(self, change: Change, committed: bool) -> None:
         """Feed a decided change back into developer history."""
         history = self._dev_history[change.developer_id]

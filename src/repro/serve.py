@@ -38,6 +38,9 @@ from repro.service.handlers import ApiHandlers
 #: Rolling window the /slo endpoint aggregates over, in simulated minutes.
 DEFAULT_SLO_WINDOW_MINUTES = 60.0
 
+#: Largest request body the JSON API will read (1 MiB).
+MAX_BODY_BYTES = 1 << 20
+
 
 class ObservabilityServer:
     """One HTTP server bound to one live :class:`CoreService`."""
@@ -180,11 +183,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # keep smoke-test output clean; curl shows its own status
 
-    def _send_json(self, code: int, payload: Dict[str, Any]) -> None:
+    def _send_json(
+        self, code: int, payload: Dict[str, Any], close: bool = False
+    ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -197,15 +204,37 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The request's JSON object, or ``None`` after answering 4xx."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        refusal = None
+        if length < 0:
+            refusal = (400, "invalid Content-Length")
+        elif length > MAX_BODY_BYTES:
+            refusal = (413, f"body exceeds {MAX_BODY_BYTES} bytes")
+        if refusal is not None:
+            # The body stays unread, so the connection cannot carry
+            # another request: answer and close it.
+            code, error = refusal
+            self._send_json(
+                code, {"ok": False, "error": error, "code": code}, close=True
+            )
+            return None
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
+            parsed = None
+        if not isinstance(parsed, dict):
+            self._send_json(
+                400, {"ok": False, "error": "malformed JSON body", "code": 400}
+            )
             return None
-        return parsed if isinstance(parsed, dict) else None
+        return parsed
 
     # -- verbs ---------------------------------------------------------------
 
@@ -242,9 +271,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
         body = self._read_json_body()
         if body is None:
-            self._send_json(
-                400, {"ok": False, "error": "malformed JSON body", "code": 400}
-            )
             return
         if path == "/changes":
             self._send_json(*context.api("land", body))

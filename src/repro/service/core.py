@@ -37,8 +37,10 @@ class CoreServiceConfig:
     """The service's whole selection surface: six fields, one path each.
 
     The conflict analyzer is always refreshed after a mainline commit and
-    advanced incrementally; builds always execute incrementally; idle-time
-    analysis warming is always on when a build backend is attached.
+    advanced incrementally; builds always execute incrementally and are
+    always dispatched at plan time and resolved at the pump's next
+    quiescent point; idle-time analysis warming is always on when a build
+    backend is attached.
     """
 
     #: Simulated build workers (the planner's per-epoch build budget).
@@ -52,13 +54,12 @@ class CoreServiceConfig:
     #: shared default instance and must never be mutated).
     journal: Optional[JournalSink] = None
     #: Build-backend spec for ``repro.parallel.create_build_backend``:
-    #: ``"local"`` or ``"process[:N]"``.  ``None`` — the default — keeps
-    #: builds inline and never imports ``repro.parallel``.  Decisions are
-    #: bit-identical across backends; what the journal must preserve is
-    #: only the overlapped *record tempo* (epoch records are emitted at
-    #: resolution, not dispatch), so the journaled config carries a single
-    #: ``overlapped`` flag and recovery replays overlapped runs through
-    #: the serial ``"local"`` backend.
+    #: ``"local"`` or ``"process[:N]"``.  ``None`` — the default — runs
+    #: each batch in-process at dispatch and never imports
+    #: ``repro.parallel``.  Decisions, state fingerprints at every point a
+    #: driver can observe, and journal bytes are identical across all
+    #: three, so the spec is wall-side only: it is not journaled, and
+    #: recovery replays every journal without a backend.
     build_backend: Optional[str] = None
     #: Queue-backend spec for ``repro.sharding.create_queue_backend``:
     #: ``"sharded[:N]"``.  ``None`` — the default — keeps the monolithic
@@ -72,6 +73,17 @@ class CoreServiceConfig:
     #: execution purely synthetic).  Wall-clock only — never influences
     #: simulated durations or decisions.
     step_wall_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class _Epoch:
+    """What one ``plan()`` did, as its journal records will say it."""
+
+    at: float
+    started: List[BuildKey]
+    aborted: List[BuildKey]
+    busy: int
+    capacity: int
 
 
 @dataclass(frozen=True)
@@ -137,9 +149,9 @@ class CoreService:
         self._events = EventQueue()
         self._completion_handles: Dict[BuildKey, EventHandle] = {}
         self._submission_handles: List[EventHandle] = []
-        #: Journal payloads for dispatched-but-unresolved epochs, emitted
-        #: by _resolve_builds in dispatch order (overlapped path only).
-        self._deferred_journal: List[Dict[str, object]] = []
+        #: Epochs that started or aborted builds and are not yet resolved,
+        #: in plan order; _resolve_builds journals and times them.
+        self._unresolved_epochs: List[_Epoch] = []
         self._warmed_analyses: Set[str] = set()
         self._head_at_analyzer = repo.head()
         self._backend = None
@@ -147,7 +159,7 @@ class CoreService:
             attach = getattr(self.controller, "attach_backend", None)
             if attach is not None:
                 # Lazy import — the single place the service touches
-                # repro.parallel, so the serial path never loads it.
+                # repro.parallel, so a backend-less service never loads it.
                 from repro.parallel import create_build_backend
 
                 self._backend = create_build_backend(
@@ -245,7 +257,7 @@ class CoreService:
     def enqueue(self, change: Change, at: Optional[float] = None) -> None:
         """Schedule a submission to arrive at service time ``at``.
 
-        The overlapped ingestion path: the submission becomes an event on
+        The timed ingestion path: the submission becomes an event on
         the pump loop (``at`` in the past clamps to *now*), interleaving
         with build completions in time order, and is accepted — journaled,
         planned — only when the loop reaches it.  Until then the backend's
@@ -288,13 +300,8 @@ class CoreService:
                 continue
             self._warmed_analyses.add(change.change_id)
             self._maybe_refresh_analyzer()
-            # Under a sharded backend, warm through the change's own
-            # per-shard view — the views share the parent's caches, so
-            # this is the same computation scoped to the owning shard.
-            view_for = getattr(self._analyzer, "shard_view_for", None)
-            analyzer = self._analyzer if view_for is None else view_for(change)
             try:
-                analyzer.analyze(change)
+                self._analyzer.analyze(change)
             except PatchConflictError:
                 # Nothing to warm: the patch no longer applies to the head,
                 # and the change's own build will report the merge conflict.
@@ -308,7 +315,7 @@ class CoreService:
 
     @property
     def backend(self):
-        """The attached build backend, or ``None`` on the serial path."""
+        """The attached build backend, or ``None`` when batches run inline."""
         return self._backend
 
     def close(self) -> None:
@@ -318,11 +325,9 @@ class CoreService:
         at a quiescent point (pump() always drains, so this only does
         work when a caller closes between a submit and its pump).
         """
+        self._resolve_builds()
         if self._backend is not None:
-            self._resolve_builds()
-            detach = getattr(self.controller, "detach_backend", None)
-            if detach is not None:
-                detach()
+            self.controller.detach_backend()
             self._backend.close()
             self._backend = None
 
@@ -342,6 +347,9 @@ class CoreService:
         while self._events or self.planner.pending_count() > 0:
             decisions.extend(self._step(guard))
             steps += 1
+        # The last step's replan may have aborted a moot speculation;
+        # journal that epoch before the pump (and its snapshot) closes.
+        self._resolve_builds()
         if steps and self._journal.enabled:
             self._journal.append(
                 journal_records.pump_end_record(self.clock.now, len(decisions))
@@ -369,9 +377,9 @@ class CoreService:
         the build completion) before applying it, so a crash mid-step
         re-drives the step from the journal.
         """
-        # Quiescent point: anything dispatched to a backend since the
-        # last step resolves now, before the loop pops (or times) the
-        # next event — its completions may be the earliest events there are.
+        # Quiescent point: anything dispatched since the last step
+        # resolves now, before the loop pops (or times) the next event —
+        # its completions may be the earliest events there are.
         self._resolve_builds()
         handle = self._events.pop()
         if handle is None:
@@ -452,90 +460,64 @@ class CoreService:
 
     def _replan(self) -> None:
         result = self.planner.plan(self.clock.now)
-        # Overlapped dispatches carry no duration yet; their epoch /
-        # build-start / worker records are journaled at resolution (in
-        # dispatch order, with the resolved durations) by
-        # _resolve_builds.  A plan that only aborts journals inline.
-        deferred = any(s.duration is None for s in result.started)
-        if self._journal.enabled and (result.started or result.aborted):
-            if deferred:
-                workers = self.planner.workers
-                self._deferred_journal.append(
-                    {
-                        "at": self.clock.now,
-                        "keys": [s.key for s in result.started],
-                        "aborted": list(result.aborted),
-                        "busy": workers.busy,
-                        "capacity": workers.capacity,
-                    }
+        if result.started or result.aborted:
+            workers = self.planner.workers
+            self._unresolved_epochs.append(
+                _Epoch(
+                    at=self.clock.now,
+                    started=result.started,
+                    aborted=result.aborted,
+                    busy=workers.busy,
+                    capacity=workers.capacity,
                 )
-            else:
-                self._journal.append(
-                    journal_records.epoch_record(
-                        self.clock.now,
-                        [scheduled.key for scheduled in result.started],
-                        list(result.aborted),
-                    )
-                )
-                for scheduled in result.started:
-                    self._journal.append(
-                        journal_records.build_start_record(
-                            self.clock.now, scheduled.key, scheduled.duration
-                        )
-                    )
-                workers = self.planner.workers
-                self._journal.append(
-                    journal_records.worker_record(
-                        self.clock.now, workers.busy, workers.capacity
-                    )
-                )
+            )
         for key in result.aborted:
             pending = self._completion_handles.pop(key, None)
             if pending is not None:
                 self._events.cancel(pending)
-        for scheduled in result.started:
-            if scheduled.duration is None:
-                continue  # timed at resolution
-            handle = self._events.push(
-                self.clock.now + scheduled.duration, scheduled.key
-            )
-            self._completion_handles[scheduled.key] = handle
 
     def _resolve_builds(self) -> None:
         """Merge dispatched builds back in before the loop pops anything.
 
-        The deterministic quiescent point of the overlapped pump: every
-        batch the backend holds is resolved in dispatch order, its
-        deferred journal records are emitted (timestamped at the dispatch
-        instant, which the clock has not left), and its completion events
-        are timed exactly where the inline path would have put them.
+        The pump's deterministic quiescent point, and the only place an
+        ``epoch`` / ``build_start`` / ``worker`` record is journaled or a
+        completion event is timed: every unresolved epoch is taken in
+        plan order, its records are emitted (timestamped at the plan
+        instant, which the clock has not left) with the durations its
+        batch resolved to, and its live builds' completions are pushed at
+        that instant plus their durations.
         """
-        planner = self.planner
-        if not planner.has_pending_builds():
+        if not self._unresolved_epochs:
             return
-        infos, self._deferred_journal = self._deferred_journal, []
-        batches = planner.resolve_pending()
-        for index, batch in enumerate(batches):
-            if self._journal.enabled and index < len(infos):
-                info = infos[index]
+        epochs, self._unresolved_epochs = self._unresolved_epochs, []
+        # plan() dispatches at most one batch, so the epochs that started
+        # builds pair off with the resolved batches in order.
+        batches = iter(self.planner.resolve_pending())
+        for epoch in epochs:
+            if not epoch.started:
+                executions, live = (), ()
+            else:
+                batch = next(batches)
+                executions, live = batch.executions, batch.live
+            if self._journal.enabled:
                 self._journal.append(
                     journal_records.epoch_record(
-                        info["at"], list(info["keys"]), list(info["aborted"])
+                        epoch.at, epoch.started, epoch.aborted
                     )
                 )
-                for key, execution in zip(batch.keys, batch.executions):
+                for execution in executions:
                     self._journal.append(
                         journal_records.build_start_record(
-                            info["at"], key, execution.duration
+                            epoch.at, execution.key, execution.duration
                         )
                     )
                 self._journal.append(
                     journal_records.worker_record(
-                        info["at"], info["busy"], info["capacity"]
+                        epoch.at, epoch.busy, epoch.capacity
                     )
                 )
-            for scheduled in batch.live:
+            for scheduled in live:
                 handle = self._events.push(
-                    batch.at + scheduled.duration, scheduled.key
+                    epoch.at + scheduled.duration, scheduled.key
                 )
                 self._completion_handles[scheduled.key] = handle

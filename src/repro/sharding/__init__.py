@@ -28,7 +28,7 @@ from typing import Mapping, Tuple
 
 from repro.errors import ShardingError
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.sharding.analyzer import ShardAnalyzer, ShardedConflictAnalyzer
+from repro.sharding.analyzer import ShardedConflictAnalyzer
 from repro.sharding.partition import PartitionerStats, TargetPartitioner
 from repro.sharding.queue import (
     STRADDLER_SHARD,
@@ -41,7 +41,6 @@ __all__ = [
     "PartitionedPendingQueue",
     "PartitionerStats",
     "STRADDLER_SHARD",
-    "ShardAnalyzer",
     "ShardedConflictAnalyzer",
     "ShardingError",
     "TargetPartitioner",

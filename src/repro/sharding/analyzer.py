@@ -39,7 +39,7 @@ memo only if partitioning actually changed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.loader import build_file_package
@@ -47,7 +47,7 @@ from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.sharding.partition import TargetPartitioner
-from repro.sharding.queue import STRADDLER_SHARD, shard_label
+from repro.sharding.queue import STRADDLER_SHARD
 from repro.types import ChangeId, Path
 
 
@@ -126,9 +126,6 @@ class ShardedConflictAnalyzer(ConflictAnalyzer):
             self._routes[change.change_id] = cached
         return cached
 
-    def shard_label_of(self, change: Change) -> str:
-        return shard_label(self.shard_of(change))
-
     def note_pairs_skipped(self, count: int) -> None:
         """Record ``count`` pair checks routing made unnecessary."""
         self.pair_checks_skipped += count
@@ -170,57 +167,3 @@ class ShardedConflictAnalyzer(ConflictAnalyzer):
             # the queue's shard index survive untouched.
             self.partitioner.refresh(self._base_graph)
         self._sync_routes()
-
-    # -- per-shard views -------------------------------------------------------
-
-    def shard_view_for(self, change: Change) -> "ShardAnalyzer":
-        """The per-shard analyzer view owning ``change``."""
-        return ShardAnalyzer(self, self.shard_of(change))
-
-    def shard_views(self) -> List["ShardAnalyzer"]:
-        """One view per partition plus the straddler shard."""
-        shards = list(range(self.shard_count)) + [STRADDLER_SHARD]
-        return [ShardAnalyzer(self, shard) for shard in shards]
-
-    def describe(self) -> Dict[str, object]:
-        payload = self.partitioner.describe()
-        payload["pair_checks_skipped"] = self.pair_checks_skipped
-        return payload
-
-
-class ShardAnalyzer:
-    """A per-shard view sharing the parent's snapshot and hasher caches.
-
-    The view is what fans out through the parallel-backend seam: each
-    shard's warm-up or candidate sweep touches only that shard's members
-    (plus straddlers), while ``analyze``/``conflict`` hit the parent's
-    shared per-change and pair caches, so no work is duplicated across
-    views.
-    """
-
-    __slots__ = ("parent", "shard")
-
-    def __init__(self, parent: ShardedConflictAnalyzer, shard: int) -> None:
-        self.parent = parent
-        self.shard = shard
-
-    @property
-    def label(self) -> str:
-        return shard_label(self.shard)
-
-    def owns(self, change: Change) -> bool:
-        return self.parent.shard_of(change) == self.shard
-
-    def analyze(self, change: Change):
-        return self.parent.analyze(change)
-
-    def conflict(self, first: Change, second: Change) -> bool:
-        return self.parent.conflict(first, second)
-
-    def sweep(self, change: Change, candidates: Iterable[Change]) -> List[ChangeId]:
-        """Conflicting ids among ``candidates`` (this shard's members)."""
-        return [
-            other.change_id
-            for other in candidates
-            if self.parent.conflict(change, other)
-        ]

@@ -276,11 +276,3 @@ class TargetPartitioner:
     def bin_target_counts(self) -> List[int]:
         """Targets per bin, indexed by bin (for imbalance gauges)."""
         return list(self._bin_sizes)
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "max_partitions": self.max_partitions,
-            "components": len(self._components),
-            "bin_target_counts": self.bin_target_counts(),
-            "version": self.version,
-        }

@@ -174,11 +174,15 @@ class Simulation:
             handle = self._completion_handles.pop(key, None)
             if handle is not None:
                 self._events.cancel(handle)
-        for scheduled in result.started:
-            handle = self._events.push(
-                now + scheduled.duration, ("completion", scheduled.key)
-            )
-            self._completion_handles[scheduled.key] = handle
+        # The DES has no work between a dispatch and its resolution, so
+        # the quiescent point is right here.
+        for batch in self.planner.resolve_pending():
+            for scheduled in batch.live:
+                handle = self._events.push(
+                    batch.at + scheduled.duration,
+                    ("completion", scheduled.key),
+                )
+                self._completion_handles[scheduled.key] = handle
 
     def _summarize(
         self, now: float, makespan: float, arrival_window: float

@@ -34,22 +34,6 @@ class ChangeState(enum.Enum):
         return self is not ChangeState.PENDING
 
 
-class BuildOutcome(enum.Enum):
-    """Terminal result of one speculative build."""
-
-    SUCCESS = "success"
-    FAILURE = "failure"
-    ABORTED = "aborted"
-
-
-class BuildStatus(enum.Enum):
-    """Runtime status of one speculative build."""
-
-    QUEUED = "queued"
-    RUNNING = "running"
-    DONE = "done"
-
-
 class StepKind(enum.Enum):
     """Build-step kinds mentioned in the paper (compile, tests, artifacts)."""
 

@@ -43,3 +43,14 @@ def tiny_snapshot(tiny_repo):
 @pytest.fixture
 def monorepo() -> SyntheticMonorepo:
     return SyntheticMonorepo(MonorepoSpec(layers=(3, 4, 5), fan_in=2), seed=42)
+
+
+def plan_and_resolve(planner, now):
+    """One planner epoch the way every driver runs it: plan, then resolve.
+
+    Returns the ``PlanResult``; afterwards each started build's execution
+    is on ``planner.builds[key].execution`` and ``complete()`` may fire.
+    """
+    result = planner.plan(now)
+    planner.resolve_pending()
+    return result

@@ -14,6 +14,7 @@ from repro.errors import JournalCorruptError, ParallelExecutionError, ShardingEr
 from repro.journal import records as rec
 from repro.journal.snapshots import decode_config, encode_config
 from repro.parallel import create_build_backend
+from repro.planner.controller import FullStackBuildController
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sharding import create_queue_backend
 
@@ -48,13 +49,12 @@ def test_journaled_config_round_trips(build_spec, queue_spec):
         queue_backend=queue_spec,
     )
     payload = encode_config(config)
-    assert set(payload) == {
-        "workers", "max_pump_minutes", "overlapped", "queue_backend",
-    }
-    # Replay needs the overlapped record tempo, not the worker processes:
-    # every build backend decodes to the serial "local" one.
+    assert set(payload) == {"workers", "max_pump_minutes", "queue_backend"}
+    # Where the builds ran is not journaled: every journal replays
+    # without a backend.
+    assert decode_config(payload).build_backend is None
     assert decode_config(payload) == dataclasses.replace(
-        config, build_backend=None if build_spec is None else "local"
+        config, build_backend=None
     )
     assert encode_config(decode_config(payload)) == payload
 
@@ -77,11 +77,19 @@ def test_queue_factory_rejects_bad_specs_with_typed_error(spec):
         create_queue_backend(spec, {})
 
 
-def test_v1_journal_is_refused_naming_both_versions():
+def test_v2_journal_is_refused_naming_both_versions():
     head = rec.init_record(0.0, {}, {}, {})
-    assert head["v"] == rec.SCHEMA_VERSION == 2
-    head["v"] = 1
+    assert head["v"] == rec.SCHEMA_VERSION == 3
+    head["v"] = 2
     with pytest.raises(JournalCorruptError) as excinfo:
         rec.check_records([head])
-    assert "version 1" in str(excinfo.value)
-    assert "only 2" in str(excinfo.value)
+    assert "version 2" in str(excinfo.value)
+    assert "only 3" in str(excinfo.value)
+
+
+def test_from_scratch_controller_refuses_a_backend_at_attach(tiny_repo):
+    controller = FullStackBuildController(tiny_repo, incremental=False)
+    with create_build_backend("local") as backend:
+        with pytest.raises(ParallelExecutionError, match="incremental"):
+            controller.attach_backend(backend)
+    assert controller.backend is None

@@ -15,6 +15,8 @@ from repro.strategies.independent_batch import IndependentBatchStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey, ChangeState
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -62,9 +64,9 @@ class TestPreemptionGrace:
         key = BuildKey(change.change_id)
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
-        planner.plan(0.0)                      # starts the build
+        plan_and_resolve(planner, 0.0)                      # starts the build
         planner.invalidate_plan_cache()        # selection is call-count dependent
-        result = planner.plan(25.0)            # deselects; 5 min remaining
+        result = plan_and_resolve(planner, 25.0)            # deselects; 5 min remaining
         assert result.aborted == []
         assert planner.workers.is_running(key)
 
@@ -73,9 +75,9 @@ class TestPreemptionGrace:
         key = BuildKey(change.change_id)
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         planner.invalidate_plan_cache()
-        result = planner.plan(5.0)             # 25 min remaining > grace
+        result = plan_and_resolve(planner, 5.0)             # 25 min remaining > grace
         assert key in result.aborted
 
     def test_zero_grace_is_old_behavior(self):
@@ -83,9 +85,9 @@ class TestPreemptionGrace:
         key = BuildKey(change.change_id)
         planner = self._planner(grace=0.0, key=key)
         planner.submit(change, 0.0)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         planner.invalidate_plan_cache()
-        result = planner.plan(29.0)            # 1 min remaining, no grace
+        result = plan_and_resolve(planner, 29.0)            # 1 min remaining, no grace
         assert key in result.aborted
 
     def test_negative_grace_rejected(self):
@@ -114,9 +116,9 @@ class TestIndependentBatchStrategy:
         changes = [labeled([f"//t{i}"]) for i in range(3)]
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
-        result = planner.plan(3.0)
+        result = plan_and_resolve(planner, 3.0)
         assert len(result.started) == 1, "one combined build for the batch"
-        key = result.started[0].key
+        key = result.started[0]
         assert key.depth == 2
         planner.complete(key, 40.0)
         for change in changes:
@@ -148,21 +150,21 @@ class TestIndependentBatchStrategy:
         changes.append(labeled(["//t2"], ok=False))
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
-        result = planner.plan(3.0)
-        (combined,) = [s for s in result.started if s.key.depth == 2]
-        planner.complete(combined.key, 40.0)
+        result = plan_and_resolve(planner, 3.0)
+        (combined,) = [key for key in result.started if key.depth == 2]
+        planner.complete(combined, 40.0)
         # Nobody decided yet; batch dissolved.
         assert all(
             planner.records[c.change_id].state is ChangeState.PENDING
             for c in changes
         )
-        result = planner.plan(40.0)
-        assert all(s.key.depth == 0 for s in result.started)
-        for scheduled in result.started:
-            planner.complete(scheduled.key, 80.0)
-        planner.plan(80.0)
-        for scheduled in planner.plan(81.0).started:
-            planner.complete(scheduled.key, 120.0)
+        result = plan_and_resolve(planner, 40.0)
+        assert all(key.depth == 0 for key in result.started)
+        for key in result.started:
+            planner.complete(key, 80.0)
+        plan_and_resolve(planner, 80.0)
+        for key in plan_and_resolve(planner, 81.0).started:
+            planner.complete(key, 120.0)
         states = [planner.records[c.change_id].state for c in changes]
         assert states.count(ChangeState.COMMITTED) == 2
         assert states.count(ChangeState.REJECTED) == 1

@@ -31,6 +31,8 @@ from repro.speculation.probability import (
 from repro.strategies.single_queue import SingleQueueStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -395,10 +397,10 @@ class TestPlannerFingerprint:
         planner = self.make_planner(SpyStrategy())
         planner.submit(labeled(("//x",)), 0.0)
         planner.submit(labeled(("//y",)), 0.0)
-        first = planner.plan(0.0)
+        first = plan_and_resolve(planner, 0.0)
         assert len(first.started) == 2
         assert SpyStrategy.select_calls == 1
-        second = planner.plan(1.0)
+        second = plan_and_resolve(planner, 1.0)
         assert second.started == [] and second.aborted == []
         assert SpyStrategy.select_calls == 1  # not consulted again
         assert planner.stats.plan_calls == 2
@@ -409,11 +411,11 @@ class TestPlannerFingerprint:
         planner = self.make_planner(SpyStrategy())
         change = labeled(("//x",))
         planner.submit(change, 0.0)
-        key = planner.plan(0.0).started[0].key
-        planner.plan(1.0)  # skipped
+        key = plan_and_resolve(planner, 0.0).started[0]
+        plan_and_resolve(planner, 1.0)  # skipped
         planner.complete(key, 30.0)
         planner.submit(labeled(("//z",)), 30.0)
-        planner.plan(30.0)
+        plan_and_resolve(planner, 30.0)
         assert SpyStrategy.select_calls == 2
         assert planner.stats.plan_calls_skipped == 1
 
@@ -421,9 +423,9 @@ class TestPlannerFingerprint:
         SpyStrategy.select_calls = 0
         planner = self.make_planner(SpyStrategy())
         planner.submit(labeled(("//x",)), 0.0)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         planner.invalidate_plan_cache()
-        planner.plan(1.0)
+        plan_and_resolve(planner, 1.0)
         assert SpyStrategy.select_calls == 2
         assert planner.stats.plan_calls_skipped == 0
 
@@ -437,8 +439,8 @@ class TestPlannerFingerprint:
             recorder=recorder,
         )
         planner.submit(labeled(("//x",)), 0.0)
-        planner.plan(0.0)
-        planner.plan(1.0)
+        plan_and_resolve(planner, 0.0)
+        plan_and_resolve(planner, 1.0)
         registry = recorder.registry
         assert registry.counter("planner_plan_calls_total").value == 2.0
         assert registry.counter("planner_replans_skipped_total").value == 1.0

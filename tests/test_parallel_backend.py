@@ -1,6 +1,6 @@
 """The parallel build backend: spec parsing, bit-identity against the
-serial oracle, shared EWMA history, overlapped journaling + recovery,
-metrics, and serial-path dependency hygiene."""
+backend-less oracle at rest and between submit and pump, shared EWMA
+history, backend-free recovery, metrics, and dependency hygiene."""
 
 import copy
 import os
@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.errors import ParallelExecutionError
+from repro.errors import ParallelExecutionError, PlannerError
 from repro.journal import JournalWriter, fingerprint_digest, recover
 from repro.parallel import (
     LocalBuildBackend,
@@ -54,9 +54,9 @@ def cell():
     return synth.repo.snapshot().to_dict(), changes
 
 
-def run_cell(cell, backend, journal=None, enqueue_tail=True):
-    files, changes = cell
-    service = CoreService(
+def make_service(cell, backend, journal=None):
+    files, _ = cell
+    return CoreService(
         Repository(dict(files)),
         SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
         config=CoreServiceConfig(
@@ -65,7 +65,11 @@ def run_cell(cell, backend, journal=None, enqueue_tail=True):
             journal=journal,
         ),
     )
-    batch = copy.deepcopy(changes)
+
+
+def run_cell(cell, backend, journal=None, enqueue_tail=True):
+    service = make_service(cell, backend, journal)
+    batch = copy.deepcopy(cell[1])
     for change in batch[:3]:
         service.submit(change)
     tail = batch[3:]
@@ -167,6 +171,35 @@ def test_backends_bit_identical_to_oracle(cell):
     assert oracle.repo.is_green()
 
 
+def test_fingerprints_agree_between_submits_and_pump(cell):
+    """One tempo: a driver reading state after any submit — builds
+    dispatched, none resolved — sees the same thing under every spec."""
+    seen = {}
+    for spec in (None, "local", "process:2"):
+        service = make_service(cell, spec)
+        digests = []
+        for change in copy.deepcopy(cell[1]):
+            service.submit(change)
+            digests.append(fingerprint_digest(service))
+        service.pump()
+        digests.append(fingerprint_digest(service))
+        service.close()
+        seen[spec] = digests
+    assert seen["local"] == seen[None]
+    assert seen["process:2"] == seen[None]
+
+
+def test_completing_an_unresolved_dispatch_raises(cell):
+    service = make_service(cell, None)
+    service.submit(copy.deepcopy(cell[1][0]))
+    planner = service.planner
+    (key,) = planner.workers.running_builds()
+    assert planner.builds[key].execution is None
+    with pytest.raises(PlannerError, match="before its dispatch resolved"):
+        planner.complete(key, 1.0)
+    service.close()
+
+
 def test_interactive_submits_match_enqueued(cell):
     """enqueue() interleaves identically to submit() at the same instants
     (every change here fires at t=0)."""
@@ -196,35 +229,35 @@ def test_worker_duration_history_shared_across_backends(cell):
     process.close()
 
 
-# -- overlapped journaling + recovery ----------------------------------------
+# -- recovery needs no backend -----------------------------------------------
 
 
-def test_overlapped_journal_recovers_bit_identically(cell, tmp_path):
+@pytest.mark.parametrize("snapshot_every", [10_000, 8], ids=["genesis", "snapshot"])
+def test_process_journal_recovers_without_importing_parallel(
+    cell, tmp_path, snapshot_every
+):
+    """A journal written under ``process:2`` replays — from genesis or from
+    a snapshot — in an interpreter that never loads ``repro.parallel``."""
     journal_dir = str(tmp_path / "journal")
-    # snapshot_every high enough that replay starts from genesis and
-    # re-drives the overlapped record tempo end to end.
-    writer = JournalWriter(journal_dir, snapshot_every=10_000)
+    writer = JournalWriter(journal_dir, snapshot_every=snapshot_every)
     service, _ = run_cell(cell, backend="process:2", journal=writer)
     live_fp = fingerprint_digest(service)
     service.close()
     writer.close()
-    report = recover(journal_dir, attach=False)
-    assert report.replayed > 0 and not report.snapshot_restored
-    assert fingerprint_digest(report.service) == live_fp
-    report.service.close()
-
-
-def test_overlapped_journal_snapshot_restore(cell, tmp_path):
-    journal_dir = str(tmp_path / "journal")
-    writer = JournalWriter(journal_dir, snapshot_every=8)
-    service, _ = run_cell(cell, backend="process:2", journal=writer)
-    live_fp = fingerprint_digest(service)
-    service.close()
-    writer.close()
-    report = recover(journal_dir, attach=False)
-    assert report.snapshot_restored
-    assert fingerprint_digest(report.service) == live_fp
-    report.service.close()
+    code = (
+        "import sys\n"
+        "from repro.journal import fingerprint_digest, recover\n"
+        f"report = recover({journal_dir!r}, attach=False)\n"
+        "leaked = [m for m in sys.modules if m.startswith('repro.parallel')]\n"
+        "assert not leaked, f'recovery imported {leaked}'\n"
+        "assert report.replayed > 0 or report.snapshot_restored\n"
+        "print(report.snapshot_restored, fingerprint_digest(report.service))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [str(snapshot_every == 8), live_fp]
 
 
 # -- metrics -----------------------------------------------------------------

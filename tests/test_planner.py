@@ -11,6 +11,8 @@ from repro.strategies.oracle import OracleStrategy
 from repro.strategies.single_queue import SingleQueueStrategy
 from repro.types import BuildKey, ChangeState
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -56,7 +58,7 @@ class TestSubmission:
         planner = make_planner(workers=2)
         for _ in range(5):
             planner.submit(labeled([f"//t{_}"]), 0.0)
-        result = planner.plan(0.0)
+        result = plan_and_resolve(planner, 0.0)
         assert len(result.started) == 2
         assert planner.workers.free == 0
 
@@ -66,8 +68,8 @@ class TestDecisions:
         planner = make_planner()
         change = labeled()
         planner.submit(change, 0.0)
-        (started,), _ = planner.plan(0.0).started, None
-        decisions = planner.complete(started.key, 30.0)
+        (key,) = plan_and_resolve(planner, 0.0).started
+        decisions = planner.complete(key, 30.0)
         assert [d.change_id for d in decisions] == [change.change_id]
         assert decisions[0].committed
         record = planner.records[change.change_id]
@@ -79,8 +81,8 @@ class TestDecisions:
         planner = make_planner()
         change = labeled(ok=False)
         planner.submit(change, 0.0)
-        started = planner.plan(0.0).started[0]
-        decisions = planner.complete(started.key, 30.0)
+        key = plan_and_resolve(planner, 0.0).started[0]
+        decisions = planner.complete(key, 30.0)
         assert not decisions[0].committed
         assert planner.records[change.change_id].state is ChangeState.REJECTED
 
@@ -90,8 +92,8 @@ class TestDecisions:
         b = labeled(["//x"], rate=1.0, salt=2)
         planner.submit(a, 0.0)
         planner.submit(b, 0.0)
-        result = planner.plan(0.0)
-        keys = {s.key for s in result.started}
+        result = plan_and_resolve(planner, 0.0)
+        keys = set(result.started)
         # Oracle schedules a's decisive build and b's true-context build.
         assert BuildKey(a.change_id) in keys
         assert BuildKey(b.change_id, frozenset({a.change_id})) in keys
@@ -111,8 +113,8 @@ class TestDecisions:
         planner = make_planner()
         a = labeled(["//x"])
         planner.submit(a, 0.0)
-        started = planner.plan(0.0).started[0]
-        planner.complete(started.key, 10.0)
+        key = plan_and_resolve(planner, 0.0).started[0]
+        planner.complete(key, 10.0)
         record = planner.records[a.change_id]
         assert record.speculations_succeeded == 1
         assert record.builds_scheduled == 1
@@ -121,7 +123,7 @@ class TestDecisions:
         planner = make_planner()
         change = labeled()
         planner.submit(change, 0.0)
-        key = planner.plan(0.0).started[0].key
+        key = plan_and_resolve(planner, 0.0).started[0]
         planner.complete(key, 10.0)
         assert planner.complete(key, 20.0) == []  # double completion
 
@@ -133,13 +135,13 @@ class TestAbort:
         b = labeled(["//x"], rate=0.0)
         planner.submit(a, 0.0)
         planner.submit(b, 0.0)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         # Oracle schedules (a) and (b|{}) because a is known to fail.
         keys = set(planner.workers.running_builds())
         assert BuildKey(b.change_id, frozenset()) in keys
         # Completing a's build rejects it; b's build stays selected.
         planner.complete(BuildKey(a.change_id), 30.0)
-        result = planner.plan(30.0)
+        result = plan_and_resolve(planner, 30.0)
         assert BuildKey(b.change_id, frozenset()) not in result.aborted
 
     def test_abort_counts(self):
@@ -157,10 +159,10 @@ class TestAbort:
 
         planner = make_planner(workers=2, strategy=FickleStrategy())
         planner.submit(labeled(), 0.0)
-        first = planner.plan(0.0)   # selects, starts 1
+        first = plan_and_resolve(planner, 0.0)   # selects, starts 1
         assert len(first.started) == 1
         planner.invalidate_plan_cache()  # selection is call-count dependent
-        second = planner.plan(1.0)  # selects nothing -> aborts (stall guard restarts)
+        second = plan_and_resolve(planner, 1.0)  # selects nothing -> aborts (stall guard restarts)
         assert len(second.aborted) == 1
         assert planner.stats.builds_aborted == 1
 
@@ -174,9 +176,9 @@ class TestStallGuard:
         planner = make_planner(workers=2, strategy=NullStrategy())
         change = labeled()
         planner.submit(change, 0.0)
-        result = planner.plan(0.0)
+        result = plan_and_resolve(planner, 0.0)
         assert len(result.started) == 1
-        assert result.started[0].key == BuildKey(change.change_id)
+        assert result.started[0] == BuildKey(change.change_id)
 
 
 class TestEquivalentBuildRule:
@@ -188,8 +190,14 @@ class TestEquivalentBuildRule:
         planner.submit(a, 0.0)
         planner.submit(b, 0.0)
         # Manually start b's all-ahead build plus a's decisive build.
-        planner._start(BuildKey(a.change_id), 0.0)
-        planner._start(BuildKey(b.change_id, frozenset({a.change_id})), 0.0)
+        planner._start_batch(
+            [
+                BuildKey(a.change_id),
+                BuildKey(b.change_id, frozenset({a.change_id})),
+            ],
+            0.0,
+        )
+        planner.resolve_pending()
         planner.complete(BuildKey(b.change_id, frozenset({a.change_id})), 25.0)
         # b cannot decide yet: a (the stacked extra) is still pending.
         assert planner.records[b.change_id].state is ChangeState.PENDING

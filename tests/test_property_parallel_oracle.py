@@ -1,20 +1,23 @@
 """Property test (S3): the parallel backends are bit-identical oracles.
 
 For *random interleavings* of interactive submissions, timed enqueues,
-and intermediate pumps, the overlapped backends (``local`` serial
-fallback and ``process:2`` worker pool) must reproduce the no-backend
-inline path exactly: the same decision sequence — ids, verdicts, and
-decision times — and the same :func:`fingerprint_digest` at rest.  The
-inline path is the correctness oracle; any divergence means the deferred
-dispatch / quiescent-point resolution machinery changed an outcome.
+and intermediate pumps, the backends (``local`` in-process and
+``process:2`` worker pool) must reproduce the backend-less service
+exactly: the same decision sequence — ids, verdicts, and decision times
+— the same :func:`fingerprint_digest` after every submit and every pump,
+and the same ``events.jsonl`` byte for byte.  There is one tempo —
+dispatch at plan time, resolve at the next quiescent point — so where
+the builds physically ran must not be observable at all.
 """
 
 import copy
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.journal import fingerprint_digest
+from repro.journal import JournalWriter, fingerprint_digest
+from repro.journal.sink import events_path
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.submitqueue import SubmitQueueStrategy
@@ -40,29 +43,44 @@ FILES = _SYNTH.repo.snapshot().to_dict()
 
 
 def _drive(backend, script):
-    """Replay one drawn script against a fresh service; return the trace."""
-    service = CoreService(
-        Repository(dict(FILES)),
-        SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
-        config=CoreServiceConfig(workers=3, build_backend=backend),
-    )
-    batch = copy.deepcopy(CHANGE_POOL)
-    decisions = []
-    for index, (op, at, pump_after) in enumerate(script):
-        change = batch[index]
-        if op == "submit":
-            service.submit(change)
-        else:
-            service.enqueue(change, at=at)
-        if pump_after:
-            decisions.extend(service.pump())
-    decisions.extend(service.pump())
-    trace = (
+    """Replay one drawn script against a fresh journaled service.
+
+    Returns ``(decisions, fingerprints after every op and pump, journal
+    bytes)`` — everything a driver or an operator can observe.
+    """
+    with tempfile.TemporaryDirectory() as journal_dir:
+        writer = JournalWriter(journal_dir)
+        service = CoreService(
+            Repository(dict(FILES)),
+            SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
+            config=CoreServiceConfig(
+                workers=3, build_backend=backend, journal=writer
+            ),
+        )
+        batch = copy.deepcopy(CHANGE_POOL)
+        decisions = []
+        fingerprints = []
+        for index, (op, at, pump_after) in enumerate(script):
+            change = batch[index]
+            if op == "submit":
+                service.submit(change)
+            else:
+                service.enqueue(change, at=at)
+            fingerprints.append(fingerprint_digest(service))
+            if pump_after:
+                decisions.extend(service.pump())
+                fingerprints.append(fingerprint_digest(service))
+        decisions.extend(service.pump())
+        fingerprints.append(fingerprint_digest(service))
+        service.close()
+        writer.close()
+        with open(events_path(journal_dir), "rb") as handle:
+            journal = handle.read()
+    return (
         tuple((d.change_id, d.committed, d.at) for d in decisions),
-        fingerprint_digest(service),
+        fingerprints,
+        journal,
     )
-    service.close()
-    return trace
 
 
 @st.composite
@@ -88,7 +106,8 @@ def test_parallel_backends_match_serial_oracle(script):
 def test_oracle_script_sanity():
     """A fixed dense script decides every change and stays green."""
     script = [("submit", 0.0, False)] * 3 + [("enqueue", 1.0, True)] * 3
-    decisions, _ = _drive(None, script)
+    decisions, _, journal = _drive(None, script)
+    assert journal
     assert len(decisions) == MAX_CHANGES
     verdicts = dict((cid, ok) for cid, ok, _ in decisions)
     assert sum(1 for ok in verdicts.values() if not ok) == 1  # the broken one

@@ -12,6 +12,8 @@ from repro.strategies.oracle import OracleStrategy
 from repro.strategies.reordering import ReorderingSubmitQueueStrategy
 from repro.types import BuildKey, ChangeState
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -65,7 +67,7 @@ class TestReorderPrimitive:
         b = labeled(["//x"])
         planner.submit(a, 0.0)
         planner.submit(b, 1.0)
-        key = planner.plan(0.0).started[0].key
+        key = plan_and_resolve(planner, 0.0).started[0]
         planner.complete(BuildKey(a.change_id), 30.0)  # a decided
         del key
         assert not planner.reorder(a.change_id, b.change_id)
@@ -105,14 +107,14 @@ class TestReorderPrimitive:
         planner.submit(doomed, 0.0)
         planner.submit(healthy, 1.0)
         assert planner.reorder(doomed.change_id, healthy.change_id)
-        planner.plan(1.0)
+        plan_and_resolve(planner, 1.0)
         # healthy's decisive build has no ancestors now.
         assert planner.workers.is_running(BuildKey(healthy.change_id))
         decisions = planner.complete(BuildKey(healthy.change_id), 11.0)
         assert [d.change_id for d in decisions] == [healthy.change_id]
         assert planner.records[healthy.change_id].state is ChangeState.COMMITTED
         # doomed now speculates on the committed jumper.
-        planner.plan(11.0)
+        plan_and_resolve(planner, 11.0)
         expected = BuildKey(doomed.change_id, frozenset({healthy.change_id}))
         assert planner.workers.is_running(expected)
         planner.complete(expected, 111.0)
@@ -133,7 +135,7 @@ class TestReorderingStrategy:
         healthy = labeled(["//x"], duration=10.0)
         planner.submit(doomed, 0.0)
         planner.submit(healthy, 1.0)
-        planner.plan(1.0)  # applies the proposal, then selects
+        plan_and_resolve(planner, 1.0)  # applies the proposal, then selects
         assert planner.ancestors[healthy.change_id] == []
         # The healthy change decides without waiting for the doomed one.
         decisions = planner.complete(BuildKey(healthy.change_id), 11.0)
@@ -148,7 +150,7 @@ class TestReorderingStrategy:
             planner.submit(healthy, 1.0)
             now = 1.0
             for _ in range(6):
-                result = planner.plan(now)
+                result = plan_and_resolve(planner, now)
                 running = sorted(
                     planner.workers.running_builds(), key=lambda k: k.label()
                 )
@@ -174,7 +176,7 @@ class TestReorderingStrategy:
         second = labeled(["//x"])
         for i, change in enumerate((doomed, first, second)):
             planner.submit(change, float(i))
-        planner.plan(2.0)
+        plan_and_resolve(planner, 2.0)
         jumped = [
             cid for cid in (first.change_id, second.change_id)
             if doomed.change_id not in planner.ancestors[cid]

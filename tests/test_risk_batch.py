@@ -21,6 +21,8 @@ from repro.strategies.risk_batch import RiskBatchStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey, ChangeState
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -53,7 +55,7 @@ def _drain(planner, start=0.0, step=40.0, epochs=64):
     decisions = []
     now = start
     for _ in range(epochs):
-        result = planner.plan(now)
+        result = plan_and_resolve(planner, now)
         running = list(planner.workers.running_builds())
         if not running:
             break
@@ -175,12 +177,12 @@ class TestRiskBatchStrategy:
         changes = [labeled([f"//t{i}"]) for i in range(4)]
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
-        result = planner.plan(4.0)
+        result = plan_and_resolve(planner, 4.0)
         (batch,) = [
-            s for s in result.started
-            if strategy.scheduled_batch_members(s.key)
+            key for key in result.started
+            if strategy.scheduled_batch_members(key)
         ]
-        decisions = planner.complete(batch.key, 40.0)
+        decisions = planner.complete(batch, 40.0)
         batch_decisions = [d for d in decisions if "batch" in d.reason]
         assert [d.change_id for d in batch_decisions] == [
             c.change_id for c in changes

@@ -6,6 +6,7 @@ paths the smoke job curls: unknown change 404, malformed body 400,
 unknown route 404, and the POST /shutdown lifecycle.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -151,6 +152,28 @@ class TestWriteEndpoints:
         assert _post_json(f"{served.url}/process", b'"hi"', expect=400)[
             "error"
         ] == "malformed JSON body"
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [("abc", 400), ("-1", 400), ("12.5", 400), (str(10**12), 413)],
+    )
+    def test_hostile_content_length_gets_a_json_4xx(self, served, length, code):
+        """No body is sent: the server must answer from the header alone
+        (not drop the connection, not block reading), then close."""
+        conn = http.client.HTTPConnection(served.host, served.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/process")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == code
+            assert response.getheader("Connection") == "close"
+            assert payload["ok"] is False and payload["code"] == code
+        finally:
+            conn.close()
+        assert _get_json(f"{served.url}/healthz")["ok"] is True
 
     def test_post_unknown_route_404(self, served):
         assert _post_json(f"{served.url}/nope", {}, expect=404)["ok"] is False

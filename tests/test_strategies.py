@@ -16,6 +16,8 @@ from repro.strategies.speculate_all import SpeculateAllStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey, ChangeState
 
+from .conftest import plan_and_resolve
+
 DEV = Developer("dev1")
 
 
@@ -95,7 +97,7 @@ class TestOptimistic:
         good = labeled(["//y"])
         planner.submit(bad, 0.0)
         planner.submit(good, 1.0)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         planner.complete(BuildKey(bad.change_id), 30.0)
         assert planner.records[bad.change_id].state is ChangeState.REJECTED
         selected = strategy.select(planner.view, budget=10)
@@ -110,7 +112,7 @@ class TestOptimistic:
         planner.submit(a, 0.0)
         planner.submit(b, 1.0)
         before = strategy.select(planner.view, budget=10)
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         planner.complete(BuildKey(a.change_id), 30.0)  # a commits
         after = strategy.select(planner.view, budget=10)
         key_b_before = [k for k in before if k.change_id == b.change_id][0]
@@ -123,7 +125,7 @@ class TestOptimistic:
         changes = [labeled([f"//t{i}"]) for i in range(4)]
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
-        planner.plan(0.0)
+        plan_and_resolve(planner, 0.0)
         for key in list(planner.workers.running_builds()):
             planner.complete(key, 30.0)
         assert all(
@@ -193,9 +195,9 @@ class TestBatchStrategy:
         changes = [labeled([f"//t{i}"]) for i in range(3)]
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
-        result = planner.plan(0.0)
+        result = plan_and_resolve(planner, 0.0)
         assert len(result.started) == 1  # one combined build
-        key = result.started[0].key
+        key = result.started[0]
         assert key.depth == 2
         planner.complete(key, 40.0)
         assert all(
@@ -213,7 +215,7 @@ class TestBatchStrategy:
         now = 0.0
         # Drive to quiescence: plan, complete, repeat.
         for _ in range(12):
-            planner.plan(now)
+            plan_and_resolve(planner, now)
             running = list(planner.workers.running_builds())
             if not running:
                 break
