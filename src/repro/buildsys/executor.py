@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import TargetHasher, incremental_hashes
+from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import StepResult, evaluate_step
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -116,6 +116,7 @@ class BuildContext:
         "rehashed",
         "depth",
         "_topo_holder",
+        "_digest_memo",
     )
 
     def __init__(
@@ -127,6 +128,7 @@ class BuildContext:
         rehashed: int = 0,
         depth: int = 0,
         topo_holder: Optional[list] = None,
+        digest_memo: Optional[DigestMemo] = None,
     ) -> None:
         self.snapshot = snapshot
         self.graph = graph
@@ -140,13 +142,26 @@ class BuildContext:
         # object, so the topological position index is computed at most
         # once per distinct graph.
         self._topo_holder = topo_holder if topo_holder is not None else [None]
+        # Shared by every context derived from this one — and by every
+        # root loaded with the same memo — so a target whose inputs any of
+        # them hashed is never digested twice.
+        self._digest_memo = digest_memo if digest_memo is not None else DigestMemo()
 
     @classmethod
-    def load(cls, snapshot: Mapping[Path, str]) -> "BuildContext":
-        """A root context: full graph load + whole-snapshot hashing."""
+    def load(
+        cls,
+        snapshot: Mapping[Path, str],
+        digest_memo: Optional[DigestMemo] = None,
+    ) -> "BuildContext":
+        """A root context: full graph load + whole-snapshot hashing.
+
+        ``digest_memo`` is the memo the context and everything derived
+        from it hash through (default: a fresh one)."""
+        if digest_memo is None:
+            digest_memo = DigestMemo()
         graph = load_build_graph(snapshot)
-        hashes = TargetHasher(graph, snapshot).all_hashes()
-        return cls(snapshot, graph, hashes)
+        hashes = TargetHasher(graph, snapshot, digest_memo=digest_memo).all_hashes()
+        return cls(snapshot, graph, hashes, digest_memo=digest_memo)
 
     def derive(
         self,
@@ -160,7 +175,7 @@ class BuildContext:
         touched = set(touched_paths)
         graph = reload_packages(self.graph, snapshot, touched)
         hashes, dirty, computed = incremental_hashes(
-            self.graph, self.hashes, graph, snapshot, touched
+            self.graph, self.hashes, graph, snapshot, touched, self._digest_memo
         )
         accumulated = (
             frozenset(dirty)
@@ -175,6 +190,7 @@ class BuildContext:
             rehashed=computed,
             depth=self.depth + 1,
             topo_holder=self._topo_holder if graph is self.graph else None,
+            digest_memo=self._digest_memo,
         )
 
     def derive_stack(self, patches: Iterable[Patch]) -> "BuildContext":
@@ -203,6 +219,9 @@ class BuildContext:
         behind ``snapshot`` is deeper, the snapshot is materialized into a
         plain dict so per-file lookups stay O(1) as the base advances
         commit after commit (amortized O(repo / flatten_above_depth)).
+
+        A new base is a new generation of the shared digest memo: digests
+        no derivation has asked for since the previous base are retired.
         """
         snapshot: Mapping[Path, str] = self.snapshot
         depth = self.depth
@@ -213,6 +232,7 @@ class BuildContext:
         ):
             snapshot = snapshot.to_dict()
             depth = 0
+        self._digest_memo.rotate()
         return BuildContext(
             snapshot,
             self.graph,
@@ -220,6 +240,7 @@ class BuildContext:
             dirty_since_base=None,
             depth=depth,
             topo_holder=self._topo_holder,
+            digest_memo=self._digest_memo,
         )
 
     def topo_index(self) -> Dict[TargetName, int]:

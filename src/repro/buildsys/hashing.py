@@ -14,9 +14,10 @@ target's transitive closure changes its hash; and touching anything
 *outside* that closure never does.  Hashes are computed once per target in
 dependency-first order and memoized.
 
-Two incremental shortcuts keep analysis cheap at scale (the section-7.1
-story: a change touching 3 files pays for its reverse-dependency closure,
-not the whole repo):
+Three shortcuts keep analysis cheap at scale (the section-7.1 story: a
+change touching 3 files pays for its reverse-dependency closure, not the
+whole repo — and co-pending changes that stack the same patches pay for
+a target once between them):
 
 * :meth:`TargetHasher.hash_of` digests only the requested target's
   dependency (ancestor) chain, never the whole graph;
@@ -24,7 +25,12 @@ not the whole repo):
   the dirty targets' reverse-dependency closure — everything outside that
   closure reuses the seed digest verbatim (skyframe-style dirty-set
   invalidation).  :func:`dirty_targets` derives a sound dirty set from the
-  touched paths plus structural diffs between two graphs.
+  touched paths plus structural diffs between two graphs;
+* a digest is a pure function of the target's declaration, its sources'
+  contents and its dependencies' digests, so hashers that share a
+  :class:`DigestMemo` share digests across graphs and snapshots: a target
+  whose inputs one speculation stack already hashed costs the next stack
+  a dict lookup instead of a sha256 over re-encoded sources.
 """
 
 from __future__ import annotations
@@ -37,6 +43,51 @@ from repro.buildsys.target import Target, hash_frame
 from repro.types import Path, TargetName
 
 _ABSENT_FRAME = hash_frame(b"absent", b"<missing>")
+
+
+class DigestMemo:
+    """Target digests keyed by everything a digest is a function of.
+
+    The key is the target's declaration (its name-and-steps head frame,
+    its ``srcs`` and its ``deps``), each source's content — ``None`` for
+    an absent file, which is not the empty string — and each dependency's
+    digest; the value is the Algorithm-1 hex digest those inputs produce.
+    Nothing about a graph, a snapshot or a base commit is in the key, so
+    one memo serves every :class:`TargetHasher` of a service.
+
+    Bounded by generations instead of a capacity: :meth:`rotate` (called
+    when the mainline base advances) retires the young generation to old
+    and drops the previous old one, and a hit in the old generation is
+    promoted.  An entry therefore survives while it is used at least once
+    per base generation and is gone two rotations after its last use —
+    without the bound the keys, which hold source texts, would pin every
+    rejected or superseded patch's content for the life of the service.
+    """
+
+    __slots__ = ("_young", "_old")
+
+    def __init__(self) -> None:
+        self._young: Dict[tuple, str] = {}
+        self._old: Dict[tuple, str] = {}
+
+    def __len__(self) -> int:
+        return len(self._young) + len(self._old)
+
+    def get(self, key: tuple) -> Optional[str]:
+        digest = self._young.get(key)
+        if digest is None:
+            digest = self._old.get(key)
+            if digest is not None:
+                self._young[key] = digest
+        return digest
+
+    def put(self, key: tuple, digest: str) -> None:
+        self._young[key] = digest
+
+    def rotate(self) -> None:
+        """Start a new generation; entries idle for two are dropped."""
+        self._old = self._young
+        self._young = {}
 
 
 def dirty_targets(
@@ -87,8 +138,12 @@ class TargetHasher:
     differs from this one only at the dirty targets (see
     :func:`dirty_targets`).
 
-    ``computed`` counts digests actually recomputed; ``dirty_closure`` is
-    the set a seeded hasher will recompute (empty when unseeded).
+    ``computed`` counts digests resolved outside the seed map, whether
+    :class:`DigestMemo` already knew them or not; ``dirty_closure`` is the
+    set a seeded hasher will recompute (empty when unseeded).
+
+    ``digest_memo`` shares digests with other hashers (see the module
+    docstring); a hasher built without one uses a private empty memo.
     """
 
     def __init__(
@@ -97,9 +152,11 @@ class TargetHasher:
         files: Mapping[Path, str],
         seed_hashes: Optional[Mapping[TargetName, str]] = None,
         dirty: Optional[Iterable[TargetName]] = None,
+        digest_memo: Optional[DigestMemo] = None,
     ) -> None:
         self._graph = graph
         self._files = files
+        self._digests = digest_memo if digest_memo is not None else DigestMemo()
         self._memo: Dict[TargetName, str] = {}
         self.computed = 0
         self.dirty_closure: Set[TargetName] = set()
@@ -117,21 +174,27 @@ class TargetHasher:
         head, src_frames, dep_frames = target.hash_frames
         files = self._files
         memo = self._memo
-        parts = [head]
-        for src, frame in zip(target.srcs, src_frames):
-            content: Optional[str] = files.get(src)
-            parts.append(frame)
-            if content is None:
-                parts.append(_ABSENT_FRAME)
-            else:
-                parts.append(hash_frame(b"content", content.encode("utf-8")))
-        for dep, frame in zip(target.deps, dep_frames):
-            parts.append(frame)
-            parts.append(
-                hash_frame(b"dephash", memo.get(dep, "<unknown>").encode("ascii"))
-            )
+        contents = tuple([files.get(src) for src in target.srcs])
+        dep_digests = tuple([memo.get(dep, "<unknown>") for dep in target.deps])
         self.computed += 1
-        return hashlib.sha256(b"".join(parts)).hexdigest()
+        # ``head`` frames the name and the step list; with srcs and deps
+        # it is the whole declaration.
+        key = (head, target.srcs, target.deps, contents, dep_digests)
+        digest = self._digests.get(key)
+        if digest is None:
+            parts = [head]
+            for frame, content in zip(src_frames, contents):
+                parts.append(frame)
+                if content is None:
+                    parts.append(_ABSENT_FRAME)
+                else:
+                    parts.append(hash_frame(b"content", content.encode("utf-8")))
+            for frame, dep_digest in zip(dep_frames, dep_digests):
+                parts.append(frame)
+                parts.append(hash_frame(b"dephash", dep_digest.encode("ascii")))
+            digest = hashlib.sha256(b"".join(parts)).hexdigest()
+            self._digests.put(key, digest)
+        return digest
 
     def _compute(self, names: Iterable[TargetName]) -> None:
         """Digest ``names`` (skipping memoized ones) dependencies-first.
@@ -171,6 +234,7 @@ def incremental_hashes(
     graph: BuildGraph,
     files: Mapping[Path, str],
     touched_paths: Iterable[Path],
+    digest_memo: Optional[DigestMemo] = None,
 ) -> Tuple[Dict[TargetName, str], Set[TargetName], int]:
     """Rehash ``graph`` reusing ``base_hashes`` where provably unchanged.
 
@@ -179,6 +243,8 @@ def incremental_hashes(
     reverse-dependency closure), and how many digests were computed.
     """
     seeds = dirty_targets(base_graph, graph, touched_paths)
-    hasher = TargetHasher(graph, files, seed_hashes=base_hashes, dirty=seeds)
+    hasher = TargetHasher(
+        graph, files, seed_hashes=base_hashes, dirty=seeds, digest_memo=digest_memo
+    )
     hashes = hasher.all_hashes()
     return hashes, hasher.dirty_closure, hasher.computed

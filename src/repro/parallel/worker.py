@@ -14,7 +14,8 @@ applied exactly once, deterministically, when the parent replays the
 response through its own :class:`~repro.buildsys.cache.ArtifactCache` in
 selection order.  What workers *do* keep between requests is pure,
 outcome-neutral CPU state: memoized :class:`BuildContext` roots per base
-head.  Each request folds its stack onto that root with the same
+head and the content-addressed target digests they hash through.  Each
+request folds its stack onto that root with the same
 :meth:`~repro.buildsys.executor.BuildContext.derive_stack` the serial
 controller calls (contexts are value holders; step results are functions
 of the merged snapshot alone, so cache warmth can never change an
@@ -34,6 +35,7 @@ from collections import OrderedDict
 from typing import List
 
 from repro.buildsys.executor import BuildContext
+from repro.buildsys.hashing import DigestMemo
 from repro.buildsys.steps import evaluate_step
 from repro.errors import PatchConflictError
 from repro.parallel.payload import BuildRequest, BuildResponse, StepRecord, WorkerSpan
@@ -45,6 +47,11 @@ _BASE_CAPACITY = 4
 
 _base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
 
+#: Target digests shared by every context of this process; a generation
+#: ends each time a new base head is loaded (mirrors the serial
+#: controller's memo, which rotates as the base advances).
+_digest_memo = DigestMemo()
+
 
 def reset_worker_state() -> None:
     """Drop all memoized contexts (test isolation; never required)."""
@@ -54,7 +61,8 @@ def reset_worker_state() -> None:
 def _base_context(request: BuildRequest) -> BuildContext:
     context = _base_contexts.get(request.base_commit_id)
     if context is None:
-        context = BuildContext.load(request.base_snapshot)
+        _digest_memo.rotate()
+        context = BuildContext.load(request.base_snapshot, _digest_memo)
         _base_contexts[request.base_commit_id] = context
         while len(_base_contexts) > _BASE_CAPACITY:
             _base_contexts.popitem(last=False)

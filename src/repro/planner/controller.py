@@ -25,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.executor import BuildContext, BuildExecutor, BuildReport
+from repro.buildsys.hashing import DigestMemo
 from repro.buildsys.steps import StepResult, StepSpec
 from repro.changes.change import Change
 from repro.changes.truth import stack_outcome
@@ -243,6 +244,9 @@ class FullStackBuildController(BuildController):
             else None
         )
         self._base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
+        #: Target digests shared by every context this controller loads or
+        #: derives; a generation ends each time the base advances.
+        self._digest_memo = DigestMemo()
         # Parallel-backend seam (see repro.parallel): None means every
         # batch runs inline, at dispatch, through execute_batch().
         self._backend = None
@@ -317,7 +321,8 @@ class FullStackBuildController(BuildController):
         context = self._base_contexts.get(self.base_commit_id)
         if context is None:
             context = BuildContext.load(
-                self._repo.snapshot(self.base_commit_id).to_dict()
+                self._repo.snapshot(self.base_commit_id).to_dict(),
+                self._digest_memo,
             )
             self.stats.base_context_loads += 1
             self._remember_base(self.base_commit_id, context)

@@ -232,6 +232,12 @@ class PlannerView:
         return self._planner.ancestors
 
     @property
+    def ancestry_version(self) -> int:
+        """Bumped by every applied reorder: while it repeats, no change a
+        strategy has already seen had its :attr:`ancestors` list edited."""
+        return self._planner._ancestry_version
+
+    @property
     def decided(self) -> Mapping[ChangeId, bool]:
         """Decided change ids -> committed?"""
         return self._planner.decided
@@ -358,12 +364,15 @@ class PlannerEngine:
         behind_ancestors = self.ancestors[behind_id]
         if ahead_id not in behind_ancestors:
             return False
-        behind_ancestors.remove(ahead_id)
+        position = behind_ancestors.index(ahead_id)
+        del behind_ancestors[position]
         self.ancestors[ahead_id].append(behind_id)
         if self._ancestors_have_cycle():
-            # Roll back: the swap would deadlock decisions.
-            self.ancestors[ahead_id].remove(behind_id)
-            behind_ancestors.append(ahead_id)
+            # Roll back: the swap would deadlock decisions.  Both lists
+            # end up exactly as they were — the ancestry version is not
+            # bumped, so nobody may see a refused reorder.
+            self.ancestors[ahead_id].pop()
+            behind_ancestors.insert(position, ahead_id)
             return False
         self._ancestry_version += 1
         return True

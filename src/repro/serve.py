@@ -167,12 +167,27 @@ class ObservabilityServer:
             payload = handler(request)
         return int(payload.get("code", 200)), payload
 
+    def handler_error(self, exc: Exception) -> Tuple[int, Dict[str, Any]]:
+        """The 500 answer for an exception no handler mapped, counted."""
+        with self._lock:
+            self.recorder.counter(
+                "serve_handler_errors_total",
+                "Requests answered 500 because a handler raised.",
+            ).inc()
+        return 500, {
+            "ok": False,
+            "error": f"{type(exc).__name__}: {exc}",
+            "code": 500,
+        }
+
 
 class _RequestHandler(BaseHTTPRequestHandler):
     """Route table over the bound :class:`ObservabilityServer`."""
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: Set once the current request's response has started going out.
+    _answering = False
 
     @property
     def context(self) -> ObservabilityServer:
@@ -187,6 +202,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self, code: int, payload: Dict[str, Any], close: bool = False
     ) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._answering = True
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -197,6 +213,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _send_text(self, code: int, text: str, content_type: str) -> None:
         body = text.encode("utf-8")
+        self._answering = True
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -239,6 +256,31 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # -- verbs ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server contract)
+        self._dispatch(self._route_get)
+
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch(self._route_post)
+
+    def _dispatch(self, route) -> None:
+        """Run one route; an exception it does not map itself answers 500.
+
+        Left to ``socketserver`` the exception would print a traceback,
+        end the handler thread and drop the keep-alive connection with no
+        response at all.  Answering keeps the connection usable: every
+        route reads its request body before it calls into the service and
+        starts writing only after the call returned.
+        """
+        self._answering = False
+        try:
+            route()
+        except Exception as exc:  # the boundary: must keep serving
+            if self._answering:
+                # It failed while writing its answer: a second response
+                # behind half of the first would corrupt the stream.
+                raise
+            self._send_json(*self.context.handler_error(exc))
+
+    def _route_get(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         context = self.context
         if path == "/healthz":
@@ -262,7 +304,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(404, {"ok": False, "error": f"no route {path}"})
 
-    def do_POST(self) -> None:  # noqa: N802
+    def _route_post(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/")
         context = self.context
         if path == "/shutdown":

@@ -26,9 +26,7 @@ from repro.speculation.engine import (
 )
 from repro.speculation.probability import (
     conditional_success,
-    dirty_cone,
     estimate_commit_probabilities,
-    estimate_commit_probabilities_incremental,
     p_needed,
 )
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator, enumerate_tree
@@ -42,11 +40,9 @@ __all__ = [
     "SubsetEnumerator",
     "bisect_halves",
     "conditional_success",
-    "dirty_cone",
     "enumerate_tree",
     "estimate_commit_probabilities",
     "joint_success_probability",
     "plan_batches",
-    "estimate_commit_probabilities_incremental",
     "p_needed",
 ]

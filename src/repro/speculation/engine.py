@@ -14,27 +14,38 @@ Memory stays O(pending changes + budget): only one frontier node per
 enumerator lives in the merge heap (the greedy best-first property called
 out in section 7.1).
 
-Selection is *incremental across epochs*.  The engine fingerprints each
-round's inputs — per pending change its dynamic speculation counters,
-frozen ancestor list, and the ancestors' decided statuses, plus the
-budget — and
+Selection is *incremental across epochs*: the engine keeps one table
+entry per pending change — its frozen ancestor tuple, the speculation
+counters its ``P_succ`` was asked under, ``P_succ``, the ``P_conf`` of
+each ancestor asked so far, ``P_commit``, and its
+:class:`SubsetEnumerator` with the signature it was built from — plus an
+ancestor → children index over the pending changes.  A round
 
-* returns the previous selection outright when nothing changed
-  (``skipped_replans_total``);
-* otherwise re-estimates ``P_commit`` only for the downstream cone of
-  the changes whose inputs moved, reusing every other value bit-for-bit
-  (``commit_prob_reused_total``);
-* carries :class:`SubsetEnumerator` heap state across epochs whenever a
-  change's ``(pending ancestors, probability slice, known committed,
-  benefit)`` inputs are unchanged, so already-expanded frontier nodes are
-  replayed instead of regenerated.
+* scans the pending order once for arrivals, departures and moved
+  counters (a reorder reaches it as the caller's ``ancestry_version``;
+  a caller that passes none gets every ancestor list compared);
+* returns the previous selection outright when nothing is dirty and the
+  order and budget are unchanged (``skipped_replans_total``);
+* otherwise walks the dirty set's downstream cone through the children
+  index and re-sweeps ``P_commit`` only there, in queue order, reusing
+  every other value bit-for-bit (``commit_prob_reused_total``);
+* recomputes the enumerator signature ``(pending ancestors, probability
+  slice, known committed, benefit)`` of cone members only, rebuilding an
+  enumerator when it moved; everything outside the cone keeps its
+  enumerator — memoized prefix and heap state — untouched.
+
+The table relies on one planner invariant: a pending change's ancestors
+change status only when a change leaves the pending order, i.e.
+``decided`` grows by exactly the departures a round sees.  The engine
+checks it every round and runs the round cold when it does not hold.
 
 Incremental selection is bit-identical to from-scratch selection: every
 reused value was produced by the same deterministic recurrence the
 from-scratch path would re-run.  This assumes the predictor is
 deterministic in ``(change id, speculation counters)`` for ``p_success``
 and in the id pair for ``p_conflict`` — true of every predictor in this
-repo (the learned one caches on exactly those keys).
+repo (the learned one caches on exactly those keys) — and that the
+benefit function is a pure function of the change.
 """
 
 from __future__ import annotations
@@ -44,8 +55,6 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -62,9 +71,7 @@ from repro.predictor.predictors import Predictor
 from repro.speculation.batching import BatchPlan, plan_batches
 from repro.speculation.probability import (
     conditional_success,
-    dirty_cone,
     estimate_commit_probabilities,
-    estimate_commit_probabilities_incremental,
 )
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator
 from repro.types import BuildKey, ChangeId
@@ -201,11 +208,6 @@ class _SelectionMetrics:
         )
 
 
-#: Per-change selection inputs: (speculations_succeeded,
-#: speculations_failed, frozen ancestor tuple, ancestor decided statuses).
-_ChangeInputs = Tuple[int, int, Tuple[ChangeId, ...], Tuple[Optional[bool], ...]]
-
-
 def unit_benefit(change) -> float:
     """The default benefit function: every change is worth 1.0.
 
@@ -213,6 +215,50 @@ def unit_benefit(change) -> float:
     remain picklable for process dispatch.
     """
     return 1.0
+
+
+class _Entry:
+    """What selection keeps about one pending change across rounds."""
+
+    __slots__ = (
+        "change",
+        "ancestors",
+        "counters",
+        "p_success",
+        "p_conflict",
+        "p_commit",
+        "enumerator",
+        "signature",
+    )
+
+    def __init__(self, change: Change) -> None:
+        self.change = change
+        #: Frozen tuple of *all* conflicting predecessors, pending or
+        #: decided, in the caller's order; ``None`` until a selection round
+        #: has seen the change (batch planning may meet it first).
+        self.ancestors: Optional[Tuple[ChangeId, ...]] = None
+        #: ``(speculations_succeeded, speculations_failed)`` that
+        #: ``p_success`` was asked under; ``None`` before the first ask.
+        self.counters: Optional[Tuple[int, int]] = None
+        self.p_success = 0.0
+        #: ``P_conf(other, this change)`` for every ``other`` asked so far.
+        self.p_conflict: Dict[ChangeId, float] = {}
+        self.p_commit = 0.0
+        self.enumerator: Optional[SubsetEnumerator] = None
+        #: ``(pending ancestors, their P_commit, known committed,
+        #: benefit)`` — the inputs ``enumerator`` was built from.
+        self.signature: Optional[tuple] = None
+
+
+#: ``(entry, its record, the record's speculation counters)`` of a change
+#: whose ``P_succ`` must be (re)asked.
+_StaleSuccess = Tuple[_Entry, Optional[ChangeRecord], Tuple[int, int]]
+
+
+def _speculation_counters(record: Optional[ChangeRecord]) -> Tuple[int, int]:
+    if record is None:
+        return (0, 0)
+    return (record.speculations_succeeded, record.speculations_failed)
 
 
 class SpeculationEngine:
@@ -236,22 +282,7 @@ class SpeculationEngine:
             recorder.registry if recorder.enabled else None
         )
         self._count = self.stats.counters
-        # -- carry-over state (see module docstring) ------------------------
-        #: Fingerprint + result of the last computed round.
-        self._prev_fingerprint: Optional[tuple] = None
-        self._prev_selection: Optional[List[ScoredBuild]] = None
-        #: Last round's per-change inputs and P_commit values.
-        self._prev_inputs: Dict[ChangeId, _ChangeInputs] = {}
-        self._prev_probs: Dict[ChangeId, float] = {}
-        self._seen_round = False
-        #: Enumerators carried across epochs, with their input signature.
-        self._enumerators: Dict[ChangeId, SubsetEnumerator] = {}
-        self._enum_signatures: Dict[ChangeId, tuple] = {}
-        #: Predictor answers already paid for: per-change P_succ keyed by
-        #: the speculation counters it was computed under, and per
-        #: (ancestor, change) conflict probabilities.
-        self._p_success: Dict[ChangeId, Tuple[Tuple[int, int], float]] = {}
-        self._p_conflict: Dict[ChangeId, Dict[ChangeId, float]] = {}
+        self.invalidate_carry_over()
 
     def bind_recorder(self, recorder: Recorder) -> None:
         """Attach an observability recorder (planner-injected)."""
@@ -264,15 +295,16 @@ class SpeculationEngine:
 
     def invalidate_carry_over(self) -> None:
         """Drop all incremental state; the next round recomputes cold."""
-        self._prev_fingerprint = None
-        self._prev_selection = None
-        self._prev_inputs = {}
-        self._prev_probs = {}
-        self._seen_round = False
-        self._enumerators = {}
-        self._enum_signatures = {}
-        self._p_success = {}
-        self._p_conflict = {}
+        #: One entry per pending change (see the module docstring).
+        self._entries: Dict[ChangeId, _Entry] = {}
+        #: Pending ancestor -> the pending changes that list it.
+        self._children: Dict[ChangeId, Set[ChangeId]] = {}
+        #: What the last computed round saw and what it answered.
+        self._order: List[ChangeId] = []
+        self._budget = 0
+        self._selection: Optional[List[ScoredBuild]] = None
+        self._ancestry_version: Optional[int] = None
+        self._decided_count = 0
 
     # -- probability plumbing ------------------------------------------------
 
@@ -322,28 +354,31 @@ class SpeculationEngine:
         eligibility).  With no pending ancestors a candidate's commit mass
         *is* its decisive success probability, so the batch value — the
         Equations 1-5 mass a single build decides — is the sum of member
-        ``P_succ``.  Probabilities come from the same per-round caches the
-        selection path fills, so batch planning never re-asks the
-        predictor for an answer selection already paid for.
+        ``P_succ``.  Probabilities are read from and kept in the table
+        entries the selection path uses, so batch planning never re-asks
+        the predictor for an answer selection already paid for.
         """
         if len(candidates) < 2:
             return []
-        counters: Dict[ChangeId, Tuple[int, int]] = {}
+        entries = self._entries
+        stale: List[_StaleSuccess] = []
         for change_id in candidates:
+            entry = entries.get(change_id)
+            if entry is None:
+                entry = entries[change_id] = _Entry(changes_by_id[change_id])
             record = records.get(change_id)
-            counters[change_id] = (
-                record.speculations_succeeded if record is not None else 0,
-                record.speculations_failed if record is not None else 0,
-            )
-        self._batch_p_success(candidates, counters, changes_by_id, records)
+            counters = _speculation_counters(record)
+            if counters != entry.counters:
+                stale.append((entry, record, counters))
+        self._ask_p_success(stale)
 
         def p_success(change_id: ChangeId) -> float:
-            return self._cached_p_success(
-                change_id, counters[change_id], changes_by_id, records
-            )
+            return entries[change_id].p_success
 
         def p_conflict(first_id: ChangeId, second_id: ChangeId) -> float:
-            return self._cached_p_conflict(first_id, second_id, changes_by_id)
+            return self._p_conflict(
+                entries[second_id], first_id, changes_by_id
+            )
 
         return plan_batches(
             candidates,
@@ -356,139 +391,46 @@ class SpeculationEngine:
             min_joint_success=min_joint_success,
         )
 
-    def _change_inputs(
-        self,
-        pending: Sequence[Change],
-        ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-        records: Mapping[ChangeId, ChangeRecord],
-        decided: Mapping[ChangeId, bool],
-    ) -> Dict[ChangeId, _ChangeInputs]:
-        inputs: Dict[ChangeId, _ChangeInputs] = {}
-        for change in pending:
-            change_id = change.change_id
-            record = records.get(change_id)
-            ancs = tuple(ancestors.get(change_id, ()))
-            inputs[change_id] = (
-                record.speculations_succeeded if record is not None else 0,
-                record.speculations_failed if record is not None else 0,
-                ancs,
-                tuple(decided.get(a) for a in ancs),
-            )
-        return inputs
-
-    def _cached_p_success(
-        self,
-        change_id: ChangeId,
-        counters: Tuple[int, int],
-        changes_by_id: Mapping[ChangeId, Change],
-        records: Mapping[ChangeId, ChangeRecord],
-    ) -> float:
-        hit = self._p_success.get(change_id)
-        if hit is not None and hit[0] == counters:
-            return hit[1]
-        value = self._predictor.p_success(
-            changes_by_id[change_id], records.get(change_id)
-        )
-        self._p_success[change_id] = (counters, value)
-        return value
-
-    def _cached_p_conflict(
-        self,
-        first_id: ChangeId,
-        second_id: ChangeId,
-        changes_by_id: Mapping[ChangeId, Change],
-    ) -> float:
-        per_change = self._p_conflict.setdefault(second_id, {})
-        value = per_change.get(first_id)
-        if value is None:
-            value = self._predictor.p_conflict(
-                changes_by_id[first_id], changes_by_id[second_id]
-            )
-            per_change[first_id] = value
-        return value
-
-    def _batch_p_success(
-        self,
-        change_ids: Sequence[ChangeId],
-        inputs: Mapping[ChangeId, _ChangeInputs],
-        changes_by_id: Mapping[ChangeId, Change],
-        records: Mapping[ChangeId, ChangeRecord],
-    ) -> None:
-        """Warm the P_succ cache for ``change_ids`` in one vectorized call.
+    def _ask_p_success(self, stale: Sequence[_StaleSuccess]) -> None:
+        """Refresh ``P_succ`` of every stale entry, in one vectorized call
+        when the predictor has one.
 
         Predictors exposing ``p_success_many`` (the learned one routes it
-        through ``LogisticRegression.predict_many``) answer all cold
-        entries with a single matrix pass instead of one sigmoid per
-        change.
+        through ``LogisticRegression.predict_many``) answer all of them
+        with a single matrix pass instead of one sigmoid per change.
         """
+        if not stale:
+            return
         many = getattr(self._predictor, "p_success_many", None)
-        if many is None:
-            return
-        needed: List[Tuple[Change, Optional[ChangeRecord]]] = []
-        needed_ids: List[ChangeId] = []
-        for change_id in change_ids:
-            counters = inputs[change_id][:2]
-            hit = self._p_success.get(change_id)
-            if hit is not None and hit[0] == counters:
-                continue
-            needed.append((changes_by_id[change_id], records.get(change_id)))
-            needed_ids.append(change_id)
-        if not needed:
-            return
-        values = many(needed)
-        for change_id, value in zip(needed_ids, values):
-            self._p_success[change_id] = (inputs[change_id][:2], float(value))
-
-    def _incremental_commit_probabilities(
-        self,
-        order: Sequence[ChangeId],
-        ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-        inputs: Mapping[ChangeId, _ChangeInputs],
-        records: Mapping[ChangeId, ChangeRecord],
-        decided: Mapping[ChangeId, bool],
-        changes_by_id: Mapping[ChangeId, Change],
-    ) -> Dict[ChangeId, float]:
-        """Dirty-set ``P_commit`` reusing last epoch outside the cone."""
-        dirty = {
-            cid for cid in order if self._prev_inputs.get(cid) != inputs[cid]
-        }
-
-        def p_success(change_id: ChangeId) -> float:
-            return self._cached_p_success(
-                change_id, inputs[change_id][:2], changes_by_id, records
-            )
-
-        def p_conflict(first_id: ChangeId, second_id: ChangeId) -> float:
-            return self._cached_p_conflict(first_id, second_id, changes_by_id)
-
-        if self._seen_round:
-            cone = dirty_cone(order, ancestors, dirty)
-            recompute = [
-                cid for cid in order
-                if cid in cone or cid not in self._prev_probs
+        if many is not None:
+            values = [
+                float(value)
+                for value in many(
+                    [(entry.change, record) for entry, record, _ in stale]
+                )
             ]
-            self._batch_p_success(recompute, inputs, changes_by_id, records)
-            result, reused = estimate_commit_probabilities_incremental(
-                order,
-                ancestors,
-                p_success,
-                p_conflict,
-                decided,
-                previous=self._prev_probs,
-                dirty=dirty,
-            )
         else:
-            self._batch_p_success(list(order), inputs, changes_by_id, records)
-            result = estimate_commit_probabilities(
-                order, ancestors, p_success, p_conflict, decided
+            values = [
+                self._predictor.p_success(entry.change, record)
+                for entry, record, _ in stale
+            ]
+        for (entry, _, counters), value in zip(stale, values):
+            entry.counters = counters
+            entry.p_success = value
+
+    def _p_conflict(
+        self,
+        entry: _Entry,
+        other_id: ChangeId,
+        changes_by_id: Mapping[ChangeId, Change],
+    ) -> float:
+        """``P_conf(other, entry's change)``, asked at most once."""
+        value = entry.p_conflict.get(other_id)
+        if value is None:
+            value = entry.p_conflict[other_id] = self._predictor.p_conflict(
+                changes_by_id[other_id], entry.change
             )
-            reused = 0
-        self._count["commit_prob_reused"].inc(reused)
-        self._count["commit_prob_recomputed"].inc(len(order) - reused)
-        self._prev_probs = {cid: result[cid] for cid in order}
-        self._prev_inputs = dict(inputs)
-        self._seen_round = True
-        return result
+        return value
 
     # -- selection ----------------------------------------------------------
 
@@ -500,6 +442,7 @@ class SpeculationEngine:
         decided: Mapping[ChangeId, bool],
         budget: int,
         changes_by_id: Optional[Mapping[ChangeId, Change]] = None,
+        ancestry_version: Optional[int] = None,
     ) -> List[ScoredBuild]:
         """The top-``budget`` builds by value, best first.
 
@@ -509,124 +452,309 @@ class SpeculationEngine:
         to whether they committed.  ``changes_by_id`` must cover pending
         changes *and* decided ancestors; it defaults to the pending set,
         which suffices only when nothing has been decided yet.
+
+        ``ancestry_version`` is the caller's promise about ``ancestors``:
+        while it repeats the value of the previous round, no change the
+        engine has already seen had its ancestor list edited (the planner
+        bumps it on every applied reorder).  Without it every pending
+        change's ancestor list is compared against the table each round.
         """
         if budget <= 0:
             return []
         if changes_by_id is None:
             changes_by_id = {change.change_id: change for change in pending}
         order = [change.change_id for change in pending]
-        inputs = self._change_inputs(pending, ancestors, records, decided)
-        fingerprint = (
-            tuple((cid, inputs[cid]) for cid in order),
-            budget,
-        )
         self._count["selections"].inc()
-        if (
-            self._prev_selection is not None
-            and fingerprint == self._prev_fingerprint
-        ):
-            # Nothing the selection depends on moved since last epoch:
-            # the previous round's answer is this round's answer.
-            self._count["skipped_replans"].inc()
-            return list(self._prev_selection)
-
-        commit_probabilities = self._incremental_commit_probabilities(
-            order, ancestors, inputs, records, decided, changes_by_id
-        )
-
-        # One lazy enumerator per pending change; merge via a max-heap of
-        # (negated value, tiebreak, change id).  ``tiebreak`` prefers
-        # earlier-submitted changes so equal-value builds respect queue
-        # order (Speculate-all degenerates to breadth-first this way).
-        # Enumerators whose inputs are unchanged are replayed with their
-        # memoized prefix + heap state instead of being rebuilt.
-        cursors: Dict[ChangeId, Iterator[SpeculationNode]] = {}
-        merge_heap: List = []
-        generated_before = 0
-        consumed = 0
-        for position, change in enumerate(pending):
-            change_id = change.change_id
-            all_ancestors = inputs[change_id][2]
-            pending_ancestors = [a for a in all_ancestors if a not in decided]
-            known_committed = frozenset(
-                a for a in all_ancestors if decided.get(a, False)
+        try:
+            dirty = self._fold_events(
+                order, ancestors, records, decided, changes_by_id, ancestry_version
             )
-            benefit = self._benefit(change)
-            signature = (
-                tuple(pending_ancestors),
-                tuple(commit_probabilities[a] for a in pending_ancestors),
-                known_committed,
-                benefit,
-            )
-            enumerator = self._enumerators.get(change_id)
             if (
-                enumerator is not None
-                and self._enum_signatures.get(change_id) == signature
+                not dirty
+                and self._selection is not None
+                and budget == self._budget
+                and order == self._order
             ):
-                self._count["enumerators_reused"].inc()
-            else:
-                enumerator = SubsetEnumerator(
-                    change_id,
-                    pending_ancestors,
-                    commit_probabilities,
-                    known_committed=known_committed,
-                    benefit=benefit,
-                )
-                self._enumerators[change_id] = enumerator
-                self._enum_signatures[change_id] = signature
-                self._count["enumerators_rebuilt"].inc()
-            generated_before += enumerator.generated_count
-            cursor = enumerator.replay()
-            cursors[change_id] = cursor
-            consumed += self._push_next(merge_heap, cursor, position, change_id)
+                # Nothing the selection depends on moved since last epoch:
+                # the previous round's answer is this round's answer.
+                self._count["skipped_replans"].inc()
+                return list(self._selection)
+            cone = self._downstream_cone(dirty)
+            cone_order = [cid for cid in order if cid in cone]
+            rebuilt = self._sweep(cone_order, decided, changes_by_id)
+            selected = self._merge(order, budget, decided, changes_by_id)
+        except Exception:
+            # A round that fails half-way leaves entries whose dirtiness is
+            # forgotten; the next round must not trust any of them.
+            self.invalidate_carry_over()
+            raise
+        self._count["commit_prob_recomputed"].inc(len(cone_order))
+        self._count["commit_prob_reused"].inc(len(order) - len(cone_order))
+        self._count["enumerators_rebuilt"].inc(rebuilt)
+        self._count["enumerators_reused"].inc(len(order) - rebuilt)
+        self._order = order
+        self._budget = budget
+        self._selection = list(selected)
+        if self._recorder.enabled:
+            self._record_selection(len(order), selected)
+        return selected
 
+    def _fold_events(
+        self,
+        order: List[ChangeId],
+        ancestors: Mapping[ChangeId, Sequence[ChangeId]],
+        records: Mapping[ChangeId, ChangeRecord],
+        decided: Mapping[ChangeId, bool],
+        changes_by_id: Mapping[ChangeId, Change],
+        ancestry_version: Optional[int],
+    ) -> Set[ChangeId]:
+        """Bring the table up to date with what moved since the last round.
+
+        Drops the entries of departed changes, creates entries for
+        arrivals, re-freezes edited ancestor lists, re-asks ``P_succ``
+        where speculation counters moved, and keeps the children index in
+        step.  Returns the *dirty* pending changes — those whose own
+        ``P_commit`` inputs moved; their downstream cone is what the round
+        must recompute.
+        """
+        entries = self._entries
+        departed: List[ChangeId] = []
+        if order != self._order or len(entries) != len(order):
+            current = set(order)
+            departed = [cid for cid in entries if cid not in current]
+        if len(decided) - self._decided_count != len(departed) or not all(
+            cid in decided for cid in departed
+        ):
+            # The invariant the table rests on — ``decided`` grows by
+            # exactly the changes that left the pending order — does not
+            # hold for this caller: answer this round from nothing.
+            self.invalidate_carry_over()
+            entries = self._entries
+            departed = []
+        children = self._children
+        dirty: Set[ChangeId] = set()
+        for change_id in departed:
+            self._unindex(change_id, entries.pop(change_id))
+            # A departed ancestor is now certain (0.0 or 1.0).
+            dirty.update(children.pop(change_id, ()))
+        dirty.difference_update(departed)
+
+        compare_ancestors = (
+            ancestry_version is None
+            or ancestry_version != self._ancestry_version
+        )
+        stale: List[_StaleSuccess] = []
+        for change_id in order:
+            entry = entries.get(change_id)
+            if entry is None:
+                entry = entries[change_id] = _Entry(changes_by_id[change_id])
+            if compare_ancestors or entry.ancestors is None:
+                frozen = tuple(ancestors.get(change_id, ()))
+                if frozen != entry.ancestors:
+                    self._unindex(change_id, entry)
+                    entry.ancestors = frozen
+                    for ancestor_id in frozen:
+                        if ancestor_id not in decided:
+                            children.setdefault(ancestor_id, set()).add(
+                                change_id
+                            )
+                    dirty.add(change_id)
+            record = records.get(change_id)
+            counters = _speculation_counters(record)
+            if counters != entry.counters:
+                stale.append((entry, record, counters))
+                dirty.add(change_id)
+        self._ask_p_success(stale)
+        self._ancestry_version = ancestry_version
+        self._decided_count = len(decided)
+        return dirty
+
+    def _unindex(self, change_id: ChangeId, entry: _Entry) -> None:
+        """Take ``change_id`` out of its ancestors' children sets."""
+        children = self._children
+        for ancestor_id in entry.ancestors or ():
+            siblings = children.get(ancestor_id)
+            if siblings is not None:
+                siblings.discard(change_id)
+
+    def _downstream_cone(self, dirty: Set[ChangeId]) -> Set[ChangeId]:
+        """``dirty`` plus every pending change downstream of it.
+
+        A change's ``P_commit`` depends only on its own inputs and its
+        ancestors' ``P_commit``, so a change whose inputs moved
+        invalidates exactly its descendant cone in the ancestor DAG.
+        """
+        children = self._children
+        cone = set(dirty)
+        frontier = list(dirty)
+        while frontier:
+            for child in children.get(frontier.pop(), ()):
+                if child not in cone:
+                    cone.add(child)
+                    frontier.append(child)
+        return cone
+
+    def _sweep(
+        self,
+        cone_order: List[ChangeId],
+        decided: Mapping[ChangeId, bool],
+        changes_by_id: Mapping[ChangeId, Change],
+    ) -> int:
+        """Recompute the cone's entries, in queue order; returns how many
+        enumerators had to be rebuilt.
+
+        The same worklist fixpoint as
+        :func:`~repro.speculation.probability.estimate_commit_probabilities`:
+        with change reordering (section 10) the ancestor DAG need not
+        follow queue order, so a change is deferred until every ancestor
+        inside the cone has been recomputed.
+        """
+        entries = self._entries
+        unswept = set(cone_order)
+        remaining = cone_order
+        rebuilt = 0
+        while remaining:
+            deferred: List[ChangeId] = []
+            for change_id in remaining:
+                outcome = self._recompute(
+                    change_id, entries[change_id], unswept, decided, changes_by_id
+                )
+                if outcome is None:
+                    deferred.append(change_id)
+                else:
+                    rebuilt += outcome
+                    unswept.discard(change_id)
+            if len(deferred) == len(remaining):
+                raise KeyError(
+                    "ancestor cycle or missing ancestors for: "
+                    + ", ".join(sorted(deferred)[:5])
+                )
+            remaining = deferred
+        return rebuilt
+
+    def _recompute(
+        self,
+        change_id: ChangeId,
+        entry: _Entry,
+        unswept: Set[ChangeId],
+        decided: Mapping[ChangeId, bool],
+        changes_by_id: Mapping[ChangeId, Change],
+    ) -> Optional[bool]:
+        """One pass over ``entry``'s ancestors, in tuple order, for both
+        things that depend on them.
+
+        ``P_commit = P_succ · Π (1 - P_commit(a) · P_conf(a, C))``, asking
+        ``P_conf`` only for an ancestor that can still commit; and the
+        enumerator signature, rebuilding the enumerator when it moved (an
+        unchanged one keeps its memoized prefix and heap state, so
+        already-expanded frontier nodes are replayed, not regenerated).
+
+        Returns ``None`` — nothing written — while an ancestor is unknown
+        (pending but not yet recomputed this round, or neither pending nor
+        decided); otherwise whether the enumerator was rebuilt.
+        """
+        entries = self._entries
+        conflict = entry.p_conflict
+        p = entry.p_success
+        pending_ancestors: List[ChangeId] = []
+        probabilities: List[float] = []
+        committed: List[ChangeId] = []
+        for ancestor_id in entry.ancestors:
+            verdict = decided.get(ancestor_id)
+            if verdict is None:
+                ancestor = entries.get(ancestor_id)
+                if ancestor is None or ancestor_id in unswept:
+                    return None
+                p_ancestor = ancestor.p_commit
+                pending_ancestors.append(ancestor_id)
+                probabilities.append(p_ancestor)
+                if not p_ancestor > 0.0:
+                    continue
+            elif verdict:
+                p_ancestor = 1.0
+                committed.append(ancestor_id)
+            else:
+                continue  # a rejected ancestor constrains nothing
+            try:
+                p_conflict = conflict[ancestor_id]
+            except KeyError:  # first time this pair is needed
+                p_conflict = self._p_conflict(entry, ancestor_id, changes_by_id)
+            p *= 1.0 - p_ancestor * p_conflict
+        entry.p_commit = min(1.0, max(0.0, p))
+
+        benefit = self._benefit(entry.change)
+        signature = (
+            tuple(pending_ancestors),
+            tuple(probabilities),
+            frozenset(committed),
+            benefit,
+        )
+        if entry.enumerator is not None and signature == entry.signature:
+            return False
+        entry.enumerator = SubsetEnumerator(
+            change_id,
+            pending_ancestors,
+            dict(zip(pending_ancestors, probabilities)),
+            known_committed=signature[2],
+            benefit=benefit,
+        )
+        entry.signature = signature
+        return True
+
+    def _merge(
+        self,
+        order: List[ChangeId],
+        budget: int,
+        decided: Mapping[ChangeId, bool],
+        changes_by_id: Mapping[ChangeId, Change],
+    ) -> List[ScoredBuild]:
+        """Pop the globally best builds off the per-change enumerators.
+
+        A max-heap of ``(negated value, queue position, ...)`` holds one
+        frontier node per pending change; the position tiebreak prefers
+        earlier-submitted changes so equal-value builds respect queue
+        order (Speculate-all degenerates to breadth-first this way).
+        """
+        entries = self._entries
+        heap: List[tuple] = []
+        self._nodes_expanded = 0
+        replayed = 0
+        for position, change_id in enumerate(order):
+            replayed += self._push_node(
+                heap, position, entries[change_id], 0
+            )
         selected: List[ScoredBuild] = []
-        while merge_heap and len(selected) < budget:
-            neg_value, position, change_id, node = heapq.heappop(merge_heap)
+        while heap and len(selected) < budget:
+            neg_value, position, index, entry, node = heapq.heappop(heap)
             if -neg_value < self._min_value:
                 # The k-way merge pops values in non-increasing order, so
                 # everything left is worthless too: stop, do not exhaust
                 # the exponential enumerators.
                 break
-            consumed += self._push_next(
-                merge_heap, cursors[change_id], position, change_id
-            )
-            selected.append(
-                self._score(node, changes_by_id, inputs, decided, records)
-            )
-
-        generated_after = sum(
-            self._enumerators[cid].generated_count for cid in order
-        )
-        self._nodes_expanded = generated_after - generated_before
-        # Every consumed node either came from a memoized prefix or was
-        # generated fresh; the difference is exactly the replayed count.
-        self._count["nodes_replayed"].inc(consumed - self._nodes_expanded)
-        self._prune_departed(order)
-        self._prev_fingerprint = fingerprint
-        self._prev_selection = list(selected)
-        if self._recorder.enabled:
-            self._record_selection(pending, len(cursors), selected)
+            replayed += self._push_node(heap, position, entry, index + 1)
+            selected.append(self._score(node, entry, decided, changes_by_id))
+        self._count["nodes_replayed"].inc(replayed)
         return selected
 
-    def _prune_departed(self, order: Sequence[ChangeId]) -> None:
-        """Drop carry-over for changes no longer pending (decided/gone)."""
-        current = set(order)
-        for store in (
-            self._enumerators,
-            self._enum_signatures,
-            self._p_success,
-            self._p_conflict,
-        ):
-            departed = [cid for cid in store if cid not in current]
-            for cid in departed:
-                del store[cid]
+    def _push_node(
+        self, heap: List[tuple], position: int, entry: _Entry, index: int
+    ) -> int:
+        """Push ``entry``'s ``index``-th best node, if it has one; returns
+        1 when the node came from the enumerator's memoized prefix."""
+        enumerator = entry.enumerator
+        memoized = index < enumerator.generated_count
+        node = enumerator.node_at(index)
+        if node is None:
+            return 0
+        # Positions are unique, so the comparison never reaches the entry.
+        heapq.heappush(heap, (-node.value, position, index, entry, node))
+        if memoized:
+            return 1
+        self._nodes_expanded += 1
+        return 0
 
     def _record_selection(
-        self,
-        pending: Sequence[Change],
-        enumerator_count: int,
-        selected: Sequence[ScoredBuild],
+        self, pending_count: int, selected: Sequence[ScoredBuild]
     ) -> None:
         """Publish one selection round's shape to the registry."""
         if self._metrics is None:
@@ -634,51 +762,31 @@ class SpeculationEngine:
         metrics = self._metrics
         metrics.selections.inc()
         metrics.nodes_expanded.inc(self._nodes_expanded)
-        metrics.pending.set(len(pending))
-        metrics.tree_size.set(enumerator_count)
+        metrics.pending.set(pending_count)
+        metrics.tree_size.set(pending_count)  # one enumerator per change
         metrics.selected.set(len(selected))
         for build in selected:
             metrics.value_hist.observe(build.value)
             metrics.p_needed_hist.observe(build.p_needed)
 
-    def _push_next(
-        self,
-        heap,
-        cursor: Iterator[SpeculationNode],
-        position: int,
-        change_id: ChangeId,
-    ) -> int:
-        node = next(cursor, None)
-        if node is None:
-            return 0
-        heapq.heappush(heap, (-node.value, position, change_id, node))
-        return 1
-
     def _score(
         self,
         node: SpeculationNode,
-        changes_by_id: Mapping[ChangeId, Change],
-        inputs: Mapping[ChangeId, _ChangeInputs],
+        entry: _Entry,
         decided: Mapping[ChangeId, bool],
-        records: Mapping[ChangeId, ChangeRecord],
+        changes_by_id: Mapping[ChangeId, Change],
     ) -> ScoredBuild:
-        change_id = node.change_id
         stacked = [
             a
-            for a in inputs[change_id][2]
+            for a in entry.ancestors
             if a in node.key.assumed and a in changes_by_id and a not in decided
         ]
-        # Both probabilities were already computed this round (or a prior
-        # one) while estimating P_commit; answer from the engine caches
-        # instead of re-asking the predictor per selected build.
+        # Both probabilities were already asked while estimating P_commit
+        # (this round or a prior one); answer from the entry instead of
+        # re-asking the predictor per selected build.
         conditional = conditional_success(
-            self._cached_p_success(
-                change_id, inputs[change_id][:2], changes_by_id, records
-            ),
-            (
-                self._cached_p_conflict(other, change_id, changes_by_id)
-                for other in stacked
-            ),
+            entry.p_success,
+            (self._p_conflict(entry, other, changes_by_id) for other in stacked),
         )
         return ScoredBuild(
             key=node.key,

@@ -32,16 +32,7 @@ on top of an assumed-committed set ``S`` of its conflicting ancestors,
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.types import ChangeId
 
@@ -51,44 +42,6 @@ CommitProbabilities = Dict[ChangeId, float]
 
 def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
-
-
-def _sweep(
-    remaining: List[ChangeId],
-    ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-    p_success: Callable[[ChangeId], float],
-    p_conflict: Callable[[ChangeId, ChangeId], float],
-    result: CommitProbabilities,
-) -> None:
-    """Worklist fixpoint over ``remaining``, writing into ``result``.
-
-    With change reordering (section 10) the ancestor DAG need not follow
-    submission order, so sweep until a fixpoint, processing each change
-    once all its ancestors are known.
-    """
-    while remaining:
-        deferred: List[ChangeId] = []
-        progressed = False
-        for change_id in remaining:
-            pending_ancestors = [
-                a for a in ancestors.get(change_id, ()) if a not in result
-            ]
-            if pending_ancestors:
-                deferred.append(change_id)
-                continue
-            p = p_success(change_id)
-            for ancestor_id in ancestors.get(change_id, ()):
-                p_anc = result[ancestor_id]
-                if p_anc > 0.0:
-                    p *= 1.0 - p_anc * p_conflict(ancestor_id, change_id)
-            result[change_id] = _clamp(p)
-            progressed = True
-        if not progressed:
-            raise KeyError(
-                "ancestor cycle or missing ancestors for: "
-                + ", ".join(sorted(deferred)[:5])
-            )
-        remaining = deferred
 
 
 def estimate_commit_probabilities(
@@ -101,96 +54,35 @@ def estimate_commit_probabilities(
     """Estimate ``P_commit`` for every change, in submission order.
 
     ``order`` must list changes oldest-first; every ancestor of a change
-    must appear earlier in ``order`` or in ``decided``.
+    must appear in ``order`` or in ``decided``.  With change reordering
+    (section 10) the ancestor DAG need not follow submission order, so
+    this is a worklist fixpoint: each pass processes the changes whose
+    ancestors are all known and defers the rest.
     """
     decided = decided or {}
     result: CommitProbabilities = {}
     for change_id, committed in decided.items():
         result[change_id] = 1.0 if committed else 0.0
-    _sweep(
-        [cid for cid in order if cid not in result],
-        ancestors,
-        p_success,
-        p_conflict,
-        result,
-    )
+    remaining: List[ChangeId] = [cid for cid in order if cid not in result]
+    while remaining:
+        deferred: List[ChangeId] = []
+        for change_id in remaining:
+            if any(a not in result for a in ancestors.get(change_id, ())):
+                deferred.append(change_id)
+                continue
+            p = p_success(change_id)
+            for ancestor_id in ancestors.get(change_id, ()):
+                p_anc = result[ancestor_id]
+                if p_anc > 0.0:
+                    p *= 1.0 - p_anc * p_conflict(ancestor_id, change_id)
+            result[change_id] = _clamp(p)
+        if len(deferred) == len(remaining):
+            raise KeyError(
+                "ancestor cycle or missing ancestors for: "
+                + ", ".join(sorted(deferred)[:5])
+            )
+        remaining = deferred
     return result
-
-
-def dirty_cone(
-    order: Sequence[ChangeId],
-    ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-    dirty: Iterable[ChangeId],
-) -> Set[ChangeId]:
-    """The dirty set plus every change downstream of it.
-
-    A change's ``P_commit`` depends only on its own inputs and its
-    ancestors' ``P_commit``, so a change whose inputs moved invalidates
-    exactly its descendant cone in the ancestor DAG — everything else may
-    reuse the previous epoch's value unchanged.
-    """
-    descendants: Dict[ChangeId, List[ChangeId]] = {}
-    for change_id in order:
-        for ancestor_id in ancestors.get(change_id, ()):
-            descendants.setdefault(ancestor_id, []).append(change_id)
-    cone: Set[ChangeId] = set(dirty)
-    frontier: List[ChangeId] = list(cone)
-    while frontier:
-        node = frontier.pop()
-        for child in descendants.get(node, ()):
-            if child not in cone:
-                cone.add(child)
-                frontier.append(child)
-    return cone
-
-
-def estimate_commit_probabilities_incremental(
-    order: Sequence[ChangeId],
-    ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-    p_success: Callable[[ChangeId], float],
-    p_conflict: Callable[[ChangeId, ChangeId], float],
-    decided: Optional[Mapping[ChangeId, bool]] = None,
-    previous: Optional[Mapping[ChangeId, float]] = None,
-    dirty: Optional[Iterable[ChangeId]] = None,
-) -> "tuple[CommitProbabilities, int]":
-    """Dirty-set ``P_commit`` estimation seeded by a previous epoch.
-
-    ``previous`` maps change ids to last epoch's values and ``dirty``
-    names the changes whose inputs moved since (new arrivals, changed
-    ancestor lists, refreshed ``P_succ``, newly decided ancestors).  Only
-    the downstream cone of the dirty set is re-swept; everything else
-    reuses its previous value bit-for-bit.  Returns ``(result, reused)``
-    where ``reused`` counts the changes answered from ``previous``.
-
-    The result is identical to :func:`estimate_commit_probabilities`
-    provided ``previous`` itself came from the same recurrence and
-    ``dirty`` covers every input change — the recurrence is a pure
-    function of each change's inputs and its ancestors' values.
-    """
-    decided = decided or {}
-    if previous is None or dirty is None:
-        return (
-            estimate_commit_probabilities(
-                order, ancestors, p_success, p_conflict, decided
-            ),
-            0,
-        )
-    cone = dirty_cone(order, ancestors, dirty)
-    result: CommitProbabilities = {}
-    for change_id, committed in decided.items():
-        result[change_id] = 1.0 if committed else 0.0
-    reused = 0
-    remaining: List[ChangeId] = []
-    for change_id in order:
-        if change_id in result:
-            continue
-        if change_id in cone or change_id not in previous:
-            remaining.append(change_id)
-        else:
-            result[change_id] = previous[change_id]
-            reused += 1
-    _sweep(remaining, ancestors, p_success, p_conflict, result)
-    return result, reused
 
 
 def p_needed(

@@ -53,6 +53,7 @@ class SubmitQueueStrategy(Strategy):
             decided=view.decided,
             budget=budget,
             changes_by_id=view.changes_by_id,
+            ancestry_version=view.ancestry_version,
         )
         return [build.key for build in scored]
 

@@ -27,35 +27,77 @@ class SnapshotOverlay(Mapping[Path, str]):
     whole file dict (section 7.1's scalability requirement); the overlay
     stores only the delta and delegates everything else to the base, which
     may itself be a plain dict, a :class:`repro.vcs.repository.Snapshot`,
-    or another overlay (chains stay shallow in practice — one layer per
-    stacked patch).
+    or another overlay.
+
+    Chains stay shallow however many overlays are stacked: a new overlay
+    *absorbs* a base overlay whose delta is no larger than its own (and
+    then that one's base, while the rule still holds) instead of pointing
+    at it.  Each absorption copies no more than the delta already in
+    hand, and it leaves layer sizes strictly growing downward.  N stacked
+    overlays of one new path each therefore behave like a binary counter
+    — at most ``ceil(log2 N) + 1`` layers, not N — and a delta of many
+    paths swallows every smaller layer under it.  (Overlays that keep
+    re-editing the same few paths merge into layers smaller than the
+    number of overlays they hold; the strictly growing sizes still bound
+    k layers by k(k+1)/2 <= N.)  Absorbing changes neither the mapping
+    the overlay stands for nor its iteration order.
 
     The view is immutable.  Iteration and ``len`` memoize the effective key
     set on first use; equality compares item-by-item against any mapping so
     overlays remain interchangeable with the dicts they replaced.
     """
 
-    __slots__ = ("_base", "_delta", "_keys")
+    __slots__ = ("_base", "_delta", "_keys", "_layers", "_root")
 
     def __init__(self, base: Mapping[Path, str],
                  delta: Mapping[Path, Optional[str]]) -> None:
+        merged = dict(delta)
+        while isinstance(base, SnapshotOverlay) and len(base._delta) <= len(merged):
+            # Paths only the absorbed layer names keep their place ahead of
+            # this layer's own, which is where iteration put them before.
+            absorbed = {
+                path: content
+                for path, content in base._delta.items()
+                if path not in merged
+            }
+            absorbed.update(merged)
+            merged = absorbed
+            base = base._base
         self._base = base
-        self._delta = dict(delta)
+        self._delta = merged
         self._keys: Optional[List[Path]] = None
+        #: Every delta between this view and ``_root``, nearest first, and
+        #: the first mapping below that is not an overlay: reads walk them
+        #: in a loop instead of recursing layer by layer.
+        if isinstance(base, SnapshotOverlay):
+            self._layers: Tuple[Dict[Path, Optional[str]], ...] = (
+                merged,
+            ) + base._layers
+            self._root: Mapping[Path, str] = base._root
+        else:
+            self._layers = (merged,)
+            self._root = base
+
+    @property
+    def layer_count(self) -> int:
+        """Delta layers between this view and the first non-overlay base."""
+        return len(self._layers)
 
     def __getitem__(self, path: Path) -> str:
-        if path in self._delta:
-            content = self._delta[path]
-            if content is None:
-                raise KeyError(path)
-            return content
-        return self._base[path]
+        for delta in self._layers:
+            if path in delta:
+                content = delta[path]
+                if content is None:
+                    raise KeyError(path)
+                return content
+        return self._root[path]
 
     def get(self, path: Path, default=None):
-        try:
-            return self[path]
-        except KeyError:
-            return default
+        for delta in self._layers:
+            if path in delta:
+                content = delta[path]
+                return default if content is None else content
+        return self._root.get(path, default)
 
     def _effective_keys(self) -> List[Path]:
         if self._keys is None:
@@ -72,9 +114,10 @@ class SnapshotOverlay(Mapping[Path, str]):
         return len(self._effective_keys())
 
     def __contains__(self, path: object) -> bool:
-        if path in self._delta:
-            return self._delta[path] is not None  # type: ignore[index]
-        return path in self._base
+        for delta in self._layers:
+            if path in delta:
+                return delta[path] is not None  # type: ignore[index]
+        return path in self._root
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):

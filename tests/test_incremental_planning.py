@@ -11,6 +11,8 @@ Covers the four incremental layers this subsystem stacks:
   strategy) plus the iterative cycle check it relies on for deep queues.
 """
 
+from collections.abc import Mapping
+
 import pytest
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
@@ -23,11 +25,6 @@ from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import Predictor, StaticPredictor
 from repro.sim.simulator import Simulation
 from repro.speculation.engine import SpeculationEngine
-from repro.speculation.probability import (
-    dirty_cone,
-    estimate_commit_probabilities,
-    estimate_commit_probabilities_incremental,
-)
 from repro.strategies.single_queue import SingleQueueStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 
@@ -194,6 +191,62 @@ class TestEngineFingerprint:
         assert engine.stats.skipped_replans == 0
 
 
+class PointLookupsOnly(Mapping):
+    """Answers ``[]``, ``get``, ``in`` and ``len``; any walk fails."""
+
+    def __init__(self, data):
+        self._data = dict(data)
+
+    def __getitem__(self, key):
+        return self._data[key]
+
+    def get(self, key, default=None):
+        return self._data.get(key, default)
+
+    def __contains__(self, key):
+        return key in self._data
+
+    def __len__(self):
+        return len(self._data)
+
+    def _walked(self, *args, **kwargs):
+        raise AssertionError("selection walked a whole-history mapping")
+
+    __iter__ = keys = values = items = _walked
+
+
+class TestSelectionCostIsIndependentOfLifetime:
+    def test_a_long_decision_history_is_only_point_looked_up(self):
+        """Four pending changes after 2,000 decisions: a round may ask
+        ``decided``/``records`` about the changes it is working on, never
+        enumerate them — and still answers what a cold engine answers."""
+        shared = StaticPredictor(0.8, 0.3)
+        landed, bounced = labeled(("//t0",), salt=90), labeled(("//t0",), salt=91)
+        pending, ancestors = build_queue(4)
+        # The head of the queue remembers two ancestors decided long ago.
+        ancestors[pending[0].change_id] = [landed.change_id, bounced.change_id]
+        history = {f"old-{i:04d}": bool(i % 3) for i in range(1998)}
+        history[landed.change_id] = True
+        history[bounced.change_id] = False
+        changes_by_id, records = engine_inputs(pending + [landed, bounced])
+
+        warm = SpeculationEngine(shared)
+        for bump in (None, pending[1]):
+            if bump is not None:
+                records[bump.change_id].speculations_failed += 1
+            selection = warm.select_builds(
+                pending, ancestors, PointLookupsOnly(records),
+                PointLookupsOnly(history), budget=8,
+                changes_by_id=changes_by_id,
+            )
+            cold = SpeculationEngine(shared).select_builds(
+                pending, ancestors, records, history, budget=8,
+                changes_by_id=changes_by_id,
+            )
+            assert selection and selection == cold
+        assert warm.stats.commit_prob_reused == 1  # second round was warm
+
+
 class TestEnumeratorCarryOver:
     def test_unrelated_arrival_reuses_enumerators(self):
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
@@ -239,41 +292,110 @@ class TestObsCounters:
         assert engine.stats.skip_rate == pytest.approx(2 / 3)
 
 
+class DictPredictor(Predictor):
+    """``P_succ`` read from a dict the test edits; flat ``P_conf``."""
+
+    def __init__(self, p_success, p_conflict=0.25):
+        self.table = p_success
+        self.conflict = p_conflict
+
+    def p_success(self, change, record=None):
+        return self.table[change.change_id]
+
+    def p_conflict(self, first, second):
+        return self.conflict
+
+
 class TestIncrementalProbabilities:
+    """The engine re-sweeps exactly the downstream cone of what moved.
+
+    The DAG: ``a <- b <- c``, ``d``, and ``e`` listing ``[d, c]``.
+    """
+
+    @staticmethod
+    def dag():
+        a, b, c, d, e = (labeled((f"//dag{i}",), salt=i) for i in range(5))
+        pending = [a, b, c, d, e]
+        ancestors = {
+            a.change_id: [],
+            b.change_id: [a.change_id],
+            c.change_id: [b.change_id],
+            d.change_id: [],
+            e.change_id: [d.change_id, c.change_id],
+        }
+        p_success = dict(
+            zip((x.change_id for x in pending), (0.9, 0.8, 0.7, 0.6, 0.95))
+        )
+        return pending, ancestors, p_success
+
+    def run_round(self, engine, pending, ancestors, records):
+        changes_by_id, _ = engine_inputs(pending)
+        before = (
+            engine.stats.commit_prob_recomputed,
+            engine.stats.commit_prob_reused,
+        )
+        selection = engine.select_builds(
+            pending, ancestors, records, {}, budget=8,
+            changes_by_id=changes_by_id,
+        )
+        return (
+            selection,
+            engine.stats.commit_prob_recomputed - before[0],
+            engine.stats.commit_prob_reused - before[1],
+        )
+
     def test_dirty_cone_is_downstream_closure(self):
-        order = ["a", "b", "c", "d", "e"]
-        ancestors = {"b": ["a"], "c": ["b"], "d": [], "e": ["d", "c"]}
-        assert dirty_cone(order, ancestors, {"b"}) == {"b", "c", "e"}
-        assert dirty_cone(order, ancestors, {"d"}) == {"d", "e"}
-        assert dirty_cone(order, ancestors, set()) == set()
+        pending, ancestors, p_success = self.dag()
+        a, b, c, d, e = pending
+        _, records = engine_inputs(pending)
+        engine = SpeculationEngine(DictPredictor(p_success))
+        self.run_round(engine, pending, ancestors, records)
+        # b's counters move: the cone is {b, c, e}; a and d are reused.
+        records[b.change_id].speculations_succeeded += 1
+        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        assert (recomputed, reused) == (3, 2)
+        # d's counters move: the cone is {d, e}.
+        records[d.change_id].speculations_failed += 1
+        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        assert (recomputed, reused) == (2, 3)
+        # Nothing moved, only the budget: every value is reused.
+        changes_by_id, _ = engine_inputs(pending)
+        engine.select_builds(
+            pending, ancestors, records, {}, budget=3,
+            changes_by_id=changes_by_id,
+        )
+        assert engine.stats.commit_prob_recomputed == 5 + 3 + 2
+        assert engine.stats.commit_prob_reused == 2 + 3 + 5
 
     def test_incremental_sweep_matches_full_and_counts_reuse(self):
-        order = ["a", "b", "c", "d", "e"]
-        ancestors = {"b": ["a"], "c": ["b"], "d": [], "e": ["d", "c"]}
-        p_success = {"a": 0.9, "b": 0.8, "c": 0.7, "d": 0.6, "e": 0.95}
-
-        def succ(cid):
-            return p_success[cid]
-
-        def conf(first, second):
-            return 0.25
-
-        previous = estimate_commit_probabilities(order, ancestors, succ, conf)
-        p_success["d"] = 0.1  # d's inputs moved; a, b, c are untouched
-        full = estimate_commit_probabilities(order, ancestors, succ, conf)
-        result, reused = estimate_commit_probabilities_incremental(
-            order, ancestors, succ, conf, previous=previous, dirty={"d"}
+        pending, ancestors, p_success = self.dag()
+        d = pending[3]
+        _, records = engine_inputs(pending)
+        predictor = DictPredictor(p_success)
+        engine = SpeculationEngine(predictor)
+        self.run_round(engine, pending, ancestors, records)
+        # d's inputs move (its P_succ is re-asked under the new
+        # counters); a, b, c are untouched.
+        p_success[d.change_id] = 0.1
+        records[d.change_id].speculations_failed += 1
+        incremental, recomputed, reused = self.run_round(
+            engine, pending, ancestors, records
         )
-        assert result == full
-        assert reused == 3  # a, b, c outside the cone {d, e}
+        full, _, _ = self.run_round(
+            SpeculationEngine(predictor), pending, ancestors, records
+        )
+        assert incremental == full
+        assert (recomputed, reused) == (2, 3)  # cone {d, e}; a, b, c reused
 
     def test_no_previous_falls_back_to_full(self):
-        order = ["a"]
-        result, reused = estimate_commit_probabilities_incremental(
-            order, {}, lambda cid: 0.5, lambda f, s: 0.0
-        )
-        assert reused == 0
-        assert result == {"a": 0.5}
+        pending, ancestors, p_success = self.dag()
+        _, records = engine_inputs(pending)
+        engine = SpeculationEngine(DictPredictor(p_success))
+        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        assert (recomputed, reused) == (5, 0)
+        engine.invalidate_carry_over()
+        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        assert (recomputed, reused) == (5, 0)
 
 
 class TestPredictorCaches:

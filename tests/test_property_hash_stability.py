@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import TargetHasher
+from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph
 from repro.buildsys.target import Target
+from repro.types import StepKind
 
 
 @st.composite
@@ -137,3 +138,116 @@ class TestLoadedGraphsAgree:
             TargetHasher(loaded, snapshot).all_hashes()
             == TargetHasher(direct, snapshot).all_hashes()
         )
+
+
+#: The shared memo's universe: three layers of two targets, two candidate
+#: sources each, dependencies on any lower layer.
+MEMO_TARGETS = [f"//l{layer}:t{slot}" for layer in range(3) for slot in range(2)]
+MEMO_STEPS = (
+    None,
+    (StepKind.COMPILE,),
+    (StepKind.COMPILE, StepKind.UNIT_TEST, StepKind.ARTIFACT),
+)
+EDIT, DELETE, EMPTY, DECLARE, ROTATE = range(5)
+
+memo_op_strategy = st.tuples(
+    st.sampled_from([EDIT, EDIT, DELETE, EMPTY, DECLARE, DECLARE, ROTATE]),
+    st.integers(min_value=0, max_value=2**16),
+    st.text(alphabet="ab", max_size=2),
+)
+
+
+def _memo_sources(name):
+    stem = name[2:].replace(":", "/")
+    return (f"{stem}_a.py", f"{stem}_b.py")
+
+
+def _memo_graph(declarations):
+    graph = BuildGraph(
+        [
+            Target(name, srcs=srcs, deps=deps, steps=steps)
+            for name, (srcs, deps, steps) in declarations.items()
+        ]
+    )
+    graph.validate()
+    return graph
+
+
+class TestSharedDigestMemo:
+    @given(st.lists(memo_op_strategy, min_size=1, max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_memoised_hashing_equals_fresh_hashing(self, ops):
+        """One :class:`DigestMemo` carried across content edits, files
+        going absent or empty, same-named targets re-declared with other
+        ``srcs``/``deps``/``steps``, and memo rotations never changes a
+        digest — unseeded or seeded — nor what ``computed`` counts."""
+        declarations = {
+            name: (_memo_sources(name), (), None) for name in MEMO_TARGETS
+        }
+        files = {
+            path: "v0" for name in MEMO_TARGETS for path in _memo_sources(name)
+        }
+        memo = DigestMemo()
+        graph = _memo_graph(declarations)
+        hashes = TargetHasher(graph, files, digest_memo=memo).all_hashes()
+        assert hashes == TargetHasher(graph, files).all_hashes()
+
+        for kind, seed, text in ops:
+            name = MEMO_TARGETS[seed % len(MEMO_TARGETS)]
+            path = _memo_sources(name)[(seed >> 4) % 2]
+            touched = [path]
+            if kind == EDIT:
+                files[path] = text
+            elif kind == DELETE:
+                files.pop(path, None)  # absent ...
+            elif kind == EMPTY:
+                files[path] = ""  # ... is not the same as empty
+            elif kind == DECLARE:
+                lower = [n for n in MEMO_TARGETS if n[3] < name[3]]
+                declarations[name] = (
+                    tuple(
+                        src
+                        for bit, src in enumerate(_memo_sources(name))
+                        if (seed >> (6 + bit)) & 1
+                    ),
+                    tuple(
+                        dep
+                        for bit, dep in enumerate(lower)
+                        if (seed >> (8 + bit)) & 1
+                    ),
+                    MEMO_STEPS[(seed >> 12) % len(MEMO_STEPS)],
+                )
+                touched = []
+            else:
+                memo.rotate()
+                touched = []
+
+            base_graph, base_hashes = graph, hashes
+            graph = _memo_graph(declarations)
+            fresh = TargetHasher(graph, files)
+            expected = fresh.all_hashes()
+            memoised = TargetHasher(graph, files, digest_memo=memo)
+            assert memoised.all_hashes() == expected
+            assert memoised.computed == fresh.computed == len(graph)
+            hashes, _, computed = incremental_hashes(
+                base_graph, base_hashes, graph, files, touched, memo
+            )
+            assert hashes == expected
+            assert computed == incremental_hashes(
+                base_graph, base_hashes, graph, files, touched
+            )[2]
+
+    def test_a_memo_keeps_two_generations(self):
+        graph = BuildGraph([Target("//a:a", srcs=("a/a.py",))])
+        memo = DigestMemo()
+        TargetHasher(graph, {"a/a.py": "A"}, digest_memo=memo).all_hashes()
+        TargetHasher(graph, {"a/a.py": "B"}, digest_memo=memo).all_hashes()
+        assert len(memo) == 2
+        memo.rotate()
+        # Used again in the new generation: promoted, and so kept ...
+        TargetHasher(graph, {"a/a.py": "A"}, digest_memo=memo).all_hashes()
+        memo.rotate()
+        assert len(memo) == 1
+        # ... while the idle one is gone two rotations after its last use.
+        memo.rotate()
+        assert len(memo) == 0

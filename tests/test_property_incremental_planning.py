@@ -1,18 +1,26 @@
 """Property test: incremental selection ≡ from-scratch selection.
 
-A single carried-over :class:`SpeculationEngine` (selection fingerprint +
-dirty-set commit probabilities + enumerator replay + probability caches)
-must produce *bit-identical* selections — same builds, same order, same
-values — as a fresh engine rebuilt from nothing at every step, across
-random interleavings of arrivals, decisions, speculation-counter bumps,
-reorders, and budget changes.  This is the correctness bar that makes the
+A single carried-over :class:`SpeculationEngine` (its per-change table:
+dirty-cone commit probabilities + enumerator replay + probability
+caches, plus the skip-round test) must produce *bit-identical*
+selections — same builds, same order, same values — as a fresh engine
+rebuilt from nothing at every round, across random interleavings of
+arrivals, decisions, speculation-counter bumps, reorders, and budget
+changes, with any number of them between two rounds.  Two carried
+engines are held to it: one driven as a direct caller drives it (no
+reorder signal: every ancestor list compared each round) and one driven
+as :class:`SubmitQueueStrategy.select` drives it (``ancestry_version``
+bumped exactly when a reorder is applied).  One rule moves ``decided``
+behind the engines' backs — a verdict for a change that stays pending —
+which the table's invariant does not cover: the round must run cold, not
+answer from stale entries.  This is the correctness bar that makes the
 planner's replan skip sound (mirrors
 ``test_property_incremental_analyzer`` for the conflict side).
 """
 
 import hashlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
@@ -22,14 +30,18 @@ from repro.speculation.engine import SpeculationEngine
 
 DEV = Developer("prop-dev")
 
-ARRIVE, DECIDE, BUMP, REORDER = 0, 1, 2, 3
+ARRIVE, DECIDE, BUMP, REORDER, BEHIND = 0, 1, 2, 3, 4
 
-#: (op kind, selector seed, verdict/counter flavour, budget seed).
+#: (op kind, selector seed, verdict/counter flavour, budget seed, run a
+#: selection round after this step?).  The last step always runs one.
 step_strategy = st.tuples(
-    st.sampled_from([ARRIVE, ARRIVE, ARRIVE, DECIDE, BUMP, REORDER]),
+    st.sampled_from(
+        [ARRIVE, ARRIVE, ARRIVE, DECIDE, DECIDE, BUMP, REORDER, REORDER, BEHIND]
+    ),
     st.integers(min_value=0, max_value=2**20),
     st.booleans(),
     st.integers(min_value=1, max_value=8),
+    st.booleans(),
 )
 
 
@@ -93,20 +105,56 @@ def _has_cycle(pending_ids, ancestors):
     return seen != len(pending_ids)
 
 
+def _reorder(pending, ancestors, seed):
+    """``behind`` jumps ``ahead``: the planner's edge swap.  A swap that
+    would close a cycle is refused and leaves both lists exactly as they
+    were.  Returns whether a swap was applied."""
+    pending_ids = {p.change_id for p in pending}
+    candidates = [
+        c for c in pending
+        if any(a in pending_ids for a in ancestors[c.change_id])
+    ]
+    if not candidates:
+        return False
+    behind = candidates[seed % len(candidates)]
+    behind_ancestors = ancestors[behind.change_id]
+    pending_ancestors = [a for a in behind_ancestors if a in pending_ids]
+    ahead = pending_ancestors[seed % len(pending_ancestors)]
+    index = behind_ancestors.index(ahead)
+    del behind_ancestors[index]
+    ancestors[ahead].append(behind.change_id)
+    if _has_cycle(pending_ids, ancestors):
+        ancestors[ahead].pop()
+        behind_ancestors.insert(index, ahead)
+        return False
+    return True
+
+
 class TestIncrementalSelectionEquivalence:
-    @settings(max_examples=60, deadline=None)
-    @given(steps=st.lists(step_strategy, min_size=1, max_size=25))
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.lists(step_strategy, min_size=1, max_size=30))
+    # The stale answer the cold-round guard exists for: a round sees A and
+    # its child B pending, then A gets a verdict without leaving the queue.
+    @example(
+        steps=[
+            (ARRIVE, 0, False, 4, True),
+            (ARRIVE, 1, False, 4, True),
+            (BEHIND, 0, True, 4, True),
+        ]
+    )
     def test_carried_over_engine_matches_fresh(self, steps):
         predictor = HashPredictor()
-        incremental = SpeculationEngine(predictor)
+        direct = SpeculationEngine(predictor)  # no reorder signal
+        signalled = SpeculationEngine(predictor)  # as the strategy drives it
 
         pending = []  # arrival order
         ancestors = {}
         records = {}
         decided = {}
         changes_by_id = {}
+        ancestry_version = 0
 
-        for kind, seed, flag, budget in steps:
+        for position, (kind, seed, flag, budget, run_round) in enumerate(steps):
             if kind == ARRIVE:
                 change = _mint_change()
                 # Each bit of the seed decides one pending ancestor.
@@ -126,52 +174,43 @@ class TestIncrementalSelectionEquivalence:
                     c for c in pending
                     if all(a in decided for a in ancestors[c.change_id])
                 ]
-                if not ready:
-                    continue
-                victim = ready[seed % len(ready)]
-                decided[victim.change_id] = flag
-                pending = [c for c in pending if c is not victim]
+                if ready:
+                    victim = ready[seed % len(ready)]
+                    # A verdict handed out behind the engines' backs stands.
+                    decided.setdefault(victim.change_id, flag)
+                    pending = [c for c in pending if c is not victim]
             elif kind == BUMP:
-                if not pending:
-                    continue
-                record = records[pending[seed % len(pending)].change_id]
-                if flag:
-                    record.speculations_succeeded += 1
-                else:
-                    record.speculations_failed += 1
-            else:  # REORDER: behind jumps ahead, planner-style edge swap
-                candidates = [
-                    c for c in pending
-                    if any(
-                        a in {p.change_id for p in pending}
-                        for a in ancestors[c.change_id]
-                    )
-                ]
-                if not candidates:
-                    continue
-                behind = candidates[seed % len(candidates)]
-                pending_ids = {p.change_id for p in pending}
-                pending_ancestors = [
-                    a for a in ancestors[behind.change_id] if a in pending_ids
-                ]
-                ahead = pending_ancestors[seed % len(pending_ancestors)]
-                ancestors[behind.change_id].remove(ahead)
-                ancestors[ahead].append(behind.change_id)
-                if _has_cycle(pending_ids, ancestors):
-                    ancestors[ahead].remove(behind.change_id)
-                    ancestors[behind.change_id].append(ahead)
+                if pending:
+                    record = records[pending[seed % len(pending)].change_id]
+                    if flag:
+                        record.speculations_succeeded += 1
+                    else:
+                        record.speculations_failed += 1
+            elif kind == REORDER:
+                if _reorder(pending, ancestors, seed):
+                    ancestry_version += 1
+            else:  # BEHIND: a verdict for a change that stays pending
+                undecided = [c for c in pending if c.change_id not in decided]
+                if undecided:
+                    decided[undecided[seed % len(undecided)].change_id] = flag
 
-            incremental_selection = incremental.select_builds(
-                pending, ancestors, records, decided, budget,
-                changes_by_id=changes_by_id,
-            )
+            if not run_round and position != len(steps) - 1:
+                continue  # let several events pile up before a round
             fresh_selection = SpeculationEngine(predictor).select_builds(
                 pending, ancestors, records, decided, budget,
                 changes_by_id=changes_by_id,
             )
             # Frozen-dataclass equality: same keys, same order, and the
             # floats (value, p_needed, conditional_success) bit-identical.
-            assert incremental_selection == fresh_selection
+            assert direct.select_builds(
+                pending, ancestors, records, decided, budget,
+                changes_by_id=changes_by_id,
+            ) == fresh_selection
+            assert signalled.select_builds(
+                pending, ancestors, records, decided, budget,
+                changes_by_id=changes_by_id,
+                ancestry_version=ancestry_version,
+            ) == fresh_selection
 
     @settings(max_examples=30, deadline=None)
     @given(steps=st.lists(step_strategy, min_size=1, max_size=12),
@@ -185,7 +224,7 @@ class TestIncrementalSelectionEquivalence:
         ancestors = {}
         records = {}
         changes_by_id = {}
-        for kind, seed, _flag, _budget in steps:
+        for _kind, seed, _flag, _budget, _run_round in steps:
             change = _mint_change()
             change_ancestors = [
                 c.change_id

@@ -1,12 +1,20 @@
 """Property-based tests for the VCS substrate."""
 
+import math
 import string
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PatchConflictError
-from repro.vcs.patch import FileOp, OpKind, Patch, squash, three_way_conflicts
+from repro.vcs.patch import (
+    FileOp,
+    OpKind,
+    Patch,
+    SnapshotOverlay,
+    squash,
+    three_way_conflicts,
+)
 from repro.vcs.repository import Repository
 
 path_strategy = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=6)
@@ -125,3 +133,68 @@ class TestRepositoryProperties:
         expected = (1 + sum(greens)) / (1 + len(greens))
         assert repo.green_fraction() == expected
         assert repo.is_green() == all(greens)
+
+
+#: A small path pool, so chains set, delete and re-add the same path
+#: across layers; ``None`` deletes.
+overlay_delta_strategy = st.dictionaries(
+    st.sampled_from([f"f{i}" for i in range(6)]),
+    st.one_of(st.none(), st.text(alphabet="xyz", max_size=3)),
+    max_size=4,
+)
+
+
+class TestOverlayChains:
+    @given(
+        st.dictionaries(
+            st.sampled_from([f"f{i}" for i in range(6)]),
+            st.text(alphabet="xyz", max_size=3),
+        ),
+        st.lists(overlay_delta_strategy, min_size=1, max_size=12),
+    )
+    @settings(max_examples=150)
+    def test_a_chain_is_the_dict_it_stands_for(self, root, deltas):
+        """Whatever got absorbed on the way, every layer of a chain agrees
+        with the plain dict built by applying the same deltas — on ``[]``,
+        ``get``, ``in``, ``len``, iteration, ``==`` and ``to_dict()``."""
+        view = root
+        model = dict(root)
+        order = list(root)  # what a chain that absorbs nothing iterates
+        for delta in deltas:
+            view = SnapshotOverlay(view, delta)
+            for path, content in delta.items():
+                if content is None:
+                    model.pop(path, None)
+                else:
+                    model[path] = content
+            order = [p for p in order if p not in delta] + [
+                p for p, content in delta.items() if content is not None
+            ]
+            for path in [f"f{i}" for i in range(6)] + ["never"]:
+                assert (path in view) == (path in model)
+                assert view.get(path) == model.get(path)
+                assert view.get(path, "dflt") == model.get(path, "dflt")
+                if path in model:
+                    assert view[path] == model[path]
+                else:
+                    try:
+                        view[path]
+                    except KeyError:
+                        pass
+                    else:
+                        raise AssertionError(f"{path!r} should be missing")
+            assert len(view) == len(model)
+            assert list(view) == order and set(order) == set(model)
+            assert view == model and not (view != model)
+            assert view.to_dict() == model
+            sizes = [len(layer) for layer in view._layers]
+            assert sizes == sorted(set(sizes))  # strictly growing downward
+
+    @given(st.integers(min_value=1, max_value=200))
+    def test_single_path_overlays_stack_like_a_binary_counter(self, count):
+        view = {"seed": "s"}
+        for index in range(count):
+            view = SnapshotOverlay(view, {f"p{index}": str(index)})
+            bound = math.ceil(math.log2(index + 1)) + 1
+            assert view.layer_count <= bound
+        assert len(view) == count + 1 and view[f"p{count - 1}"] == str(count - 1)

@@ -179,6 +179,62 @@ class TestWriteEndpoints:
         assert _post_json(f"{served.url}/nope", {}, expect=404)["ok"] is False
 
 
+class TestHandlerErrors:
+    """An exception no handler maps answers 500 JSON and costs nothing
+    else: not the handler thread, not the keep-alive connection."""
+
+    @staticmethod
+    def _request(conn, method, path, body=None):
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+
+    @pytest.mark.parametrize(
+        "handler, method, path, body, error",
+        [
+            ("handle_process", "POST", "/process", b"{}",
+             "SimulationError: pump wedged"),
+            ("handle_queue", "GET", "/queue", None, "KeyError: 'stray'"),
+        ],
+    )
+    def test_raising_handler_answers_500_and_keeps_the_connection(
+        self, served, monkeypatch, handler, method, path, body, error
+    ):
+        from repro.errors import SimulationError
+
+        raised = (
+            SimulationError("pump wedged")
+            if handler == "handle_process"
+            else KeyError("stray")
+        )
+
+        def explode(request=None):
+            raise raised
+
+        def errors_counted():
+            text = _get(f"{served.url}/metrics").decode()
+            return sum(
+                float(line.split()[-1])
+                for line in text.splitlines()
+                if line.startswith("serve_handler_errors_total")
+            )
+
+        before = errors_counted()
+        monkeypatch.setattr(served.handlers, handler, explode)
+        conn = http.client.HTTPConnection(served.host, served.port, timeout=5)
+        try:
+            status, raw = self._request(conn, method, path, body)
+            assert status == 500
+            assert json.loads(raw) == {"ok": False, "error": error, "code": 500}
+            # The *next* request on the same connection is served.
+            status, raw = self._request(conn, "GET", "/healthz")
+            assert status == 200 and json.loads(raw)["ok"] is True
+        finally:
+            conn.close()
+        assert errors_counted() == before + 1
+
+
 class TestStalePatchOverHttp:
     def test_post_changes_returns_the_rejection(self):
         """A patch cut before its file moved on mainline, submitted while
