@@ -10,11 +10,13 @@ orders, and reports are reproducible across runs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.buildsys.target import Target
 from repro.errors import DependencyCycleError, UnknownTargetError
 from repro.types import Path, TargetName
+
+_NO_DEPENDENTS: AbstractSet[TargetName] = frozenset()
 
 
 class BuildGraph:
@@ -140,6 +142,17 @@ class BuildGraph:
         """Direct reverse dependencies of one target."""
         self.target(name)
         return set(self._dependents.get(name, ()))
+
+    def direct_dependents(self, name: TargetName) -> AbstractSet[TargetName]:
+        """Targets of this graph that list ``name`` as a dependency.
+
+        A read-only view of the index, not a copy, and ``name`` need not
+        be a target here: a dependency only some *other* graph defines
+        still has its dependents listed (empty when nothing names it).
+        That is the edge set a union of several graphs needs — see
+        :func:`repro.conflict.union_graph.cone_conflict`.
+        """
+        return self._dependents.get(name, _NO_DEPENDENTS)
 
     def targets_owning(self, path: Path) -> Set[TargetName]:
         """Targets listing ``path`` among their sources (indexed, O(1))."""

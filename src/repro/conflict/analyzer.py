@@ -6,8 +6,11 @@ patches, decides pairwise *potential* conflicts:
 * **fast path** — when neither change alters build-graph *structure*
   (only ~7.9 % of iOS / 1.6 % of backend changes do), intersecting the
   affected-target name sets is exact;
-* **slow path** — otherwise, run the union-graph algorithm (Steps 1–4),
-  which needs only per-change build graphs, not per-pair ones;
+* **slow path** — otherwise, run the union-graph algorithm's Steps 2–4
+  over the two changes' dependent cones only
+  (:func:`~repro.conflict.union_graph.cone_conflict`): it needs the
+  per-change build graphs, not per-pair ones, and visits no target
+  neither change can reach;
 * an **exact mode** implementing Equation 6 directly (builds the combined
   graph ``G_{H⊕Ci⊕Cj}``) is kept for cross-validation in tests.
 
@@ -39,8 +42,8 @@ from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import TargetHasher, dirty_targets
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.changes.change import Change
-from repro.conflict.union_graph import UnionGraph
-from repro.errors import PatchConflictError
+from repro.conflict.union_graph import cone_conflict
+from repro.errors import BuildSystemError, PatchConflictError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.registry import CounterStats
 from repro.types import AffectedTarget, ChangeId, Path, TargetName
@@ -144,6 +147,11 @@ class _ChangeAnalysis:
     graph: BuildGraph
     hashes: Dict[TargetName, str]
     delta: FrozenSet[AffectedTarget]
+    #: Names whose hash differs from the base's, a missing target hashing
+    #: as ``None``: ``delta``'s names (changed or added) plus the targets
+    #: the change removed.  Step 2's direct taint, and — no target being
+    #: removed without a structure change — the fast path's comparand.
+    taint: FrozenSet[TargetName]
     structure_changed: bool
 
 
@@ -203,6 +211,9 @@ class ConflictAnalyzer:
         )
         hashes = hasher.all_hashes()
         delta = delta_from_dirty(self._base_hashes, hashes, hasher.dirty_closure)
+        taint = delta_names(delta)
+        if graph is not self._base_graph:
+            taint.update(self._base_hashes.keys() - hashes.keys())
         structure_changed = (
             graph is not self._base_graph
             and graph.structure() != self._base_structure
@@ -217,6 +228,7 @@ class ConflictAnalyzer:
             graph=graph,
             hashes=hashes,
             delta=delta,
+            taint=frozenset(taint),
             structure_changed=structure_changed,
         )
 
@@ -309,7 +321,7 @@ class ConflictAnalyzer:
                 if (
                     analysis.structure_changed
                     or not analysis.touched.isdisjoint(committed)
-                    or not delta_names(analysis.delta).isdisjoint(commit_affected)
+                    or not analysis.taint.isdisjoint(commit_affected)
                 ):
                     continue
                 survivors[change_id] = self._rebase_analysis(
@@ -365,6 +377,7 @@ class ConflictAnalyzer:
             graph=self._base_graph,
             hashes=hashes,
             delta=analysis.delta,
+            taint=analysis.taint,
             structure_changed=False,
         )
 
@@ -403,27 +416,21 @@ class ConflictAnalyzer:
         try:
             a = self.analyze(first)
             b = self.analyze(second)
-        except PatchConflictError:
-            # A patch that no longer applies to the base has no delta to
-            # compare.  Assume a conflict: the change queues behind the
-            # other one, and its own build reports the merge conflict.
+        except (PatchConflictError, BuildSystemError):
+            # A patch that no longer applies to the base, or whose BUILD
+            # files do not load on it, has no delta to compare.  Assume a
+            # conflict: the change queues behind the other one, and its
+            # own build reports the merge conflict or the graph error.
             self._count["textual"].inc()
             return True
         if not a.structure_changed and not b.structure_changed:
             # Fast path: structure identical, name intersection is exact.
             self._count["fast_path"].inc()
-            return bool(delta_names(a.delta) & delta_names(b.delta))
+            return not a.taint.isdisjoint(b.taint)
         self._count["slow_path"].inc()
-        union = UnionGraph(
-            self._base_graph,
-            self._base_hashes,
-            a.graph,
-            a.hashes,
-            b.graph,
-            b.hashes,
+        return cone_conflict(
+            self._base_graph, a.graph, a.taint, b.graph, b.taint
         )
-        union.propagate()
-        return union.conflicts()
 
     def conflict_equation6(self, first: Change, second: Change) -> bool:
         """Exact Equation-6 check (builds the combined snapshot).

@@ -10,13 +10,33 @@ graph needs only the n+1 graphs ``G_H`` and ``G_{H⊕Ck}``:
 3. walk the union graph in topological order propagating taint: a node is
    affected by Ci when any of its dependencies is;
 4. the changes conflict iff some node ends up affected by both.
+
+Two implementations of the same steps live here:
+
+* :func:`cone_conflict` is the one the analyzer runs.  Taint only ever
+  flows from a directly tainted node to its dependents, and Step 4's
+  answer is known at the first doubly tainted node, so it starts from the
+  two Step-2 taint sets and follows the three graphs' reverse-dependency
+  indices outward: no union node, no topological order, and no visit to a
+  target outside the two changes' dependent cones.
+* :class:`UnionGraph` materializes every node and edge and walks them in
+  topological order, as the paper states the steps.  It is the reference
+  the tests compare :func:`cone_conflict` against and what the figure
+  experiments print.
+
+They agree whenever the union is acyclic.  A union of acyclic graphs can
+still be cyclic — one change reverses an edge the base has, or the two
+changes add opposite edges — and there :class:`UnionGraph` has no
+topological order and raises, while the reachability the cone check
+computes is still well defined and gives Equation 6's verdict for the
+pairs whose combined snapshot loads at all.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import TargetHasher
@@ -112,6 +132,51 @@ class UnionGraph:
 
     def conflicts(self) -> bool:
         return bool(self.doubly_affected())
+
+
+def cone_conflict(
+    base_graph: BuildGraph,
+    graph_i: BuildGraph,
+    taint_i: AbstractSet[TargetName],
+    graph_j: BuildGraph,
+    taint_j: AbstractSet[TargetName],
+) -> bool:
+    """Steps 2–4 over only what the two changes can reach.
+
+    ``taint_k`` is Step 2's direct tagging for change ``k``: every name
+    whose hash in ``G_{H⊕Ck}`` differs from its hash in ``G_H``, a missing
+    target hashing as ``None`` on either side (so changed, added *and*
+    removed targets).  A node is affected by ``Ck`` exactly when some
+    directly tainted node reaches it along union-graph dependent edges,
+    which makes propagation order-free: a worklist over the union of the
+    three graphs' dependents indices reaches the same fixed point a
+    topological sweep does, stops at the first node carrying both taints,
+    and terminates on a cyclic union because a node re-enters the
+    worklist only when its mask grows.
+    """
+    if not taint_i.isdisjoint(taint_j):
+        return True
+    masks: Dict[TargetName, int] = dict.fromkeys(taint_i, 1)
+    masks.update(dict.fromkeys(taint_j, 2))
+    # One graph object often stands in for two of the three (a change
+    # that reloaded nothing shares the base's); read its index once.
+    indices = [
+        graph.direct_dependents
+        for graph in {id(g): g for g in (base_graph, graph_i, graph_j)}.values()
+    ]
+    worklist = list(masks)
+    while worklist:
+        name = worklist.pop()
+        mask = masks[name]
+        for dependents_of in indices:
+            for dependent in dependents_of(name):
+                seen = masks.get(dependent, 0)
+                if seen | mask != seen:
+                    if seen:
+                        return True
+                    masks[dependent] = mask
+                    worklist.append(dependent)
+    return False
 
 
 def union_graph_conflict(

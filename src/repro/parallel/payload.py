@@ -107,7 +107,11 @@ class BuildResponse:
     target, truncated at the first failure exactly as the serial
     stop-on-failure path truncates).  ``wall_seconds`` is the worker-side
     wall clock for the whole request — context derivation, step
-    evaluation, and the synthetic per-step wall cost.  ``error`` carries
+    evaluation, and the synthetic per-step wall cost.  ``merge_conflict``
+    and ``graph_error`` are the two ways a stack fails before any step
+    runs — a patch that does not apply, BUILD files that do not load —
+    each carrying the exception's message for the parent to turn into the
+    same failed build the serial path reports.  ``error`` carries
     a worker-side crash as data so the parent can fail loudly with
     context instead of unpickling a traceback.
 
@@ -121,6 +125,7 @@ class BuildResponse:
     targets: Tuple[TargetName, ...] = ()
     steps: Tuple[StepRecord, ...] = ()
     merge_conflict: Optional[str] = None
+    graph_error: Optional[str] = None
     wall_seconds: float = 0.0
     worker_pid: int = 0
     error: Optional[str] = None

@@ -37,7 +37,7 @@ from typing import List
 from repro.buildsys.executor import BuildContext
 from repro.buildsys.hashing import DigestMemo
 from repro.buildsys.steps import evaluate_step
-from repro.errors import PatchConflictError
+from repro.errors import BuildSystemError, PatchConflictError
 from repro.parallel.payload import BuildRequest, BuildResponse, StepRecord, WorkerSpan
 from repro.types import CommitId
 
@@ -74,7 +74,8 @@ def _base_context(request: BuildRequest) -> BuildContext:
 def execute_request(request: BuildRequest) -> BuildResponse:
     """Run one speculative build hermetically; never raises.
 
-    Any exception other than a merge conflict is returned as
+    Any exception other than a merge conflict or a stack whose BUILD
+    files do not load — both ordinary failed builds — is returned as
     ``BuildResponse.error`` so the parent can fail with context instead
     of a half-unpicklable traceback from the pool.
     """
@@ -100,6 +101,7 @@ def execute_request(request: BuildRequest) -> BuildResponse:
     try:
         merge_begin = time.perf_counter() - started
         base = _base_context(request)
+        unbuildable = {}
         try:
             # ``request.assumed`` arrives sorted by change id — the serial
             # controller's fold order — so a conflict surfaces at the same
@@ -108,17 +110,20 @@ def execute_request(request: BuildRequest) -> BuildResponse:
                 [patch for _, patch in request.assumed] + [request.patch]
             )
         except PatchConflictError as exc:
-            _span("merge", "merge", merge_begin)
+            unbuildable = {"merge_conflict": str(exc)}
+        except BuildSystemError as exc:
+            unbuildable = {"graph_error": str(exc)}
+        _span("merge", "merge", merge_begin)
+        if unbuildable:
             return BuildResponse(
                 build_id=request.build_id,
                 change_id=request.change_id,
-                merge_conflict=str(exc),
                 wall_seconds=time.perf_counter() - started,
                 worker_pid=os.getpid(),
                 wall_started=wall_started if tracing else 0.0,
                 step_spans=tuple(spans),
+                **unbuildable,
             )
-        _span("merge", "merge", merge_begin)
         order = merged.affected_against(base)
         targets: List[str] = []
         steps: List[StepRecord] = []

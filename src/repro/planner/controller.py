@@ -29,7 +29,11 @@ from repro.buildsys.hashing import DigestMemo
 from repro.buildsys.steps import StepResult, StepSpec
 from repro.changes.change import Change
 from repro.changes.truth import stack_outcome
-from repro.errors import ParallelExecutionError, PatchConflictError
+from repro.errors import (
+    BuildSystemError,
+    ParallelExecutionError,
+    PatchConflictError,
+)
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import BuildKey, ChangeId, CommitId, TargetName
 from repro.vcs.patch import Patch
@@ -336,7 +340,10 @@ class FullStackBuildController(BuildController):
     def _derive_stack(
         self, context: BuildContext, patches: Sequence[Patch]
     ) -> BuildContext:
-        """Fold a patch stack onto a context; raises PatchConflictError."""
+        """Fold a patch stack onto a context.
+
+        Raises PatchConflictError when a patch does not apply and
+        BuildSystemError when the stacked BUILD files do not load."""
         derived = context.derive_stack(patches)
         self.stats.targets_rehashed += derived.rehashed
         return derived
@@ -451,13 +458,13 @@ class FullStackBuildController(BuildController):
             raise ParallelExecutionError(
                 f"worker failed for {key.label()}: {reason}"
             )
+        unbuildable = None
         if response.merge_conflict is not None:
-            execution = BuildExecution(
-                key=key,
-                success=False,
-                duration=self.step_minutes,
-                failure_reason=f"merge conflict: {response.merge_conflict}",
-            )
+            unbuildable = f"merge conflict: {response.merge_conflict}"
+        elif response.graph_error is not None:
+            unbuildable = f"build graph error: {response.graph_error}"
+        if unbuildable is not None:
+            execution = self._unbuildable(key, unbuildable)
             self._splice_worker_spans(key, response, execution, span_id, at)
             return execution
         cache = self.executor.cache
@@ -634,18 +641,18 @@ class FullStackBuildController(BuildController):
 
         base_context = self._base_context()
         # Merge in sorted-id order, the change last; a textual conflict
-        # fails the build the same way a failed merge fails it in production.
+        # fails the build the same way a failed merge fails it in
+        # production, and so does a stack whose BUILD files do not load
+        # (a syntax error, an unknown dep, a cycle — possibly one only the
+        # stacked changes form together).
         try:
             merged = self._derive_stack(
                 base_context, [other.patch for other in assumed + [change]]
             )
         except PatchConflictError as exc:
-            return BuildExecution(
-                key=key,
-                success=False,
-                duration=self.step_minutes,
-                failure_reason=f"merge conflict: {exc}",
-            )
+            return self._unbuildable(key, f"merge conflict: {exc}")
+        except BuildSystemError as exc:
+            return self._unbuildable(key, f"build graph error: {exc}")
         self.stats.prefix_misses += 1
         report = self.executor.build_between(
             base_context, merged, stop_on_failure=True
@@ -661,17 +668,23 @@ class FullStackBuildController(BuildController):
         try:
             for other in list(assumed) + [change]:
                 merged = other.patch.apply(merged)
-        except PatchConflictError as exc:
-            return BuildExecution(
-                key=key,
-                success=False,
-                duration=self.step_minutes,
-                failure_reason=f"merge conflict: {exc}",
+            report = self.executor.build_affected(
+                base_snapshot, merged, stop_on_failure=True
             )
-        report = self.executor.build_affected(
-            base_snapshot, merged, stop_on_failure=True
-        )
+        except PatchConflictError as exc:
+            return self._unbuildable(key, f"merge conflict: {exc}")
+        except BuildSystemError as exc:
+            return self._unbuildable(key, f"build graph error: {exc}")
         return self._execution_from_report(key, report)
+
+    def _unbuildable(self, key: BuildKey, reason: str) -> BuildExecution:
+        """The failed build of a stack that never reached a step."""
+        return BuildExecution(
+            key=key,
+            success=False,
+            duration=self.step_minutes,
+            failure_reason=reason,
+        )
 
     def _execution_from_report(self, key: BuildKey, report) -> BuildExecution:
         duration = (

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
-from repro.errors import PatchConflictError, SimulationError
+from repro.errors import BuildSystemError, PatchConflictError, SimulationError
 from repro.journal import records as journal_records
 from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -302,9 +302,10 @@ class CoreService:
             self._maybe_refresh_analyzer()
             try:
                 self._analyzer.analyze(change)
-            except PatchConflictError:
-                # Nothing to warm: the patch no longer applies to the head,
-                # and the change's own build will report the merge conflict.
+            except (PatchConflictError, BuildSystemError):
+                # Nothing to warm: the patch no longer applies to the head
+                # or its BUILD files do not load on it, and the change's
+                # own build will report the merge conflict or graph error.
                 pass
             if self.recorder.enabled:
                 self.recorder.counter(

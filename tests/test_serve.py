@@ -7,6 +7,7 @@ unknown route 404, and the POST /shutdown lifecycle.
 """
 
 import http.client
+import io
 import json
 import time
 import urllib.error
@@ -17,6 +18,7 @@ import pytest
 from repro.obs.recorder import NULL_RECORDER
 from repro.serve import (
     ObservabilityServer,
+    _RequestHandler,
     build_journal_service,
     build_quickstart_service,
 )
@@ -177,6 +179,82 @@ class TestWriteEndpoints:
 
     def test_post_unknown_route_404(self, served):
         assert _post_json(f"{served.url}/nope", {}, expect=404)["ok"] is False
+
+
+class _RecordedSocket:
+    """Just enough socket for ``http.client`` to parse recorded bytes."""
+
+    def __init__(self, raw):
+        self._raw = raw
+
+    def makefile(self, *args, **kwargs):
+        return io.BytesIO(self._raw)
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that also keeps each write's bytes."""
+
+    def __init__(self, wfile, recorded):
+        self._wfile = wfile
+        self._recorded = recorded
+
+    def write(self, data):
+        self._recorded.append(bytes(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+class TestOneWritePerResponse:
+    """Headers and body leave in a single socket write.  Two writes on a
+    keep-alive connection cost the client's delayed ACK (~40 ms) each."""
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        """Every ``wfile.write`` any handler makes, in order."""
+        recorded = []
+        setup = _RequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = _RecordingWriter(handler.wfile, recorded)
+
+        monkeypatch.setattr(_RequestHandler, "setup", recording_setup)
+        return recorded
+
+    def test_nagle_is_off_for_bodies_longer_than_a_segment(self):
+        assert _RequestHandler.disable_nagle_algorithm is True
+
+    @pytest.mark.parametrize(
+        "method, path, body, code",
+        [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("GET", "/state", None, 200),
+            ("GET", "/nope", None, 404),
+            ("POST", "/changes", b"{not json", 400),
+        ],
+    )
+    def test_every_answer_is_one_whole_response(
+        self, served, writes, method, path, body, code
+    ):
+        conn = http.client.HTTPConnection(served.host, served.port, timeout=5)
+        try:
+            conn.request(method, path, body=body)
+            received = conn.getresponse()
+            received_body = received.read()
+        finally:
+            conn.close()
+        assert received.status == code and received_body
+        assert len(writes) == 1
+        head, blank_line, sent_body = writes[0].partition(b"\r\n\r\n")
+        assert blank_line and sent_body == received_body
+        parsed = http.client.HTTPResponse(_RecordedSocket(writes[0]), method=method)
+        parsed.begin()
+        assert parsed.status == code
+        assert int(parsed.getheader("Content-Length")) == len(sent_body)
+        assert parsed.read() == sent_body
 
 
 class TestHandlerErrors:
