@@ -26,11 +26,9 @@ _EMITTED = []
 
 #: Machine-readable datapoints recorded this session, by suite then
 #: kernel; merged into ``benchmarks/results/BENCH_<suite>.json`` at
-#: session end so each suite's perf trajectory is tracked across commits.
-#: Suites: ``conflict`` (analysis latency), ``planner`` (warm vs cold
-#: plan()), ``exec`` (warm vs cold builds, prefix hits), ``parallel``
-#: (process-pool wall speedup), ``batch`` (risk batching changes/hour),
-#: ``shard`` (sharded sweep latency + fingerprint smoke).
+#: session end.  Suites (the scale-out cells ``bench/`` cannot express):
+#: ``parallel`` (process-pool wall speedup), ``batch`` (risk batching
+#: changes/hour), ``shard`` (sharded sweep latency + fingerprint smoke).
 _BENCH: dict = {}
 
 

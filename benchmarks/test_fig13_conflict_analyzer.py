@@ -9,7 +9,7 @@ workers.
 
 import pytest
 
-from benchmarks.conftest import emit, record_bench
+from benchmarks.conftest import emit
 from repro.experiments import figure13
 
 WORKERS = (100, 300)
@@ -89,19 +89,6 @@ def test_incremental_analyzer_counters():
         f" (revalidation rate {stats.revalidation_rate:.1%})\n"
         f"  pair checks           {stats.checks} ({stats.fast_path_rate:.1%} fast path,"
         f" {stats.cached} cached)",
-    )
-    record_bench(
-        "conflict",
-        "fig13_incremental_counters",
-        {
-            "analyses": stats.analyses,
-            "targets_rehashed": stats.targets_rehashed,
-            "targets_total": stats.targets_total,
-            "rehash_fraction": stats.rehash_fraction,
-            "head_advances": stats.head_advances,
-            "analyses_revalidated": stats.analyses_revalidated,
-            "analyses_recomputed": stats.analyses_recomputed,
-        },
     )
     # Dirty-set hashing must be doing real work: far fewer hashes than a
     # from-scratch analyzer would compute, and at least some carried

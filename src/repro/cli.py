@@ -9,9 +9,7 @@ Commands:
 * ``obs``        — inspect recorded runs: ``report`` renders a JSONL
   trace as an epoch-by-epoch text report, ``trace`` converts it to
   Chrome ``trace_event`` JSON (load in Perfetto / chrome://tracing),
-  ``validate`` checks it against the trace schema, ``bench`` renders
-  the benchmark trajectory from ``BENCH_summary.json`` with
-  direction-aware regression deltas;
+  ``validate`` checks it against the trace schema;
 * ``serve``      — the HTTP observability service: boot a simulated (or
   journal-replayed) SubmitQueue and expose ``/healthz``, ``/metrics``,
   ``/state``, ``/slo``, ``/trace`` plus the ApiHandlers surface;
@@ -89,26 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", help="check a JSONL trace against the schema"
     )
     validate.add_argument("trace", help="path to a .jsonl trace file")
-    bench = obs_sub.add_parser(
-        "bench", help="render the benchmark trajectory with regression deltas"
-    )
-    bench.add_argument(
-        "--results-dir", default="benchmarks/results",
-        help="directory holding BENCH_*.json and BENCH_summary.json",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.10,
-        help="relative move that counts as a regression (default 10%%)",
-    )
-    bench.add_argument(
-        "--fold", action="store_true",
-        help="fold the current BENCH_*.json datapoints into the summary "
-             "first (same as running benchmarks/aggregate.py)",
-    )
-    bench.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit 1 when any direction-aware series regressed",
-    )
 
     serve = sub.add_parser(
         "serve", help="HTTP observability service over a live SubmitQueue"
@@ -264,8 +242,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             return 1
         print(f"{args.trace}: valid")
         return 0
-    if args.obs_command == "bench":
-        return _cmd_obs_bench(args)
     trace = load_trace(args.trace)
     if args.obs_command == "report":
         print(format_report(trace, max_epochs=args.max_epochs))
@@ -278,46 +254,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
     else:
         print(payload)
-    return 0
-
-
-def _cmd_obs_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.obs.bench import (
-        SUMMARY_NAME,
-        collect_results,
-        fold_results,
-        git_short_sha,
-        load_summary,
-        render_trajectory,
-        trajectory_deltas,
-        write_summary,
-    )
-
-    summary_path = os.path.join(args.results_dir, SUMMARY_NAME)
-    summary = load_summary(summary_path)
-    if args.fold or summary is None:
-        results = collect_results(args.results_dir)
-        if not results and summary is None:
-            print(
-                f"no BENCH_*.json datapoints under {args.results_dir}",
-                file=sys.stderr,
-            )
-            return 1
-        if results:
-            summary = fold_results(
-                results, summary=summary, commit=git_short_sha(args.results_dir)
-            )
-            write_summary(summary_path, summary)
-            print(f"folded current datapoints into {summary_path}")
-    print(render_trajectory(summary, threshold=args.threshold))
-    if args.fail_on_regression:
-        regressed = [
-            d for d in trajectory_deltas(summary, threshold=args.threshold)
-            if d["verdict"] == "regression"
-        ]
-        return 1 if regressed else 0
     return 0
 
 

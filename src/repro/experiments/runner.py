@@ -66,7 +66,6 @@ def run_cell(
     workers: int,
     conflict_predicate: Callable[[Change, Change], bool] = potential_conflict,
     step_elimination: bool = True,
-    epoch_minutes: float = 2.0,
     recorder: Recorder = NULL_RECORDER,
 ) -> SimulationResult:
     """Run one strategy over one stream on one worker count."""
@@ -75,7 +74,6 @@ def run_cell(
         controller=LabelBuildController(step_elimination=step_elimination),
         workers=workers,
         conflict_predicate=conflict_predicate,
-        epoch_minutes=epoch_minutes,
         recorder=recorder,
     )
     return simulation.run(list(stream))

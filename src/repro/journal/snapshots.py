@@ -351,7 +351,4 @@ def restore_service(
                 step_kind,
                 StepResult(StepSpec(target, step_kind), passed, log),
             )
-    # The restored planner sits exactly where the original's last plan()
-    # left it, so seed the replan-skip fingerprint to match.
-    planner._last_plan_fingerprint = planner._plan_fingerprint()
     return service

@@ -14,8 +14,6 @@ perf/fault-injection roadmap items build on):
 * :mod:`repro.obs.slo` — rolling-window SLO aggregation (turnaround
   percentiles, speculation hit rate, worker utilization) for the HTTP
   observability service (imported lazily: it needs numpy);
-* :mod:`repro.obs.bench` — benchmark-trajectory folding for
-  ``BENCH_summary.json`` and the ``obs bench`` report;
 * :mod:`repro.obs.inspect` — the ``obs report``/``obs trace`` CLI
   machinery.
 

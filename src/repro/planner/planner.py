@@ -18,8 +18,8 @@ Event-driven core shared by every strategy:
   build is the one whose assumed set equals the ancestors that actually
   committed), cascading until a fixpoint.
 
-The simulator owns time; the planner is a pure state machine over
-``now`` values it is handed.
+The driver (:class:`~repro.service.core.CoreService`'s pump) owns time;
+the planner is a pure state machine over ``now`` values it is handed.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ class PlannerStats:
     build_minutes: float = 0.0
     wasted_minutes: float = 0.0
     plan_calls: int = 0
-    #: Epochs answered by the input fingerprint without consulting the
-    #: strategy (see :meth:`PlannerEngine.plan`).
+    #: Never incremented; kept because state fingerprints carry its key.
     plan_calls_skipped: int = 0
     #: Build steps actually executed / eliminated across started builds.
     steps_executed: int = 0
@@ -112,7 +111,6 @@ class _PlannerMetrics:
 
     __slots__ = (
         "plan_calls",
-        "replans_skipped",
         "queue_depth",
         "workers_busy",
         "worker_utilization",
@@ -136,10 +134,6 @@ class _PlannerMetrics:
     def __init__(self, recorder: Recorder) -> None:
         self.plan_calls = recorder.counter(
             "planner_plan_calls_total", "Planner epochs (plan() calls)."
-        )
-        self.replans_skipped = recorder.counter(
-            "planner_replans_skipped_total",
-            "Epochs answered by the input fingerprint without replanning.",
         )
         self.queue_depth = recorder.gauge(
             "planner_queue_depth", "Pending changes at epoch start."
@@ -315,10 +309,6 @@ class PlannerEngine:
         #: Bumped by every applied reorder; pending-id changes cover the
         #: other ancestry mutations (submission, decisions).
         self._ancestry_version = 0
-        #: Epoch input fingerprint snapshotted at the *end* of the last
-        #: full plan() — every later state mutation (submit, complete,
-        #: reorder) perturbs at least one component relative to it.
-        self._last_plan_fingerprint: Optional[tuple] = None
         #: One ``(dispatch clock, records)`` entry per batch handed to the
         #: controller and not yet resolved, in dispatch order.
         self._pending_resolution: List[tuple] = []
@@ -416,62 +406,19 @@ class PlannerEngine:
 
     # -- planning -----------------------------------------------------------
 
-    def _plan_fingerprint(self) -> tuple:
-        """Everything the next epoch's outcome depends on.
-
-        Pending ids capture arrivals, decisions, and queue order;
-        ``len(self.decided)`` captures new verdicts (decisions are
-        append-only and immutable); the running set captures starts,
-        aborts, and completions — and with it every ``ChangeRecord``
-        counter mutation, since those only move alongside a running-set
-        change.  The ancestry version covers reorders.
-        """
-        return (
-            tuple(change.change_id for change in self.queue),
-            len(self.decided),
-            frozenset(self.workers.running_builds()),
-            self.workers.capacity,
-            self._ancestry_version,
-        )
-
-    def invalidate_plan_cache(self) -> None:
-        """Force the next :meth:`plan` to replan from scratch.
-
-        Drops the epoch fingerprint and any incremental carry-over the
-        strategy holds (benchmarks use this to measure the cold path)."""
-        self._last_plan_fingerprint = None
-        invalidate = getattr(self.strategy, "invalidate_carry_over", None)
-        if invalidate is not None:
-            invalidate()
-
     def plan(self, now: float) -> "PlanResult":
         """One epoch: select builds, abort stale ones, start new ones.
 
-        Epochs whose inputs are unchanged since the previous ``plan()``
-        (no arrival, completion, decision, or reorder) are *skipped*:
-        re-running a deterministic strategy over identical state starts
-        and aborts nothing, so the planner returns an empty
-        :class:`PlanResult` without consulting the strategy at all.
-        A caller that changes what the strategy would select behind the
-        planner's back calls :meth:`invalidate_plan_cache` first.
+        Every call consults the strategy; the driver calls it once per
+        event (submission, build completion, stall), never on a timer.
         """
         self.stats.plan_calls += 1
         if self.recorder.enabled:
             self._begin_epoch(now)
         propose = getattr(self.strategy, "propose_reorders", None)
         if propose is not None:
-            # Runs before the fingerprint check: proposals may mutate
-            # strategy state each epoch, and applied reorders bump the
-            # ancestry version (invalidating the fingerprint) themselves.
             for ahead_id, behind_id in propose(self._view):
                 self.reorder(ahead_id, behind_id)
-        fingerprint = self._plan_fingerprint()
-        if fingerprint == self._last_plan_fingerprint:
-            self.stats.plan_calls_skipped += 1
-            if self._metrics is not None:
-                self._metrics.replans_skipped.inc()
-                self._record_epoch(0, 0)
-            return PlanResult(started=[], aborted=[])
         budget = self.workers.capacity
         selected: List[BuildKey] = self.strategy.select(self._view, budget)
         selected_set = set(selected)
@@ -520,10 +467,6 @@ class PlannerEngine:
                 if existing is None or existing.aborted or not existing.done:
                     if not self.workers.is_running(key):
                         started = self._start_batch([key], now)
-        # Snapshot at exit: the starts/aborts above already mutated the
-        # running set, so this fingerprint describes the state the *next*
-        # plan() will see if nothing happens in between.
-        self._last_plan_fingerprint = self._plan_fingerprint()
         if self.recorder.enabled:
             self._record_epoch(len(started), len(aborted))
         return PlanResult(started=started, aborted=aborted)

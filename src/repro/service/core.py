@@ -1,10 +1,12 @@
 """Core-service wiring: an incremental, driveable SubmitQueue instance.
 
-Unlike :class:`~repro.sim.simulator.Simulation` (which consumes a complete
-pre-timed stream), the core service accepts submissions interactively —
-the shape a production deployment has.  Internally it advances a
-simulated clock over build-completion events; :meth:`pump` drains work
-until the queue is idle.
+The core service accepts submissions interactively — the shape a
+production deployment has.  Internally it advances a simulated clock over
+submission and build-completion events; :meth:`pump` drains work until
+the queue is idle.  Its pump is the only loop that owns time and the only
+caller of ``PlannerEngine.plan``/``complete``/``resolve_pending``:
+:class:`~repro.sim.simulator.Simulation` (a complete pre-timed stream) is
+an arrival schedule of :meth:`CoreService.enqueue` calls over it.
 
 The default configuration is full-stack: real repository, real build
 graphs, real step execution, so committed patches actually land on the
@@ -110,12 +112,18 @@ class CoreService:
         config: CoreServiceConfig = CoreServiceConfig(),
         controller: Optional[BuildController] = None,
         recorder: Recorder = NULL_RECORDER,
+        conflict_predicate: Optional[Callable[[Change, Change], bool]] = None,
     ) -> None:
         """``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
         when attached, the whole stack — planner epochs and builds,
         speculation-engine selections, conflict-analyzer counters, build
         cache hits, turnaround and greenness — reports through it.  The
-        default no-op recorder costs nothing."""
+        default no-op recorder costs nothing.
+
+        ``conflict_predicate``: what the planner's conflict graph asks
+        about two changes.  ``None`` — the default — is the service's own
+        analyzer over ``repo``; label-mode runs, whose changes carry no
+        patches, pass a predicate over the labels instead."""
         self.repo = repo
         self.config = config
         self.recorder = recorder
@@ -140,7 +148,11 @@ class CoreService:
             strategy=strategy,
             controller=self.controller,
             workers=WorkerPool(config.workers),
-            conflict_predicate=self._conflict_predicate,
+            conflict_predicate=(
+                conflict_predicate
+                if conflict_predicate is not None
+                else self._conflict_predicate
+            ),
             recorder=recorder,
             queue=queue,
         )

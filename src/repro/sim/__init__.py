@@ -3,7 +3,10 @@
 Replaces the paper's datacenter replay (section 8.1): changes are ingested
 at controlled rates, builds occupy workers for sampled durations shaped
 like the Figure-9 CDF, and the planner reacts to every arrival and
-completion.  Time is in **minutes** throughout.
+completion.  The clock and event queue here are what
+:class:`~repro.service.core.CoreService`'s pump advances;
+:class:`Simulation` schedules a pre-timed stream onto that pump and runs
+no loop of its own.  Time is in **minutes** throughout.
 """
 
 from repro.sim.clock import Clock

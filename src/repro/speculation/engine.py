@@ -24,11 +24,10 @@ ancestor → children index over the pending changes.  A round
 * scans the pending order once for arrivals, departures and moved
   counters (a reorder reaches it as the caller's ``ancestry_version``;
   a caller that passes none gets every ancestor list compared);
-* returns the previous selection outright when nothing is dirty and the
-  order and budget are unchanged (``skipped_replans_total``);
-* otherwise walks the dirty set's downstream cone through the children
-  index and re-sweeps ``P_commit`` only there, in queue order, reusing
-  every other value bit-for-bit (``commit_prob_reused_total``);
+* walks the dirty set's downstream cone through the children index and
+  re-sweeps ``P_commit`` only there, in queue order, reusing every other
+  value bit-for-bit (``commit_prob_reused_total``) — a round in which
+  nothing moved sweeps an empty cone;
 * recomputes the enumerator signature ``(pending ancestors, probability
   slice, known committed, benefit)`` of cone members only, rebuilding an
   enumerator when it moved; everything outside the cone keeps its
@@ -109,13 +108,7 @@ class SpeculationEngineStats(CounterStats):
         "selections": (
             "speculation_selection_rounds_total",
             None,
-            "select_builds() rounds, skipped or computed.",
-        ),
-        "skipped_replans": (
-            "skipped_replans_total",
-            None,
-            "Selection rounds answered whole from the previous epoch "
-            "(input fingerprint unchanged).",
+            "select_builds() rounds.",
         ),
         "commit_prob_reused": (
             "commit_prob_reused_total",
@@ -145,11 +138,6 @@ class SpeculationEngineStats(CounterStats):
             "Merge-heap nodes served from an enumerator's memoized prefix.",
         ),
     }
-
-    @property
-    def skip_rate(self) -> float:
-        """Fraction of rounds answered entirely by the fingerprint."""
-        return self.skipped_replans / self.selections if self.selections else 0.0
 
     @property
     def commit_prob_reuse_rate(self) -> float:
@@ -299,10 +287,8 @@ class SpeculationEngine:
         self._entries: Dict[ChangeId, _Entry] = {}
         #: Pending ancestor -> the pending changes that list it.
         self._children: Dict[ChangeId, Set[ChangeId]] = {}
-        #: What the last computed round saw and what it answered.
+        #: The pending order the last round saw.
         self._order: List[ChangeId] = []
-        self._budget = 0
-        self._selection: Optional[List[ScoredBuild]] = None
         self._ancestry_version: Optional[int] = None
         self._decided_count = 0
 
@@ -469,16 +455,6 @@ class SpeculationEngine:
             dirty = self._fold_events(
                 order, ancestors, records, decided, changes_by_id, ancestry_version
             )
-            if (
-                not dirty
-                and self._selection is not None
-                and budget == self._budget
-                and order == self._order
-            ):
-                # Nothing the selection depends on moved since last epoch:
-                # the previous round's answer is this round's answer.
-                self._count["skipped_replans"].inc()
-                return list(self._selection)
             cone = self._downstream_cone(dirty)
             cone_order = [cid for cid in order if cid in cone]
             rebuilt = self._sweep(cone_order, decided, changes_by_id)
@@ -493,8 +469,6 @@ class SpeculationEngine:
         self._count["enumerators_rebuilt"].inc(rebuilt)
         self._count["enumerators_reused"].inc(len(order) - rebuilt)
         self._order = order
-        self._budget = budget
-        self._selection = list(selected)
         if self._recorder.enabled:
             self._record_selection(len(order), selected)
         return selected

@@ -36,10 +36,6 @@ class SubmitQueueStrategy(Strategy):
         """Forward the planner-injected recorder to the speculation engine."""
         self.engine.bind_recorder(recorder)
 
-    def invalidate_carry_over(self) -> None:
-        """Drop the engine's incremental state (next epoch replans cold)."""
-        self.engine.invalidate_carry_over()
-
     @property
     def stats(self):
         """The engine's incremental-effectiveness counters."""

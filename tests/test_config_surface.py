@@ -17,6 +17,7 @@ from repro.parallel import create_build_backend
 from repro.planner.controller import FullStackBuildController
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sharding import create_queue_backend
+from repro.sim.simulator import Simulation
 
 BUILD_SPECS = (None, "local", "process", "process:2")
 QUEUE_SPECS = (None, "sharded", "sharded:3")
@@ -36,6 +37,14 @@ def test_config_has_exactly_six_fields():
 def test_service_constructor_arguments():
     assert list(inspect.signature(CoreService.__init__).parameters) == [
         "self", "repo", "strategy", "config", "controller", "recorder",
+        "conflict_predicate",
+    ]
+
+
+def test_simulation_constructor_arguments():
+    assert list(inspect.signature(Simulation.__init__).parameters) == [
+        "self", "strategy", "controller", "workers", "conflict_predicate",
+        "max_minutes", "recorder",
     ]
 
 

@@ -65,7 +65,6 @@ class TestPreemptionGrace:
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
         plan_and_resolve(planner, 0.0)                      # starts the build
-        planner.invalidate_plan_cache()        # selection is call-count dependent
         result = plan_and_resolve(planner, 25.0)            # deselects; 5 min remaining
         assert result.aborted == []
         assert planner.workers.is_running(key)
@@ -76,7 +75,6 @@ class TestPreemptionGrace:
         planner = self._planner(grace=10.0, key=key)
         planner.submit(change, 0.0)
         plan_and_resolve(planner, 0.0)
-        planner.invalidate_plan_cache()
         result = plan_and_resolve(planner, 5.0)             # 25 min remaining > grace
         assert key in result.aborted
 
@@ -86,7 +84,6 @@ class TestPreemptionGrace:
         planner = self._planner(grace=0.0, key=key)
         planner.submit(change, 0.0)
         plan_and_resolve(planner, 0.0)
-        planner.invalidate_plan_cache()
         result = plan_and_resolve(planner, 29.0)            # 1 min remaining, no grace
         assert key in result.aborted
 

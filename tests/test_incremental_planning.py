@@ -2,13 +2,12 @@
 
 Covers the four incremental layers this subsystem stacks:
 
-* the speculation engine's selection fingerprint (a no-op epoch performs
-  zero predictor calls and returns the identical selection);
+* the speculation engine's unchanged round (a no-op epoch performs zero
+  predictor calls and returns the identical selection);
 * dirty-set commit probabilities (only the downstream cone of changed
   inputs is re-swept; reused values are bit-identical);
 * enumerator carry-over across epochs;
-* the planner's epoch fingerprint (unchanged inputs never consult the
-  strategy) plus the iterative cycle check it relies on for deep queues.
+* the planner's iterative ancestor-cycle check for deep queues.
 """
 
 from collections.abc import Mapping
@@ -17,18 +16,13 @@ import pytest
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.state import ChangeRecord
-from repro.changes.truth import potential_conflict
 from repro.obs.recorder import Recorder
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
 from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import Predictor, StaticPredictor
-from repro.sim.simulator import Simulation
 from repro.speculation.engine import SpeculationEngine
 from repro.strategies.single_queue import SingleQueueStrategy
-from repro.strategies.submitqueue import SubmitQueueStrategy
-
-from .conftest import plan_and_resolve
 
 DEV = Developer("dev1")
 
@@ -105,7 +99,7 @@ class TestEngineFingerprint:
         )
         assert predictor.calls == calls_after_first  # zero new model calls
         assert second == first  # same builds, same order, same values
-        assert engine.stats.skipped_replans == 1
+        assert engine.stats.commit_prob_recomputed == 6  # the second cone is empty
 
     def test_skip_result_is_a_copy(self):
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
@@ -130,7 +124,6 @@ class TestEngineFingerprint:
         bigger = engine.select_builds(
             pending, ancestors, records, {}, budget=6, changes_by_id=changes_by_id
         )
-        assert engine.stats.skipped_replans == 0
         assert len(bigger) > 2
 
     def test_counter_change_invalidates_and_matches_cold_engine(self):
@@ -150,7 +143,6 @@ class TestEngineFingerprint:
             pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
         )
         assert incremental == cold
-        assert warm.stats.skipped_replans == 0
         assert warm.stats.commit_prob_reused > 0  # upstream of the dirty change
 
     def test_decision_invalidates_and_matches_cold_engine(self):
@@ -188,7 +180,6 @@ class TestEngineFingerprint:
         )
         assert predictor.calls > calls  # really recomputed
         assert second == first
-        assert engine.stats.skipped_replans == 0
 
 
 class PointLookupsOnly(Mapping):
@@ -285,11 +276,9 @@ class TestObsCounters:
                 changes_by_id=changes_by_id,
             )
         registry = recorder.registry
-        assert "skipped_replans_total" in registry
         assert "commit_prob_reused_total" in registry
-        assert registry.counter("skipped_replans_total").value == 2.0
-        assert engine.stats.skipped_replans == 2
-        assert engine.stats.skip_rate == pytest.approx(2 / 3)
+        assert registry.counter("commit_prob_reused_total").value == 8.0
+        assert engine.stats.commit_prob_reused == 8  # rounds two and three
 
 
 class DictPredictor(Predictor):
@@ -495,80 +484,6 @@ class TestPredictorCaches:
         assert len(values) == 6
 
 
-class SpyStrategy(SingleQueueStrategy):
-    """Counts select() calls; selection itself is pure like production."""
-
-    select_calls = 0
-
-    def select(self, view, budget):
-        type(self).select_calls += 1
-        return super().select(view, budget)
-
-
-class TestPlannerFingerprint:
-    def make_planner(self, strategy, workers=4):
-        return PlannerEngine(
-            strategy=strategy,
-            controller=LabelBuildController(),
-            workers=WorkerPool(workers),
-            conflict_predicate=potential_conflict,
-        )
-
-    def test_noop_epoch_skips_the_strategy(self):
-        SpyStrategy.select_calls = 0
-        planner = self.make_planner(SpyStrategy())
-        planner.submit(labeled(("//x",)), 0.0)
-        planner.submit(labeled(("//y",)), 0.0)
-        first = plan_and_resolve(planner, 0.0)
-        assert len(first.started) == 2
-        assert SpyStrategy.select_calls == 1
-        second = plan_and_resolve(planner, 1.0)
-        assert second.started == [] and second.aborted == []
-        assert SpyStrategy.select_calls == 1  # not consulted again
-        assert planner.stats.plan_calls == 2
-        assert planner.stats.plan_calls_skipped == 1
-
-    def test_completion_invalidates_the_fingerprint(self):
-        SpyStrategy.select_calls = 0
-        planner = self.make_planner(SpyStrategy())
-        change = labeled(("//x",))
-        planner.submit(change, 0.0)
-        key = plan_and_resolve(planner, 0.0).started[0]
-        plan_and_resolve(planner, 1.0)  # skipped
-        planner.complete(key, 30.0)
-        planner.submit(labeled(("//z",)), 30.0)
-        plan_and_resolve(planner, 30.0)
-        assert SpyStrategy.select_calls == 2
-        assert planner.stats.plan_calls_skipped == 1
-
-    def test_invalidate_plan_cache_forces_replan(self):
-        SpyStrategy.select_calls = 0
-        planner = self.make_planner(SpyStrategy())
-        planner.submit(labeled(("//x",)), 0.0)
-        plan_and_resolve(planner, 0.0)
-        planner.invalidate_plan_cache()
-        plan_and_resolve(planner, 1.0)
-        assert SpyStrategy.select_calls == 2
-        assert planner.stats.plan_calls_skipped == 0
-
-    def test_skip_records_epoch_metrics(self):
-        recorder = Recorder(clock=lambda: 0.0)
-        planner = PlannerEngine(
-            strategy=SingleQueueStrategy(),
-            controller=LabelBuildController(),
-            workers=WorkerPool(2),
-            conflict_predicate=potential_conflict,
-            recorder=recorder,
-        )
-        planner.submit(labeled(("//x",)), 0.0)
-        plan_and_resolve(planner, 0.0)
-        plan_and_resolve(planner, 1.0)
-        registry = recorder.registry
-        assert registry.counter("planner_plan_calls_total").value == 2.0
-        assert registry.counter("planner_replans_skipped_total").value == 1.0
-        planner.finish_trace(2.0)
-
-
 class TestLongChainCycleCheck:
     def test_deep_chain_reorder_does_not_recurse(self):
         # A 1500-deep ancestor chain blows Python's default recursion
@@ -602,42 +517,3 @@ class TestLongChainCycleCheck:
         # An adjacent swap closes no cycle and is applied.
         assert planner.reorder(y, z)
         assert z in planner.ancestors[y] and y not in planner.ancestors[z]
-
-
-class TestSimulationModes:
-    @staticmethod
-    def stream():
-        return [
-            (float(i), labeled((f"//s{i % 3}",), salt=i)) for i in range(8)
-        ]
-
-    def make_sim(self, **kwargs):
-        return Simulation(
-            strategy=SubmitQueueStrategy(StaticPredictor(0.9, 0.2)),
-            controller=LabelBuildController(),
-            workers=4,
-            conflict_predicate=potential_conflict,
-            **kwargs,
-        )
-
-    def test_eager_replan_matches_default_verdicts(self):
-        eager = self.make_sim(eager_replan=True).run(self.stream())
-        default = self.make_sim().run(self.stream())
-        assert eager.changes_committed + eager.changes_rejected == 8
-        # Replanning on every event batch may start builds earlier, but
-        # verdicts are decided by the same decisive-build rule.
-        assert eager.changes_committed == default.changes_committed
-        assert eager.changes_rejected == default.changes_rejected
-
-    def test_polling_caller_gets_skipped_replans(self):
-        # A service polling plan() between events (the benchmark's warm
-        # path) pays only the fingerprint comparison per poll.
-        sim = self.make_sim()
-        sim.planner.submit(labeled(("//poll",)), 0.0)
-        sim.planner.plan(0.0)
-        for minute in range(1, 6):
-            sim.planner.plan(float(minute))
-        assert sim.planner.stats.plan_calls == 6
-        assert sim.planner.stats.plan_calls_skipped == 5
-        engine = sim.planner.strategy.engine
-        assert engine.stats.selections == 1  # never re-consulted

@@ -161,7 +161,6 @@ class TestAbort:
         planner.submit(labeled(), 0.0)
         first = plan_and_resolve(planner, 0.0)   # selects, starts 1
         assert len(first.started) == 1
-        planner.invalidate_plan_cache()  # selection is call-count dependent
         second = plan_and_resolve(planner, 1.0)  # selects nothing -> aborts (stall guard restarts)
         assert len(second.aborted) == 1
         assert planner.stats.builds_aborted == 1

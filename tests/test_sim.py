@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from repro.changes.truth import potential_conflict
-from repro.errors import ClockError
+from repro.errors import ClockError, SimulationError
 from repro.planner.controller import LabelBuildController
+from repro.experiments.runner import strategy_factories
+from repro.service.core import CoreService, CoreServiceConfig
 from repro.sim.arrivals import fixed_rate_arrivals, poisson_arrivals
 from repro.sim.clock import Clock
 from repro.sim.durations import BuildDurationModel, IOS_DURATIONS
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulation
 from repro.strategies.oracle import OracleStrategy
+from repro.vcs.repository import Repository
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 
@@ -186,16 +189,6 @@ class TestSimulation:
             few.turnaround_values()
         )["p95"]
 
-    def test_epoch_validation(self):
-        with pytest.raises(ValueError):
-            Simulation(
-                strategy=OracleStrategy(),
-                controller=LabelBuildController(),
-                workers=2,
-                conflict_predicate=potential_conflict,
-                epoch_minutes=0.0,
-            )
-
     def test_empty_stream(self):
         result = Simulation(
             strategy=OracleStrategy(),
@@ -205,3 +198,86 @@ class TestSimulation:
         ).run([])
         assert result.changes_submitted == 0
         assert result.makespan_minutes == 0.0
+
+    def test_max_minutes_raises(self):
+        with pytest.raises(SimulationError):
+            Simulation(
+                strategy=OracleStrategy(),
+                controller=LabelBuildController(),
+                workers=2,
+                conflict_predicate=potential_conflict,
+                max_minutes=10.0,
+            ).run(small_stream())
+
+
+STRATEGIES = {**strategy_factories(), "Oracle": OracleStrategy}
+WORKERS = 6
+
+
+def label_simulation(strategy):
+    return Simulation(
+        strategy=strategy,
+        controller=LabelBuildController(),
+        workers=WORKERS,
+        conflict_predicate=potential_conflict,
+    )
+
+
+def label_service(strategy):
+    """A hand-built core service over labelled changes."""
+    return CoreService(
+        Repository(),
+        strategy,
+        CoreServiceConfig(workers=WORKERS),
+        controller=LabelBuildController(),
+        conflict_predicate=potential_conflict,
+    )
+
+
+def outcome(planner):
+    """What a run decided and what it cost, for equality checks."""
+    stats = planner.stats
+    return (
+        planner.decisions(),
+        stats.builds_started,
+        stats.builds_aborted,
+        {r.change_id: r.turnaround for r in planner.ledger.decided()},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+class TestOneDriver:
+    """``Simulation`` is an arrival schedule over ``CoreService``: the
+    same stream decides identically whichever of the two a caller holds."""
+
+    def test_simulation_equals_hand_driven_service(self, name):
+        # A same-instant burst of eight, then spaced arrivals.
+        spaced = small_stream(count=30, rate=90.0, seed=7)
+        stream = [(0.0, change) for _, change in spaced[:8]] + spaced[8:]
+        sim = label_simulation(STRATEGIES[name]())
+        result = sim.run(list(stream))
+        service = label_service(STRATEGIES[name]())
+        for at, change in stream:
+            service.enqueue(change, at=at)
+        decisions = service.pump()
+        assert len(decisions) == 30
+        assert result.decisions == decisions
+        assert outcome(sim.planner) == outcome(service.planner)
+
+    def test_burst_at_zero_equals_submit_calls(self, name):
+        changes = [change for _, change in small_stream(count=12, seed=3)]
+        sim = label_simulation(STRATEGIES[name]())
+        sim.run([(0.0, change) for change in changes])
+        service = label_service(STRATEGIES[name]())
+        for change in changes:
+            service.submit(change)
+        service.pump()
+        assert outcome(sim.planner) == outcome(service.planner)
+
+    def test_no_plan_without_an_event(self, name):
+        stream = small_stream(count=120, rate=180.0, seed=13)
+        sim = label_simulation(STRATEGIES[name]())
+        result = sim.run(stream)
+        stats = sim.planner.stats
+        assert result.changes_submitted == 120
+        assert stats.plan_calls == 120 + stats.builds_completed
