@@ -28,7 +28,8 @@ _EMITTED = []
 #: kernel; merged into ``benchmarks/results/BENCH_<suite>.json`` at
 #: session end.  Suites (the scale-out cells ``bench/`` cannot express):
 #: ``parallel`` (process-pool wall speedup), ``batch`` (risk batching
-#: changes/hour), ``shard`` (sharded sweep latency + fingerprint smoke).
+#: changes/hour), ``sweep`` (candidate vs. full conflict sweep latency +
+#: fingerprint smoke).
 _BENCH: dict = {}
 
 

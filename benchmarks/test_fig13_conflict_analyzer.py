@@ -87,8 +87,7 @@ def test_incremental_analyzer_counters():
         f"  analyses revalidated  {stats.analyses_revalidated}\n"
         f"  analyses recomputed   {stats.analyses_recomputed}"
         f" (revalidation rate {stats.revalidation_rate:.1%})\n"
-        f"  pair checks           {stats.checks} ({stats.fast_path_rate:.1%} fast path,"
-        f" {stats.cached} cached)",
+        f"  pair checks           {stats.checks} ({stats.fast_path_rate:.1%} fast path)",
     )
     # Dirty-set hashing must be doing real work: far fewer hashes than a
     # from-scratch analyzer would compute, and at least some carried

@@ -2,9 +2,7 @@
 
 :class:`PendingQueue` is the logical single queue SubmitQueue presents
 ("the illusion of a single queue", section 3.2): strict arrival order with
-removal on decision.  The partition-aware variant the sharded service
-plans over is :class:`repro.sharding.queue.PartitionedPendingQueue`, a
-subclass that adds a shard index over the same pending set.
+removal on decision.
 """
 
 from __future__ import annotations

@@ -111,13 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "('none' keeps builds inline)",
     )
     serve.add_argument(
-        "--queue-backend", default="none",
-        help="queue-backend spec for the quickstart workload "
-             "('sharded:N' shards the pending queue + conflict analyzer "
-             "by target-graph partition; 'none' keeps the monolithic "
-             "queue)",
-    )
-    serve.add_argument(
         "--step-wall-ms", type=float, default=2.0,
         help="synthetic wall cost per executed build step (milliseconds); "
              "gives the spliced worker spans real extent",
@@ -181,12 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batching", action="store_true",
         help="also run the cell under risk-aware batching and report its "
              "simulated landing rate vs plain SubmitQueue",
-    )
-    parallel.add_argument(
-        "--queue-backend", default="none",
-        help="also run the cell under this queue-backend spec (e.g. "
-             "'sharded:4') and check its fingerprint against the "
-             "monolithic queue",
     )
     return parser
 
@@ -268,11 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     recorder = Recorder()
     if args.workload == "quickstart":
         backend = None if args.backend in ("none", "") else args.backend
-        queue_backend = (
-            None
-            if args.queue_backend in ("none", "")
-            else args.queue_backend
-        )
         core, handlers = build_quickstart_service(
             changes=args.changes,
             drafts=args.drafts,
@@ -282,7 +264,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             step_wall_seconds=args.step_wall_ms / 1000.0,
             recorder=recorder,
             batching=args.batching,
-            queue_backend=queue_backend,
         )
     elif args.workload.startswith("journal:"):
         core, handlers = build_journal_service(
@@ -526,23 +507,11 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     from repro.parallel.workload import mint_cell, run_cell
 
     step_wall = args.step_wall_ms / 1000.0
-    queue_backend = (
-        None if args.queue_backend in ("none", "") else args.queue_backend
-    )
     files, changes = mint_cell(seed=args.seed, count=args.changes)
     results = [
         run_cell(files, changes, backend=spec, step_wall_seconds=step_wall)
         for spec in ("local", f"process:{args.workers}")
     ]
-    if queue_backend is not None:
-        results.append(
-            run_cell(
-                files,
-                changes,
-                step_wall_seconds=step_wall,
-                queue_backend=queue_backend,
-            )
-        )
     serial = results[0]
     rows = [
         [

@@ -24,8 +24,14 @@ The analyzer also *carries over* across mainline advances instead of being
 rebuilt: :meth:`ConflictAnalyzer.advance_base` rehashes the base
 incrementally and revalidates cached per-change analyses that provably
 cannot have changed (see the method's invariants).  :meth:`ConflictAnalyzer.forget`
-evicts committed/aborted changes so the per-change and pair caches cannot
-grow unboundedly.
+evicts committed/aborted changes so the per-change cache cannot grow
+unboundedly.
+
+A new change is compared only with the pending changes it can interact
+with: :meth:`ConflictAnalyzer.conflict_candidates` answers that from an
+inverted index over the cached analyses (tainted target name → change
+ids, touched path → change ids, plus the structural ids), kept in step
+with the per-change cache at every point it is written or dropped.
 
 :class:`LabelConflictAnalyzer` is the label-mode twin used by the big
 simulation sweeps: it reads affected-target names off ground-truth labels
@@ -35,7 +41,16 @@ instead of running the build system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.buildsys.delta import delta_from_dirty, delta_names, equation6_conflict
 from repro.buildsys.graph import BuildGraph
@@ -77,10 +92,10 @@ class ConflictAnalyzerStats(CounterStats):
         ),
         "slow_path": ("conflict_pair_checks_total", {"path": "slow"}, ""),
         "textual": ("conflict_pair_checks_total", {"path": "textual"}, ""),
-        "cached": (
-            "conflict_pair_cache_hits_total",
+        "skipped": (
+            "conflict_pair_checks_skipped_total",
             None,
-            "Pairwise verdicts answered from the pair cache.",
+            "Pending pairs the candidate index ruled out unchecked.",
         ),
         "analyses": (
             "conflict_analyses_total",
@@ -166,7 +181,12 @@ class ConflictAnalyzer:
         self._base_hashes = TargetHasher(self._base_graph, base_snapshot).all_hashes()
         self._base_structure = self._base_graph.structure()
         self._per_change: Dict[ChangeId, _ChangeAnalysis] = {}
-        self._pair_cache: Dict[Tuple[ChangeId, ChangeId], bool] = {}
+        #: The candidate index over ``_per_change``: which cached
+        #: non-structural analyses taint a target name or touch a path,
+        #: and which cached analyses are structural.
+        self._by_taint: Dict[TargetName, Set[ChangeId]] = {}
+        self._by_path: Dict[Path, Set[ChangeId]] = {}
+        self._structural: Set[ChangeId] = set()
         #: Change ids whose cached analysis a head advance invalidated;
         #: their recompute is counted when analyze() actually redoes it.
         self._invalidated: Set[ChangeId] = set()
@@ -192,6 +212,7 @@ class ConflictAnalyzer:
             raise ValueError(f"change {change.change_id} carries no patch")
         analysis = self._analyze_patch(change.patch)
         self._per_change[change.change_id] = analysis
+        self._index(change.change_id, analysis)
         if change.change_id in self._invalidated:
             # A head advance dropped this change's cached analysis; this
             # recompute is the work the carry-over failed to save.
@@ -243,29 +264,101 @@ class ConflictAnalyzer:
     # -- cache lifecycle ------------------------------------------------------
 
     def forget(self, change_id: ChangeId) -> None:
-        """Evict one change's cached analysis and pairwise verdicts.
+        """Evict one change's cached analysis and its index entries.
 
         Call when a change leaves the pending set (committed, rejected, or
-        aborted); without eviction the pair cache grows with every change
-        ever analyzed.
+        aborted); without eviction the caches grow with every change ever
+        analyzed.
         """
-        self._per_change.pop(change_id, None)
+        analysis = self._per_change.pop(change_id, None)
+        if analysis is not None:
+            self._unindex(change_id, analysis)
         self._invalidated.discard(change_id)
-        for key in [k for k in self._pair_cache if change_id in k]:
-            del self._pair_cache[key]
 
     def cached_change_ids(self) -> FrozenSet[ChangeId]:
         """Change ids with a live cached analysis (for tests/monitoring)."""
         return frozenset(self._per_change)
 
-    @property
-    def base_hashes(self) -> Mapping[TargetName, str]:
-        """The base snapshot's per-target Algorithm-1 hashes (read-only).
+    # -- the candidate index ---------------------------------------------------
 
-        State fingerprints digest these to compare analyzer bases across
-        recovered and uninterrupted runs without exposing the cache dicts.
+    def _index(self, change_id: ChangeId, analysis: _ChangeAnalysis) -> None:
+        if analysis.structure_changed:
+            self._structural.add(change_id)
+            return
+        for name in analysis.taint:
+            self._by_taint.setdefault(name, set()).add(change_id)
+        for path in analysis.touched:
+            self._by_path.setdefault(path, set()).add(change_id)
+
+    def _unindex(self, change_id: ChangeId, analysis: _ChangeAnalysis) -> None:
+        if analysis.structure_changed:
+            self._structural.discard(change_id)
+            return
+        for index, keys in (
+            (self._by_taint, analysis.taint),
+            (self._by_path, analysis.touched),
+        ):
+            for key in keys:
+                members = index[key]
+                members.discard(change_id)
+                if not members:
+                    del index[key]
+
+    def conflict_candidates(
+        self, change: Change, pending: Sequence[Change]
+    ) -> Optional[List[ChangeId]]:
+        """Ids of the ``pending`` changes ``change`` may conflict with.
+
+        ``None`` means all of them.  Every pending change left out would
+        get ``False`` from :meth:`conflict`: both analyses are cached and
+        non-structural, so the verdict is the fast path's name
+        intersection unless the patches overlap textually, and the two
+        share neither a tainted name nor a touched path.  Three sets
+        escape the name look-up because their verdict is not a name
+        intersection:
+
+        * pending changes sharing a *path* with ``change`` — a textual
+          overlap conflicts whatever the targets say, and a path no
+          target owns taints nothing;
+        * *structural* pending changes — the slow path propagates taint
+          along edges only one side's graph has;
+        * *un-analysable* pending changes (the patch no longer applies,
+          the BUILD files do not load), which :meth:`conflict` answers
+          ``True``.
+
+        A structural or un-analysable ``change`` is compared with
+        everything, as is any change when nothing is pending — without
+        being analysed, there being nothing to look up.  Pending changes
+        with no cached analysis (first seen, or invalidated by a head
+        advance) are analysed here, as the full sweep would on reaching
+        them.  Left-out pairs are counted in ``stats.skipped``, so
+        ``checks + skipped`` is the full sweep's pair count.
         """
-        return dict(self._base_hashes)
+        if not pending:
+            return None
+        try:
+            analysis = self.analyze(change)
+        except (PatchConflictError, BuildSystemError):
+            return None
+        if analysis.structure_changed:
+            return None
+        hits: Set[ChangeId] = set()
+        for other in pending:
+            if other.change_id not in self._per_change:
+                try:
+                    self.analyze(other)
+                except (PatchConflictError, BuildSystemError):
+                    hits.add(other.change_id)
+        hits.update(self._structural)
+        for name in analysis.taint:
+            hits.update(self._by_taint.get(name, ()))
+        for path in analysis.touched:
+            hits.update(self._by_path.get(path, ()))
+        candidates = [
+            other.change_id for other in pending if other.change_id in hits
+        ]
+        self._count["skipped"].inc(len(pending) - len(candidates))
+        return candidates
 
     def advance_base(
         self,
@@ -295,7 +388,8 @@ class ConflictAnalyzer:
            commit's affected closure — with 1–3 this makes every cached
            delta digest provably identical against the new base.
 
-        Pairwise verdicts survive only when both sides were revalidated.
+        A revalidated analysis keeps its taint and touched paths, so its
+        candidate-index entries stand; dropped analyses leave the index.
         """
         self._count["head_advances"].inc()
         if committed_paths is None:
@@ -343,11 +437,9 @@ class ConflictAnalyzer:
                 structural=structural_commit,
             )
 
-        self._pair_cache = {
-            key: verdict
-            for key, verdict in self._pair_cache.items()
-            if key[0] in survivors and key[1] in survivors
-        }
+        for change_id, analysis in self._per_change.items():
+            if change_id not in survivors:
+                self._unindex(change_id, analysis)
         self._per_change = survivors
         self._base_snapshot = new_snapshot
         self._base_graph = new_graph
@@ -390,7 +482,9 @@ class ConflictAnalyzer:
         ).all_hashes()
         self._base_structure = self._base_graph.structure()
         self._per_change = {}
-        self._pair_cache = {}
+        self._by_taint = {}
+        self._by_path = {}
+        self._structural = set()
 
     # -- pairwise conflicts ---------------------------------------------------
 
@@ -398,15 +492,6 @@ class ConflictAnalyzer:
         """Do two changes potentially conflict against the base snapshot?"""
         if first.change_id == second.change_id:
             return False
-        key = tuple(sorted((first.change_id, second.change_id)))
-        if key in self._pair_cache:
-            self._count["cached"].inc()
-            return self._pair_cache[key]
-        verdict = self._conflict_uncached(first, second)
-        self._pair_cache[key] = verdict
-        return verdict
-
-    def _conflict_uncached(self, first: Change, second: Change) -> bool:
         assert first.patch is not None and second.patch is not None
         # Textual overlap is a conflict regardless of target structure: the
         # patches cannot even merge cleanly.

@@ -56,9 +56,9 @@ class ConflictGraph:
 
         ``candidate_ids`` restricts the sweep to those existing members
         (unknown ids are skipped).  The caller owns the soundness of the
-        restriction — a sharded queue passes the change's own partition
-        plus the straddlers, pairs outside being provably conflict-free —
-        and the resulting edge set must equal the full sweep's.
+        restriction — the analyzer's candidate index leaves out only
+        pairs whose verdict is provably ``False`` — and the resulting
+        edge set must equal the full sweep's.
         """
         if change.change_id in self._changes:
             raise ValueError(f"{change.change_id} already in conflict graph")

@@ -65,6 +65,16 @@ class UnknownChangeError(ChangeError):
     """A change id was not found."""
 
 
+class DuplicateChangeError(ChangeError):
+    """A change id the service already holds was submitted again."""
+
+    def __init__(self, change_id: str) -> None:
+        self.change_id = change_id
+        super().__init__(
+            f"change {change_id} is already queued, pending or decided"
+        )
+
+
 class IllegalTransitionError(ChangeError):
     """A change-state transition violated the lifecycle state machine."""
 
@@ -144,17 +154,6 @@ class ParallelExecutionError(ReproError):
     Build-semantic failures — failing steps, merge conflicts — are *not*
     errors; they come back as ordinary failed ``BuildExecution`` results,
     exactly as the serial path reports them.
-    """
-
-
-class ShardingError(ReproError):
-    """A queue-backend spec or partitioner operation was invalid.
-
-    Covers malformed ``create_queue_backend`` specs and partitioner
-    misuse (zero shard counts, routing against a stale graph).  Conflict
-    verdicts themselves never raise through here — sharding is an
-    acceleration layer whose answers are bit-identical to the monolithic
-    analyzer's.
     """
 
 

@@ -3,10 +3,9 @@
 :func:`state_fingerprint` reduces a ``CoreService`` to a JSON-native
 structure covering everything behaviour-relevant — pending queue and its
 sequencing, decision history, ledger rows, frozen ancestor lists,
-scheduled events, worker accounting, repository content and health,
-analyzer base hashes, and the planner's aggregate counters.  Two
-services with equal fingerprints make identical decisions on identical
-future inputs.
+scheduled events, worker accounting, repository content and health, and
+the planner's aggregate counters.  Two services with equal fingerprints
+make identical decisions on identical future inputs.
 
 Deliberately excluded:
 
@@ -43,7 +42,7 @@ def state_fingerprint(service) -> Dict[str, object]:
     # all pre-overlap golden pins) are byte-stable.
     queued = sorted(
         [handle.time, handle.seq, handle.payload.change.change_id]
-        for handle in getattr(service, "_submission_handles", ())
+        for handle in service._submission_handles.values()
         if not handle.cancelled
     )
     extra: Dict[str, object] = {"queued": queued} if queued else {}

@@ -35,9 +35,10 @@ from repro.vcs.patch import FileOp, OpKind, Patch
 
 #: Bump when a record's shape changes incompatibly; readers refuse
 #: journals stamped with any other version (there is no back-reader).
-#: v3: the ``init`` config is ``workers`` / ``max_pump_minutes`` /
-#: ``queue_backend``, and every run journals ``epoch`` / ``build_start`` /
-#: ``worker`` records at resolution, in dispatch order.
+#: v3: the ``init`` config is ``workers`` / ``max_pump_minutes`` (older
+#: v3 journals add a queue spec, which readers ignore), and every run
+#: journals ``epoch`` / ``build_start`` / ``worker`` records at
+#: resolution, in dispatch order.
 SCHEMA_VERSION = 3
 
 INIT = "init"

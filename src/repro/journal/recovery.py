@@ -43,6 +43,7 @@ from repro.journal.sink import (
 from repro.journal.snapshots import (
     build_strategy,
     decode_config,
+    encode_config,
     rebuild_repo,
     restore_service,
 )
@@ -197,6 +198,9 @@ def recover(
 
     init = records[0]
     config = decode_config(init["config"])
+    # Replay re-emits the init record from the decoded config; check it
+    # against the keys this version reads (older journals carry one more).
+    init["config"] = encode_config(config)
     if strategy is None:
         strategy = build_strategy(init["strategy"])
 

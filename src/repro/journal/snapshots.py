@@ -58,19 +58,17 @@ def encode_config(config) -> Dict[str, object]:
     return {
         "workers": config.workers,
         "max_pump_minutes": config.max_pump_minutes,
-        "queue_backend": config.queue_backend,
     }
 
 
 def decode_config(payload: Mapping[str, object]):
     from repro.service.core import CoreServiceConfig
 
+    # Older journals also carry a queue spec here; it selected between
+    # two sweeps with identical decisions and is ignored.
     return CoreServiceConfig(
         workers=payload["workers"],
         max_pump_minutes=payload["max_pump_minutes"],
-        # Sharded journals replay sharded (verdicts are identical either
-        # way; keeping the backend preserves shard metrics on recovery).
-        queue_backend=payload["queue_backend"],
     )
 
 

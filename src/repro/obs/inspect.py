@@ -199,6 +199,7 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
         ("planner_decisions_total", "decisions"),
         ("speculation_selections_total", "speculation rounds"),
         ("conflict_pair_checks_total", "conflict pair checks"),
+        ("conflict_pair_checks_skipped_total", "pair checks skipped (index)"),
         ("conflict_analyses_total", "conflict analyses"),
         ("build_steps_executed_total", "build steps executed"),
         ("build_steps_cached_total", "build steps cached (eliminated)"),
@@ -207,10 +208,6 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
         ("service_overlap_warm_analyses_total", "analyses warmed in-flight"),
         ("executor_parallel_dispatched_total", "parallel builds dispatched"),
         ("executor_parallel_inflight", "parallel builds in flight"),
-        ("shard_changes_total", "sharded submissions routed"),
-        ("shard_pair_checks_skipped_total", "pair checks skipped (sharding)"),
-        ("shard_imbalance", "shard imbalance (pending)"),
-        ("shard_straddler_depth", "straddlers pending"),
     ):
         value = _metric_value(trace.metrics, name)
         if value is not None:

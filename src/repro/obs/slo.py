@@ -51,7 +51,6 @@ def compute_slo(
     decisions: List[Dict[str, object]] = []
     builds: List[Dict[str, object]] = []
     batch_events: List[Dict[str, object]] = []
-    shard_events: List[Dict[str, object]] = []
     for record in records:
         kind = record.get("type")
         if kind == "event":
@@ -61,8 +60,6 @@ def compute_slo(
                 decisions.append(record)
             elif record.get("name") == "batch":
                 batch_events.append(record)
-            elif record.get("name") == "shard":
-                shard_events.append(record)
         elif kind == "span":
             horizon = max(horizon, float(record.get("end", 0.0)))
             if record.get("name") == "build":
@@ -155,30 +152,6 @@ def compute_slo(
             "bisections": bisections,
             "mean_size": sum(sizes) / resolved if resolved else 0.0,
             "max_bisect_depth": max_depth,
-        }
-    # Sharded-queue health, present only when the run emits shard events
-    # (same byte-stability contract as the batching section: monolithic
-    # /slo payloads are unchanged by sharding existing).
-    if shard_events:
-        routed: Dict[str, int] = {}
-        for event in shard_events:
-            at = float(event.get("at", 0.0))
-            if not lo <= at <= cut:
-                continue
-            attrs = event.get("attrs") or {}
-            label = str(attrs.get("shard", "?"))
-            routed[label] = routed.get(label, 0) + 1
-        straddlers = routed.get("straddler", 0)
-        regular = [
-            count for label, count in routed.items() if label != "straddler"
-        ]
-        payload["sharding"] = {
-            "changes_routed": dict(sorted(routed.items())),
-            "straddlers": straddlers,
-            "shards_used": len(regular),
-            "routed_imbalance": (
-                max(regular) - min(regular) if regular else 0
-            ),
         }
     return payload
 

@@ -83,7 +83,6 @@ def run_cell(
     step_wall_seconds: float = 0.0,
     recorder: Recorder = NULL_RECORDER,
     batching: bool = False,
-    queue_backend: Optional[str] = None,
 ) -> CellResult:
     """Submit every change, pump to a decision, time the whole cell.
 
@@ -94,11 +93,6 @@ def run_cell(
     ``batching`` swaps the plain SubmitQueue strategy for the risk-aware
     batching strategy (same predictor), so mirrored runs compare landing
     rates with everything else held fixed.
-
-    ``queue_backend`` (``"sharded[:N]"``) selects the partition-sharded
-    pending-queue/analyzer pair; ``None`` keeps the monolithic pair.
-    Fingerprints must match across queue backends exactly as they do
-    across build backends.
     """
     from repro.predictor.predictors import StaticPredictor
     from repro.service.core import CoreService, CoreServiceConfig
@@ -119,7 +113,6 @@ def run_cell(
             workers=service_workers,
             build_backend=backend,
             step_wall_seconds=step_wall_seconds,
-            queue_backend=queue_backend,
         ),
         recorder=recorder,
     )
@@ -136,12 +129,9 @@ def run_cell(
     stats = service.planner.stats
     sim_minutes = service.clock.now
     mainline_green = all(service.repo.mainline_green_flags())
-    label = backend or "serial"
-    if queue_backend is not None:
-        label = f"{label}+{queue_backend}"
     service.close()
     return CellResult(
-        backend=label,
+        backend=backend or "serial",
         wall_seconds=wall,
         fingerprint=fingerprint,
         decisions=tuple(

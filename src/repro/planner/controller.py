@@ -168,7 +168,7 @@ class LabelBuildController(BuildController):
 
 @dataclass
 class ExecutorReuseStats:
-    """Incremental-execution counters (see BENCH_exec.json)."""
+    """Incremental-execution counters."""
 
     #: Root contexts built from scratch — O(repo) graph load + hashing.
     base_context_loads: int = 0

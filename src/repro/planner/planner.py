@@ -25,7 +25,16 @@ the planner is a pure state machine over ``now`` values it is handed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.changes.change import Change
 from repro.changes.queue import PendingQueue
@@ -263,7 +272,9 @@ class PlannerEngine:
         conflict_predicate: Callable[[Change, Change], bool],
         preemption_grace: float = 0.0,
         recorder: Recorder = NULL_RECORDER,
-        queue: Optional[PendingQueue] = None,
+        conflict_candidates: Optional[
+            Callable[[Change, Sequence[Change]], Optional[Iterable[ChangeId]]]
+        ] = None,
     ) -> None:
         """``preemption_grace``: a running build within this many minutes
         of completion is never aborted even when deselected — the paper's
@@ -273,14 +284,15 @@ class PlannerEngine:
 
         ``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
         the default no-op recorder keeps every instrumentation site to a
-        falsy branch.  Strategies exposing ``bind_recorder`` (e.g. the
-        speculation-driven SubmitQueue strategy) receive the same one.
+        falsy branch.  The strategy is bound to the same one.
 
-        ``queue``: the pending queue to plan over (default: a fresh
-        monolithic :class:`PendingQueue`).  A queue exposing
-        ``conflict_candidates(change)`` — the partition-aware queue —
-        additionally narrows each submission's conflict sweep to the ids
-        it returns."""
+        ``conflict_candidates``: given a new change and the pending ones
+        in submit order, the ids ``conflict_predicate`` could answer
+        ``True`` for, or ``None`` for all of them (the analyzer's
+        :meth:`~repro.conflict.analyzer.ConflictAnalyzer.conflict_candidates`).
+        Without it — label mode, and the reference the identity tests
+        compare against — every submission is checked against every
+        pending change."""
         if preemption_grace < 0:
             raise ValueError("preemption_grace must be non-negative")
         self.preemption_grace = preemption_grace
@@ -288,11 +300,10 @@ class PlannerEngine:
         self.controller = controller
         self.workers = workers
         self.recorder = recorder
-        bind = getattr(strategy, "bind_recorder", None)
-        if bind is not None:
-            bind(recorder)
+        strategy.bind_recorder(recorder)
         self._epoch_span = None
-        self.queue = queue if queue is not None else PendingQueue()
+        self._conflict_candidates = conflict_candidates
+        self.queue = PendingQueue()
         self.ledger = ChangeLedger()
         self.conflict_graph = ConflictGraph(conflict_predicate)
         #: Frozen at submit time: conflicting changes pending at arrival.
@@ -320,21 +331,19 @@ class PlannerEngine:
         record = self.ledger.register(change, now)
         self.records[change.change_id] = record
         self.all_changes[change.change_id] = change
+        candidates = None
+        if self._conflict_candidates is not None:
+            candidates = self._conflict_candidates(
+                change, self.queue.in_order()
+            )
         self.queue.enqueue(change)
-        # A partition-aware queue narrows the sweep to the change's own
-        # shard plus straddlers; the monolithic queue tests everything.
-        provider = getattr(self.queue, "conflict_candidates", None)
-        candidates = provider(change) if provider is not None else None
-        conflicting = self.conflict_graph.add(change, candidates)
+        self.conflict_graph.add(change, candidates)
         # Ancestors are the conflicting changes that were already pending;
         # submission order makes them exactly the graph's older neighbors.
         self.ancestors[change.change_id] = self.conflict_graph.ancestors(
             change.change_id
         )
-        del conflicting  # symmetric info, only ancestors drive speculation
-        hook = getattr(self.strategy, "on_submit", None)
-        if hook is not None:
-            hook(change, self._view)
+        self.strategy.on_submit(change, self._view)
         return record
 
     # -- reordering (section 10 future work) ---------------------------------
@@ -415,10 +424,8 @@ class PlannerEngine:
         self.stats.plan_calls += 1
         if self.recorder.enabled:
             self._begin_epoch(now)
-        propose = getattr(self.strategy, "propose_reorders", None)
-        if propose is not None:
-            for ahead_id, behind_id in propose(self._view):
-                self.reorder(ahead_id, behind_id)
+        for ahead_id, behind_id in self.strategy.propose_reorders(self._view):
+            self.reorder(ahead_id, behind_id)
         budget = self.workers.capacity
         selected: List[BuildKey] = self.strategy.select(self._view, budget)
         selected_set = set(selected)
@@ -522,12 +529,10 @@ class PlannerEngine:
         # Batch-protocol strategies annotate selected keys with the batch
         # membership riding on them; the controller threads it into each
         # BuildRequest as outcome-neutral metadata.
-        members_of = getattr(self.strategy, "scheduled_batch_members", None)
-        batch_members: Optional[List[tuple]] = None
-        if members_of is not None:
-            groups = [tuple(members_of(key)) for key in keys]
-            if any(groups):
-                batch_members = groups
+        groups = [
+            tuple(self.strategy.scheduled_batch_members(key)) for key in keys
+        ]
+        batch_members: Optional[List[tuple]] = groups if any(groups) else None
         self._assign_workers(keys, now)
         # Records (and their tracer spans) are minted *before* the
         # dispatch so each request can carry its build span's id across a
@@ -697,14 +702,14 @@ class PlannerEngine:
             else:
                 change_record.speculations_failed += 1
 
-        interpret = getattr(self.strategy, "interpret", None)
         decisions: List[Decision] = []
-        if interpret is not None:
-            custom = interpret(key, record.execution.success, self._view, now)
-            if custom is not None:
-                for decision in custom:
-                    self._apply_decision(decision)
-                    decisions.append(decision)
+        custom = self.strategy.interpret(
+            key, record.execution.success, self._view, now
+        )
+        if custom is not None:
+            for decision in custom:
+                self._apply_decision(decision)
+                decisions.append(decision)
         decisions.extend(self._decide_ready(now))
         return decisions
 
@@ -809,9 +814,7 @@ class PlannerEngine:
         commit_hook = getattr(self.controller, "on_commit", None)
         if decision.committed and commit_hook is not None:
             commit_hook(change, self.all_changes)
-        observe = getattr(self.strategy, "on_decision", None)
-        if observe is not None:
-            observe(change, decision, self._view)
+        self.strategy.on_decision(change, decision, self._view)
 
     # -- inspection ---------------------------------------------------------
 

@@ -353,7 +353,6 @@ def build_quickstart_service(
     step_wall_seconds: float = 0.0,
     recorder: Optional[Recorder] = None,
     batching: bool = False,
-    queue_backend: Optional[str] = None,
 ):
     """A served-ready core service over the figure-12 shaped workload.
 
@@ -362,10 +361,7 @@ def build_quickstart_service(
     registers ``drafts`` more as landable drafts so ``POST /changes``
     has something to land.  ``batching`` swaps in the risk-aware
     batching strategy, so ``/slo`` grows its ``batching`` section and
-    ``/metrics`` the ``risk_batch_*`` series.  ``queue_backend`` (e.g.
-    ``"sharded:4"``) swaps in the partition-sharded queue + analyzer, so
-    ``/slo`` grows its ``sharding`` section and ``/metrics`` the
-    ``shard_*`` series.  Returns ``(core, handlers)``.
+    ``/metrics`` the ``risk_batch_*`` series.  Returns ``(core, handlers)``.
     """
     from repro.parallel.workload import mint_cell
     from repro.predictor.predictors import StaticPredictor
@@ -390,7 +386,6 @@ def build_quickstart_service(
             workers=workers,
             build_backend=backend,
             step_wall_seconds=step_wall_seconds,
-            queue_backend=queue_backend,
         ),
         recorder=recorder,
     )

@@ -16,11 +16,16 @@ mainline and the mainline is verifiably green after every pump.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
-from repro.errors import BuildSystemError, PatchConflictError, SimulationError
+from repro.errors import (
+    BuildSystemError,
+    DuplicateChangeError,
+    PatchConflictError,
+    SimulationError,
+)
 from repro.journal import records as journal_records
 from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -30,19 +35,20 @@ from repro.planner.workers import WorkerPool
 from repro.sim.clock import Clock
 from repro.sim.events import EventHandle, EventQueue
 from repro.strategies.base import Strategy
-from repro.types import BuildKey
+from repro.types import BuildKey, ChangeId
 from repro.vcs.repository import Repository
 
 
 @dataclass
 class CoreServiceConfig:
-    """The service's whole selection surface: six fields, one path each.
+    """The service's whole selection surface: five fields, one path each.
 
     The conflict analyzer is always refreshed after a mainline commit and
     advanced incrementally; builds always execute incrementally and are
     always dispatched at plan time and resolved at the pump's next
     quiescent point; idle-time analysis warming is always on when a build
-    backend is attached.
+    backend is attached; a submission is always conflict-checked against
+    the analyzer's candidates only, never the whole pending set.
     """
 
     #: Simulated build workers (the planner's per-epoch build budget).
@@ -63,13 +69,6 @@ class CoreServiceConfig:
     #: three, so the spec is wall-side only: it is not journaled, and
     #: recovery replays every journal without a backend.
     build_backend: Optional[str] = None
-    #: Queue-backend spec for ``repro.sharding.create_queue_backend``:
-    #: ``"sharded[:N]"``.  ``None`` — the default — keeps the monolithic
-    #: queue + analyzer and never imports ``repro.sharding``.  Decisions,
-    #: commit order, and state fingerprints are bit-identical either way
-    #: (the sharded sweep only skips provably-disjoint pairs); the spec is
-    #: journaled so a recovered service keeps its shard metrics.
-    queue_backend: Optional[str] = None
     #: Synthetic wall-clock cost per executed build step, forwarded to
     #: backend workers (models the real compile/test subprocess; 0 keeps
     #: execution purely synthetic).  Wall-clock only — never influences
@@ -122,8 +121,10 @@ class CoreService:
 
         ``conflict_predicate``: what the planner's conflict graph asks
         about two changes.  ``None`` — the default — is the service's own
-        analyzer over ``repo``; label-mode runs, whose changes carry no
-        patches, pass a predicate over the labels instead."""
+        analyzer over ``repo``, which also narrows each submission's sweep
+        to its conflict candidates; label-mode runs, whose changes carry
+        no patches, pass a predicate over the labels instead, and that
+        predicate is asked about every pending pair."""
         self.repo = repo
         self.config = config
         self.recorder = recorder
@@ -132,18 +133,9 @@ class CoreService:
             if controller is not None
             else FullStackBuildController(repo, recorder=recorder)
         )
-        queue = None
-        snapshot = repo.snapshot().to_dict()
-        if config.queue_backend is not None:
-            # Lazy import — the single place the service touches
-            # repro.sharding, so the default path never loads it.
-            from repro.sharding import create_queue_backend
-
-            self._analyzer, queue = create_queue_backend(
-                config.queue_backend, snapshot, recorder
-            )
-        else:
-            self._analyzer = ConflictAnalyzer(snapshot, recorder=recorder)
+        self._analyzer = ConflictAnalyzer(
+            repo.snapshot().to_dict(), recorder=recorder
+        )
         self.planner = PlannerEngine(
             strategy=strategy,
             controller=self.controller,
@@ -154,13 +146,19 @@ class CoreService:
                 else self._conflict_predicate
             ),
             recorder=recorder,
-            queue=queue,
+            conflict_candidates=(
+                self._conflict_candidates
+                if conflict_predicate is None
+                else None
+            ),
         )
         self.clock = Clock()
         recorder.bind_clock(lambda: self.clock.now)
         self._events = EventQueue()
         self._completion_handles: Dict[BuildKey, EventHandle] = {}
-        self._submission_handles: List[EventHandle] = []
+        #: Scheduled-but-not-yet-accepted submissions by change id, in
+        #: enqueue order.
+        self._submission_handles: Dict[ChangeId, EventHandle] = {}
         #: Epochs that started or aborted builds and are not yet resolved,
         #: in plan order; _resolve_builds journals and times them.
         self._unresolved_epochs: List[_Epoch] = []
@@ -205,6 +203,12 @@ class CoreService:
         self._maybe_refresh_analyzer()
         return self._analyzer.conflict(first, second)
 
+    def _conflict_candidates(
+        self, change: Change, pending: Sequence[Change]
+    ) -> Optional[List[ChangeId]]:
+        self._maybe_refresh_analyzer()
+        return self._analyzer.conflict_candidates(change, pending)
+
     def _maybe_refresh_analyzer(self) -> None:
         """Advance the analyzer (pinned to a HEAD snapshot) past new commits."""
         if self.repo.head() == self._head_at_analyzer:
@@ -247,8 +251,19 @@ class CoreService:
 
     # -- operation ----------------------------------------------------------
 
+    def _refuse_duplicate(self, change: Change) -> None:
+        """Raise for a change id the service already holds — queued,
+        pending or decided — before anything is journaled or scheduled:
+        a journaled duplicate would fail again on every replay."""
+        if (
+            change.change_id in self.planner.ledger
+            or change.change_id in self._submission_handles
+        ):
+            raise DuplicateChangeError(change.change_id)
+
     def submit(self, change: Change) -> None:
         """Enqueue a change at the current service time."""
+        self._refuse_duplicate(change)
         if self._journal.enabled:
             self._journal.append(
                 journal_records.submit_record(self.clock.now, change)
@@ -277,9 +292,10 @@ class CoreService:
         outcome-neutral, so decisions match a driver that calls
         :meth:`submit` at the same instants.
         """
+        self._refuse_duplicate(change)
         when = self.clock.now if at is None else max(at, self.clock.now)
         handle = self._events.push(when, _QueuedSubmission(change))
-        self._submission_handles.append(handle)
+        self._submission_handles[change.change_id] = handle
         if self.recorder.enabled:
             self.recorder.counter(
                 "service_enqueued_total",
@@ -290,7 +306,7 @@ class CoreService:
         """Scheduled-but-not-yet-accepted submissions, in fire order."""
         live = [
             (handle.time, handle.seq, handle.payload.change)
-            for handle in self._submission_handles
+            for handle in self._submission_handles.values()
             if not handle.cancelled
         ]
         live.sort(key=lambda item: (item[0], item[1]))
@@ -304,7 +320,7 @@ class CoreService:
         analyzer, and excluded from state fingerprints; computing one
         early changes *when* work happens, never what is decided.
         """
-        for handle in self._submission_handles:
+        for handle in self._submission_handles.values():
             if handle.cancelled:
                 continue
             change = handle.payload.change
@@ -413,9 +429,10 @@ class CoreService:
             # exactly as an interactive submit() at this instant would be
             # — journaled first, then planned — so replay re-drives it
             # from the journal's submit record.
-            self._submission_handles.remove(handle)
-            self._warmed_analyses.discard(handle.payload.change.change_id)
-            self.submit(handle.payload.change)
+            change = handle.payload.change
+            del self._submission_handles[change.change_id]
+            self._warmed_analyses.discard(change.change_id)
+            self.submit(change)
             return []
         key = handle.payload
         self._completion_handles.pop(key, None)
@@ -430,18 +447,16 @@ class CoreService:
         # buffer never grows, journal them only when a sink is attached.
         # Batching-off runs emit no batch records, keeping their journals
         # byte-identical to the golden pins.
-        drain = getattr(self.planner.strategy, "drain_journal_events", None)
-        if drain is not None:
-            for event in drain():
-                if self._journal.enabled:
-                    self._journal.append(
-                        journal_records.batch_record(
-                            event["at"],
-                            event["kind"],
-                            event["members"],
-                            event["depth"],
-                        )
+        for event in self.planner.strategy.drain_journal_events():
+            if self._journal.enabled:
+                self._journal.append(
+                    journal_records.batch_record(
+                        event["at"],
+                        event["kind"],
+                        event["members"],
+                        event["depth"],
                     )
+                )
         if self._journal.enabled:
             commit_index = mainline_before
             for decision in new_decisions:
@@ -466,7 +481,7 @@ class CoreService:
                     commit_index += 1
         for decision in new_decisions:
             # Decided changes leave the pending set; evict them so the
-            # analyzer's per-change and pair caches stay bounded.
+            # analyzer's per-change cache and candidate index stay bounded.
             self._analyzer.forget(decision.change_id)
         self._replan()
         return new_decisions

@@ -114,7 +114,7 @@ class Simulation:
                 rejected += 1
         stats = self.planner.stats
         return SimulationResult(
-            strategy_name=getattr(self.planner.strategy, "name", "strategy"),
+            strategy_name=self.planner.strategy.name,
             workers=self.planner.workers.capacity,
             changes_submitted=len(ledger),
             changes_committed=committed,

@@ -1,18 +1,20 @@
 """The strategy interface.
 
 A strategy owns build selection; the planner owns everything else.  The
-optional hooks let strategies maintain internal state (batching) or feed
-online learning (SubmitQueue's developer-history features).
+hooks — no-ops here, called unconditionally by the planner and the
+service — let strategies maintain internal state (batching), reorder the
+queue, or feed online learning (SubmitQueue's developer-history features).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.changes.change import Change
+from repro.obs.recorder import Recorder
 from repro.planner.planner import Decision, PlannerView
-from repro.types import BuildKey
+from repro.types import BuildKey, ChangeId
 
 
 class Strategy(abc.ABC):
@@ -26,15 +28,28 @@ class Strategy(abc.ABC):
         """The top-``budget`` builds to have running right now.
 
         Order encodes priority: the planner starts from the front and
-        aborts running builds that are absent from the list.  Must be a
-        pure function of ``(view, budget)``: the planner answers an epoch
-        whose input fingerprint is unchanged without calling it at all.
+        aborts running builds that are absent from the list.  Called once
+        per event (submission, build completion, stall); state carried
+        between calls may save work but must not change the answer.
         """
 
-    # -- optional hooks (the planner duck-types these) ----------------------
+    # -- hooks: no-op defaults, overridden where a strategy needs them ------
+
+    def bind_recorder(self, recorder: Recorder) -> None:
+        """Receive the planner's recorder (called once, at construction)."""
 
     def on_submit(self, change: Change, view: PlannerView) -> None:
         """Called after a change is enqueued."""
+
+    def propose_reorders(
+        self, view: PlannerView
+    ) -> Sequence[Tuple[ChangeId, ChangeId]]:
+        """``(ahead, behind)`` swaps to try before this epoch's selection."""
+        return ()
+
+    def scheduled_batch_members(self, key: BuildKey) -> Tuple[ChangeId, ...]:
+        """The changes riding in the selected build ``key`` as one batch."""
+        return ()
 
     def on_decision(self, change: Change, decision: Decision,
                     view: PlannerView) -> None:
@@ -49,3 +64,7 @@ class Strategy(abc.ABC):
         (every strategy except batching does).
         """
         return None
+
+    def drain_journal_events(self) -> List[Dict[str, object]]:
+        """Batch resolutions buffered since the last drain, for the journal."""
+        return []

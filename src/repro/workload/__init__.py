@@ -14,7 +14,11 @@ changes):
 """
 
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
+from repro.workload.repo_synth import (
+    MonorepoSpec,
+    SyntheticMonorepo,
+    mint_partitioned_cell,
+)
 from repro.workload.scenarios import (
     BACKEND_WORKLOAD,
     IOS_WORKLOAD,
@@ -28,5 +32,6 @@ __all__ = [
     "SyntheticMonorepo",
     "WorkloadConfig",
     "WorkloadGenerator",
+    "mint_partitioned_cell",
     "scenario_by_name",
 ]

@@ -48,7 +48,7 @@ class MonorepoSpec:
     with_ui_tests: bool = False
     #: Path prefix for every package (e.g. ``"island0/"``), letting
     #: several specs materialize into one merged snapshot as disjoint
-    #: connected components — the multi-partition sharding workload.
+    #: connected components (:func:`mint_partitioned_cell`).
     package_prefix: str = ""
 
     def __post_init__(self) -> None:
@@ -232,3 +232,58 @@ class SyntheticMonorepo:
             submitted_at=submitted_at,
             description=description,
         )
+
+
+def mint_partitioned_cell(
+    islands: int = 4,
+    seed: int = 23,
+    count: int = 64,
+    layers: Tuple[int, ...] = (3, 4, 3),
+    fan_in: int = 2,
+    files_per_target: int = 2,
+) -> Tuple[Dict[str, str], List[Change]]:
+    """``islands`` disjoint components + ``count`` clean changes.
+
+    The figure-12 monorepo is a single connected component; this cell's
+    target graph genuinely decomposes: ``islands`` copies of a layered
+    spec under disjoint package prefixes (``island0/…``, ``island1/…``)
+    merged into one snapshot, so a change can only conflict with the
+    pending changes of its own island.
+
+    Returns ``(files, changes)`` like :func:`repro.parallel.workload.mint_cell`;
+    changes are round-robin across islands (change ``i`` edits island
+    ``i % islands``) and each stays inside its island.  Within an island,
+    consecutive changes walk distinct (target, source) slots, so as long
+    as ``count <= islands * targets * files_per_target`` no two patches
+    touch the same file and every change lands cleanly.
+    """
+    if islands < 1:
+        raise ValueError("islands must be >= 1")
+    synths = [
+        SyntheticMonorepo(
+            MonorepoSpec(
+                layers=layers,
+                fan_in=fan_in,
+                files_per_target=files_per_target,
+                package_prefix=f"island{k}/",
+            ),
+            seed=seed + k,
+        )
+        for k in range(islands)
+    ]
+    files: Dict[str, str] = {}
+    for synth in synths:
+        files.update(synth.repo.snapshot().to_dict())
+    changes: List[Change] = []
+    for index in range(count):
+        synth = synths[index % islands]
+        targets = synth.target_names()
+        slot = index // islands
+        changes.append(
+            synth.make_clean_change(
+                target_name=targets[slot % len(targets)],
+                submitted_at=0.0,
+                source_index=slot // len(targets),
+            )
+        )
+    return files, changes

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service.core import CoreService
 from repro.vcs.repository import Repository
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
@@ -54,3 +55,17 @@ def plan_and_resolve(planner, now):
     result = planner.plan(now)
     planner.resolve_pending()
     return result
+
+
+def full_sweep_service(repo, strategy, **kwargs):
+    """A ``CoreService`` that checks every submission against every
+    pending change: handed its own analyzer's verdict as
+    ``conflict_predicate``, it is given no candidate index to narrow the
+    sweep with.  The reference the indexed service must match."""
+    service = CoreService(
+        repo,
+        strategy,
+        conflict_predicate=lambda a, b: service._conflict_predicate(a, b),
+        **kwargs,
+    )
+    return service

@@ -199,6 +199,18 @@ class TestPendingQueue:
         assert queue.sequence_of(c.change_id) == 2
         assert [x.change_id for x in queue.earlier_than(c.change_id)] == [a.change_id]
 
+    def test_earlier_than_stops_at_pivot(self):
+        queue = PendingQueue()
+        changes = [labeled([f"//t:{i}"]) for i in range(5)]
+        for change in changes:
+            queue.enqueue(change)
+        earlier = queue.earlier_than(changes[2].change_id)
+        assert [c.change_id for c in earlier] == [
+            changes[0].change_id,
+            changes[1].change_id,
+        ]
+        assert queue.earlier_than(changes[0].change_id) == []
+
     def test_duplicate_enqueue_rejected(self):
         queue = PendingQueue()
         change = labeled(["//a:a"])

@@ -1,8 +1,8 @@
 """The service's configuration surface, pinned.
 
-Six ``CoreServiceConfig`` fields, two spec grammars (``local`` /
-``process[:N]`` and ``sharded[:N]``), one journal schema version.  A new
-option, spec name, or constructor argument has to change this module.
+Five ``CoreServiceConfig`` fields, one spec grammar (``local`` /
+``process[:N]``), one journal schema version.  A new option, spec name,
+or constructor argument has to change this module.
 """
 
 import dataclasses
@@ -10,28 +10,36 @@ import inspect
 
 import pytest
 
-from repro.errors import JournalCorruptError, ParallelExecutionError, ShardingError
+from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
 from repro.journal.snapshots import decode_config, encode_config
 from repro.parallel import create_build_backend
 from repro.planner.controller import FullStackBuildController
+from repro.planner.planner import PlannerEngine
 from repro.service.core import CoreService, CoreServiceConfig
-from repro.sharding import create_queue_backend
 from repro.sim.simulator import Simulation
 
 BUILD_SPECS = (None, "local", "process", "process:2")
-QUEUE_SPECS = (None, "sharded", "sharded:3")
+#: What the ``init`` record's ``queue_backend`` key held while the
+#: service still had a second, sharded conflict sweep to select.
+LEGACY_QUEUE_SPECS = (None, "sharded", "sharded:3")
 
 
-def test_config_has_exactly_six_fields():
+def test_config_has_exactly_five_fields():
     assert {f.name for f in dataclasses.fields(CoreServiceConfig)} == {
         "workers",
         "max_pump_minutes",
         "journal",
         "build_backend",
-        "queue_backend",
         "step_wall_seconds",
     }
+
+
+def test_planner_constructor_arguments():
+    assert list(inspect.signature(PlannerEngine.__init__).parameters) == [
+        "self", "strategy", "controller", "workers", "conflict_predicate",
+        "preemption_grace", "recorder", "conflict_candidates",
+    ]
 
 
 def test_service_constructor_arguments():
@@ -48,24 +56,24 @@ def test_simulation_constructor_arguments():
     ]
 
 
-@pytest.mark.parametrize("queue_spec", QUEUE_SPECS)
+@pytest.mark.parametrize("queue_spec", LEGACY_QUEUE_SPECS)
 @pytest.mark.parametrize("build_spec", BUILD_SPECS)
 def test_journaled_config_round_trips(build_spec, queue_spec):
     config = CoreServiceConfig(
-        workers=5,
-        max_pump_minutes=90.0,
-        build_backend=build_spec,
-        queue_backend=queue_spec,
+        workers=5, max_pump_minutes=90.0, build_backend=build_spec
     )
     payload = encode_config(config)
-    assert set(payload) == {"workers", "max_pump_minutes", "queue_backend"}
+    assert set(payload) == {"workers", "max_pump_minutes"}
+    # A journal written before the one conflict sweep decodes to the
+    # same config: its queue spec never changed a decision.
+    legacy = {**payload, "queue_backend": queue_spec}
     # Where the builds ran is not journaled: every journal replays
     # without a backend.
     assert decode_config(payload).build_backend is None
-    assert decode_config(payload) == dataclasses.replace(
+    assert decode_config(legacy) == decode_config(payload) == dataclasses.replace(
         config, build_backend=None
     )
-    assert encode_config(decode_config(payload)) == payload
+    assert encode_config(decode_config(legacy)) == payload
 
 
 @pytest.mark.parametrize(
@@ -75,15 +83,6 @@ def test_journaled_config_round_trips(build_spec, queue_spec):
 def test_build_factory_rejects_bad_specs_with_typed_error(spec):
     with pytest.raises(ParallelExecutionError):
         create_build_backend(spec)
-
-
-@pytest.mark.parametrize(
-    "spec", ["auto", "redis-stub:2", "local", "process:2", "bogus",
-             "sharded:zero", "sharded:0", "sharded:-1", ""],
-)
-def test_queue_factory_rejects_bad_specs_with_typed_error(spec):
-    with pytest.raises(ShardingError):
-        create_queue_backend(spec, {})
 
 
 def test_v2_journal_is_refused_naming_both_versions():

@@ -53,13 +53,6 @@ class TestConflictAnalyzer:
         a = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"), analyzer)
         assert not analyzer.conflict(a, a)
 
-    def test_pair_cache_hit(self, analyzer, tiny_snapshot):
-        a = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"), analyzer)
-        b = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"), analyzer)
-        analyzer.conflict(a, b)
-        analyzer.conflict(b, a)
-        assert analyzer.stats.cached == 1
-
     def test_structural_change_uses_slow_path(self, analyzer, tiny_snapshot):
         structural = _change(
             Patch.adding(

@@ -209,7 +209,7 @@ class TestAnalyzerIncrementalAnalyze:
 
 
 class TestForgetEviction:
-    def test_forget_evicts_analysis_and_pair_verdicts(self, tiny_snapshot):
+    def test_forget_evicts_analysis_and_index_entries(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(tiny_snapshot)
         a = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"))
         b = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
@@ -217,9 +217,9 @@ class TestForgetEviction:
         assert analyzer.cached_change_ids() == {a.change_id, b.change_id}
         analyzer.forget(a.change_id)
         assert analyzer.cached_change_ids() == {b.change_id}
-        # The pair verdict went with it: the next check recomputes.
-        analyzer.conflict(a, b)
-        assert analyzer.stats.cached == 0
+        # Its index entries went with it: only b's names and path are left.
+        assert set(analyzer._by_path) == {"app/app.py"}
+        assert all(ids == {b.change_id} for ids in analyzer._by_taint.values())
 
     def test_forget_unknown_change_is_noop(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(tiny_snapshot)
@@ -299,13 +299,20 @@ class TestAdvanceBase:
         fresh = ConflictAnalyzer(new_snapshot)
         assert analyzer._base_hashes == fresh._base_hashes
 
-    def test_pair_verdicts_survive_only_for_revalidated_pairs(self, tiny_snapshot):
+    def test_index_keeps_only_revalidated_analyses(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(tiny_snapshot)
-        a = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
-        b = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 20\n"))
-        assert analyzer.conflict(a, b)  # lib's closure includes app
-        commit = modify(tiny_snapshot, "tool/tool.py", "TOOL = 52\n")
+        kept = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"))
+        dropped = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 20\n"))
+        assert not analyzer.conflict(kept, dropped)
+        # base's closure reaches lib (and app), not tool.
+        commit = modify(tiny_snapshot, "base/base.py", "BASE = 52\n")
         self._advance(analyzer, tiny_snapshot, commit)
-        assert analyzer.stats.analyses_revalidated == 2
-        analyzer.conflict(a, b)
-        assert analyzer.stats.cached == 1  # verdict carried across the advance
+        assert analyzer.cached_change_ids() == {kept.change_id}
+        assert set(analyzer._by_path) == {"tool/tool.py"}
+        assert all(ids == {kept.change_id} for ids in analyzer._by_taint.values())
+        # The dropped change is analysed again on the next sweep, and found.
+        late = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
+        assert analyzer.conflict_candidates(late, [kept, dropped]) == [
+            dropped.change_id
+        ]
+        assert analyzer.stats.analyses_recomputed == 1

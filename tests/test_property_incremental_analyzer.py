@@ -117,4 +117,5 @@ def test_incremental_equals_from_scratch_across_head_advances(steps):
     for change in pending:
         analyzer.forget(change.change_id)
     assert analyzer.cached_change_ids() == frozenset()
-    assert analyzer._pair_cache == {}
+    assert not analyzer._by_taint and not analyzer._by_path
+    assert not analyzer._structural

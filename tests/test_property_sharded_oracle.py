@@ -1,24 +1,29 @@
-"""Property test: every queue backend is a bit-identical oracle.
+"""Property test: the indexed sweep against the full-sweep oracle.
 
 For random interleavings of interactive submissions, timed enqueues, and
-intermediate pumps over a multi-island monorepo, the sharded queue
-backend (``sharded:N`` for any N >= 1) must reproduce the monolithic
-no-backend path exactly: the same decision
-sequence — ids, verdicts, and decision times — and the same
-:func:`fingerprint_digest` at rest.  The pool deliberately includes a
-broken change, a hand-built cross-island straddler, and a structural
-(BUILD-adding) change, so the scripts exercise rejection, the straddler
-shard, and mid-run repartitioning; variants pin the same identity under
-the risk-batching strategy and the process build backend.
+intermediate pumps over a multi-island monorepo, the service — which
+checks each submission only against the analyzer's conflict candidates —
+must reproduce a reference service exactly: one handed its own
+analyzer's verdict as ``conflict_predicate`` and therefore asked about
+every pending pair.  The same decision sequence — ids, verdicts, and
+decision times — the same :func:`fingerprint_digest` at rest, and the
+same ``events.jsonl`` byte for byte.  The pool deliberately includes a
+broken change, a hand-built cross-island change, and a structural
+(BUILD-adding) change, so the scripts exercise rejection, a change with
+candidates in both islands, and a mid-run structural head advance;
+variants pin the same identity under the risk-batching strategy and the
+process build backend.
 """
 
 import copy
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.changes.change import Change, next_change_id, next_revision_id
-from repro.journal import fingerprint_digest
+from repro.journal import JournalWriter, fingerprint_digest
+from repro.journal.sink import events_path
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.risk_batch import RiskBatchStrategy
@@ -27,8 +32,10 @@ from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
+from .conftest import full_sweep_service
+
 #: Two islands merged into one snapshot: disjoint connected components,
-#: so ``sharded:2`` actually routes to distinct partitions.
+#: so the index has whole islands to leave out of a sweep.
 _ISLANDS = [
     SyntheticMonorepo(
         MonorepoSpec(layers=(2, 3, 2), fan_in=2, package_prefix=f"island{k}/"),
@@ -41,7 +48,7 @@ for _synth in _ISLANDS:
     FILES.update(_synth.repo.snapshot().to_dict())
 
 
-def _make_straddler():
+def _make_cross_island():
     """A clean change editing one source file in each island.
 
     Uses each target's *second* source so it stays textually disjoint
@@ -53,7 +60,7 @@ def _make_straddler():
         for synth in _ISLANDS
     ]
     patch = Patch.modifying(
-        {path: FILES[path] + f"# straddle {i}\n" for i, path in enumerate(paths)},
+        {path: FILES[path] + f"# cross {i}\n" for i, path in enumerate(paths)},
         base={path: FILES[path] for path in paths},
     )
     return Change(
@@ -62,7 +69,7 @@ def _make_straddler():
         developer=_ISLANDS[0].developers[0],
         patch=patch,
         submitted_at=0.0,
-        description="cross-island straddler",
+        description="cross-island",
     )
 
 
@@ -75,7 +82,7 @@ CHANGE_POOL = [
     _ISLANDS[1].make_clean_change(
         target_name=_ISLANDS[1].target_names()[0], submitted_at=0.0
     ),
-    _make_straddler(),
+    _make_cross_island(),
     _ISLANDS[0].make_broken_change(
         target_name=_ISLANDS[0].target_names()[1], submitted_at=0.0
     ),
@@ -87,40 +94,48 @@ CHANGE_POOL = [
 MAX_CHANGES = len(CHANGE_POOL)
 
 
-def _drive(queue_backend, script, batching=False, build_backend=None):
-    """Replay one drawn script against a fresh service; return the trace."""
+def _drive(reference, script, batching=False, build_backend=None):
+    """Replay one drawn script against a fresh journaled service.
+
+    ``reference`` selects the full-sweep oracle.  Returns ``(decisions,
+    fingerprint at rest, journal bytes)``.
+    """
     predictor = StaticPredictor(success=0.9, conflict=0.05)
     strategy = (
         RiskBatchStrategy(predictor)
         if batching
         else SubmitQueueStrategy(predictor)
     )
-    service = CoreService(
-        Repository(dict(FILES)),
-        strategy,
-        config=CoreServiceConfig(
-            workers=3,
-            queue_backend=queue_backend,
-            build_backend=build_backend,
-        ),
-    )
-    batch = copy.deepcopy(CHANGE_POOL)
-    decisions = []
-    for index, (op, at, pump_after) in enumerate(script):
-        change = batch[index]
-        if op == "submit":
-            service.submit(change)
-        else:
-            service.enqueue(change, at=at)
-        if pump_after:
-            decisions.extend(service.pump())
-    decisions.extend(service.pump())
-    trace = (
+    with tempfile.TemporaryDirectory() as journal_dir:
+        writer = JournalWriter(journal_dir)
+        service = (full_sweep_service if reference else CoreService)(
+            Repository(dict(FILES)),
+            strategy,
+            config=CoreServiceConfig(
+                workers=3, build_backend=build_backend, journal=writer
+            ),
+        )
+        batch = copy.deepcopy(CHANGE_POOL)
+        decisions = []
+        for index, (op, at, pump_after) in enumerate(script):
+            change = batch[index]
+            if op == "submit":
+                service.submit(change)
+            else:
+                service.enqueue(change, at=at)
+            if pump_after:
+                decisions.extend(service.pump())
+        decisions.extend(service.pump())
+        fingerprint = fingerprint_digest(service)
+        service.close()
+        writer.close()
+        with open(events_path(journal_dir), "rb") as handle:
+            journal = handle.read()
+    return (
         tuple((d.change_id, d.committed, d.at) for d in decisions),
-        fingerprint_digest(service),
+        fingerprint,
+        journal,
     )
-    service.close()
-    return trace
 
 
 @st.composite
@@ -137,30 +152,29 @@ def scripts(draw):
 
 @given(script=scripts())
 @settings(max_examples=10, deadline=None)
-def test_sharded_backends_match_monolithic_oracle(script):
-    oracle = _drive(None, script)
-    assert _drive("sharded:1", script) == oracle
-    assert _drive("sharded:3", script) == oracle
+def test_indexed_sweep_matches_full_sweep_oracle(script):
+    assert _drive(False, script) == _drive(True, script)
 
 
 @given(script=scripts())
 @settings(max_examples=10, deadline=None)
-def test_sharding_identity_holds_under_batching(script):
-    oracle = _drive(None, script, batching=True)
-    assert _drive("sharded:2", script, batching=True) == oracle
+def test_sweep_identity_holds_under_batching(script):
+    assert _drive(False, script, batching=True) == _drive(
+        True, script, batching=True
+    )
 
 
-def test_sharding_identity_holds_on_process_backend():
-    """Sharded queue + process build pool still matches the inline oracle."""
+def test_sweep_identity_holds_on_process_backend():
+    """Indexed sweep + process build pool still matches the inline oracle."""
     script = [("submit", 0.0, False)] * 3 + [("enqueue", 1.0, True)] * 3
-    oracle = _drive(None, script)
-    assert _drive("sharded:2", script, build_backend="process:2") == oracle
+    assert _drive(False, script, build_backend="process:2") == _drive(True, script)
 
 
 def test_oracle_script_sanity():
     """A fixed dense script decides every change and rejects the broken one."""
     script = [("submit", 0.0, False)] * 3 + [("enqueue", 1.0, True)] * 3
-    decisions, _ = _drive("sharded:2", script)
+    decisions, _, journal = _drive(False, script)
+    assert journal
     assert len(decisions) == MAX_CHANGES
     verdicts = dict((cid, ok) for cid, ok, _ in decisions)
     assert sum(1 for ok in verdicts.values() if not ok) == 1  # the broken one

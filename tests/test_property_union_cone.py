@@ -265,7 +265,7 @@ def test_taint_is_the_direct_tagging_including_removed_targets():
     analysis = analyzer.analyze(removal)
     assert analysis.delta == frozenset()  # nothing changed or appeared
     assert analysis.taint == {"//e:e"}
-    assert analysis.taint == _taint(analyzer.base_hashes, analysis.hashes)
+    assert analysis.taint == _taint(analyzer._base_hashes, analysis.hashes)
     assert analyzer.conflict(removal, _rewrite("C3", {"c/c.py": "C2"})) is False
     # No shared path and no shared delta name: the removed target's taint
     # reaches ``d`` along the edge only the other change's graph has.

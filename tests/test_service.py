@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import UnknownChangeError
+from repro.errors import DuplicateChangeError, ReproError, UnknownChangeError
 from repro.journal import JournalWriter, fingerprint_digest, recover
+from repro.journal.sink import events_path
 from repro.predictor.predictors import StaticPredictor
 from repro.service.api import SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
@@ -135,6 +136,56 @@ class TestStalePatch:
         writer.close()
         assert service.status(stale.change_id).state is ChangeState.REJECTED
         report = recover(str(tmp_path / "journal"), attach=False)
+        assert fingerprint_digest(report.service) == fingerprint_digest(core)
+
+
+class TestDuplicateChangeId:
+    """An id the service already holds is refused before it is journaled.
+
+    Journaled first, the duplicate made ``recover()`` re-raise forever.
+    """
+
+    @pytest.mark.parametrize("held_as", ["queued", "pending", "decided"])
+    @pytest.mark.parametrize("via", ["submit", "enqueue"])
+    def test_refused_before_journaling(
+        self, monorepo, tmp_path, held_as, via
+    ):
+        journal_dir = str(tmp_path / "journal")
+        writer = JournalWriter(journal_dir)
+        core = CoreService(
+            repo=monorepo.repo,
+            strategy=SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.1)),
+            config=CoreServiceConfig(workers=4, journal=writer),
+        )
+        change = monorepo.make_clean_change(monorepo.target_names(layer=0)[0])
+        if held_as == "queued":
+            core.enqueue(change, at=5.0)
+        else:
+            core.submit(change)
+            if held_as == "decided":
+                core.pump()
+
+        def journal_bytes():
+            with open(events_path(journal_dir), "rb") as handle:
+                return handle.read()
+
+        journal_before = journal_bytes()
+        fingerprint_before = fingerprint_digest(core)
+        with pytest.raises(DuplicateChangeError, match=change.change_id) as excinfo:
+            if via == "submit":
+                core.submit(change)
+            else:
+                core.enqueue(change, at=9.0)
+        assert isinstance(excinfo.value, ReproError)
+        assert journal_bytes() == journal_before
+        assert fingerprint_digest(core) == fingerprint_before
+        # The refused duplicate never fires inside the pump either.
+        decisions = core.pump()
+        assert [d.change_id for d in decisions] == (
+            [] if held_as == "decided" else [change.change_id]
+        )
+        writer.close()
+        report = recover(journal_dir, attach=False)
         assert fingerprint_digest(report.service) == fingerprint_digest(core)
 
 
