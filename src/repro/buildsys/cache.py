@@ -16,7 +16,7 @@ experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.buildsys.steps import StepResult
@@ -76,8 +76,9 @@ class ArtifactCache:
     def put(self, digest: str, kind: StepKind, result: StepResult) -> None:
         """Store one step result (stored un-cached; ``get`` adds the mark)."""
         key = (digest, kind)
-        stored = result if not result.cached else replace(result, cached=False)
-        self._entries[key] = (stored, replace(stored, cached=True))
+        spec, passed, log = result.spec, result.passed, result.log
+        stored = result if not result.cached else StepResult(spec, passed, log)
+        self._entries[key] = (stored, StepResult(spec, passed, log, True))
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

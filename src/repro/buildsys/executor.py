@@ -1,8 +1,13 @@
 """The build executor: full, subset, affected-only, and context builds.
 
-Drives :func:`repro.buildsys.steps.evaluate_step` over a snapshot's graph
-in dependency-first order, consulting the artifact cache before every
-step.  Three entry points matter to SubmitQueue:
+Walks a snapshot's graph in dependency-first order, consulting the
+artifact cache before every step and asking
+:func:`repro.buildsys.steps.evaluate_target` at most once per target, at
+its first miss.  Nothing here reads a source: a :class:`BuildContext`
+carries its targets' directive summaries beside their hashes (``load``
+scans every target, ``derive`` only the dirty seeds), and the from-scratch
+entry points scan their snapshot once, if any step misses.  Three entry
+points matter to SubmitQueue:
 
 * :meth:`BuildExecutor.build` — everything (or a target subset plus its
   dependency closure): what "the mainline is green" means for one commit;
@@ -23,13 +28,13 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
-from repro.buildsys.steps import StepResult, evaluate_step
+from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_target, summarize
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import Path, TargetName
 from repro.vcs.patch import Patch, SnapshotOverlay
@@ -112,6 +117,7 @@ class BuildContext:
         "snapshot",
         "graph",
         "hashes",
+        "directives",
         "dirty_since_base",
         "rehashed",
         "depth",
@@ -124,6 +130,7 @@ class BuildContext:
         snapshot: Mapping[Path, str],
         graph: BuildGraph,
         hashes: Dict[TargetName, str],
+        directives: DirectiveSummaries,
         dirty_since_base: Optional[frozenset] = None,
         rehashed: int = 0,
         depth: int = 0,
@@ -133,6 +140,9 @@ class BuildContext:
         self.snapshot = snapshot
         self.graph = graph
         self.hashes = hashes
+        #: What each target's own sources say: scanned whole by ``load``,
+        #: by ``derive`` only where a source or a declaration changed.
+        self.directives = directives
         self.dirty_since_base = dirty_since_base
         #: Digests recomputed when this context was derived (0 for roots).
         self.rehashed = rehashed
@@ -161,7 +171,8 @@ class BuildContext:
             digest_memo = DigestMemo()
         graph = load_build_graph(snapshot)
         hashes = TargetHasher(graph, snapshot, digest_memo=digest_memo).all_hashes()
-        return cls(snapshot, graph, hashes, digest_memo=digest_memo)
+        directives = summarize(graph, snapshot)
+        return cls(snapshot, graph, hashes, directives, digest_memo=digest_memo)
 
     def derive(
         self,
@@ -174,8 +185,11 @@ class BuildContext:
         """
         touched = set(touched_paths)
         graph = reload_packages(self.graph, snapshot, touched)
-        hashes, dirty, computed = incremental_hashes(
+        hashes, dirty, computed, seeds = incremental_hashes(
             self.graph, self.hashes, graph, snapshot, touched, self._digest_memo
+        )
+        directives = summarize(
+            map(graph.target, seeds), snapshot, self.directives, graph
         )
         accumulated = (
             frozenset(dirty)
@@ -186,6 +200,7 @@ class BuildContext:
             snapshot,
             graph,
             hashes,
+            directives,
             dirty_since_base=accumulated,
             rehashed=computed,
             depth=self.depth + 1,
@@ -237,6 +252,7 @@ class BuildContext:
             snapshot,
             self.graph,
             self.hashes,
+            self.directives,
             dirty_since_base=None,
             depth=depth,
             topo_holder=self._topo_holder,
@@ -310,7 +326,7 @@ class BuildExecutor:
                 wanted.add(name)
                 wanted |= graph.transitive_deps(name)
             order = [name for name in order if name in wanted]
-        return self._run(graph, hasher, order, snapshot, stop_on_failure)
+        return self._run(graph, hasher.hash_of, order, snapshot, stop_on_failure)
 
     def build_affected(
         self,
@@ -338,7 +354,9 @@ class BuildExecutor:
         order = [
             name for name in changed_graph.topological_order() if name in affected
         ]
-        return self._run(changed_graph, hasher, order, changed_snapshot, stop_on_failure)
+        return self._run(
+            changed_graph, hasher.hash_of, order, changed_snapshot, stop_on_failure
+        )
 
     def build_between(
         self,
@@ -359,27 +377,34 @@ class BuildExecutor:
             order,
             changed.snapshot,
             stop_on_failure,
+            changed.directives,
         )
 
     def _run(
         self,
         graph: BuildGraph,
-        hasher,
+        hash_of: Callable[[TargetName], str],
         order: List[TargetName],
         snapshot: Mapping[Path, str],
         stop_on_failure: bool,
+        directives: Optional[DirectiveSummaries] = None,
     ) -> BuildReport:
-        """``hasher``: a :class:`TargetHasher` or any name -> digest callable."""
-        hash_of = hasher.hash_of if isinstance(hasher, TargetHasher) else hasher
+        """The one step loop.  ``directives``: the graph's summaries, or
+        ``None`` to scan them from ``snapshot`` at the first cache miss."""
         report = BuildReport()
         for name in order:
             target = graph.target(name)
             digest = hash_of(name)
             report.targets_built.append(name)
-            for kind in target.steps:
+            evaluated = None
+            for position, kind in enumerate(target.steps):
                 result = self.cache.get(digest, kind)
                 if result is None:
-                    result = evaluate_step(graph, target, kind, snapshot)
+                    if evaluated is None:
+                        if directives is None:
+                            directives = summarize(graph, snapshot)
+                        evaluated = evaluate_target(graph, target, directives)
+                    result = evaluated[position]
                     self.cache.put(digest, kind, result)
                 report.append(result)
                 if stop_on_failure and not result.passed:

@@ -235,16 +235,17 @@ def incremental_hashes(
     files: Mapping[Path, str],
     touched_paths: Iterable[Path],
     digest_memo: Optional[DigestMemo] = None,
-) -> Tuple[Dict[TargetName, str], Set[TargetName], int]:
+) -> Tuple[Dict[TargetName, str], Set[TargetName], int, Set[TargetName]]:
     """Rehash ``graph`` reusing ``base_hashes`` where provably unchanged.
 
-    Returns ``(hashes, dirty_closure, computed)``: the full hash map, the
-    set of targets that had to be rehashed (dirty seeds plus their
-    reverse-dependency closure), and how many digests were computed.
+    Returns ``(hashes, dirty_closure, computed, seeds)``: the full hash
+    map, the set of targets that had to be rehashed (dirty seeds plus
+    their reverse-dependency closure), how many digests were computed,
+    and the seeds themselves (:func:`dirty_targets`).
     """
     seeds = dirty_targets(base_graph, graph, touched_paths)
     hasher = TargetHasher(
         graph, files, seed_hashes=base_hashes, dirty=seeds, digest_memo=digest_memo
     )
     hashes = hasher.all_hashes()
-    return hashes, hasher.dirty_closure, hasher.computed
+    return hashes, hasher.dirty_closure, hasher.computed, seeds

@@ -17,13 +17,21 @@ really-conflicting changes on demand):
 
 Compile and artifact steps are not conflict-sensitive: a conflict is two
 changes that each build but whose *combination* breaks tests.
+
+Sources are scanned where they change, not where they are built: a
+:class:`DirectiveSummaries` holds what each target's *own* sources say,
+and :func:`evaluate_target` — the one evaluator — reads every step result
+of a target off it.  A target's closure count is the sum of the per-target
+counts over the *set* ``{target} | transitive_deps``: a source two targets
+list counts once for each of them, a target reached along both sides of a
+diamond counts once (so the counts are not folded dependencies-first).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import Target
@@ -67,56 +75,98 @@ def scan_directives(
     fails: Dict[str, int] = {}
     conflicts: Dict[str, int] = {}
     for text in sources:
-        for match in FAIL_DIRECTIVE.finditer(text):
-            step = match.group(1)
-            fails[step] = fails.get(step, 0) + 1
-        for match in CONFLICT_DIRECTIVE.finditer(text):
-            token = match.group(1)
-            conflicts[token] = conflicts.get(token, 0) + 1
+        # Few sources carry either word; ``in`` is far cheaper than a regex.
+        if "FAIL:" in text:
+            for match in FAIL_DIRECTIVE.finditer(text):
+                step = match.group(1)
+                fails[step] = fails.get(step, 0) + 1
+        if "CONFLICT:" in text:
+            for match in CONFLICT_DIRECTIVE.finditer(text):
+                token = match.group(1)
+                conflicts[token] = conflicts.get(token, 0) + 1
     return fails, conflicts
 
 
-def _sources(snapshot: Mapping[Path, str], paths: Iterable[Path]) -> list:
-    return [snapshot.get(path, "") for path in paths]
+class DirectiveSummaries(NamedTuple):
+    """What the own sources of a graph's targets say.
+
+    ``by_target`` maps a name to ``(step names FAILed, (token, occurrences)
+    pairs)`` and is sparse: a target without a directive has no entry.
+    ``token_bearers`` names the targets with a CONFLICT token, so an
+    evaluation walks no closure when nobody bears one.
+    """
+
+    by_target: Dict[TargetName, Tuple[FrozenSet[str], Tuple[Tuple[str, int], ...]]]
+    token_bearers: FrozenSet[TargetName]
 
 
-def evaluate_step(
+def summarize(
+    targets: Iterable[Target],
+    snapshot: Mapping[Path, str],
+    prior: DirectiveSummaries = DirectiveSummaries({}, frozenset()),
+    graph: Optional[BuildGraph] = None,
+) -> DirectiveSummaries:
+    """``prior`` with ``targets`` re-read from ``snapshot`` and without the
+    targets that left ``graph``; ``prior`` itself when nothing moved."""
+    by_target = dict(prior.by_target)
+    for target in targets:
+        fails, conflicts = scan_directives(
+            [snapshot.get(path, "") for path in target.srcs]
+        )
+        if fails or conflicts:
+            by_target[target.name] = (frozenset(fails), tuple(conflicts.items()))
+        else:
+            by_target.pop(target.name, None)
+    if graph is not None:
+        by_target = {n: s for n, s in by_target.items() if n in graph}
+    if by_target == prior.by_target:
+        return prior
+    bearers = frozenset(name for name, summary in by_target.items() if summary[1])
+    return DirectiveSummaries(by_target, bearers)
+
+
+def evaluate_target(
     graph: BuildGraph,
     target: Target,
-    kind: StepKind,
-    snapshot: Mapping[Path, str],
-) -> StepResult:
-    """Run one synthetic step hermetically against a snapshot.
+    summaries: DirectiveSummaries,
+) -> List[StepResult]:
+    """Run every step of ``target`` hermetically, in ``target.steps`` order.
 
     FAIL directives act on the target's *own* sources; CONFLICT tokens are
     counted over the transitive dependency closure, because a conflict
     between a dependency's change and a dependent's change only surfaces
     when the dependent's tests see both.
     """
-    spec = StepSpec(target.name, kind)
-    own_sources = _sources(snapshot, target.srcs)
-    fails, _ = scan_directives(own_sources)
-    if fails.get(kind.value):
-        return StepResult(
-            spec,
-            passed=False,
-            log=f"{target.name} {kind.value}: FAIL:{kind.value} directive present",
-        )
-    if kind in CONFLICT_SENSITIVE_STEPS:
-        closure_paths = list(target.srcs)
-        for dep in sorted(graph.transitive_deps(target.name)):
-            closure_paths.extend(graph.target(dep).srcs)
-        _, conflicts = scan_directives(_sources(snapshot, closure_paths))
-        colliding = sorted(
-            token for token, count in conflicts.items() if count >= 2
-        )
-        if colliding:
-            return StepResult(
-                spec,
-                passed=False,
-                log=(
-                    f"{target.name} {kind.value}: conflicting tokens "
-                    + ", ".join(colliding)
-                ),
-            )
-    return StepResult(spec, passed=True, log=f"{target.name} {kind.value}: ok")
+    name = target.name
+    failing = summaries.by_target.get(name, ((),))[0]
+    colliding = ""
+    bearers = summaries.token_bearers
+    if bearers and not CONFLICT_SENSITIVE_STEPS.isdisjoint(target.steps):
+        closure = graph.transitive_deps(name)
+        closure.add(name)
+        counts: Dict[str, int] = {}
+        for bearer in bearers & closure:
+            for token, count in summaries.by_target[bearer][1]:
+                counts[token] = counts.get(token, 0) + count
+        colliding = ", ".join(sorted(t for t, c in counts.items() if c >= 2))
+    run = []
+    for kind in target.steps:
+        step = kind.value
+        if step in failing:
+            passed, log = False, f"FAIL:{step} directive present"
+        elif colliding and kind in CONFLICT_SENSITIVE_STEPS:
+            passed, log = False, "conflicting tokens " + colliding
+        else:
+            passed, log = True, "ok"
+        run.append(StepResult(StepSpec(name, kind), passed, f"{name} {step}: {log}"))
+    return run
+
+
+def evaluate_step(
+    graph: BuildGraph, target: Target, kind: StepKind, snapshot: Mapping[Path, str]
+) -> StepResult:
+    """One step of one target, declared or not: :func:`evaluate_target` of
+    the target with ``kind`` for its steps, over summaries scanned here."""
+    closure = [graph.target(dep) for dep in graph.transitive_deps(target.name)]
+    summaries = summarize([target] + closure, snapshot)
+    return evaluate_target(graph, replace(target, steps=(kind,)), summaries)[0]

@@ -7,12 +7,13 @@ bound method, or a closure.
 
 Workers are **stateless step executors**: each request is evaluated
 hermetically against its own merged snapshot, every step in the affected
-delta is walked (truncated at the first failure, mirroring the serial
-stop-on-failure path), and the raw outcomes go back to the parent.  No
-artifact-cache state crosses requests in a worker — step elimination is
-applied exactly once, deterministically, when the parent replays the
-response through its own :class:`~repro.buildsys.cache.ArtifactCache` in
-selection order.  What workers *do* keep between requests is pure,
+delta is run by the serial path's own step loop (``build_between`` over
+an empty cache, stopped at the first failure), and the raw outcomes go
+back to the parent.  No artifact-cache state crosses requests in a
+worker — step elimination is applied exactly once, deterministically,
+when the parent replays the response through its own
+:class:`~repro.buildsys.cache.ArtifactCache` in selection order.  What
+workers *do* keep between requests is pure,
 outcome-neutral CPU state: memoized :class:`BuildContext` roots per base
 head and the content-addressed target digests they hash through.  Each
 request folds its stack onto that root with the same
@@ -34,9 +35,8 @@ import time
 from collections import OrderedDict
 from typing import List
 
-from repro.buildsys.executor import BuildContext
+from repro.buildsys.executor import BuildContext, BuildExecutor
 from repro.buildsys.hashing import DigestMemo
-from repro.buildsys.steps import evaluate_step
 from repro.errors import BuildSystemError, PatchConflictError
 from repro.parallel.payload import BuildRequest, BuildResponse, StepRecord, WorkerSpan
 from repro.types import CommitId
@@ -124,41 +124,31 @@ def execute_request(request: BuildRequest) -> BuildResponse:
                 step_spans=tuple(spans),
                 **unbuildable,
             )
-        order = merged.affected_against(base)
-        targets: List[str] = []
+        # A fresh executor per request: its empty cache eliminates nothing,
+        # so every step of the delta is run, up to the first failure.
+        report = BuildExecutor().build_between(base, merged, stop_on_failure=True)
         steps: List[StepRecord] = []
-        failed = False
-        for name in order:
-            target = merged.graph.target(name)
-            digest = merged.hashes[name]
-            targets.append(name)
-            for kind in target.steps:
-                step_begin = time.perf_counter() - started
-                result = evaluate_step(merged.graph, target, kind, merged.snapshot)
-                steps.append(
-                    StepRecord(
-                        target=name,
-                        kind=kind,
-                        digest=digest,
-                        passed=result.passed,
-                        log=result.log,
-                    )
+        for result in report.results:
+            step_begin = time.perf_counter() - started
+            name, kind = result.spec.target, result.spec.kind
+            steps.append(
+                StepRecord(
+                    target=name,
+                    kind=kind,
+                    digest=merged.hashes[name],
+                    passed=result.passed,
+                    log=result.log,
                 )
-                # Pay the synthetic wall cost per step (same total as the
-                # old bulk sleep: step_wall_seconds * len(steps)) so each
-                # recorded span covers its own step's wall time.
-                if request.step_wall_seconds > 0.0:
-                    time.sleep(request.step_wall_seconds)
-                _span(f"{name}:{kind.value}", "step", step_begin, name, kind.value)
-                if not result.passed:
-                    failed = True
-                    break
-            if failed:
-                break
+            )
+            # The synthetic wall cost is paid step by step, so each
+            # recorded span covers its own step's wall time.
+            if request.step_wall_seconds > 0.0:
+                time.sleep(request.step_wall_seconds)
+            _span(f"{name}:{kind.value}", "step", step_begin, name, kind.value)
         return BuildResponse(
             build_id=request.build_id,
             change_id=request.change_id,
-            targets=tuple(targets),
+            targets=tuple(report.targets_built),
             steps=tuple(steps),
             wall_seconds=time.perf_counter() - started,
             worker_pid=os.getpid(),

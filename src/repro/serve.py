@@ -18,6 +18,9 @@ read-only operations surface:
   ``POST /changes``, ``POST /process`` — the ApiHandlers surface;
 * ``POST /shutdown`` — stop the server (used by tests and CI smoke).
 
+Every error is the JSON envelope ``{"ok": false, "error": ..., "code":
+...}``, a route miss (404) and a verb other than GET/POST (405) included.
+
 The HTTP layer is threaded (:class:`ThreadingHTTPServer`) but a single
 lock serializes access to the underlying service: the core service is a
 single-threaded state machine, and serializing at that seam is what
@@ -219,6 +222,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
         ]
+        if code == 405:  # which RFC 9110 requires to name the verbs served
+            head.append("Allow: GET, POST")
         if close:
             head.append("Connection: close")
             self.close_connection = True
@@ -235,8 +240,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             close,
         )
 
-    def _read_json_body(self) -> Optional[Dict[str, Any]]:
-        """The request's JSON object, or ``None`` after answering 4xx."""
+    def _read_body(self) -> Optional[bytes]:
+        """The request's body, or ``None`` after answering 4xx."""
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
@@ -254,9 +259,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 code, {"ok": False, "error": error, "code": code}, close=True
             )
             return None
-        raw = self.rfile.read(length) if length else b""
+        return self.rfile.read(length) if length else b""
+
+    def _read_json_body(self) -> Optional[Dict[str, Any]]:
+        """The request's JSON object, or ``None`` after answering 4xx."""
+        raw = self._read_body()
         if not raw:
-            return {}
+            return None if raw is None else {}
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -275,6 +284,21 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802
         self._dispatch(self._route_post)
+
+    def __getattr__(self, name: str):
+        # ``http.server`` answers its own HTML 501 page for a verb without
+        # a ``do_<METHOD>`` attribute; give every other verb a JSON 405.
+        if name.startswith("do_"):
+            return lambda: self._dispatch(self._method_not_allowed)
+        raise AttributeError(name)
+
+    def _method_not_allowed(self) -> None:
+        # Read the body first, so the connection can carry the next request
+        # (not after HEAD, whose client will not read this answer's body).
+        if self._read_body() is not None:
+            error = f"method {self.command} not allowed"
+            payload = {"ok": False, "error": error, "code": 405}
+            self._send_json(405, payload, close=self.command == "HEAD")
 
     def _dispatch(self, route) -> None:
         """Run one route; an exception it does not map itself answers 500.
@@ -321,7 +345,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
             change_id = path[len("/changes/"):]
             self._send_json(*context.api("status", {"change_id": change_id}))
         else:
-            self._send_json(404, {"ok": False, "error": f"no route {path}"})
+            self._route_miss(path)
+
+    def _route_miss(self, path: str) -> None:
+        self._send_json(404, {"ok": False, "error": f"no route {path}", "code": 404})
 
     def _route_post(self) -> None:
         path = self.path.split("?", 1)[0].rstrip("/")
@@ -338,7 +365,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         elif path == "/process":
             self._send_json(*context.api("process", body))
         else:
-            self._send_json(404, {"ok": False, "error": f"no route {path}"})
+            self._route_miss(path)
 
 
 # -- workload builders --------------------------------------------------------

@@ -64,13 +64,14 @@ class ApiHandlers:
         change_id = request.get("change_id")
         if not isinstance(change_id, str):
             return {"ok": False, "error": "change_id required", "code": 400}
+        wait = request.get("wait", False)
+        if not isinstance(wait, bool):
+            return {"ok": False, "error": "wait must be a boolean", "code": 400}
         change = self._drafts.pop(change_id, None)
         if change is None:
             return {"ok": False, "error": f"unknown draft {change_id}", "code": 404}
         try:
-            status = self._service.land_change(
-                change, wait=bool(request.get("wait", False))
-            )
+            status = self._service.land_change(change, wait=wait)
         except ReproError as exc:
             return {"ok": False, "error": str(exc), "code": 500}
         return {"ok": True, "code": 200, "status": _status_payload(status)}

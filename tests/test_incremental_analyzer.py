@@ -126,13 +126,15 @@ class TestDirtySetHashing:
         base_hashes = TargetHasher(graph, tiny_snapshot).all_hashes()
         changed = dict(tiny_snapshot)
         changed["lib/lib.py"] = "LIB = 5\n"
-        hashes, closure, computed = incremental_hashes(
+        hashes, closure, computed, seeds = incremental_hashes(
             graph, base_hashes, graph, changed, ["lib/lib.py"]
         )
         assert hashes == TargetHasher(graph, changed).all_hashes()
         # lib plus its reverse-dependency closure (app), nothing else.
         assert closure == {"//lib:lib", "//app:app"}
         assert computed == 2
+        # The seeds are the owners of the touched path, not their dependents.
+        assert seeds == {"//lib:lib"}
 
     def test_dirty_targets_flags_redefined_and_new(self, tiny_snapshot):
         graph = load_build_graph(tiny_snapshot)

@@ -229,7 +229,7 @@ class TestSharedDigestMemo:
             memoised = TargetHasher(graph, files, digest_memo=memo)
             assert memoised.all_hashes() == expected
             assert memoised.computed == fresh.computed == len(graph)
-            hashes, _, computed = incremental_hashes(
+            hashes, _, computed, _ = incremental_hashes(
                 base_graph, base_hashes, graph, files, touched, memo
             )
             assert hashes == expected

@@ -181,6 +181,71 @@ class TestWriteEndpoints:
         assert _post_json(f"{served.url}/nope", {}, expect=404)["ok"] is False
 
 
+class TestErrorEnvelope:
+    """Every error is ``{"ok": false, "error": ..., "code": ...}`` JSON, and
+    answering it leaves the keep-alive connection usable."""
+
+    @staticmethod
+    def _exchange(conn, method, path, body=None):
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert response.getheader("Content-Type").startswith("application/json")
+        return response, payload
+
+    @pytest.fixture
+    def conn(self, served):
+        conn = http.client.HTTPConnection(served.host, served.port, timeout=5)
+        yield conn
+        # The same connection still carries a request after the error.
+        response, payload = self._exchange(conn, "GET", "/healthz")
+        assert response.status == 200 and payload["ok"] is True
+        conn.close()
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("DELETE", "/changes/x", None),
+            ("PUT", "/changes", b'{"change_id": "x"}'),
+            ("PATCH", "/process", b"{not json"),
+        ],
+    )
+    def test_unsupported_method_is_a_json_405(self, conn, method, path, body):
+        response, payload = self._exchange(conn, method, path, body)
+        assert response.status == 405
+        assert response.getheader("Allow") == "GET, POST"
+        assert payload == {
+            "ok": False,
+            "error": f"method {method} not allowed",
+            "code": 405,
+        }
+
+    @pytest.mark.parametrize("method, body", [("GET", None), ("POST", b"{}")])
+    def test_route_miss_carries_its_code(self, conn, method, body):
+        response, payload = self._exchange(conn, method, "/nope", body)
+        assert response.status == 404
+        assert payload == {"ok": False, "error": "no route /nope", "code": 404}
+
+    @pytest.mark.parametrize("wait", ["no", 1, None])
+    def test_non_boolean_wait_is_refused_and_lands_nothing(
+        self, served, conn, wait
+    ):
+        draft_id = sorted(served.handlers._drafts)[-1]
+        depth = _get_json(f"{served.url}/queue")["depth"]
+        body = json.dumps({"change_id": draft_id, "wait": wait}).encode()
+        response, payload = self._exchange(conn, "POST", "/changes", body)
+        assert response.status == 400
+        assert payload == {
+            "ok": False,
+            "error": "wait must be a boolean",
+            "code": 400,
+        }
+        # Neither landed nor pumped, and the draft is still there to land.
+        assert _get_json(f"{served.url}/queue")["depth"] == depth
+        assert draft_id in served.handlers._drafts
+
+
 class _RecordedSocket:
     """Just enough socket for ``http.client`` to parse recorded bytes."""
 
