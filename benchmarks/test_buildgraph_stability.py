@@ -28,6 +28,7 @@ def test_reproduces_section52(result):
 
 
 def test_benchmark_pairwise_analysis(benchmark, result):
+    from repro.buildsys.executor import BuildContext
     from repro.conflict.analyzer import ConflictAnalyzer
     from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
@@ -35,7 +36,9 @@ def test_benchmark_pairwise_analysis(benchmark, result):
     changes = [monorepo.make_clean_change() for _ in range(10)]
 
     def analyze_all_pairs():
-        analyzer = ConflictAnalyzer(monorepo.repo.snapshot().to_dict())
+        analyzer = ConflictAnalyzer(
+            BuildContext.load(monorepo.repo.snapshot().to_dict())
+        )
         for i, first in enumerate(changes):
             for second in changes[i + 1 :]:
                 analyzer.conflict(first, second)

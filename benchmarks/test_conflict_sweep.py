@@ -28,6 +28,7 @@ import time
 import pytest
 
 from benchmarks.conftest import emit, record_bench
+from repro.buildsys.executor import BuildContext
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.experiments.runner import format_table
@@ -66,7 +67,7 @@ def _time_sweep(files, changes, indexed):
     timed region isolates the pairwise sweep the full path spends
     O(pending) on.
     """
-    analyzer = ConflictAnalyzer(dict(files))
+    analyzer = ConflictAnalyzer(BuildContext.load(dict(files)))
     batch = copy.deepcopy(changes)
     for change in batch:
         analyzer.analyze(change)  # warm the per-change caches

@@ -55,11 +55,12 @@ def test_incremental_analyzer_counters():
     mainline advances, then emits how much hashing and re-analysis the
     incremental machinery avoided.
     """
+    from repro.buildsys.executor import BuildContext
     from repro.conflict.analyzer import ConflictAnalyzer
     from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
     mono = SyntheticMonorepo(MonorepoSpec(layers=(6, 12, 24), fan_in=2), seed=9)
-    analyzer = ConflictAnalyzer(mono.repo.snapshot().to_dict())
+    analyzer = ConflictAnalyzer(BuildContext.load(mono.repo.snapshot().to_dict()))
     pending = [mono.make_clean_change() for _ in range(12)]
     for change in pending:
         analyzer.analyze(change)
@@ -73,7 +74,8 @@ def test_incremental_analyzer_counters():
         mono.repo.commit_to_mainline(change.patch)
         analyzer.forget(change.change_id)
         analyzer.advance_base(
-            mono.repo.snapshot().to_dict(), change.patch.paths
+            analyzer.base.derive_stack((change.patch,)).as_root(),
+            change.patch.paths,
         )
 
     stats = analyzer.stats

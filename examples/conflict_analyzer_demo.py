@@ -15,6 +15,7 @@ Run:  python examples/conflict_analyzer_demo.py
 """
 
 from repro.buildsys.delta import delta_names
+from repro.buildsys.executor import BuildContext
 from repro.changes.change import Change, Developer, next_change_id, next_revision_id
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
@@ -35,7 +36,7 @@ def wrap(patch, description):
 def main() -> None:
     monorepo = SyntheticMonorepo(MonorepoSpec(layers=(3, 4, 4), fan_in=2), seed=3)
     snapshot = monorepo.repo.snapshot().to_dict()
-    analyzer = ConflictAnalyzer(snapshot)
+    analyzer = ConflictAnalyzer(BuildContext.load(snapshot))
 
     # 1. Affected-target delta of one change.
     base_target = monorepo.target_names(layer=0)[0]
@@ -88,7 +89,9 @@ def main() -> None:
         ("wide (backend-like)", MonorepoSpec(layers=(14,), fan_in=1)),
     ):
         shaped = SyntheticMonorepo(spec, seed=9)
-        shaped_analyzer = ConflictAnalyzer(shaped.repo.snapshot().to_dict())
+        shaped_analyzer = ConflictAnalyzer(
+            BuildContext.load(shaped.repo.snapshot().to_dict())
+        )
         graph = ConflictGraph(shaped_analyzer.conflict)
         changes = [shaped.make_clean_change() for _ in range(10)]
         for pending in changes:

@@ -1,6 +1,7 @@
 """The conflict analyzer (paper section 5.2), incremental end-to-end.
 
-Given a base snapshot (the mainline HEAD) and pending changes with
+Given a base :class:`~repro.buildsys.executor.BuildContext` (the mainline
+HEAD's snapshot, graph and target hashes) and pending changes with
 patches, decides pairwise *potential* conflicts:
 
 * **fast path** — when neither change alters build-graph *structure*
@@ -14,16 +15,19 @@ patches, decides pairwise *potential* conflicts:
 * an **exact mode** implementing Equation 6 directly (builds the combined
   graph ``G_{H⊕Ci⊕Cj}``) is kept for cross-validation in tests.
 
-Per-change analysis is incremental: patches are applied as copy-on-write
-:class:`~repro.vcs.patch.SnapshotOverlay` views, BUILD files are re-parsed
-only for touched packages (:func:`~repro.buildsys.loader.reload_packages`),
-and hashing reuses the base hash map for everything outside the touched
-targets' reverse-dependency closure (dirty-set hashing).
+Per-change analysis is one
+:meth:`~repro.buildsys.executor.BuildContext.derive_stack` of the change's
+patch over the base — the derivation every build uses: a copy-on-write
+overlay, BUILD files re-parsed only for touched packages, and hashing
+that reuses the base hash map for everything outside the touched targets'
+reverse-dependency closure.  Nothing here loads a graph or hashes a
+target itself.
 
 The analyzer also *carries over* across mainline advances instead of being
-rebuilt: :meth:`ConflictAnalyzer.advance_base` rehashes the base
-incrementally and revalidates cached per-change analyses that provably
-cannot have changed (see the method's invariants).  :meth:`ConflictAnalyzer.forget`
+rebuilt: :meth:`ConflictAnalyzer.advance_base` adopts the head's already
+advanced context (the build controller's, in a service) and revalidates
+cached per-change analyses that provably cannot have changed (see the
+method's invariants).  :meth:`ConflictAnalyzer.forget`
 evicts committed/aborted changes so the per-change cache cannot grow
 unboundedly.
 
@@ -41,21 +45,11 @@ instead of running the build system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.buildsys.delta import delta_from_dirty, delta_names, equation6_conflict
+from repro.buildsys.executor import BuildContext
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import TargetHasher, dirty_targets
-from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.changes.change import Change
 from repro.conflict.union_graph import cone_conflict
 from repro.errors import BuildSystemError, PatchConflictError
@@ -70,9 +64,11 @@ class ConflictAnalyzerStats(CounterStats):
 
     The first four feed the section-5.2 benches; the incremental group
     records how much work dirty-set hashing and carry-over actually saved
-    (``targets_rehashed`` out of ``targets_total`` per analysis, cached
-    analyses ``analyses_revalidated`` vs ``analyses_recomputed`` across
-    head advances).  ``analyses_recomputed`` counts when the replacement
+    (``targets_rehashed`` out of ``targets_total`` per analysis — analyses
+    only: the head advance's own rehash is whoever advanced the base
+    context's, the build controller's in a service — and cached analyses
+    ``analyses_revalidated`` vs ``analyses_recomputed`` across head
+    advances).  ``analyses_recomputed`` counts when the replacement
     analysis is actually computed — a head advance *invalidates* cached
     analyses, and the recompute happens (and is counted) on the next
     ``analyze()`` of that change, so the revalidated/recomputed ratio
@@ -154,13 +150,16 @@ class ConflictAnalyzerStats(CounterStats):
 
 @dataclass
 class _ChangeAnalysis:
-    """Cached per-change artifacts against one base snapshot."""
+    """What a verdict reads of one change, analysed against one base.
+
+    Nothing here depends on the base outside the change's own cone, which
+    is what lets :meth:`ConflictAnalyzer.advance_base` keep a survivor
+    as it is.
+    """
 
     patch: Patch
     touched: FrozenSet[Path]
-    snapshot: Mapping[Path, str]
     graph: BuildGraph
-    hashes: Dict[TargetName, str]
     delta: FrozenSet[AffectedTarget]
     #: Names whose hash differs from the base's, a missing target hashing
     #: as ``None``: ``delta``'s names (changed or added) plus the targets
@@ -173,13 +172,9 @@ class _ChangeAnalysis:
 class ConflictAnalyzer:
     """Build-target-hash based pairwise conflict detection."""
 
-    def __init__(self, base_snapshot: Mapping[Path, str],
-                 base_graph: Optional[BuildGraph] = None,
-                 recorder: Recorder = NULL_RECORDER) -> None:
-        self._base_snapshot = base_snapshot
-        self._base_graph = base_graph or load_build_graph(base_snapshot)
-        self._base_hashes = TargetHasher(self._base_graph, base_snapshot).all_hashes()
-        self._base_structure = self._base_graph.structure()
+    def __init__(self, base: BuildContext, recorder: Recorder = NULL_RECORDER) -> None:
+        self._base = base
+        self._base_structure = base.graph.structure()
         self._per_change: Dict[ChangeId, _ChangeAnalysis] = {}
         #: The candidate index over ``_per_change``: which cached
         #: non-structural analyses taint a target name or touch a path,
@@ -196,12 +191,17 @@ class ConflictAnalyzer:
         )
         self._count = self.stats.counters
 
+    @property
+    def base(self) -> BuildContext:
+        """The context analyses are derived from (the mainline HEAD's)."""
+        return self._base
+
     # -- per-change analysis ------------------------------------------------
 
     def analyze(self, change: Change) -> _ChangeAnalysis:
-        """Compute (and cache) the change's snapshot, graph, and delta.
+        """Compute (and cache) the change's graph, delta and taint.
 
-        Incremental: the snapshot is an overlay over the base, only touched
+        Incremental: one ``derive_stack`` over the base — only touched
         packages' BUILD files are re-parsed, and only the touched targets'
         reverse-dependency closure is rehashed.
         """
@@ -221,33 +221,25 @@ class ConflictAnalyzer:
         return analysis
 
     def _analyze_patch(self, patch: Patch) -> _ChangeAnalysis:
-        touched = frozenset(patch.paths)
-        snapshot = patch.apply(self._base_snapshot)
-        # reload_packages returns the base graph object untouched when no
-        # BUILD file is in the patch — the ~92-98% content-only case.
-        graph = reload_packages(self._base_graph, snapshot, touched)
-        seeds = dirty_targets(self._base_graph, graph, touched)
-        hasher = TargetHasher(
-            graph, snapshot, seed_hashes=self._base_hashes, dirty=seeds
-        )
-        hashes = hasher.all_hashes()
-        delta = delta_from_dirty(self._base_hashes, hashes, hasher.dirty_closure)
+        base = self._base
+        merged = base.derive_stack((patch,))
+        # The derived graph is the base's own object when no BUILD file is
+        # in the patch — the ~92-98% content-only case.
+        graph = merged.graph
+        delta = delta_from_dirty(base.hashes, merged.hashes, merged.dirty_since_base)
         taint = delta_names(delta)
-        if graph is not self._base_graph:
-            taint.update(self._base_hashes.keys() - hashes.keys())
+        if graph is not base.graph:
+            taint.update(base.hashes.keys() - merged.hashes.keys())
         structure_changed = (
-            graph is not self._base_graph
-            and graph.structure() != self._base_structure
+            graph is not base.graph and graph.structure() != self._base_structure
         )
         self._count["analyses"].inc()
-        self._count["targets_rehashed"].inc(hasher.computed)
+        self._count["targets_rehashed"].inc(merged.rehashed)
         self._count["targets_total"].inc(len(graph))
         return _ChangeAnalysis(
             patch=patch,
-            touched=touched,
-            snapshot=snapshot,
+            touched=frozenset(patch.paths),
             graph=graph,
-            hashes=hashes,
             delta=delta,
             taint=frozenset(taint),
             structure_changed=structure_changed,
@@ -362,24 +354,26 @@ class ConflictAnalyzer:
 
     def advance_base(
         self,
-        new_snapshot: Mapping[Path, str],
+        new_base: BuildContext,
         committed_paths: Optional[Iterable[Path]] = None,
     ) -> None:
-        """Move the analyzer's base to a new mainline HEAD, carrying caches.
+        """Adopt the new mainline HEAD's context as the base, carrying caches.
 
-        ``committed_paths`` is every path that differs between the old and
-        new base (the union of the committed patches' paths).  When it is
-        unknown (``None``) the analyzer falls back to a from-scratch
-        rebuild.
+        ``new_base`` is already advanced — in a service, by the build
+        controller landing the commit — so nothing is reloaded or rehashed
+        here.  ``committed_paths`` is every path that differs between the
+        old and new base (the union of the committed patches' paths).
+        When it is unknown (``None``) every cached analysis is dropped.
 
-        The base graph and hash map are themselves advanced incrementally.
-        A cached per-change analysis is **revalidated** (kept, with its
-        hash map rebased onto the new base) only when all four invariants
-        hold; otherwise it is dropped and recomputed lazily on next use:
+        A cached per-change analysis is **revalidated** (kept as it is —
+        nothing it holds reads the base outside its own cone) only when
+        all four invariants hold; otherwise it is dropped and recomputed
+        lazily on next use:
 
         1. the committed delta touches no BUILD file (non-structural
-           commit) — otherwise new targets may depend into a cached delta
-           without tripping invariant 4;
+           commit: the new base shares the old one's graph object) —
+           otherwise new targets may depend into a cached delta without
+           tripping invariant 4;
         2. the cached analysis is itself non-structural, so its affected
            targets exist base-side with identical dependency closures;
         3. the change's touched paths are disjoint from the committed
@@ -392,35 +386,33 @@ class ConflictAnalyzer:
         candidate-index entries stand; dropped analyses leave the index.
         """
         self._count["head_advances"].inc()
-        if committed_paths is None:
-            self._rebuild(new_snapshot)
-            return
-        committed = frozenset(committed_paths)
-        new_graph = reload_packages(self._base_graph, new_snapshot, committed)
-        seeds = dirty_targets(self._base_graph, new_graph, committed)
-        hasher = TargetHasher(
-            new_graph, new_snapshot, seed_hashes=self._base_hashes, dirty=seeds
-        )
-        new_hashes = hasher.all_hashes()
-        self._count["targets_rehashed"].inc(hasher.computed)
-        self._count["targets_total"].inc(len(new_graph))
-        commit_affected = delta_names(
-            delta_from_dirty(self._base_hashes, new_hashes, hasher.dirty_closure)
-        )
-        structural_commit = new_graph is not self._base_graph
+        old, self._base = self._base, new_base
+        structural_commit = new_base.graph is not old.graph
+        if structural_commit:
+            self._base_structure = new_base.graph.structure()
 
         survivors: Dict[ChangeId, _ChangeAnalysis] = {}
-        if not structural_commit:
+        if committed_paths is not None and not structural_commit:
+            committed = frozenset(committed_paths)
+            # The commit's affected names: the committed paths' owners and
+            # their dependents whose digest moved between the two contexts.
+            graph = new_base.graph
+            owners: Set[TargetName] = set()
+            for path in committed:
+                owners.update(graph.targets_owning(path))
+            old_hashes, new_hashes = old.hashes, new_base.hashes
+            commit_affected = {
+                name
+                for name in graph.transitive_dependents(owners)
+                if old_hashes[name] != new_hashes[name]
+            }
             for change_id, analysis in self._per_change.items():
                 if (
-                    analysis.structure_changed
-                    or not analysis.touched.isdisjoint(committed)
-                    or not analysis.taint.isdisjoint(commit_affected)
+                    not analysis.structure_changed
+                    and analysis.touched.isdisjoint(committed)
+                    and analysis.taint.isdisjoint(commit_affected)
                 ):
-                    continue
-                survivors[change_id] = self._rebase_analysis(
-                    analysis, new_snapshot, new_hashes
-                )
+                    survivors[change_id] = analysis
         self._count["analyses_revalidated"].inc(len(survivors))
         # Dropped analyses are *invalidated*, not yet recomputed: the
         # recompute counter moves when analyze() actually redoes the work.
@@ -441,50 +433,6 @@ class ConflictAnalyzer:
             if change_id not in survivors:
                 self._unindex(change_id, analysis)
         self._per_change = survivors
-        self._base_snapshot = new_snapshot
-        self._base_graph = new_graph
-        self._base_hashes = new_hashes
-        if structural_commit:
-            self._base_structure = new_graph.structure()
-
-    def _rebase_analysis(
-        self,
-        analysis: _ChangeAnalysis,
-        new_snapshot: Mapping[Path, str],
-        new_base_hashes: Mapping[TargetName, str],
-    ) -> _ChangeAnalysis:
-        """Rebase a revalidated analysis onto the new base.
-
-        Targets outside the cached delta now hash as the new base does;
-        delta targets keep their cached digests (invariants 1–4 make both
-        facts exact, not approximations).
-        """
-        hashes = dict(new_base_hashes)
-        for item in analysis.delta:
-            hashes[item.name] = item.digest
-        return _ChangeAnalysis(
-            patch=analysis.patch,
-            touched=analysis.touched,
-            snapshot=analysis.patch.apply(new_snapshot),
-            graph=self._base_graph,
-            hashes=hashes,
-            delta=analysis.delta,
-            taint=analysis.taint,
-            structure_changed=False,
-        )
-
-    def _rebuild(self, new_snapshot: Mapping[Path, str]) -> None:
-        self._invalidated.update(self._per_change)
-        self._base_snapshot = new_snapshot
-        self._base_graph = load_build_graph(new_snapshot)
-        self._base_hashes = TargetHasher(
-            self._base_graph, new_snapshot
-        ).all_hashes()
-        self._base_structure = self._base_graph.structure()
-        self._per_change = {}
-        self._by_taint = {}
-        self._by_path = {}
-        self._structural = set()
 
     # -- pairwise conflicts ---------------------------------------------------
 
@@ -514,7 +462,7 @@ class ConflictAnalyzer:
             return not a.taint.isdisjoint(b.taint)
         self._count["slow_path"].inc()
         return cone_conflict(
-            self._base_graph, a.graph, a.taint, b.graph, b.taint
+            self._base.graph, a.graph, a.taint, b.graph, b.taint
         )
 
     def conflict_equation6(self, first: Change, second: Change) -> bool:
@@ -528,15 +476,14 @@ class ConflictAnalyzer:
         a = self.analyze(first)
         b = self.analyze(second)
         try:
-            combined = second.patch.apply(a.snapshot)
+            combined = second.patch.apply(first.patch.apply(self._base.snapshot))
         except PatchConflictError:
             return True
-        combined_graph = load_build_graph(combined)
-        combined_hashes = TargetHasher(combined_graph, combined).all_hashes()
+        base_hashes = self._base.hashes
         delta_ij = frozenset(
             AffectedTarget(name, digest)
-            for name, digest in combined_hashes.items()
-            if self._base_hashes.get(name) != digest
+            for name, digest in BuildContext.load(combined).hashes.items()
+            if base_hashes.get(name) != digest
         )
         return equation6_conflict(a.delta, b.delta, delta_ij)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
+from repro.buildsys.executor import BuildContext
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.experiments.runner import format_table
 from repro.workload.generator import WorkloadGenerator
@@ -51,7 +52,9 @@ def run(
     # The structural count is deterministic (exactly the requested
     # fraction), so the fast-path rate is a measurement, not a coin flip.
     monorepo = SyntheticMonorepo(MonorepoSpec(layers=(6, 10, 14), fan_in=2), seed=seed)
-    analyzer = ConflictAnalyzer(monorepo.repo.snapshot().to_dict())
+    analyzer = ConflictAnalyzer(
+        BuildContext.load(monorepo.repo.snapshot().to_dict())
+    )
     structural = max(1, int(round(structural_fraction * fullstack_changes)))
     changes = [monorepo.make_structural_change() for _ in range(structural)]
     changes.extend(

@@ -13,11 +13,13 @@ Deliberately excluded:
 * cache *statistics* — analyzer, build-context, prefix, and artifact
   hit/miss counters measure how much work recovery skipped, not what the
   service will do next (a recovered service rebuilds some caches cold);
-* the conflict analyzer's at-rest base: the service refreshes it lazily
-  (on the next conflict query, not on commit), so at rest it may be
-  pinned to an older head than a freshly restored service's analyzer —
-  yet both refresh to the same head before any query, and the refreshed
-  base is a pure function of the head snapshot, which *is* fingerprinted
+* the conflict analyzer's at-rest base: the service borrows it from the
+  build controller lazily (built at the first conflict query, and
+  re-pointed at the controller's advanced context on the next query
+  after a commit, not on the commit), so at rest it may be absent, or
+  an older head's context than a freshly restored service's — yet both
+  adopt the same head's context before any query, and that context is a
+  pure function of the head snapshot, which *is* fingerprinted
   (``repo.head_digest``);
 * open trace spans and recorder state (observability, not behaviour).
 """

@@ -13,10 +13,10 @@ back to the parent.  No artifact-cache state crosses requests in a
 worker — step elimination is applied exactly once, deterministically,
 when the parent replays the response through its own
 :class:`~repro.buildsys.cache.ArtifactCache` in selection order.  What
-workers *do* keep between requests is pure,
-outcome-neutral CPU state: memoized :class:`BuildContext` roots per base
-head and the content-addressed target digests they hash through.  Each
-request folds its stack onto that root with the same
+workers *do* keep between requests is pure, outcome-neutral CPU state:
+the current base head's memoized :class:`BuildContext` root and the
+content-addressed target digests it hashes through.  Each request folds
+its stack onto that root with the same
 :meth:`~repro.buildsys.executor.BuildContext.derive_stack` the serial
 controller calls (contexts are value holders; step results are functions
 of the merged snapshot alone, so cache warmth can never change an
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.buildsys.executor import BuildContext, BuildExecutor
 from repro.buildsys.hashing import DigestMemo
@@ -41,11 +40,9 @@ from repro.errors import BuildSystemError, PatchConflictError
 from repro.parallel.payload import BuildRequest, BuildResponse, StepRecord, WorkerSpan
 from repro.types import CommitId
 
-#: Memoized root contexts per base head (mirrors the serial controller's
-#: ``BASE_CONTEXT_CAPACITY``).
-_BASE_CAPACITY = 4
-
-_base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
+#: The one memoized root context and the base head it is for (the
+#: mainline only moves forward, as in the serial controller).
+_base: Tuple[Optional[CommitId], Optional[BuildContext]] = (None, None)
 
 #: Target digests shared by every context of this process; a generation
 #: ends each time a new base head is loaded (mirrors the serial
@@ -54,20 +51,18 @@ _digest_memo = DigestMemo()
 
 
 def reset_worker_state() -> None:
-    """Drop all memoized contexts (test isolation; never required)."""
-    _base_contexts.clear()
+    """Drop the memoized context (test isolation; never required)."""
+    global _base
+    _base = (None, None)
 
 
 def _base_context(request: BuildRequest) -> BuildContext:
-    context = _base_contexts.get(request.base_commit_id)
-    if context is None:
+    global _base
+    commit_id, context = _base
+    if commit_id != request.base_commit_id:
         _digest_memo.rotate()
         context = BuildContext.load(request.base_snapshot, _digest_memo)
-        _base_contexts[request.base_commit_id] = context
-        while len(_base_contexts) > _BASE_CAPACITY:
-            _base_contexts.popitem(last=False)
-    else:
-        _base_contexts.move_to_end(request.base_commit_id)
+        _base = (request.base_commit_id, context)
     return context
 
 

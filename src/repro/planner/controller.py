@@ -19,7 +19,6 @@ Two fidelities behind one interface:
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -202,8 +201,10 @@ class FullStackBuildController(BuildController):
     builds instead of recomputing both snapshot sides from scratch:
 
     * the base side (graph + Algorithm-1 hashes) is a
-      :class:`~repro.buildsys.executor.BuildContext` memoized per mainline
-      head and *advanced* in O(delta) when a change lands;
+      :class:`~repro.buildsys.executor.BuildContext` memoized for the
+      current mainline head and *advanced* in O(delta) when a change
+      lands (:meth:`base_context`, which the service's conflict analyzer
+      borrows too);
     * a build of ``H ⊕ S ⊕ C`` folds its whole stack onto that context in
       one :meth:`~repro.buildsys.executor.BuildContext.derive_stack`: one
       copy-on-write overlay and one rehash of the union's dirty
@@ -215,8 +216,6 @@ class FullStackBuildController(BuildController):
     to ``incremental=False`` (enforced by a hypothesis property test).
     """
 
-    #: Keep at most this many base contexts (mainline heads) memoized.
-    BASE_CONTEXT_CAPACITY = 4
     #: Materialize the base snapshot into a plain dict once its overlay
     #: chain (one layer per landed commit) exceeds this depth.
     BASE_FLATTEN_DEPTH = 8
@@ -247,7 +246,9 @@ class FullStackBuildController(BuildController):
             if recorder.enabled
             else None
         )
-        self._base_contexts: "OrderedDict[CommitId, BuildContext]" = OrderedDict()
+        #: The one memoized base context and the head it is for — the
+        #: mainline only moves forward, so no older head is asked for again.
+        self._base: Tuple[Optional[CommitId], Optional[BuildContext]] = (None, None)
         #: Target digests shared by every context this controller loads or
         #: derives; a generation ends each time the base advances.
         self._digest_memo = DigestMemo()
@@ -283,7 +284,7 @@ class FullStackBuildController(BuildController):
         """
         if change.patch is None:
             raise ValueError(f"change {change.change_id} carries no patch")
-        old_ctx = self._base_contexts.get(self.base_commit_id)
+        old_ctx = self._memoized_base()
         self._repo.commit_to_mainline(
             change.patch,
             message=change.description or change.change_id,
@@ -296,8 +297,9 @@ class FullStackBuildController(BuildController):
             # snapshot, so the derivation cannot conflict.
             advanced = self._derive_stack(old_ctx, (change.patch,))
             self.stats.base_context_advances += 1
-            self._remember_base(
-                self.base_commit_id, advanced.as_root(self.BASE_FLATTEN_DEPTH)
+            self._base = (
+                self.base_commit_id,
+                advanced.as_root(self.BASE_FLATTEN_DEPTH),
             )
         if self.recorder.enabled:
             self.recorder.counter(
@@ -314,27 +316,36 @@ class FullStackBuildController(BuildController):
 
     # -- incremental machinery ---------------------------------------------
 
-    def _remember_base(self, commit_id: CommitId, context: BuildContext) -> None:
-        self._base_contexts[commit_id] = context
-        self._base_contexts.move_to_end(commit_id)
-        while len(self._base_contexts) > self.BASE_CONTEXT_CAPACITY:
-            self._base_contexts.popitem(last=False)
+    def _memoized_base(self) -> Optional[BuildContext]:
+        commit_id, context = self._base
+        return context if commit_id == self.base_commit_id else None
 
-    def _base_context(self) -> BuildContext:
-        """The memoized context for the current base commit (load once)."""
-        context = self._base_contexts.get(self.base_commit_id)
+    def base_context(self) -> BuildContext:
+        """The current base commit's context, loaded at most once per head
+        (and, when incremental, once per controller: commits advance it).
+
+        Reading it is not a build — the service's conflict analyzer
+        borrows its base here — so it may count a load, never a reuse.
+        """
+        context = self._memoized_base()
         if context is None:
             context = BuildContext.load(
                 self._repo.snapshot(self.base_commit_id).to_dict(),
                 self._digest_memo,
             )
             self.stats.base_context_loads += 1
-            self._remember_base(self.base_commit_id, context)
-        else:
-            self._base_contexts.move_to_end(self.base_commit_id)
-            self.stats.base_context_reuses += 1
-            if self._base_context_reused is not None:
-                self._base_context_reused.inc()
+            self._base = (self.base_commit_id, context)
+        return context
+
+    def _build_base_context(self) -> BuildContext:
+        """:meth:`base_context` on behalf of a build: answering from the
+        memoized context counts as a reuse."""
+        context = self._memoized_base()
+        if context is None:
+            return self.base_context()
+        self.stats.base_context_reuses += 1
+        if self._base_context_reused is not None:
+            self._base_context_reused.inc()
         return context
 
     def _derive_stack(
@@ -394,7 +405,7 @@ class FullStackBuildController(BuildController):
         memo = self._base_snapshot_memo
         if memo is not None and memo[0] == self.base_commit_id:
             return memo[1]
-        context = self._base_context()
+        context = self._build_base_context()
         snapshot = context.snapshot
         materialized = (
             snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
@@ -639,7 +650,7 @@ class FullStackBuildController(BuildController):
         if not self.incremental:
             return self._execute_scratch(key, change, assumed)
 
-        base_context = self._base_context()
+        base_context = self._build_base_context()
         # Merge in sorted-id order, the change last; a textual conflict
         # fails the build the same way a failed merge fails it in
         # production, and so does a stack whose BUILD files do not load

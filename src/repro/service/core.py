@@ -43,12 +43,13 @@ from repro.vcs.repository import Repository
 class CoreServiceConfig:
     """The service's whole selection surface: five fields, one path each.
 
-    The conflict analyzer is always refreshed after a mainline commit and
-    advanced incrementally; builds always execute incrementally and are
-    always dispatched at plan time and resolved at the pump's next
-    quiescent point; idle-time analysis warming is always on when a build
-    backend is attached; a submission is always conflict-checked against
-    the analyzer's candidates only, never the whole pending set.
+    The conflict analyzer always borrows the build controller's base
+    context, adopting the advanced one after a mainline commit; builds
+    always execute incrementally and are always dispatched at plan time
+    and resolved at the pump's next quiescent point; idle-time analysis
+    warming is always on when a build backend is attached; a submission is
+    always conflict-checked against the analyzer's candidates only, never
+    the whole pending set.
     """
 
     #: Simulated build workers (the planner's per-epoch build budget).
@@ -121,10 +122,11 @@ class CoreService:
 
         ``conflict_predicate``: what the planner's conflict graph asks
         about two changes.  ``None`` — the default — is the service's own
-        analyzer over ``repo``, which also narrows each submission's sweep
-        to its conflict candidates; label-mode runs, whose changes carry
-        no patches, pass a predicate over the labels instead, and that
-        predicate is asked about every pending pair."""
+        analyzer over the controller's base context (built at the first
+        query), which also narrows each submission's sweep to its conflict
+        candidates; label-mode runs, whose changes carry no patches, pass
+        a predicate over the labels instead, that predicate is asked about
+        every pending pair, and no analyzer is ever built."""
         self.repo = repo
         self.config = config
         self.recorder = recorder
@@ -133,9 +135,9 @@ class CoreService:
             if controller is not None
             else FullStackBuildController(repo, recorder=recorder)
         )
-        self._analyzer = ConflictAnalyzer(
-            repo.snapshot().to_dict(), recorder=recorder
-        )
+        #: Built by the first conflict query, so a service that is handed
+        #: a ``conflict_predicate`` (and never asks) has none.
+        self._analyzer: Optional[ConflictAnalyzer] = None
         self.planner = PlannerEngine(
             strategy=strategy,
             controller=self.controller,
@@ -163,7 +165,7 @@ class CoreService:
         #: in plan order; _resolve_builds journals and times them.
         self._unresolved_epochs: List[_Epoch] = []
         self._warmed_analyses: Set[str] = set()
-        self._head_at_analyzer = repo.head()
+        self._head_at_analyzer = None
         self._backend = None
         if config.build_backend is not None:
             attach = getattr(self.controller, "attach_backend", None)
@@ -177,7 +179,11 @@ class CoreService:
                 )
                 attach(
                     self._backend,
-                    idle_hook=self._warm_pending_analysis,
+                    idle_hook=(
+                        self._warm_pending_analysis
+                        if conflict_predicate is None
+                        else None
+                    ),
                     step_wall_seconds=config.step_wall_seconds,
                 )
         self._journal = config.journal if config.journal is not None else NULL_JOURNAL
@@ -200,27 +206,36 @@ class CoreService:
     # -- conflict analysis ----------------------------------------------------
 
     def _conflict_predicate(self, first: Change, second: Change) -> bool:
-        self._maybe_refresh_analyzer()
-        return self._analyzer.conflict(first, second)
+        return self._current_analyzer().conflict(first, second)
 
     def _conflict_candidates(
         self, change: Change, pending: Sequence[Change]
     ) -> Optional[List[ChangeId]]:
-        self._maybe_refresh_analyzer()
-        return self._analyzer.conflict_candidates(change, pending)
+        return self._current_analyzer().conflict_candidates(change, pending)
 
-    def _maybe_refresh_analyzer(self) -> None:
-        """Advance the analyzer (pinned to a HEAD snapshot) past new commits."""
-        if self.repo.head() == self._head_at_analyzer:
-            return
-        # Unknown paths (old head not an ancestor of the new one) degrade
-        # to a from-scratch rebuild inside advance_base; known paths carry
-        # cached analyses over.
-        self._analyzer.advance_base(
-            self.repo.snapshot().to_dict(),
-            self._committed_paths_since(self._head_at_analyzer),
-        )
-        self._head_at_analyzer = self.repo.head()
+    def _current_analyzer(self) -> ConflictAnalyzer:
+        """The analyzer, its base the controller's context for the HEAD.
+
+        Built at the first query and advanced past new commits at the
+        next one; either way the base is borrowed, never loaded or
+        rehashed here — the controller already advanced it to land the
+        commit.
+        """
+        head = self.repo.head()
+        if self._analyzer is None:
+            self._analyzer = ConflictAnalyzer(
+                self.controller.base_context(), recorder=self.recorder
+            )
+        elif head != self._head_at_analyzer:
+            # Unknown paths (old head not an ancestor of the new one) drop
+            # every cached analysis inside advance_base; known paths carry
+            # them over.
+            self._analyzer.advance_base(
+                self.controller.base_context(),
+                self._committed_paths_since(self._head_at_analyzer),
+            )
+        self._head_at_analyzer = head
+        return self._analyzer
 
     def _committed_paths_since(self, old_head) -> Optional[Set[str]]:
         """Union of paths touched by mainline commits after ``old_head``."""
@@ -232,7 +247,9 @@ class CoreService:
         return None  # old head is not an ancestor of the new head
 
     @property
-    def analyzer(self) -> ConflictAnalyzer:
+    def analyzer(self) -> Optional[ConflictAnalyzer]:
+        """``None`` until the first conflict query — for good when a
+        ``conflict_predicate`` answers them instead."""
         return self._analyzer
 
     # -- journaling ---------------------------------------------------------
@@ -327,9 +344,8 @@ class CoreService:
             if change.change_id in self._warmed_analyses:
                 continue
             self._warmed_analyses.add(change.change_id)
-            self._maybe_refresh_analyzer()
             try:
-                self._analyzer.analyze(change)
+                self._current_analyzer().analyze(change)
             except (PatchConflictError, BuildSystemError):
                 # Nothing to warm: the patch no longer applies to the head
                 # or its BUILD files do not load on it, and the change's
@@ -479,10 +495,12 @@ class CoreService:
                         )
                     )
                     commit_index += 1
-        for decision in new_decisions:
-            # Decided changes leave the pending set; evict them so the
-            # analyzer's per-change cache and candidate index stay bounded.
-            self._analyzer.forget(decision.change_id)
+        if self._analyzer is not None:
+            for decision in new_decisions:
+                # Decided changes leave the pending set; evict them so the
+                # analyzer's per-change cache and candidate index stay
+                # bounded.
+                self._analyzer.forget(decision.change_id)
         self._replan()
         return new_decisions
 

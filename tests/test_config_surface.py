@@ -10,6 +10,7 @@ import inspect
 
 import pytest
 
+from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
 from repro.journal.snapshots import decode_config, encode_config
@@ -46,6 +47,14 @@ def test_service_constructor_arguments():
     assert list(inspect.signature(CoreService.__init__).parameters) == [
         "self", "repo", "strategy", "config", "controller", "recorder",
         "conflict_predicate",
+    ]
+
+
+def test_analyzer_constructor_arguments():
+    # A base context and a recorder: the analyzer loads and hashes nothing
+    # itself, so there is no snapshot or graph to hand it.
+    assert list(inspect.signature(ConflictAnalyzer.__init__).parameters) == [
+        "self", "base", "recorder",
     ]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.buildsys.executor import BuildContext
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.conflict.analyzer import ConflictAnalyzer, LabelConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
@@ -23,7 +24,7 @@ def _change(patch, base):
 
 @pytest.fixture
 def analyzer(tiny_snapshot):
-    return ConflictAnalyzer(tiny_snapshot)
+    return ConflictAnalyzer(BuildContext.load(tiny_snapshot))
 
 
 def modify(snapshot, path, content):

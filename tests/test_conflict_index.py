@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.buildsys.executor import BuildContext
 from repro.changes.change import Change, next_change_id, next_revision_id
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
@@ -103,7 +104,7 @@ def _service(reference=False, batching=False, recorder=None, journal=None):
 
 class TestCandidates:
     def test_scope_is_shared_names_paths_and_the_escape_sets(self):
-        analyzer = ConflictAnalyzer(dict(FILES))
+        analyzer = ConflictAnalyzer(BuildContext.load(dict(FILES)))
         a0 = _clean(0)
         b0 = _clean(1)
         cross = _cross_island(slot=0, source_index=1)
@@ -130,7 +131,7 @@ class TestCandidates:
         assert unowned.change_id in analyzer.conflict_candidates(docs_too, pending)
 
     def test_structural_or_unanalysable_newcomer_sweeps_all(self):
-        analyzer = ConflictAnalyzer(dict(FILES))
+        analyzer = ConflictAnalyzer(BuildContext.load(dict(FILES)))
         pending = [_clean(0), _clean(1)]
         structural = _ISLANDS[0].make_structural_change()
         assert analyzer.conflict_candidates(structural, pending) is None
@@ -142,17 +143,19 @@ class TestCandidates:
         assert analyzer.stats.skipped == 0
 
     def test_nothing_pending_analyses_nothing(self):
-        analyzer = ConflictAnalyzer(dict(FILES))
+        analyzer = ConflictAnalyzer(BuildContext.load(dict(FILES)))
         assert analyzer.conflict_candidates(_clean(0), []) is None
         assert analyzer.stats.analyses == 0
 
     def test_structural_head_advance_reindexes_on_next_sweep(self):
-        analyzer = ConflictAnalyzer(dict(FILES))
+        analyzer = ConflictAnalyzer(BuildContext.load(dict(FILES)))
         a0, b0 = _clean(0), _clean(1)
         assert analyzer.conflict_candidates(b0, [a0]) == []
         structural = _ISLANDS[0].make_structural_change()
-        head = structural.patch.apply(FILES).to_dict()
-        analyzer.advance_base(head, structural.patch.paths)
+        analyzer.advance_base(
+            analyzer.base.derive_stack((structural.patch,)).as_root(),
+            structural.patch.paths,
+        )
         # Every cached analysis predates the new target graph and is gone,
         # index entries included, until the next sweep needs it.
         assert analyzer.cached_change_ids() == frozenset()
@@ -166,11 +169,11 @@ class TestCandidates:
 
     def test_checks_plus_skipped_is_the_full_sweep_on_8_islands(self):
         files, changes = mint_partitioned_cell(islands=8, count=64, seed=1911)
-        full = ConflictAnalyzer(dict(files))
+        full = ConflictAnalyzer(BuildContext.load(dict(files)))
         full_graph = ConflictGraph(full.conflict)
         for change in copy.deepcopy(changes):
             full_graph.add(change)
-        analyzer = ConflictAnalyzer(dict(files))
+        analyzer = ConflictAnalyzer(BuildContext.load(dict(files)))
         graph = ConflictGraph(analyzer.conflict)
         pending = []
         for change in copy.deepcopy(changes):

@@ -73,9 +73,12 @@ class TestFullStackSimulation:
         """The DES works in full-stack mode too: real patches, real builds,
         real commits, green mainline."""
         monorepo = SyntheticMonorepo(MonorepoSpec(layers=(3, 4), fan_in=2), seed=21)
+        from repro.buildsys.executor import BuildContext
         from repro.conflict.analyzer import ConflictAnalyzer
 
-        analyzer = ConflictAnalyzer(monorepo.repo.snapshot().to_dict())
+        analyzer = ConflictAnalyzer(
+            BuildContext.load(monorepo.repo.snapshot().to_dict())
+        )
         controller = FullStackBuildController(monorepo.repo)
         layer0 = monorepo.target_names(0)
         stream = []

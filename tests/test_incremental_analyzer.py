@@ -8,6 +8,7 @@ recomputation, and ``forget`` eviction).
 
 import pytest
 
+from repro.buildsys.executor import BuildContext
 from repro.buildsys.hashing import TargetHasher, dirty_targets, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.changes.change import Change, Developer, next_change_id
@@ -185,17 +186,17 @@ class TestHashOfAncestorChain:
 
 class TestAnalyzerIncrementalAnalyze:
     def test_content_change_shares_base_graph(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         change = _change(modify(tiny_snapshot, "base/base.py", "BASE = 10\n"))
         analysis = analyzer.analyze(change)
-        assert analysis.graph is analyzer._base_graph
+        assert analysis.graph is analyzer.base.graph
         assert not analysis.structure_changed
         # base affects base, lib, app: exactly the closure was rehashed.
         assert analyzer.stats.targets_rehashed == 3
         assert analyzer.stats.targets_total == 4
 
     def test_delta_matches_full_hash_diff(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         change = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 12\n"))
         delta = analyzer.affected_targets(change)
         snapshot = change.patch.apply(tiny_snapshot)
@@ -212,7 +213,7 @@ class TestAnalyzerIncrementalAnalyze:
 
 class TestForgetEviction:
     def test_forget_evicts_analysis_and_index_entries(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         a = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"))
         b = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
         analyzer.conflict(a, b)
@@ -224,19 +225,20 @@ class TestForgetEviction:
         assert all(ids == {b.change_id} for ids in analyzer._by_taint.values())
 
     def test_forget_unknown_change_is_noop(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         analyzer.forget("no-such-change")
 
 
 class TestAdvanceBase:
     def _advance(self, analyzer, snapshot, patch):
         """Commit ``patch`` on the analyzer's base and advance it."""
-        new_snapshot = patch.apply(snapshot).to_dict()
-        analyzer.advance_base(new_snapshot, patch.paths)
-        return new_snapshot
+        analyzer.advance_base(
+            analyzer.base.derive_stack((patch,)).as_root(), patch.paths
+        )
+        return patch.apply(snapshot).to_dict()
 
     def test_disjoint_analysis_is_revalidated(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
         before = analyzer.analyze(pending).delta
         # Commit an edit to the independent tool target.
@@ -246,12 +248,14 @@ class TestAdvanceBase:
         assert analyzer.stats.analyses_recomputed == 0
         assert pending.change_id in analyzer.cached_change_ids()
         # The carried analysis matches a from-scratch analyzer exactly.
-        fresh = ConflictAnalyzer(new_snapshot)
+        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
         assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta == before
-        assert analyzer.analyze(pending).hashes == fresh.analyze(pending).hashes
+        # ... and so does the base it now stands on: the survivor's hash
+        # map is that base's plus its delta.
+        assert analyzer.base.hashes == fresh.base.hashes
 
     def test_overlapping_commit_recomputes(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
         analyzer.analyze(pending)
         # Commit into base/, whose closure reaches app: the cached delta
@@ -262,7 +266,7 @@ class TestAdvanceBase:
         # The drop alone is an *invalidation*; the recompute is only
         # counted when analyze() actually redoes the work.
         assert analyzer.stats.analyses_recomputed == 0
-        fresh = ConflictAnalyzer(new_snapshot)
+        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
         assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta
         assert analyzer.stats.analyses_recomputed == 1
         # Re-analyzing again is a cache hit, not another recompute.
@@ -270,7 +274,7 @@ class TestAdvanceBase:
         assert analyzer.stats.analyses_recomputed == 1
 
     def test_structural_commit_drops_all_caches(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 41\n"))
         analyzer.analyze(pending)
         commit = Patch.adding(
@@ -282,27 +286,29 @@ class TestAdvanceBase:
         new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
         assert analyzer.cached_change_ids() == frozenset()
         assert analyzer.stats.analyses_recomputed == 0
-        # The base itself advanced correctly (incrementally).
-        fresh = ConflictAnalyzer(new_snapshot)
-        assert analyzer._base_hashes == fresh._base_hashes
-        assert analyzer._base_structure == fresh._base_structure
+        # The adopted base is the head's, and structure is judged against
+        # it: the committed package is no longer a structure change.
+        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
+        assert analyzer.base.hashes == fresh.base.hashes
+        assert analyzer.base.graph.structure() == fresh.base.graph.structure()
         # The dropped analysis counts as recomputed when redone.
-        analyzer.analyze(pending)
+        assert not analyzer.analyze(pending).structure_changed
         assert analyzer.stats.analyses_recomputed == 1
 
     def test_advance_without_paths_rebuilds(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "app/app.py", "APP = 31\n"))
         analyzer.analyze(pending)
         commit = modify(tiny_snapshot, "tool/tool.py", "TOOL = 51\n")
         new_snapshot = commit.apply(tiny_snapshot).to_dict()
-        analyzer.advance_base(new_snapshot, None)
+        analyzer.advance_base(analyzer.base.derive_stack((commit,)).as_root(), None)
         assert analyzer.cached_change_ids() == frozenset()
-        fresh = ConflictAnalyzer(new_snapshot)
-        assert analyzer._base_hashes == fresh._base_hashes
+        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
+        assert analyzer.base.hashes == fresh.base.hashes
+        assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta
 
     def test_index_keeps_only_revalidated_analyses(self, tiny_snapshot):
-        analyzer = ConflictAnalyzer(tiny_snapshot)
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         kept = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"))
         dropped = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 20\n"))
         assert not analyzer.conflict(kept, dropped)

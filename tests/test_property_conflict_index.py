@@ -17,6 +17,7 @@ one fails.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.buildsys.executor import BuildContext
 from repro.buildsys.loader import load_build_graph
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
@@ -131,8 +132,8 @@ def _edges(graph):
 @settings(max_examples=400, deadline=None)
 def test_candidate_sweep_matches_the_full_sweep(steps):
     model = _Model()
-    full = ConflictAnalyzer(model.snapshot())
-    indexed = ConflictAnalyzer(model.snapshot())
+    full = ConflictAnalyzer(BuildContext.load(model.snapshot()))
+    indexed = ConflictAnalyzer(BuildContext.load(model.snapshot()))
     full_graph = ConflictGraph(full.conflict)
     indexed_graph = ConflictGraph(indexed.conflict)
     pending = []
@@ -165,7 +166,10 @@ def test_candidate_sweep_matches_the_full_sweep(steps):
                 except BuildSystemError:
                     continue  # the queue never commits an unloadable head
                 model.decls, model.files, model.notes = decls, files, notes
-                full.advance_base(dict(new_head), patch.paths)
-                indexed.advance_base(dict(new_head), patch.paths)
+                for analyzer in (full, indexed):
+                    analyzer.advance_base(
+                        analyzer.base.derive_stack((patch,)).as_root(),
+                        patch.paths,
+                    )
         assert _edges(indexed_graph) == _edges(full_graph)
         assert indexed.stats.checks + indexed.stats.skipped == full.stats.checks

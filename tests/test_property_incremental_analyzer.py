@@ -12,6 +12,7 @@ every step.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.buildsys.executor import BuildContext
 from repro.changes.change import Change, Developer, next_change_id
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.vcs.patch import Patch
@@ -75,15 +76,18 @@ def _change(patch):
 
 
 def _assert_equivalent(incremental, head, pending):
-    fresh = ConflictAnalyzer(dict(head))
-    assert incremental._base_hashes == fresh._base_hashes
-    assert incremental._base_structure == fresh._base_structure
+    fresh = ConflictAnalyzer(BuildContext.load(dict(head)))
+    assert incremental.base.hashes == fresh.base.hashes
+    assert incremental.base.graph.structure() == fresh.base.graph.structure()
     for change in pending:
         a = incremental.analyze(change)
         b = fresh.analyze(change)
         assert a.delta == b.delta, change.change_id
         assert a.structure_changed == b.structure_changed, change.change_id
-        assert a.hashes == b.hashes, change.change_id
+        # With the bases equal, equal deltas and taints are equal hash
+        # maps: a change's map is its base's plus its delta, minus what
+        # it removed.
+        assert a.taint == b.taint, change.change_id
     for i, first in enumerate(pending):
         for second in pending[i + 1:]:
             assert incremental.conflict(first, second) == fresh.conflict(
@@ -95,7 +99,7 @@ def _assert_equivalent(incremental, head, pending):
 @settings(max_examples=60, deadline=None)
 def test_incremental_equals_from_scratch_across_head_advances(steps):
     head = dict(BASE_FILES)
-    analyzer = ConflictAnalyzer(dict(head))
+    analyzer = ConflictAnalyzer(BuildContext.load(dict(head)))
     pending = []
 
     for serial, (action, kind, pkg, src) in enumerate(steps):
@@ -106,7 +110,9 @@ def test_incremental_equals_from_scratch_across_head_advances(steps):
         elif action == COMMIT:
             patch = _mint_patch(head, kind, pkg, src, 1_000 + serial)
             head = patch.apply(head).to_dict()
-            analyzer.advance_base(dict(head), patch.paths)
+            analyzer.advance_base(
+                analyzer.base.derive_stack((patch,)).as_root(), patch.paths
+            )
         else:  # DECIDE: the oldest pending change leaves the queue
             if pending:
                 decided = pending.pop(0)

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.buildsys.delta import equation6_conflict
+from repro.buildsys.executor import BuildContext
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import TargetHasher
 from repro.buildsys.target import Target
@@ -228,7 +229,7 @@ def test_cone_check_matches_the_union_graph_reference(edits_i, edits_j):
 def test_dependency_reversal_does_not_conflict_with_an_unrelated_change():
     """Base ``a -> b``; the change makes it ``b -> a``.  Base ∪ change is
     cyclic, which used to raise out of ``conflict()`` against anything."""
-    analyzer = ConflictAnalyzer(dict(CYCLE_BASE))
+    analyzer = ConflictAnalyzer(BuildContext.load(dict(CYCLE_BASE)))
     reversal = _rewrite(
         "C1", {"a/BUILD": _build("a"), "b/BUILD": _build("b", ["//a:a"])}
     )
@@ -243,7 +244,7 @@ def test_dependency_reversal_does_not_conflict_with_an_unrelated_change():
 def test_opposite_edges_pair_conflicts():
     """``c -> d`` in one change, ``d -> c`` in the other: acyclic apart,
     a cycle together — a conflict, not an exception."""
-    analyzer = ConflictAnalyzer(dict(CYCLE_BASE))
+    analyzer = ConflictAnalyzer(BuildContext.load(dict(CYCLE_BASE)))
     forward = _rewrite("C1", {"c/BUILD": _build("c", ["//d:d"])})
     backward = _rewrite("C2", {"d/BUILD": _build("d", ["//c:c"])})
     assert analyzer.conflict(forward, backward) is True
@@ -254,7 +255,7 @@ def test_opposite_edges_pair_conflicts():
 
 
 def test_taint_is_the_direct_tagging_including_removed_targets():
-    analyzer = ConflictAnalyzer(dict(CYCLE_BASE))
+    analyzer = ConflictAnalyzer(BuildContext.load(dict(CYCLE_BASE)))
     content = analyzer.analyze(_rewrite("C1", {"b/b.py": "B2"}))
     assert content.taint == {"//a:a", "//b:b"}
     assert content.taint == {item.name for item in content.delta}
@@ -265,7 +266,9 @@ def test_taint_is_the_direct_tagging_including_removed_targets():
     analysis = analyzer.analyze(removal)
     assert analysis.delta == frozenset()  # nothing changed or appeared
     assert analysis.taint == {"//e:e"}
-    assert analysis.taint == _taint(analyzer._base_hashes, analysis.hashes)
+    assert analysis.taint == _taint(
+        analyzer.base.hashes, analyzer.base.derive_stack((removal.patch,)).hashes
+    )
     assert analyzer.conflict(removal, _rewrite("C3", {"c/c.py": "C2"})) is False
     # No shared path and no shared delta name: the removed target's taint
     # reaches ``d`` along the edge only the other change's graph has.
@@ -308,7 +311,7 @@ def _slow_pair_cost(islands):
     home = synths[0]
     structural = home.make_structural_change()
     content = home.make_clean_change(home.target_names(layer=0)[1])
-    analyzer = ConflictAnalyzer(files)
+    analyzer = ConflictAnalyzer(BuildContext.load(files))
     # Per-change analysis is paid once per change, not per pair.
     analyzer.analyze(structural)
     analyzer.analyze(content)

@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.changes.truth import potential_conflict
 from repro.errors import DuplicateChangeError, ReproError, UnknownChangeError
 from repro.journal import JournalWriter, fingerprint_digest, recover
 from repro.journal.sink import events_path
+from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import StaticPredictor
 from repro.service.api import SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import ChangeState
+from repro.vcs.repository import Repository
+from repro.workload.generator import WorkloadGenerator
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
+from repro.workload.scenarios import IOS_WORKLOAD
 
 
 @pytest.fixture
@@ -137,6 +142,45 @@ class TestStalePatch:
         assert service.status(stale.change_id).state is ChangeState.REJECTED
         report = recover(str(tmp_path / "journal"), attach=False)
         assert fingerprint_digest(report.service) == fingerprint_digest(core)
+
+
+class TestOneBase:
+    """The analyzer borrows the build controller's base context."""
+
+    def test_analyzer_base_is_the_controllers_after_a_commit(self, service, monorepo):
+        core = service._core
+        targets = monorepo.target_names(layer=0)
+        assert core.analyzer is None  # nobody has asked it anything yet
+        service.land_change(monorepo.make_clean_change(targets[0]), wait=True)
+        assert monorepo.repo.mainline_length() == 2
+        # The next conflict query adopts the context the commit advanced.
+        for name in targets[1:3]:
+            service.land_change(monorepo.make_clean_change(name))
+        assert core.analyzer.stats.head_advances == 1
+        assert core.analyzer.base is core.controller.base_context()
+        service.process()
+        # One load for the whole run: every head after the first was
+        # derived from it, for builds and analyses alike.
+        assert core.controller.stats.base_context_loads == 1
+        assert core.controller.stats.base_context_advances == 3
+
+    def test_a_conflict_predicate_means_no_analyzer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("nobody asks this analyzer anything")
+
+        monkeypatch.setattr("repro.service.core.ConflictAnalyzer", refuse)
+        core = CoreService(
+            Repository(),
+            SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.1)),
+            CoreServiceConfig(workers=4),
+            controller=LabelBuildController(),
+            conflict_predicate=potential_conflict,
+        )
+        stream = WorkloadGenerator(IOS_WORKLOAD).stream(200.0, 12)
+        for at, change in stream:
+            core.enqueue(change, at=at)
+        assert len(core.pump()) == 12
+        assert core.analyzer is None
 
 
 class TestDuplicateChangeId:
