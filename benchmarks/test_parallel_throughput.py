@@ -1,11 +1,10 @@
 """Parallel-backend throughput: wall-clock build-phase speedup.
 
 Drives the figure-12 cell (``repro.parallel.workload``) once per
-backend — serial ``local``, ``process:2``, ``process:4`` — with a real
-per-step wall cost (each executed step sleeps ``step_wall_seconds``,
-modelling the compile/test subprocess it stands in for).  The process
-backend overlaps those sleeps across worker processes; the serial
-backend cannot.  Acceptance: >= 2.5x speedup at 4 workers with
+backend — serial ``process:1``, ``process:2``, ``process:4`` — with a
+real per-step wall cost (each executed step sleeps ``step_wall_seconds``,
+modelling the compile/test subprocess it stands in for).  More worker
+processes overlap those sleeps; one worker cannot.  Acceptance: >= 2.5x speedup at 4 workers with
 *bit-identical* decisions and state fingerprints, which is what makes
 the comparison honest — the parallel run does exactly the same builds,
 in the same canonical order, and lands the same commits.
@@ -26,7 +25,7 @@ from repro.workload.repo_synth import MonorepoSpec
 
 #: Per-step simulated subprocess cost for the full cell (seconds).
 STEP_WALL = 0.01
-#: The acceptance floor: process:4 over serial local on the full cell.
+#: The acceptance floor: process:4 over serial process:1 on the full cell.
 SPEEDUP_FLOOR = 2.5
 
 _SMOKE_ONLY = os.environ.get("PARALLEL_BENCH_SMOKE") == "1"
@@ -79,7 +78,7 @@ def test_parallel_throughput_figure12():
     files, changes = mint_cell(seed=23, count=16)
     results = [
         run_cell(files, changes, backend=backend, step_wall_seconds=STEP_WALL)
-        for backend in ("local", "process:2", "process:4")
+        for backend in ("process:1", "process:2", "process:4")
     ]
     emit("parallel_throughput", _table(results))
     _record("figure12", results)
@@ -104,7 +103,7 @@ def test_parallel_throughput_smoke():
     results = [
         run_cell(files, changes, backend=backend, service_workers=4,
                  step_wall_seconds=0.005)
-        for backend in ("local", "process:2")
+        for backend in ("process:1", "process:2")
     ]
     emit("parallel_throughput_smoke", _table(results))
     _record("smoke", results)

@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parallel = sub.add_parser(
         "parallel",
-        help="demo process-parallel speculation builds vs the serial backend",
+        help="demo process-parallel speculation builds vs one worker process",
     )
     parallel.add_argument(
         "--changes", type=int, default=12, help="changes in the cell"
@@ -510,7 +510,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     files, changes = mint_cell(seed=args.seed, count=args.changes)
     results = [
         run_cell(files, changes, backend=spec, step_wall_seconds=step_wall)
-        for spec in ("local", f"process:{args.workers}")
+        for spec in ("process:1", f"process:{args.workers}")
     ]
     serial = results[0]
     rows = [

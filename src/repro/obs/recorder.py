@@ -34,18 +34,12 @@ class Recorder:
         clock: Optional[Callable[[], float]] = None,
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[SpanTracer] = None,
-        wall_clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = (
-            tracer if tracer is not None else SpanTracer(clock, wall_clock)
-        )
+        self.tracer = tracer if tracer is not None else SpanTracer(clock)
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         self.tracer.bind_clock(clock)
-
-    def bind_wall_clock(self, wall_clock: Optional[Callable[[], float]]) -> None:
-        self.tracer.bind_wall_clock(wall_clock)
 
     # -- metrics passthrough -------------------------------------------------
 
@@ -150,9 +144,6 @@ class NullRecorder(Recorder):
         self.tracer = None  # type: ignore[assignment]
 
     def bind_clock(self, clock) -> None:
-        pass
-
-    def bind_wall_clock(self, wall_clock) -> None:
         pass
 
     def counter(self, name: str, help: str = "", labels=None):

@@ -21,14 +21,13 @@ on one track must nest by containment (Chrome's rule for ``X`` events);
 the instrumentation puts the service's pump/epoch loop on the ``service``
 track and every build on its change's own track.
 
-Spans can additionally carry *wall-clock* timestamps.  When a tracer has
-a ``wall_clock`` hook bound (it never does by default), every span opened
-and closed through it records ``wall_start``/``wall_end`` alongside the
-simulated interval, and the Chrome export renders those on a second
-process ("wall clock") so a single Perfetto view shows both timelines.
-Wall capture is NaN-safe: a hook returning a non-finite value records
-nothing for that edge, and non-finite values never reach the JSONL
-export (strict JSON has no NaN).
+Spans can additionally carry *wall-clock* timestamps.  Spans spliced
+from a worker process (:meth:`SpanTracer.splice`) record
+``wall_start``/``wall_end`` alongside the simulated interval, and the
+Chrome export renders those on a second process ("wall clock") so a
+single Perfetto view shows both timelines.  Wall edges are NaN-safe: a
+non-finite value records nothing for that edge, and non-finite values
+never reach the JSONL export (strict JSON has no NaN).
 """
 
 from __future__ import annotations
@@ -76,9 +75,8 @@ class Span:
     end: Optional[float] = None
     parent_id: Optional[int] = None
     attrs: Dict[str, object] = field(default_factory=dict)
-    #: Wall-clock edges (epoch seconds), captured only when the tracer has
-    #: a wall_clock hook bound or the span was spliced with explicit
-    #: wall timestamps.  ``None`` when uncaptured.
+    #: Wall-clock edges (epoch seconds), set only when the span was
+    #: spliced with explicit wall timestamps.  ``None`` otherwise.
     wall_start: Optional[float] = None
     wall_end: Optional[float] = None
     #: Track the wall-clock view renders the span on (defaults to ``track``).
@@ -111,13 +109,8 @@ class Event:
 class SpanTracer:
     """Records spans and instants against a bound simulated clock."""
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        wall_clock: Optional[Clock] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock: Clock = clock if clock is not None else _zero_clock
-        self._wall_clock: Optional[Clock] = wall_clock
         self._spans: List[Span] = []
         self._events: List[Event] = []
         self._stack: List[Span] = []
@@ -127,18 +120,8 @@ class SpanTracer:
         """Point the tracer at the owning component's simulated clock."""
         self._clock = clock
 
-    def bind_wall_clock(self, wall_clock: Optional[Clock]) -> None:
-        """Attach (or with ``None`` detach) the wall-clock hook."""
-        self._wall_clock = wall_clock
-
     def now(self) -> float:
         return self._clock()
-
-    def wall_now(self) -> Optional[float]:
-        """The hook's current wall time, or ``None`` (no hook / non-finite)."""
-        if self._wall_clock is None:
-            return None
-        return _finite_or_none(self._wall_clock())
 
     # -- recording -----------------------------------------------------------
 
@@ -171,7 +154,6 @@ class SpanTracer:
             track=track,
             parent_id=parent.span_id if parent is not None else None,
             attrs=dict(attrs),
-            wall_start=self.wall_now(),
         )
         self._next_id += 1
         self._spans.append(span)
@@ -189,10 +171,6 @@ class SpanTracer:
                 f"span {span.name}#{span.span_id} would close before it opened"
             )
         span.end = end
-        if span.wall_start is not None:
-            wall_end = self.wall_now()
-            if wall_end is not None:
-                span.wall_end = max(wall_end, span.wall_start)
         span.attrs.update(attrs)
         return span
 

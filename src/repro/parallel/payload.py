@@ -44,12 +44,6 @@ class BuildRequest:
     ``BuildResponse.step_spans``; the parent splices them under span
     ``parent_span_id`` at resolution.  Empty (the default) keeps the
     worker's fast path span-free.
-
-    ``batch_members`` names the changes riding in this build when it is a
-    risk-aware speculative batch (submission order; empty for ordinary
-    builds).  Metadata only: workers never branch on it, so outcomes are
-    bit-identical whether or not it is set — it exists so worker-side
-    logs and observability can attribute a build to its batch.
     """
 
     build_id: int
@@ -61,7 +55,6 @@ class BuildRequest:
     step_wall_seconds: float = 0.0
     trace_id: str = ""
     parent_span_id: int = 0
-    batch_members: Tuple[ChangeId, ...] = ()
 
     def label(self) -> str:
         parts = [cid for cid, _ in self.assumed] + [self.change_id]

@@ -81,15 +81,10 @@ class BuildController(abc.ABC):
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
-        batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> List[BuildExecution]:
         """Execute one epoch's selected builds, results in selection order.
 
         Runs each build serially through :meth:`execute`.
-
-        ``batch_members`` (aligned with ``keys`` when present) carries the
-        speculative-batch membership riding on each build — metadata the
-        base implementation ignores; outcomes never depend on it.
         """
         return [self.execute(key, changes_by_id) for key in keys]
 
@@ -99,7 +94,6 @@ class BuildController(abc.ABC):
         changes_by_id: Mapping[ChangeId, Change],
         span_ids: Optional[Sequence[int]] = None,
         now: Optional[float] = None,
-        batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> None:
         """Start one epoch's builds; :meth:`resolve_dispatches` reports them.
 
@@ -107,7 +101,7 @@ class BuildController(abc.ABC):
         (sim dispatch time) are the planner's trace context, used only by
         controllers that run builds in another process.
         """
-        executions = self.execute_batch(keys, changes_by_id, batch_members)
+        executions = self.execute_batch(keys, changes_by_id)
         self._parked.append(list(zip(keys, executions)))
 
     def resolve_dispatches(
@@ -117,6 +111,19 @@ class BuildController(abc.ABC):
         order and, within a batch, selection order."""
         resolved, self._parked = self._parked, []
         return resolved
+
+    def on_commit(
+        self, change: Change, changes_by_id: Mapping[ChangeId, Change]
+    ) -> None:
+        """Called by the planner when ``change`` commits; nothing to land
+        for a controller without a repository."""
+
+    def attach_backend(self, backend, step_wall_seconds: float) -> None:
+        """Fan future batches out through ``backend``; a controller whose
+        builds are not hermetic worker requests has no backend form."""
+        raise ParallelExecutionError(
+            f"{type(self).__name__} cannot run builds on a build backend"
+        )
 
 
 class LabelBuildController(BuildController):
@@ -255,9 +262,6 @@ class FullStackBuildController(BuildController):
         # Parallel-backend seam (see repro.parallel): None means every
         # batch runs inline, at dispatch, through execute_batch().
         self._backend = None
-        #: Outcome-neutral callable the backend invokes while waiting on
-        #: in-flight worker results (the service's overlap hook).
-        self.idle_hook = None
         #: Synthetic wall cost per hermetic step, forwarded to workers.
         self.step_wall_seconds = 0.0
         self._base_snapshot_memo: Optional[Tuple[CommitId, Dict]] = None
@@ -361,38 +365,29 @@ class FullStackBuildController(BuildController):
 
     # -- parallel backend seam ----------------------------------------------
 
-    def attach_backend(
-        self,
-        backend,
-        idle_hook=None,
-        step_wall_seconds: float = 0.0,
-    ) -> None:
+    def attach_backend(self, backend, step_wall_seconds: float) -> None:
         """Fan future batches out through ``backend`` (a
-        :class:`repro.parallel.backend.BuildBackend`).
+        :class:`repro.parallel.backend.ProcessBuildBackend`).
 
-        ``idle_hook`` runs while the backend waits on in-flight builds and
-        must be outcome-neutral.  ``step_wall_seconds`` is the synthetic
-        wall cost per hermetic step forwarded to workers.  Workers fold
-        patch stacks incrementally, so the from-scratch reference mode
-        has no backend form and refuses one.
+        ``step_wall_seconds`` is the synthetic wall cost per hermetic step
+        forwarded to workers.  Workers fold patch stacks incrementally, so
+        the from-scratch reference mode has no backend form and refuses
+        one.
         """
         if not self.incremental:
             raise ParallelExecutionError(
                 "a build backend needs incremental=True"
             )
         self._backend = backend
-        self.idle_hook = idle_hook
         self.step_wall_seconds = step_wall_seconds
 
-    def detach_backend(self):
-        """Back to running batches inline; returns the detached backend."""
+    def detach_backend(self) -> None:
+        """Back to running batches inline."""
         if self._pending_dispatches:
             raise ParallelExecutionError(
                 "cannot detach a backend with unresolved dispatched batches"
             )
-        backend, self._backend = self._backend, None
-        self.idle_hook = None
-        return backend
+        self._backend = None
 
     @property
     def backend(self):
@@ -420,7 +415,6 @@ class FullStackBuildController(BuildController):
         changes_by_id: Mapping[ChangeId, Change],
         trace_id: str = "",
         parent_span_id: int = 0,
-        batch_members: Sequence[ChangeId] = (),
     ):
         from repro.parallel.payload import BuildRequest
 
@@ -439,7 +433,6 @@ class FullStackBuildController(BuildController):
             step_wall_seconds=self.step_wall_seconds,
             trace_id=trace_id,
             parent_span_id=parent_span_id,
-            batch_members=tuple(batch_members),
         )
 
     def _merge_response(
@@ -549,7 +542,6 @@ class FullStackBuildController(BuildController):
         changes_by_id: Mapping[ChangeId, Change],
         span_ids: Optional[Sequence[int]] = None,
         now: Optional[float] = None,
-        batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> None:
         """Start one epoch's builds without waiting for them.
 
@@ -567,20 +559,11 @@ class FullStackBuildController(BuildController):
         wall spans, and resolution splices them under the build span.
         """
         if self._backend is None:
-            super().dispatch_batch(
-                keys, changes_by_id, batch_members=batch_members
-            )
+            super().dispatch_batch(keys, changes_by_id)
             return
         ids = list(span_ids) if span_ids is not None else [0] * len(keys)
         if len(ids) != len(keys):
             raise ValueError("span_ids must align with keys")
-        members = (
-            list(batch_members)
-            if batch_members is not None
-            else [()] * len(keys)
-        )
-        if len(members) != len(keys):
-            raise ValueError("batch_members must align with keys")
         tracing = self.recorder.enabled and now is not None
         requests = [
             self._build_request(
@@ -589,11 +572,8 @@ class FullStackBuildController(BuildController):
                 changes_by_id,
                 trace_id=f"dispatch:{span_id}" if tracing and span_id > 0 else "",
                 parent_span_id=span_id if tracing else 0,
-                batch_members=group,
             )
-            for position, (key, span_id, group) in enumerate(
-                zip(keys, ids, members)
-            )
+            for position, (key, span_id) in enumerate(zip(keys, ids))
         ]
         token = self._backend.submit_batch(requests)
         self._pending_dispatches.append((token, list(keys), ids, now))
@@ -613,7 +593,7 @@ class FullStackBuildController(BuildController):
         pending, self._pending_dispatches = self._pending_dispatches, []
         resolved: List[List[Tuple[BuildKey, BuildExecution]]] = []
         for token, keys, span_ids, at in pending:
-            responses = self._backend.collect(token, idle_hook=self.idle_hook)
+            responses = self._backend.collect(token)
             if len(responses) != len(keys):
                 raise ParallelExecutionError(
                     f"backend returned {len(responses)} responses "
@@ -633,7 +613,6 @@ class FullStackBuildController(BuildController):
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
-        batch_members: Optional[Sequence[Sequence[ChangeId]]] = None,
     ) -> List[BuildExecution]:
         """One epoch's builds, run inline in selection order — what
         :meth:`dispatch_batch` does when no backend is attached."""

@@ -526,13 +526,6 @@ class PlannerEngine:
         """
         if not keys:
             return []
-        # Batch-protocol strategies annotate selected keys with the batch
-        # membership riding on them; the controller threads it into each
-        # BuildRequest as outcome-neutral metadata.
-        groups = [
-            tuple(self.strategy.scheduled_batch_members(key)) for key in keys
-        ]
-        batch_members: Optional[List[tuple]] = groups if any(groups) else None
         self._assign_workers(keys, now)
         # Records (and their tracer spans) are minted *before* the
         # dispatch so each request can carry its build span's id across a
@@ -546,7 +539,6 @@ class PlannerEngine:
                 for record in records
             ],
             now=now,
-            batch_members=batch_members,
         )
         # The records minted above ride along: resolution must only time
         # a completion for a dispatch that is still current (not aborted,
@@ -811,9 +803,8 @@ class PlannerEngine:
                 turnaround=record.turnaround,
             )
         change = self.all_changes[change_id]
-        commit_hook = getattr(self.controller, "on_commit", None)
-        if decision.committed and commit_hook is not None:
-            commit_hook(change, self.all_changes)
+        if decision.committed:
+            self.controller.on_commit(change, self.all_changes)
         self.strategy.on_decision(change, decision, self._view)
 
     # -- inspection ---------------------------------------------------------

@@ -20,12 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
-from repro.errors import (
-    BuildSystemError,
-    DuplicateChangeError,
-    PatchConflictError,
-    SimulationError,
-)
+from repro.errors import DuplicateChangeError, SimulationError
 from repro.journal import records as journal_records
 from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -46,8 +41,7 @@ class CoreServiceConfig:
     The conflict analyzer always borrows the build controller's base
     context, adopting the advanced one after a mainline commit; builds
     always execute incrementally and are always dispatched at plan time
-    and resolved at the pump's next quiescent point; idle-time analysis
-    warming is always on when a build backend is attached; a submission is
+    and resolved at the pump's next quiescent point; a submission is
     always conflict-checked against the analyzer's candidates only, never
     the whole pending set.
     """
@@ -63,12 +57,12 @@ class CoreServiceConfig:
     #: shared default instance and must never be mutated).
     journal: Optional[JournalSink] = None
     #: Build-backend spec for ``repro.parallel.create_build_backend``:
-    #: ``"local"`` or ``"process[:N]"``.  ``None`` — the default — runs
-    #: each batch in-process at dispatch and never imports
-    #: ``repro.parallel``.  Decisions, state fingerprints at every point a
-    #: driver can observe, and journal bytes are identical across all
-    #: three, so the spec is wall-side only: it is not journaled, and
-    #: recovery replays every journal without a backend.
+    #: ``"process[:N]"``.  ``None`` — the default — runs each batch
+    #: in-process at dispatch and never imports ``repro.parallel``.
+    #: Decisions, state fingerprints at every point a driver can observe,
+    #: and journal bytes are identical either way, so the spec is
+    #: wall-side only: it is not journaled, and recovery replays every
+    #: journal without a backend.
     build_backend: Optional[str] = None
     #: Synthetic wall-clock cost per executed build step, forwarded to
     #: backend workers (models the real compile/test subprocess; 0 keeps
@@ -164,28 +158,20 @@ class CoreService:
         #: Epochs that started or aborted builds and are not yet resolved,
         #: in plan order; _resolve_builds journals and times them.
         self._unresolved_epochs: List[_Epoch] = []
-        self._warmed_analyses: Set[str] = set()
         self._head_at_analyzer = None
         self._backend = None
         if config.build_backend is not None:
-            attach = getattr(self.controller, "attach_backend", None)
-            if attach is not None:
-                # Lazy import — the single place the service touches
-                # repro.parallel, so a backend-less service never loads it.
-                from repro.parallel import create_build_backend
+            # Lazy import — the single place the service touches
+            # repro.parallel, so a backend-less service never loads it.
+            # The pool starts at the first batch, so a controller that
+            # refuses the backend leaves none behind.
+            from repro.parallel import create_build_backend
 
-                self._backend = create_build_backend(
-                    config.build_backend, recorder=recorder
-                )
-                attach(
-                    self._backend,
-                    idle_hook=(
-                        self._warm_pending_analysis
-                        if conflict_predicate is None
-                        else None
-                    ),
-                    step_wall_seconds=config.step_wall_seconds,
-                )
+            backend = create_build_backend(
+                config.build_backend, recorder=recorder
+            )
+            self.controller.attach_backend(backend, config.step_wall_seconds)
+            self._backend = backend
         self._journal = config.journal if config.journal is not None else NULL_JOURNAL
         if self._journal.enabled:
             from repro.journal.snapshots import (
@@ -304,10 +290,8 @@ class CoreService:
         The timed ingestion path: the submission becomes an event on
         the pump loop (``at`` in the past clamps to *now*), interleaving
         with build completions in time order, and is accepted — journaled,
-        planned — only when the loop reaches it.  Until then the backend's
-        idle hook may warm conflict analyses for it; both are
-        outcome-neutral, so decisions match a driver that calls
-        :meth:`submit` at the same instants.
+        planned — only when the loop reaches it — so decisions match a
+        driver that calls :meth:`submit` at the same instants.
         """
         self._refuse_duplicate(change)
         when = self.clock.now if at is None else max(at, self.clock.now)
@@ -328,40 +312,6 @@ class CoreService:
         ]
         live.sort(key=lambda item: (item[0], item[1]))
         return [change for _, _, change in live]
-
-    def _warm_pending_analysis(self) -> None:
-        """Backend idle hook: warm one queued change's conflict analysis.
-
-        Outcome-neutral by construction — per-change analyses are pure
-        functions of ``(change, head snapshot)``, cached inside the
-        analyzer, and excluded from state fingerprints; computing one
-        early changes *when* work happens, never what is decided.
-        """
-        for handle in self._submission_handles.values():
-            if handle.cancelled:
-                continue
-            change = handle.payload.change
-            if change.change_id in self._warmed_analyses:
-                continue
-            self._warmed_analyses.add(change.change_id)
-            try:
-                self._current_analyzer().analyze(change)
-            except (PatchConflictError, BuildSystemError):
-                # Nothing to warm: the patch no longer applies to the head
-                # or its BUILD files do not load on it, and the change's
-                # own build will report the merge conflict or graph error.
-                pass
-            if self.recorder.enabled:
-                self.recorder.counter(
-                    "service_overlap_warm_analyses_total",
-                    "Conflict analyses warmed while builds were in flight.",
-                ).inc()
-            return
-
-    @property
-    def backend(self):
-        """The attached build backend, or ``None`` when batches run inline."""
-        return self._backend
 
     def close(self) -> None:
         """Release backend resources (worker pools); idempotent.
@@ -447,7 +397,6 @@ class CoreService:
             # from the journal's submit record.
             change = handle.payload.change
             del self._submission_handles[change.change_id]
-            self._warmed_analyses.discard(change.change_id)
             self.submit(change)
             return []
         key = handle.payload

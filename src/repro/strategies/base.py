@@ -47,10 +47,6 @@ class Strategy(abc.ABC):
         """``(ahead, behind)`` swaps to try before this epoch's selection."""
         return ()
 
-    def scheduled_batch_members(self, key: BuildKey) -> Tuple[ChangeId, ...]:
-        """The changes riding in the selected build ``key`` as one batch."""
-        return ()
-
     def on_decision(self, change: Change, decision: Decision,
                     view: PlannerView) -> None:
         """Called after a change commits or rejects."""

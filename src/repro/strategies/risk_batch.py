@@ -289,9 +289,8 @@ class RiskBatchStrategy(SubmitQueueStrategy):
     def scheduled_batch_members(self, key: BuildKey) -> Tuple[ChangeId, ...]:
         """Members riding in the scheduled batch build ``key`` (or ``()``).
 
-        The planner threads this through the controller into
-        :class:`~repro.parallel.payload.BuildRequest.batch_members` —
-        outcome-neutral metadata for worker-side observability.
+        Inspection only: nothing in the planner or the controller reads
+        it; batch resolution goes through :meth:`interpret`.
         """
         entry = self._groups.get(key)
         return entry[0] if entry is not None else ()

@@ -1,8 +1,8 @@
 """The service's configuration surface, pinned.
 
-Five ``CoreServiceConfig`` fields, one spec grammar (``local`` /
-``process[:N]``), one journal schema version.  A new option, spec name,
-or constructor argument has to change this module.
+Five ``CoreServiceConfig`` fields, one spec grammar (``process[:N]``),
+one build-backend seam, one journal schema version.  A new option, spec
+name, or constructor argument has to change this module.
 """
 
 import dataclasses
@@ -14,13 +14,13 @@ from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
 from repro.journal.snapshots import decode_config, encode_config
-from repro.parallel import create_build_backend
+from repro.parallel import BuildRequest, ProcessBuildBackend, create_build_backend
 from repro.planner.controller import FullStackBuildController
 from repro.planner.planner import PlannerEngine
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sim.simulator import Simulation
 
-BUILD_SPECS = (None, "local", "process", "process:2")
+BUILD_SPECS = (None, "process", "process:2")
 #: What the ``init`` record's ``queue_backend`` key held while the
 #: service still had a second, sharded conflict sweep to select.
 LEGACY_QUEUE_SPECS = (None, "sharded", "sharded:3")
@@ -86,8 +86,8 @@ def test_journaled_config_round_trips(build_spec, queue_spec):
 
 
 @pytest.mark.parametrize(
-    "spec", ["auto", "redis-stub:2", "sharded:2", "quantum", "process:x",
-             "process:many", "process:0", "process:-1", ""],
+    "spec", ["auto", "local", "redis-stub:2", "sharded:2", "quantum",
+             "process:x", "process:many", "process:0", "process:-1", ""],
 )
 def test_build_factory_rejects_bad_specs_with_typed_error(spec):
     with pytest.raises(ParallelExecutionError):
@@ -106,7 +106,26 @@ def test_v2_journal_is_refused_naming_both_versions():
 
 def test_from_scratch_controller_refuses_a_backend_at_attach(tiny_repo):
     controller = FullStackBuildController(tiny_repo, incremental=False)
-    with create_build_backend("local") as backend:
+    with create_build_backend("process:1") as backend:
         with pytest.raises(ParallelExecutionError, match="incremental"):
-            controller.attach_backend(backend)
+            controller.attach_backend(backend, 0.0)
     assert controller.backend is None
+
+
+def test_build_seam_signatures():
+    assert list(inspect.signature(ProcessBuildBackend.collect).parameters) == [
+        "self", "token",
+    ]
+    assert list(
+        inspect.signature(FullStackBuildController.attach_backend).parameters
+    ) == ["self", "backend", "step_wall_seconds"]
+    assert list(
+        inspect.signature(FullStackBuildController.dispatch_batch).parameters
+    ) == ["self", "keys", "changes_by_id", "span_ids", "now"]
+
+
+def test_build_request_fields():
+    assert [f.name for f in dataclasses.fields(BuildRequest)] == [
+        "build_id", "change_id", "base_commit_id", "base_snapshot", "assumed",
+        "patch", "step_wall_seconds", "trace_id", "parent_span_id",
+    ]

@@ -11,11 +11,7 @@ import pytest
 
 from repro.errors import ParallelExecutionError, PlannerError
 from repro.journal import JournalWriter, fingerprint_digest, recover
-from repro.parallel import (
-    LocalBuildBackend,
-    ProcessBuildBackend,
-    create_build_backend,
-)
+from repro.parallel import ProcessBuildBackend, create_build_backend
 from repro.parallel.payload import BuildRequest
 from repro.parallel.worker import execute_request, reset_worker_state
 from repro.predictor.predictors import StaticPredictor
@@ -87,8 +83,6 @@ def run_cell(cell, backend, journal=None, enqueue_tail=True):
 
 
 def test_create_backend_specs():
-    local = create_build_backend("local")
-    assert isinstance(local, LocalBuildBackend) and local.worker_count == 1
     with create_build_backend("process:3") as process:
         assert isinstance(process, ProcessBuildBackend)
         assert process.worker_count == 3
@@ -97,7 +91,7 @@ def test_create_backend_specs():
 
 
 def test_collect_unknown_token_raises():
-    backend = LocalBuildBackend()
+    backend = ProcessBuildBackend(1)  # no pool starts before the first batch
     with pytest.raises(ParallelExecutionError):
         backend.collect(99)
 
@@ -160,11 +154,10 @@ def test_execute_request_reports_merge_conflict():
 def test_backends_bit_identical_to_oracle(cell):
     oracle, oracle_decisions = run_cell(cell, backend=None)
     oracle_fp = fingerprint_digest(oracle)
-    for spec in ("local", "process:2"):
-        service, decisions = run_cell(cell, backend=spec)
-        assert decisions == oracle_decisions, spec
-        assert fingerprint_digest(service) == oracle_fp, spec
-        service.close()
+    service, decisions = run_cell(cell, backend="process:2")
+    assert decisions == oracle_decisions
+    assert fingerprint_digest(service) == oracle_fp
+    service.close()
     # The broken change and the conflict loser were both rejected.
     verdicts = dict((cid, ok) for cid, ok, _ in oracle_decisions)
     assert sum(1 for ok in verdicts.values() if not ok) == 2
@@ -175,7 +168,7 @@ def test_fingerprints_agree_between_submits_and_pump(cell):
     """One tempo: a driver reading state after any submit — builds
     dispatched, none resolved — sees the same thing under every spec."""
     seen = {}
-    for spec in (None, "local", "process:2"):
+    for spec in (None, "process:2"):
         service = make_service(cell, spec)
         digests = []
         for change in copy.deepcopy(cell[1]):
@@ -185,7 +178,6 @@ def test_fingerprints_agree_between_submits_and_pump(cell):
         digests.append(fingerprint_digest(service))
         service.close()
         seen[spec] = digests
-    assert seen["local"] == seen[None]
     assert seen["process:2"] == seen[None]
 
 
@@ -289,7 +281,7 @@ def test_parallel_metrics_reported(cell):
     assert 'worker="0"' in text
 
 
-def test_enqueue_metrics_and_warm_analyses(cell):
+def test_enqueue_metrics_reported(cell):
     from repro.obs.recorder import Recorder
 
     files, changes = cell

@@ -1,10 +1,9 @@
-"""Property test (S3): the parallel backends are bit-identical oracles.
+"""Property test (S3): the process backend is a bit-identical oracle.
 
 For *random interleavings* of interactive submissions, timed enqueues,
-and intermediate pumps, the backends (``local`` in-process and
-``process:2`` worker pool) must reproduce the backend-less service
-exactly: the same decision sequence — ids, verdicts, and decision times
-— the same :func:`fingerprint_digest` after every submit and every pump,
+and intermediate pumps, the ``process:2`` worker pool must reproduce the
+backend-less service exactly: the same decision sequence — ids,
+verdicts, and decision times — the same :func:`fingerprint_digest` after every submit and every pump,
 and the same ``events.jsonl`` byte for byte.  There is one tempo —
 dispatch at plan time, resolve at the next quiescent point — so where
 the builds physically ran must not be observable at all.
@@ -99,7 +98,6 @@ def scripts(draw):
 @settings(max_examples=10, deadline=None)
 def test_parallel_backends_match_serial_oracle(script):
     oracle = _drive(None, script)
-    assert _drive("local", script) == oracle
     assert _drive("process:2", script) == oracle
 
 

@@ -60,7 +60,7 @@ def _post_json(url, payload, expect=200):
 @pytest.fixture(scope="module")
 def served():
     core, handlers = build_quickstart_service(
-        changes=CHANGES, drafts=DRAFTS, seed=7, workers=4, backend="local"
+        changes=CHANGES, drafts=DRAFTS, seed=7, workers=4, backend="process:1"
     )
     server = ObservabilityServer(core, handlers=handlers, port=0)
     server.start_background()
@@ -105,7 +105,7 @@ class TestReadEndpoints:
         payload = _get_json(f"{served.url}/trace")
         events = payload["traceEvents"]
         assert any(e.get("ph") == "X" and e["name"] == "build" for e in events)
-        # The local backend ran traced builds: both clock processes exist.
+        # A worker process ran traced builds: both clock processes exist.
         assert {e["pid"] for e in events} == {1, 2}
 
     def test_queue_mainline_and_change_status(self, served):

@@ -1,9 +1,16 @@
 """Integration tests for the SubmitQueue service facade (full-stack)."""
 
+import multiprocessing
+
 import pytest
 
 from repro.changes.truth import potential_conflict
-from repro.errors import DuplicateChangeError, ReproError, UnknownChangeError
+from repro.errors import (
+    DuplicateChangeError,
+    ParallelExecutionError,
+    ReproError,
+    UnknownChangeError,
+)
 from repro.journal import JournalWriter, fingerprint_digest, recover
 from repro.journal.sink import events_path
 from repro.planner.controller import LabelBuildController
@@ -116,14 +123,6 @@ class TestStalePatch:
         assert service.queue_depth() == 0
         assert service.mainline_is_green()
 
-    def test_idle_hook_skips_a_stale_queued_change(self, service, monorepo):
-        stale = _land_then_mint_stale(service, monorepo)
-        core = service._core
-        core.enqueue(stale, at=core.clock.now + 1.0)
-        core._warm_pending_analysis()  # what a backend calls while waiting
-        core.pump()
-        assert service.status(stale.change_id).reason.startswith("merge conflict")
-
     def test_journal_replays_clean(self, monorepo, tmp_path):
         writer = JournalWriter(str(tmp_path / "journal"))
         core = CoreService(
@@ -181,6 +180,22 @@ class TestOneBase:
             core.enqueue(change, at=at)
         assert len(core.pump()) == 12
         assert core.analyzer is None
+
+
+class TestControllerHooks:
+    """Controller hooks are methods on every controller, never probed."""
+
+    def test_label_controller_refuses_a_build_backend(self):
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ParallelExecutionError, match="LabelBuildController"):
+            CoreService(
+                Repository(),
+                SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.1)),
+                config=CoreServiceConfig(build_backend="process:2"),
+                controller=LabelBuildController(),
+                conflict_predicate=potential_conflict,
+            )
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestDuplicateChangeId:

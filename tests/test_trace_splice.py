@@ -173,7 +173,7 @@ class TestWorkerCapture:
 @pytest.fixture(scope="module")
 def traced_run():
     core, handlers = build_quickstart_service(
-        changes=10, drafts=0, seed=7, workers=4, backend="local"
+        changes=10, drafts=0, seed=7, workers=4, backend="process:1"
     )
     yield core
     core.close()
@@ -223,7 +223,7 @@ class TestDispatchSplice:
             core = CoreService(
                 Repository(dict(files)),
                 SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
-                config=CoreServiceConfig(workers=4, build_backend="local"),
+                config=CoreServiceConfig(workers=4, build_backend="process:1"),
                 **({"recorder": recorder} if recorder is not None else {}),
             )
             for change in copy.deepcopy(batch):

@@ -104,15 +104,6 @@ def test_unloadable_change_is_rejected_for_that_reason(shape, behind_a_clean_cha
     core.close()
 
 
-def test_idle_hook_skips_an_unloadable_queued_change():
-    _, core = _service()
-    core.enqueue(_rewrite("BAD", SHAPES["syntax error"][0]), at=1.0)
-    core._warm_pending_analysis()  # what a backend calls while waiting
-    (decision,) = core.pump()
-    assert decision.reason.startswith("build graph error: e/BUILD: syntax error")
-    core.close()
-
-
 def test_opposite_edges_pair_lands_the_first_and_rejects_the_second(tmp_path):
     """``c -> d`` then ``d -> c``: each loads alone, the stack is a cycle.
     The pair conflicts, the second's build on top of the first reports the
@@ -176,7 +167,7 @@ def _journaled_run(tmp_path, build_backend):
         )
 
 
-@pytest.mark.parametrize("build_backend", ["local", "process:2"])
+@pytest.mark.parametrize("build_backend", ["process:2"])
 def test_backends_reject_with_the_same_words_and_the_same_journal(
     tmp_path, build_backend
 ):
