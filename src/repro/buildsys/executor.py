@@ -1,23 +1,21 @@
-"""The build executor: full, subset, affected-only, and context builds.
+"""The build executor: full, subset and delta builds over build contexts.
 
-Walks a snapshot's graph in dependency-first order, consulting the
-artifact cache before every step and asking
+Walks a :class:`BuildContext`'s graph in dependency-first order,
+consulting the artifact cache before every step and asking
 :func:`repro.buildsys.steps.evaluate_target` at most once per target, at
 its first miss.  Nothing here reads a source: a :class:`BuildContext`
 carries its targets' directive summaries beside their hashes (``load``
-scans every target, ``derive`` only the dirty seeds), and the from-scratch
-entry points scan their snapshot once, if any step misses.  Three entry
-points matter to SubmitQueue:
+scans every target, ``derive`` only the dirty seeds).  Two entry points
+matter to SubmitQueue:
 
 * :meth:`BuildExecutor.build` — everything (or a target subset plus its
   dependency closure): what "the mainline is green" means for one commit;
-* :meth:`BuildExecutor.build_affected` — only the hash-delta between two
-  snapshots: what a speculative build actually runs (section 6.2), with
-  prior builds' work eliminated via cache hits;
-* :meth:`BuildExecutor.build_between` — the same delta build over
-  pre-derived :class:`BuildContext` objects, so the O(repo) graph load and
-  whole-snapshot hashing are paid once per mainline head instead of once
-  per build.
+* :meth:`BuildExecutor.build_between` — only the hash-delta between two
+  contexts: what a speculative build actually runs (section 6.2), with
+  prior builds' work eliminated via cache hits.  The base context is
+  memoized per mainline head and the changed one derived in O(delta), so
+  the O(repo) graph load and whole-snapshot hashing are paid once per
+  head instead of once per build.
 
 :meth:`BuildContext.derive_stack` is the one place a speculation stack
 ``H ⊕ S ⊕ C`` is folded onto the base context; the serial controller and
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 from collections import ChainMap
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
@@ -264,8 +262,7 @@ class BuildContext:
 
         ``topological_order`` is a deterministic function of the graph's
         nodes and edges, so sorting any affected subset by this index
-        reproduces exactly the order the from-scratch path gets by
-        filtering the full order.
+        reproduces exactly the order filtering the full order gives.
         """
         holder = self._topo_holder
         if holder[0] is None:
@@ -316,8 +313,8 @@ class BuildExecutor:
         stop_on_failure: bool = False,
     ) -> BuildReport:
         """Build the whole snapshot, or ``targets`` plus their dep closures."""
-        graph = load_build_graph(snapshot)
-        hasher = TargetHasher(graph, snapshot)
+        context = BuildContext.load(snapshot)
+        graph = context.graph
         order = graph.topological_order()
         if targets is not None:
             wanted = set()
@@ -326,37 +323,7 @@ class BuildExecutor:
                 wanted.add(name)
                 wanted |= graph.transitive_deps(name)
             order = [name for name in order if name in wanted]
-        return self._run(graph, hasher.hash_of, order, snapshot, stop_on_failure)
-
-    def build_affected(
-        self,
-        base_snapshot: Mapping[Path, str],
-        changed_snapshot: Mapping[Path, str],
-        stop_on_failure: bool = False,
-    ) -> BuildReport:
-        """Build only the targets whose hash differs between two snapshots.
-
-        This is the incremental build a speculation runs: targets outside
-        the delta kept their hashes, so the base build already vouches for
-        them.  An empty delta yields an empty (successful) report.
-        """
-        base_hashes = TargetHasher(
-            load_build_graph(base_snapshot), base_snapshot
-        ).all_hashes()
-        changed_graph = load_build_graph(changed_snapshot)
-        hasher = TargetHasher(changed_graph, changed_snapshot)
-        changed_hashes = hasher.all_hashes()
-        affected = {
-            name
-            for name, digest in changed_hashes.items()
-            if base_hashes.get(name) != digest
-        }
-        order = [
-            name for name in changed_graph.topological_order() if name in affected
-        ]
-        return self._run(
-            changed_graph, hasher.hash_of, order, changed_snapshot, stop_on_failure
-        )
+        return self._run(context, order, stop_on_failure)
 
     def build_between(
         self,
@@ -364,45 +331,37 @@ class BuildExecutor:
         changed: BuildContext,
         stop_on_failure: bool = False,
     ) -> BuildReport:
-        """:meth:`build_affected` over pre-derived contexts.
+        """Build only the targets whose hash differs between two contexts.
 
-        Bit-identical to the from-scratch path — same affected set, same
-        build order, same step results — but the base side costs nothing
-        (memoized) and the changed side was derived in O(delta).
+        This is the delta build a speculation runs: targets outside the
+        delta kept their hashes, so the base build already vouches for
+        them.  An empty delta yields an empty (successful) report.  When
+        ``changed`` was derived from ``base`` only its dirty closure is
+        compared; two loaded roots compare every hash.
         """
-        order = changed.affected_against(base)
-        return self._run(
-            changed.graph,
-            changed.hashes.__getitem__,
-            order,
-            changed.snapshot,
-            stop_on_failure,
-            changed.directives,
-        )
+        return self._run(changed, changed.affected_against(base), stop_on_failure)
 
     def _run(
         self,
-        graph: BuildGraph,
-        hash_of: Callable[[TargetName], str],
+        context: BuildContext,
         order: List[TargetName],
-        snapshot: Mapping[Path, str],
         stop_on_failure: bool,
-        directives: Optional[DirectiveSummaries] = None,
     ) -> BuildReport:
-        """The one step loop.  ``directives``: the graph's summaries, or
-        ``None`` to scan them from ``snapshot`` at the first cache miss."""
+        """The one step loop over ``order``, a build-ordered subset of
+        ``context``'s targets."""
+        graph = context.graph
+        hashes = context.hashes
+        directives = context.directives
         report = BuildReport()
         for name in order:
             target = graph.target(name)
-            digest = hash_of(name)
+            digest = hashes[name]
             report.targets_built.append(name)
             evaluated = None
             for position, kind in enumerate(target.steps):
                 result = self.cache.get(digest, kind)
                 if result is None:
                     if evaluated is None:
-                        if directives is None:
-                            directives = summarize(graph, snapshot)
                         evaluated = evaluate_target(graph, target, directives)
                     result = evaluated[position]
                     self.cache.put(digest, kind, result)

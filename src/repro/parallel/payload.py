@@ -38,12 +38,11 @@ class BuildRequest:
     compile/test subprocess a production worker would actually run);
     zero — the default — makes execution purely synthetic.
 
-    ``trace_id`` and ``parent_span_id`` carry the parent's trace context
-    across the process boundary: a non-empty ``trace_id`` asks the
-    worker to capture per-step wall-clock spans and ship them back in
-    ``BuildResponse.step_spans``; the parent splices them under span
-    ``parent_span_id`` at resolution.  Empty (the default) keeps the
-    worker's fast path span-free.
+    ``traced`` asks the worker to capture per-step wall-clock spans and
+    ship them back in ``BuildResponse.step_spans``; the parent, which
+    kept the dispatching build span, splices them under it at
+    resolution.  False (the default) keeps the worker's fast path
+    span-free.
     """
 
     build_id: int
@@ -53,8 +52,7 @@ class BuildRequest:
     assumed: Tuple[Tuple[ChangeId, Patch], ...]
     patch: Patch
     step_wall_seconds: float = 0.0
-    trace_id: str = ""
-    parent_span_id: int = 0
+    traced: bool = False
 
     def label(self) -> str:
         parts = [cid for cid, _ in self.assumed] + [self.change_id]
@@ -109,7 +107,7 @@ class BuildResponse:
     context instead of unpickling a traceback.
 
     ``wall_started`` (epoch seconds) plus ``step_spans`` reconstruct the
-    worker-side timeline when the request carried a ``trace_id``; both
+    worker-side timeline when the request was ``traced``; both
     stay empty on untraced requests so the payload cost is zero.
     """
 

@@ -76,7 +76,7 @@ def execute_request(request: BuildRequest) -> BuildResponse:
     """
     started = time.perf_counter()
     wall_started = time.time()
-    tracing = bool(request.trace_id)
+    tracing = request.traced
     spans: List[WorkerSpan] = []
 
     def _span(name: str, kind: str, begin: float, target: str = "", step: str = "") -> None:

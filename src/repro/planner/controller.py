@@ -19,7 +19,7 @@ Two fidelities behind one interface:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.buildsys.cache import ArtifactCache
@@ -199,13 +199,13 @@ class ExecutorReuseStats:
 class FullStackBuildController(BuildController):
     """Real builds: merge patches, load graphs, execute synthetic steps.
 
-    ``step_minutes`` converts executed step counts into simulated build
-    duration; cached steps cost ``cached_step_minutes`` (near zero).
-    The ``base_commit_id`` pins the HEAD the controller merges onto; the
+    An executed step costs ``STEP_MINUTES`` of simulated build duration; a
+    cached one costs ``CACHED_STEP_MINUTES`` (near zero).  The
+    ``base_commit_id`` pins the HEAD the controller merges onto; the
     planner refreshes it as changes land.
 
-    With ``incremental=True`` (the default) execution reuses work across
-    builds instead of recomputing both snapshot sides from scratch:
+    A build is section 6's delta build of ``H ⊕ S ⊕ C`` over target
+    hashes, and it reuses work across builds:
 
     * the base side (graph + Algorithm-1 hashes) is a
       :class:`~repro.buildsys.executor.BuildContext` memoized for the
@@ -220,30 +220,30 @@ class FullStackBuildController(BuildController):
       lives in the artifact cache alone.
 
     Outcomes, step counts, durations, and target order are bit-identical
-    to ``incremental=False`` (enforced by a hypothesis property test).
+    to building both snapshots from scratch (the reference lives in
+    ``tests/oracles.py``; hypothesis property tests enforce it).
     """
 
     #: Materialize the base snapshot into a plain dict once its overlay
     #: chain (one layer per landed commit) exceeds this depth.
     BASE_FLATTEN_DEPTH = 8
+    #: Simulated minutes an executed step costs.
+    STEP_MINUTES = 1.0
+    #: Simulated minutes a step the artifact cache eliminated costs; also
+    #: the floor of any build's duration.
+    CACHED_STEP_MINUTES = 0.01
 
     def __init__(
         self,
         repo: Repository,
         cache: Optional[ArtifactCache] = None,
-        step_minutes: float = 1.0,
-        cached_step_minutes: float = 0.01,
         recorder: Recorder = NULL_RECORDER,
-        incremental: bool = True,
     ) -> None:
         super().__init__()
         self._repo = repo
         self.recorder = recorder
         self.executor = BuildExecutor(cache, recorder=recorder)
-        self.step_minutes = step_minutes
-        self.cached_step_minutes = cached_step_minutes
         self.base_commit_id = repo.head()
-        self.incremental = incremental
         self.stats = ExecutorReuseStats()
         self._base_context_reused = (
             recorder.counter(
@@ -296,7 +296,7 @@ class FullStackBuildController(BuildController):
             green=True,
         )
         self.refresh_base()
-        if self.incremental and old_ctx is not None:
+        if old_ctx is not None:
             # commit_to_mainline just applied this patch to the same
             # snapshot, so the derivation cannot conflict.
             advanced = self._derive_stack(old_ctx, (change.patch,))
@@ -318,18 +318,19 @@ class FullStackBuildController(BuildController):
                 commit_id=self.base_commit_id,
             )
 
-    # -- incremental machinery ---------------------------------------------
+    # -- base context ---------------------------------------------------------
 
     def _memoized_base(self) -> Optional[BuildContext]:
         commit_id, context = self._base
         return context if commit_id == self.base_commit_id else None
 
     def base_context(self) -> BuildContext:
-        """The current base commit's context, loaded at most once per head
-        (and, when incremental, once per controller: commits advance it).
+        """The current base commit's context, loaded at most once per
+        controller: commits advance it.
 
         Reading it is not a build — the service's conflict analyzer
-        borrows its base here — so it may count a load, never a reuse.
+        borrows its base here, and backend requests ship its snapshot —
+        so it may count a load, never a reuse.
         """
         context = self._memoized_base()
         if context is None:
@@ -370,14 +371,8 @@ class FullStackBuildController(BuildController):
         :class:`repro.parallel.backend.ProcessBuildBackend`).
 
         ``step_wall_seconds`` is the synthetic wall cost per hermetic step
-        forwarded to workers.  Workers fold patch stacks incrementally, so
-        the from-scratch reference mode has no backend form and refuses
-        one.
+        forwarded to workers.
         """
-        if not self.incremental:
-            raise ParallelExecutionError(
-                "a build backend needs incremental=True"
-            )
         self._backend = backend
         self.step_wall_seconds = step_wall_seconds
 
@@ -389,10 +384,6 @@ class FullStackBuildController(BuildController):
             )
         self._backend = None
 
-    @property
-    def backend(self):
-        return self._backend
-
     def _request_snapshot(self) -> Dict:
         """The base head's snapshot as a plain (picklable) dict, memoized
         per head — requests for one epoch all share the same object, and
@@ -400,8 +391,7 @@ class FullStackBuildController(BuildController):
         memo = self._base_snapshot_memo
         if memo is not None and memo[0] == self.base_commit_id:
             return memo[1]
-        context = self._build_base_context()
-        snapshot = context.snapshot
+        snapshot = self.base_context().snapshot
         materialized = (
             snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
         )
@@ -413,8 +403,7 @@ class FullStackBuildController(BuildController):
         build_id: int,
         key: BuildKey,
         changes_by_id: Mapping[ChangeId, Change],
-        trace_id: str = "",
-        parent_span_id: int = 0,
+        traced: bool = False,
     ):
         from repro.parallel.payload import BuildRequest
 
@@ -431,8 +420,7 @@ class FullStackBuildController(BuildController):
             assumed=tuple((other.change_id, other.patch) for other in assumed),
             patch=change.patch,
             step_wall_seconds=self.step_wall_seconds,
-            trace_id=trace_id,
-            parent_span_id=parent_span_id,
+            traced=traced,
         )
 
     def _merge_response(
@@ -554,9 +542,10 @@ class FullStackBuildController(BuildController):
         later, in dispatch order, at the driver's next quiescent point.
 
         ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
-        (sim dispatch time) thread the parent's trace context into each
-        request: workers see a non-empty ``trace_id``, capture per-step
-        wall spans, and resolution splices them under the build span.
+        (sim dispatch time) are the parent's trace context: a traced
+        build's request asks its worker to capture per-step wall spans,
+        and resolution splices them under the build span, which the
+        parent keeps in :attr:`_pending_dispatches`.
         """
         if self._backend is None:
             super().dispatch_batch(keys, changes_by_id)
@@ -567,11 +556,7 @@ class FullStackBuildController(BuildController):
         tracing = self.recorder.enabled and now is not None
         requests = [
             self._build_request(
-                position,
-                key,
-                changes_by_id,
-                trace_id=f"dispatch:{span_id}" if tracing and span_id > 0 else "",
-                parent_span_id=span_id if tracing else 0,
+                position, key, changes_by_id, traced=tracing and span_id > 0
             )
             for position, (key, span_id) in enumerate(zip(keys, ids))
         ]
@@ -626,9 +611,6 @@ class FullStackBuildController(BuildController):
         for other in assumed + [change]:
             if other.patch is None:
                 raise ValueError(f"change {other.change_id} carries no patch")
-        if not self.incremental:
-            return self._execute_scratch(key, change, assumed)
-
         base_context = self._build_base_context()
         # Merge in sorted-id order, the change last; a textual conflict
         # fails the build the same way a failed merge fails it in
@@ -649,43 +631,25 @@ class FullStackBuildController(BuildController):
         )
         return self._execution_from_report(key, report)
 
-    def _execute_scratch(
-        self, key: BuildKey, change: Change, assumed: Sequence[Change]
-    ) -> BuildExecution:
-        """The from-scratch reference path (``incremental=False``)."""
-        base_snapshot = self._repo.snapshot(self.base_commit_id).to_dict()
-        merged = dict(base_snapshot)
-        try:
-            for other in list(assumed) + [change]:
-                merged = other.patch.apply(merged)
-            report = self.executor.build_affected(
-                base_snapshot, merged, stop_on_failure=True
-            )
-        except PatchConflictError as exc:
-            return self._unbuildable(key, f"merge conflict: {exc}")
-        except BuildSystemError as exc:
-            return self._unbuildable(key, f"build graph error: {exc}")
-        return self._execution_from_report(key, report)
-
     def _unbuildable(self, key: BuildKey, reason: str) -> BuildExecution:
         """The failed build of a stack that never reached a step."""
         return BuildExecution(
             key=key,
             success=False,
-            duration=self.step_minutes,
+            duration=self.STEP_MINUTES,
             failure_reason=reason,
         )
 
     def _execution_from_report(self, key: BuildKey, report) -> BuildExecution:
         duration = (
-            report.steps_executed * self.step_minutes
-            + report.steps_cached * self.cached_step_minutes
+            report.steps_executed * self.STEP_MINUTES
+            + report.steps_cached * self.CACHED_STEP_MINUTES
         )
         failure = report.first_failure()
         return BuildExecution(
             key=key,
             success=report.success,
-            duration=max(duration, self.cached_step_minutes),
+            duration=max(duration, self.CACHED_STEP_MINUTES),
             steps_executed=report.steps_executed,
             steps_cached=report.steps_cached,
             failure_reason="" if failure is None else failure.log,

@@ -1,7 +1,7 @@
 """The service's configuration surface, pinned.
 
 Five ``CoreServiceConfig`` fields, one spec grammar (``process[:N]``),
-one build-backend seam, one journal schema version.  A new option, spec
+one build-backend seam, one build path, one journal schema version.  A new option, spec
 name, or constructor argument has to change this module.
 """
 
@@ -104,12 +104,11 @@ def test_v2_journal_is_refused_naming_both_versions():
     assert "only 3" in str(excinfo.value)
 
 
-def test_from_scratch_controller_refuses_a_backend_at_attach(tiny_repo):
-    controller = FullStackBuildController(tiny_repo, incremental=False)
-    with create_build_backend("process:1") as backend:
-        with pytest.raises(ParallelExecutionError, match="incremental"):
-            controller.attach_backend(backend, 0.0)
-    assert controller.backend is None
+def test_build_controller_constructor_arguments():
+    # One build path: no mode switch, and step costs are class constants.
+    assert list(
+        inspect.signature(FullStackBuildController.__init__).parameters
+    ) == ["self", "repo", "cache", "recorder"]
 
 
 def test_build_seam_signatures():
@@ -127,5 +126,5 @@ def test_build_seam_signatures():
 def test_build_request_fields():
     assert [f.name for f in dataclasses.fields(BuildRequest)] == [
         "build_id", "change_id", "base_commit_id", "base_snapshot", "assumed",
-        "patch", "step_wall_seconds", "trace_id", "parent_span_id",
+        "patch", "step_wall_seconds", "traced",
     ]

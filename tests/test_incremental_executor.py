@@ -21,6 +21,7 @@ from repro.types import BuildKey, StepKind
 from repro.vcs.patch import Patch
 
 from .conftest import TINY_FILES
+from .oracles import ScratchBuildController, build_affected
 
 
 def _ctx_and_patch(snapshot, files, base=None):
@@ -118,9 +119,7 @@ class TestBuildContext:
             context, derived
         )
         merged = patch.apply(tiny_snapshot)
-        scratch = BuildExecutor(ArtifactCache()).build_affected(
-            tiny_snapshot, merged
-        )
+        scratch = build_affected(BuildExecutor(ArtifactCache()), tiny_snapshot, merged)
         assert incremental.targets_built == scratch.targets_built
         assert incremental.results == scratch.results
 
@@ -197,8 +196,8 @@ class TestArtifactCacheAllocationFree:
 
 class TestIncrementalController:
     def test_incremental_matches_scratch_execution(self, monorepo):
-        warm = FullStackBuildController(monorepo.repo, incremental=True)
-        cold = FullStackBuildController(monorepo.repo, incremental=False)
+        warm = FullStackBuildController(monorepo.repo)
+        cold = ScratchBuildController(monorepo.repo)
         clean = monorepo.make_clean_change()
         broken = monorepo.make_broken_change()
         structural = monorepo.make_structural_change()
@@ -284,7 +283,7 @@ class TestIncrementalController:
         assert monorepo.repo.is_green()
 
     def test_merge_conflict_duration_and_reason(self, monorepo):
-        controller = FullStackBuildController(monorepo.repo, step_minutes=3.0)
+        controller = FullStackBuildController(monorepo.repo)
         target = monorepo.target_names()[0]
         a = monorepo.make_clean_change(target)
         b = monorepo.make_clean_change(target)
@@ -294,14 +293,13 @@ class TestIncrementalController:
         )
         assert not execution.success
         assert execution.failure_reason.startswith("merge conflict:")
-        assert execution.duration == 3.0  # one step_minutes charge, no steps
+        # One step's charge, no steps.
+        assert execution.duration == FullStackBuildController.STEP_MINUTES
         assert execution.steps_executed == 0 and execution.steps_cached == 0
         assert execution.targets_built == ()
 
     def test_empty_delta_hits_duration_floor(self, tiny_repo):
-        controller = FullStackBuildController(
-            tiny_repo, cached_step_minutes=0.25
-        )
+        controller = FullStackBuildController(tiny_repo)
         snapshot = tiny_repo.snapshot().to_dict()
         noop = Patch.modifying(
             {"tool/tool.py": snapshot["tool/tool.py"]}, base=snapshot
@@ -319,7 +317,7 @@ class TestIncrementalController:
         assert execution.steps_executed == 0 and execution.steps_cached == 0
         assert execution.targets_built == ()
         # No steps ran, but a build is never free: the floor applies.
-        assert execution.duration == 0.25
+        assert execution.duration == FullStackBuildController.CACHED_STEP_MINUTES > 0
 
     def test_counters_reach_the_registry(self, monorepo):
         recorder = Recorder()

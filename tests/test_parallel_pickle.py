@@ -21,7 +21,7 @@ def synth():
     return SyntheticMonorepo(MonorepoSpec(layers=(2, 3), fan_in=2), seed=13)
 
 
-def _request(synth, change, assumed=()):
+def _request(synth, change, assumed=(), traced=False):
     return BuildRequest(
         build_id=7,
         change_id=change.change_id,
@@ -30,6 +30,7 @@ def _request(synth, change, assumed=()):
         assumed=tuple((c.change_id, c.patch) for c in assumed),
         patch=change.patch,
         step_wall_seconds=0.001,
+        traced=traced,
     )
 
 
@@ -40,6 +41,7 @@ def _assert_request_roundtrips(request):
     assert clone.base_commit_id == request.base_commit_id
     assert clone.base_snapshot == request.base_snapshot
     assert clone.step_wall_seconds == request.step_wall_seconds
+    assert clone.traced is request.traced
     # Patch has no __eq__; compare through the journal codec.
     assert encode_patch(clone.patch) == encode_patch(request.patch)
     assert [cid for cid, _ in clone.assumed] == [
@@ -63,7 +65,7 @@ def test_broken_request_roundtrips(synth):
 def test_stacked_request_roundtrips_and_executes(synth):
     first = synth.make_clean_change(target_name=synth.target_names()[2])
     second = synth.make_clean_change(target_name=synth.target_names()[3])
-    request = _request(synth, second, assumed=(first,))
+    request = _request(synth, second, assumed=(first,), traced=True)
     clone = _assert_request_roundtrips(request)
     # The pickled clone must execute identically to the original.
     reset_worker_state()

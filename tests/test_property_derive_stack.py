@@ -9,7 +9,7 @@ then agree with both references:
 
 * the chained fold (one ``Patch.apply`` + ``derive`` per patch), and
 * the from-scratch path (apply to a plain dict, reload the graph, rehash
-  everything — what ``FullStackBuildController._execute_scratch`` does)
+  everything — what ``oracles.ScratchBuildController`` does)
 
 on the merged snapshot, the full hash map, ``affected_against(base)``
 order included, and — for a conflicting stack — the path and message of
@@ -32,6 +32,8 @@ from repro.types import BuildKey
 from repro.vcs.patch import FileOp, OpKind, Patch
 from repro.vcs.repository import Repository
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
+
+from .oracles import ScratchBuildController, apply_in_order
 
 DEV = Developer("stack-dev")
 BASE = SyntheticMonorepo(
@@ -173,16 +175,15 @@ def _chained(base, patches):
 
 
 def _scratch(patches):
-    merged = dict(BASE)
-    for patch in patches:
-        merged = patch.apply(merged).to_dict()
+    merged = apply_in_order(BASE, patches)
     graph = load_build_graph(merged)
     hashes = TargetHasher(graph, merged).all_hashes()
     return merged, graph, hashes
 
 
 def _assert_controllers_agree(patches):
-    """Incremental ``execute`` == ``_execute_scratch`` for the whole stack."""
+    """The controller's ``execute`` == the from-scratch oracle's for the
+    whole stack."""
     # Zero-padded ids: the controller folds in sorted-id order.
     changes = {
         f"c{i:02d}": Change(
@@ -193,9 +194,7 @@ def _assert_controllers_agree(patches):
     ids = sorted(changes)
     key = BuildKey(ids[-1], frozenset(ids[:-1]))
     warm = FullStackBuildController(Repository(dict(BASE))).execute(key, changes)
-    cold = FullStackBuildController(
-        Repository(dict(BASE)), incremental=False
-    ).execute(key, changes)
+    cold = ScratchBuildController(Repository(dict(BASE))).execute(key, changes)
     assert warm == cold
     return warm
 

@@ -1,7 +1,7 @@
 """Property test: incremental execution is bit-identical to from-scratch.
 
-Two :class:`FullStackBuildController` instances — one incremental, one
-``incremental=False`` — are driven over mirrored repositories with the
+A :class:`FullStackBuildController` and the from-scratch
+``oracles.ScratchBuildController`` are driven over mirrored repositories with the
 same random interleaving of speculative builds (random assumed subsets)
 and mainline commits.  Every build must agree on outcome, step counts,
 duration, failure reason, and the exact target order; every commit must
@@ -21,6 +21,7 @@ from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
 
 from .conftest import TINY_FILES
+from .oracles import ScratchBuildController
 
 DEV = Developer("prop-dev")
 
@@ -135,8 +136,8 @@ def test_incremental_execution_bit_identical(data):
 
     repo_warm = Repository(dict(base))
     repo_cold = Repository(dict(base))
-    warm = FullStackBuildController(repo_warm, incremental=True)
-    cold = FullStackBuildController(repo_cold, incremental=False)
+    warm = FullStackBuildController(repo_warm)
+    cold = ScratchBuildController(repo_cold)
     committed = set()
 
     for kind, change_id, assumed in ops:
@@ -171,9 +172,7 @@ def test_deep_speculation_chain_bit_identical(monorepo):
     """A depth-10 assumed chain agrees with from-scratch at every prefix."""
     repo_files = monorepo.repo.snapshot().to_dict()
     warm = FullStackBuildController(Repository(dict(repo_files)))
-    cold = FullStackBuildController(
-        Repository(dict(repo_files)), incremental=False
-    )
+    cold = ScratchBuildController(Repository(dict(repo_files)))
     chain = [monorepo.make_clean_change() for _ in range(10)]
     changes = {change.change_id: change for change in chain}
     for depth in range(len(chain)):

@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.journal import JournalWriter, fingerprint_digest, recover
 from repro.journal.sink import events_path
+from repro.parallel.workload import mint_cell
 from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import StaticPredictor
 from repro.service.api import SubmitQueueService
@@ -162,6 +163,28 @@ class TestOneBase:
         # derived from it, for builds and analyses alike.
         assert core.controller.stats.base_context_loads == 1
         assert core.controller.stats.base_context_advances == 3
+
+    @pytest.mark.parametrize("backend", [None, "process:1"])
+    def test_only_a_build_counts_a_base_reuse(self, backend):
+        """Shipping the base snapshot to workers reads the base context; it
+        reuses it for no build, since under a backend the parent runs none."""
+        files, changes = mint_cell(seed=7, count=12)
+        core = CoreService(
+            Repository(files),
+            SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
+            config=CoreServiceConfig(workers=8, build_backend=backend),
+        )
+        try:
+            for change in changes:
+                core.submit(change)
+            assert len(core.pump()) == 12
+        finally:
+            core.close()
+        stats = core.controller.stats
+        assert stats.base_context_loads == 1
+        # Inline, every build derives over the borrowed base: one reuse each.
+        assert stats.base_context_reuses == stats.prefix_misses
+        assert (stats.prefix_misses > 0) == (backend is None)
 
     def test_a_conflict_predicate_means_no_analyzer(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -13,6 +13,8 @@ from repro.buildsys.loader import load_build_graph
 from repro.buildsys.steps import evaluate_step
 from repro.types import StepKind
 
+from .oracles import build_affected
+
 
 @pytest.fixture
 def chain_snapshot():
@@ -65,7 +67,7 @@ class TestDeltaBoundedWork:
         executor = BuildExecutor()
         executor.build(chain_snapshot)
         edited = dict(chain_snapshot, **{"top/top.py": "T2\n"})
-        incremental = executor.build_affected(chain_snapshot, edited)
+        incremental = build_affected(executor, chain_snapshot, edited)
         assert incremental.targets_built == ["//top:top"]
         assert incremental.steps_executed > 0
         # A later full build of the edited snapshot re-derives the same
@@ -74,9 +76,7 @@ class TestDeltaBoundedWork:
         assert full.steps_executed == 0
 
     def test_unchanged_snapshot_affected_build_is_empty(self, chain_snapshot):
-        report = BuildExecutor().build_affected(
-            chain_snapshot, dict(chain_snapshot)
-        )
+        report = build_affected(BuildExecutor(), chain_snapshot, dict(chain_snapshot))
         assert report.results == [] and report.targets_built == []
         assert report.success
 

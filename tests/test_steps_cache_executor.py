@@ -13,6 +13,8 @@ from repro.buildsys.steps import (
 )
 from repro.types import StepKind
 
+from .oracles import build_affected
+
 
 class TestDirectives:
     def test_scan_counts(self):
@@ -139,7 +141,7 @@ class TestBuildExecutor:
     def test_build_affected_only_rebuilds_delta(self, pair_snapshot):
         executor = BuildExecutor()
         changed = dict(pair_snapshot, **{"q/q.py": "Q2\n"})
-        report = executor.build_affected(pair_snapshot, changed)
+        report = build_affected(executor, pair_snapshot, changed)
         assert set(report.targets_built) == {"//q:q"}
         assert report.success
 

@@ -2,7 +2,7 @@
 into the parent tracer under the dispatching build span.
 
 Covers the tracer splice/snapshot primitives, the worker-side capture
-(only when the request carries a ``trace_id``), the dispatch-path
+(only when the request is ``traced``), the dispatch-path
 integration over both backends, and the satellite regression: superseded
 and aborted dispatches must still close their build spans with a
 terminal attribute instead of leaking to ``finish_open``.
@@ -149,7 +149,7 @@ class TestWorkerCapture:
 
     def test_traced_request_ships_merge_and_step_spans(self):
         reset_worker_state()
-        response = execute_request(_request(trace_id="dispatch:1"))
+        response = execute_request(_request(traced=True))
         assert response.error is None
         assert response.wall_started > 0.0
         kinds = [span.kind for span in response.step_spans]

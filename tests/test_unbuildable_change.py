@@ -21,6 +21,8 @@ from repro.types import BuildKey
 from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
 
+from .oracles import ScratchBuildController
+
 _DEV = Developer(developer_id="dev000", name="engineer-0")
 
 
@@ -184,10 +186,8 @@ def test_from_scratch_controller_reports_the_same_reason(shape):
     change = _rewrite("BAD", files)
     key = BuildKey("BAD", frozenset())
     reasons = {
-        FullStackBuildController(Repository(dict(BASE)), incremental=incremental)
-        .execute(key, {"BAD": change})
-        .failure_reason
-        for incremental in (True, False)
+        controller(Repository(dict(BASE))).execute(key, {"BAD": change}).failure_reason
+        for controller in (FullStackBuildController, ScratchBuildController)
     }
     assert len(reasons) == 1
     assert reasons.pop().startswith("build graph error: ")
