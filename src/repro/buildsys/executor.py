@@ -373,25 +373,18 @@ class BuildExecutor:
         return report
 
     def record_report(self, report: BuildReport) -> None:
-        """Publish one build's cache effectiveness to the registry.
+        """Publish one build to the registry.
 
         Public because builds merged back from a parallel backend are
         reconstructed outside :meth:`_run` yet must feed the same
-        executor metrics.
+        executor metrics.  Its step counts are the planner's
+        ``build_steps_*_total`` series.
         """
         if not self.recorder.enabled:
             return
         self.recorder.counter(
             "executor_builds_total", "Builds the executor ran."
         ).inc()
-        self.recorder.counter(
-            "executor_steps_executed_total",
-            "Steps evaluated by the executor (artifact-cache misses).",
-        ).inc(report.steps_executed)
-        self.recorder.counter(
-            "executor_steps_cached_total",
-            "Steps eliminated by the artifact cache (section 6.2).",
-        ).inc(report.steps_cached)
         self.recorder.counter(
             "executor_targets_built_total", "Targets covered by builds."
         ).inc(len(report.targets_built))

@@ -54,12 +54,15 @@ from repro.changes.change import Change
 from repro.conflict.union_graph import cone_conflict
 from repro.errors import BuildSystemError, PatchConflictError
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.registry import CounterStats
+from repro.obs.registry import metric_field
 from repro.types import AffectedTarget, ChangeId, Path, TargetName
 from repro.vcs.patch import Patch, three_way_conflicts
 
+_PAIR_CHECKS_HELP = "Pairwise conflict checks by resolution path."
 
-class ConflictAnalyzerStats(CounterStats):
+
+@dataclass
+class ConflictAnalyzerStats:
     """Counters for fast/slow path usage and incremental effectiveness.
 
     The first four feed the section-5.2 benches; the incremental group
@@ -74,56 +77,46 @@ class ConflictAnalyzerStats(CounterStats):
     ``analyze()`` of that change, so the revalidated/recomputed ratio
     reflects work performed, not work predicted.
 
-    Every counter lives in a :class:`~repro.obs.registry.MetricsRegistry`
-    (the analyzer's recorder's, when one is attached, so conflict series
-    appear in the run's Prometheus/JSON dumps).
+    Every field is exposed on the analyzer's recorder, so conflict series
+    appear in the run's Prometheus/JSON dumps.
     """
 
-    #: attribute -> (metric name, labels, help).
-    _SERIES = {
-        "fast_path": (
-            "conflict_pair_checks_total",
-            {"path": "fast"},
-            "Pairwise conflict checks by resolution path.",
-        ),
-        "slow_path": ("conflict_pair_checks_total", {"path": "slow"}, ""),
-        "textual": ("conflict_pair_checks_total", {"path": "textual"}, ""),
-        "skipped": (
-            "conflict_pair_checks_skipped_total",
-            None,
-            "Pending pairs the candidate index ruled out unchecked.",
-        ),
-        "analyses": (
-            "conflict_analyses_total",
-            None,
-            "Full per-change analyses computed.",
-        ),
-        "targets_rehashed": (
-            "conflict_targets_rehashed_total",
-            None,
-            "Target hashes recomputed (dirty-set misses).",
-        ),
-        "targets_total": (
-            "conflict_targets_considered_total",
-            None,
-            "Target hashes needed across all analyses.",
-        ),
-        "head_advances": (
-            "conflict_head_advances_total",
-            None,
-            "Mainline advances applied to the analyzer base.",
-        ),
-        "analyses_revalidated": (
-            "conflict_analyses_revalidated_total",
-            None,
-            "Cached analyses carried over a head advance.",
-        ),
-        "analyses_recomputed": (
-            "conflict_analyses_recomputed_total",
-            None,
-            "Invalidated analyses recomputed on next use.",
-        ),
-    }
+    fast_path: int = metric_field(
+        "conflict_pair_checks_total", _PAIR_CHECKS_HELP, {"path": "fast"}
+    )
+    slow_path: int = metric_field(
+        "conflict_pair_checks_total", _PAIR_CHECKS_HELP, {"path": "slow"}
+    )
+    textual: int = metric_field(
+        "conflict_pair_checks_total", _PAIR_CHECKS_HELP, {"path": "textual"}
+    )
+    skipped: int = metric_field(
+        "conflict_pair_checks_skipped_total",
+        "Pending pairs the candidate index ruled out unchecked.",
+    )
+    analyses: int = metric_field(
+        "conflict_analyses_total", "Full per-change analyses computed."
+    )
+    targets_rehashed: int = metric_field(
+        "conflict_targets_rehashed_total",
+        "Target hashes recomputed (dirty-set misses).",
+    )
+    targets_total: int = metric_field(
+        "conflict_targets_considered_total",
+        "Target hashes needed across all analyses.",
+    )
+    head_advances: int = metric_field(
+        "conflict_head_advances_total",
+        "Mainline advances applied to the analyzer base.",
+    )
+    analyses_revalidated: int = metric_field(
+        "conflict_analyses_revalidated_total",
+        "Cached analyses carried over a head advance.",
+    )
+    analyses_recomputed: int = metric_field(
+        "conflict_analyses_recomputed_total",
+        "Invalidated analyses recomputed on next use.",
+    )
 
     @property
     def checks(self) -> int:
@@ -186,10 +179,8 @@ class ConflictAnalyzer:
         #: their recompute is counted when analyze() actually redoes it.
         self._invalidated: Set[ChangeId] = set()
         self._recorder = recorder
-        self.stats = ConflictAnalyzerStats(
-            recorder.registry if recorder.enabled else None
-        )
-        self._count = self.stats.counters
+        self.stats = ConflictAnalyzerStats()
+        recorder.expose(self.stats)
 
     @property
     def base(self) -> BuildContext:
@@ -217,7 +208,7 @@ class ConflictAnalyzer:
             # A head advance dropped this change's cached analysis; this
             # recompute is the work the carry-over failed to save.
             self._invalidated.discard(change.change_id)
-            self._count["analyses_recomputed"].inc()
+            self.stats.analyses_recomputed += 1
         return analysis
 
     def _analyze_patch(self, patch: Patch) -> _ChangeAnalysis:
@@ -233,9 +224,9 @@ class ConflictAnalyzer:
         structure_changed = (
             graph is not base.graph and graph.structure() != self._base_structure
         )
-        self._count["analyses"].inc()
-        self._count["targets_rehashed"].inc(merged.rehashed)
-        self._count["targets_total"].inc(len(graph))
+        self.stats.analyses += 1
+        self.stats.targets_rehashed += merged.rehashed
+        self.stats.targets_total += len(graph)
         return _ChangeAnalysis(
             patch=patch,
             touched=frozenset(patch.paths),
@@ -349,7 +340,7 @@ class ConflictAnalyzer:
         candidates = [
             other.change_id for other in pending if other.change_id in hits
         ]
-        self._count["skipped"].inc(len(pending) - len(candidates))
+        self.stats.skipped += len(pending) - len(candidates)
         return candidates
 
     def advance_base(
@@ -385,7 +376,7 @@ class ConflictAnalyzer:
         A revalidated analysis keeps its taint and touched paths, so its
         candidate-index entries stand; dropped analyses leave the index.
         """
-        self._count["head_advances"].inc()
+        self.stats.head_advances += 1
         old, self._base = self._base, new_base
         structural_commit = new_base.graph is not old.graph
         if structural_commit:
@@ -413,7 +404,7 @@ class ConflictAnalyzer:
                     and analysis.taint.isdisjoint(commit_affected)
                 ):
                     survivors[change_id] = analysis
-        self._count["analyses_revalidated"].inc(len(survivors))
+        self.stats.analyses_revalidated += len(survivors)
         # Dropped analyses are *invalidated*, not yet recomputed: the
         # recompute counter moves when analyze() actually redoes the work.
         self._invalidated.update(
@@ -444,7 +435,7 @@ class ConflictAnalyzer:
         # Textual overlap is a conflict regardless of target structure: the
         # patches cannot even merge cleanly.
         if three_way_conflicts(first.patch, second.patch):
-            self._count["textual"].inc()
+            self.stats.textual += 1
             return True
         try:
             a = self.analyze(first)
@@ -454,13 +445,13 @@ class ConflictAnalyzer:
             # files do not load on it, has no delta to compare.  Assume a
             # conflict: the change queues behind the other one, and its
             # own build reports the merge conflict or the graph error.
-            self._count["textual"].inc()
+            self.stats.textual += 1
             return True
         if not a.structure_changed and not b.structure_changed:
             # Fast path: structure identical, name intersection is exact.
-            self._count["fast_path"].inc()
+            self.stats.fast_path += 1
             return not a.taint.isdisjoint(b.taint)
-        self._count["slow_path"].inc()
+        self.stats.slow_path += 1
         return cone_conflict(
             self._base.graph, a.graph, a.taint, b.graph, b.taint
         )
@@ -498,7 +489,6 @@ class LabelConflictAnalyzer:
 
     def __init__(self) -> None:
         self.stats = ConflictAnalyzerStats()
-        self._count = self.stats.counters
 
     def affected_names(self, change: Change) -> FrozenSet[TargetName]:
         if change.ground_truth is None:
@@ -513,5 +503,5 @@ class LabelConflictAnalyzer:
     def conflict(self, first: Change, second: Change) -> bool:
         if first.change_id == second.change_id:
             return False
-        self._count["fast_path"].inc()
+        self.stats.fast_path += 1
         return bool(self.affected_names(first) & self.affected_names(second))

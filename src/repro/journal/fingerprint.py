@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from typing import Dict
 
 from repro.journal.records import snapshot_digest
@@ -87,17 +88,7 @@ def state_fingerprint(service) -> Dict[str, object]:
             for key, handle in service._completion_handles.items()
             if not handle.cancelled
         ),
-        "stats": {
-            "builds_started": planner.stats.builds_started,
-            "builds_completed": planner.stats.builds_completed,
-            "builds_aborted": planner.stats.builds_aborted,
-            "build_minutes": planner.stats.build_minutes,
-            "wasted_minutes": planner.stats.wasted_minutes,
-            "plan_calls": planner.stats.plan_calls,
-            "plan_calls_skipped": planner.stats.plan_calls_skipped,
-            "steps_executed": planner.stats.steps_executed,
-            "steps_cached": planner.stats.steps_cached,
-        },
+        "stats": asdict(planner.stats),
         "workers": {
             "ewma": [[cid, value] for cid, value in workers._duration_ewma.items()],
             "slots": [

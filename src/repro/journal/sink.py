@@ -16,11 +16,13 @@ never has to reconstruct in-flight builds.
 from __future__ import annotations
 
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import JournalError
 from repro.journal.framing import encode_record
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.registry import metric_field
 
 #: File name of the event log inside a journal directory.
 EVENTS_FILENAME = "events.jsonl"
@@ -51,30 +53,27 @@ class JournalSink:
 NULL_JOURNAL = JournalSink()
 
 
-class _JournalMetrics:
-    """Hoisted recorder handles for the writer's per-append counters."""
+@dataclass(eq=False)
+class JournalCounts:
+    """What a :class:`JournalWriter` has written, exposed on its recorder
+    (``eq=False``: writers compare by identity)."""
 
-    __slots__ = ("appends", "bytes_written", "fsyncs", "snapshots", "snapshot_bytes")
-
-    def __init__(self, recorder: Recorder) -> None:
-        self.appends = recorder.counter(
-            "journal_appends_total", "Records appended to the event journal."
-        )
-        self.bytes_written = recorder.counter(
-            "journal_bytes_written_total", "Bytes appended to the event journal."
-        )
-        self.fsyncs = recorder.counter(
-            "journal_fsyncs_total", "fsync() calls issued by the journal writer."
-        )
-        self.snapshots = recorder.counter(
-            "journal_snapshots_total", "Inline state snapshots taken."
-        )
-        self.snapshot_bytes = recorder.gauge(
-            "journal_snapshot_bytes", "Encoded size of the most recent snapshot."
-        )
+    #: Records appended, snapshots included.
+    appends: int = metric_field(
+        "journal_appends_total", "Records appended to the event journal."
+    )
+    bytes_written: int = metric_field(
+        "journal_bytes_written_total", "Bytes appended to the event journal."
+    )
+    fsyncs: int = metric_field(
+        "journal_fsyncs_total", "fsync() calls issued by the journal writer."
+    )
+    snapshots: int = metric_field(
+        "journal_snapshots_total", "Inline state snapshots taken."
+    )
 
 
-class JournalWriter(JournalSink):
+class JournalWriter(JournalCounts, JournalSink):
     """Durable append-only sink over ``<journal_dir>/events.jsonl``.
 
     ``fresh=True`` (the default) refuses to write over an existing
@@ -111,10 +110,12 @@ class JournalWriter(JournalSink):
         self.fsync = fsync
         self.snapshot_every = snapshot_every
         self.recorder = recorder
-        self._metrics = _JournalMetrics(recorder) if recorder.enabled else None
+        JournalCounts.__init__(self)
+        recorder.expose(self)
+        self._snapshot_bytes = recorder.gauge(
+            "journal_snapshot_bytes", "Encoded size of the most recent snapshot."
+        )
         self._appends_since_snapshot = 0
-        self.appends = 0
-        self.bytes_written = 0
         self._file = open(path, "ab")
 
     @classmethod
@@ -144,20 +145,19 @@ class JournalWriter(JournalSink):
             fresh=False,
         )
 
-    def append(self, record: Dict[str, object]) -> None:
-        data = encode_record(record)
+    def _write(self, data: bytes) -> None:
+        """Append one framed record: write, flush, optionally fsync."""
         self._file.write(data)
         self._file.flush()
         if self.fsync:
             os.fsync(self._file.fileno())
+            self.fsyncs += 1
         self.appends += 1
         self.bytes_written += len(data)
+
+    def append(self, record: Dict[str, object]) -> None:
+        self._write(encode_record(record))
         self._appends_since_snapshot += 1
-        if self._metrics is not None:
-            self._metrics.appends.inc()
-            self._metrics.bytes_written.inc(len(data))
-            if self.fsync:
-                self._metrics.fsyncs.inc()
 
     def maybe_snapshot(self, service) -> None:
         """Append an inline snapshot if due and the service is quiescent."""
@@ -171,20 +171,10 @@ class JournalWriter(JournalSink):
 
         record = snapshot_record(service.clock.now, capture_state(service))
         data = encode_record(record)
-        self._file.write(data)
-        self._file.flush()
-        if self.fsync:
-            os.fsync(self._file.fileno())
-        self.appends += 1
-        self.bytes_written += len(data)
+        self._write(data)
+        self.snapshots += 1
         self._appends_since_snapshot = 0
-        if self._metrics is not None:
-            self._metrics.appends.inc()
-            self._metrics.bytes_written.inc(len(data))
-            self._metrics.snapshots.inc()
-            self._metrics.snapshot_bytes.set(len(data))
-            if self.fsync:
-                self._metrics.fsyncs.inc()
+        self._snapshot_bytes.set(len(data))
 
     def close(self) -> None:
         if not self._file.closed:

@@ -22,7 +22,7 @@ config, strategy spec, and repository payloads.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
@@ -251,17 +251,7 @@ def capture_state(service) -> Dict[str, object]:
         ],
         "next_seq": queue._next_seq,
         "ancestry_version": planner._ancestry_version,
-        "stats": {
-            "builds_started": planner.stats.builds_started,
-            "builds_completed": planner.stats.builds_completed,
-            "builds_aborted": planner.stats.builds_aborted,
-            "build_minutes": planner.stats.build_minutes,
-            "wasted_minutes": planner.stats.wasted_minutes,
-            "plan_calls": planner.stats.plan_calls,
-            "plan_calls_skipped": planner.stats.plan_calls_skipped,
-            "steps_executed": planner.stats.steps_executed,
-            "steps_cached": planner.stats.steps_cached,
-        },
+        "stats": asdict(planner.stats),
         "workers": {
             "ewma": [
                 [change_id, value]
@@ -326,6 +316,8 @@ def restore_service(
     planner.queue._next_seq = state["next_seq"]
     planner._ancestry_version = state["ancestry_version"]
     planner.stats = PlannerStats(**state["stats"])
+    # Rebind the exposed series to the restored counts.
+    recorder.expose(planner.stats)
 
     workers = planner.workers
     for change_id, value in state["workers"]["ewma"]:

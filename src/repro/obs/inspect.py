@@ -205,7 +205,6 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
         ("build_steps_cached_total", "build steps cached (eliminated)"),
         ("service_submissions_total", "submissions"),
         ("service_enqueued_total", "submissions enqueued (overlap)"),
-        ("executor_parallel_dispatched_total", "parallel builds dispatched"),
         ("executor_parallel_inflight", "parallel builds in flight"),
     ):
         value = _metric_value(trace.metrics, name)

@@ -52,6 +52,10 @@ class Recorder:
     def histogram(self, name: str, help: str = "", labels=None, buckets=None):
         return self.registry.histogram(name, help, labels, buckets)
 
+    def expose(self, stats) -> None:
+        """Publish a stats dataclass's ``metric_field`` counts."""
+        self.registry.expose(stats)
+
     # -- tracing passthrough -------------------------------------------------
 
     def span(self, name: str, **kwargs):
@@ -154,6 +158,9 @@ class NullRecorder(Recorder):
 
     def histogram(self, name: str, help: str = "", labels=None, buckets=None):
         return _NULL_METRIC
+
+    def expose(self, stats) -> None:
+        pass
 
     @contextmanager
     def span(self, name: str, **kwargs) -> Iterator[Span]:

@@ -17,11 +17,19 @@ Semantics are deliberately strict: a metric name is bound to one kind
 (counter/gauge/histogram) and one label-key set on first registration, and
 a per-metric series cap bounds label cardinality — both guard against the
 silent-explosion failure modes real telemetry systems suffer.
+
+A count a component already keeps in a stats dataclass is not counted a
+second time here: the field is declared with :func:`metric_field`, and
+:meth:`MetricsRegistry.expose` binds its counter series to the field,
+which is read whenever the registry is rendered.  A name is either
+exposed or pushed (``counter(...).inc()``), never both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import math
+from dataclasses import field, fields
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import MetricsError
 
@@ -51,6 +59,30 @@ def _format_labels(key: LabelKey, extra: Sequence[Tuple[str, str]] = ()) -> str:
     return "{" + body + "}"
 
 
+def _format_value(value: float) -> str:
+    """A sample in the text format: integral values as integers, other
+    finite ones exactly (``repr``), non-finite ones as ``+Inf``/``-Inf``/``NaN``."""
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+def metric_field(
+    name: str,
+    help: str,
+    labels: Optional[Mapping[str, str]] = None,
+    default: Any = 0,
+) -> Any:
+    """A stats-dataclass field that :meth:`MetricsRegistry.expose`
+    publishes as the counter ``name`` (with ``labels``)."""
+    return field(default=default, metadata={"metric": (name, labels, help)})
+
+
 class Counter:
     """A monotonically increasing sample."""
 
@@ -69,6 +101,27 @@ class Counter:
         if amount < 0:
             raise MetricsError(f"counter {self.name} cannot decrease")
         self._value += amount
+
+
+class _ExposedCounter:
+    """A counter series whose value is one stats-object field, read live."""
+
+    __slots__ = ("name", "_stats", "_attr")
+
+    def __init__(self, name: str, stats: object, attr: str) -> None:
+        self.name = name
+        self._stats = stats
+        self._attr = attr
+
+    @property
+    def value(self) -> float:
+        return float(getattr(self._stats, self._attr))
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise MetricsError(
+            f"counter {self.name} is exposed from "
+            f"{type(self._stats).__name__}.{self._attr}; count there"
+        )
 
 
 class Gauge:
@@ -157,7 +210,7 @@ class Histogram:
 class _Family:
     """Every series sharing one metric name."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "series", "buckets")
+    __slots__ = ("name", "kind", "help", "label_names", "series", "buckets", "exposed")
 
     def __init__(
         self,
@@ -173,6 +226,8 @@ class _Family:
         self.label_names = label_names
         self.series: Dict[LabelKey, object] = {}
         self.buckets = buckets
+        #: Series read from stats fields (:meth:`MetricsRegistry.expose`).
+        self.exposed = False
 
 
 class MetricsRegistry:
@@ -229,12 +284,34 @@ class MetricsRegistry:
     def counter(
         self, name: str, help: str = "", labels: Optional[Mapping[str, str]] = None
     ) -> Counter:
+        """The pushed counter ``name``; on an exposed name, the live field
+        series (whose ``inc`` raises)."""
         family, key = self._family(name, "counter", help, labels or {})
         series = family.series.get(key)
         if series is None:
+            if family.exposed:
+                raise MetricsError(f"counter {name} is exposed, not pushed")
             series = Counter(name, key)
             family.series[key] = series
         return series  # type: ignore[return-value]
+
+    def expose(self, stats: object) -> None:
+        """Publish ``stats``' :func:`metric_field` fields as counters read
+        from the object whenever the registry is rendered.
+
+        Exposing another object under the same names rebinds the series
+        to it; a name already pushed cannot be exposed.
+        """
+        for spec in fields(stats):
+            declared = spec.metadata.get("metric")
+            if declared is None:
+                continue
+            name, labels, help_text = declared
+            family, key = self._family(name, "counter", help_text, labels or {})
+            if family.series and not family.exposed:
+                raise MetricsError(f"counter {name} is pushed, not exposed")
+            family.exposed = True
+            family.series[key] = _ExposedCounter(name, stats, spec.name)
 
     def gauge(
         self, name: str, help: str = "", labels: Optional[Mapping[str, str]] = None
@@ -305,7 +382,8 @@ class MetricsRegistry:
                         f"{family.name}_bucket{inf_labels} {cumulative[-1]}"
                     )
                     lines.append(
-                        f"{family.name}_sum{_format_labels(key)} {hist.sum:g}"
+                        f"{family.name}_sum{_format_labels(key)} "
+                        f"{_format_value(hist.sum)}"
                     )
                     lines.append(
                         f"{family.name}_count{_format_labels(key)} {hist.count}"
@@ -313,7 +391,7 @@ class MetricsRegistry:
                 else:
                     value = series.value  # type: ignore[union-attr]
                     lines.append(
-                        f"{family.name}{_format_labels(key)} {value:g}"
+                        f"{family.name}{_format_labels(key)} {_format_value(value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -340,29 +418,3 @@ class MetricsRegistry:
                 "series": series_list,
             }
         return out
-
-
-class CounterStats:
-    """One component's named counters, registered in a shared registry.
-
-    Subclasses list ``_SERIES`` (attribute -> metric name, labels, help).
-    The owning component increments the handles in :attr:`counters`;
-    everyone else reads ``stats.<attribute>`` as an int, so benches and
-    tests see the same numbers the Prometheus/JSON dumps carry.
-    """
-
-    _SERIES: Mapping[str, Tuple[str, Optional[Mapping[str, str]], str]] = {}
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        if registry is None:
-            registry = MetricsRegistry()
-        self.counters: Dict[str, Counter] = {
-            attr: registry.counter(name, help_text, labels)
-            for attr, (name, labels, help_text) in self._SERIES.items()
-        }
-
-    def __getattr__(self, name: str) -> int:
-        counter = self.__dict__.get("counters", {}).get(name)
-        if counter is None:
-            raise AttributeError(name)
-        return int(counter.value)

@@ -42,16 +42,11 @@ class _BackendMetrics:
     ``worker_count``, keeping label cardinality fixed).
     """
 
-    __slots__ = ("_recorder", "_backend", "dispatched", "inflight", "batch_seconds", "_busy")
+    __slots__ = ("_recorder", "_backend", "inflight", "batch_seconds", "_busy")
 
     def __init__(self, recorder: Recorder, backend: str) -> None:
         self._recorder = recorder
         self._backend = backend
-        self.dispatched = recorder.counter(
-            "executor_parallel_dispatched_total",
-            "Build requests handed to a build backend.",
-            labels={"backend": backend},
-        )
         self.inflight = recorder.gauge(
             "executor_parallel_inflight",
             "Build requests currently executing in the backend.",
@@ -130,10 +125,8 @@ class ProcessBuildBackend:
             [request.label() for request in requests],
             time.perf_counter(),
         )
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.dispatched.inc(len(futures))
-            metrics.inflight.set(self._inflight_count())
+        if self._metrics is not None:
+            self._metrics.inflight.set(self._inflight_count())
         return token
 
     def _inflight_count(self) -> int:

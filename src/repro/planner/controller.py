@@ -34,6 +34,7 @@ from repro.errors import (
     PatchConflictError,
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.registry import metric_field
 from repro.types import BuildKey, ChangeId, CommitId, TargetName
 from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
@@ -179,7 +180,10 @@ class ExecutorReuseStats:
     #: Root contexts built from scratch — O(repo) graph load + hashing.
     base_context_loads: int = 0
     #: Builds answered from a memoized base context.
-    base_context_reuses: int = 0
+    base_context_reuses: int = metric_field(
+        "executor_base_context_reused_total",
+        "Builds served from a memoized per-base build context.",
+    )
     #: Base contexts advanced across a commit in O(delta) instead of reloaded.
     base_context_advances: int = 0
     #: Merged ``H ⊕ S ⊕ C`` contexts reused instead of derived.  None is
@@ -245,14 +249,7 @@ class FullStackBuildController(BuildController):
         self.executor = BuildExecutor(cache, recorder=recorder)
         self.base_commit_id = repo.head()
         self.stats = ExecutorReuseStats()
-        self._base_context_reused = (
-            recorder.counter(
-                "executor_base_context_reused_total",
-                "Builds served from a memoized per-base build context.",
-            )
-            if recorder.enabled
-            else None
-        )
+        recorder.expose(self.stats)
         #: The one memoized base context and the head it is for — the
         #: mainline only moves forward, so no older head is asked for again.
         self._base: Tuple[Optional[CommitId], Optional[BuildContext]] = (None, None)
@@ -306,10 +303,6 @@ class FullStackBuildController(BuildController):
                 advanced.as_root(self.BASE_FLATTEN_DEPTH),
             )
         if self.recorder.enabled:
-            self.recorder.counter(
-                "service_mainline_commits_total",
-                "Changes landed on the mainline.",
-            ).inc()
             self.recorder.event(
                 "commit",
                 category="service",
@@ -349,8 +342,6 @@ class FullStackBuildController(BuildController):
         if context is None:
             return self.base_context()
         self.stats.base_context_reuses += 1
-        if self._base_context_reused is not None:
-            self._base_context_reused.inc()
         return context
 
     def _derive_stack(

@@ -42,6 +42,7 @@ from repro.changes.state import ChangeLedger, ChangeRecord
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import PlannerError
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.registry import metric_field
 from repro.planner.controller import BuildController, BuildExecution
 from repro.planner.workers import WorkerPool
 from repro.types import BuildKey, ChangeId, ChangeState
@@ -95,19 +96,41 @@ class BuildRecord:
 
 @dataclass
 class PlannerStats:
-    """Aggregate counters for ablation benches."""
+    """The planner's aggregate counts; each ``metric_field`` is also its
+    ``/metrics`` series, read from here."""
 
-    builds_started: int = 0
-    builds_completed: int = 0
-    builds_aborted: int = 0
-    build_minutes: float = 0.0
-    wasted_minutes: float = 0.0
-    plan_calls: int = 0
+    builds_started: int = metric_field(
+        "planner_builds_started_total", "Speculative builds started."
+    )
+    builds_completed: int = metric_field(
+        "planner_builds_completed_total", "Speculative builds finished."
+    )
+    builds_aborted: int = metric_field(
+        "planner_builds_aborted_total",
+        "Speculative builds aborted after deselection.",
+    )
+    build_minutes: float = metric_field(
+        "planner_build_minutes_total", "Total build minutes spent.", default=0.0
+    )
+    wasted_minutes: float = metric_field(
+        "planner_wasted_minutes_total",
+        "Build minutes thrown away by aborts.",
+        default=0.0,
+    )
+    plan_calls: int = metric_field(
+        "planner_plan_calls_total", "Planner epochs (plan() calls)."
+    )
     #: Never incremented; kept because state fingerprints carry its key.
     plan_calls_skipped: int = 0
     #: Build steps actually executed / eliminated across started builds.
-    steps_executed: int = 0
-    steps_cached: int = 0
+    steps_executed: int = metric_field(
+        "build_steps_executed_total",
+        "Build steps actually executed (cache misses).",
+    )
+    steps_cached: int = metric_field(
+        "build_steps_cached_total",
+        "Build steps eliminated via the artifact cache.",
+    )
 
 
 class _PlannerMetrics:
@@ -115,21 +138,14 @@ class _PlannerMetrics:
 
     ``recorder.counter(...)`` does a family lookup (dict get + label-key
     sort) on every call; the planner emits several per build and per
-    decision, so resolve each series once and reuse the handle.
+    decision, so resolve each series once and reuse the handle.  Counts
+    :class:`PlannerStats` keeps are exposed from it, not pushed here.
     """
 
     __slots__ = (
-        "plan_calls",
         "queue_depth",
         "workers_busy",
         "worker_utilization",
-        "builds_started",
-        "steps_executed",
-        "steps_cached",
-        "builds_aborted",
-        "wasted_minutes",
-        "builds_completed",
-        "build_minutes",
         "build_duration",
         "decisions_committed",
         "decisions_rejected",
@@ -141,9 +157,6 @@ class _PlannerMetrics:
     )
 
     def __init__(self, recorder: Recorder) -> None:
-        self.plan_calls = recorder.counter(
-            "planner_plan_calls_total", "Planner epochs (plan() calls)."
-        )
         self.queue_depth = recorder.gauge(
             "planner_queue_depth", "Pending changes at epoch start."
         )
@@ -153,31 +166,6 @@ class _PlannerMetrics:
         self.worker_utilization = recorder.gauge(
             "planner_worker_utilization",
             "Busy fraction of the worker fleet after the epoch.",
-        )
-        self.builds_started = recorder.counter(
-            "planner_builds_started_total", "Speculative builds started."
-        )
-        self.steps_executed = recorder.counter(
-            "build_steps_executed_total",
-            "Build steps actually executed (cache misses).",
-        )
-        self.steps_cached = recorder.counter(
-            "build_steps_cached_total",
-            "Build steps eliminated via the artifact cache.",
-        )
-        self.builds_aborted = recorder.counter(
-            "planner_builds_aborted_total",
-            "Speculative builds aborted after deselection.",
-        )
-        self.wasted_minutes = recorder.counter(
-            "planner_wasted_minutes_total",
-            "Build minutes thrown away by aborts.",
-        )
-        self.builds_completed = recorder.counter(
-            "planner_builds_completed_total", "Speculative builds finished."
-        )
-        self.build_minutes = recorder.counter(
-            "planner_build_minutes_total", "Total build minutes spent."
         )
         self.build_duration = recorder.histogram(
             "planner_build_duration_minutes",
@@ -314,6 +302,7 @@ class PlannerEngine:
         self.builds: Dict[BuildKey, BuildRecord] = {}
         self._builds_by_change: Dict[ChangeId, List[BuildKey]] = {}
         self.stats = PlannerStats()
+        recorder.expose(self.stats)
         self._view = PlannerView(self)
         self._decision_log: List[Decision] = []
         self._metrics = _PlannerMetrics(recorder) if recorder.enabled else None
@@ -491,7 +480,6 @@ class PlannerEngine:
             queue_depth=len(self.queue),
             workers_busy=self.workers.busy,
         )
-        self._metrics.plan_calls.inc()
         self._metrics.queue_depth.set(len(self.queue))
 
     def _record_epoch(self, started: int, aborted: int) -> None:
@@ -584,7 +572,6 @@ class PlannerEngine:
                 change_id=key.change_id,
                 assumed=len(key.assumed),
             )
-            self._metrics.builds_started.inc()
         return build
 
     def resolve_pending(self) -> List["ResolvedBatch"]:
@@ -610,11 +597,6 @@ class PlannerEngine:
                 record.execution = execution
                 self.stats.steps_executed += execution.steps_executed
                 self.stats.steps_cached += execution.steps_cached
-                if self.recorder.enabled and (
-                    execution.steps_executed or execution.steps_cached
-                ):
-                    self._metrics.steps_executed.inc(execution.steps_executed)
-                    self._metrics.steps_cached.inc(execution.steps_cached)
                 executions.append(execution)
                 # Time a completion only for dispatches that are still
                 # current: aborted or re-dispatched keys were merged for
@@ -652,15 +634,9 @@ class PlannerEngine:
         if change_record is not None:
             change_record.builds_aborted += 1
         self.stats.builds_aborted += 1
-        if self.recorder.enabled:
-            if record is not None and record.span is not None:
-                self.recorder.finish_span(record.span, at=now, aborted=True)
-                record.span = None
-            self._metrics.builds_aborted.inc()
-            if record is not None:
-                self._metrics.wasted_minutes.inc(
-                    max(0.0, now - record.started_at)
-                )
+        if self.recorder.enabled and record is not None and record.span is not None:
+            self.recorder.finish_span(record.span, at=now, aborted=True)
+            record.span = None
 
     # -- completion & decisions -----------------------------------------------
 
@@ -683,8 +659,6 @@ class PlannerEngine:
                     record.span, at=now, success=record.execution.success
                 )
                 record.span = None
-            self._metrics.builds_completed.inc()
-            self._metrics.build_minutes.inc(record.execution.duration)
             self._metrics.build_duration.observe(record.execution.duration)
 
         change_record = self.records.get(key.change_id)

@@ -430,8 +430,11 @@ def build_journal_service(journal_dir: str, recorder: Optional[Recorder] = None)
 
     Recovery runs in verification mode (``attach=False``): the on-disk
     journal is left untouched and the recovered, fully replayed service
-    — tracer and metrics populated by the replay itself — is what the
-    endpoints expose.  Returns ``(core, handlers)``.
+    is what the endpoints expose.  Counters exposed from stats fields
+    (``planner_builds_started_total`` and the rest of ``PlannerStats``)
+    carry the snapshot's restored totals plus the replay; pushed series
+    and the tracer start at zero and hold only what the replay re-drove.
+    Returns ``(core, handlers)``.
     """
     from repro.journal.recovery import recover
 

@@ -65,7 +65,7 @@ from typing import (
 from repro.changes.change import Change
 from repro.changes.state import ChangeRecord
 from repro.obs.recorder import NULL_RECORDER, Recorder
-from repro.obs.registry import UNIT_BUCKETS, CounterStats
+from repro.obs.registry import UNIT_BUCKETS, metric_field
 from repro.predictor.predictors import Predictor
 from repro.speculation.batching import BatchPlan, plan_batches
 from repro.speculation.probability import (
@@ -94,50 +94,35 @@ class ScoredBuild:
         return self.key.change_id
 
 
-class SpeculationEngineStats(CounterStats):
-    """Incremental-selection effectiveness counters.
+@dataclass
+class SpeculationEngineStats:
+    """Selection rounds and incremental-selection effectiveness; every
+    field is exposed on the engine's recorder."""
 
-    Mirrors :class:`~repro.conflict.analyzer.ConflictAnalyzerStats`: every
-    counter lives in a :class:`~repro.obs.registry.MetricsRegistry` (the
-    engine's recorder's, when one is attached, so the series appear in the
-    run's Prometheus/JSON dumps).
-    """
-
-    #: attribute -> (metric name, labels, help).
-    _SERIES = {
-        "selections": (
-            "speculation_selection_rounds_total",
-            None,
-            "select_builds() rounds.",
-        ),
-        "commit_prob_reused": (
-            "commit_prob_reused_total",
-            None,
-            "P_commit values reused from the previous epoch (outside the "
-            "dirty cone).",
-        ),
-        "commit_prob_recomputed": (
-            "commit_prob_recomputed_total",
-            None,
-            "P_commit values re-swept (inside the dirty cone).",
-        ),
-        "enumerators_reused": (
-            "speculation_enumerators_reused_total",
-            None,
-            "Subset enumerators carried across epochs with heap state "
-            "intact.",
-        ),
-        "enumerators_rebuilt": (
-            "speculation_enumerators_rebuilt_total",
-            None,
-            "Subset enumerators (re)built because their inputs changed.",
-        ),
-        "nodes_replayed": (
-            "speculation_nodes_replayed_total",
-            None,
-            "Merge-heap nodes served from an enumerator's memoized prefix.",
-        ),
-    }
+    selections: int = metric_field(
+        "speculation_selections_total", "Speculation selection rounds."
+    )
+    commit_prob_reused: int = metric_field(
+        "commit_prob_reused_total",
+        "P_commit values reused from the previous epoch (outside the "
+        "dirty cone).",
+    )
+    commit_prob_recomputed: int = metric_field(
+        "commit_prob_recomputed_total",
+        "P_commit values re-swept (inside the dirty cone).",
+    )
+    enumerators_reused: int = metric_field(
+        "speculation_enumerators_reused_total",
+        "Subset enumerators carried across epochs with heap state intact.",
+    )
+    enumerators_rebuilt: int = metric_field(
+        "speculation_enumerators_rebuilt_total",
+        "Subset enumerators (re)built because their inputs changed.",
+    )
+    nodes_replayed: int = metric_field(
+        "speculation_nodes_replayed_total",
+        "Merge-heap nodes served from an enumerator's memoized prefix.",
+    )
 
     @property
     def commit_prob_reuse_rate(self) -> float:
@@ -154,31 +139,16 @@ class _SelectionMetrics:
     """
 
     __slots__ = (
-        "selections",
         "nodes_expanded",
-        "pending",
-        "tree_size",
         "selected",
         "value_hist",
         "p_needed_hist",
     )
 
     def __init__(self, recorder: Recorder) -> None:
-        self.selections = recorder.counter(
-            "speculation_selections_total", "Speculation selection rounds."
-        )
         self.nodes_expanded = recorder.counter(
             "speculation_nodes_expanded_total",
             "Speculation-tree nodes generated across all enumerators.",
-        )
-        self.pending = recorder.gauge(
-            "speculation_pending_changes",
-            "Pending changes seen by the last selection round.",
-        )
-        self.tree_size = recorder.gauge(
-            "speculation_tree_size",
-            "Per-change enumerators (speculation-tree roots) in the last "
-            "round.",
         )
         self.selected = recorder.gauge(
             "speculation_selected_builds",
@@ -262,24 +232,18 @@ class SpeculationEngine:
         self._predictor = predictor
         self._benefit = benefit if benefit is not None else unit_benefit
         self._min_value = min_value
-        self._recorder = recorder
-        self._metrics: Optional[_SelectionMetrics] = None
         #: Nodes generated during the current selection round.
         self._nodes_expanded = 0
-        self.stats = SpeculationEngineStats(
-            recorder.registry if recorder.enabled else None
-        )
-        self._count = self.stats.counters
+        self.bind_recorder(recorder)
         self.invalidate_carry_over()
 
     def bind_recorder(self, recorder: Recorder) -> None:
-        """Attach an observability recorder (planner-injected)."""
+        """Attach an observability recorder (planner-injected); the stats
+        start over and are exposed on it."""
         self._recorder = recorder
-        self._metrics = None
-        self.stats = SpeculationEngineStats(
-            recorder.registry if recorder.enabled else None
-        )
-        self._count = self.stats.counters
+        self._metrics: Optional[_SelectionMetrics] = None
+        self.stats = SpeculationEngineStats()
+        recorder.expose(self.stats)
 
     def invalidate_carry_over(self) -> None:
         """Drop all incremental state; the next round recomputes cold."""
@@ -450,7 +414,8 @@ class SpeculationEngine:
         if changes_by_id is None:
             changes_by_id = {change.change_id: change for change in pending}
         order = [change.change_id for change in pending]
-        self._count["selections"].inc()
+        stats = self.stats
+        stats.selections += 1
         try:
             dirty = self._fold_events(
                 order, ancestors, records, decided, changes_by_id, ancestry_version
@@ -464,13 +429,13 @@ class SpeculationEngine:
             # forgotten; the next round must not trust any of them.
             self.invalidate_carry_over()
             raise
-        self._count["commit_prob_recomputed"].inc(len(cone_order))
-        self._count["commit_prob_reused"].inc(len(order) - len(cone_order))
-        self._count["enumerators_rebuilt"].inc(rebuilt)
-        self._count["enumerators_reused"].inc(len(order) - rebuilt)
+        stats.commit_prob_recomputed += len(cone_order)
+        stats.commit_prob_reused += len(order) - len(cone_order)
+        stats.enumerators_rebuilt += rebuilt
+        stats.enumerators_reused += len(order) - rebuilt
         self._order = order
         if self._recorder.enabled:
-            self._record_selection(len(order), selected)
+            self._record_selection(selected)
         return selected
 
     def _fold_events(
@@ -707,7 +672,7 @@ class SpeculationEngine:
                 break
             replayed += self._push_node(heap, position, entry, index + 1)
             selected.append(self._score(node, entry, decided, changes_by_id))
-        self._count["nodes_replayed"].inc(replayed)
+        self.stats.nodes_replayed += replayed
         return selected
 
     def _push_node(
@@ -727,17 +692,12 @@ class SpeculationEngine:
         self._nodes_expanded += 1
         return 0
 
-    def _record_selection(
-        self, pending_count: int, selected: Sequence[ScoredBuild]
-    ) -> None:
+    def _record_selection(self, selected: Sequence[ScoredBuild]) -> None:
         """Publish one selection round's shape to the registry."""
         if self._metrics is None:
             self._metrics = _SelectionMetrics(self._recorder)
         metrics = self._metrics
-        metrics.selections.inc()
         metrics.nodes_expanded.inc(self._nodes_expanded)
-        metrics.pending.set(pending_count)
-        metrics.tree_size.set(pending_count)  # one enumerator per change
         metrics.selected.set(len(selected))
         for build in selected:
             metrics.value_hist.observe(build.value)

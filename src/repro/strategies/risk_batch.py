@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.obs.recorder import NULL_RECORDER, Recorder
+from repro.obs.registry import metric_field
 from repro.planner.planner import Decision, PlannerView
 from repro.predictor.predictors import Predictor
 from repro.speculation.batching import (
@@ -57,46 +58,26 @@ from repro.types import BuildKey, ChangeId
 
 @dataclass
 class RiskBatchStats:
-    """Batch-protocol counters for benches and ablation tables."""
+    """Batch-protocol counters for benches and ablation tables; the
+    ``metric_field`` ones are exposed on the strategy's recorder."""
 
     #: Batch builds (fresh or bisection sub-batch) that passed whole.
-    batches_landed: int = 0
+    batches_landed: int = metric_field(
+        "risk_batches_landed_total",
+        "Speculative batch builds that passed whole.",
+    )
     #: Members committed via a passing batch build.
-    members_committed: int = 0
+    members_committed: int = metric_field(
+        "risk_batch_members_committed_total",
+        "Changes committed via a passing batch build.",
+    )
     #: Batch builds that failed and were split into halves.
-    bisections: int = 0
+    bisections: int = metric_field(
+        "risk_batch_bisections_total",
+        "Failed batch builds split into bisection halves.",
+    )
     #: Deepest bisection level reached (0 = a fresh batch).
     deepest_bisection: int = 0
-
-
-class _BatchMetrics:
-    """Hoisted recorder handles for the batch-protocol instrumentation."""
-
-    __slots__ = ("landed", "members", "bisections", "size_hist", "depth_hist")
-
-    def __init__(self, recorder: Recorder) -> None:
-        self.landed = recorder.counter(
-            "risk_batches_landed_total",
-            "Speculative batch builds that passed whole.",
-        )
-        self.members = recorder.counter(
-            "risk_batch_members_committed_total",
-            "Changes committed via a passing batch build.",
-        )
-        self.bisections = recorder.counter(
-            "risk_batch_bisections_total",
-            "Failed batch builds split into bisection halves.",
-        )
-        self.size_hist = recorder.histogram(
-            "risk_batch_size",
-            "Members per resolved batch build.",
-            buckets=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0),
-        )
-        self.depth_hist = recorder.histogram(
-            "risk_batch_bisect_depth",
-            "Bisection depth of each resolved batch build (0 = fresh).",
-            buckets=(0.0, 1.0, 2.0, 3.0, 4.0, 6.0),
-        )
 
 
 class RiskBatchStrategy(SubmitQueueStrategy):
@@ -141,12 +122,11 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         #: Batch/bisect resolutions awaiting the journal drain.
         self._journal_events: List[Dict[str, object]] = []
         self._recorder: Recorder = NULL_RECORDER
-        self._metrics: Optional[_BatchMetrics] = None
 
     def bind_recorder(self, recorder: Recorder) -> None:
         super().bind_recorder(recorder)
         self._recorder = recorder
-        self._metrics = None
+        recorder.expose(self.batch_stats)
 
     # -- batch formation ------------------------------------------------------
 
@@ -355,16 +335,16 @@ class RiskBatchStrategy(SubmitQueueStrategy):
             }
         )
         if self._recorder.enabled:
-            if self._metrics is None:
-                self._metrics = _BatchMetrics(self._recorder)
-            metrics = self._metrics
-            if kind == "landed":
-                metrics.landed.inc()
-                metrics.members.inc(len(members))
-            else:
-                metrics.bisections.inc()
-            metrics.size_hist.observe(float(len(members)))
-            metrics.depth_hist.observe(float(depth))
+            self._recorder.histogram(
+                "risk_batch_size",
+                "Members per resolved batch build.",
+                buckets=(2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0),
+            ).observe(float(len(members)))
+            self._recorder.histogram(
+                "risk_batch_bisect_depth",
+                "Bisection depth of each resolved batch build (0 = fresh).",
+                buckets=(0.0, 1.0, 2.0, 3.0, 4.0, 6.0),
+            ).observe(float(depth))
             self._recorder.event(
                 "batch",
                 category="planner",

@@ -128,6 +128,24 @@ class TestExposition:
         assert "dur_minutes_sum 20.5" in text
         assert "dur_minutes_count 2" in text
 
+    def test_samples_are_printed_exactly(self):
+        registry = MetricsRegistry()
+        registry.counter("steps_total").inc(1_234_567)
+        registry.counter("minutes_total").inc(0.1)
+        registry.counter("minutes_total").inc(0.2)
+        registry.gauge("up").set(float("inf"))
+        registry.gauge("down").set(float("-inf"))
+        registry.gauge("unknown").set(float("nan"))
+        hist = registry.histogram("d_minutes", buckets=(1.0,))
+        hist.observe(1e7 + 0.25)
+        lines = set(registry.to_prometheus().splitlines())
+        assert "steps_total 1234567" in lines  # {:g} printed 1.23457e+06
+        assert "minutes_total 0.30000000000000004" in lines
+        assert "up +Inf" in lines
+        assert "down -Inf" in lines
+        assert "unknown NaN" in lines
+        assert "d_minutes_sum 10000000.25" in lines
+
     def test_json_dump(self):
         dump = self._populated().to_json()
         assert dump["builds_total"]["kind"] == "counter"

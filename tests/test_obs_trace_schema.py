@@ -65,7 +65,7 @@ class TestGoldenTrace:
             "planner_builds_started_total",
             "speculation_selections_total",
             "conflict_analyses_total",
-            "executor_steps_cached_total",
+            "build_steps_cached_total",
             "service_turnaround_minutes",
         ):
             assert family in metrics, family
@@ -82,9 +82,9 @@ class TestGoldenTrace:
         text = recorder.prometheus_text()
         for needle in (
             "# TYPE planner_builds_started_total counter",
-            "# TYPE speculation_tree_size gauge",
+            "# TYPE planner_queue_depth gauge",
             "# TYPE conflict_pair_checks_total counter",
-            "# TYPE executor_steps_cached_total counter",
+            "# TYPE build_steps_cached_total counter",
             "planner_build_duration_minutes_bucket",
         ):
             assert needle in text, needle
