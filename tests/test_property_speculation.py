@@ -10,7 +10,7 @@ from repro.speculation.probability import (
     estimate_commit_probabilities,
     p_needed,
 )
-from repro.speculation.tree import SubsetEnumerator
+from repro.speculation.tree import SubsetEnumerator, top_p_needed
 
 probs_strategy = st.dictionaries(
     st.sampled_from(["a", "b", "c", "d", "e"]),
@@ -51,6 +51,17 @@ class TestProbabilityProperties:
                 p = min(1.0, max(0.0, probs[a]))
                 expected *= p if a in node.key.assumed else 1.0 - p
             assert abs(node.p_needed - expected) < 1e-9
+
+    @given(probs_strategy, st.floats(min_value=0.0, max_value=4.0))
+    @settings(max_examples=150)
+    def test_top_value_is_the_first_node_exactly(self, probs, benefit):
+        """The merge ranks an unpopped change by ``top_p_needed × benefit``;
+        that must be its enumerator's first value, bit for bit."""
+        ancestors = sorted(probs)
+        first = SubsetEnumerator("x", ancestors, probs, benefit=benefit).node_at(0)
+        top = top_p_needed(probs[a] for a in ancestors)
+        assert first.p_needed == top
+        assert first.value == top * benefit
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
