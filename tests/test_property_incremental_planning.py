@@ -142,6 +142,19 @@ class TestIncrementalSelectionEquivalence:
             (BEHIND, 0, True, 4, True),
         ]
     )
+    # A pending change with a verdict departs in the same gap as a second
+    # change gets one: ``decided`` grows by one, as if only the departure
+    # had happened, yet the second change's child must see it as decided.
+    @example(
+        steps=[
+            (ARRIVE, 0, False, 1, False),
+            (ARRIVE, 0, False, 1, False),
+            (ARRIVE, 0b10, False, 1, False),
+            (BEHIND, 0, False, 1, True),
+            (DECIDE, 0, False, 1, False),
+            (BEHIND, 0, False, 3, False),
+        ]
+    )
     def test_carried_over_engine_matches_fresh(self, steps):
         predictor = HashPredictor()
         direct = SpeculationEngine(predictor)  # no reorder signal
