@@ -30,7 +30,12 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
+from repro.buildsys.hashing import (
+    DigestMemo,
+    HashOverlay,
+    TargetHasher,
+    incremental_hashes,
+)
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_target, summarize
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -127,7 +132,7 @@ class BuildContext:
         self,
         snapshot: Mapping[Path, str],
         graph: BuildGraph,
-        hashes: Dict[TargetName, str],
+        hashes: Mapping[TargetName, str],
         directives: DirectiveSummaries,
         dirty_since_base: Optional[frozenset] = None,
         rehashed: int = 0,
@@ -137,6 +142,8 @@ class BuildContext:
     ) -> None:
         self.snapshot = snapshot
         self.graph = graph
+        #: A plain dict for a root; a derive that kept the graph holds a
+        #: :class:`~repro.buildsys.hashing.HashOverlay` of its closure.
         self.hashes = hashes
         #: What each target's own sources say: scanned whole by ``load``,
         #: by ``derive`` only where a source or a declaration changed.
@@ -235,8 +242,13 @@ class BuildContext:
 
         A new base is a new generation of the shared digest memo: digests
         no derivation has asked for since the previous base are retired.
+        Its hash map is a plain dict, so overlays derived from it stay
+        one level deep.
         """
         snapshot: Mapping[Path, str] = self.snapshot
+        hashes = self.hashes
+        if isinstance(hashes, HashOverlay):
+            hashes = hashes.to_dict()
         depth = self.depth
         if (
             flatten_above_depth is not None
@@ -249,7 +261,7 @@ class BuildContext:
         return BuildContext(
             snapshot,
             self.graph,
-            self.hashes,
+            hashes,
             self.directives,
             dirty_since_base=None,
             depth=depth,

@@ -24,8 +24,10 @@ a target once between them):
 * a hasher *seeded* with a prior hash map and a dirty set recomputes only
   the dirty targets' reverse-dependency closure — everything outside that
   closure reuses the seed digest verbatim (skyframe-style dirty-set
-  invalidation).  :func:`dirty_targets` derives a sound dirty set from the
-  touched paths plus structural diffs between two graphs;
+  invalidation), read through the seed map rather than copied out of it.
+  :func:`dirty_targets` derives a sound dirty set from the touched paths
+  plus structural diffs between two graphs, and a content-only rehash
+  returns a :class:`HashOverlay` holding just the closure;
 * a digest is a pure function of the target's declaration, its sources'
   contents and its dependencies' digests, so hashers that share a
   :class:`DigestMemo` share digests across graphs and snapshots: a target
@@ -36,7 +38,7 @@ a target once between them):
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import Target, hash_frame
@@ -90,6 +92,55 @@ class DigestMemo:
         self._young = {}
 
 
+class HashOverlay(Mapping[TargetName, str]):
+    """A content-only derive's hash map: its closure's digests over a root's.
+
+    A derive that touches no BUILD file keeps the base graph, so its key
+    set is the base's and only the dirty closure's digests can move;
+    holding just those makes the map O(closure) instead of a copy of the
+    whole graph's.  ``root`` is always a plain dict — an overlay built
+    over another one folds that one's delta into its own — so every read
+    is at most two dict lookups.
+    """
+
+    __slots__ = ("root", "delta")
+
+    def __init__(
+        self, base: Mapping[TargetName, str], delta: Dict[TargetName, str]
+    ) -> None:
+        if isinstance(base, HashOverlay):
+            delta = {**base.delta, **delta}
+            base = base.root
+        self.root = base
+        self.delta = delta
+
+    def __getitem__(self, name: TargetName) -> str:
+        digest = self.delta.get(name)
+        return self.root[name] if digest is None else digest
+
+    def get(self, name: TargetName, default=None):
+        digest = self.delta.get(name)
+        return self.root.get(name, default) if digest is None else digest
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.root
+
+    def __iter__(self) -> Iterator[TargetName]:
+        return iter(self.root)
+
+    def __len__(self) -> int:
+        return len(self.root)
+
+    def __repr__(self) -> str:
+        return f"HashOverlay({len(self.delta)} of {len(self.root)} digests moved)"
+
+    def to_dict(self) -> Dict[TargetName, str]:
+        """A plain-dict copy of the effective map."""
+        merged = dict(self.root)
+        merged.update(self.delta)
+        return merged
+
+
 def dirty_targets(
     base_graph: BuildGraph,
     graph: BuildGraph,
@@ -133,10 +184,10 @@ class TargetHasher:
 
     Without seeds every digest is computed on demand.  With
     ``seed_hashes``/``dirty``, digests outside the dirty set's
-    reverse-dependency closure are taken from the seed map — the caller
-    guarantees the seeds were computed on a graph/snapshot pair that
-    differs from this one only at the dirty targets (see
-    :func:`dirty_targets`).
+    reverse-dependency closure are read from the seed map (never copied
+    out of it) — the caller guarantees the seeds were computed on a
+    graph/snapshot pair that differs from this one only at the dirty
+    targets (see :func:`dirty_targets`).
 
     ``computed`` counts digests resolved outside the seed map, whether
     :class:`DigestMemo` already knew them or not; ``dirty_closure`` is the
@@ -157,25 +208,33 @@ class TargetHasher:
         self._graph = graph
         self._files = files
         self._digests = digest_memo if digest_memo is not None else DigestMemo()
+        #: Digests this hasher resolved itself — for a seeded one, only
+        #: members of the dirty closure.
         self._memo: Dict[TargetName, str] = {}
+        self._seeds: Mapping[TargetName, str] = (
+            seed_hashes if seed_hashes is not None else {}
+        )
         self.computed = 0
         self.dirty_closure: Set[TargetName] = set()
         if seed_hashes is not None:
             self.dirty_closure = graph.transitive_dependents(
                 name for name in (dirty or ()) if name in graph
             )
-            self._memo = {
-                name: digest
-                for name, digest in seed_hashes.items()
-                if name in graph and name not in self.dirty_closure
-            }
 
     def _digest(self, target: Target) -> str:
         head, src_frames, dep_frames = target.hash_frames
         files = self._files
         memo = self._memo
+        seeds = self._seeds
         contents = tuple([files.get(src) for src in target.srcs])
-        dep_digests = tuple([memo.get(dep, "<unknown>") for dep in target.deps])
+        # Dependencies first: a dep inside the closure is already in the
+        # memo, one outside it keeps its seed digest.
+        dep_digests = tuple(
+            [
+                memo[dep] if dep in memo else seeds.get(dep, "<unknown>")
+                for dep in target.deps
+            ]
+        )
         self.computed += 1
         # ``head`` frames the name and the step list; with srcs and deps
         # it is the whole declaration.
@@ -197,16 +256,22 @@ class TargetHasher:
         return digest
 
     def _compute(self, names: Iterable[TargetName]) -> None:
-        """Digest ``names`` (skipping memoized ones) dependencies-first.
+        """Digest ``names`` (skipping memoized and seeded ones)
+        dependencies-first.
 
         A cyclic subgraph fails with DependencyCycleError rather than
         hashing garbage.
         """
-        missing = [name for name in names if name not in self._memo]
+        memo, seeds, closure = self._memo, self._seeds, self.dirty_closure
+        missing = [
+            name
+            for name in names
+            if name not in memo and (name in closure or name not in seeds)
+        ]
         if not missing:
             return
         for name in self._graph.induced_order(missing):
-            self._memo[name] = self._digest(self._graph.target(name))
+            memo[name] = self._digest(self._graph.target(name))
 
     def hash_of(self, name: TargetName) -> str:
         """Algorithm-1 hash of one target (raises for unknown targets).
@@ -215,17 +280,39 @@ class TargetHasher:
         itself), not the whole graph.
         """
         self._graph.target(name)
-        if name not in self._memo:
+        if name not in self._memo and (
+            name in self.dirty_closure or name not in self._seeds
+        ):
             chain = self._graph.transitive_deps(name)
             chain.add(name)
             self._compute(chain)
-        return self._memo[name]
+        digest = self._memo.get(name)
+        return self._seeds[name] if digest is None else digest
+
+    def closure_hashes(self) -> Dict[TargetName, str]:
+        """The dirty closure's digests — the only ones a seeded hasher
+        can move — in dependencies-first order."""
+        self._compute(self.dirty_closure)
+        return self._memo
 
     def all_hashes(self) -> Dict[TargetName, str]:
-        """Name-to-hash for every target in the graph."""
-        if len(self._memo) != len(self._graph):
-            self._compute(self._graph.names())
-        return dict(self._memo)
+        """Name-to-hash for every target in the graph.
+
+        Unseeded, this is the hasher's own map, not a copy; seeded, the
+        seeds the graph still holds outside the closure, then the
+        closure."""
+        if not self._seeds:
+            if len(self._memo) != len(self._graph):
+                self._compute(self._graph.names())
+            return self._memo
+        graph, closure = self._graph, self.dirty_closure
+        hashes = {
+            name: digest
+            for name, digest in self._seeds.items()
+            if name in graph and name not in closure
+        }
+        hashes.update(self.closure_hashes())
+        return hashes
 
 
 def incremental_hashes(
@@ -235,17 +322,26 @@ def incremental_hashes(
     files: Mapping[Path, str],
     touched_paths: Iterable[Path],
     digest_memo: Optional[DigestMemo] = None,
-) -> Tuple[Dict[TargetName, str], Set[TargetName], int, Set[TargetName]]:
+) -> Tuple[Mapping[TargetName, str], Set[TargetName], int, Set[TargetName]]:
     """Rehash ``graph`` reusing ``base_hashes`` where provably unchanged.
 
     Returns ``(hashes, dirty_closure, computed, seeds)``: the full hash
     map, the set of targets that had to be rehashed (dirty seeds plus
     their reverse-dependency closure), how many digests were computed,
     and the seeds themselves (:func:`dirty_targets`).
+
+    When ``graph`` *is* ``base_graph`` (a content-only change) the map is
+    a :class:`HashOverlay` of the closure over ``base_hashes``: O(closure),
+    nothing copied.  A structural change gets a plain dict.
     """
     seeds = dirty_targets(base_graph, graph, touched_paths)
     hasher = TargetHasher(
         graph, files, seed_hashes=base_hashes, dirty=seeds, digest_memo=digest_memo
     )
-    hashes = hasher.all_hashes()
+    if graph is base_graph:
+        hashes: Mapping[TargetName, str] = HashOverlay(
+            base_hashes, hasher.closure_hashes()
+        )
+    else:
+        hashes = hasher.all_hashes()
     return hashes, hasher.dirty_closure, hasher.computed, seeds

@@ -99,7 +99,7 @@ class ConflictAnalyzerStats:
     )
     targets_rehashed: int = metric_field(
         "conflict_targets_rehashed_total",
-        "Target hashes recomputed (dirty-set misses).",
+        "Target hashes recomputed: each analysis's dirty closure.",
     )
     targets_total: int = metric_field(
         "conflict_targets_considered_total",

@@ -33,7 +33,8 @@ class BuildRequest:
 
     ``build_id`` correlates the response inside one batch; ``assumed``
     lists the speculated-on changes' patches in merge order (sorted
-    change id, matching the serial controller).  ``step_wall_seconds``
+    change id, matching the serial controller), leaving out those that
+    have landed: the base head already holds them.  ``step_wall_seconds``
     models the real wall-clock cost of one executed build step (the
     compile/test subprocess a production worker would actually run);
     zero — the default — makes execution purely synthetic.

@@ -82,10 +82,14 @@ class BuildController(abc.ABC):
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
+        decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> List[BuildExecution]:
         """Execute one epoch's selected builds, results in selection order.
 
-        Runs each build serially through :meth:`execute`.
+        Runs each build serially through :meth:`execute`.  ``decided`` is
+        the planner's verdict map; only a controller that stacks patches
+        onto the mainline reads it (see
+        :meth:`FullStackBuildController.execute`).
         """
         return [self.execute(key, changes_by_id) for key in keys]
 
@@ -95,14 +99,16 @@ class BuildController(abc.ABC):
         changes_by_id: Mapping[ChangeId, Change],
         span_ids: Optional[Sequence[int]] = None,
         now: Optional[float] = None,
+        decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> None:
         """Start one epoch's builds; :meth:`resolve_dispatches` reports them.
 
         ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
         (sim dispatch time) are the planner's trace context, used only by
-        controllers that run builds in another process.
+        controllers that run builds in another process.  ``decided`` is
+        passed on to :meth:`execute_batch`.
         """
-        executions = self.execute_batch(keys, changes_by_id)
+        executions = self.execute_batch(keys, changes_by_id, decided)
         self._parked.append(list(zip(keys, executions)))
 
     def resolve_dispatches(
@@ -191,7 +197,9 @@ class ExecutorReuseStats:
     prefix_hits: int = 0
     #: Merged contexts derived, one ``derive_stack`` per build.
     prefix_misses: int = 0
-    #: Target digests recomputed by incremental derivations.
+    #: Target digests recomputed by derivations: each derive's dirty
+    #: closure.  Landed patches are not stacked, so only digests that can
+    #: move are counted.
     targets_rehashed: int = 0
 
     @property
@@ -221,7 +229,11 @@ class FullStackBuildController(BuildController):
       copy-on-write overlay and one rehash of the union's dirty
       reverse-dependency closure, whatever ``|S|`` is.  No merged state is
       kept between builds; the paper's tree-structured step elimination
-      lives in the artifact cache alone.
+      lives in the artifact cache alone;
+    * ``S`` is the key's assumed changes that have not landed
+      (:meth:`_stack`): a landed one is already in ``H``, and re-applying
+      it would rehash its closure for nothing — or fail to apply once a
+      later commit deleted or re-edited one of its paths.
 
     Outcomes, step counts, durations, and target order are bit-identical
     to building both snapshots from scratch (the reference lives in
@@ -389,20 +401,44 @@ class FullStackBuildController(BuildController):
         self._base_snapshot_memo = (self.base_commit_id, materialized)
         return materialized
 
+    def _stack(
+        self,
+        key: BuildKey,
+        changes_by_id: Mapping[ChangeId, Change],
+        decided: Optional[Mapping[ChangeId, bool]],
+    ) -> List[Change]:
+        """The changes a build of ``key`` stacks onto the base head.
+
+        Its assumed changes that have not landed — ``decided`` (the
+        planner's verdict map) does not say ``True`` for them — in
+        sorted-id order, then the change itself.  A landed change's patch
+        is already in the head; applying it again is at best an identity
+        and at worst a false merge conflict (its deleted path is gone, or
+        a later commit re-edited its path).
+        """
+        landed = decided or {}
+        stack = [
+            changes_by_id[cid]
+            for cid in sorted(key.assumed)
+            if not landed.get(cid, False)
+        ]
+        stack.append(changes_by_id[key.change_id])
+        for change in stack:
+            if change.patch is None:
+                raise ValueError(f"change {change.change_id} carries no patch")
+        return stack
+
     def _build_request(
         self,
         build_id: int,
         key: BuildKey,
         changes_by_id: Mapping[ChangeId, Change],
+        decided: Optional[Mapping[ChangeId, bool]] = None,
         traced: bool = False,
     ):
         from repro.parallel.payload import BuildRequest
 
-        change = changes_by_id[key.change_id]
-        assumed = [changes_by_id[cid] for cid in sorted(key.assumed)]
-        for other in assumed + [change]:
-            if other.patch is None:
-                raise ValueError(f"change {other.change_id} carries no patch")
+        *assumed, change = self._stack(key, changes_by_id, decided)
         return BuildRequest(
             build_id=build_id,
             change_id=key.change_id,
@@ -521,6 +557,7 @@ class FullStackBuildController(BuildController):
         changes_by_id: Mapping[ChangeId, Change],
         span_ids: Optional[Sequence[int]] = None,
         now: Optional[float] = None,
+        decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> None:
         """Start one epoch's builds without waiting for them.
 
@@ -539,7 +576,7 @@ class FullStackBuildController(BuildController):
         parent keeps in :attr:`_pending_dispatches`.
         """
         if self._backend is None:
-            super().dispatch_batch(keys, changes_by_id)
+            super().dispatch_batch(keys, changes_by_id, decided=decided)
             return
         ids = list(span_ids) if span_ids is not None else [0] * len(keys)
         if len(ids) != len(keys):
@@ -547,7 +584,11 @@ class FullStackBuildController(BuildController):
         tracing = self.recorder.enabled and now is not None
         requests = [
             self._build_request(
-                position, key, changes_by_id, traced=tracing and span_id > 0
+                position,
+                key,
+                changes_by_id,
+                decided,
+                traced=tracing and span_id > 0,
             )
             for position, (key, span_id) in enumerate(zip(keys, ids))
         ]
@@ -589,19 +630,25 @@ class FullStackBuildController(BuildController):
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
+        decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> List[BuildExecution]:
         """One epoch's builds, run inline in selection order — what
         :meth:`dispatch_batch` does when no backend is attached."""
-        return [self.execute(key, changes_by_id) for key in keys]
+        return [self.execute(key, changes_by_id, decided) for key in keys]
 
     def execute(
-        self, key: BuildKey, changes_by_id: Mapping[ChangeId, Change]
+        self,
+        key: BuildKey,
+        changes_by_id: Mapping[ChangeId, Change],
+        decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> BuildExecution:
-        change = changes_by_id[key.change_id]
-        assumed = [changes_by_id[cid] for cid in sorted(key.assumed)]
-        for other in assumed + [change]:
-            if other.patch is None:
-                raise ValueError(f"change {other.change_id} carries no patch")
+        """Build ``key`` onto the base head.
+
+        ``decided`` is the planner's verdict map: an assumed change it
+        marks committed has landed and is not stacked again
+        (:meth:`_stack`).  Without it every assumed change is stacked.
+        """
+        stack = self._stack(key, changes_by_id, decided)
         base_context = self._build_base_context()
         # Merge in sorted-id order, the change last; a textual conflict
         # fails the build the same way a failed merge fails it in
@@ -610,7 +657,7 @@ class FullStackBuildController(BuildController):
         # stacked changes form together).
         try:
             merged = self._derive_stack(
-                base_context, [other.patch for other in assumed + [change]]
+                base_context, [change.patch for change in stack]
             )
         except PatchConflictError as exc:
             return self._unbuildable(key, f"merge conflict: {exc}")

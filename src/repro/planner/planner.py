@@ -527,6 +527,7 @@ class PlannerEngine:
                 for record in records
             ],
             now=now,
+            decided=self.decided,
         )
         # The records minted above ride along: resolution must only time
         # a completion for a dispatch that is still current (not aborted,

@@ -32,10 +32,14 @@ def build_affected(executor, base_snapshot, changed_snapshot, stop_on_failure=Fa
 
 class ScratchBuildController(FullStackBuildController):
     """Builds that derive nothing: each applies its stack patch by patch
-    onto the base commit's files and loads both sides from scratch."""
+    onto the base commit's files and loads both sides from scratch.
 
-    def execute(self, key, changes_by_id):
-        stack = [changes_by_id[cid] for cid in sorted(key.assumed)]
+    The stack is ``HEAD ⊕ (assumed − landed) ⊕ C``: an assumed change
+    ``decided`` marks committed is already in the base commit's files."""
+
+    def execute(self, key, changes_by_id, decided=None):
+        landed = {cid for cid, committed in (decided or {}).items() if committed}
+        stack = [changes_by_id[cid] for cid in sorted(key.assumed - landed)]
         stack.append(changes_by_id[key.change_id])
         base = self._repo.snapshot(self.base_commit_id).to_dict()
         try:

@@ -120,7 +120,7 @@ def test_build_seam_signatures():
     ) == ["self", "backend", "step_wall_seconds"]
     assert list(
         inspect.signature(FullStackBuildController.dispatch_batch).parameters
-    ) == ["self", "keys", "changes_by_id", "span_ids", "now"]
+    ) == ["self", "keys", "changes_by_id", "span_ids", "now", "decided"]
 
 
 def test_build_request_fields():

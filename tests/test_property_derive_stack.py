@@ -14,11 +14,15 @@ then agree with both references:
 on the merged snapshot, the full hash map, ``affected_against(base)``
 order included, and — for a conflicting stack — the path and message of
 the :class:`~repro.errors.PatchConflictError`.  Controller and worker are
-checked to report the same steps for one key through the shared function.
+checked to report the same steps for one key through the shared function,
+and a key that still assumes a landed prefix of the stack must build
+``HEAD ⊕ unlanded`` on both and in the oracle.
 """
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.buildsys.executor import BuildContext
@@ -181,16 +185,20 @@ def _scratch(patches):
     return merged, graph, hashes
 
 
-def _assert_controllers_agree(patches):
-    """The controller's ``execute`` == the from-scratch oracle's for the
-    whole stack."""
+def _changes(patches):
     # Zero-padded ids: the controller folds in sorted-id order.
-    changes = {
+    return {
         f"c{i:02d}": Change(
             change_id=f"c{i:02d}", revision_id="R1", developer=DEV, patch=patch
         )
         for i, patch in enumerate(patches)
     }
+
+
+def _assert_controllers_agree(patches):
+    """The controller's ``execute`` == the from-scratch oracle's for the
+    whole stack."""
+    changes = _changes(patches)
     ids = sorted(changes)
     key = BuildKey(ids[-1], frozenset(ids[:-1]))
     warm = FullStackBuildController(Repository(dict(BASE))).execute(key, changes)
@@ -243,6 +251,50 @@ def test_conflicting_stack_raises_where_the_chained_fold_does(data):
 
     warm = _assert_controllers_agree(patches)
     assert warm.failure_reason == f"merge conflict: {stacked.value}"
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_key_assuming_a_landed_prefix_stacks_only_the_rest(data):
+    """Land a prefix of the stack, then build the key that still assumes
+    it: inline, on a worker and in the oracle it is ``HEAD ⊕ unlanded``."""
+    patches = _draw_stack(data, conflict=False)
+    assume(len(patches) >= 2)
+    landed = data.draw(
+        st.integers(min_value=1, max_value=len(patches) - 1), label="landed"
+    )
+    changes = _changes(patches)
+    ids = sorted(changes)
+    key = BuildKey(ids[-1], frozenset(ids[:-1]))
+    decided = {cid: True for cid in ids[:landed]}
+
+    def landed_controller(cls):
+        controller = cls(Repository(dict(BASE)))
+        controller.base_context()  # landing advances it, as in a service
+        for cid in ids[:landed]:
+            controller.on_commit(changes[cid], changes)
+        return controller
+
+    inline = landed_controller(FullStackBuildController).execute(
+        key, changes, decided
+    )
+    assert inline == landed_controller(ScratchBuildController).execute(
+        key, changes, decided
+    )
+    pooled = landed_controller(FullStackBuildController)
+    request = pooled._build_request(0, key, changes, decided)
+    assert [cid for cid, _ in request.assumed] == ids[landed:-1]
+    reset_worker_state()
+    try:
+        response = execute_request(request)
+    finally:
+        reset_worker_state()
+    assert pooled._merge_response(key, response) == inline
+    # A head that already holds the prefix, asked for the rest only.
+    head = Repository(apply_in_order(BASE, patches[:landed]))
+    rest = BuildKey(ids[-1], frozenset(ids[landed:-1]))
+    fresh = FullStackBuildController(head).execute(rest, changes)
+    assert dataclasses.replace(fresh, key=key) == inline
 
 
 @pytest.mark.parametrize("conflict", [False, True])

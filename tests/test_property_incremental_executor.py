@@ -7,8 +7,10 @@ and mainline commits.  Every build must agree on outcome, step counts,
 duration, failure reason, and the exact target order; every commit must
 leave both mainlines with identical snapshots.  The patch pool mixes
 clean edits, failing-step directives, conflict-token pairs, structural
-BUILD rewrites, and new packages, so merge conflicts, dirty-closure
-rehashing, graph reloads, and base advancement are all exercised.
+BUILD rewrites, new packages, a delete, and a follow-up edit, so merge
+conflicts, dirty-closure rehashing, graph reloads, and base advancement
+are all exercised — and so are keys that still assume a change that has
+landed since, which both controllers must leave out of the stack.
 """
 
 from hypothesis import given, settings
@@ -35,13 +37,24 @@ _SUFFIXES = (
 
 
 def _candidate_patches(base):
-    """A fixed pool of patches over the tiny repo, content and structural."""
+    """A fixed pool of patches over the tiny repo: content, structural, a
+    delete, and a follow-up edit authored on another patch's post-image."""
     pool = []
     for path in _SOURCES:
         for suffix in _SUFFIXES:
             pool.append(
                 Patch.modifying({path: base[path] + suffix}, base=base)
             )
+    # Follow-up: lib's first edit, edited again on top of its post-image.
+    tweaked = base["lib/lib.py"] + _SUFFIXES[0]
+    pool.append(
+        Patch.modifying(
+            {"lib/lib.py": tweaked + "# follow-up\n"},
+            base={"lib/lib.py": tweaked},
+        )
+    )
+    # Delete: tool loses its only source (its BUILD still lists it).
+    pool.append(Patch.deleting(["tool/tool.py"]))
     # Structural: the tool package gains a second source file.
     pool.append(
         Patch(
@@ -146,8 +159,10 @@ def test_incremental_execution_bit_identical(data):
                 change_id,
                 frozenset(a for a in assumed if a != change_id),
             )
+            decided = {cid: True for cid in committed}
             _assert_same_execution(
-                warm.execute(key, changes), cold.execute(key, changes)
+                warm.execute(key, changes, decided),
+                cold.execute(key, changes, decided),
             )
         else:
             if change_id in committed:
