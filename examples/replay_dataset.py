@@ -6,12 +6,12 @@ system at different rates (i.e., 100, 200, 300, 400 and 500 changes per
 hour).  Thus, the only difference with the real data is the inter-arrival
 time between two changes."
 
-This example records a synthetic change trace to JSON, reloads it, and
+This example records a synthetic change trace to CSV, reloads it, and
 replays the *same* changes (same ground truth, same build durations, same
 conflict coins) at several ingestion rates through SubmitQueue — showing
 how turnaround degrades with load while the inputs stay fixed.
 
-Run:  python examples/replay_dataset.py [--trace /tmp/trace.json]
+Run:  python examples/replay_dataset.py [--trace /tmp/trace.csv]
 """
 
 import argparse
@@ -53,7 +53,7 @@ def main() -> None:
         buffer.seek(0)
         trace = load_stream(buffer)
         print(f"recorded {len(trace)} changes (in-memory trace, "
-              f"{buffer.tell()} bytes of JSON)")
+              f"{buffer.tell()} bytes of CSV)")
 
     # 2. Replay the same trace at different rates.
     rows = []

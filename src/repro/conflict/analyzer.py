@@ -178,7 +178,6 @@ class ConflictAnalyzer:
         #: Change ids whose cached analysis a head advance invalidated;
         #: their recompute is counted when analyze() actually redoes it.
         self._invalidated: Set[ChangeId] = set()
-        self._recorder = recorder
         self.stats = ConflictAnalyzerStats()
         recorder.expose(self.stats)
 
@@ -410,16 +409,6 @@ class ConflictAnalyzer:
         self._invalidated.update(
             change_id for change_id in self._per_change if change_id not in survivors
         )
-        if self._recorder.enabled:
-            self._recorder.event(
-                "conflict.advance_base",
-                category="conflict",
-                track="service",
-                revalidated=len(survivors),
-                invalidated=len(self._per_change) - len(survivors),
-                structural=structural_commit,
-            )
-
         for change_id, analysis in self._per_change.items():
             if change_id not in survivors:
                 self._unindex(change_id, analysis)

@@ -14,6 +14,11 @@ snapshots.  Three disjoint roles drive replay:
 * **info** records (``pump_end``, ``snapshot``) carry bookkeeping the
   replay cursor skips.
 
+The same record dicts are the service's trace: ``CoreService._emit``
+hands each one to the journal and to ``Recorder.observe``, whose fold
+reads the three fields schema v4 added — ``epoch.queue``,
+``build_finish.success`` and ``decision.turnaround``.
+
 Canonicalization rules: every payload is built from JSON-native types
 only (so an emitted record compares equal to its decoded twin), sets —
 ``Patch.paths``, ``BuildKey.assumed`` — are serialized sorted, and raw
@@ -38,8 +43,11 @@ from repro.vcs.patch import FileOp, OpKind, Patch
 #: v3: the ``init`` config is ``workers`` / ``max_pump_minutes`` (older
 #: v3 journals add a queue spec, which readers ignore), and every run
 #: journals ``epoch`` / ``build_start`` / ``worker`` records at
-#: resolution, in dispatch order.
-SCHEMA_VERSION = 3
+#: resolution, in dispatch order.  v4: the records carry what the trace
+#: folds from them — ``epoch`` its pending-queue depth (``queue``),
+#: ``build_finish`` the build's outcome (``success``, ``null`` in v3) and
+#: ``decision`` the change's turnaround in minutes (``turnaround``).
+SCHEMA_VERSION = 4
 
 INIT = "init"
 SUBMIT = "submit"
@@ -206,19 +214,23 @@ def stall_record(at: float) -> Dict[str, object]:
 
 
 def build_finish_record(
-    at: float, key: BuildKey, success: Optional[bool]
+    at: float, key: BuildKey, success: bool
 ) -> Dict[str, object]:
     return {"t": BUILD_FINISH, "at": at, "key": encode_key(key), "success": success}
 
 
 def epoch_record(
-    at: float, started: Sequence[BuildKey], aborted: Sequence[BuildKey]
+    at: float,
+    started: Sequence[BuildKey],
+    aborted: Sequence[BuildKey],
+    queue: int,
 ) -> Dict[str, object]:
     return {
         "t": EPOCH,
         "at": at,
         "started": [encode_key(key) for key in started],
         "aborted": [encode_key(key) for key in aborted],
+        "queue": queue,
     }
 
 
@@ -229,7 +241,7 @@ def build_start_record(
 
 
 def decision_record(
-    at: float, change_id: str, committed: bool, reason: str
+    at: float, change_id: str, committed: bool, reason: str, turnaround: float
 ) -> Dict[str, object]:
     return {
         "t": DECISION,
@@ -237,6 +249,7 @@ def decision_record(
         "change": change_id,
         "committed": committed,
         "reason": reason,
+        "turnaround": turnaround,
     }
 
 

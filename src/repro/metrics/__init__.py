@@ -2,12 +2,11 @@
 
 from repro.metrics.percentile import percentile, percentiles, summarize
 from repro.metrics.cdf import Cdf
-from repro.metrics.collector import GreennessTracker, TurnaroundStats
+from repro.metrics.collector import GreennessTracker
 
 __all__ = [
     "Cdf",
     "GreennessTracker",
-    "TurnaroundStats",
     "percentile",
     "percentiles",
     "summarize",

@@ -1,59 +1,13 @@
 """Evaluation collectors.
 
-:class:`TurnaroundStats` accumulates turnaround samples and produces the
-normalized summaries of Figures 11–13.  :class:`GreennessTracker` follows
-the mainline's health over time and produces the hourly success-rate
-series of Figure 14.
+:class:`GreennessTracker` follows the mainline's health over time and
+produces the hourly success-rate series of Figure 14.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.metrics.percentile import summarize
-
-
-class TurnaroundStats:
-    """Turnaround accumulation with Oracle-normalized summaries."""
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-
-    def add(self, turnaround: float) -> None:
-        if turnaround < 0:
-            raise ValueError("turnaround cannot be negative")
-        self._samples.append(turnaround)
-
-    def extend(self, turnarounds: Sequence[float]) -> None:
-        for value in turnarounds:
-            self.add(value)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def summary(self) -> Dict[str, float]:
-        return summarize(self._samples)
-
-    def normalized_against(self, oracle: "TurnaroundStats") -> Dict[str, float]:
-        """P50/P95/P99 ratios against an Oracle run (Figure 11 cells).
-
-        Raises :class:`ValueError` when either side has no samples.  A
-        degenerate zero-valued baseline percentile yields ``nan`` for that
-        ratio (a zero-turnaround Oracle makes the ratio meaningless, and
-        ``nan`` — unlike the old ``inf`` — refuses to order against real
-        ratios in downstream comparisons).
-        """
-        if not self._samples:
-            raise ValueError("cannot normalize: no turnaround samples")
-        if not len(oracle):
-            raise ValueError("cannot normalize against an empty baseline")
-        mine = self.summary()
-        base = oracle.summary()
-        return {
-            key: (mine[key] / base[key] if base[key] > 0 else float("nan"))
-            for key in ("p50", "p95", "p99")
-        }
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """The epoch-state inspector: replay a recorded trace as a report.
 
 ``python -m repro obs report run.jsonl`` renders the paper's section-6
-epoch loop from a trace file: one row per planner epoch (queue depth,
-builds started/aborted, decisions), sparkline trends across the run, the
-build-span duration distribution, and the headline metric series from the
-trailing registry dump.
+epoch loop from a trace file: one row per ``epoch`` record, i.e. per
+planner epoch that started or aborted builds (queue depth, busy workers
+after its starts, builds started/aborted, decisions until the next one),
+sparkline trends across the run, the build-span duration distribution,
+and the headline metric series from the trailing registry dump.
 
 ``python -m repro obs trace run.jsonl -o run.trace.json`` converts the
 same file into Chrome ``trace_event`` JSON for chrome://tracing/Perfetto.
@@ -139,10 +140,10 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
         )
         lines.append(header)
         shown = epochs if len(epochs) <= max_epochs else epochs[:max_epochs]
-        for span in shown:
+        for number, span in enumerate(shown, start=1):
             attrs = span.get("attrs") or {}
             lines.append(
-                f"{attrs.get('epoch', '?'):>5}  "
+                f"{number:>5}  "
                 f"{float(span['start']):>8.1f}  "  # type: ignore[arg-type]
                 f"{attrs.get('queue_depth', '-'):>5}  "
                 f"{attrs.get('workers_busy', '-'):>4}  "

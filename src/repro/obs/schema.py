@@ -20,6 +20,24 @@ Record shapes (version 1)::
     {"type": "metrics", "metrics": {name: {"kind": "counter" | "gauge" |
      "histogram", "help": str, "series": [...]}}}
 
+A service's lifecycle spans and events are folded from its journal
+records (``Recorder.observe``), one per record that says something:
+
+* ``epoch`` span (track ``service``) per ``epoch`` record — a plan that
+  starts or aborts nothing has no record and gets no span.  It runs to
+  the next epoch record; attrs ``queue_depth``, ``builds_started``,
+  ``builds_aborted``, ``workers_busy`` (after its starts) and
+  ``decisions`` (made while it was the latest epoch);
+* ``build`` span (track ``change:<id>``, parent: its epoch) from
+  ``build_start`` to ``build_finish`` (attr ``success``) or to the epoch
+  that aborted it (attr ``aborted``);
+* ``submit``, ``decision`` (``change_id``, ``verdict``, ``turnaround``),
+  ``commit`` (``change_id``, ``index``) and ``batch`` (``kind``,
+  ``size``, ``depth``) events.
+
+``pump`` spans and the wall-clock ``worker`` spans spliced under a build
+are the only spans no record describes.
+
 Validation is hand-rolled (no jsonschema dependency): structural checks
 plus the cross-record invariants that make a trace *replayable* — unique
 span ids, parents that exist and start no later than their children, and

@@ -97,16 +97,11 @@ class BuildController(abc.ABC):
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
-        span_ids: Optional[Sequence[int]] = None,
-        now: Optional[float] = None,
         decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> None:
         """Start one epoch's builds; :meth:`resolve_dispatches` reports them.
 
-        ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
-        (sim dispatch time) are the planner's trace context, used only by
-        controllers that run builds in another process.  ``decided`` is
-        passed on to :meth:`execute_batch`.
+        ``decided`` is passed on to :meth:`execute_batch`.
         """
         executions = self.execute_batch(keys, changes_by_id, decided)
         self._parked.append(list(zip(keys, executions)))
@@ -275,10 +270,8 @@ class FullStackBuildController(BuildController):
         self.step_wall_seconds = 0.0
         self._base_snapshot_memo: Optional[Tuple[CommitId, Dict]] = None
         #: Batches shipped to the backend but not yet merged back, in
-        #: dispatch order: ``(backend token, keys, span_ids, sim now)``.
-        self._pending_dispatches: List[
-            Tuple[object, List[BuildKey], List[int], Optional[float]]
-        ] = []
+        #: dispatch order: ``(backend token, keys)``.
+        self._pending_dispatches: List[Tuple[object, List[BuildKey]]] = []
 
     def refresh_base(self) -> None:
         """Re-pin the merge base to the current mainline HEAD."""
@@ -313,14 +306,6 @@ class FullStackBuildController(BuildController):
             self._base = (
                 self.base_commit_id,
                 advanced.as_root(self.BASE_FLATTEN_DEPTH),
-            )
-        if self.recorder.enabled:
-            self.recorder.event(
-                "commit",
-                category="service",
-                track="service",
-                change_id=change.change_id,
-                commit_id=self.base_commit_id,
             )
 
     # -- base context ---------------------------------------------------------
@@ -450,13 +435,7 @@ class FullStackBuildController(BuildController):
             traced=traced,
         )
 
-    def _merge_response(
-        self,
-        key: BuildKey,
-        response,
-        span_id: int = 0,
-        at: Optional[float] = None,
-    ) -> BuildExecution:
+    def _merge_response(self, key: BuildKey, response) -> BuildExecution:
         """Fold one worker response back into the parent — the quiescent
         point where determinism is re-established.
 
@@ -468,9 +447,9 @@ class FullStackBuildController(BuildController):
         downstream decision) is bit-identical to what the serial oracle
         computes.
 
-        ``span_id``/``at`` carry the dispatching build span and its sim
-        dispatch time; when set (tracing on), the worker's wall-clock
-        step spans are spliced under that span with dual timestamps.
+        A traced response's wall-clock step spans go to the recorder,
+        which splices them under the build's span once its
+        ``build_start`` record opens it.
         """
         if response is None or response.error is not None:
             reason = "no response" if response is None else response.error
@@ -482,10 +461,10 @@ class FullStackBuildController(BuildController):
             unbuildable = f"merge conflict: {response.merge_conflict}"
         elif response.graph_error is not None:
             unbuildable = f"build graph error: {response.graph_error}"
+        if response.step_spans:
+            self.recorder.park_worker_spans(key, response)
         if unbuildable is not None:
-            execution = self._unbuildable(key, unbuildable)
-            self._splice_worker_spans(key, response, execution, span_id, at)
-            return execution
+            return self._unbuildable(key, unbuildable)
         cache = self.executor.cache
         report = BuildReport()
         report.targets_built.extend(response.targets)
@@ -498,65 +477,12 @@ class FullStackBuildController(BuildController):
                 cache.put(step.digest, step.kind, result)
             report.append(result)
         self.executor.record_report(report)
-        execution = self._execution_from_report(key, report)
-        self._splice_worker_spans(key, response, execution, span_id, at)
-        return execution
-
-    def _splice_worker_spans(
-        self,
-        key: BuildKey,
-        response,
-        execution: BuildExecution,
-        span_id: int,
-        at: Optional[float],
-    ) -> None:
-        """Graft the worker's wall-clock spans into the parent tracer.
-
-        Sim placement is proportional: the build occupies
-        ``[at, at + duration]`` in simulated minutes and the worker's
-        request occupied ``response.wall_seconds`` of real time, so each
-        worker span maps onto the build span by its wall-clock fraction —
-        containment under the dispatching span is preserved by
-        construction.  The raw wall-clock edges ride along (epoch
-        seconds, ``wall_track`` = the worker process) so the Chrome view
-        shows real per-worker-slot occupancy next to simulated time.
-        """
-        if (
-            not self.recorder.enabled
-            or span_id <= 0
-            or at is None
-            or not response.step_spans
-        ):
-            return
-        total_wall = response.wall_seconds
-        scale = execution.duration / total_wall if total_wall > 0.0 else 0.0
-        wall_track = f"worker:pid{response.worker_pid}"
-        for span in response.step_spans:
-            sim_start = at + scale * span.wall_offset
-            sim_end = at + scale * (span.wall_offset + span.wall_duration)
-            wall_start = response.wall_started + span.wall_offset
-            self.recorder.splice_span(
-                span.name,
-                start=sim_start,
-                end=max(sim_end, sim_start),
-                parent_id=span_id,
-                category="worker",
-                track=f"change:{key.change_id}",
-                wall_start=wall_start,
-                wall_end=wall_start + span.wall_duration,
-                wall_track=wall_track,
-                kind=span.kind,
-                target=span.target,
-                step=span.step,
-                worker_pid=response.worker_pid,
-            )
+        return self._execution_from_report(key, report)
 
     def dispatch_batch(
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
-        span_ids: Optional[Sequence[int]] = None,
-        now: Optional[float] = None,
         decided: Optional[Mapping[ChangeId, bool]] = None,
     ) -> None:
         """Start one epoch's builds without waiting for them.
@@ -569,31 +495,24 @@ class FullStackBuildController(BuildController):
         matching :meth:`resolve_dispatches` call hands the outcomes over
         later, in dispatch order, at the driver's next quiescent point.
 
-        ``span_ids`` (aligned with ``keys``; 0 = untraced) and ``now``
-        (sim dispatch time) are the parent's trace context: a traced
-        build's request asks its worker to capture per-step wall spans,
-        and resolution splices them under the build span, which the
-        parent keeps in :attr:`_pending_dispatches`.
+        While a recorder is attached, each request asks its worker to
+        capture per-step wall spans.
         """
         if self._backend is None:
-            super().dispatch_batch(keys, changes_by_id, decided=decided)
+            super().dispatch_batch(keys, changes_by_id, decided)
             return
-        ids = list(span_ids) if span_ids is not None else [0] * len(keys)
-        if len(ids) != len(keys):
-            raise ValueError("span_ids must align with keys")
-        tracing = self.recorder.enabled and now is not None
         requests = [
             self._build_request(
                 position,
                 key,
                 changes_by_id,
                 decided,
-                traced=tracing and span_id > 0,
+                traced=self.recorder.enabled,
             )
-            for position, (key, span_id) in enumerate(zip(keys, ids))
+            for position, key in enumerate(keys)
         ]
         token = self._backend.submit_batch(requests)
-        self._pending_dispatches.append((token, list(keys), ids, now))
+        self._pending_dispatches.append((token, list(keys)))
 
     def resolve_dispatches(
         self,
@@ -609,7 +528,7 @@ class FullStackBuildController(BuildController):
             return super().resolve_dispatches()
         pending, self._pending_dispatches = self._pending_dispatches, []
         resolved: List[List[Tuple[BuildKey, BuildExecution]]] = []
-        for token, keys, span_ids, at in pending:
+        for token, keys in pending:
             responses = self._backend.collect(token)
             if len(responses) != len(keys):
                 raise ParallelExecutionError(
@@ -618,8 +537,8 @@ class FullStackBuildController(BuildController):
                 )
             resolved.append(
                 [
-                    (key, self._merge_response(key, response, span_id, at))
-                    for key, response, span_id in zip(keys, responses, span_ids)
+                    (key, self._merge_response(key, response))
+                    for key, response in zip(keys, responses)
                 ]
             )
         return resolved

@@ -24,7 +24,7 @@ the planner is a pure state machine over ``now`` values it is handed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -45,7 +45,7 @@ from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.registry import metric_field
 from repro.planner.controller import BuildController, BuildExecution
 from repro.planner.workers import WorkerPool
-from repro.types import BuildKey, ChangeId, ChangeState
+from repro.types import BuildKey, ChangeId
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,6 @@ class BuildRecord:
     started_at: float
     completed_at: Optional[float] = None
     aborted: bool = False
-    #: Open tracer span for the running build (None when not recording).
-    span: Optional[object] = None
 
     @property
     def done(self) -> bool:
@@ -270,9 +268,11 @@ class PlannerEngine:
         completion, it might be beneficial to continue running its build
         steps, instead of preemptively aborting").  0 disables it.
 
-        ``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
-        the default no-op recorder keeps every instrumentation site to a
-        falsy branch.  The strategy is bound to the same one.
+        ``recorder``: an optional :class:`~repro.obs.recorder.Recorder`
+        for the planner's metrics (its trace is folded from the service's
+        lifecycle records); the default no-op recorder keeps every
+        instrumentation site to a falsy branch.  The strategy is bound to
+        the same one.
 
         ``conflict_candidates``: given a new change and the pending ones
         in submit order, the ids ``conflict_predicate`` could answer
@@ -287,9 +287,7 @@ class PlannerEngine:
         self.strategy = strategy
         self.controller = controller
         self.workers = workers
-        self.recorder = recorder
         strategy.bind_recorder(recorder)
-        self._epoch_span = None
         self._conflict_candidates = conflict_candidates
         self.queue = PendingQueue()
         self.ledger = ChangeLedger()
@@ -411,8 +409,6 @@ class PlannerEngine:
         event (submission, build completion, stall), never on a timer.
         """
         self.stats.plan_calls += 1
-        if self.recorder.enabled:
-            self._begin_epoch(now)
         for ahead_id, behind_id in self.strategy.propose_reorders(self._view):
             self.reorder(ahead_id, behind_id)
         budget = self.workers.capacity
@@ -463,48 +459,26 @@ class PlannerEngine:
                 if existing is None or existing.aborted or not existing.done:
                     if not self.workers.is_running(key):
                         started = self._start_batch([key], now)
-        if self.recorder.enabled:
-            self._record_epoch(len(started), len(aborted))
+        if self._metrics is not None:
+            self._record_epoch()
         return PlanResult(started=started, aborted=aborted)
 
-    def _begin_epoch(self, now: float) -> None:
-        """Close the previous epoch span and open the next one."""
-        if self._epoch_span is not None:
-            self.recorder.finish_span(self._epoch_span, at=now)
-        self._epoch_span = self.recorder.start_span(
-            "epoch",
-            category="planner",
-            track="service",
-            at=now,
-            epoch=self.stats.plan_calls,
-            queue_depth=len(self.queue),
-            workers_busy=self.workers.busy,
-        )
+    def _record_epoch(self) -> None:
+        """Set the epoch gauges (no decision lands inside a plan, so the
+        queue depth is the epoch's from start to end)."""
         self._metrics.queue_depth.set(len(self.queue))
-
-    def _record_epoch(self, started: int, aborted: int) -> None:
-        """Attach this epoch's selection outcome to its span and gauges."""
-        if self._epoch_span is not None:
-            self._epoch_span.attrs["builds_started"] = started
-            self._epoch_span.attrs["builds_aborted"] = aborted
         self._metrics.workers_busy.set(self.workers.busy)
         self._metrics.worker_utilization.set(
             self.workers.busy / self.workers.capacity
         )
         self._metrics.load_imbalance.set(self.workers.load_imbalance())
 
-    def finish_trace(self, now: float) -> None:
-        """Close the open epoch span (call when a run drains)."""
-        if self._epoch_span is not None:
-            self.recorder.finish_span(self._epoch_span, at=now)
-            self._epoch_span = None
-
     def _start_batch(self, keys: List[BuildKey], now: float) -> List[BuildKey]:
         """Assign workers to a batch of selected builds and dispatch it.
 
         Worker slots are claimed in longest-processing-time-first order
         over the pool's EWMA duration history (section 6's history-based
-        balancing); everything else — records, spans, the dispatch, the
+        balancing); everything else — records, the dispatch, the
         returned keys — stays in selection order, so event timing and
         build outcomes are unchanged by the assignment policy.
 
@@ -515,20 +489,8 @@ class PlannerEngine:
         if not keys:
             return []
         self._assign_workers(keys, now)
-        # Records (and their tracer spans) are minted *before* the
-        # dispatch so each request can carry its build span's id across a
-        # process boundary.
         records = [self._register_dispatch(key, now) for key in keys]
-        self.controller.dispatch_batch(
-            keys,
-            self.all_changes,
-            span_ids=[
-                record.span.span_id if record.span is not None else 0
-                for record in records
-            ],
-            now=now,
-            decided=self.decided,
-        )
+        self.controller.dispatch_batch(keys, self.all_changes, self.decided)
         # The records minted above ride along: resolution must only time
         # a completion for a dispatch that is still current (not aborted,
         # not superseded by a re-dispatch).
@@ -562,17 +524,6 @@ class PlannerEngine:
         if record is not None:
             record.builds_scheduled += 1
         self.stats.builds_started += 1
-        if self.recorder.enabled:
-            build.span = self.recorder.start_span(
-                "build",
-                category="build",
-                track=f"change:{key.change_id}",
-                at=now,
-                parent=self._epoch_span,
-                key=key.label() if hasattr(key, "label") else str(key),
-                change_id=key.change_id,
-                assumed=len(key.assumed),
-            )
         return build
 
     def resolve_pending(self) -> List["ResolvedBatch"]:
@@ -607,17 +558,6 @@ class PlannerEngine:
                     live.append(
                         ScheduledBuild(key=key, duration=execution.duration)
                     )
-                elif self.recorder.enabled and record.span is not None:
-                    # A superseded dispatch (re-dispatched key) never
-                    # reaches complete(); close its span here, at the
-                    # sim time its build would have finished, instead of
-                    # letting finish_open sweep it at export time.
-                    self.recorder.finish_span(
-                        record.span,
-                        at=at + execution.duration,
-                        superseded=True,
-                    )
-                    record.span = None
             batches.append(
                 ResolvedBatch(at=at, executions=executions, live=live)
             )
@@ -635,9 +575,6 @@ class PlannerEngine:
         if change_record is not None:
             change_record.builds_aborted += 1
         self.stats.builds_aborted += 1
-        if self.recorder.enabled and record is not None and record.span is not None:
-            self.recorder.finish_span(record.span, at=now, aborted=True)
-            record.span = None
 
     # -- completion & decisions -----------------------------------------------
 
@@ -654,12 +591,7 @@ class PlannerEngine:
         record.completed_at = now
         self.stats.builds_completed += 1
         self.stats.build_minutes += record.execution.duration
-        if self.recorder.enabled:
-            if record.span is not None:
-                self.recorder.finish_span(
-                    record.span, at=now, success=record.execution.success
-                )
-                record.span = None
+        if self._metrics is not None:
             self._metrics.build_duration.observe(record.execution.duration)
 
         change_record = self.records.get(key.change_id)
@@ -756,27 +688,12 @@ class PlannerEngine:
         self.queue.remove(change_id)
         self.conflict_graph.remove(change_id)
         self._decision_log.append(decision)
-        if self.recorder.enabled:
-            verdict = "committed" if decision.committed else "rejected"
+        if self._metrics is not None:
             if decision.committed:
                 self._metrics.decisions_committed.inc()
             else:
                 self._metrics.decisions_rejected.inc()
-            if record.turnaround is not None:
-                self._metrics.turnaround.observe(record.turnaround)
-            if self._epoch_span is not None:
-                self._epoch_span.attrs["decisions"] = (
-                    int(self._epoch_span.attrs.get("decisions", 0)) + 1
-                )
-            self.recorder.event(
-                "decision",
-                category="planner",
-                track="service",
-                at=decision.at,
-                change_id=change_id,
-                verdict=verdict,
-                turnaround=record.turnaround,
-            )
+            self._metrics.turnaround.observe(record.turnaround)
         change = self.all_changes[change_id]
         if decision.committed:
             self.controller.on_commit(change, self.all_changes)

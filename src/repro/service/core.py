@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 from repro.changes.change import Change
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import DuplicateChangeError, SimulationError
-from repro.journal import records as journal_records
+from repro.journal import records as rec
 from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.planner.controller import BuildController, FullStackBuildController
@@ -78,6 +78,7 @@ class _Epoch:
     at: float
     started: List[BuildKey]
     aborted: List[BuildKey]
+    queue: int
     busy: int
     capacity: int
 
@@ -109,9 +110,10 @@ class CoreService:
         conflict_predicate: Optional[Callable[[Change, Change], bool]] = None,
     ) -> None:
         """``recorder``: an optional :class:`~repro.obs.recorder.Recorder`;
-        when attached, the whole stack — planner epochs and builds,
-        speculation-engine selections, conflict-analyzer counters, build
-        cache hits, turnaround and greenness — reports through it.  The
+        when attached, the whole stack's metrics — speculation-engine
+        selections, conflict-analyzer counters, build cache hits,
+        turnaround and greenness — report through it, and its trace is
+        the fold of the lifecycle records :meth:`_emit` hands it.  The
         default no-op recorder costs nothing.
 
         ``conflict_predicate``: what the planner's conflict graph asks
@@ -181,7 +183,7 @@ class CoreService:
             )
 
             self._journal.append(
-                journal_records.init_record(
+                rec.init_record(
                     self.clock.now,
                     encode_config(config),
                     strategy_spec(strategy),
@@ -240,6 +242,18 @@ class CoreService:
 
     # -- journaling ---------------------------------------------------------
 
+    def _emit(self, build: Callable[..., dict], *args) -> None:
+        """The one lifecycle writer: build a record with ``build(*args)``
+        and hand it to the journal and the recorder's trace fold — built
+        only when one of the two is on."""
+        journal, recorder = self._journal, self.recorder
+        if journal.enabled or recorder.enabled:
+            record = build(*args)
+            if journal.enabled:
+                journal.append(record)
+            if recorder.enabled:
+                recorder.observe(record)
+
     @property
     def journal(self) -> JournalSink:
         return self._journal
@@ -267,21 +281,12 @@ class CoreService:
     def submit(self, change: Change) -> None:
         """Enqueue a change at the current service time."""
         self._refuse_duplicate(change)
-        if self._journal.enabled:
-            self._journal.append(
-                journal_records.submit_record(self.clock.now, change)
-            )
+        self._emit(rec.submit_record, self.clock.now, change)
         self.planner.submit(change, self.clock.now)
         if self.recorder.enabled:
             self.recorder.counter(
                 "service_submissions_total", "Changes submitted to the queue."
             ).inc()
-            self.recorder.event(
-                "submit",
-                category="service",
-                track="service",
-                change_id=change.change_id,
-            )
         self._replan()
 
     def enqueue(self, change: Change, at: Optional[float] = None) -> None:
@@ -347,11 +352,10 @@ class CoreService:
         self._resolve_builds()
         if steps and self._journal.enabled:
             self._journal.append(
-                journal_records.pump_end_record(self.clock.now, len(decisions))
+                rec.pump_end_record(self.clock.now, len(decisions))
             )
             self._journal.maybe_snapshot(self)
         if self.recorder.enabled:
-            self.planner.finish_trace(self.clock.now)
             committed = sum(1 for d in decisions if d.committed)
             self.recorder.gauge(
                 "service_greenness_ratio",
@@ -380,8 +384,7 @@ class CoreService:
         if handle is None:
             # No events but changes pending: replan (the stall guard in
             # the planner will start the head's decisive build).
-            if self._journal.enabled:
-                self._journal.append(journal_records.stall_record(self.clock.now))
+            self._emit(rec.stall_record, self.clock.now)
             self._replan()
             self._resolve_builds()
             if not self._events:
@@ -401,49 +404,42 @@ class CoreService:
             return []
         key = handle.payload
         self._completion_handles.pop(key, None)
-        if self._journal.enabled:
-            self._journal.append(
-                journal_records.build_finish_record(self.clock.now, key, None)
-            )
+        success = self.planner.builds[key].execution.success
+        self._emit(rec.build_finish_record, self.clock.now, key, success)
         mainline_before = self.repo.mainline_length()
         new_decisions = self.planner.complete(key, self.clock.now)
         # Batch-protocol strategies buffer their resolutions (batch landed /
         # bisected) during complete(); drain them unconditionally so the
-        # buffer never grows, journal them only when a sink is attached.
-        # Batching-off runs emit no batch records, keeping their journals
-        # byte-identical to the golden pins.
+        # buffer never grows.  Batching-off runs emit no batch records,
+        # keeping their journals byte-identical to the golden pins.
         for event in self.planner.strategy.drain_journal_events():
-            if self._journal.enabled:
-                self._journal.append(
-                    journal_records.batch_record(
-                        event["at"],
-                        event["kind"],
-                        event["members"],
-                        event["depth"],
-                    )
-                )
-        if self._journal.enabled:
-            commit_index = mainline_before
+            self._emit(
+                rec.batch_record,
+                event["at"],
+                event["kind"],
+                event["members"],
+                event["depth"],
+            )
+        if self._journal.enabled or self.recorder.enabled:
+            # Committed decisions pair off with the commits they landed, in
+            # order; a label-mode controller lands none, so writes none.
+            now, index = self.clock.now, mainline_before
+            landed = iter(self.repo.mainline_history()[mainline_before:])
             for decision in new_decisions:
-                self._journal.append(
-                    journal_records.decision_record(
-                        self.clock.now,
-                        decision.change_id,
-                        decision.committed,
-                        decision.reason,
-                    )
+                change_id = decision.change_id
+                self._emit(
+                    rec.decision_record,
+                    now,
+                    change_id,
+                    decision.committed,
+                    decision.reason,
+                    self.planner.records[change_id].turnaround,
                 )
-                if decision.committed:
-                    commit_id = self.repo.mainline_history()[commit_index]
-                    self._journal.append(
-                        journal_records.commit_record(
-                            self.clock.now,
-                            decision.change_id,
-                            commit_index,
-                            self.repo.commit(commit_id).delta,
-                        )
-                    )
-                    commit_index += 1
+                commit_id = next(landed, None) if decision.committed else None
+                if commit_id is not None:
+                    delta = self.repo.commit(commit_id).delta
+                    self._emit(rec.commit_record, now, change_id, index, delta)
+                    index += 1
         if self._analyzer is not None:
             for decision in new_decisions:
                 # Decided changes leave the pending set; evict them so the
@@ -462,6 +458,7 @@ class CoreService:
                     at=self.clock.now,
                     started=result.started,
                     aborted=result.aborted,
+                    queue=self.planner.pending_count(),
                     busy=workers.busy,
                     capacity=workers.capacity,
                 )
@@ -475,7 +472,7 @@ class CoreService:
         """Merge dispatched builds back in before the loop pops anything.
 
         The pump's deterministic quiescent point, and the only place an
-        ``epoch`` / ``build_start`` / ``worker`` record is journaled or a
+        ``epoch`` / ``build_start`` / ``worker`` record is emitted or a
         completion event is timed: every unresolved epoch is taken in
         plan order, its records are emitted (timestamped at the plan
         instant, which the clock has not left) with the durations its
@@ -494,23 +491,14 @@ class CoreService:
             else:
                 batch = next(batches)
                 executions, live = batch.executions, batch.live
-            if self._journal.enabled:
-                self._journal.append(
-                    journal_records.epoch_record(
-                        epoch.at, epoch.started, epoch.aborted
-                    )
+            self._emit(
+                rec.epoch_record, epoch.at, epoch.started, epoch.aborted, epoch.queue
+            )
+            for execution in executions:
+                self._emit(
+                    rec.build_start_record, epoch.at, execution.key, execution.duration
                 )
-                for execution in executions:
-                    self._journal.append(
-                        journal_records.build_start_record(
-                            epoch.at, execution.key, execution.duration
-                        )
-                    )
-                self._journal.append(
-                    journal_records.worker_record(
-                        epoch.at, epoch.busy, epoch.capacity
-                    )
-                )
+            self._emit(rec.worker_record, epoch.at, epoch.busy, epoch.capacity)
             for scheduled in live:
                 handle = self._events.push(
                     epoch.at + scheduled.duration, scheduled.key

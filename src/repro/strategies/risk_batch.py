@@ -317,7 +317,8 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         members: Tuple[ChangeId, ...],
         depth: int,
     ) -> None:
-        """Account one batch-build resolution (stats, journal, recorder)."""
+        """Account one batch-build resolution: stats, histograms, and the
+        buffered event the service drains into its ``batch`` record."""
         if kind == "landed":
             self.batch_stats.batches_landed += 1
             self.batch_stats.members_committed += len(members)
@@ -345,15 +346,6 @@ class RiskBatchStrategy(SubmitQueueStrategy):
                 "Bisection depth of each resolved batch build (0 = fresh).",
                 buckets=(0.0, 1.0, 2.0, 3.0, 4.0, 6.0),
             ).observe(float(depth))
-            self._recorder.event(
-                "batch",
-                category="planner",
-                track="service",
-                at=now,
-                kind=kind,
-                size=len(members),
-                depth=depth,
-            )
 
     def drain_journal_events(self) -> List[Dict[str, object]]:
         """Batch resolutions since the last drain (service journal hook)."""

@@ -2,118 +2,73 @@
 
 The paper's evaluation replays the *same* recorded changes at different
 rates so every approach sees identical inputs (section 8.1).  This module
-gives synthetic streams the same property across processes: serialize a
-timed stream (with ground truth, features, and developers) to JSON, load
-it back bit-identically, and re-time it to a different ingestion rate
-while preserving arrival order and all labels.
+gives streams the same property across processes: serialize a timed
+stream to CSV, load it back bit-identically, and re-time it to a
+different ingestion rate while preserving arrival order and all labels.
+
+One row per change in Snippet 2's five-column shape (SNIPPETS.md), the
+header ``bench/fixtures.py`` writes its fixtures under too::
+
+    request_id,arrival_offset,mode,priority,body_json
+
+``request_id`` is the change id, ``arrival_offset`` the arrival in
+simulated minutes, ``mode``/``priority`` are ``interactive``/``mid``
+(the queue has no other kind yet), and ``body_json`` is the change as
+the journal encodes it (:func:`repro.journal.records.encode_change`:
+developer, ground truth, features, patch and all).
 """
 
 from __future__ import annotations
 
+import csv
 import json
-from typing import Dict, List, Sequence, TextIO, Tuple
+from typing import List, Sequence, TextIO, Tuple
 
-from repro.changes.change import Change, Developer, GroundTruth
+from repro.changes.change import Change
 from repro.errors import WorkloadError
-from repro.types import ChangeId
+from repro.journal.records import decode_change, encode_change
 
-FORMAT_VERSION = 1
+HEADER = ("request_id", "arrival_offset", "mode", "priority", "body_json")
 
 Stream = List[Tuple[float, Change]]
 
 
-def _developer_payload(developer: Developer) -> Dict:
-    return {
-        "developer_id": developer.developer_id,
-        "name": developer.name,
-        "tenure_years": developer.tenure_years,
-        "level": developer.level,
-        "skill": developer.skill,
-        "area_fragility": developer.area_fragility,
-    }
-
-
-def _truth_payload(truth: GroundTruth) -> Dict:
-    return {
-        "individually_ok": truth.individually_ok,
-        "target_names": sorted(truth.target_names),
-        "module_names": sorted(truth.module_names),
-        "conflict_salt": truth.conflict_salt,
-        "real_conflict_rate": truth.real_conflict_rate,
-        "changes_build_graph": truth.changes_build_graph,
-    }
-
-
 def dump_stream(stream: Sequence[Tuple[float, Change]], fp: TextIO) -> None:
-    """Serialize a timed label-mode stream as JSON.
-
-    Full-stack changes (carrying patches) are not supported — patches
-    reference repository state that JSON cannot capture faithfully.
-    """
-    developers: Dict[str, Dict] = {}
-    entries = []
+    """Serialize a timed stream as CSV, one change per row."""
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(HEADER)
     for arrival, change in stream:
-        if change.ground_truth is None:
-            raise WorkloadError(
-                f"{change.change_id}: only label-mode streams serialize"
+        writer.writerow(
+            (
+                change.change_id,
+                repr(float(arrival)),
+                "interactive",
+                "mid",
+                json.dumps(encode_change(change), separators=(",", ":")),
             )
-        developers[change.developer_id] = _developer_payload(change.developer)
-        entries.append(
-            {
-                "arrival": arrival,
-                "change_id": change.change_id,
-                "revision_id": change.revision_id,
-                "developer_id": change.developer_id,
-                "submitted_at": change.submitted_at,
-                "description": change.description,
-                "features": change.features,
-                "build_duration": change.build_duration,
-                "truth": _truth_payload(change.ground_truth),
-            }
         )
-    json.dump(
-        {
-            "version": FORMAT_VERSION,
-            "developers": developers,
-            "changes": entries,
-        },
-        fp,
-    )
 
 
 def load_stream(fp: TextIO) -> Stream:
-    """Load a stream written by :func:`dump_stream`."""
-    payload = json.load(fp)
-    if payload.get("version") != FORMAT_VERSION:
-        raise WorkloadError(
-            f"unsupported stream format version {payload.get('version')!r}"
-        )
-    developers = {
-        dev_id: Developer(**fields)
-        for dev_id, fields in payload["developers"].items()
-    }
+    """Load a stream written by :func:`dump_stream`, in arrival order.
+
+    Anything else — another header (the old JSON document has none), a
+    short row, a body that is not this change — raises
+    :class:`~repro.errors.WorkloadError`.
+    """
+    reader = csv.reader(fp)
+    if tuple(next(reader, ())) != HEADER:
+        raise WorkloadError(f"stream CSV must start with the header {HEADER}")
     stream: Stream = []
-    for entry in payload["changes"]:
-        truth_fields = dict(entry["truth"])
-        truth = GroundTruth(
-            individually_ok=truth_fields["individually_ok"],
-            target_names=frozenset(truth_fields["target_names"]),
-            module_names=frozenset(truth_fields["module_names"]),
-            conflict_salt=truth_fields["conflict_salt"],
-            real_conflict_rate=truth_fields["real_conflict_rate"],
-            changes_build_graph=truth_fields["changes_build_graph"],
-        )
-        change = Change(
-            change_id=entry["change_id"],
-            revision_id=entry["revision_id"],
-            developer=developers[entry["developer_id"]],
-            submitted_at=entry["submitted_at"],
-            description=entry["description"],
-            features=dict(entry["features"]),
-            ground_truth=truth,
-            build_duration=entry["build_duration"],
-        )
-        stream.append((entry["arrival"], change))
+    for row in reader:
+        if len(row) != len(HEADER):
+            raise WorkloadError(f"stream row has {len(row)} columns: {row[:2]!r}")
+        change = decode_change(json.loads(row[4]))
+        if change.change_id != row[0]:
+            raise WorkloadError(
+                f"row {row[0]!r} carries change {change.change_id!r}"
+            )
+        stream.append((float(row[1]), change))
     stream.sort(key=lambda item: item[0])
     return stream
 

@@ -108,15 +108,29 @@ class TestStreamReplay:
                     copies[i], copies[j]
                 )
 
-    def test_fullstack_stream_rejected(self, monorepo):
+    def test_fullstack_stream_roundtrips(self, monorepo):
         change = monorepo.make_clean_change()
-        with pytest.raises(WorkloadError):
-            dump_stream([(0.0, change)], io.StringIO())
+        buffer = io.StringIO()
+        dump_stream([(2.5, change)], buffer)
+        buffer.seek(0)
+        ((arrival, loaded),) = load_stream(buffer)
+        assert arrival == 2.5
+        assert loaded.change_id == change.change_id
+        assert list(loaded.patch) == list(change.patch)
+        assert loaded.developer == change.developer
 
     def test_version_checked(self):
+        # The version-1 JSON document has no CSV header: refused.
         buffer = io.StringIO('{"version": 99, "developers": {}, "changes": []}')
         with pytest.raises(WorkloadError):
             load_stream(buffer)
+        # So is a row whose body is another change.
+        buffer = io.StringIO()
+        dump_stream(self._stream(count=2), buffer)
+        header, first, second = buffer.getvalue().splitlines()
+        swapped = first.split(",", 1)[0] + "," + second.split(",", 1)[1]
+        with pytest.raises(WorkloadError):
+            load_stream(io.StringIO("\n".join([header, swapped])))
 
     def test_retime_changes_rate_preserves_order(self):
         stream = self._stream(count=30)

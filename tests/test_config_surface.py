@@ -96,12 +96,13 @@ def test_build_factory_rejects_bad_specs_with_typed_error(spec):
 
 def test_v2_journal_is_refused_naming_both_versions():
     head = rec.init_record(0.0, {}, {}, {})
-    assert head["v"] == rec.SCHEMA_VERSION == 3
-    head["v"] = 2
-    with pytest.raises(JournalCorruptError) as excinfo:
-        rec.check_records([head])
-    assert "version 2" in str(excinfo.value)
-    assert "only 3" in str(excinfo.value)
+    assert head["v"] == rec.SCHEMA_VERSION == 4
+    for old in (2, 3):
+        head["v"] = old
+        with pytest.raises(JournalCorruptError) as excinfo:
+            rec.check_records([head])
+        assert f"version {old}" in str(excinfo.value)
+        assert "only 4" in str(excinfo.value)
 
 
 def test_build_controller_constructor_arguments():
@@ -120,7 +121,7 @@ def test_build_seam_signatures():
     ) == ["self", "backend", "step_wall_seconds"]
     assert list(
         inspect.signature(FullStackBuildController.dispatch_batch).parameters
-    ) == ["self", "keys", "changes_by_id", "span_ids", "now", "decided"]
+    ) == ["self", "keys", "changes_by_id", "decided"]
 
 
 def test_build_request_fields():

@@ -52,10 +52,10 @@ class TestRecordBuilders:
             rec.init_record(0.0, {"workers": 3}, {"name": "S"}, {"files": {}}),
             rec.submit_record(1.0, change),
             rec.stall_record(2.0),
-            rec.build_finish_record(3.0, key, None),
-            rec.epoch_record(4.0, [key], []),
+            rec.build_finish_record(3.0, key, True),
+            rec.epoch_record(4.0, [key], [], 2),
             rec.build_start_record(4.0, key, 12.5),
-            rec.decision_record(5.0, change.change_id, True, "clean"),
+            rec.decision_record(5.0, change.change_id, True, "clean", 4.0),
             rec.commit_record(5.0, change.change_id, 1, {"a.py": "x", "b.py": None}),
             rec.worker_record(5.0, 1, 3),
             rec.pump_end_record(6.0, 2),

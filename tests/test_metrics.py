@@ -1,12 +1,10 @@
 """Unit tests for metrics: percentiles, CDFs, collectors."""
 
-import math
-
 import pytest
 
 from repro.metrics.ascii_plot import sparkline
 from repro.metrics.cdf import Cdf
-from repro.metrics.collector import GreennessTracker, TurnaroundStats
+from repro.metrics.collector import GreennessTracker
 from repro.metrics.percentile import percentile, percentiles, summarize
 
 
@@ -74,38 +72,6 @@ class TestCdf:
             Cdf([])
         with pytest.raises(ValueError):
             Cdf([1]).quantile(2.0)
-
-
-class TestTurnaroundStats:
-    def test_normalization(self):
-        mine = TurnaroundStats()
-        mine.extend([20.0] * 10)
-        oracle = TurnaroundStats()
-        oracle.extend([10.0] * 10)
-        normalized = mine.normalized_against(oracle)
-        assert normalized["p50"] == pytest.approx(2.0)
-        assert normalized["p95"] == pytest.approx(2.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            TurnaroundStats().add(-1.0)
-
-    def test_normalize_empty_sides_rejected(self):
-        empty = TurnaroundStats()
-        full = TurnaroundStats()
-        full.extend([10.0] * 4)
-        with pytest.raises(ValueError, match="no turnaround samples"):
-            empty.normalized_against(full)
-        with pytest.raises(ValueError, match="empty baseline"):
-            full.normalized_against(empty)
-
-    def test_zero_baseline_is_nan_not_inf(self):
-        mine = TurnaroundStats()
-        mine.extend([20.0] * 4)
-        oracle = TurnaroundStats()
-        oracle.extend([0.0] * 4)
-        normalized = mine.normalized_against(oracle)
-        assert all(math.isnan(v) for v in normalized.values())
 
 
 class TestSparkline:

@@ -59,6 +59,11 @@ class TestGoldenTrace:
         for build in builds:
             assert by_id[build["parent"]]["name"] == "epoch"
             assert build["track"].startswith("change:")
+        # One epoch span per epoch record: a plan that started or aborted
+        # nothing has none.
+        for epoch in (r for r in spans if r["name"] == "epoch"):
+            attrs = epoch["attrs"]
+            assert attrs["builds_started"] + attrs["builds_aborted"] > 0
         # The metrics line includes the acceptance-criteria series.
         metrics = records[-1]["metrics"]
         for family in (
