@@ -24,7 +24,6 @@ them over the in-memory snapshots of :mod:`repro.vcs`:
 from repro.buildsys.cache import ArtifactCache, CacheStats
 from repro.buildsys.delta import (
     affected_targets,
-    delta_as_dict,
     delta_names,
     deltas_union,
     equation6_conflict,
@@ -56,7 +55,6 @@ __all__ = [
     "Target",
     "TargetHasher",
     "affected_targets",
-    "delta_as_dict",
     "delta_names",
     "deltas_union",
     "equation6_conflict",

@@ -16,7 +16,7 @@ carrying a third, previously unseen hash in the combined delta.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from typing import FrozenSet, Mapping, Optional, Set
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.hashing import TargetHasher
@@ -71,11 +71,6 @@ def delta_from_dirty(
 def delta_names(delta: Delta) -> Set[TargetName]:
     """Just the target names of a delta (the fast-path comparand)."""
     return {item.name for item in delta}
-
-
-def delta_as_dict(delta: Delta) -> Dict[TargetName, str]:
-    """A delta as a name-to-hash dict (for reporting and storage)."""
-    return {item.name: item.digest for item in delta}
 
 
 def deltas_union(*deltas: Delta) -> Delta:

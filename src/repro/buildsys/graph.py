@@ -197,9 +197,6 @@ class BuildGraph:
         """
         return frozenset(target.definition() for target in self)
 
-    def same_structure(self, other: "BuildGraph") -> bool:
-        return self.structure() == other.structure()
-
     # -- shape metrics -----------------------------------------------------
 
     def depth(self) -> int:
@@ -216,7 +213,3 @@ class BuildGraph:
         return {
             name for name in self._targets if not self._dependents.get(name)
         }
-
-    def leaves(self) -> Set[TargetName]:
-        """Targets with no dependencies (the graph's bottom)."""
-        return {target.name for target in self if not target.deps}

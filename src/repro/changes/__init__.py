@@ -2,11 +2,11 @@
 
 A *change* is the unit SubmitQueue serializes: a code patch plus the build
 steps that must succeed before the patch may merge (paper section 3.1).
-A *revision* is the container a developer iterates on; each submit attempt
-appends a change to it.
+A change's ``revision_id`` names the revision a developer iterates on;
+each submit attempt is a new change in it.
 """
 
-from repro.changes.change import Change, Developer, GroundTruth, Revision
+from repro.changes.change import Change, Developer, GroundTruth
 from repro.changes.state import ChangeLedger, ChangeRecord
 from repro.changes.queue import PendingQueue
 
@@ -17,5 +17,4 @@ __all__ = [
     "Developer",
     "GroundTruth",
     "PendingQueue",
-    "Revision",
 ]

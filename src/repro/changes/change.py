@@ -1,4 +1,4 @@
-"""Change, Revision, Developer, and ground-truth labels.
+"""Change, Developer, and ground-truth labels.
 
 Changes come in two fidelities sharing one type:
 
@@ -56,21 +56,6 @@ class Developer:
             raise ValueError("skill must be in [0, 1]")
         if not 0.0 <= self.area_fragility <= 1.0:
             raise ValueError("area_fragility must be in [0, 1]")
-
-
-@dataclass
-class Revision:
-    """A container for a developer's successive submit attempts."""
-
-    revision_id: RevisionId
-    developer_id: DeveloperId
-    has_revert_plan: bool = True
-    has_test_plan: bool = True
-    submit_count: int = 0
-    description: str = ""
-
-    def record_submit(self) -> None:
-        self.submit_count += 1
 
 
 @dataclass(frozen=True)
@@ -135,10 +120,6 @@ class Change:
     @property
     def developer_id(self) -> DeveloperId:
         return self.developer.developer_id
-
-    def staleness(self, now: float) -> float:
-        """Age of the change relative to ``now`` (same unit as timestamps)."""
-        return max(0.0, now - self.submitted_at)
 
     def __repr__(self) -> str:
         mode = []

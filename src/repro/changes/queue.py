@@ -77,17 +77,3 @@ class PendingQueue:
     def in_order(self) -> List[Change]:
         return list(self)
 
-    def earlier_than(self, change_id: ChangeId) -> List[Change]:
-        """Pending changes submitted strictly before ``change_id``.
-
-        Iteration is already in sequence order, so the scan stops at the
-        pivot instead of filtering the whole queue — this sits on the
-        per-change selection hot path.
-        """
-        pivot = self.sequence_of(change_id)
-        earlier: List[Change] = []
-        for change in self:
-            if self._sequence[change.change_id] >= pivot:
-                break
-            earlier.append(change)
-        return earlier

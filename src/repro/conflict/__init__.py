@@ -8,17 +8,12 @@ hashes rather than file diffs.  Three layers:
   1–4) that detects interaction through the dependency structure with only
   three build graphs instead of four.
 * :mod:`repro.conflict.analyzer` — the analyzer with its caches and the
-  "build graph unchanged" fast path, plus the exact Equation-6 check and a
-  label-mode analyzer for simulation workloads.
+  "build graph unchanged" fast path, plus the exact Equation-6 check.
 * :mod:`repro.conflict.conflict_graph` — the conflict graph over pending
   changes consumed by the speculation engine.
 """
 
-from repro.conflict.analyzer import (
-    ConflictAnalyzer,
-    ConflictAnalyzerStats,
-    LabelConflictAnalyzer,
-)
+from repro.conflict.analyzer import ConflictAnalyzer, ConflictAnalyzerStats
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.conflict.union_graph import UnionGraph, union_graph_conflict
 
@@ -26,7 +21,6 @@ __all__ = [
     "ConflictAnalyzer",
     "ConflictAnalyzerStats",
     "ConflictGraph",
-    "LabelConflictAnalyzer",
     "UnionGraph",
     "union_graph_conflict",
 ]

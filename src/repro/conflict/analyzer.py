@@ -36,10 +36,6 @@ with: :meth:`ConflictAnalyzer.conflict_candidates` answers that from an
 inverted index over the cached analyses (tainted target name → change
 ids, touched path → change ids, plus the structural ids), kept in step
 with the per-change cache at every point it is written or dropped.
-
-:class:`LabelConflictAnalyzer` is the label-mode twin used by the big
-simulation sweeps: it reads affected-target names off ground-truth labels
-instead of running the build system.
 """
 
 from __future__ import annotations
@@ -466,31 +462,3 @@ class ConflictAnalyzer:
             if base_hashes.get(name) != digest
         )
         return equation6_conflict(a.delta, b.delta, delta_ij)
-
-
-class LabelConflictAnalyzer:
-    """Label-mode analyzer: potential conflict = affected-name overlap.
-
-    Ground-truth labels carry each change's affected-target name set, so
-    the potential-conflict relation is the same one the full analyzer's
-    fast path computes — without touching the build system.
-    """
-
-    def __init__(self) -> None:
-        self.stats = ConflictAnalyzerStats()
-
-    def affected_names(self, change: Change) -> FrozenSet[TargetName]:
-        if change.ground_truth is None:
-            raise ValueError(f"change {change.change_id} carries no labels")
-        return change.ground_truth.target_names
-
-    def changes_build_graph(self, change: Change) -> bool:
-        if change.ground_truth is None:
-            raise ValueError(f"change {change.change_id} carries no labels")
-        return change.ground_truth.changes_build_graph
-
-    def conflict(self, first: Change, second: Change) -> bool:
-        if first.change_id == second.change_id:
-            return False
-        self.stats.fast_path += 1
-        return bool(self.affected_names(first) & self.affected_names(second))

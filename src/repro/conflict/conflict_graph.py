@@ -112,10 +112,6 @@ class ConflictGraph:
         older.sort(key=lambda cid: self._order[cid])
         return older
 
-    def is_independent(self, change_id: ChangeId) -> bool:
-        """True when the change conflicts with no pending change."""
-        return not self._edges[self.change(change_id).change_id]
-
     def in_order(self) -> List[ChangeId]:
         """All pending change ids, oldest first."""
         return sorted(self._changes, key=lambda cid: self._order[cid])

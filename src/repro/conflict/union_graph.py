@@ -21,8 +21,8 @@ Two implementations of the same steps live here:
   target outside the two changes' dependent cones.
 * :class:`UnionGraph` materializes every node and edge and walks them in
   topological order, as the paper states the steps.  It is the reference
-  the tests compare :func:`cone_conflict` against and what the figure
-  experiments print.
+  the tests compare :func:`cone_conflict` against;
+  :func:`union_graph_conflict` wraps it for the Figure 5–8 walk-through.
 
 They agree whenever the union is acyclic.  A union of acyclic graphs can
 still be cyclic — one change reverses an edge the base has, or the two

@@ -84,10 +84,6 @@ class IllegalTransitionError(ChangeError):
         super().__init__(f"illegal change transition {current} -> {requested}")
 
 
-class SpeculationError(ReproError):
-    """Base class for speculation-engine errors."""
-
-
 class PlannerError(ReproError):
     """Base class for planner/build-controller errors."""
 

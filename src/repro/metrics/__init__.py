@@ -1,13 +1,11 @@
 """Metrics: percentiles, CDFs, and evaluation collectors."""
 
-from repro.metrics.percentile import percentile, percentiles, summarize
+from repro.metrics.percentile import summarize
 from repro.metrics.cdf import Cdf
 from repro.metrics.collector import GreennessTracker
 
 __all__ = [
     "Cdf",
     "GreennessTracker",
-    "percentile",
-    "percentiles",
     "summarize",
 ]

@@ -6,8 +6,7 @@ carry the *shapes*, not just the numbers.
 
 * :func:`line_plot` — multi-series scatter/line on a character grid
   (Figures 1, 2, 9, 10, 14);
-* :func:`heatmap` — shaded cell grid with values (Figures 11–13);
-* :func:`bar_chart` — horizontal bars (Figure 12 panels, ablations).
+* :func:`heatmap` — shaded cell grid with values (Figures 11–13).
 """
 
 from __future__ import annotations
@@ -161,25 +160,3 @@ def sparkline(
     hi = max(data) if high is None else float(high)
     return "".join(_SPARKS[_scale(v, lo, hi, len(_SPARKS))] for v in data)
 
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str = "",
-    value_format: str = "{:.2f}",
-) -> str:
-    """Horizontal bars, one per named value, scaled to the maximum."""
-    if not values:
-        raise ValueError("nothing to plot")
-    peak = max(values.values())
-    label_width = max(len(name) for name in values)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for name, value in values.items():
-        bar = "#" * (_scale(value, 0.0, peak, width) + 1) if peak > 0 else ""
-        lines.append(
-            f"{name.ljust(label_width)} |{bar.ljust(width)} "
-            + value_format.format(value)
-        )
-    return "\n".join(lines)

@@ -40,9 +40,3 @@ class Cdf:
             (float(value), (index + 1) / n)
             for index, value in enumerate(self._sorted)
         ]
-
-    def max_distance(self, other: "Cdf") -> float:
-        """Kolmogorov–Smirnov distance to another CDF (shape checks)."""
-        grid = np.union1d(self._sorted, other._sorted)
-        gaps = [abs(self.at(x) - other.at(x)) for x in grid]
-        return max(gaps) if gaps else 0.0

@@ -2,24 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100), linear interpolation."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be in [0, 100]")
-    data = np.asarray(list(values), dtype=float)
-    if data.size == 0:
-        raise ValueError("percentile of empty data")
-    return float(np.percentile(data, q))
-
-
-def percentiles(values: Sequence[float], qs: Iterable[float]) -> List[float]:
-    """Several percentiles at once."""
-    return [percentile(values, q) for q in qs]
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

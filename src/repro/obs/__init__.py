@@ -6,8 +6,8 @@ perf/fault-injection roadmap items build on):
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges,
   labeled histograms; Prometheus text + JSON exposition;
 * :class:`~repro.obs.tracer.SpanTracer` — simulated-clock spans
-  (epoch/build/pump/analyze) with parent links; JSONL + Chrome trace
-  export;
+  (epoch/build/pump, and worker step spans spliced under a build) with
+  explicit parent links; JSONL + Chrome trace export;
 * :class:`~repro.obs.recorder.Recorder` — the injectable bundle of both;
   :data:`~repro.obs.recorder.NULL_RECORDER` is the zero-cost default;
 * :mod:`repro.obs.schema` — the JSONL trace schema and validator;
@@ -17,7 +17,8 @@ perf/fault-injection roadmap items build on):
 * :mod:`repro.obs.inspect` — the ``obs report``/``obs trace`` CLI
   machinery.
 
-Only the standard library is used; attaching a recorder never adds a
+Everything but :mod:`repro.obs.slo` uses only the standard library, and
+the simulation path already needs numpy, so attaching a recorder adds no
 dependency.
 """
 

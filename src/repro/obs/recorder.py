@@ -18,14 +18,11 @@ recorder=...)`` rebuilds the trace of the run it replays.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.registry import MetricsRegistry
+from repro.obs.schema import TRACE_SCHEMA_VERSION
 from repro.obs.tracer import Span, SpanTracer
-
-#: Version stamp for the JSONL trace schema (see repro.obs.schema).
-TRACE_SCHEMA_VERSION = 1
 
 
 class Recorder:
@@ -66,9 +63,6 @@ class Recorder:
         self.registry.expose(stats)
 
     # -- tracing passthrough -------------------------------------------------
-
-    def span(self, name: str, **kwargs):
-        return self.tracer.span(name, **kwargs)
 
     def start_span(self, name: str, **kwargs) -> Span:
         return self.tracer.start(name, **kwargs)
@@ -213,7 +207,7 @@ class Recorder:
                 "clock": "simulated-minutes",
             }
         ]
-        records.extend(self.tracer.to_jsonl_records())
+        records.extend(self.tracer.snapshot_records())
         records.append({"type": "metrics", "metrics": self.registry.to_json()})
         return records
 
@@ -229,7 +223,7 @@ class Recorder:
     def write_chrome_trace(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             self.tracer.finish_open()
-            json.dump(self.tracer.to_chrome_trace(), handle, indent=1)
+            json.dump(self.tracer.snapshot_chrome_trace(), handle, indent=1)
 
     def prometheus_text(self) -> str:
         return self.registry.to_prometheus()
@@ -289,10 +283,6 @@ class NullRecorder(Recorder):
 
     def expose(self, stats) -> None:
         pass
-
-    @contextmanager
-    def span(self, name: str, **kwargs) -> Iterator[Span]:
-        yield _NULL_SPAN
 
     def start_span(self, name: str, **kwargs) -> Span:
         return _NULL_SPAN

@@ -15,10 +15,14 @@ Record shapes (version 1)::
      "wall_start": float, "wall_end": float, "wall_track": str}
 
     {"type": "event", "id": int, "name": str, "cat": str, "track": str,
-     "at": float, "span": int | null, "attrs": {...}}
+     "at": float, "attrs": {...}}
 
     {"type": "metrics", "metrics": {name: {"kind": "counter" | "gauge" |
      "histogram", "help": str, "series": [...]}}}
+
+Every span's ``parent`` is set explicitly by whoever opened it; an event
+belongs to no span.  Traces written before events lost their ``"span"``
+key carry ``"span": null`` on every event; readers ignore it.
 
 A service's lifecycle spans and events are folded from its journal
 records (``Recorder.observe``), one per record that says something:
@@ -52,7 +56,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 TRACE_SCHEMA_VERSION = 1
 
 _SPAN_KEYS = {"type", "id", "name", "cat", "track", "start", "end", "parent", "attrs"}
-_EVENT_KEYS = {"type", "id", "name", "cat", "track", "at", "span", "attrs"}
+_EVENT_KEYS = {"type", "id", "name", "cat", "track", "at", "attrs"}
 _METRIC_KINDS = {"counter", "gauge", "histogram"}
 
 

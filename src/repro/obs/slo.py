@@ -8,7 +8,7 @@ trace records the :class:`~repro.obs.recorder.Recorder` already emits,
 so the live ``/slo`` endpoint needs no second instrumentation path.
 
 :func:`compute_slo` is a pure function over parsed trace records (the
-``to_jsonl_records``/``snapshot_records`` shape); :class:`SloAggregator`
+``snapshot_records`` shape); :class:`SloAggregator`
 wraps it around a live tracer for the HTTP service.  The window is a
 *rolling* cut in simulated minutes: only decisions made and build time
 spent inside ``[now - window, now]`` count, matching how an operator

@@ -9,12 +9,11 @@ Two export formats:
 * Chrome ``trace_event`` JSON — load the file in ``chrome://tracing`` or
   https://ui.perfetto.dev to scrub through a run visually.
 
-Parenting is hybrid: the context-manager :meth:`SpanTracer.span` nests
-under the innermost open context span (the service's pump/epoch
-structure), while :meth:`SpanTracer.start`/:meth:`SpanTracer.finish`
-support long-lived spans that outlive their parent's frame (a speculative
-build crosses epoch boundaries; its ``parent_id`` still records the epoch
-that started it).
+Every parent is explicit: :meth:`SpanTracer.start` takes the ``parent``
+span and :meth:`SpanTracer.splice` its ``parent_id``; a span given none is
+a root, and an event belongs to no span.  A span may outlive its parent
+(a speculative build crosses epoch boundaries; its ``parent_id`` still
+records the epoch that started it).
 
 Each span carries a ``track`` — the horizontal row it renders on.  Spans
 on one track must nest by containment (Chrome's rule for ``X`` events);
@@ -33,9 +32,8 @@ never reach the JSONL export (strict JSON has no NaN).
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import TraceError
 
@@ -102,7 +100,6 @@ class Event:
     category: str
     at: float
     track: str
-    span_id: Optional[int]
     attrs: Dict[str, object]
 
 
@@ -113,7 +110,6 @@ class SpanTracer:
         self._clock: Clock = clock if clock is not None else _zero_clock
         self._spans: List[Span] = []
         self._events: List[Event] = []
-        self._stack: List[Span] = []
         self._next_id = 1
 
     def bind_clock(self, clock: Clock) -> None:
@@ -125,10 +121,6 @@ class SpanTracer:
 
     # -- recording -----------------------------------------------------------
 
-    @property
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def start(
         self,
         name: str,
@@ -138,14 +130,8 @@ class SpanTracer:
         parent: Optional[Span] = None,
         **attrs: object,
     ) -> Span:
-        """Open a span; pairs with :meth:`finish`.
-
-        Without an explicit ``parent``, the innermost open context span
-        (if any) becomes the parent — a build started inside an epoch span
-        links to that epoch even though it will outlive it.
-        """
-        if parent is None:
-            parent = self.current_span
+        """Open a span under ``parent`` (a root without one); pairs with
+        :meth:`finish`."""
         span = Span(
             span_id=self._next_id,
             name=name,
@@ -224,24 +210,6 @@ class SpanTracer:
         self._spans.append(span)
         return span
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        category: str = "",
-        track: str = "service",
-        **attrs: object,
-    ) -> Iterator[Span]:
-        """Context-managed span: nested calls parent onto it."""
-        opened = self.start(name, category=category, track=track, **attrs)
-        self._stack.append(opened)
-        try:
-            yield opened
-        finally:
-            self._stack.pop()
-            if opened.end is None:
-                self.finish(opened)
-
     def event(
         self,
         name: str,
@@ -250,15 +218,13 @@ class SpanTracer:
         at: Optional[float] = None,
         **attrs: object,
     ) -> Event:
-        """Record an instant occurrence, attached to the current span."""
-        current = self.current_span
+        """Record an instant occurrence."""
         recorded = Event(
             event_id=self._next_id,
             name=name,
             category=category,
             at=self._clock() if at is None else float(at),
             track=track,
-            span_id=current.span_id if current is not None else None,
             attrs=dict(attrs),
         )
         self._next_id += 1
@@ -272,7 +238,6 @@ class SpanTracer:
             if span.end is None:
                 self.finish(span, at=at)
                 closed += 1
-        self._stack.clear()
         return closed
 
     # -- inspection ----------------------------------------------------------
@@ -321,34 +286,18 @@ class SpanTracer:
             "cat": event.category,
             "track": event.track,
             "at": event.at,
-            "span": event.span_id,
             "attrs": event.attrs,
         }
-
-    def to_jsonl_records(self) -> List[Dict[str, object]]:
-        """Span/event records in start order (spans must be closed)."""
-        records: List[Dict[str, object]] = []
-        for span in self._spans:
-            if span.end is None:
-                raise TraceError(
-                    f"span {span.name}#{span.span_id} still open; call "
-                    "finish_open() before exporting"
-                )
-            records.append(self._span_record(span, span.end))
-        for event in self._events:
-            records.append(self._event_record(event))
-        records.sort(key=lambda r: (r.get("start", r.get("at", 0.0)), r["id"]))
-        return records
 
     def snapshot_records(
         self, at: Optional[float] = None
     ) -> List[Dict[str, object]]:
-        """A non-destructive view of the trace *right now*.
+        """Span/event records in start order: the trace *right now*.
 
-        Unlike :meth:`to_jsonl_records`, open spans are rendered as if
-        they closed at ``at`` (default: the current clock) without being
-        mutated — the live observability service serves this while a run
-        is still in flight.
+        Open spans are rendered as if they closed at ``at`` (default: the
+        current clock) without being mutated — the live observability
+        service serves this while a run is still in flight; after
+        :meth:`finish_open` it is the run's final record.
         """
         horizon = self._clock() if at is None else float(at)
         records: List[Dict[str, object]] = []
@@ -359,10 +308,6 @@ class SpanTracer:
             records.append(self._event_record(event))
         records.sort(key=lambda r: (r.get("start", r.get("at", 0.0)), r["id"]))
         return records
-
-    def to_chrome_trace(self) -> Dict[str, object]:
-        """The Chrome ``trace_event`` JSON object for this run."""
-        return chrome_trace_from_records(self.to_jsonl_records())
 
     def snapshot_chrome_trace(self, at: Optional[float] = None) -> Dict[str, object]:
         """Chrome trace of the live (possibly still-running) tracer."""

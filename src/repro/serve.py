@@ -247,7 +247,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         refusal = None
-        if length < 0:
+        if "Transfer-Encoding" in self.headers:
+            # Only a Content-Length body is read; a chunked one would be
+            # left on the connection and parsed as the next request.
+            refusal = (411, "Transfer-Encoding not supported; send Content-Length")
+        elif length < 0:
             refusal = (400, "invalid Content-Length")
         elif length > MAX_BODY_BYTES:
             refusal = (413, f"body exceeds {MAX_BODY_BYTES} bytes")

@@ -6,7 +6,7 @@ watch the queue — a thin, stateless layer over the core service wiring.
 
 from repro.service.api import ChangeStatus, SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
-from repro.service.handlers import ApiHandlers, render_status_page
+from repro.service.handlers import ApiHandlers
 
 __all__ = [
     "ApiHandlers",
@@ -14,5 +14,4 @@ __all__ = [
     "CoreService",
     "CoreServiceConfig",
     "SubmitQueueService",
-    "render_status_page",
 ]

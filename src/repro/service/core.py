@@ -308,16 +308,6 @@ class CoreService:
                 "Submissions scheduled onto the pump loop.",
             ).inc()
 
-    def queued_submissions(self) -> List[Change]:
-        """Scheduled-but-not-yet-accepted submissions, in fire order."""
-        live = [
-            (handle.time, handle.seq, handle.payload.change)
-            for handle in self._submission_handles.values()
-            if not handle.cancelled
-        ]
-        live.sort(key=lambda item: (item[0], item[1]))
-        return [change for _, _, change in live]
-
     def close(self) -> None:
         """Release backend resources (worker pools); idempotent.
 

@@ -113,24 +113,3 @@ class ApiHandlers:
         decisions = self._service.process()
         return {"ok": True, "code": 200, "decisions": decisions}
 
-
-def render_status_page(handlers: ApiHandlers) -> str:
-    """A minimal text status board (the cycle.js web UI's plain twin)."""
-    queue = handlers.handle_queue()
-    mainline = handlers.handle_mainline()
-    lines = [
-        "SubmitQueue status",
-        "==================",
-        f"mainline: {'GREEN' if mainline['green'] else 'RED'}",
-        f"pending:  {queue['depth']} changes",
-    ]
-    for change_id in queue["pending"]:
-        payload = handlers.handle_status({"change_id": change_id})
-        status = payload["status"]
-        lines.append(
-            f"  {change_id}: {status['state']}"
-            f" (builds {status['builds']['scheduled']},"
-            f" spec +{status['speculations']['succeeded']}"
-            f"/-{status['speculations']['failed']})"
-        )
-    return "\n".join(lines)

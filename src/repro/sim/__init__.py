@@ -11,7 +11,7 @@ no loop of its own.  Time is in **minutes** throughout.
 
 from repro.sim.clock import Clock
 from repro.sim.events import EventHandle, EventQueue
-from repro.sim.arrivals import fixed_rate_arrivals, poisson_arrivals
+from repro.sim.arrivals import poisson_arrivals
 from repro.sim.durations import BuildDurationModel, ANDROID_DURATIONS, IOS_DURATIONS
 from repro.sim.simulator import Simulation, SimulationResult
 
@@ -24,6 +24,5 @@ __all__ = [
     "IOS_DURATIONS",
     "Simulation",
     "SimulationResult",
-    "fixed_rate_arrivals",
     "poisson_arrivals",
 ]

@@ -2,10 +2,8 @@
 
 The paper replays recorded changes "at different rates (100, 200, 300,
 400 and 500 changes per hour)", keeping inter-arrival times fixed per
-rate.  Both a deterministic fixed-rate process and a Poisson process are
-provided; the evaluation uses Poisson by default (hour-scale production
-arrivals are well approximated by it) with the deterministic variant as a
-low-variance alternative for tests.
+rate.  The arrival process is Poisson (hour-scale production arrivals are
+well approximated by it).
 """
 
 from __future__ import annotations
@@ -13,18 +11,6 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 import numpy as np
-
-
-def fixed_rate_arrivals(
-    rate_per_hour: float, count: int, start: float = 0.0
-) -> List[float]:
-    """``count`` arrival times (minutes) at exactly ``rate_per_hour``."""
-    if rate_per_hour <= 0:
-        raise ValueError("rate must be positive")
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    gap = 60.0 / rate_per_hour
-    return [start + gap * index for index in range(count)]
 
 
 def poisson_arrivals(

@@ -21,9 +21,3 @@ class Clock:
             raise ClockError(f"cannot rewind clock {self._now} -> {timestamp}")
         self._now = float(timestamp)
         return self._now
-
-    def advance_by(self, delta: float) -> float:
-        """Move forward by a non-negative delta."""
-        if delta < 0:
-            raise ClockError(f"negative delta {delta}")
-        return self.advance_to(self._now + delta)

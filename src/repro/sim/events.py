@@ -61,9 +61,3 @@ class EventQueue:
                 self._live -= 1
                 return handle
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest live event without popping it."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None

@@ -130,11 +130,6 @@ class SpeculationEngineStats:
         "Merge-heap nodes served from an enumerator's memoized prefix.",
     )
 
-    @property
-    def commit_prob_reuse_rate(self) -> float:
-        total = self.commit_prob_reused + self.commit_prob_recomputed
-        return self.commit_prob_reused / total if total else 0.0
-
 
 class _SelectionMetrics:
     """Hoisted recorder handles for the per-round instrumentation.

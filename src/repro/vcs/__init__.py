@@ -6,13 +6,12 @@ in-memory repository that preserves the properties SubmitQueue relies on:
 * snapshots (mapping of paths to file contents) addressed by commit id,
 * patches with add/modify/delete file operations,
 * patch application with textual-conflict detection,
-* a linear mainline with an append-only commit history, plus cheap
-  branch points for speculative merges.
+* a linear mainline with an append-only commit history, plus side
+  commits for speculative merges.
 """
 
 from repro.vcs.patch import FileOp, OpKind, Patch, three_way_conflicts
 from repro.vcs.repository import Commit, Repository, Snapshot
-from repro.vcs.workspace import Workspace
 
 __all__ = [
     "Commit",
@@ -21,6 +20,5 @@ __all__ = [
     "Patch",
     "Repository",
     "Snapshot",
-    "Workspace",
     "three_way_conflicts",
 ]

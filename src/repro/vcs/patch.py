@@ -78,11 +78,6 @@ class SnapshotOverlay(Mapping[Path, str]):
             self._layers = (merged,)
             self._root = base
 
-    @property
-    def layer_count(self) -> int:
-        """Delta layers between this view and the first non-overlay base."""
-        return len(self._layers)
-
     def __getitem__(self, path: Path) -> str:
         for delta in self._layers:
             if path in delta:
@@ -295,54 +290,3 @@ def three_way_conflicts(first: Patch, second: Patch) -> List[Tuple[Path, str]]:
             continue
         conflicts.append((path, f"{op_a.kind.value} vs {op_b.kind.value}"))
     return conflicts
-
-
-def _compose_ops(first: FileOp, second: FileOp) -> Optional[FileOp]:
-    """The single op equivalent to applying ``first`` then ``second``.
-
-    Returns ``None`` when the pair cancels out (a path added and then
-    deleted never existed as far as the base is concerned).
-    """
-    path = second.path
-    if first.kind is OpKind.ADD:
-        if second.kind is OpKind.DELETE:
-            return None
-        return FileOp(OpKind.ADD, path, second.content)
-    if first.kind is OpKind.DELETE:
-        if second.kind is OpKind.DELETE:
-            return first
-        # Path existed in the base, was deleted, then re-created: net MODIFY.
-        return FileOp(OpKind.MODIFY, path, second.content)
-    # first is MODIFY.
-    if second.kind is OpKind.DELETE:
-        return FileOp(OpKind.DELETE, path)
-    return FileOp(OpKind.MODIFY, path, second.content,
-                  base_content=first.base_content)
-
-
-def squash(patches: Iterable[Patch]) -> Patch:
-    """Combine patches applied in order into one equivalent patch.
-
-    Operations on the same path are *composed*, not overwritten: an ADD
-    followed by a MODIFY is still an ADD of the final content, an ADD
-    followed by a DELETE cancels out, a DELETE followed by an ADD becomes
-    a MODIFY.  Applying the squashed patch to the original base yields the
-    same snapshot as applying the sequence (assuming the sequence itself
-    applied cleanly).
-    """
-    combined: Dict[Path, FileOp] = {}
-    for patch in patches:
-        for op in patch:
-            previous = combined.get(op.path)
-            if previous is None:
-                combined[op.path] = op
-            else:
-                composed = _compose_ops(previous, op)
-                if composed is None:
-                    combined.pop(op.path, None)
-                else:
-                    combined[op.path] = composed
-    result = Patch()
-    for op in combined.values():
-        result.add_op(op)
-    return result

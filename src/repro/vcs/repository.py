@@ -128,24 +128,21 @@ class Snapshot(Mapping[Path, str]):
 
 
 class Repository:
-    """An append-only commit DAG with a named mainline branch.
+    """An append-only commit DAG with one mainline.
 
     The mainline is the paper's *master*: a linear history whose HEAD only
     moves via :meth:`commit_to_mainline`.  Speculative merge states are
-    created with :meth:`make_commit` without moving any branch, mirroring
+    created with :meth:`make_commit` without moving the mainline, mirroring
     how SubmitQueue builds candidate merges off to the side.
     """
 
-    MAINLINE = "master"
-
     def __init__(self, initial_files: Optional[Mapping[Path, str]] = None) -> None:
         self._commits: Dict[CommitId, Commit] = {}
-        self._branches: Dict[str, CommitId] = {}
         self._mainline_history: List[CommitId] = []
         root_delta: Dict[Path, Optional[str]] = dict(initial_files or {})
         root = Commit(_next_commit_id(), None, root_delta, message="initial commit")
         self._commits[root.commit_id] = root
-        self._branches[self.MAINLINE] = root.commit_id
+        self._head: CommitId = root.commit_id
         self._mainline_history.append(root.commit_id)
 
     # -- commits ----------------------------------------------------------
@@ -197,7 +194,7 @@ class Repository:
 
     def head(self) -> CommitId:
         """The mainline HEAD commit id."""
-        return self._branches[self.MAINLINE]
+        return self._head
 
     def mainline_history(self) -> List[CommitId]:
         """All mainline commit ids, oldest first."""
@@ -233,7 +230,7 @@ class Repository:
             self.head(), patch, message=message, author=author, timestamp=timestamp
         )
         commit.green = green
-        self._branches[self.MAINLINE] = commit.commit_id
+        self._head = commit.commit_id
         self._mainline_history.append(commit.commit_id)
         return commit
 
@@ -253,29 +250,6 @@ class Repository:
         green = sum(1 for cid in history if self._commits[cid].green)
         return green / len(history)
 
-    # -- branches ---------------------------------------------------------
-
-    def create_branch(self, name: str, at: Optional[CommitId] = None) -> CommitId:
-        """Create a branch pointing at ``at`` (default HEAD)."""
-        if name in self._branches:
-            raise ValueError(f"branch {name!r} already exists")
-        commit_id = at if at is not None else self.head()
-        self.commit(commit_id)
-        self._branches[name] = commit_id
-        return commit_id
-
-    def branch_head(self, name: str) -> CommitId:
-        try:
-            return self._branches[name]
-        except KeyError:
-            raise UnknownCommitError(f"no branch {name!r}") from None
-
-    def advance_branch(self, name: str, commit_id: CommitId) -> None:
-        self.commit(commit_id)
-        if name == self.MAINLINE:
-            raise ValueError("use commit_to_mainline to move the mainline")
-        self._branches[name] = commit_id
-
     # -- ancestry ---------------------------------------------------------
 
     def ancestors(self, commit_id: CommitId) -> Iterator[CommitId]:
@@ -285,15 +259,3 @@ class Repository:
             commit = self.commit(current)
             yield current
             current = commit.parent_id
-
-    def distance_to_mainline(self, commit_id: CommitId) -> int:
-        """Number of mainline commits made after ``commit_id``.
-
-        This is the *staleness* measure from Figure 2, expressed in commits
-        rather than hours (callers convert via the commit rate).
-        """
-        try:
-            index = self._mainline_history.index(commit_id)
-        except ValueError:
-            raise UnknownCommitError(f"{commit_id} is not a mainline commit") from None
-        return len(self._mainline_history) - 1 - index

@@ -19,11 +19,7 @@ from repro.workload.repo_synth import (
     SyntheticMonorepo,
     mint_partitioned_cell,
 )
-from repro.workload.scenarios import (
-    BACKEND_WORKLOAD,
-    IOS_WORKLOAD,
-    scenario_by_name,
-)
+from repro.workload.scenarios import BACKEND_WORKLOAD, IOS_WORKLOAD
 
 __all__ = [
     "BACKEND_WORKLOAD",
@@ -33,5 +29,4 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "mint_partitioned_cell",
-    "scenario_by_name",
 ]

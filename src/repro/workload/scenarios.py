@@ -8,8 +8,6 @@
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.sim.durations import ANDROID_DURATIONS, IOS_DURATIONS
 from repro.workload.generator import WorkloadConfig
 
@@ -58,19 +56,3 @@ BACKEND_WORKLOAD = WorkloadConfig(
     base_success_rate=0.92,
     durations=IOS_DURATIONS,
 )
-
-_SCENARIOS: Dict[str, WorkloadConfig] = {
-    "ios": IOS_WORKLOAD,
-    "android": ANDROID_WORKLOAD,
-    "backend": BACKEND_WORKLOAD,
-}
-
-
-def scenario_by_name(name: str) -> WorkloadConfig:
-    """Look up a named scenario; raises ``KeyError`` listing valid names."""
-    try:
-        return _SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; valid: {sorted(_SCENARIOS)}"
-        ) from None

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from repro.changes.truth import real_conflict
 from repro.errors import WorkloadError
-from repro.metrics.ascii_plot import bar_chart, heatmap, line_plot
+from repro.metrics.ascii_plot import heatmap, line_plot
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.replay import dump_stream, load_stream, retime_stream
 from repro.workload.scenarios import IOS_WORKLOAD
@@ -59,19 +59,6 @@ class TestHeatmap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             heatmap(["a"], ["x"], {})
-
-
-class TestBarChart:
-    def test_bars_scale_to_peak(self):
-        text = bar_chart({"small": 1.0, "big": 10.0}, width=20)
-        lines = text.splitlines()
-        small_line = next(line for line in lines if line.startswith("small"))
-        big_line = next(line for line in lines if line.startswith("big"))
-        assert big_line.count("#") > small_line.count("#")
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bar_chart({})
 
 
 class TestStreamReplay:

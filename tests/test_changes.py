@@ -6,7 +6,6 @@ from repro.changes.change import (
     Change,
     Developer,
     GroundTruth,
-    Revision,
     next_change_id,
     next_revision_id,
 )
@@ -50,23 +49,11 @@ class TestChangeBasics:
         change = Change("D2", "R1", DEV, patch=Patch.adding({"a.py": "x"}))
         assert change.ground_truth is None
 
-    def test_staleness(self):
-        change = labeled(["//a:a"])
-        change.submitted_at = 100.0
-        assert change.staleness(160.0) == 60.0
-        assert change.staleness(50.0) == 0.0
-
     def test_developer_validation(self):
         with pytest.raises(ValueError):
             Developer("d", skill=1.5)
         with pytest.raises(ValueError):
             Developer("d", area_fragility=-0.1)
-
-    def test_revision_submit_counter(self):
-        revision = Revision("R9", "dev1")
-        revision.record_submit()
-        revision.record_submit()
-        assert revision.submit_count == 2
 
 
 class TestGroundTruthRelations:
@@ -197,19 +184,7 @@ class TestPendingQueue:
             queue.enqueue(change)
         queue.remove(b.change_id)
         assert queue.sequence_of(c.change_id) == 2
-        assert [x.change_id for x in queue.earlier_than(c.change_id)] == [a.change_id]
-
-    def test_earlier_than_stops_at_pivot(self):
-        queue = PendingQueue()
-        changes = [labeled([f"//t:{i}"]) for i in range(5)]
-        for change in changes:
-            queue.enqueue(change)
-        earlier = queue.earlier_than(changes[2].change_id)
-        assert [c.change_id for c in earlier] == [
-            changes[0].change_id,
-            changes[1].change_id,
-        ]
-        assert queue.earlier_than(changes[0].change_id) == []
+        assert [x.change_id for x in queue] == [a.change_id, c.change_id]
 
     def test_duplicate_enqueue_rejected(self):
         queue = PendingQueue()

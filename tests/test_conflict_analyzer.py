@@ -4,7 +4,8 @@ import pytest
 
 from repro.buildsys.executor import BuildContext
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
-from repro.conflict.analyzer import ConflictAnalyzer, LabelConflictAnalyzer
+from repro.changes.truth import potential_conflict
+from repro.conflict.analyzer import ConflictAnalyzer
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import UnknownChangeError
 from repro.vcs.patch import Patch
@@ -100,40 +101,6 @@ class TestConflictAnalyzer:
         assert names == {"//base:base", "//lib:lib", "//app:app"}
 
 
-class TestLabelConflictAnalyzer:
-    def _labeled(self, targets):
-        return Change(
-            change_id=next_change_id(),
-            revision_id="R1",
-            developer=DEV,
-            ground_truth=GroundTruth(target_names=frozenset(targets)),
-        )
-
-    def test_overlap_is_conflict(self):
-        analyzer = LabelConflictAnalyzer()
-        assert analyzer.conflict(self._labeled(["//a:a"]), self._labeled(["//a:a"]))
-        assert not analyzer.conflict(
-            self._labeled(["//a:a"]), self._labeled(["//b:b"])
-        )
-
-    def test_missing_labels_raise(self):
-        analyzer = LabelConflictAnalyzer()
-        first = Change(
-            change_id=next_change_id(),
-            revision_id="R1",
-            developer=DEV,
-            patch=Patch.adding({"a": "x"}),
-        )
-        second = Change(
-            change_id=next_change_id(),
-            revision_id="R1",
-            developer=DEV,
-            patch=Patch.adding({"b": "y"}),
-        )
-        with pytest.raises(ValueError):
-            analyzer.conflict(first, second)
-
-
 class TestConflictGraph:
     def _labeled(self, targets):
         return Change(
@@ -144,8 +111,7 @@ class TestConflictGraph:
         )
 
     def _graph(self):
-        analyzer = LabelConflictAnalyzer()
-        return ConflictGraph(analyzer.conflict)
+        return ConflictGraph(potential_conflict)
 
     def test_ancestors_in_submit_order(self):
         graph = self._graph()
@@ -168,8 +134,6 @@ class TestConflictGraph:
         components = graph.components()
         assert [a.change_id, b.change_id] in components
         assert [c.change_id] in components
-        assert graph.is_independent(c.change_id)
-        assert not graph.is_independent(a.change_id)
 
     def test_remove_drops_edges(self):
         graph = self._graph()

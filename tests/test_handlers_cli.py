@@ -6,7 +6,7 @@ from repro.cli import main
 from repro.predictor.predictors import StaticPredictor
 from repro.service.api import SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
-from repro.service.handlers import ApiHandlers, render_status_page
+from repro.service.handlers import ApiHandlers
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
@@ -65,16 +65,6 @@ class TestHandlers:
         handlers.register_draft(broken)
         handlers.handle_land({"change_id": broken.change_id, "wait": True})
         assert handlers.handle_mainline()["green"] is True  # still green!
-
-    def test_status_page_renders(self, setup):
-        monorepo, handlers = setup
-        change = monorepo.make_clean_change()
-        handlers.register_draft(change)
-        handlers.handle_land({"change_id": change.change_id})
-        page = render_status_page(handlers)
-        assert "SubmitQueue status" in page
-        assert change.change_id in page
-        assert "GREEN" in page
 
 
 class TestCli:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.buildsys.delta import (
     affected_targets,
-    delta_as_dict,
     delta_names,
     deltas_union,
     equation6_conflict,
@@ -73,7 +72,6 @@ class TestTargetHasher:
         without = TargetHasher(graph, {}).hash_of("//p:t")
         assert with_src != without
 
-
     def test_digest_is_the_documented_frame_sequence(self):
         """Pins the Algorithm-1 byte layout: tag, payload size, NUL, payload
         for name, each step, each src + its content (or the absent marker),
@@ -129,12 +127,6 @@ class TestAffectedTargets:
 
     def test_no_change_empty_delta(self, chain_snapshot):
         assert affected_targets(chain_snapshot, dict(chain_snapshot)) == frozenset()
-
-    def test_delta_as_dict(self, chain_snapshot):
-        changed = dict(chain_snapshot, **{"top/top.py": "T2"})
-        delta = affected_targets(chain_snapshot, changed)
-        as_dict = delta_as_dict(delta)
-        assert set(as_dict) == {"//top:top"}
 
 
 class TestEquation6:

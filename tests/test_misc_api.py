@@ -106,12 +106,3 @@ class TestBuildReportAccessors:
         assert report.success
         assert report.first_failure() is None
         assert report.steps_executed == 0
-
-
-class TestRepositoryBranchEdges:
-    def test_create_branch_at_specific_commit(self):
-        repo = Repository({"a.py": "a0"})
-        root = repo.head()
-        repo.commit_to_mainline(Patch.modifying({"a.py": "a1"}))
-        repo.create_branch("old", at=root)
-        assert repo.branch_head("old") == root

@@ -13,8 +13,9 @@ class TestRecorder:
     def test_jsonl_has_meta_then_payload_then_metrics(self):
         recorder = Recorder(clock=lambda: 1.0)
         recorder.counter("c_total", "A counter.").inc()
-        with recorder.span("epoch"):
-            recorder.event("decision")
+        epoch = recorder.start_span("epoch")
+        recorder.event("decision")
+        recorder.finish_span(epoch)
         lines = recorder.to_jsonl().strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["type"] == "meta"
@@ -34,8 +35,7 @@ class TestRecorder:
 
     def test_file_writers(self, tmp_path):
         recorder = Recorder()
-        with recorder.span("epoch"):
-            pass
+        recorder.finish_span(recorder.start_span("epoch"))
         recorder.counter("c_total").inc()
         jsonl = tmp_path / "run.jsonl"
         chrome = tmp_path / "run.trace.json"
@@ -54,9 +54,9 @@ class TestNullRecorder:
         null.counter("c", "h").inc(5)
         null.gauge("g").set(2.0)
         null.histogram("h").observe(3.0)
-        with null.span("s", track="t", epoch=1) as span:
-            null.event("e")
-        null.finish_span(null.start_span("s2"))
+        span = null.start_span("s", track="t", epoch=1)
+        null.event("e")
+        assert null.finish_span(span) is span
         assert span.name == "null"
         assert null.to_jsonl() == ""
         assert null.prometheus_text() == ""

@@ -23,7 +23,6 @@ def _decision(at, verdict="committed", turnaround=None, event_id=1):
         "cat": "queue",
         "track": "service",
         "at": at,
-        "span": None,
         "attrs": attrs,
     }
 
@@ -141,7 +140,6 @@ def _batch(at, kind="landed", size=3, depth=0, event_id=1):
         "cat": "planner",
         "track": "service",
         "at": at,
-        "span": None,
         "attrs": {"kind": kind, "size": size, "depth": depth},
     }
 

@@ -96,7 +96,7 @@ class TestGoldenTrace:
 
     def test_chrome_trace_nests_epochs_under_pump(self, recorded_run):
         recorder, _, _ = recorded_run
-        trace = recorder.tracer.to_chrome_trace()
+        trace = recorder.tracer.snapshot_chrome_trace()
         complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         service_tid = next(
             e["tid"]
@@ -131,8 +131,7 @@ class TestGoldenTrace:
 class TestValidatorRejections:
     def _valid_records(self):
         recorder = Recorder(clock=lambda: 0.0)
-        with recorder.span("epoch"):
-            pass
+        recorder.finish_span(recorder.start_span("epoch"))
         recorder.counter("c_total").inc()
         return recorder.jsonl_records()
 
@@ -198,6 +197,31 @@ class TestObsCli:
         assert cli_main(["obs", "trace", path, "-o", str(out_path)]) == 0
         capsys.readouterr()
         assert "traceEvents" in json.loads(out_path.read_text())
+
+    def test_trace_with_null_event_spans_still_reads(
+        self, recorded_run, tmp_path, capsys
+    ):
+        """Traces written while events carried a ``"span"`` key (``null`` on
+        every event) still validate and report as they did."""
+        _, path, _ = recorded_run
+        with open(path, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        events = [r for r in records if r["type"] == "event"]
+        assert events and all("span" not in r for r in events)
+        for event in events:
+            event["span"] = None
+        old_path = tmp_path / "old.jsonl"
+        old_path.write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        assert validate_file(str(old_path)) == []
+        assert format_report(load_trace(str(old_path))) == format_report(
+            load_trace(path)
+        )
+        assert cli_main(["obs", "report", str(old_path)]) == 0
+        old_report = capsys.readouterr().out
+        assert cli_main(["obs", "report", path]) == 0
+        assert old_report == capsys.readouterr().out
 
     def test_validate_fails_on_corrupt_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

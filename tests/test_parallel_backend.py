@@ -303,7 +303,7 @@ def test_enqueue_metrics_reported(cell):
         service.submit(change)
     for change in batch[3:]:
         service.enqueue(change, at=5.0)
-    assert len(service.queued_submissions()) == len(batch) - 3
+    assert service.planner.pending_count() == 3  # enqueued ones wait for the pump
     service.pump()
     service.close()
     text = recorder.prometheus_text()

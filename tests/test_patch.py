@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PatchConflictError
-from repro.vcs.patch import FileOp, OpKind, Patch, squash, three_way_conflicts
+from repro.vcs.patch import FileOp, OpKind, Patch, three_way_conflicts
 
 
 class TestFileOp:
@@ -132,21 +132,3 @@ class TestThreeWayConflicts:
         a = Patch.modifying({"x.py": "a"})
         b = Patch.deleting(["x.py"])
         assert three_way_conflicts(a, b)
-
-
-class TestSquash:
-    def test_squash_last_wins(self):
-        first = Patch.adding({"a.py": "v1"})
-        second = Patch.modifying({"a.py": "v2"})
-        combined = squash([first, second])
-        assert combined.op_for("a.py").content == "v2"
-
-    def test_squash_apply_equals_sequential_apply(self):
-        base = {"x.py": "x0", "y.py": "y0"}
-        first = Patch.modifying({"x.py": "x1"})
-        second = Patch(
-            [FileOp(OpKind.DELETE, "y.py"), FileOp(OpKind.ADD, "z.py", "z1")]
-        )
-        sequential = second.apply(first.apply(base))
-        squashed = squash([first, second]).apply(base)
-        assert sequential == squashed

@@ -6,13 +6,11 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PatchConflictError
 from repro.vcs.patch import (
     FileOp,
     OpKind,
     Patch,
     SnapshotOverlay,
-    squash,
     three_way_conflicts,
 )
 from repro.vcs.repository import Repository
@@ -63,30 +61,6 @@ class TestPatchProperties:
         # Untouched paths unchanged.
         for path in set(snapshot) - patch.paths:
             assert result[path] == snapshot[path]
-
-    @given(snapshot_strategy, clean_patch_inputs, clean_patch_inputs)
-    @settings(max_examples=80)
-    def test_squash_equals_sequential(self, snapshot, first_inputs, second_inputs):
-        first = patch_for(snapshot, *first_inputs)
-        intermediate = first.apply(snapshot)
-        second = patch_for(intermediate, *second_inputs)
-        sequential = second.apply(intermediate)
-        combined = squash([first, second])
-        try:
-            squashed = combined.apply(snapshot)
-        except PatchConflictError:
-            # ADD-then-DELETE of a path absent from the base squashes to a
-            # DELETE that cannot apply; the sequential result must show the
-            # path absent, making the squash semantically consistent.
-            deleted = [
-                op.path for op in combined if op.kind is OpKind.DELETE
-            ]
-            assert any(
-                path not in snapshot and path not in sequential
-                for path in deleted
-            )
-            return
-        assert squashed == sequential
 
     @given(snapshot_strategy, clean_patch_inputs, clean_patch_inputs)
     @settings(max_examples=80)
@@ -196,5 +170,5 @@ class TestOverlayChains:
         for index in range(count):
             view = SnapshotOverlay(view, {f"p{index}": str(index)})
             bound = math.ceil(math.log2(index + 1)) + 1
-            assert view.layer_count <= bound
+            assert len(view._layers) <= bound
         assert len(view) == count + 1 and view[f"p{count - 1}"] == str(count - 1)

@@ -103,44 +103,9 @@ class TestGreenness:
         assert not repo.is_green()
 
 
-class TestBranches:
-    def test_branch_create_and_advance(self, repo):
-        branch_point = repo.create_branch("feature")
-        assert repo.branch_head("feature") == branch_point
-        side = repo.make_commit(branch_point, Patch.modifying({"a.py": "f1"}))
-        repo.advance_branch("feature", side.commit_id)
-        assert repo.branch_head("feature") == side.commit_id
-
-    def test_duplicate_branch_rejected(self, repo):
-        repo.create_branch("feature")
-        with pytest.raises(ValueError):
-            repo.create_branch("feature")
-
-    def test_cannot_advance_mainline_directly(self, repo):
-        commit = repo.make_commit(repo.head(), Patch.modifying({"a.py": "x"}))
-        with pytest.raises(ValueError):
-            repo.advance_branch(Repository.MAINLINE, commit.commit_id)
-
-    def test_unknown_branch(self, repo):
-        with pytest.raises(UnknownCommitError):
-            repo.branch_head("nope")
-
-
 class TestAncestry:
     def test_ancestors_walks_to_root(self, repo):
         root = repo.head()
         first = repo.commit_to_mainline(Patch.modifying({"a.py": "a1"}))
         chain = list(repo.ancestors(first.commit_id))
         assert chain == [first.commit_id, root]
-
-    def test_distance_to_mainline_measures_staleness(self, repo):
-        base = repo.head()
-        for i in range(3):
-            repo.commit_to_mainline(Patch.modifying({"a.py": f"a{i}"}))
-        assert repo.distance_to_mainline(base) == 3
-        assert repo.distance_to_mainline(repo.head()) == 0
-
-    def test_distance_for_non_mainline_commit_raises(self, repo):
-        side = repo.make_commit(repo.head(), Patch.modifying({"a.py": "s"}))
-        with pytest.raises(UnknownCommitError):
-            repo.distance_to_mainline(side.commit_id)

@@ -9,6 +9,7 @@ unknown route 404, and the POST /shutdown lifecycle.
 import http.client
 import io
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -175,6 +176,37 @@ class TestWriteEndpoints:
             assert payload["ok"] is False and payload["code"] == code
         finally:
             conn.close()
+        assert _get_json(f"{served.url}/healthz")["ok"] is True
+
+    def test_chunked_body_is_refused_411_and_closes(self, served):
+        """Only a Content-Length body is read.  A chunked body left on the
+        connection would parse as the next request: the pipelined GET
+        behind it must not be answered from those bytes."""
+        chunk = b'{"change_id": "nope"}'
+        request = (
+            b"POST /changes HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n"
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        with socket.create_connection((served.host, served.port), timeout=5) as sock:
+            sock.sendall(request)
+            received = b""
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                received += data
+        response = http.client.HTTPResponse(_RecordedSocket(received), method="POST")
+        response.begin()
+        body = response.read()
+        assert response.status == 411
+        assert response.getheader("Connection") == "close"
+        payload = json.loads(body)
+        assert payload["ok"] is False and payload["code"] == 411
+        # Exactly one response: nothing follows the 411's body.
+        assert received.partition(b"\r\n\r\n")[2] == body
         assert _get_json(f"{served.url}/healthz")["ok"] is True
 
     def test_post_unknown_route_404(self, served):

@@ -62,7 +62,7 @@ class TestSplicePrimitive:
         assert span.wall_start == 100.0 and span.wall_end == 100.5
         assert span.wall_track == "worker:pid7"
         assert tracer.spans() == [span]
-        assert validate_records(_framed(tracer.to_jsonl_records())) == []
+        assert validate_records(_framed(tracer.snapshot_records())) == []
 
     def test_splice_rejects_inverted_sim_interval(self):
         tracer = SpanTracer()
@@ -79,7 +79,7 @@ class TestSplicePrimitive:
         # An inverted wall pair clamps to a zero-width wall span.
         clamped = tracer.splice("s", 0.0, 1.0, wall_start=5.0, wall_end=4.0)
         assert clamped.wall_start == clamped.wall_end == 5.0
-        assert validate_records(_framed(tracer.to_jsonl_records())) == []
+        assert validate_records(_framed(tracer.snapshot_records())) == []
 
     def test_snapshot_records_renders_open_spans_without_mutation(self):
         clock = [0.0]

@@ -73,7 +73,6 @@ class TestErrorHierarchy:
             errors.VcsError,
             errors.BuildSystemError,
             errors.ChangeError,
-            errors.SpeculationError,
             errors.PlannerError,
             errors.PredictorError,
             errors.SimulationError,

@@ -15,11 +15,7 @@ from repro.changes.truth import (
 from repro.errors import WorkloadError
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
-from repro.workload.scenarios import (
-    BACKEND_WORKLOAD,
-    IOS_WORKLOAD,
-    scenario_by_name,
-)
+from repro.workload.scenarios import BACKEND_WORKLOAD, IOS_WORKLOAD
 
 
 class TestWorkloadConfig:
@@ -30,11 +26,6 @@ class TestWorkloadConfig:
             WorkloadConfig(base_success_rate=1.5)
         with pytest.raises(WorkloadError):
             WorkloadConfig(real_conflict_rate=-0.1)
-
-    def test_scenario_lookup(self):
-        assert scenario_by_name("ios") is IOS_WORKLOAD
-        with pytest.raises(KeyError):
-            scenario_by_name("windows")
 
 
 class TestGenerator:
@@ -155,5 +146,5 @@ class TestSyntheticMonorepo:
         change = monorepo.make_structural_change()
         merged = change.patch.apply(monorepo.repo.snapshot())
         new_graph = load_build_graph(merged)
-        assert not monorepo.graph.same_structure(new_graph)
+        assert monorepo.graph.structure() != new_graph.structure()
         assert BuildExecutor().build(merged).success
