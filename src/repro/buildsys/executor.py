@@ -36,8 +36,14 @@ from repro.buildsys.hashing import (
     TargetHasher,
     incremental_hashes,
 )
-from repro.buildsys.loader import load_build_graph, reload_packages
+from repro.buildsys.loader import (
+    build_file_package,
+    load_build_graph,
+    parse_build_file,
+    reload_packages,
+)
 from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_target, summarize
+from repro.buildsys.target import Target
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import Path, TargetName
 from repro.vcs.patch import Patch, SnapshotOverlay
@@ -305,6 +311,44 @@ class BuildContext:
         ]
         affected.sort(key=index.__getitem__)
         return affected
+
+    def added_targets(
+        self, older: "BuildContext", changed_paths: Iterable[Path]
+    ) -> Optional[List[Target]]:
+        """The targets this graph declares beyond ``older``'s, when that is
+        all that differs: every target of ``older`` is still declared here
+        with the same definition.  ``None`` when one was removed or
+        redeclared; ``[]`` when the two graphs have the same structure.
+
+        ``changed_paths`` covers every path that differs between the two
+        snapshots, so only the BUILD files among them can declare anything
+        differently: the cost is re-reading those files on both sides,
+        never the graph.
+        """
+        added: List[Target] = []
+        for path in changed_paths:
+            package = build_file_package(path)
+            if package is None:
+                continue
+            before = {
+                target.name: target.definition()
+                for target in _declared(older.snapshot, package, path)
+            }
+            for target in _declared(self.snapshot, package, path):
+                definition = before.pop(target.name, None)
+                if definition is None:
+                    added.append(target)
+                elif definition != target.definition():
+                    return None
+            if before:
+                return None
+        return added
+
+
+def _declared(snapshot: Mapping[Path, str], package: str, path: Path) -> List[Target]:
+    """The targets one package's BUILD file declares in ``snapshot``."""
+    content = snapshot.get(path)
+    return [] if content is None else parse_build_file(package, content)
 
 
 class BuildExecutor:

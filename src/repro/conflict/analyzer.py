@@ -24,10 +24,13 @@ reverse-dependency closure.  Nothing here loads a graph or hashes a
 target itself.
 
 The analyzer also *carries over* across mainline advances instead of being
-rebuilt: :meth:`ConflictAnalyzer.advance_base` adopts the head's already
-advanced context (the build controller's, in a service) and revalidates
-cached per-change analyses that provably cannot have changed (see the
-method's invariants).  :meth:`ConflictAnalyzer.forget`
+rebuilt.  An analysis holds only what does not depend on the base — the
+change's touched paths, its tainted target *names* and whether it alters
+structure — so :meth:`ConflictAnalyzer.advance_base` adopts the head's
+already advanced context (the build controller's, in a service) and keeps
+every analysis whose names provably cannot have moved (see the method for
+the rules and the proof).  Digests are derived only when asked for
+(:meth:`ConflictAnalyzer.affected_targets`).  :meth:`ConflictAnalyzer.forget`
 evicts committed/aborted changes so the per-change cache cannot grow
 unboundedly.
 
@@ -67,11 +70,13 @@ class ConflictAnalyzerStats:
     only: the head advance's own rehash is whoever advanced the base
     context's, the build controller's in a service — and cached analyses
     ``analyses_revalidated`` vs ``analyses_recomputed`` across head
-    advances).  ``analyses_recomputed`` counts when the replacement
-    analysis is actually computed — a head advance *invalidates* cached
-    analyses, and the recompute happens (and is counted) on the next
-    ``analyze()`` of that change, so the revalidated/recomputed ratio
-    reflects work performed, not work predicted.
+    advances).  A head advance drops an analysis only when it is
+    structural, when the commit overlaps its paths, or when the commit
+    changes structure beyond adding targets (or adds one that reads the
+    change's taint or paths); ``analyses_recomputed`` counts when such a
+    dropped analysis is actually computed again, on the next ``analyze()``
+    of that change, so the revalidated/recomputed ratio reflects work
+    performed, not work predicted.
 
     Every field is exposed on the analyzer's recorder, so conflict series
     appear in the run's Prometheus/JSON dumps.
@@ -139,23 +144,24 @@ class ConflictAnalyzerStats:
 
 @dataclass
 class _ChangeAnalysis:
-    """What a verdict reads of one change, analysed against one base.
+    """What a verdict reads of one change: facts that do not depend on the base.
 
-    Nothing here depends on the base outside the change's own cone, which
+    No digest is kept — digests move with the base, names do not — which
     is what lets :meth:`ConflictAnalyzer.advance_base` keep a survivor
     as it is.
     """
 
     patch: Patch
     touched: FrozenSet[Path]
-    graph: BuildGraph
-    delta: FrozenSet[AffectedTarget]
     #: Names whose hash differs from the base's, a missing target hashing
-    #: as ``None``: ``delta``'s names (changed or added) plus the targets
+    #: as ``None``: the delta's names (changed or added) plus the targets
     #: the change removed.  Step 2's direct taint, and — no target being
     #: removed without a structure change — the fast path's comparand.
     taint: FrozenSet[TargetName]
     structure_changed: bool
+    #: The change's own graph when its patch reloaded BUILD files;
+    #: ``None`` for a content-only change, which reads the current base's.
+    graph: Optional[BuildGraph] = None
 
 
 class ConflictAnalyzer:
@@ -163,7 +169,6 @@ class ConflictAnalyzer:
 
     def __init__(self, base: BuildContext, recorder: Recorder = NULL_RECORDER) -> None:
         self._base = base
-        self._base_structure = base.graph.structure()
         self._per_change: Dict[ChangeId, _ChangeAnalysis] = {}
         #: The candidate index over ``_per_change``: which cached
         #: non-structural analyses taint a target name or touch a path,
@@ -185,7 +190,7 @@ class ConflictAnalyzer:
     # -- per-change analysis ------------------------------------------------
 
     def analyze(self, change: Change) -> _ChangeAnalysis:
-        """Compute (and cache) the change's graph, delta and taint.
+        """Compute (and cache) the change's taint, structure flag and graph.
 
         Incremental: one ``derive_stack`` over the base — only touched
         packages' BUILD files are re-parsed, and only the touched targets'
@@ -209,31 +214,48 @@ class ConflictAnalyzer:
     def _analyze_patch(self, patch: Patch) -> _ChangeAnalysis:
         base = self._base
         merged = base.derive_stack((patch,))
+        taint = delta_names(
+            delta_from_dirty(base.hashes, merged.hashes, merged.dirty_since_base)
+        )
+        touched = frozenset(patch.paths)
         # The derived graph is the base's own object when no BUILD file is
         # in the patch — the ~92-98% content-only case.
-        graph = merged.graph
-        delta = delta_from_dirty(base.hashes, merged.hashes, merged.dirty_since_base)
-        taint = delta_names(delta)
-        if graph is not base.graph:
+        graph: Optional[BuildGraph] = None
+        structure_changed = False
+        if merged.graph is not base.graph:
+            graph = merged.graph
             taint.update(base.hashes.keys() - merged.hashes.keys())
-        structure_changed = (
-            graph is not base.graph and graph.structure() != self._base_structure
-        )
+            # The structure is the base's iff the reloaded packages add,
+            # redeclare and remove nothing.
+            structure_changed = merged.added_targets(base, touched) != []
         self.stats.analyses += 1
         self.stats.targets_rehashed += merged.rehashed
-        self.stats.targets_total += len(graph)
+        self.stats.targets_total += len(merged.graph)
         return _ChangeAnalysis(
             patch=patch,
-            touched=frozenset(patch.paths),
-            graph=graph,
-            delta=delta,
+            touched=touched,
             taint=frozenset(taint),
             structure_changed=structure_changed,
+            graph=graph,
         )
 
+    def _graph_of(self, analysis: _ChangeAnalysis) -> BuildGraph:
+        return self._base.graph if analysis.graph is None else analysis.graph
+
+    def _delta(self, patch: Patch) -> FrozenSet[AffectedTarget]:
+        """``δ`` of one patch against the current base, derived afresh."""
+        base = self._base
+        merged = base.derive_stack((patch,))
+        return delta_from_dirty(base.hashes, merged.hashes, merged.dirty_since_base)
+
     def affected_targets(self, change: Change) -> FrozenSet[AffectedTarget]:
-        """The paper's ``δ_{H⊕C}`` for one change."""
-        return self.analyze(change).delta
+        """The paper's ``δ_{H⊕C}`` for one change, against the current base.
+
+        The digests are derived here, one ``derive_stack`` per call: an
+        analysis keeps only names, which survive head advances that
+        digests do not.
+        """
+        return self._delta(self.analyze(change).patch)
 
     def changes_build_graph(self, change: Change) -> bool:
         """Whether the change alters build-graph structure (section 5.2)."""
@@ -351,54 +373,75 @@ class ConflictAnalyzer:
         old and new base (the union of the committed patches' paths).
         When it is unknown (``None``) every cached analysis is dropped.
 
-        A cached per-change analysis is **revalidated** (kept as it is —
-        nothing it holds reads the base outside its own cone) only when
-        all four invariants hold; otherwise it is dropped and recomputed
-        lazily on next use:
+        A cached analysis is **revalidated** (kept as it is) when
 
-        1. the committed delta touches no BUILD file (non-structural
-           commit: the new base shares the old one's graph object) —
-           otherwise new targets may depend into a cached delta without
-           tripping invariant 4;
-        2. the cached analysis is itself non-structural, so its affected
-           targets exist base-side with identical dependency closures;
-        3. the change's touched paths are disjoint from the committed
-           paths (its patch still applies, with identical content);
-        4. the change's affected-target names are disjoint from the
-           commit's affected closure — with 1–3 this makes every cached
-           delta digest provably identical against the new base.
+        1. it is not structural;
+        2. its touched paths are disjoint from the committed paths, so its
+           patch still applies and writes the same content;
+        3. the commit kept the graph (a content-only advance); or it only
+           *added* targets — every pre-existing target keeps its
+           declaration — and the analysis reloaded no BUILD file, touches
+           no source of an added target, and taints no target an added
+           one depends on directly.
 
-        A revalidated analysis keeps its taint and touched paths, so its
+        Otherwise it is dropped and recomputed lazily on next use.
+
+        Why a survivor's names cannot have moved.  A digest is an
+        injective frame of the target's declaration, its sources' contents
+        and its dependencies' digests.  So, on any base, a target is
+        tainted by a patch that redeclares nothing (a non-structural one)
+        iff the patch gives one of its sources a content the base does not
+        hold there, or one of its dependencies is tainted.  A patch that
+        leaves a digest unchanged — say it rewrites a source with the text
+        already there — changed none of those inputs on the old base; by
+        (2) the new base holds the same text at every touched path, so it
+        changes none on the new one either.  For the pre-existing targets
+        the declarations, and so the edges, are the same on both bases
+        (3), and induction in dependency order gives the same taint.  An
+        added target has no touched source (3), and its dependencies are
+        added targets — untainted by the same induction — or pre-existing
+        ones outside the taint (3).  Checking direct dependencies is
+        enough: a taint is closed under dependents, so it reaches an added
+        target's transitive dependencies only through a direct one.
+
+        Names are all a verdict reads: the fast path intersects taints,
+        and a content-only analysis reads the current base's graph.  So a
+        survivor keeps its taint and touched paths, and its
         candidate-index entries stand; dropped analyses leave the index.
+        The cost is re-reading the committed BUILD files plus one test
+        per cached analysis, never the repository's targets.
         """
         self.stats.head_advances += 1
         old, self._base = self._base, new_base
-        structural_commit = new_base.graph is not old.graph
-        if structural_commit:
-            self._base_structure = new_base.graph.structure()
 
         survivors: Dict[ChangeId, _ChangeAnalysis] = {}
-        if committed_paths is not None and not structural_commit:
+        if committed_paths is not None:
             committed = frozenset(committed_paths)
-            # The commit's affected names: the committed paths' owners and
-            # their dependents whose digest moved between the two contexts.
-            graph = new_base.graph
-            owners: Set[TargetName] = set()
-            for path in committed:
-                owners.update(graph.targets_owning(path))
-            old_hashes, new_hashes = old.hashes, new_base.hashes
-            commit_affected = {
-                name
-                for name in graph.transitive_dependents(owners)
-                if old_hashes[name] != new_hashes[name]
-            }
-            for change_id, analysis in self._per_change.items():
-                if (
-                    not analysis.structure_changed
-                    and analysis.touched.isdisjoint(committed)
-                    and analysis.taint.isdisjoint(commit_affected)
-                ):
-                    survivors[change_id] = analysis
+            structural_commit = new_base.graph is not old.graph
+            added = new_base.added_targets(old, committed) if structural_commit else []
+            if added is not None:
+                added_names = {target.name for target in added}
+                read_paths = {src for target in added for src in target.srcs}
+                read_targets = {
+                    dep
+                    for target in added
+                    for dep in target.deps
+                    if dep not in added_names
+                }
+                for change_id, analysis in self._per_change.items():
+                    if (
+                        not analysis.structure_changed
+                        and analysis.touched.isdisjoint(committed)
+                        and (
+                            not structural_commit
+                            or (
+                                analysis.graph is None
+                                and analysis.touched.isdisjoint(read_paths)
+                                and analysis.taint.isdisjoint(read_targets)
+                            )
+                        )
+                    ):
+                        survivors[change_id] = analysis
         self.stats.analyses_revalidated += len(survivors)
         # Dropped analyses are *invalidated*, not yet recomputed: the
         # recompute counter moves when analyze() actually redoes the work.
@@ -438,7 +481,7 @@ class ConflictAnalyzer:
             return not a.taint.isdisjoint(b.taint)
         self.stats.slow_path += 1
         return cone_conflict(
-            self._base.graph, a.graph, a.taint, b.graph, b.taint
+            self._base.graph, self._graph_of(a), a.taint, self._graph_of(b), b.taint
         )
 
     def conflict_equation6(self, first: Change, second: Change) -> bool:
@@ -461,4 +504,6 @@ class ConflictAnalyzer:
             for name, digest in BuildContext.load(combined).hashes.items()
             if base_hashes.get(name) != digest
         )
-        return equation6_conflict(a.delta, b.delta, delta_ij)
+        return equation6_conflict(
+            self._delta(a.patch), self._delta(b.patch), delta_ij
+        )

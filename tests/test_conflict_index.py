@@ -156,16 +156,25 @@ class TestCandidates:
             analyzer.base.derive_stack((structural.patch,)).as_root(),
             structural.patch.paths,
         )
-        # Every cached analysis predates the new target graph and is gone,
-        # index entries included, until the next sweep needs it.
-        assert analyzer.cached_change_ids() == frozenset()
-        assert not analyzer._by_taint and not analyzer._by_path
+        # The added target depends on island 0's first target, which a0
+        # taints: a0's analysis is gone, index entries included, until
+        # the next sweep needs it.  b0, on the other island, keeps its
+        # analysis and its entries.
+        assert analyzer.cached_change_ids() == {b0.change_id}
+        assert all(ids == {b0.change_id} for ids in analyzer._by_taint.values())
+        assert set(analyzer._by_path) == set(b0.patch.paths)
         a1 = _clean(0, slot=1)
         assert analyzer.conflict_candidates(a1, [a0, b0]) == [a0.change_id]
-        assert analyzer.stats.analyses_recomputed == 2
+        assert analyzer.stats.analyses_recomputed == 1
         assert analyzer.cached_change_ids() == {
             a0.change_id, b0.change_id, a1.change_id
         }
+        fresh = ConflictAnalyzer(
+            BuildContext.load(structural.patch.apply(dict(FILES)).to_dict())
+        )
+        for change in (a0, b0, a1):
+            assert analyzer.affected_targets(change) == fresh.affected_targets(change)
+            assert analyzer.analyze(change).taint == fresh.analyze(change).taint
 
     def test_checks_plus_skipped_is_the_full_sweep_on_8_islands(self):
         files, changes = mint_partitioned_cell(islands=8, count=64, seed=1911)

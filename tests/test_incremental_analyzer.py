@@ -6,6 +6,8 @@ and the analyzer's carry-over across mainline advances (revalidation,
 recomputation, and ``forget`` eviction).
 """
 
+import copy
+
 import pytest
 
 from repro.buildsys.executor import BuildContext
@@ -14,7 +16,13 @@ from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.changes.change import Change, Developer, next_change_id
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import UnknownTargetError
+from repro.journal import fingerprint_digest
+from repro.predictor.predictors import StaticPredictor
+from repro.service.core import CoreService, CoreServiceConfig
+from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.vcs.patch import Patch, SnapshotOverlay
+from repro.vcs.repository import Repository
+from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
 DEV = Developer("dev1")
 
@@ -189,7 +197,8 @@ class TestAnalyzerIncrementalAnalyze:
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         change = _change(modify(tiny_snapshot, "base/base.py", "BASE = 10\n"))
         analysis = analyzer.analyze(change)
-        assert analysis.graph is analyzer.base.graph
+        # A content-only analysis keeps no graph: it reads the base's.
+        assert analysis.graph is None
         assert not analysis.structure_changed
         # base affects base, lib, app: exactly the closure was rehashed.
         assert analyzer.stats.targets_rehashed == 3
@@ -237,43 +246,63 @@ class TestAdvanceBase:
         )
         return patch.apply(snapshot).to_dict()
 
+    def _assert_fresh(self, analyzer, new_snapshot, *changes):
+        """Each change's analysis reads as a from-scratch analyzer's."""
+        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
+        assert analyzer.base.hashes == fresh.base.hashes
+        for change in changes:
+            a, b = analyzer.analyze(change), fresh.analyze(change)
+            assert (a.taint, a.structure_changed) == (b.taint, b.structure_changed)
+            assert analyzer.affected_targets(change) == fresh.affected_targets(change)
+
     def test_disjoint_analysis_is_revalidated(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
-        before = analyzer.analyze(pending).delta
+        before = analyzer.affected_targets(pending)
         # Commit an edit to the independent tool target.
         commit = modify(tiny_snapshot, "tool/tool.py", "TOOL = 50\n")
         new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
         assert analyzer.stats.analyses_revalidated == 1
         assert analyzer.stats.analyses_recomputed == 0
         assert pending.change_id in analyzer.cached_change_ids()
-        # The carried analysis matches a from-scratch analyzer exactly.
-        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
-        assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta == before
-        # ... and so does the base it now stands on: the survivor's hash
-        # map is that base's plus its delta.
-        assert analyzer.base.hashes == fresh.base.hashes
+        # The carried analysis matches a from-scratch analyzer exactly,
+        # and outside the commit's closure so do the digests.
+        self._assert_fresh(analyzer, new_snapshot, pending)
+        assert analyzer.affected_targets(pending) == before
 
-    def test_overlapping_commit_recomputes(self, tiny_snapshot):
+    def test_commit_into_the_closure_keeps_the_analysis(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
-        analyzer.analyze(pending)
-        # Commit into base/, whose closure reaches app: the cached delta
-        # digests are stale and must be recomputed.
+        before = analyzer.affected_targets(pending)
+        # Commit into base/, whose closure reaches app: app's digest moves,
+        # its name does not, so the analysis stays.
         commit = modify(tiny_snapshot, "base/base.py", "BASE = 99\n")
+        new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
+        assert pending.change_id in analyzer.cached_change_ids()
+        assert set(analyzer._by_taint) == {"//app:app"}
+        assert set(analyzer._by_path) == {"app/app.py"}
+        self._assert_fresh(analyzer, new_snapshot, pending)
+        assert analyzer.affected_targets(pending) != before
+        assert analyzer.stats.analyses == 1
+        assert analyzer.stats.analyses_recomputed == 0
+
+    def test_commit_on_a_touched_path_recomputes(self, tiny_snapshot):
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
+        pending = _change(Patch.modifying({"app/app.py": "APP = 30\n"}))
+        analyzer.analyze(pending)
+        commit = modify(tiny_snapshot, "app/app.py", "APP = 31\n")
         new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
         assert pending.change_id not in analyzer.cached_change_ids()
         # The drop alone is an *invalidation*; the recompute is only
         # counted when analyze() actually redoes the work.
         assert analyzer.stats.analyses_recomputed == 0
-        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
-        assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta
+        self._assert_fresh(analyzer, new_snapshot, pending)
         assert analyzer.stats.analyses_recomputed == 1
         # Re-analyzing again is a cache hit, not another recompute.
         analyzer.analyze(pending)
         assert analyzer.stats.analyses_recomputed == 1
 
-    def test_structural_commit_drops_all_caches(self, tiny_snapshot):
+    def test_add_only_commit_keeps_content_analyses(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         pending = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 41\n"))
         analyzer.analyze(pending)
@@ -284,16 +313,88 @@ class TestAdvanceBase:
             }
         )
         new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
-        assert analyzer.cached_change_ids() == frozenset()
-        assert analyzer.stats.analyses_recomputed == 0
+        assert analyzer.cached_change_ids() == {pending.change_id}
+        assert set(analyzer._by_taint) == {"//tool:tool"}
         # The adopted base is the head's, and structure is judged against
         # it: the committed package is no longer a structure change.
         fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
-        assert analyzer.base.hashes == fresh.base.hashes
         assert analyzer.base.graph.structure() == fresh.base.graph.structure()
-        # The dropped analysis counts as recomputed when redone.
-        assert not analyzer.analyze(pending).structure_changed
+        self._assert_fresh(analyzer, new_snapshot, pending)
+        assert analyzer.stats.analyses_recomputed == 0
+
+    def test_added_target_depending_into_a_taint_drops_it(self, tiny_snapshot):
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
+        into = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 41\n"))
+        elsewhere = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 41\n"))
+        assert not analyzer.conflict(into, elsewhere)
+        # The new target depends on app, whose dependencies lib's taint
+        # reaches: on the new base it is tainted too.
+        commit = Patch.adding(
+            {
+                "newpkg/BUILD": (
+                    "target(name = 'n', srcs = ['n.py'], deps = ['//app:app'])\n"
+                ),
+                "newpkg/n.py": "N = 1\n",
+            }
+        )
+        new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
+        assert analyzer.cached_change_ids() == {elsewhere.change_id}
+        self._assert_fresh(analyzer, new_snapshot, into, elsewhere)
+        assert "//newpkg:n" in analyzer.analyze(into).taint
         assert analyzer.stats.analyses_recomputed == 1
+
+    def test_added_target_reading_a_touched_source_drops_it(self, tiny_snapshot):
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
+        pending = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 41\n"))
+        analyzer.analyze(pending)
+        # tool keeps its declaration; the added twin reads tool.py too.
+        commit = modify(
+            tiny_snapshot,
+            "tool/BUILD",
+            "target(name = 'tool', srcs = ['tool.py'], deps = [])\n"
+            "target(name = 'twin', srcs = ['tool.py'], deps = [])\n",
+        )
+        new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
+        assert analyzer.cached_change_ids() == frozenset()
+        self._assert_fresh(analyzer, new_snapshot, pending)
+        assert analyzer.analyze(pending).taint == {"//tool:tool", "//tool:twin"}
+
+    def test_redeclaring_commit_drops_all_caches(self, tiny_snapshot):
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
+        pending = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 41\n"))
+        analyzer.analyze(pending)
+        # app now depends on tool: a pre-existing target is redeclared.
+        commit = modify(
+            tiny_snapshot,
+            "app/BUILD",
+            "target(name = 'app', srcs = ['app.py'],"
+            " deps = ['//lib:lib', '//tool:tool'])\n",
+        )
+        new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
+        assert analyzer.cached_change_ids() == frozenset()
+        self._assert_fresh(analyzer, new_snapshot, pending)
+        assert analyzer.analyze(pending).taint == {"//tool:tool", "//app:app"}
+        assert analyzer.stats.analyses_recomputed == 1
+
+    def test_build_reloading_analysis_survives_content_advances_only(
+        self, tiny_snapshot
+    ):
+        analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
+        path = "tool/BUILD"
+        tweak = _change(modify(tiny_snapshot, path, tiny_snapshot[path] + "# x\n"))
+        assert analyzer.analyze(tweak).graph is not None
+        assert not analyzer.analyze(tweak).structure_changed
+        snapshot = self._advance(
+            analyzer, tiny_snapshot, modify(tiny_snapshot, "lib/lib.py", "LIB = 7\n")
+        )
+        assert analyzer.cached_change_ids() == {tweak.change_id}
+        self._assert_fresh(analyzer, snapshot, tweak)
+        # Its own graph predates any added target: an add-only advance
+        # drops it.
+        added = Patch.adding({"newpkg/BUILD": "target(name = 'n', srcs = [])\n"})
+        snapshot = self._advance(analyzer, snapshot, added)
+        assert analyzer.cached_change_ids() == frozenset()
+        self._assert_fresh(analyzer, snapshot, tweak)
 
     def test_advance_without_paths_rebuilds(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
@@ -303,24 +404,95 @@ class TestAdvanceBase:
         new_snapshot = commit.apply(tiny_snapshot).to_dict()
         analyzer.advance_base(analyzer.base.derive_stack((commit,)).as_root(), None)
         assert analyzer.cached_change_ids() == frozenset()
-        fresh = ConflictAnalyzer(BuildContext.load(new_snapshot))
-        assert analyzer.base.hashes == fresh.base.hashes
-        assert analyzer.analyze(pending).delta == fresh.analyze(pending).delta
+        self._assert_fresh(analyzer, new_snapshot, pending)
 
     def test_index_keeps_only_revalidated_analyses(self, tiny_snapshot):
         analyzer = ConflictAnalyzer(BuildContext.load(tiny_snapshot))
         kept = _change(modify(tiny_snapshot, "tool/tool.py", "TOOL = 40\n"))
-        dropped = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 20\n"))
-        assert not analyzer.conflict(kept, dropped)
-        # base's closure reaches lib (and app), not tool.
+        moved = _change(modify(tiny_snapshot, "lib/lib.py", "LIB = 20\n"))
+        assert not analyzer.conflict(kept, moved)
+        index = (dict(analyzer._by_taint), dict(analyzer._by_path))
+        # base's closure reaches lib (and app), not tool: lib's digests
+        # move, its names stay, and both analyses keep their entries.
         commit = modify(tiny_snapshot, "base/base.py", "BASE = 52\n")
-        self._advance(analyzer, tiny_snapshot, commit)
-        assert analyzer.cached_change_ids() == {kept.change_id}
-        assert set(analyzer._by_path) == {"tool/tool.py"}
-        assert all(ids == {kept.change_id} for ids in analyzer._by_taint.values())
-        # The dropped change is analysed again on the next sweep, and found.
+        new_snapshot = self._advance(analyzer, tiny_snapshot, commit)
+        assert analyzer.cached_change_ids() == {kept.change_id, moved.change_id}
+        assert (analyzer._by_taint, analyzer._by_path) == index
+        self._assert_fresh(analyzer, new_snapshot, kept, moved)
+        # The carried entries answer the next sweep without re-analysis.
         late = _change(modify(tiny_snapshot, "app/app.py", "APP = 30\n"))
-        assert analyzer.conflict_candidates(late, [kept, dropped]) == [
-            dropped.change_id
+        assert analyzer.conflict_candidates(late, [kept, moved]) == [
+            moved.change_id
         ]
-        assert analyzer.stats.analyses_recomputed == 1
+        assert analyzer.stats.analyses == 3
+        assert analyzer.stats.analyses_recomputed == 0
+        # A commit on a touched path drops just that one, and its entries.
+        commit = modify(new_snapshot, "tool/tool.py", "TOOL = 53\n")
+        self._advance(analyzer, new_snapshot, commit)
+        assert analyzer.cached_change_ids() == {moved.change_id, late.change_id}
+        assert "tool/tool.py" not in analyzer._by_path
+        assert "//tool:tool" not in analyzer._by_taint
+
+
+class TestServiceCarryOver:
+    """Carrying analyses across head advances changes no decision: a
+    service that drops every analysis at every advance decides the same."""
+
+    @staticmethod
+    def _stream():
+        """Clean edits, conflicting pairs, broken edits and added packages,
+        on pairwise distinct paths so every patch applies when it lands."""
+        synth = SyntheticMonorepo(
+            MonorepoSpec(layers=(3, 5, 4), fan_in=2, files_per_target=4), seed=17
+        )
+        files = synth.repo.snapshot().to_dict()
+        names = synth.target_names()
+        changes = []
+        for k in range(24):
+            name = names[(5 * k) % len(names)]
+            changes.append(synth.make_clean_change(name, source_index=2 + k // 12))
+            if k % 6 == 1:
+                changes.append(synth.make_structural_change())
+            elif k % 6 == 3:
+                changes.extend(synth.make_conflicting_pair(target_name=names[k // 6]))
+            elif k % 6 == 5:
+                changes.append(synth.make_broken_change(names[4 + k // 6]))
+        return files, changes
+
+    @staticmethod
+    def _run(files, changes):
+        service = CoreService(
+            Repository(dict(files)),
+            SubmitQueueStrategy(StaticPredictor(success=0.9, conflict=0.05)),
+            config=CoreServiceConfig(workers=4),
+        )
+        for position, change in enumerate(copy.deepcopy(changes)):
+            service.enqueue(change, at=position * 3.0)
+        decisions = [(d.change_id, d.committed, d.at, d.reason) for d in service.pump()]
+        stats = service.analyzer.stats
+        service.close()
+        return decisions, fingerprint_digest(service), stats
+
+    def test_dropping_every_analysis_decides_the_same(self, monkeypatch):
+        files, changes = self._stream()
+        decisions, digest, carried = self._run(files, changes)
+        with monkeypatch.context() as patched:
+            # Unknown committed paths: advance_base drops everything.
+            patched.setattr(
+                CoreService, "_committed_paths_since", lambda self, old_head: None
+            )
+            dropped_decisions, dropped_digest, dropped = self._run(files, changes)
+        assert decisions == dropped_decisions
+        assert digest == dropped_digest
+        assert (carried.fast_path, carried.slow_path, carried.skipped) == (
+            dropped.fast_path,
+            dropped.slow_path,
+            dropped.skipped,
+        )
+        # The stream exercised the carry-over: heads advanced under
+        # pending analyses, and survivors were not recomputed.
+        assert dropped.analyses_revalidated == 0
+        assert carried.analyses_revalidated > 0
+        assert carried.analyses < dropped.analyses
+        assert carried.slow_path > 0
+        assert any(not committed for _, committed, _, _ in decisions)

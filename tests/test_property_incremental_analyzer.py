@@ -1,15 +1,16 @@
 """Property test: the incremental analyzer is indistinguishable from a
 from-scratch one.
 
-For random sequences of pending changes, mainline commits, and decisions,
-a single carried-over :class:`ConflictAnalyzer` (overlays + dirty-set
-hashing + ``advance_base`` revalidation + ``forget`` eviction) must
-produce exactly the same deltas, structure flags, base hash maps, and
-pairwise verdicts as a fresh analyzer rebuilt from the head snapshot at
-every step.
+For random sequences of pending changes, mainline commits (one at a time,
+or two at once as a service advances lazily over a union of commits), and
+decisions, a single carried-over :class:`ConflictAnalyzer` (overlays +
+dirty-set hashing + ``advance_base`` revalidation + ``forget`` eviction)
+must produce exactly the same affected targets, taints, structure flags,
+base hash maps, and pairwise verdicts as a fresh analyzer rebuilt from the
+head snapshot at every step.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.buildsys.executor import BuildContext
@@ -33,10 +34,10 @@ for _i in range(5):
         ")\n"
     )
 
-PEND, COMMIT, DECIDE = 0, 1, 2
+PEND, COMMIT, DECIDE, COMMIT_TWO = 0, 1, 2, 3
 
 step_strategy = st.tuples(
-    st.sampled_from([PEND, PEND, COMMIT, COMMIT, DECIDE]),
+    st.sampled_from([PEND, PEND, COMMIT, COMMIT, DECIDE, COMMIT_TWO]),
     st.integers(min_value=0, max_value=3),  # patch kind (0/1 src, 2 BUILD, 3 new pkg)
     st.integers(min_value=0, max_value=4),  # package choice
     st.integers(min_value=0, max_value=1),  # source-file choice
@@ -82,12 +83,23 @@ def _assert_equivalent(incremental, head, pending):
     for change in pending:
         a = incremental.analyze(change)
         b = fresh.analyze(change)
-        assert a.delta == b.delta, change.change_id
+        assert incremental.affected_targets(change) == fresh.affected_targets(
+            change
+        ), change.change_id
         assert a.structure_changed == b.structure_changed, change.change_id
         # With the bases equal, equal deltas and taints are equal hash
         # maps: a change's map is its base's plus its delta, minus what
         # it removed.
         assert a.taint == b.taint, change.change_id
+    # The candidate index is the one the cached analyses would build.
+    by_taint, by_path = {}, {}
+    for change_id, analysis in incremental._per_change.items():
+        if not analysis.structure_changed:
+            for name in analysis.taint:
+                by_taint.setdefault(name, set()).add(change_id)
+            for path in analysis.touched:
+                by_path.setdefault(path, set()).add(change_id)
+    assert (incremental._by_taint, incremental._by_path) == (by_taint, by_path)
     for i, first in enumerate(pending):
         for second in pending[i + 1:]:
             assert incremental.conflict(first, second) == fresh.conflict(
@@ -97,6 +109,17 @@ def _assert_equivalent(incremental, head, pending):
 
 @given(st.lists(step_strategy, min_size=1, max_size=10))
 @settings(max_examples=60, deadline=None)
+# A content-only commit below a pending edit: p2's digests move, its
+# names do not.
+@example([(PEND, 0, 2, 0), (COMMIT, 0, 0, 0), (PEND, 1, 2, 1)])
+# An added package depending on p2, which the first pending edit taints
+# and the second does not.
+@example([(PEND, 0, 1, 0), (PEND, 0, 3, 0), (COMMIT, 3, 2, 0)])
+# BUILD comment tweaks, pending and committed: a new graph object, the
+# same structure.
+@example([(PEND, 2, 3, 0), (PEND, 0, 1, 0), (COMMIT, 2, 0, 0), (COMMIT, 0, 4, 1)])
+# Two commits in one advance: an added package and a content edit.
+@example([(PEND, 0, 3, 0), (PEND, 2, 4, 0), (COMMIT_TWO, 1, 0, 1)])
 def test_incremental_equals_from_scratch_across_head_advances(steps):
     head = dict(BASE_FILES)
     analyzer = ConflictAnalyzer(BuildContext.load(dict(head)))
@@ -112,6 +135,15 @@ def test_incremental_equals_from_scratch_across_head_advances(steps):
             head = patch.apply(head).to_dict()
             analyzer.advance_base(
                 analyzer.base.derive_stack((patch,)).as_root(), patch.paths
+            )
+        elif action == COMMIT_TWO:
+            # A package depending on p{pkg}, and an edit of p{pkg + kind}.
+            added = _mint_patch(head, 3, pkg, src, 1_000 + serial)
+            edited = _mint_patch(head, src, (pkg + kind) % 5, src, 2_000 + serial)
+            head = edited.apply(added.apply(head)).to_dict()
+            analyzer.advance_base(
+                analyzer.base.derive_stack((added, edited)).as_root(),
+                set(added.paths) | set(edited.paths),
             )
         else:  # DECIDE: the oldest pending change leaves the queue
             if pending:

@@ -256,15 +256,17 @@ def test_opposite_edges_pair_conflicts():
 
 def test_taint_is_the_direct_tagging_including_removed_targets():
     analyzer = ConflictAnalyzer(BuildContext.load(dict(CYCLE_BASE)))
-    content = analyzer.analyze(_rewrite("C1", {"b/b.py": "B2"}))
+    edit = _rewrite("C1", {"b/b.py": "B2"})
+    content = analyzer.analyze(edit)
     assert content.taint == {"//a:a", "//b:b"}
-    assert content.taint == {item.name for item in content.delta}
+    assert content.taint == {item.name for item in analyzer.affected_targets(edit)}
 
     removal = Change(
         "C2", "R-C2", _DEV, patch=Patch.deleting(["e/BUILD", "e/e.py"])
     )
     analysis = analyzer.analyze(removal)
-    assert analysis.delta == frozenset()  # nothing changed or appeared
+    # Nothing changed or appeared.
+    assert analyzer.affected_targets(removal) == frozenset()
     assert analysis.taint == {"//e:e"}
     assert analysis.taint == _taint(
         analyzer.base.hashes, analyzer.base.derive_stack((removal.patch,)).hashes
