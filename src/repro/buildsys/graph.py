@@ -187,16 +187,6 @@ class BuildGraph:
             raise DependencyCycleError(sorted(member - set(order)))
         return order
 
-    # -- structure ---------------------------------------------------------
-
-    def structure(self) -> frozenset:
-        """Canonical structural fingerprint (section 5.2).
-
-        Content-only changes leave this untouched; adding/removing targets,
-        rewiring deps, or moving sources between targets all change it.
-        """
-        return frozenset(target.definition() for target in self)
-
     # -- shape metrics -----------------------------------------------------
 
     def depth(self) -> int:

@@ -15,9 +15,10 @@ snapshots.  Three disjoint roles drive replay:
   replay cursor skips.
 
 The same record dicts are the service's trace: ``CoreService._emit``
-hands each one to the journal and to ``Recorder.observe``, whose fold
-reads the three fields schema v4 added — ``epoch.queue``,
-``build_finish.success`` and ``decision.turnaround``.
+hands each one to the journal and to ``Recorder.event``, which keeps it;
+the trace fold (``repro.obs.recorder.fold``) reads the three fields
+schema v4 added — ``epoch.queue``, ``build_finish.success`` and
+``decision.turnaround``.
 
 Canonicalization rules: every payload is built from JSON-native types
 only (so an emitted record compares equal to its decoded twin), sets —

@@ -5,10 +5,12 @@ perf/fault-injection roadmap items build on):
 
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges,
   labeled histograms; Prometheus text + JSON exposition;
-* :class:`~repro.obs.tracer.SpanTracer` — simulated-clock spans
-  (epoch/build/pump, and worker step spans spliced under a build) with
-  explicit parent links; JSONL + Chrome trace export;
-* :class:`~repro.obs.recorder.Recorder` — the injectable bundle of both;
+* :class:`~repro.obs.tracer.SpanTracer` — simulated-clock ``pump`` spans
+  with explicit parent links, and the Chrome trace conversion;
+* :class:`~repro.obs.recorder.Recorder` — the injectable bundle of both,
+  plus the service's lifecycle records; :meth:`~repro.obs.recorder.Recorder.trace`
+  folds them (epoch/build spans, worker step spans under a build,
+  decision events) into the JSONL trace when it is read;
   :data:`~repro.obs.recorder.NULL_RECORDER` is the zero-cost default;
 * :mod:`repro.obs.schema` — the JSONL trace schema and validator;
 * :mod:`repro.obs.slo` — rolling-window SLO aggregation (turnaround
@@ -29,11 +31,10 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracer import Event, Span, SpanTracer
+from repro.obs.tracer import Span, SpanTracer
 
 __all__ = [
     "Counter",
-    "Event",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -5,43 +5,42 @@ to the module-level :data:`NULL_RECORDER`, whose every operation is a
 no-op — the simulator benchmarks pay one attribute read and a falsy
 branch (``if recorder.enabled:``) per instrumentation site, nothing more.
 
-A live :class:`Recorder` owns one :class:`~repro.obs.registry.MetricsRegistry`
-and one :class:`~repro.obs.tracer.SpanTracer` and writes the combined
-run record as JSONL (meta line, span/event lines, one trailing metrics
-line) — the file ``python -m repro obs report`` replays.
-
-A service's lifecycle trace is :meth:`Recorder.observe`'s fold over its
-journal records (``repro.journal.records``), so ``recover(...,
-recorder=...)`` rebuilds the trace of the run it replays.
+A live :class:`Recorder` owns one :class:`~repro.obs.registry.MetricsRegistry`,
+one :class:`~repro.obs.tracer.SpanTracer` (the service's ``pump`` spans)
+and the service's journal records (``repro.journal.records``), kept as
+:meth:`Recorder.event` takes them.  The trace is :func:`fold` over those
+records, run when it is read (:meth:`Recorder.trace`), so ``recover(...,
+recorder=...)`` rebuilds the trace of the run it replays.  The combined
+run record is written as JSONL (meta line, span/event lines, one trailing
+metrics line) — the file ``python -m repro obs report`` replays.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+import math
+from itertools import count
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import TRACE_SCHEMA_VERSION
-from repro.obs.tracer import Span, SpanTracer
+from repro.obs.tracer import Span, SpanTracer, chrome_trace_from_records
 
 
 class Recorder:
-    """A live recorder: metrics and spans land in real collectors."""
+    """A live recorder: metrics land in a registry, ``pump`` spans in a
+    tracer, and lifecycle records in :attr:`records`."""
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[SpanTracer] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else SpanTracer(clock)
-        #: The fold's state: the open epoch span, open build spans by key,
-        #: and backend worker responses waiting for their build's span.
-        self._epoch: Optional[Span] = None
-        self._builds: Dict[Tuple, Span] = {}
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = SpanTracer(clock)
+        #: The lifecycle records :meth:`event` took, in emission order.
+        self.records: List[Mapping[str, object]] = []
+        #: Worker responses by the position of the ``build_start`` record
+        #: that took them, and responses still waiting for that record.
+        self._workers: Dict[int, object] = {}
         self._parked: Dict[Tuple, List[object]] = {}
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
@@ -70,130 +69,33 @@ class Recorder:
     def finish_span(self, span: Span, **kwargs) -> Span:
         return self.tracer.finish(span, **kwargs)
 
-    def splice_span(self, name: str, start: float, end: float, **kwargs) -> Span:
-        return self.tracer.splice(name, start, end, **kwargs)
+    # -- lifecycle records -----------------------------------------------------
 
-    def event(self, name: str, **kwargs):
-        return self.tracer.event(name, **kwargs)
-
-    # -- the lifecycle fold ----------------------------------------------------
-
-    def observe(self, record: Mapping[str, object]) -> None:
-        """Fold one lifecycle record into the trace.
-
-        An ``epoch`` record opens the epoch span (closing the previous
-        one) and closes the builds it aborted; ``build_start`` opens a
-        build span under it and ``build_finish`` closes that span with the
-        build's outcome; ``worker`` sets the epoch's busy count and every
-        ``decision`` counts toward it.  ``submit``, ``decision``,
-        ``commit`` and ``batch`` become events; other records trace
-        nothing.
-        """
-        kind, at = record["t"], record["at"]
-        if kind == "build_start":
+    def event(self, record: Mapping[str, object]) -> None:
+        """Keep one lifecycle record as is; a ``build_start`` also takes
+        the worker response parked for its key."""
+        if self._parked and record["t"] == "build_start":
             key = record["key"]
             ident = (key["c"], tuple(key["a"]))
-            track = f"change:{key['c']}"
-            span = self.start_span(
-                "build", category="build", track=track, at=at, parent=self._epoch
-            )
-            self._builds[ident] = span
             parked = self._parked.get(ident)
             if parked:
-                self._splice_worker_spans(span, parked.pop(0), record["duration"])
+                self._workers[len(self.records)] = parked.pop(0)
                 if not parked:
                     del self._parked[ident]
-        elif kind == "build_finish":
-            key = record["key"]
-            span = self._builds.pop((key["c"], tuple(key["a"])), None)
-            if span is not None:
-                self._close(span, at, success=record["success"])
-        elif kind == "epoch":
-            if self._epoch is not None:
-                self._close(self._epoch, at)
-            started, aborted = record["started"], record["aborted"]
-            self._epoch = self.start_span(
-                "epoch",
-                category="planner",
-                at=at,
-                queue_depth=record["queue"],
-                builds_started=len(started),
-                builds_aborted=len(aborted),
-                decisions=0,
-            )
-            for key in aborted:
-                span = self._builds.pop((key["c"], tuple(key["a"])), None)
-                if span is not None:
-                    self._close(span, at, aborted=True)
-        elif kind == "worker":
-            self._epoch.attrs["workers_busy"] = record["busy"]
-        elif kind == "decision":
-            self._epoch.attrs["decisions"] += 1
-            self.event(
-                "decision",
-                category="planner",
-                at=at,
-                change_id=record["change"],
-                verdict="committed" if record["committed"] else "rejected",
-                turnaround=record["turnaround"],
-            )
-        elif kind == "submit":
-            change_id = record["change"]["id"]
-            self.event("submit", category="service", at=at, change_id=change_id)
-        elif kind == "commit":
-            attrs = {"change_id": record["change"], "index": record["index"]}
-            self.event("commit", category="service", at=at, **attrs)
-        elif kind == "batch":
-            attrs = {"kind": record["kind"], "depth": record["depth"]}
-            size = len(record["members"])
-            self.event("batch", category="planner", at=at, size=size, **attrs)
-
-    def _close(self, span: Span, at: float, **attrs: object) -> None:
-        """Finish ``span`` unless an export already closed it."""
-        if span.end is None:
-            self.finish_span(span, at=at, **attrs)
+        self.records.append(record)
 
     def park_worker_spans(self, key, response) -> None:
         """Hold a worker's response for ``key`` (a ``BuildKey``) until the
-        key's next ``build_start`` opens its span; responses arrive in
-        dispatch order, the order of those records."""
+        key's next ``build_start`` record; responses arrive in dispatch
+        order, the order of those records."""
         ident = (key.change_id, tuple(sorted(key.assumed)))
         self._parked.setdefault(ident, []).append(response)
 
-    def _splice_worker_spans(self, build: Span, response, duration: float) -> None:
-        """Graft a worker's wall-clock spans under ``build``.
-
-        Sim placement is proportional: the build occupies
-        ``[start, start + duration]`` in simulated minutes and the
-        worker's request occupied ``response.wall_seconds`` of real time,
-        so each worker span maps onto the build span by its wall-clock
-        fraction — containment under the build span holds by
-        construction.  The raw wall-clock edges ride along (epoch seconds,
-        ``wall_track`` = the worker process) so the Chrome view shows real
-        per-worker-slot occupancy next to simulated time.
-        """
-        total_wall = response.wall_seconds
-        scale = duration / total_wall if total_wall > 0.0 else 0.0
-        wall_track = f"worker:pid{response.worker_pid}"
-        for span in response.step_spans:
-            sim_start = build.start + scale * span.wall_offset
-            sim_end = build.start + scale * (span.wall_offset + span.wall_duration)
-            wall_start = response.wall_started + span.wall_offset
-            self.splice_span(
-                span.name,
-                start=sim_start,
-                end=max(sim_end, sim_start),
-                parent_id=build.span_id,
-                category="worker",
-                track=build.track,
-                wall_start=wall_start,
-                wall_end=wall_start + span.wall_duration,
-                wall_track=wall_track,
-                kind=span.kind,
-                target=span.target,
-                step=span.step,
-                worker_pid=response.worker_pid,
-            )
+    def trace(self, at: Optional[float] = None) -> List[Dict[str, object]]:
+        """Span/event records of the run so far: :func:`fold` with spans
+        still open ending at ``at`` (default: the current clock)."""
+        horizon = self.tracer.now() if at is None else float(at)
+        return fold(self.records, self._workers, self.tracer.spans(), horizon)
 
     # -- export --------------------------------------------------------------
 
@@ -207,7 +109,7 @@ class Recorder:
                 "clock": "simulated-minutes",
             }
         ]
-        records.extend(self.tracer.snapshot_records())
+        records.extend(self.trace())
         records.append({"type": "metrics", "metrics": self.registry.to_json()})
         return records
 
@@ -223,10 +125,194 @@ class Recorder:
     def write_chrome_trace(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             self.tracer.finish_open()
-            json.dump(self.tracer.snapshot_chrome_trace(), handle, indent=1)
+            json.dump(chrome_trace_from_records(self.trace()), handle, indent=1)
 
     def prometheus_text(self) -> str:
         return self.registry.to_prometheus()
+
+
+# -- the trace fold ------------------------------------------------------------
+
+
+def fold(
+    records: Sequence[Mapping[str, object]],
+    workers: Mapping[int, object],
+    pump_spans: Sequence[Span],
+    horizon: float,
+) -> List[Dict[str, object]]:
+    """The trace of lifecycle ``records``: schema-v1 span/event dicts
+    (:mod:`repro.obs.schema`), ``pump_spans`` included, sorted by
+    ``(start | at, id)``.
+
+    An ``epoch`` record opens the epoch span (closing the previous one)
+    and closes the builds it aborted; ``build_start`` opens a build span
+    under it, with the spans of the worker response ``workers`` holds
+    under its position as children, and ``build_finish`` closes that span
+    with the build's outcome; ``worker`` sets the epoch's busy count and
+    every ``decision`` counts toward it.  ``submit``, ``decision``,
+    ``commit`` and ``batch`` become events; other records trace nothing.
+    A span still open ends at ``max(horizon, start)``.  Nothing passed in
+    is changed, so every read folds the same records afresh.
+    """
+    ids = count(max((span.span_id for span in pump_spans), default=0) + 1)
+    out = [
+        _span(
+            span.span_id,
+            span.name,
+            span.category,
+            span.track,
+            span.start,
+            span.parent_id,
+            dict(span.attrs),
+            span.end,
+        )
+        for span in pump_spans
+    ]
+
+    def open_span(name, category, track, at, parent, **attrs):
+        parent_id = parent["id"] if parent is not None else None
+        span = _span(next(ids), name, category, track, at, parent_id, attrs)
+        out.append(span)
+        return span
+
+    def close(span, at, **attrs):
+        span["end"] = at
+        span["attrs"].update(attrs)
+
+    def instant(name, category, at, **attrs):
+        out.append(
+            {
+                "type": "event",
+                "id": next(ids),
+                "name": name,
+                "cat": category,
+                "track": "service",
+                "at": at,
+                "attrs": attrs,
+            }
+        )
+
+    epoch: Optional[Dict[str, object]] = None
+    builds: Dict[Tuple, Dict[str, object]] = {}
+    for position, record in enumerate(records):
+        kind, at = record["t"], float(record["at"])
+        if kind == "build_start":
+            key = record["key"]
+            build = open_span("build", "build", f"change:{key['c']}", at, epoch)
+            builds[key["c"], tuple(key["a"])] = build
+            response = workers.get(position)
+            if response is not None:
+                out.extend(_worker_spans(ids, build, response, record["duration"]))
+        elif kind == "build_finish":
+            key = record["key"]
+            build = builds.pop((key["c"], tuple(key["a"])), None)
+            if build is not None:
+                close(build, at, success=record["success"])
+        elif kind == "epoch":
+            if epoch is not None:
+                close(epoch, at)
+            started, aborted = record["started"], record["aborted"]
+            epoch = open_span(
+                "epoch",
+                "planner",
+                "service",
+                at,
+                None,
+                queue_depth=record["queue"],
+                builds_started=len(started),
+                builds_aborted=len(aborted),
+                decisions=0,
+            )
+            for key in aborted:
+                build = builds.pop((key["c"], tuple(key["a"])), None)
+                if build is not None:
+                    close(build, at, aborted=True)
+        elif kind == "worker":
+            epoch["attrs"]["workers_busy"] = record["busy"]
+        elif kind == "decision":
+            epoch["attrs"]["decisions"] += 1
+            instant(
+                "decision",
+                "planner",
+                at,
+                change_id=record["change"],
+                verdict="committed" if record["committed"] else "rejected",
+                turnaround=record["turnaround"],
+            )
+        elif kind == "submit":
+            instant("submit", "service", at, change_id=record["change"]["id"])
+        elif kind == "commit":
+            attrs = {"change_id": record["change"], "index": record["index"]}
+            instant("commit", "service", at, **attrs)
+        elif kind == "batch":
+            attrs = {"kind": record["kind"], "depth": record["depth"]}
+            instant("batch", "planner", at, size=len(record["members"]), **attrs)
+    for span in out:
+        if span["type"] == "span" and span["end"] is None:
+            span["end"] = max(horizon, span["start"])
+    out.sort(key=lambda r: (r.get("start", r.get("at")), r["id"]))
+    return out
+
+
+def _span(span_id, name, category, track, start, parent, attrs, end=None):
+    return {
+        "type": "span",
+        "id": span_id,
+        "name": name,
+        "cat": category,
+        "track": track,
+        "start": start,
+        "end": end,
+        "parent": parent,
+        "attrs": attrs,
+    }
+
+
+def _worker_spans(ids, build, response, duration: float):
+    """A worker's wall-clock spans as children of ``build``.
+
+    Sim placement is proportional: the build occupies
+    ``[start, start + duration]`` in simulated minutes and the worker's
+    request occupied ``response.wall_seconds`` of real time, so each
+    worker span maps onto the build span by its wall-clock fraction —
+    containment under the build span holds by construction (an inverted
+    interval clamps to zero width).  The raw wall-clock edges ride along
+    (epoch seconds, ``wall_track`` = the worker process) so the Chrome
+    view shows real per-worker-slot occupancy next to simulated time; a
+    missing or non-finite edge drops the pair (strict JSON has no NaN).
+    """
+    start, track = build["start"], build["track"]
+    total_wall = response.wall_seconds
+    scale = duration / total_wall if total_wall > 0.0 else 0.0
+    for step in response.step_spans:
+        sim_start = start + scale * step.wall_offset
+        sim_end = start + scale * (step.wall_offset + step.wall_duration)
+        attrs = {
+            "kind": step.kind,
+            "target": step.target,
+            "step": step.step,
+            "worker_pid": response.worker_pid,
+        }
+        span = _span(
+            next(ids),
+            step.name,
+            "worker",
+            track,
+            sim_start,
+            build["id"],
+            attrs,
+            max(sim_end, sim_start),
+        )
+        try:
+            wall_start = float(response.wall_started) + step.wall_offset
+            wall_end = wall_start + step.wall_duration
+        except TypeError:
+            wall_start = wall_end = math.nan
+        if math.isfinite(wall_start) and math.isfinite(wall_end):
+            span["wall_start"] = wall_start
+            span["wall_end"] = max(wall_end, wall_start)
+            span["wall_track"] = f"worker:pid{response.worker_pid}"
+        yield span
 
 
 class _NullMetric:
@@ -290,13 +376,7 @@ class NullRecorder(Recorder):
     def finish_span(self, span: Span, **kwargs) -> Span:
         return span
 
-    def splice_span(self, name: str, start: float, end: float, **kwargs) -> Span:
-        return _NULL_SPAN
-
-    def event(self, name: str, **kwargs):
-        return None
-
-    def observe(self, record) -> None:
+    def event(self, record) -> None:
         pass
 
     def park_worker_spans(self, key, response) -> None:

@@ -25,7 +25,8 @@ belongs to no span.  Traces written before events lost their ``"span"``
 key carry ``"span": null`` on every event; readers ignore it.
 
 A service's lifecycle spans and events are folded from its journal
-records (``Recorder.observe``), one per record that says something:
+records when the trace is read (``repro.obs.recorder.fold``), one per
+record that says something:
 
 * ``epoch`` span (track ``service``) per ``epoch`` record — a plan that
   starts or aborts nothing has no record and gets no span.  It runs to
@@ -39,8 +40,9 @@ records (``Recorder.observe``), one per record that says something:
   ``commit`` (``change_id``, ``index``) and ``batch`` (``kind``,
   ``size``, ``depth``) events.
 
-``pump`` spans and the wall-clock ``worker`` spans spliced under a build
-are the only spans no record describes.
+``pump`` spans (the tracer's) and the wall-clock ``worker`` spans a
+build's worker response adds under its span are the only spans no record
+describes.  Span ids are assigned in fold order.
 
 Validation is hand-rolled (no jsonschema dependency): structural checks
 plus the cross-record invariants that make a trace *replayable* — unique

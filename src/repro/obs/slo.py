@@ -4,12 +4,12 @@ The paper's production service is operated through dashboards tracking
 per-change turnaround and queue health (section 3, figure 3); this
 module computes the equivalent service-level signals — turnaround
 percentiles, speculation hit rate, worker utilization — from the same
-trace records the :class:`~repro.obs.recorder.Recorder` already emits,
-so the live ``/slo`` endpoint needs no second instrumentation path.
+trace the :class:`~repro.obs.recorder.Recorder` exports, so the live
+``/slo`` endpoint needs no second instrumentation path.
 
 :func:`compute_slo` is a pure function over parsed trace records (the
-``snapshot_records`` shape); :class:`SloAggregator`
-wraps it around a live tracer for the HTTP service.  The window is a
+:meth:`~repro.obs.recorder.Recorder.trace` shape); :class:`SloAggregator`
+wraps it around a live recorder for the HTTP service.  The window is a
 *rolling* cut in simulated minutes: only decisions made and build time
 spent inside ``[now - window, now]`` count, matching how an operator
 watches a dashboard rather than a whole-run average.
@@ -84,7 +84,7 @@ def compute_slo(
         ):
             turnarounds.append(float(turnaround))
 
-    total = succeeded = aborted = superseded = 0
+    total = succeeded = aborted = 0
     busy_minutes = 0.0
     for span in builds:
         start, end = float(span["start"]), float(span["end"])
@@ -95,8 +95,6 @@ def compute_slo(
         total += 1
         if attrs.get("aborted"):
             aborted += 1
-        elif attrs.get("superseded"):
-            superseded += 1
         elif attrs.get("success"):
             succeeded += 1
 
@@ -104,7 +102,7 @@ def compute_slo(
     utilization: Optional[float] = None
     if worker_capacity and span_minutes > 0.0:
         utilization = busy_minutes / (worker_capacity * span_minutes)
-    finished = total - aborted - superseded
+    finished = total - aborted
     payload = {
         "window_minutes": window_minutes,
         "now": cut,
@@ -116,7 +114,6 @@ def compute_slo(
             "builds": total,
             "succeeded": succeeded,
             "aborted": aborted,
-            "superseded": superseded,
             "hit_rate": succeeded / finished if finished else 0.0,
         },
         "workers": {
@@ -157,29 +154,29 @@ def compute_slo(
 
 
 class SloAggregator:
-    """Live ``/slo`` view over a tracer: rolling window, recomputed on read.
+    """Live ``/slo`` view over a recorder: rolling window, recomputed on read.
 
-    Recomputing from :meth:`~repro.obs.tracer.SpanTracer.snapshot_records`
-    on each call keeps the aggregator stateless (open spans contribute
-    their elapsed portion, re-reads can never double-count) at O(records)
-    per request — the right trade for a dashboard endpoint polled every
-    few seconds.
+    Recomputing from :meth:`~repro.obs.recorder.Recorder.trace` on each
+    call keeps the aggregator stateless (open spans contribute their
+    elapsed portion, re-reads can never double-count) at O(records) per
+    request — the right trade for a dashboard endpoint polled every few
+    seconds.
     """
 
     def __init__(
         self,
-        tracer,
+        recorder,
         window_minutes: float = DEFAULT_WINDOW_MINUTES,
         worker_capacity: Optional[int] = None,
     ) -> None:
         if window_minutes <= 0.0:
             raise ValueError("window_minutes must be positive")
-        self.tracer = tracer
+        self.recorder = recorder
         self.window_minutes = window_minutes
         self.worker_capacity = worker_capacity
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:
-        records = self.tracer.snapshot_records(at=now)
+        records = self.recorder.trace(at=now)
         return compute_slo(
             records,
             now=now,

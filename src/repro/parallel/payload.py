@@ -40,9 +40,9 @@ class BuildRequest:
     zero — the default — makes execution purely synthetic.
 
     ``traced`` asks the worker to capture per-step wall-clock spans and
-    ship them back in ``BuildResponse.step_spans``; the parent, which
-    kept the dispatching build span, splices them under it at
-    resolution.  False (the default) keeps the worker's fast path
+    ship them back in ``BuildResponse.step_spans``; the parent's
+    recorder keeps them with the dispatching build's ``build_start``
+    record, and the trace renders them under that build's span.  False (the default) keeps the worker's fast path
     span-free.
     """
 

@@ -447,9 +447,9 @@ class FullStackBuildController(BuildController):
         downstream decision) is bit-identical to what the serial oracle
         computes.
 
-        A traced response's wall-clock step spans go to the recorder,
-        which splices them under the build's span once its
-        ``build_start`` record opens it.
+        A traced response goes to the recorder, which keeps it with the
+        key's next ``build_start`` record; the trace renders its
+        wall-clock step spans under that build's span.
         """
         if response is None or response.error is not None:
             reason = "no response" if response is None else response.error

@@ -12,8 +12,8 @@ read-only operations surface:
 * ``GET /state``    — queue depth, greenness, per-change status;
 * ``GET /slo``      — rolling turnaround p50/p95/p99, speculation hit
   rate, worker utilization (:mod:`repro.obs.slo`);
-* ``GET /trace``    — Chrome-trace JSON of the live tracer (open spans
-  rendered up to the current sim clock);
+* ``GET /trace``    — Chrome-trace JSON of the live recorder's trace
+  (open spans rendered up to the current sim clock);
 * ``GET /queue``, ``GET /mainline``, ``GET /changes/<id>``,
   ``POST /changes``, ``POST /process`` — the ApiHandlers surface;
 * ``POST /shutdown`` — stop the server (used by tests and CI smoke).
@@ -42,6 +42,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.recorder import Recorder
+from repro.obs.tracer import chrome_trace_from_records
 from repro.service.api import SubmitQueueService
 from repro.service.handlers import ApiHandlers
 
@@ -154,7 +155,7 @@ class ObservabilityServer:
 
         with self._lock:
             aggregator = SloAggregator(
-                self.recorder.tracer,
+                self.recorder,
                 window_minutes=self.slo_window_minutes,
                 worker_capacity=self.core.planner.workers.capacity,
             )
@@ -169,7 +170,7 @@ class ObservabilityServer:
                 "error": "no recorder attached; run with tracing enabled",
             }
         with self._lock:
-            return 200, self.recorder.tracer.snapshot_chrome_trace()
+            return 200, chrome_trace_from_records(self.recorder.trace())
 
     def api(self, name: str, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         handler = getattr(self.handlers, f"handle_{name}")
@@ -387,7 +388,7 @@ def build_quickstart_service(
 ):
     """A served-ready core service over the figure-12 shaped workload.
 
-    Submits and pumps ``changes`` clean changes (populating the tracer,
+    Submits and pumps ``changes`` clean changes (populating the trace,
     metrics, and decision history the read endpoints expose), then
     registers ``drafts`` more as landable drafts so ``POST /changes``
     has something to land.  ``batching`` swaps in the risk-aware
@@ -437,7 +438,7 @@ def build_journal_service(journal_dir: str, recorder: Optional[Recorder] = None)
     is what the endpoints expose.  Counters exposed from stats fields
     (``planner_builds_started_total`` and the rest of ``PlannerStats``)
     carry the snapshot's restored totals plus the replay; pushed series
-    and the tracer start at zero and hold only what the replay re-drove.
+    and the trace start at zero and hold only what the replay re-drove.
     Returns ``(core, handlers)``.
     """
     from repro.journal.recovery import recover

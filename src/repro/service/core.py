@@ -244,15 +244,15 @@ class CoreService:
 
     def _emit(self, build: Callable[..., dict], *args) -> None:
         """The one lifecycle writer: build a record with ``build(*args)``
-        and hand it to the journal and the recorder's trace fold — built
-        only when one of the two is on."""
+        and hand it to the journal and the recorder, which keeps it for
+        its trace — built only when one of the two is on."""
         journal, recorder = self._journal, self.recorder
         if journal.enabled or recorder.enabled:
             record = build(*args)
             if journal.enabled:
                 journal.append(record)
             if recorder.enabled:
-                recorder.observe(record)
+                recorder.event(record)
 
     @property
     def journal(self) -> JournalSink:

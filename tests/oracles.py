@@ -11,6 +11,15 @@ from repro.errors import BuildSystemError, PatchConflictError
 from repro.planner.controller import FullStackBuildController
 
 
+def graph_structure(graph):
+    """Canonical structural fingerprint of a build graph (section 5.2).
+
+    Content-only changes leave it untouched; adding/removing targets,
+    rewiring deps, or moving sources between targets all change it.
+    """
+    return frozenset(target.definition() for target in graph)
+
+
 def apply_in_order(snapshot, patches):
     """``patches`` applied to a plain copy of ``snapshot``, each against the
     dict the ones before it produced."""

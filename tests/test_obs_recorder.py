@@ -13,9 +13,9 @@ class TestRecorder:
     def test_jsonl_has_meta_then_payload_then_metrics(self):
         recorder = Recorder(clock=lambda: 1.0)
         recorder.counter("c_total", "A counter.").inc()
-        epoch = recorder.start_span("epoch")
-        recorder.event("decision")
-        recorder.finish_span(epoch)
+        pump = recorder.start_span("pump")
+        recorder.event({"t": "submit", "at": 1.0, "change": {"id": "c1"}})
+        recorder.finish_span(pump)
         lines = recorder.to_jsonl().strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert records[0]["type"] == "meta"
@@ -55,7 +55,7 @@ class TestNullRecorder:
         null.gauge("g").set(2.0)
         null.histogram("h").observe(3.0)
         span = null.start_span("s", track="t", epoch=1)
-        null.event("e")
+        null.event({"t": "submit", "at": 0.0, "change": {"id": "c1"}})
         assert null.finish_span(span) is span
         assert span.name == "null"
         assert null.to_jsonl() == ""

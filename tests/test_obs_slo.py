@@ -8,8 +8,10 @@ percentiles, speculation hit rate, worker utilization, and the live
 
 import pytest
 
+from repro.journal import records as rec
+from repro.obs.recorder import Recorder
 from repro.obs.slo import DEFAULT_WINDOW_MINUTES, SloAggregator, compute_slo
-from repro.obs.tracer import SpanTracer
+from repro.types import BuildKey
 
 
 def _decision(at, verdict="committed", turnaround=None, event_id=1):
@@ -54,7 +56,7 @@ class TestComputeSlo:
         with pytest.raises(ValueError):
             compute_slo([], window_minutes=0.0)
         with pytest.raises(ValueError):
-            SloAggregator(SpanTracer(), window_minutes=-1.0)
+            SloAggregator(Recorder(), window_minutes=-1.0)
 
     def test_turnaround_percentiles_from_decision_events(self):
         records = [
@@ -84,18 +86,17 @@ class TestComputeSlo:
         payload = compute_slo(records)
         assert payload["now"] == 30.0
 
-    def test_speculation_hit_rate_excludes_aborted_and_superseded(self):
+    def test_speculation_hit_rate_excludes_aborted(self):
         records = [
             _build(0.0, 10.0, span_id=1, success=True),
             _build(0.0, 10.0, span_id=2, success=False),
             _build(0.0, 10.0, span_id=3, success=True),
             _build(0.0, 10.0, span_id=4, aborted=True),
-            _build(0.0, 10.0, span_id=5, superseded=True),
         ]
         payload = compute_slo(records, window_minutes=20.0)
         spec = payload["speculation"]
-        assert spec["builds"] == 5
-        assert spec["aborted"] == 1 and spec["superseded"] == 1
+        assert spec["builds"] == 4
+        assert spec["aborted"] == 1
         assert spec["succeeded"] == 2
         # 2 clean successes out of 3 builds that ran to a verdict.
         assert spec["hit_rate"] == pytest.approx(2.0 / 3.0)
@@ -174,7 +175,6 @@ class TestBatchingSection:
         assert batching["members_committed"] == 2
 
     def test_batching_run_surfaces_in_live_slo(self):
-        from repro.obs.recorder import Recorder
         from repro.parallel import workload
         from repro.workload.repo_synth import MonorepoSpec
 
@@ -187,25 +187,28 @@ class TestBatchingSection:
             recorder=recorder,
         )
         assert result.committed == len(changes)
-        payload = compute_slo(
-            recorder.tracer.snapshot_records(), window_minutes=1e9
-        )
+        payload = compute_slo(recorder.trace(), window_minutes=1e9)
         assert payload["batching"]["batches_landed"] >= 1
         assert payload["batching"]["members_committed"] >= 2
+
+
+def _started_build(recorder, key):
+    """Take the records of one epoch that starts ``key`` at minute 0."""
+    recorder.event(rec.epoch_record(0.0, [key], [], 1))
+    recorder.event(rec.build_start_record(0.0, key, 6.0))
 
 
 class TestSloAggregator:
     def test_snapshot_over_live_tracer(self):
         clock = [0.0]
-        tracer = SpanTracer(clock=lambda: clock[0])
-        span = tracer.start("build", category="build", track="change:c1")
+        recorder = Recorder(clock=lambda: clock[0])
+        key = BuildKey("c1", frozenset())
+        _started_build(recorder, key)
         clock[0] = 6.0
-        tracer.finish(span, success=True)
-        tracer.event(
-            "decision", track="service", verdict="committed", turnaround=6.0
-        )
+        recorder.event(rec.build_finish_record(6.0, key, True))
+        recorder.event(rec.decision_record(6.0, "c1", True, "", 6.0))
         aggregator = SloAggregator(
-            tracer, window_minutes=30.0, worker_capacity=2
+            recorder, window_minutes=30.0, worker_capacity=2
         )
         payload = aggregator.snapshot()
         assert payload["decisions"]["committed"] == 1
@@ -213,18 +216,17 @@ class TestSloAggregator:
             "builds": 1,
             "succeeded": 1,
             "aborted": 0,
-            "superseded": 0,
             "hit_rate": 1.0,
         }
         assert payload["turnaround_minutes"]["p50"] == pytest.approx(6.0)
 
     def test_open_spans_contribute_elapsed_portion(self):
         clock = [0.0]
-        tracer = SpanTracer(clock=lambda: clock[0])
-        tracer.start("build", category="build", track="change:c1")
+        recorder = Recorder(clock=lambda: clock[0])
+        _started_build(recorder, BuildKey("c1", frozenset()))
         clock[0] = 4.0
         aggregator = SloAggregator(
-            tracer, window_minutes=10.0, worker_capacity=1
+            recorder, window_minutes=10.0, worker_capacity=1
         )
         payload = aggregator.snapshot(now=4.0)
         # Still open, so no verdict yet — but its 4 elapsed minutes are
@@ -242,7 +244,7 @@ class TestSloAggregator:
         )
         try:
             aggregator = SloAggregator(
-                core.recorder.tracer,
+                core.recorder,
                 window_minutes=1e9,
                 worker_capacity=core.planner.workers.capacity,
             )

@@ -9,6 +9,7 @@ from repro.cli import main as cli_main
 from repro.obs.inspect import format_report, load_trace
 from repro.obs.recorder import Recorder
 from repro.obs.schema import validate_file, validate_jsonl, validate_records
+from repro.obs.tracer import chrome_trace_from_records
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.submitqueue import SubmitQueueStrategy
@@ -96,7 +97,7 @@ class TestGoldenTrace:
 
     def test_chrome_trace_nests_epochs_under_pump(self, recorded_run):
         recorder, _, _ = recorded_run
-        trace = recorder.tracer.snapshot_chrome_trace()
+        trace = chrome_trace_from_records(recorder.trace())
         complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         service_tid = next(
             e["tid"]

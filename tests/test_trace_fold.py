@@ -1,16 +1,24 @@
 """The lifecycle trace is a fold over the service's journal records.
 
 A journaled service run with a recorder and the same journal replayed by
-``recover()`` into a fresh recorder must hold the same epoch and build
-spans and the same events — names, tracks, sim times, attrs — and give
-the same ``/slo`` payload.  Only what no record carries is left out of
-the comparison: the pump spans (``CoreService.pump`` opens them; replay
-re-drives steps, not pumps) and the worker wall-clock splices.
+``recover()`` into a fresh recorder must hold the same records — the
+journal's own, less its bookkeeping — and so fold to the same epoch and
+build spans and the same events (names, tracks, sim times, attrs) and
+give the same ``/slo`` payload.  Only what no record carries is left out
+of the trace comparison: the pump spans (``CoreService.pump`` opens them;
+replay re-drives steps, not pumps) and the worker wall-clock spans.
 """
 
 import pytest
 
-from repro.journal import JournalWriter, fingerprint_digest, recover
+from repro.journal import (
+    JournalWriter,
+    events_path,
+    fingerprint_digest,
+    read_journal,
+    recover,
+)
+from repro.journal import records as rec
 from repro.obs.recorder import Recorder
 from repro.obs.slo import compute_slo
 from repro.predictor.predictors import StaticPredictor
@@ -19,6 +27,9 @@ from repro.strategies.risk_batch import RiskBatchStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
+#: Journal records ``CoreService._emit`` does not write (the journal's own
+#: bookkeeping), so the recorder never holds them.
+_NOT_EMITTED = {rec.INIT, rec.PUMP_END, rec.SNAPSHOT}
 
 def _changes(monorepo):
     targets = monorepo.target_names()
@@ -28,31 +39,31 @@ def _changes(monorepo):
     return changes
 
 
-def _spans(recorder):
-    spans = recorder.tracer.spans()
-    by_id = {span.span_id: span for span in spans}
-    return [
-        (
-            span.name,
-            span.category,
-            span.track,
-            span.start,
-            span.end,
-            span.attrs,
-            None
-            if span.parent_id is None
-            else (by_id[span.parent_id].name, by_id[span.parent_id].start),
-        )
-        for span in spans
-        if span.name != "pump" and span.category != "worker"
-    ]
-
-
-def _events(recorder):
-    return [
-        (event.name, event.category, event.track, event.at, event.attrs)
-        for event in recorder.tracer.events()
-    ]
+def _trace(recorder, at):
+    """The folded trace without ids: parents become ``(name, start)``,
+    and ``pump`` spans and worker spans — which no record carries (replay
+    re-drives steps, not pumps, and dispatches nothing) — are left out."""
+    records = recorder.trace(at=at)
+    by_id = {r["id"]: r for r in records if r["type"] == "span"}
+    out = []
+    for r in records:
+        if r["type"] == "event":
+            out.append(("event", r["name"], r["cat"], r["track"], r["at"], r["attrs"]))
+        elif r["name"] != "pump" and r["cat"] != "worker":
+            parent = by_id.get(r["parent"])
+            out.append(
+                (
+                    "span",
+                    r["name"],
+                    r["cat"],
+                    r["track"],
+                    r["start"],
+                    r["end"],
+                    r["attrs"],
+                    None if parent is None else (parent["name"], parent["start"]),
+                )
+            )
+    return out
 
 
 @pytest.mark.parametrize(
@@ -95,19 +106,21 @@ def test_live_trace_equals_replayed_trace(tmp_path, backend, batching):
     assert not report.snapshot_restored
     assert fingerprint_digest(report.service) == fingerprint_digest(service)
 
-    live_spans = _spans(live)
-    assert {span[0] for span in live_spans} == {"epoch", "build"}
-    assert _spans(replayed) == live_spans
-    assert _events(replayed) == _events(live)
-    names = {event[0] for event in _events(live)}
+    # One representation: the records are the journal's, kept as emitted.
+    assert replayed.records == live.records
+    journaled = read_journal(events_path(str(tmp_path))).records
+    assert live.records == [r for r in journaled if r["t"] not in _NOT_EMITTED]
+
+    now = service.clock.now
+    live_trace = _trace(live, now)
+    assert {r[1] for r in live_trace if r[0] == "span"} == {"epoch", "build"}
+    assert _trace(replayed, now) == live_trace
+    names = {r[1] for r in live_trace if r[0] == "event"}
     assert {"submit", "decision", "commit"} <= names
     if batching:
         assert "batch" in names
 
-    now = service.clock.now
     capacity = service.planner.workers.capacity
     assert compute_slo(
-        replayed.tracer.snapshot_records(at=now), now=now, worker_capacity=capacity
-    ) == compute_slo(
-        live.tracer.snapshot_records(at=now), now=now, worker_capacity=capacity
-    )
+        replayed.trace(at=now), now=now, worker_capacity=capacity
+    ) == compute_slo(live.trace(at=now), now=now, worker_capacity=capacity)

@@ -1,11 +1,11 @@
-"""Cross-process trace propagation: worker-side step spans spliced back
-into the parent tracer under the dispatching build span.
+"""Cross-process trace propagation: worker-side step spans folded back
+into the parent's trace under the dispatching build span.
 
-Covers the tracer splice/snapshot primitives, the worker-side capture
-(only when the request is ``traced``), the dispatch-path
-integration over both backends, and the satellite regression: superseded
-and aborted dispatches must still close their build spans with a
-terminal attribute instead of leaking to ``finish_open``.
+Covers the fold's worker-span splice and its purity, the worker-side
+capture (only when the request is ``traced``), the dispatch-path
+integration over both backends, and the regression that aborted
+dispatches must still close their build spans with a terminal attribute
+instead of running to the horizon.
 """
 
 import copy
@@ -13,21 +13,24 @@ import math
 
 import pytest
 
-from repro.errors import TraceError
 from repro.journal import fingerprint_digest
-from repro.obs.recorder import Recorder
+from repro.journal import records as rec
+from repro.obs.recorder import Recorder, fold
 from repro.obs.schema import validate_records
-from repro.obs.tracer import SpanTracer
-from repro.parallel.payload import BuildRequest
+from repro.obs.tracer import chrome_trace_from_records
+from repro.parallel.payload import BuildRequest, BuildResponse, WorkerSpan
 from repro.parallel.worker import execute_request, reset_worker_state
 from repro.predictor.predictors import StaticPredictor
 from repro.serve import build_quickstart_service
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.submitqueue import SubmitQueueStrategy
+from repro.types import BuildKey
 from repro.vcs.repository import Repository
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
-TERMINAL_ATTRS = ("success", "aborted", "superseded")
+TERMINAL_ATTRS = ("success", "aborted")
+
+KEY = BuildKey("c1", frozenset())
 
 
 def _framed(records):
@@ -40,72 +43,92 @@ def _framed(records):
     )
 
 
-# -- tracer primitives --------------------------------------------------------
+def _response(*step_spans, wall_started=100.0):
+    """A traced worker response: two wall seconds of work by pid 7."""
+    return BuildResponse(
+        build_id=0,
+        change_id=KEY.change_id,
+        wall_seconds=2.0,
+        worker_pid=7,
+        wall_started=wall_started,
+        step_spans=step_spans,
+    )
+
+
+MERGE = WorkerSpan("merge", "merge", 0.0, 0.5)
+COMPILE = WorkerSpan("t:compile", "step", 0.5, 1.5, target="t", step="compile")
+
+
+def _dispatched(*responses, clock=None):
+    """A recorder holding one epoch that starts ``KEY`` at minute 1 (a
+    three-minute build) per response, each response parked first; every
+    epoch after the first aborts the dispatch before it."""
+    recorder = Recorder(clock)
+    for response in responses:
+        aborted = [KEY] if recorder.records else []
+        recorder.park_worker_spans(KEY, response)
+        recorder.event(rec.epoch_record(1.0, [KEY], aborted, 1))
+        recorder.event(rec.build_start_record(1.0, KEY, 3.0))
+    return recorder
+
+
+def _worker_spans(records):
+    return [r for r in records if r["type"] == "span" and r["cat"] == "worker"]
+
+
+# -- the fold's splice --------------------------------------------------------
 
 
 class TestSplicePrimitive:
-    def test_splice_inserts_closed_span(self):
-        tracer = SpanTracer()
-        span = tracer.splice(
-            "step",
-            1.0,
-            2.5,
-            parent_id=None,
-            category="worker",
-            track="change:c1",
-            wall_start=100.0,
-            wall_end=100.5,
-            wall_track="worker:pid7",
-            kind="step",
-        )
-        assert span.done and span.duration == pytest.approx(1.5)
-        assert span.wall_start == 100.0 and span.wall_end == 100.5
-        assert span.wall_track == "worker:pid7"
-        assert tracer.spans() == [span]
-        assert validate_records(_framed(tracer.snapshot_records())) == []
+    """A ``build_start`` that took a worker response gets the response's
+    spans as closed children, placed by their share of its wall time."""
 
-    def test_splice_rejects_inverted_sim_interval(self):
-        tracer = SpanTracer()
-        with pytest.raises(TraceError):
-            tracer.splice("bad", 2.0, 1.0)
+    def test_splice_inserts_closed_span(self):
+        records = _dispatched(_response(MERGE, COMPILE)).trace(at=2.0)
+        (build,) = [r for r in records if r["name"] == "build"]
+        merge, compile_ = _worker_spans(records)
+        for span in (merge, compile_):
+            assert span["parent"] == build["id"]
+            assert span["track"] == build["track"] == "change:c1"
+            assert span["wall_track"] == "worker:pid7"
+            assert span["attrs"]["worker_pid"] == 7
+        # Three sim minutes over two wall seconds: 1.5 minutes a second.
+        assert (merge["start"], merge["end"]) == (1.0, 1.75)
+        assert (compile_["start"], compile_["end"]) == (1.75, 4.0)
+        assert (merge["wall_start"], merge["wall_end"]) == (100.0, 100.5)
+        assert (compile_["wall_start"], compile_["wall_end"]) == (100.5, 102.0)
+        assert compile_["attrs"]["target"] == "t"
+        assert compile_["attrs"]["step"] == "compile"
+        assert validate_records(_framed(records)) == []
+
+    def test_splice_clamps_inverted_worker_interval(self):
+        inverted = WorkerSpan("bad", "step", 1.0, -0.5)
+        (span,) = _worker_spans(_dispatched(_response(inverted)).trace())
+        assert span["start"] == span["end"] == 2.5
+        assert span["wall_start"] == span["wall_end"] == 101.0
 
     def test_splice_wall_edges_are_nan_safe(self):
-        tracer = SpanTracer()
-        # A non-finite edge drops the whole wall pair.
-        nan = tracer.splice("s", 0.0, 1.0, wall_start=math.nan, wall_end=5.0)
-        assert nan.wall_start is None and nan.wall_end is None
-        half = tracer.splice("s", 0.0, 1.0, wall_start=5.0, wall_end=None)
-        assert half.wall_start is None and half.wall_end is None
-        # An inverted wall pair clamps to a zero-width wall span.
-        clamped = tracer.splice("s", 0.0, 1.0, wall_start=5.0, wall_end=4.0)
-        assert clamped.wall_start == clamped.wall_end == 5.0
-        assert validate_records(_framed(tracer.snapshot_records())) == []
-
-    def test_snapshot_records_renders_open_spans_without_mutation(self):
-        clock = [0.0]
-        tracer = SpanTracer(clock=lambda: clock[0])
-        open_span = tracer.start("build", track="change:c1")
-        clock[0] = 4.0
-        records = tracer.snapshot_records()
-        (record,) = [r for r in records if r["type"] == "span"]
-        assert record["end"] == 4.0
-        assert open_span.end is None, "snapshot must not close the span"
+        # A non-finite or missing wall edge drops the whole wall pair.
+        recorder = _dispatched(
+            _response(MERGE, wall_started=math.nan),
+            _response(MERGE, wall_started=None),
+        )
+        records = recorder.trace()
+        spans = _worker_spans(records)
+        assert len(spans) == 2
+        for span in spans:
+            assert not {"wall_start", "wall_end", "wall_track"} & set(span)
+            assert (span["start"], span["end"]) == (1.0, 1.75)
         assert validate_records(_framed(records)) == []
-        # An explicit horizon before the span's start never inverts it.
-        early = tracer.snapshot_records(at=-1.0)
-        assert early[0]["end"] == open_span.start
 
     def test_chrome_wall_process_appears_only_with_wall_spans(self):
-        tracer = SpanTracer()
-        tracer.splice("sim-only", 0.0, 1.0, track="service")
-        sim_only = tracer.snapshot_chrome_trace()
-        assert {e["pid"] for e in sim_only["traceEvents"]} == {1}
+        sim_only = Recorder()
+        sim_only.event(rec.epoch_record(1.0, [KEY], [], 1))
+        sim_only.event(rec.build_start_record(1.0, KEY, 3.0))
+        trace = chrome_trace_from_records(sim_only.trace())
+        assert {e["pid"] for e in trace["traceEvents"]} == {1}
 
-        tracer.splice(
-            "walled", 0.0, 1.0, wall_start=10.0, wall_end=11.0,
-            wall_track="worker:pid1",
-        )
-        dual = tracer.snapshot_chrome_trace()
+        dual = chrome_trace_from_records(_dispatched(_response(MERGE)).trace())
         events = dual["traceEvents"]
         assert {e["pid"] for e in events} == {1, 2}
         names = {
@@ -119,7 +142,44 @@ class TestSplicePrimitive:
             for e in events
             if e.get("ph") == "M" and e["name"] == "thread_name" and e["pid"] == 2
         }
-        assert wall_rows == {"worker:pid1"}
+        assert wall_rows == {"worker:pid7"}
+
+
+class TestFold:
+    def test_open_spans_end_at_horizon(self):
+        clock = [0.0]
+        recorder = _dispatched(_response(MERGE), clock=lambda: clock[0])
+        clock[0] = 4.0
+        records = recorder.trace()
+        spans = {r["name"]: r for r in records if r["type"] == "span"}
+        assert spans["build"]["end"] == spans["epoch"]["end"] == 4.0
+        assert validate_records(_framed(records)) == []
+        # An explicit horizon before a span's start never inverts it.
+        early = recorder.trace(at=-1.0)
+        opened = [r for r in early if r["name"] in ("epoch", "build")]
+        assert all(r["end"] == r["start"] == 1.0 for r in opened)
+
+    def test_fold_is_pure(self):
+        recorder = _dispatched(_response(MERGE, COMPILE))
+        recorder.event(rec.build_finish_record(4.0, KEY, True))
+        recorder.event(rec.decision_record(4.0, "c1", True, "", 4.0))
+        records = copy.deepcopy(recorder.records)
+        first = fold(recorder.records, recorder._workers, [], 5.0)
+        assert fold(recorder.records, recorder._workers, [], 5.0) == first
+        assert recorder.records == records
+        assert recorder.trace(at=5.0) == first
+
+    def test_key_dispatched_twice_gets_each_response_under_its_own_build(self):
+        recorder = _dispatched(_response(MERGE), _response(COMPILE))
+        recorder.event(rec.build_finish_record(4.0, KEY, True))
+        records = recorder.trace(at=5.0)
+        builds = [r for r in records if r["name"] == "build"]
+        assert [b["attrs"] for b in builds] == [{"aborted": True}, {"success": True}]
+        children = [
+            [r["name"] for r in _worker_spans(records) if r["parent"] == build["id"]]
+            for build in builds
+        ]
+        assert children == [["merge"], ["t:compile"]]
 
 
 # -- worker-side capture ------------------------------------------------------
@@ -181,37 +241,34 @@ def traced_run():
 
 class TestDispatchSplice:
     def test_worker_spans_splice_under_build_spans(self, traced_run):
-        spans = traced_run.recorder.tracer.spans()
-        by_id = {span.span_id: span for span in spans}
-        worker_spans = [s for s in spans if s.category == "worker"]
+        records = traced_run.recorder.trace()
+        by_id = {r["id"]: r for r in records if r["type"] == "span"}
+        worker_spans = _worker_spans(records)
         assert worker_spans, "dispatch path must splice worker spans"
         for child in worker_spans:
-            parent = by_id[child.parent_id]
-            assert parent.name == "build"
-            assert parent.start <= child.start + 1e-9
-            if not (
-                parent.attrs.get("aborted") or parent.attrs.get("superseded")
-            ):
+            parent = by_id[child["parent"]]
+            assert parent["name"] == "build"
+            assert parent["start"] <= child["start"] + 1e-9
+            if not parent["attrs"].get("aborted"):
                 # Live builds contain their worker steps by construction;
-                # aborted/superseded parents legitimately end early while
-                # the worker's real work ran on (that's the wasted work
-                # the trace is meant to show).
-                assert child.end <= parent.end + 1e-9
-            assert child.attrs["worker_pid"] > 0
-            assert child.track == parent.track
+                # aborted parents legitimately end early while the
+                # worker's real work ran on (that's the wasted work the
+                # trace is meant to show).
+                assert child["end"] <= parent["end"] + 1e-9
+            assert child["attrs"]["worker_pid"] > 0
+            assert child["track"] == parent["track"]
 
     def test_every_build_span_reaches_a_terminal_state(self, traced_run):
-        """Satellite: superseded/aborted dispatches still close their spans."""
-        builds = [
-            s for s in traced_run.recorder.tracer.spans() if s.name == "build"
-        ]
+        """Aborted dispatches still close their spans."""
+        records = traced_run.recorder.trace()
+        builds = [r for r in records if r["name"] == "build"]
         assert builds
         for span in builds:
-            assert span.done, f"build span {span.span_id} leaked open"
-            assert any(key in span.attrs for key in TERMINAL_ATTRS), span.attrs
+            attrs = span["attrs"]
+            assert any(key in attrs for key in TERMINAL_ATTRS), span
 
     def test_live_snapshot_validates(self, traced_run):
-        records = traced_run.recorder.tracer.snapshot_records()
+        records = traced_run.recorder.trace()
         assert validate_records(_framed(records)) == []
 
     def test_tracing_never_changes_outcomes(self):
@@ -240,16 +297,13 @@ class TestDispatchSplice:
             changes=6, drafts=0, seed=3, workers=3, backend="process:2"
         )
         try:
-            worker_spans = [
-                s
-                for s in core.recorder.tracer.spans()
-                if s.category == "worker"
-            ]
+            records = core.recorder.trace()
+            worker_spans = _worker_spans(records)
             assert worker_spans
             for span in worker_spans:
-                assert span.wall_start is not None and span.wall_end is not None
-                assert str(span.wall_track).startswith("worker:pid")
-            chrome = core.recorder.tracer.snapshot_chrome_trace()
+                assert "wall_start" in span and "wall_end" in span
+                assert span["wall_track"].startswith("worker:pid")
+            chrome = chrome_trace_from_records(records)
             assert {e["pid"] for e in chrome["traceEvents"]} == {1, 2}
         finally:
             core.close()
