@@ -1,18 +1,20 @@
 """Change lifecycle tracking.
 
-The ledger is SubmitQueue's source of truth for where each change is in
-its life: pending since when, how many speculations on it succeeded or
-failed so far (both are top predictive features, section 7.2), and its
-terminal state with timestamps for turnaround accounting.
+A :class:`ChangeRecord` is SubmitQueue's source of truth for where a
+change is in its life: pending since when, how many speculations on it
+succeeded or failed so far (both are top predictive features, section
+7.2), and its terminal state with timestamps for turnaround accounting.
+The planner keeps one per submitted change
+(:attr:`repro.planner.planner.PlannerEngine.records`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.changes.change import Change
-from repro.errors import IllegalTransitionError, UnknownChangeError
+from repro.errors import IllegalTransitionError
 from repro.types import ChangeId, ChangeState
 
 
@@ -55,57 +57,3 @@ class ChangeRecord:
 
     def mark_rejected(self, at: float, reason: str = "a build step failed") -> None:
         self._transition(ChangeState.REJECTED, at, reason)
-
-
-class ChangeLedger:
-    """Registry of every change SubmitQueue has seen, by id."""
-
-    def __init__(self) -> None:
-        self._records: Dict[ChangeId, ChangeRecord] = {}
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, change_id: ChangeId) -> bool:
-        return change_id in self._records
-
-    def __iter__(self) -> Iterator[ChangeRecord]:
-        return iter(self._records.values())
-
-    def register(self, change: Change, at: float) -> ChangeRecord:
-        """Register a newly submitted change as pending."""
-        if change.change_id in self._records:
-            raise ValueError(f"change {change.change_id} already registered")
-        record = ChangeRecord(change=change, enqueued_at=at)
-        self._records[change.change_id] = record
-        return record
-
-    def record(self, change_id: ChangeId) -> ChangeRecord:
-        try:
-            return self._records[change_id]
-        except KeyError:
-            raise UnknownChangeError(change_id) from None
-
-    def state_of(self, change_id: ChangeId) -> ChangeState:
-        return self.record(change_id).state
-
-    def pending(self) -> List[ChangeRecord]:
-        """Pending records in enqueue order (ties broken by change id)."""
-        rows = [r for r in self._records.values() if r.state is ChangeState.PENDING]
-        rows.sort(key=lambda r: (r.enqueued_at, r.change_id))
-        return rows
-
-    def decided(self) -> List[ChangeRecord]:
-        """All terminal records, ordered by decision time."""
-        rows = [r for r in self._records.values() if r.state.is_terminal]
-        rows.sort(key=lambda r: (r.decided_at, r.change_id))
-        return rows
-
-    def committed_ids(self) -> List[ChangeId]:
-        return [
-            r.change_id for r in self.decided() if r.state is ChangeState.COMMITTED
-        ]
-
-    def turnarounds(self) -> List[float]:
-        """Turnaround of every decided change, in decision order."""
-        return [r.turnaround for r in self.decided() if r.turnaround is not None]

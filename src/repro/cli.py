@@ -358,46 +358,29 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.changes.truth import potential_conflict
-    from repro.experiments.runner import format_table
-    from repro.metrics.percentile import summarize
-    from repro.planner.controller import LabelBuildController
-    from repro.predictor.predictors import OraclePredictor
-    from repro.sim.simulator import Simulation
-    from repro.strategies.optimistic import OptimisticStrategy
+    from repro.experiments.runner import (
+        CellSummary,
+        format_table,
+        make_stream,
+        run_cell,
+        strategy_factories,
+    )
     from repro.strategies.oracle import OracleStrategy
-    from repro.strategies.single_queue import SingleQueueStrategy
-    from repro.strategies.speculate_all import SpeculateAllStrategy
-    from repro.strategies.submitqueue import SubmitQueueStrategy
-    from repro.workload.generator import WorkloadGenerator
-    from repro.workload.scenarios import IOS_WORKLOAD
 
-    generator = WorkloadGenerator(replace(IOS_WORKLOAD, seed=args.seed))
-    stream = generator.stream(args.rate, args.changes)
+    stream = make_stream(args.rate, args.changes, seed=args.seed)
     rows = []
     base = None
-    for strategy in (
-        OracleStrategy(),
-        SubmitQueueStrategy(OraclePredictor()),
-        SpeculateAllStrategy(),
-        OptimisticStrategy(),
-        SingleQueueStrategy(),
-    ):
-        result = Simulation(
-            strategy=strategy,
-            controller=LabelBuildController(),
-            workers=args.workers,
-            conflict_predicate=potential_conflict,
-        ).run(list(stream))
-        stats = summarize(result.turnaround_values())
+    for factory in (OracleStrategy, *strategy_factories().values()):
+        cell = CellSummary.from_result(
+            run_cell(factory(), stream, args.workers), args.rate
+        )
         if base is None:
-            base = stats
+            base = cell
+        ratios = cell.normalized(base)
         rows.append(
-            [result.strategy_name, f"{stats['p50']:.0f}", f"{stats['p95']:.0f}",
-             f"{stats['p50'] / base['p50']:.2f}x", f"{stats['p95'] / base['p95']:.2f}x",
-             f"{result.throughput_per_hour:.0f}/h"]
+            [cell.strategy, f"{cell.p50:.0f}", f"{cell.p95:.0f}",
+             f"{ratios['p50']:.2f}x", f"{ratios['p95']:.2f}x",
+             f"{cell.throughput:.0f}/h"]
         )
     print(
         format_table(

@@ -1,7 +1,10 @@
 """The conflict graph over pending changes (paper sections 3.2 and 5).
 
 Nodes are pending change ids; an undirected edge joins two changes that
-potentially conflict.  The speculation engine consumes two queries:
+potentially conflict.  The nodes, in submission order, are also the
+pending queue — SubmitQueue's "illusion of a single queue" (section 3.2):
+iteration, :meth:`ConflictGraph.head` and :meth:`ConflictGraph.in_order`
+walk them oldest first.  The speculation engine consumes two queries:
 
 * ``ancestors(c)`` — earlier pending changes that conflict with ``c``
   (these are the only changes ``c`` must speculate on);
@@ -11,7 +14,7 @@ potentially conflict.  The speculation engine consumes two queries:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.changes.change import Change
 from repro.errors import UnknownChangeError
@@ -25,6 +28,7 @@ class ConflictGraph:
 
     def __init__(self, conflict_predicate: ConflictPredicate) -> None:
         self._predicate = conflict_predicate
+        #: Pending changes by id; insertion order is submission order.
         self._changes: Dict[ChangeId, Change] = {}
         self._order: Dict[ChangeId, int] = {}
         self._edges: Dict[ChangeId, Set[ChangeId]] = {}
@@ -37,6 +41,14 @@ class ConflictGraph:
 
     def __contains__(self, change_id: ChangeId) -> bool:
         return change_id in self._changes
+
+    def __iter__(self) -> Iterator[Change]:
+        """Pending changes, oldest first."""
+        return iter(self._changes.values())
+
+    def head(self) -> Optional[Change]:
+        """Oldest pending change, or ``None`` when empty."""
+        return next(iter(self._changes.values()), None)
 
     def change(self, change_id: ChangeId) -> Change:
         try:
@@ -114,7 +126,7 @@ class ConflictGraph:
 
     def in_order(self) -> List[ChangeId]:
         """All pending change ids, oldest first."""
-        return sorted(self._changes, key=lambda cid: self._order[cid])
+        return list(self._changes)
 
     def components(self) -> List[List[ChangeId]]:
         """Connected components, each in submit order, oldest-first overall."""

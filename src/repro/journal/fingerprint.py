@@ -2,7 +2,8 @@
 
 :func:`state_fingerprint` reduces a ``CoreService`` to a JSON-native
 structure covering everything behaviour-relevant — pending queue and its
-sequencing, decision history, ledger rows, frozen ancestor lists,
+sequencing (a change's sequence number is its position in the planner's
+records), decision history, ledger rows, frozen ancestor lists,
 scheduled events, worker accounting, repository content and health, and
 the planner's aggregate counters.  Two services with equal fingerprints
 make identical decisions on identical future inputs.
@@ -57,11 +58,9 @@ def state_fingerprint(service) -> Dict[str, object]:
             "green": repo.mainline_green_flags(),
             "head_digest": snapshot_digest(repo.snapshot().to_dict()),
         },
-        "pending": [change.change_id for change in planner.queue],
-        "sequences": sorted(
-            [cid, seq] for cid, seq in planner.queue._sequence.items()
-        ),
-        "next_seq": planner.queue._next_seq,
+        "pending": planner.conflict_graph.in_order(),
+        "sequences": sorted([cid, seq] for seq, cid in enumerate(planner.records)),
+        "next_seq": len(planner.records),
         "decided": [[cid, v] for cid, v in planner.decided.items()],
         "decisions": [
             [d.change_id, d.committed, d.at, d.reason]
@@ -78,7 +77,7 @@ def state_fingerprint(service) -> Dict[str, object]:
                 record.builds_scheduled,
                 record.builds_aborted,
             ]
-            for record in planner.ledger
+            for record in planner.records.values()
         },
         "ancestors": {cid: list(ids) for cid, ids in planner.ancestors.items()},
         "ancestry_version": planner._ancestry_version,

@@ -280,7 +280,7 @@ def batch_record(
     """One speculative-batch resolution (``kind``: landed | bisect).
 
     Emitted only when the risk-batching strategy resolves a batch build,
-    so journals of batching-off runs stay byte-identical to the golden
+    so journals of runs without it stay byte-identical to the golden
     pins.
     """
     return {

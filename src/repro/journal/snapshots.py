@@ -97,7 +97,6 @@ def strategy_spec(strategy) -> Dict[str, object]:
                 "success": predictor._success,
                 "conflict": predictor._conflict,
             },
-            "enabled": strategy.enabled,
             "batch_size": strategy.batch_size,
             "member_confidence": strategy.member_confidence,
             "max_pair_conflict": strategy.max_pair_conflict,
@@ -121,6 +120,13 @@ def strategy_spec(strategy) -> Dict[str, object]:
 def build_strategy(spec: Mapping[str, object]):
     """Rebuild a strategy from its journaled spec, or raise JournalError."""
     if spec.get("name") == "RiskBatchStrategy":
+        # Older journals also carry ``"enabled": true``; the batching-off
+        # switch is gone, so a spec that turned batching off is refused.
+        if spec.get("enabled", True) is not True:
+            raise JournalError(
+                "journaled RiskBatchStrategy has batching off; pass "
+                "strategy= to recover()"
+            )
         predictor_spec = spec.get("predictor") or {}
         if predictor_spec.get("name") == "StaticPredictor":
             from repro.predictor.predictors import StaticPredictor
@@ -131,7 +137,6 @@ def build_strategy(spec: Mapping[str, object]):
                     success=predictor_spec["success"],
                     conflict=predictor_spec["conflict"],
                 ),
-                enabled=spec["enabled"],
                 batch_size=spec["batch_size"],
                 member_confidence=spec["member_confidence"],
                 max_pair_conflict=spec["max_pair_conflict"],
@@ -227,14 +232,13 @@ def capture_state(service) -> Dict[str, object]:
     if not is_quiescent(service):
         raise JournalError("snapshots require a quiescent service")
     planner = service.planner
-    queue = planner.queue
     workers = planner.workers
     cache = _artifact_cache_of(service)
     return {
         "at": service.clock.now,
         "repo": repo_payload(service.repo),
         "ledger": [
-            _encode_ledger_record(record) for record in planner.ledger
+            _encode_ledger_record(record) for record in planner.records.values()
         ],
         "decided": [
             [change_id, verdict] for change_id, verdict in planner.decided.items()
@@ -247,9 +251,9 @@ def capture_state(service) -> Dict[str, object]:
             [change_id, list(ids)] for change_id, ids in planner.ancestors.items()
         ],
         "sequences": [
-            [change_id, seq] for change_id, seq in queue._sequence.items()
+            [change_id, seq] for seq, change_id in enumerate(planner.records)
         ],
-        "next_seq": queue._next_seq,
+        "next_seq": len(planner.records),
         "ancestry_version": planner._ancestry_version,
         "stats": asdict(planner.stats),
         "workers": {
@@ -303,17 +307,21 @@ def restore_service(
     planner = service.planner
     for payload in state["ledger"]:
         record = _decode_ledger_record(payload)
-        planner.ledger._records[record.change_id] = record
         planner.records[record.change_id] = record
         planner.all_changes[record.change_id] = record.change
+    # Sequence numbers are positions in the ledger; a snapshot that says
+    # otherwise was not written by this program.
+    sequences = [[cid, seq] for seq, cid in enumerate(planner.records)]
+    if state["sequences"] != sequences or state["next_seq"] != len(sequences):
+        raise JournalCorruptError(
+            "snapshot sequence numbers disagree with its ledger order"
+        )
     planner.decided = {change_id: verdict for change_id, verdict in state["decided"]}
     planner._decision_log = [
         Decision(change_id=cid, committed=committed, at=at, reason=reason)
         for cid, committed, at, reason in state["decisions"]
     ]
     planner.ancestors = {cid: list(ids) for cid, ids in state["ancestors"]}
-    planner.queue._sequence = {cid: seq for cid, seq in state["sequences"]}
-    planner.queue._next_seq = state["next_seq"]
     planner._ancestry_version = state["ancestry_version"]
     planner.stats = PlannerStats(**state["stats"])
     # Rebind the exposed series to the restored counts.

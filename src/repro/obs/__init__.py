@@ -5,12 +5,12 @@ perf/fault-injection roadmap items build on):
 
 * :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges,
   labeled histograms; Prometheus text + JSON exposition;
-* :class:`~repro.obs.tracer.SpanTracer` — simulated-clock ``pump`` spans
-  with explicit parent links, and the Chrome trace conversion;
-* :class:`~repro.obs.recorder.Recorder` — the injectable bundle of both,
-  plus the service's lifecycle records; :meth:`~repro.obs.recorder.Recorder.trace`
-  folds them (epoch/build spans, worker step spans under a build,
-  decision events) into the JSONL trace when it is read;
+* :class:`~repro.obs.recorder.Recorder` — the injectable bundle of a
+  registry, the service's simulated-clock ``pump`` spans and its
+  lifecycle records; :meth:`~repro.obs.recorder.Recorder.trace` folds
+  them (epoch/build spans, worker step spans under a build, decision
+  events) into the JSONL trace when it is read;
+* :mod:`repro.obs.tracer` — the Chrome ``trace_event`` conversion;
   :data:`~repro.obs.recorder.NULL_RECORDER` is the zero-cost default;
 * :mod:`repro.obs.schema` — the JSONL trace schema and validator;
 * :mod:`repro.obs.slo` — rolling-window SLO aggregation (turnaround
@@ -31,7 +31,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.tracer import Span, SpanTracer
 
 __all__ = [
     "Counter",
@@ -41,6 +40,4 @@ __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "Recorder",
-    "Span",
-    "SpanTracer",
 ]

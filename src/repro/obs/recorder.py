@@ -1,4 +1,4 @@
-"""The injectable recorder: one handle bundling registry + tracer.
+"""The injectable recorder: one handle bundling metrics and the trace.
 
 Every instrumented component takes an optional ``recorder`` and defaults
 to the module-level :data:`NULL_RECORDER`, whose every operation is a
@@ -6,10 +6,10 @@ no-op — the simulator benchmarks pay one attribute read and a falsy
 branch (``if recorder.enabled:``) per instrumentation site, nothing more.
 
 A live :class:`Recorder` owns one :class:`~repro.obs.registry.MetricsRegistry`,
-one :class:`~repro.obs.tracer.SpanTracer` (the service's ``pump`` spans)
-and the service's journal records (``repro.journal.records``), kept as
-:meth:`Recorder.event` takes them.  The trace is :func:`fold` over those
-records, run when it is read (:meth:`Recorder.trace`), so ``recover(...,
+the service's ``pump`` spans (schema-v1 span dicts, stamped by a bound
+simulated clock) and the service's journal records
+(``repro.journal.records``), kept as :meth:`Recorder.event` takes them.
+The trace is :func:`fold` over those records, run when it is read (:meth:`Recorder.trace`), so ``recover(...,
 recorder=...)`` rebuilds the trace of the run it replays.  The combined
 run record is written as JSONL (meta line, span/event lines, one trailing
 metrics line) — the file ``python -m repro obs report`` replays.
@@ -22,20 +22,25 @@ import math
 from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import TraceError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.schema import TRACE_SCHEMA_VERSION
-from repro.obs.tracer import Span, SpanTracer, chrome_trace_from_records
+from repro.obs.tracer import chrome_trace_from_records
+
+Clock = Callable[[], float]
 
 
 class Recorder:
-    """A live recorder: metrics land in a registry, ``pump`` spans in a
-    tracer, and lifecycle records in :attr:`records`."""
+    """A live recorder: metrics land in a registry, ``pump`` spans in
+    :attr:`tracer`, and lifecycle records in :attr:`records`."""
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.registry = MetricsRegistry()
-        self.tracer = SpanTracer(clock)
+        self._clock: Clock = clock if clock is not None else lambda: 0.0
+        #: The ``pump`` spans, as the trace prints them (ids 1..n).
+        self.tracer: List[Dict[str, object]] = []
         #: The lifecycle records :meth:`event` took, in emission order.
         self.records: List[Mapping[str, object]] = []
         #: Worker responses by the position of the ``build_start`` record
@@ -43,8 +48,10 @@ class Recorder:
         self._workers: Dict[int, object] = {}
         self._parked: Dict[Tuple, List[object]] = {}
 
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        self.tracer.bind_clock(clock)
+    def bind_clock(self, clock: Clock) -> None:
+        """Point span stamps and the trace horizon at the owner's
+        simulated clock."""
+        self._clock = clock
 
     # -- metrics passthrough -------------------------------------------------
 
@@ -61,13 +68,25 @@ class Recorder:
         """Publish a stats dataclass's ``metric_field`` counts."""
         self.registry.expose(stats)
 
-    # -- tracing passthrough -------------------------------------------------
+    # -- pump spans ----------------------------------------------------------
 
-    def start_span(self, name: str, **kwargs) -> Span:
-        return self.tracer.start(name, **kwargs)
+    def start_span(
+        self, name: str, category: str = "", track: str = "service", **attrs
+    ) -> Dict[str, object]:
+        """Open a root span now; :meth:`finish_span` closes it."""
+        span = _span(
+            len(self.tracer) + 1, name, category, track, self._clock(), None, attrs
+        )
+        self.tracer.append(span)
+        return span
 
-    def finish_span(self, span: Span, **kwargs) -> Span:
-        return self.tracer.finish(span, **kwargs)
+    def finish_span(self, span: Dict[str, object], **attrs) -> Dict[str, object]:
+        """Close a span now, merging ``attrs`` (a span closes once)."""
+        if span["end"] is not None:
+            raise TraceError(f"span {span['name']}#{span['id']} already closed")
+        span["end"] = self._clock()
+        span["attrs"].update(attrs)
+        return span
 
     # -- lifecycle records -----------------------------------------------------
 
@@ -94,14 +113,13 @@ class Recorder:
     def trace(self, at: Optional[float] = None) -> List[Dict[str, object]]:
         """Span/event records of the run so far: :func:`fold` with spans
         still open ending at ``at`` (default: the current clock)."""
-        horizon = self.tracer.now() if at is None else float(at)
-        return fold(self.records, self._workers, self.tracer.spans(), horizon)
+        horizon = self._clock() if at is None else float(at)
+        return fold(self.records, self._workers, self.tracer, horizon)
 
     # -- export --------------------------------------------------------------
 
     def jsonl_records(self) -> List[Dict[str, object]]:
         """Meta + spans + events + metrics, ready to serialize."""
-        self.tracer.finish_open()
         records: List[Dict[str, object]] = [
             {
                 "type": "meta",
@@ -124,7 +142,6 @@ class Recorder:
 
     def write_chrome_trace(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            self.tracer.finish_open()
             json.dump(chrome_trace_from_records(self.trace()), handle, indent=1)
 
     def prometheus_text(self) -> str:
@@ -137,12 +154,12 @@ class Recorder:
 def fold(
     records: Sequence[Mapping[str, object]],
     workers: Mapping[int, object],
-    pump_spans: Sequence[Span],
+    pump_spans: Sequence[Mapping[str, object]],
     horizon: float,
 ) -> List[Dict[str, object]]:
     """The trace of lifecycle ``records``: schema-v1 span/event dicts
-    (:mod:`repro.obs.schema`), ``pump_spans`` included, sorted by
-    ``(start | at, id)``.
+    (:mod:`repro.obs.schema`), copies of ``pump_spans`` included, sorted
+    by ``(start | at, id)``.
 
     An ``epoch`` record opens the epoch span (closing the previous one)
     and closes the builds it aborted; ``build_start`` opens a build span
@@ -154,20 +171,8 @@ def fold(
     A span still open ends at ``max(horizon, start)``.  Nothing passed in
     is changed, so every read folds the same records afresh.
     """
-    ids = count(max((span.span_id for span in pump_spans), default=0) + 1)
-    out = [
-        _span(
-            span.span_id,
-            span.name,
-            span.category,
-            span.track,
-            span.start,
-            span.parent_id,
-            dict(span.attrs),
-            span.end,
-        )
-        for span in pump_spans
-    ]
+    ids = count(len(pump_spans) + 1)
+    out = [{**span, "attrs": dict(span["attrs"])} for span in pump_spans]
 
     def open_span(name, category, track, at, parent, **attrs):
         parent_id = parent["id"] if parent is not None else None
@@ -339,8 +344,6 @@ class _NullMetric:
 
 _NULL_METRIC = _NullMetric()
 
-_NULL_SPAN = Span(span_id=0, name="null", category="", start=0.0, track="", end=0.0)
-
 
 class NullRecorder(Recorder):
     """The default recorder: every operation is a cheap no-op.
@@ -370,10 +373,10 @@ class NullRecorder(Recorder):
     def expose(self, stats) -> None:
         pass
 
-    def start_span(self, name: str, **kwargs) -> Span:
-        return _NULL_SPAN
+    def start_span(self, name: str, **kwargs) -> None:
+        return None
 
-    def finish_span(self, span: Span, **kwargs) -> Span:
+    def finish_span(self, span, **attrs):
         return span
 
     def event(self, record) -> None:

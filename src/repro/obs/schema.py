@@ -40,9 +40,10 @@ record that says something:
   ``commit`` (``change_id``, ``index``) and ``batch`` (``kind``,
   ``size``, ``depth``) events.
 
-``pump`` spans (the tracer's) and the wall-clock ``worker`` spans a
-build's worker response adds under its span are the only spans no record
-describes.  Span ids are assigned in fold order.
+``pump`` spans (the recorder's, ids ``1..n`` in the order they opened)
+and the wall-clock ``worker`` spans a build's worker response adds under
+its span are the only spans no record describes.  The other ids are
+assigned in fold order, from ``n + 1``.
 
 Validation is hand-rolled (no jsonschema dependency): structural checks
 plus the cross-record invariants that make a trace *replayable* — unique

@@ -1,20 +1,18 @@
-"""The span tracer: simulated-clock spans with parent-child links.
+"""The Chrome ``trace_event`` view of a trace.
 
-Spans are intervals of *simulated* time (minutes, the unit every clock in
-this repo speaks).  The service opens one per ``pump``; its lifecycle
-spans and events — epochs, builds, worker steps, decisions — are not
-held here but folded from its journal records when the trace is read
-(:func:`repro.obs.recorder.fold`, which renders these spans too).  The
+A trace is a list of schema-v1 span/event records (:mod:`repro.obs.schema`)
+over *simulated* time (minutes, the unit every clock in this repo
+speaks).  The service's ``pump`` spans are held by its
+:class:`~repro.obs.recorder.Recorder`; its lifecycle spans and events —
+epochs, builds, worker steps, decisions — are folded from its journal
+records when the trace is read (:func:`repro.obs.recorder.fold`).  The
 trace has two export formats:
 
-* JSONL structured events (one JSON object per line; schema in
-  :mod:`repro.obs.schema`) — the durable record ``obs report`` replays;
+* JSONL structured events (one JSON object per line) — the durable
+  record ``obs report`` replays;
 * Chrome ``trace_event`` JSON (:func:`chrome_trace_from_records`) — load
   the file in ``chrome://tracing`` or https://ui.perfetto.dev to scrub
   through a run visually.
-
-Every parent is explicit: :meth:`SpanTracer.start` takes the ``parent``
-span; a span given none is a root.  A span may outlive its parent.
 
 Each span carries a ``track`` — the horizontal row it renders on.  Spans
 on one track must nest by containment (Chrome's rule for ``X`` events);
@@ -24,110 +22,13 @@ build on its change's own track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-from repro.errors import TraceError
+from typing import Dict, List, Optional
 
 #: Simulated minutes -> trace_event microseconds.
 _US_PER_MINUTE = 60_000_000.0
 
 #: Wall-clock seconds -> trace_event microseconds.
 _US_PER_SECOND = 1_000_000.0
-
-Clock = Callable[[], float]
-
-
-def _zero_clock() -> float:
-    return 0.0
-
-
-@dataclass
-class Span:
-    """One interval of simulated time."""
-
-    span_id: int
-    name: str
-    category: str
-    start: float
-    track: str
-    end: Optional[float] = None
-    parent_id: Optional[int] = None
-    attrs: Dict[str, object] = field(default_factory=dict)
-
-
-class SpanTracer:
-    """Records spans against a bound simulated clock."""
-
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self._clock: Clock = clock if clock is not None else _zero_clock
-        self._spans: List[Span] = []
-        self._next_id = 1
-
-    def bind_clock(self, clock: Clock) -> None:
-        """Point the tracer at the owning component's simulated clock."""
-        self._clock = clock
-
-    def now(self) -> float:
-        return self._clock()
-
-    # -- recording -----------------------------------------------------------
-
-    def start(
-        self,
-        name: str,
-        category: str = "",
-        track: str = "service",
-        at: Optional[float] = None,
-        parent: Optional[Span] = None,
-        **attrs: object,
-    ) -> Span:
-        """Open a span under ``parent`` (a root without one); pairs with
-        :meth:`finish`."""
-        span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            start=self._clock() if at is None else float(at),
-            track=track,
-            parent_id=parent.span_id if parent is not None else None,
-            attrs=dict(attrs),
-        )
-        self._next_id += 1
-        self._spans.append(span)
-        return span
-
-    def finish(
-        self, span: Span, at: Optional[float] = None, **attrs: object
-    ) -> Span:
-        """Close a span (idempotence is an error: a span closes once)."""
-        if span.end is not None:
-            raise TraceError(f"span {span.name}#{span.span_id} already closed")
-        end = self._clock() if at is None else float(at)
-        if end < span.start:
-            raise TraceError(
-                f"span {span.name}#{span.span_id} would close before it opened"
-            )
-        span.end = end
-        span.attrs.update(attrs)
-        return span
-
-    def finish_open(self, at: Optional[float] = None) -> int:
-        """Close every still-open span (end of run); returns how many."""
-        closed = 0
-        for span in self._spans:
-            if span.end is None:
-                self.finish(span, at=at)
-                closed += 1
-        return closed
-
-    # -- inspection ----------------------------------------------------------
-
-    def spans(self) -> List[Span]:
-        return list(self._spans)
-
-    def __len__(self) -> int:
-        return len(self._spans)
 
 
 def chrome_trace_from_records(

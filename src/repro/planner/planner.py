@@ -37,8 +37,7 @@ from typing import (
 )
 
 from repro.changes.change import Change
-from repro.changes.queue import PendingQueue
-from repro.changes.state import ChangeLedger, ChangeRecord
+from repro.changes.state import ChangeRecord
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import PlannerError
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -213,7 +212,7 @@ class PlannerView:
     @property
     def pending(self) -> List[Change]:
         """Pending changes in submission order."""
-        return self._planner.queue.in_order()
+        return list(self._planner.conflict_graph)
 
     @property
     def ancestors(self) -> Mapping[ChangeId, Sequence[ChangeId]]:
@@ -248,7 +247,8 @@ class PlannerView:
 
 
 class PlannerEngine:
-    """Shared orchestration: queue + conflict graph + workers + decisions."""
+    """Shared orchestration: conflict graph (the pending queue) + workers +
+    decisions."""
 
     def __init__(
         self,
@@ -289,12 +289,13 @@ class PlannerEngine:
         self.workers = workers
         strategy.bind_recorder(recorder)
         self._conflict_candidates = conflict_candidates
-        self.queue = PendingQueue()
-        self.ledger = ChangeLedger()
+        #: The pending changes, in submission order, and their conflicts.
         self.conflict_graph = ConflictGraph(conflict_predicate)
         #: Frozen at submit time: conflicting changes pending at arrival.
         self.ancestors: Dict[ChangeId, List[ChangeId]] = {}
         self.decided: Dict[ChangeId, bool] = {}
+        #: Every submitted change's lifecycle, in submission order: a
+        #: change's position here is its sequence number.
         self.records: Dict[ChangeId, ChangeRecord] = {}
         self.all_changes: Dict[ChangeId, Change] = {}
         self.builds: Dict[BuildKey, BuildRecord] = {}
@@ -315,15 +316,16 @@ class PlannerEngine:
 
     def submit(self, change: Change, now: float) -> ChangeRecord:
         """Register a freshly submitted change as pending."""
-        record = self.ledger.register(change, now)
+        if change.change_id in self.records:
+            raise ValueError(f"change {change.change_id} already submitted")
+        record = ChangeRecord(change=change, enqueued_at=now)
         self.records[change.change_id] = record
         self.all_changes[change.change_id] = change
         candidates = None
         if self._conflict_candidates is not None:
             candidates = self._conflict_candidates(
-                change, self.queue.in_order()
+                change, list(self.conflict_graph)
             )
-        self.queue.enqueue(change)
         self.conflict_graph.add(change, candidates)
         # Ancestors are the conflicting changes that were already pending;
         # submission order makes them exactly the graph's older neighbors.
@@ -345,7 +347,8 @@ class PlannerEngine:
         would create an ancestor cycle (deadlock) are refused; returns
         whether the swap was applied.
         """
-        if ahead_id not in self.queue or behind_id not in self.queue:
+        graph = self.conflict_graph
+        if ahead_id not in graph or behind_id not in graph:
             return False
         behind_ancestors = self.ancestors[behind_id]
         if ahead_id not in behind_ancestors:
@@ -370,7 +373,7 @@ class PlannerEngine:
         exceed Python's recursion limit (a 1000-deep queue is an ordinary
         deep-queue benchmark, not a pathology).
         """
-        pending_ids = {change.change_id for change in self.queue}
+        pending_ids = set(self.conflict_graph.in_order())
         state: Dict[ChangeId, int] = {}  # 0=visiting, 1=done
         for root in pending_ids:
             if root in state:
@@ -450,9 +453,8 @@ class PlannerEngine:
         # is pending, force the oldest pending change's decisive build (its
         # ancestors are all decided by definition of "oldest pending"), so
         # the system always makes progress.
-        if not started and self.workers.busy == 0 and len(self.queue) > 0:
-            head = self.queue.head()
-            assert head is not None
+        head = self.conflict_graph.head()
+        if not started and self.workers.busy == 0 and head is not None:
             key = self._decisive_key(head.change_id)
             if key is not None:
                 existing = self.builds.get(key)
@@ -466,7 +468,7 @@ class PlannerEngine:
     def _record_epoch(self) -> None:
         """Set the epoch gauges (no decision lands inside a plan, so the
         queue depth is the epoch's from start to end)."""
-        self._metrics.queue_depth.set(len(self.queue))
+        self._metrics.queue_depth.set(len(self.conflict_graph))
         self._metrics.workers_busy.set(self.workers.busy)
         self._metrics.worker_utilization.set(
             self.workers.busy / self.workers.capacity
@@ -655,15 +657,15 @@ class PlannerEngine:
         progressed = True
         while progressed:
             progressed = False
-            for change in self.queue.in_order():
-                key = self._decisive_key(change.change_id)
+            for change_id in self.conflict_graph.in_order():
+                key = self._decisive_key(change_id)
                 if key is None:
                     continue
-                build = self._usable_build(change.change_id, key)
+                build = self._usable_build(change_id, key)
                 if build is None:
                     continue
                 decision = Decision(
-                    change_id=change.change_id,
+                    change_id=change_id,
                     committed=build.execution.success,
                     at=now,
                     reason=build.execution.failure_reason
@@ -685,7 +687,6 @@ class PlannerEngine:
         else:
             record.mark_rejected(decision.at, decision.reason or "rejected")
         self.decided[change_id] = decision.committed
-        self.queue.remove(change_id)
         self.conflict_graph.remove(change_id)
         self._decision_log.append(decision)
         if self._metrics is not None:
@@ -709,7 +710,7 @@ class PlannerEngine:
         return list(self._decision_log)
 
     def pending_count(self) -> int:
-        return len(self.queue)
+        return len(self.conflict_graph)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class SubmitQueueService:
 
     def pending_ids(self) -> List[ChangeId]:
         """Pending change ids in queue order."""
-        return [c.change_id for c in self._core.planner.queue.in_order()]
+        return self._core.planner.conflict_graph.in_order()
 
     def mainline_is_green(self) -> bool:
         """True when every mainline commit point is green."""

@@ -273,7 +273,7 @@ class CoreService:
         pending or decided — before anything is journaled or scheduled:
         a journaled duplicate would fail again on every replay."""
         if (
-            change.change_id in self.planner.ledger
+            change.change_id in self.planner.records
             or change.change_id in self._submission_handles
         ):
             raise DuplicateChangeError(change.change_id)

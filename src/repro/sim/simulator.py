@@ -102,10 +102,14 @@ class Simulation:
     def _summarize(
         self, now: float, makespan: float, arrival_window: float
     ) -> SimulationResult:
-        ledger = self.planner.ledger
+        records = self.planner.records
+        decided = sorted(
+            (r for r in records.values() if r.state.is_terminal),
+            key=lambda r: (r.decided_at, r.change_id),
+        )
         turnarounds: Dict[ChangeId, float] = {}
         committed = rejected = 0
-        for record in ledger.decided():
+        for record in decided:
             if record.turnaround is not None:
                 turnarounds[record.change_id] = record.turnaround
             if record.state is ChangeState.COMMITTED:
@@ -116,7 +120,7 @@ class Simulation:
         return SimulationResult(
             strategy_name=self.planner.strategy.name,
             workers=self.planner.workers.capacity,
-            changes_submitted=len(ledger),
+            changes_submitted=len(records),
             changes_committed=committed,
             changes_rejected=rejected,
             makespan_minutes=makespan,

@@ -28,11 +28,6 @@ conflicting ancestor decided, and two pending changes that conflict
 always have one as the other's ancestor.  A batch build is therefore the
 union of independent dirty cones — exactly the hardware-utilization win
 the batching literature reports.
-
-With ``enabled=False`` the strategy delegates everything to
-:class:`~repro.strategies.submitqueue.SubmitQueueStrategy`; runs are
-bit-identical to plain SubmitQueue (``fingerprint_digest`` unchanged),
-which is how the batching-off golden pins stay byte-stable.
 """
 
 from __future__ import annotations
@@ -89,7 +84,6 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         self,
         predictor: Predictor,
         benefit: Optional[BenefitFunction] = None,
-        enabled: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
         member_confidence: float = DEFAULT_MEMBER_CONFIDENCE,
         max_pair_conflict: float = DEFAULT_MAX_PAIR_CONFLICT,
@@ -105,7 +99,6 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{knob} must be in [0, 1]")
-        self.enabled = enabled
         self.batch_size = batch_size
         self.member_confidence = member_confidence
         self.max_pair_conflict = max_pair_conflict
@@ -168,8 +161,6 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         return BuildKey(members[-1], frozenset(assumed))
 
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
-        if not self.enabled:
-            return super().select(view, budget)
         selected: List[BuildKey] = []
         seen: Set[BuildKey] = set()
         riding: Set[ChangeId] = set()

@@ -1,4 +1,5 @@
-"""Unit tests for repro.changes (change, state, queue, truth)."""
+"""Unit tests for repro.changes (change, state, truth), the planner's
+records and the conflict graph as the pending queue."""
 
 import pytest
 
@@ -9,8 +10,7 @@ from repro.changes.change import (
     next_change_id,
     next_revision_id,
 )
-from repro.changes.queue import PendingQueue
-from repro.changes.state import ChangeLedger
+from repro.changes.state import ChangeRecord
 from repro.changes.truth import (
     build_outcome,
     module_overlap,
@@ -18,9 +18,19 @@ from repro.changes.truth import (
     real_conflict,
     stack_outcome,
 )
+from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import IllegalTransitionError, UnknownChangeError
+from repro.journal import state_fingerprint
+from repro.planner.controller import LabelBuildController
+from repro.planner.planner import PlannerEngine
+from repro.planner.workers import WorkerPool
+from repro.service.api import SubmitQueueService
+from repro.service.core import CoreService, CoreServiceConfig
+from repro.sim.simulator import Simulation
+from repro.strategies.single_queue import SingleQueueStrategy
 from repro.types import ChangeState
 from repro.vcs.patch import Patch
+from repro.vcs.repository import Repository
 
 DEV = Developer("dev1", skill=0.9)
 
@@ -114,85 +124,144 @@ class TestGroundTruthRelations:
             build_outcome(patch_only, [])
 
 
+def label_planner():
+    """A planner over labelled changes; nothing is built."""
+    return PlannerEngine(
+        SingleQueueStrategy(),
+        LabelBuildController(),
+        WorkerPool(1),
+        conflict_predicate=lambda a, b: False,
+    )
+
+
+def label_service():
+    """A core service over labelled changes."""
+    return CoreService(
+        Repository(),
+        SingleQueueStrategy(),
+        CoreServiceConfig(workers=2),
+        controller=LabelBuildController(),
+        conflict_predicate=potential_conflict,
+    )
+
+
 class TestLedger:
+    """The planner's ``records`` is the ledger: one :class:`ChangeRecord`
+    per submitted change, in submission order."""
+
     def test_register_and_pending_order(self):
-        ledger = ChangeLedger()
+        planner = label_planner()
         a, b = labeled(["//a:a"]), labeled(["//b:b"])
-        ledger.register(a, at=1.0)
-        ledger.register(b, at=2.0)
-        assert [r.change_id for r in ledger.pending()] == [a.change_id, b.change_id]
+        planner.submit(a, now=1.0)
+        planner.submit(b, now=2.0)
+        assert list(planner.records) == [a.change_id, b.change_id]
+        assert planner.records[a.change_id].enqueued_at == 1.0
+        assert planner.records[b.change_id].state is ChangeState.PENDING
+        assert planner.view.pending == [a, b]
 
     def test_duplicate_registration_rejected(self):
-        ledger = ChangeLedger()
+        planner = label_planner()
         change = labeled(["//a:a"])
-        ledger.register(change, at=0.0)
-        with pytest.raises(ValueError):
-            ledger.register(change, at=1.0)
+        planner.submit(change, now=0.0)
+        with pytest.raises(ValueError, match="already submitted"):
+            planner.submit(change, now=1.0)
+        assert len(planner.records) == 1 and len(planner.conflict_graph) == 1
 
     def test_commit_and_turnaround(self):
-        ledger = ChangeLedger()
-        change = labeled(["//a:a"])
-        record = ledger.register(change, at=10.0)
+        record = ChangeRecord(change=labeled(["//a:a"]), enqueued_at=10.0)
+        assert record.turnaround is None
         record.mark_committed(at=40.0)
         assert record.turnaround == 30.0
-        assert ledger.state_of(change.change_id) is ChangeState.COMMITTED
-        assert ledger.committed_ids() == [change.change_id]
+        assert record.state is ChangeState.COMMITTED
+        assert record.decision_reason == "all build steps passed"
 
     def test_double_decision_illegal(self):
-        ledger = ChangeLedger()
-        record = ledger.register(labeled(["//a:a"]), at=0.0)
+        record = ChangeRecord(change=labeled(["//a:a"]))
         record.mark_rejected(at=5.0)
         with pytest.raises(IllegalTransitionError):
             record.mark_committed(at=6.0)
 
     def test_unknown_change(self):
         with pytest.raises(UnknownChangeError):
-            ChangeLedger().record("nope")
+            SubmitQueueService(label_service()).status("nope")
 
     def test_turnarounds_in_decision_order(self):
-        ledger = ChangeLedger()
-        first = ledger.register(labeled(["//a:a"]), at=0.0)
-        second = ledger.register(labeled(["//b:b"]), at=0.0)
-        second.mark_committed(at=5.0)
-        first.mark_rejected(at=9.0)
-        assert ledger.turnarounds() == [5.0, 9.0]
+        simulation = Simulation(
+            strategy=SingleQueueStrategy(),
+            controller=LabelBuildController(),
+            workers=2,
+            conflict_predicate=potential_conflict,
+        )
+        changes = [labeled([f"//t:{i % 2}"], ok=i != 1) for i in range(4)]
+        result = simulation.run([(float(i), c) for i, c in enumerate(changes)])
+        decided = sorted(
+            simulation.planner.records.values(),
+            key=lambda r: (r.decided_at, r.change_id),
+        )
+        assert list(result.turnarounds) == [r.change_id for r in decided]
+        assert result.turnaround_values() == [
+            r.decided_at - r.enqueued_at for r in decided
+        ]
 
 
 class TestPendingQueue:
-    def test_fifo_order_and_head(self):
-        queue = PendingQueue()
-        a, b = labeled(["//a:a"]), labeled(["//b:b"])
-        queue.enqueue(a)
-        queue.enqueue(b)
-        assert queue.head() is a
-        assert [c.change_id for c in queue] == [a.change_id, b.change_id]
+    """The conflict graph's nodes are the pending queue: submission
+    order, removal on decision."""
 
-    def test_remove_and_lazy_compaction(self):
-        queue = PendingQueue()
+    def test_fifo_order_and_head(self):
+        graph = ConflictGraph(lambda a, b: False)
+        assert graph.head() is None
+        a, b = labeled(["//a:a"]), labeled(["//b:b"])
+        graph.add(a)
+        graph.add(b)
+        assert graph.head() is a
+        assert list(graph) == [a, b]
+        assert graph.in_order() == [a.change_id, b.change_id]
+
+    def test_remove_then_head(self):
+        graph = ConflictGraph(lambda a, b: False)
         changes = [labeled([f"//t:{i}"]) for i in range(6)]
         for change in changes:
-            queue.enqueue(change)
+            graph.add(change)
         for change in changes[:4]:
-            queue.remove(change.change_id)
-        assert len(queue) == 2
-        assert queue.head() is changes[4]
+            graph.remove(change.change_id)
+        assert len(graph) == 2
+        assert graph.head() is changes[4]
 
     def test_sequence_survives_removals(self):
-        queue = PendingQueue()
+        """A change's sequence number is its position in the planner's
+        records: deciding the changes before it never moves it."""
+        service = label_service()
+        a, b, c, d = (labeled([f"//t:{i}"]) for i in range(4))
+        for change in (a, b, c):
+            service.submit(change)
+        service.pump()
+        service.submit(d)
+        fingerprint = state_fingerprint(service)
+        assert fingerprint["pending"] == [d.change_id]
+        assert fingerprint["sequences"] == sorted(
+            [change.change_id, seq] for seq, change in enumerate((a, b, c, d))
+        )
+        assert fingerprint["next_seq"] == 4
+
+    def test_order_survives_removals(self):
+        graph = ConflictGraph(lambda a, b: True)
         a, b, c = (labeled([f"//t:{i}"]) for i in range(3))
         for change in (a, b, c):
-            queue.enqueue(change)
-        queue.remove(b.change_id)
-        assert queue.sequence_of(c.change_id) == 2
-        assert [x.change_id for x in queue] == [a.change_id, c.change_id]
+            graph.add(change)
+        graph.remove(b.change_id)
+        d = labeled(["//t:3"])
+        graph.add(d)
+        assert [x.change_id for x in graph] == [a.change_id, c.change_id, d.change_id]
+        assert graph.ancestors(d.change_id) == [a.change_id, c.change_id]
 
     def test_duplicate_enqueue_rejected(self):
-        queue = PendingQueue()
+        graph = ConflictGraph(lambda a, b: False)
         change = labeled(["//a:a"])
-        queue.enqueue(change)
+        graph.add(change)
         with pytest.raises(ValueError):
-            queue.enqueue(change)
+            graph.add(change)
 
     def test_unknown_removal(self):
         with pytest.raises(UnknownChangeError):
-            PendingQueue().remove("nope")
+            ConflictGraph(lambda a, b: False).remove("nope")

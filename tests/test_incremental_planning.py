@@ -578,7 +578,7 @@ class TestLongChainCycleCheck:
             change = labeled(("//deep",), salt=i)
             # Bypass submit(): the O(n^2) conflict-graph scan is not under
             # test, the cycle walk over planner.ancestors is.
-            planner.queue.enqueue(change)
+            planner.conflict_graph.add(change, candidate_ids=())
             planner.ancestors[change.change_id] = (
                 [chain[-1].change_id] if chain else []
             )

@@ -1,6 +1,7 @@
 """Recovery unit tests: genesis replay, snapshot restore, torn tails,
 resumed journaling, corruption handling, and the CLI subcommands."""
 
+import json
 import os
 
 import pytest
@@ -18,6 +19,7 @@ from repro.journal import (
     summarize,
     verify_journal,
 )
+from repro.journal.framing import encode_record
 from repro.journal.records import SCHEMA_VERSION, SNAPSHOT
 from repro.journal.snapshots import capture_state, restore_service
 from repro.strategies.speculate_all import SpeculateAllStrategy
@@ -223,6 +225,81 @@ class TestSnapshotCodec:
             recover(journal_dir, attach=False)
         report = recover(journal_dir, strategy=SpeculateAllStrategy())
         assert report.service.planner.pending_count() == 0
+
+
+    def test_sequences_disagreeing_with_ledger_order_refused(self, changes):
+        service = make_service()
+        drive(service, changes, OPS)
+        state = capture_state(service)
+        sequences = state["sequences"]
+        assert [seq for _, seq in sequences] == list(range(len(sequences)))
+        assert state["next_seq"] == len(sequences) == len(state["ledger"])
+        (a, _), (b, _) = sequences[:2]
+        state["sequences"] = [[b, 0], [a, 1]] + sequences[2:]
+        with pytest.raises(JournalCorruptError, match="sequence"):
+            restore_service(state, service.config, service.planner.strategy)
+        state["sequences"] = sequences
+        state["next_seq"] += 1
+        with pytest.raises(JournalCorruptError, match="sequence"):
+            restore_service(state, service.config, service.planner.strategy)
+
+
+def _rewrite_init(journal_dir, edit):
+    """Rewrite a journal's ``init`` record in place."""
+    path = events_path(journal_dir)
+    with open(path, "rb") as handle:
+        head, rest = handle.read().split(b"\n", 1)
+    init = json.loads(head[9:])
+    assert init["t"] == "init"
+    edit(init)
+    with open(path, "wb") as handle:
+        handle.write(encode_record(init) + rest)
+
+
+class TestRiskBatchSpec:
+    """Journals written while ``RiskBatchStrategy`` had a batching-off
+    switch carry ``"enabled"`` in their strategy spec."""
+
+    def _journal(self, journal_dir, changes):
+        from repro.predictor.predictors import StaticPredictor
+        from repro.service.core import CoreService, CoreServiceConfig
+        from repro.strategies.risk_batch import RiskBatchStrategy
+        from repro.workload.repo_synth import SyntheticMonorepo
+
+        from .journal_harness import SPEC, REPO_SEED, WORKERS
+
+        writer = JournalWriter(journal_dir, snapshot_every=SNAPSHOT_EVERY)
+        service = CoreService(
+            SyntheticMonorepo(SPEC, seed=REPO_SEED).repo,
+            RiskBatchStrategy(
+                StaticPredictor(success=0.99, conflict=0.0), batch_size=3
+            ),
+            config=CoreServiceConfig(workers=WORKERS, journal=writer),
+        )
+        drive(service, changes, OPS)
+        writer.close()
+        return fingerprint_digest(service)
+
+    def test_legacy_enabled_spec_recovers(self, tmp_path, changes):
+        journal_dir = str(tmp_path / "legacy")
+        live = self._journal(journal_dir, changes)
+
+        def mark_enabled(init):
+            assert "enabled" not in init["strategy"]
+            init["strategy"]["enabled"] = True
+
+        _rewrite_init(journal_dir, mark_enabled)
+        report = recover(journal_dir, attach=False)
+        assert fingerprint_digest(report.service) == live
+
+    def test_batching_off_spec_refused(self, tmp_path, changes):
+        journal_dir = str(tmp_path / "off")
+        self._journal(journal_dir, changes)
+        _rewrite_init(
+            journal_dir, lambda init: init["strategy"].update(enabled=False)
+        )
+        with pytest.raises(JournalError, match="batching off"):
+            recover(journal_dir, attach=False)
 
 
 class TestCli:

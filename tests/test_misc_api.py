@@ -5,7 +5,6 @@ import pytest
 from repro.buildsys.executor import BuildExecutor, BuildReport
 from repro.buildsys.steps import StepResult, StepSpec
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
-from repro.changes.queue import PendingQueue
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import UnknownChangeError
 from repro.planner.workers import WorkerPool
@@ -45,14 +44,14 @@ class TestSnapshotMappingProtocol:
 
 class TestQueueAccessors:
     def test_get_and_unknown(self):
-        queue = PendingQueue()
+        queue = ConflictGraph(lambda a, b: False)
         change = labeled()
-        queue.enqueue(change)
-        assert queue.get(change.change_id) is change
+        queue.add(change)
+        assert queue.change(change.change_id) is change
         with pytest.raises(UnknownChangeError):
-            queue.get("nope")
+            queue.neighbors("nope")
         with pytest.raises(UnknownChangeError):
-            queue.sequence_of("nope")
+            queue.remove("nope")
 
 
 class TestConflictGraphAccessors:

@@ -56,8 +56,8 @@ class TestNullRecorder:
         null.histogram("h").observe(3.0)
         span = null.start_span("s", track="t", epoch=1)
         null.event({"t": "submit", "at": 0.0, "change": {"id": "c1"}})
-        assert null.finish_span(span) is span
-        assert span.name == "null"
+        assert span is None
+        assert null.finish_span(span) is None
         assert null.to_jsonl() == ""
         assert null.prometheus_text() == ""
         assert null.jsonl_records() == []

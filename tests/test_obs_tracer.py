@@ -1,5 +1,5 @@
-"""Unit tests for the span tracer (nesting, closing) and the trace
-exports: ordering, Chrome conversion."""
+"""Unit tests for the recorder's pump spans (clock, closing, rendering)
+and the trace exports: ordering, Chrome conversion."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from repro.errors import TraceError
 from repro.journal import records as rec
 from repro.obs.recorder import Recorder
-from repro.obs.tracer import SpanTracer, chrome_trace_from_records
+from repro.obs.tracer import chrome_trace_from_records
 from repro.types import BuildKey
 
 
@@ -28,63 +28,60 @@ def clock():
 
 
 @pytest.fixture
-def tracer(clock):
-    return SpanTracer(clock)
+def recorder(clock):
+    return Recorder(clock)
 
 
 class TestSpans:
-    def test_spans_nest_under_explicit_parents(self, tracer, clock):
-        pump = tracer.start("pump")
+    """The recorder's ``pump`` spans: dicts stamped by the bound clock."""
+
+    def test_start_and_end_come_from_the_bound_clock(self, recorder, clock):
         clock.now = 1.0
-        epoch = tracer.start("epoch", parent=pump)
-        # Without a parent a span is a root, whatever else is open.
-        loose = tracer.start("loose")
-        clock.now = 3.0
-        tracer.finish_open()
-        assert epoch.parent_id == pump.span_id
-        assert pump.parent_id is None and loose.parent_id is None
-        assert (pump.start, pump.end) == (0.0, 3.0)
-        assert (epoch.start, epoch.end) == (1.0, 3.0)
-        assert epoch.end - epoch.start == 2.0
+        pump = recorder.start_span("pump", category="service", pending=3)
+        clock.now = 4.0
+        recorder.finish_span(pump, decisions=2)
+        assert recorder.tracer == [pump]
+        assert (pump["id"], pump["start"], pump["end"]) == (1, 1.0, 4.0)
+        assert pump["parent"] is None and pump["track"] == "service"
+        assert pump["attrs"] == {"pending": 3, "decisions": 2}
 
-    def test_explicit_span_outlives_parent_frame(self, tracer, clock):
-        epoch = tracer.start("epoch")
-        build = tracer.start("build", track="change:c1", parent=epoch)
-        clock.now = 2.0
-        tracer.finish(epoch)
-        # The epoch closed; the build keeps running and still links to it.
-        clock.now = 9.0
-        tracer.finish(build, success=True)
-        assert build.parent_id == epoch.span_id
-        assert build.end == 9.0
-        assert build.attrs["success"] is True
-
-    def test_double_close_rejected(self, tracer):
-        span = tracer.start("s")
-        tracer.finish(span)
+    def test_double_close_rejected(self, recorder):
+        span = recorder.start_span("s")
+        recorder.finish_span(span)
         with pytest.raises(TraceError, match="already closed"):
-            tracer.finish(span)
+            recorder.finish_span(span)
 
-    def test_close_before_open_rejected(self, tracer, clock):
-        clock.now = 5.0
-        span = tracer.start("s")
-        with pytest.raises(TraceError, match="before it opened"):
-            tracer.finish(span, at=4.0)
+    def test_clock_rebinding(self, recorder):
+        span = recorder.start_span("s")
+        recorder.bind_clock(lambda: 42.0)
+        recorder.finish_span(span)
+        assert span["end"] == 42.0
+        assert recorder.trace()[0]["end"] == 42.0
 
-    def test_clock_rebinding(self, tracer):
-        span = tracer.start("s")
-        tracer.bind_clock(lambda: 42.0)
-        tracer.finish(span)
-        assert span.end == 42.0
-        assert tracer.now() == 42.0
-
-    def test_finish_open_sweeps_leaks(self, tracer, clock):
-        tracer.start("a")
-        tracer.start("b")
+    def test_open_span_renders_to_the_horizon(self, recorder, clock):
+        first = recorder.start_span("a")
+        clock.now = 2.0
+        recorder.start_span("b")
         clock.now = 7.0
-        assert tracer.finish_open() == 2
-        assert all(span.end == 7.0 for span in tracer.spans())
-        assert tracer.finish_open() == 0
+        assert [(s["id"], s["end"]) for s in recorder.trace()] == [(1, 7.0), (2, 7.0)]
+        # Rendering closes nothing, and an earlier horizon never ends a
+        # span before it starts.
+        assert all(span["end"] is None for span in recorder.tracer)
+        assert [s["end"] for s in recorder.trace(at=1.0)] == [1.0, 2.0]
+        recorder.finish_span(first)
+        assert first["end"] == 7.0
+
+    def test_export_mid_pump_leaves_the_span_open(self, recorder, clock, tmp_path):
+        pump = recorder.start_span("pump")
+        clock.now = 3.0
+        recorder.write_jsonl(str(tmp_path / "run.jsonl"))
+        recorder.write_chrome_trace(str(tmp_path / "run.trace.json"))
+        lines = (tmp_path / "run.jsonl").read_text().splitlines()
+        assert json.loads(lines[1])["end"] == 3.0
+        # The export rendered the open span; the pump still closes it.
+        clock.now = 5.0
+        recorder.finish_span(pump, decisions=1)
+        assert recorder.trace()[0]["end"] == 5.0
 
 
 class TestExports:

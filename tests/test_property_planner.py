@@ -75,7 +75,7 @@ class TestPlannerInvariants:
 
     def test_decisions_consistent_with_ground_truth(self, strategy_name, seed):
         planner, _ = self._run(strategy_name, seed)
-        for record in planner.ledger.decided():
+        for record in planner.records.values():
             change = record.change
             committed_ancestors = [
                 planner.all_changes[a]
@@ -97,7 +97,7 @@ class TestPlannerInvariants:
     def test_conflicting_changes_decide_in_order(self, strategy_name, seed):
         planner, _ = self._run(strategy_name, seed)
         decided_at = {
-            r.change_id: r.decided_at for r in planner.ledger.decided()
+            r.change_id: r.decided_at for r in planner.records.values()
         }
         for change_id, ancestors in planner.ancestors.items():
             for ancestor_id in ancestors:
@@ -107,7 +107,7 @@ class TestPlannerInvariants:
         planner, _ = self._run(strategy_name, seed)
         committed = [
             planner.all_changes[r.change_id]
-            for r in planner.ledger.decided()
+            for r in planner.records.values()
             if r.state is ChangeState.COMMITTED
         ]
         # Concurrently-pending committed pairs must be conflict-free;

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
-from repro.changes.queue import PendingQueue
+from repro.conflict.conflict_graph import ConflictGraph
 from repro.metrics.cdf import Cdf
 from repro.metrics.collector import GreennessTracker
 
@@ -26,22 +26,29 @@ class TestQueueProperties:
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
     @settings(max_examples=60)
     def test_fifo_order_preserved_under_interleaved_removals(self, ops):
-        """True = enqueue a new change; False = remove the current head."""
-        queue = PendingQueue()
+        """True = enqueue a new change; False = remove the current head.
+
+        The conflict graph is the pending queue; every change conflicts
+        here, so the edges churn with the order."""
+        queue = ConflictGraph(lambda a, b: True)
         reference = []
         counter = 0
         for should_enqueue in ops:
             if should_enqueue or not reference:
                 change = make_change(counter)
                 counter += 1
-                queue.enqueue(change)
+                queue.add(change)
                 reference.append(change)
             else:
                 victim = reference.pop(0)
                 queue.remove(victim.change_id)
         assert [c.change_id for c in queue] == [c.change_id for c in reference]
+        assert queue.in_order() == [c.change_id for c in reference]
         assert queue.head() is (reference[0] if reference else None)
         assert len(queue) == len(reference)
+        if reference:
+            tail = reference[-1].change_id
+            assert queue.ancestors(tail) == [c.change_id for c in reference[:-1]]
 
 
 class TestCdfProperties:

@@ -252,32 +252,6 @@ class TestRiskBatchStrategy:
         assert all(not strategy.scheduled_batch_members(k) for k in keys)
         assert len(keys) == 3
 
-    def test_disabled_selection_matches_plain_submitqueue(self):
-        def submit_all(planner):
-            for i, change in enumerate(changes):
-                planner.submit(change, float(i))
-
-        changes = [
-            labeled([f"//t{i % 3}"], rate=0.5, salt=i) for i in range(6)
-        ]
-        off = _planner(
-            RiskBatchStrategy(
-                StaticPredictor(success=0.9, conflict=0.05), enabled=False
-            ),
-            workers=2,
-        )
-        plain = _planner(
-            SubmitQueueStrategy(
-                StaticPredictor(success=0.9, conflict=0.05)
-            ),
-            workers=2,
-        )
-        submit_all(off)
-        submit_all(plain)
-        assert off.strategy.select(off.view, 2) == plain.strategy.select(
-            plain.view, 2
-        )
-
     def test_conflicting_ancestors_keep_changes_out_of_batches(self):
         # Two changes on the same target conflict: the later one has an
         # undecided conflicting ancestor, so it may not join a fresh

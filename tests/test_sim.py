@@ -229,7 +229,7 @@ def outcome(planner):
         planner.decisions(),
         stats.builds_started,
         stats.builds_aborted,
-        {r.change_id: r.turnaround for r in planner.ledger.decided()},
+        {r.change_id: r.turnaround for r in planner.records.values()},
     )
 
 
