@@ -1,17 +1,18 @@
 """Change lifecycle tracking.
 
 A :class:`ChangeRecord` is SubmitQueue's source of truth for where a
-change is in its life: pending since when, how many speculations on it
-succeeded or failed so far (both are top predictive features, section
-7.2), and its terminal state with timestamps for turnaround accounting.
+change is in its life: pending since when, which earlier changes it
+conflicts with, how many speculations on it succeeded or failed so far
+(both are top predictive features, section 7.2), and its terminal state
+with timestamps for turnaround accounting.
 The planner keeps one per submitted change
 (:attr:`repro.planner.planner.PlannerEngine.records`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 from repro.changes.change import Change
 from repro.errors import IllegalTransitionError
@@ -31,6 +32,10 @@ class ChangeRecord:
     speculations_failed: int = 0
     builds_scheduled: int = 0
     builds_aborted: int = 0
+    #: The conflicting changes this one speculates on, in submission
+    #: order: the conflict graph's older neighbours at submit, edited in
+    #: place by an applied reorder, kept after the change is decided.
+    ancestors: List[ChangeId] = field(default_factory=list)
 
     @property
     def change_id(self) -> ChangeId:

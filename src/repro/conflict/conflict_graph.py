@@ -4,12 +4,14 @@ Nodes are pending change ids; an undirected edge joins two changes that
 potentially conflict.  The nodes, in submission order, are also the
 pending queue — SubmitQueue's "illusion of a single queue" (section 3.2):
 iteration, :meth:`ConflictGraph.head` and :meth:`ConflictGraph.in_order`
-walk them oldest first.  The speculation engine consumes two queries:
+walk them oldest first.
 
-* ``ancestors(c)`` — earlier pending changes that conflict with ``c``
-  (these are the only changes ``c`` must speculate on);
-* connected components — independent components build and commit fully in
-  parallel.
+At submit the planner asks ``ancestors(c)``: the earlier pending changes
+that conflict with ``c``, the only changes ``c`` must speculate on.  It
+keeps that list on ``c``'s record, where reorders edit it and the
+speculation engine reads it; changes in different connected components
+never appear in each other's lists, so they build and commit fully in
+parallel.
 """
 
 from __future__ import annotations
@@ -127,26 +129,6 @@ class ConflictGraph:
     def in_order(self) -> List[ChangeId]:
         """All pending change ids, oldest first."""
         return list(self._changes)
-
-    def components(self) -> List[List[ChangeId]]:
-        """Connected components, each in submit order, oldest-first overall."""
-        seen: Set[ChangeId] = set()
-        components: List[List[ChangeId]] = []
-        for change_id in self.in_order():
-            if change_id in seen:
-                continue
-            component: List[ChangeId] = []
-            stack = [change_id]
-            while stack:
-                current = stack.pop()
-                if current in seen:
-                    continue
-                seen.add(current)
-                component.append(current)
-                stack.extend(self._edges[current] - seen)
-            component.sort(key=lambda cid: self._order[cid])
-            components.append(component)
-        return components
 
     def edge_count(self) -> int:
         return sum(len(edges) for edges in self._edges.values()) // 2

@@ -79,8 +79,10 @@ def state_fingerprint(service) -> Dict[str, object]:
             ]
             for record in planner.records.values()
         },
-        "ancestors": {cid: list(ids) for cid, ids in planner.ancestors.items()},
-        "ancestry_version": planner._ancestry_version,
+        "ancestors": {
+            cid: list(record.ancestors) for cid, record in planner.records.items()
+        },
+        "ancestry_version": planner.reorders_applied,
         "running": sorted(key.label() for key in workers.running_builds()),
         "scheduled": sorted(
             [handle.time, key.label()]

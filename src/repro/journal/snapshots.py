@@ -248,13 +248,14 @@ def capture_state(service) -> Dict[str, object]:
             for d in planner.decisions()
         ],
         "ancestors": [
-            [change_id, list(ids)] for change_id, ids in planner.ancestors.items()
+            [change_id, list(record.ancestors)]
+            for change_id, record in planner.records.items()
         ],
         "sequences": [
             [change_id, seq] for seq, change_id in enumerate(planner.records)
         ],
         "next_seq": len(planner.records),
-        "ancestry_version": planner._ancestry_version,
+        "ancestry_version": planner.reorders_applied,
         "stats": asdict(planner.stats),
         "workers": {
             "ewma": [
@@ -321,8 +322,13 @@ def restore_service(
         Decision(change_id=cid, committed=committed, at=at, reason=reason)
         for cid, committed, at, reason in state["decisions"]
     ]
-    planner.ancestors = {cid: list(ids) for cid, ids in state["ancestors"]}
-    planner._ancestry_version = state["ancestry_version"]
+    if [cid for cid, _ in state["ancestors"]] != list(planner.records):
+        raise JournalCorruptError(
+            "snapshot ancestor lists disagree with its ledger order"
+        )
+    for change_id, ancestors in state["ancestors"]:
+        planner.records[change_id].ancestors = list(ancestors)
+    planner.reorders_applied = state["ancestry_version"]
     planner.stats = PlannerStats(**state["stats"])
     # Rebind the exposed series to the restored counts.
     recorder.expose(planner.stats)

@@ -3,7 +3,7 @@
 Event-driven core shared by every strategy:
 
 * :meth:`PlannerEngine.submit` — enqueue a change, extend the conflict
-  graph, freeze the change's conflicting-ancestor list;
+  graph, set the change's conflicting-ancestor list on its record;
 * :meth:`PlannerEngine.plan` — ask the strategy for the current most
   valuable builds, abort running builds that fell out of the selection,
   assign newly selected ones to free workers and dispatch them to the
@@ -17,6 +17,10 @@ Event-driven core shared by every strategy:
   reject every change whose fate is now decided (a change's *decisive*
   build is the one whose assumed set equals the ancestors that actually
   committed), cascading until a fixpoint.
+
+The strategy is told what moved rather than left to find it: a submit, a
+decision, an applied reorder and a finished build each reach it as a
+hook call (:class:`~repro.strategies.base.Strategy`).
 
 The driver (:class:`~repro.service.core.CoreService`'s pump) owns time;
 the planner is a pure state machine over ``now`` values it is handed.
@@ -215,23 +219,14 @@ class PlannerView:
         return list(self._planner.conflict_graph)
 
     @property
-    def ancestors(self) -> Mapping[ChangeId, Sequence[ChangeId]]:
-        """Each pending change's conflicting predecessors (submit order)."""
-        return self._planner.ancestors
-
-    @property
-    def ancestry_version(self) -> int:
-        """Bumped by every applied reorder: while it repeats, no change a
-        strategy has already seen had its :attr:`ancestors` list edited."""
-        return self._planner._ancestry_version
-
-    @property
     def decided(self) -> Mapping[ChangeId, bool]:
         """Decided change ids -> committed?"""
         return self._planner.decided
 
     @property
     def records(self) -> Mapping[ChangeId, ChangeRecord]:
+        """Every submitted change's record; ``records[c].ancestors`` is
+        ``c``'s conflicting predecessors."""
         return self._planner.records
 
     @property
@@ -291,8 +286,6 @@ class PlannerEngine:
         self._conflict_candidates = conflict_candidates
         #: The pending changes, in submission order, and their conflicts.
         self.conflict_graph = ConflictGraph(conflict_predicate)
-        #: Frozen at submit time: conflicting changes pending at arrival.
-        self.ancestors: Dict[ChangeId, List[ChangeId]] = {}
         self.decided: Dict[ChangeId, bool] = {}
         #: Every submitted change's lifecycle, in submission order: a
         #: change's position here is its sequence number.
@@ -305,9 +298,8 @@ class PlannerEngine:
         self._view = PlannerView(self)
         self._decision_log: List[Decision] = []
         self._metrics = _PlannerMetrics(recorder) if recorder.enabled else None
-        #: Bumped by every applied reorder; pending-id changes cover the
-        #: other ancestry mutations (submission, decisions).
-        self._ancestry_version = 0
+        #: Applied reorders, for the state fingerprint and the snapshot.
+        self.reorders_applied = 0
         #: One ``(dispatch clock, records)`` entry per batch handed to the
         #: controller and not yet resolved, in dispatch order.
         self._pending_resolution: List[tuple] = []
@@ -329,9 +321,7 @@ class PlannerEngine:
         self.conflict_graph.add(change, candidates)
         # Ancestors are the conflicting changes that were already pending;
         # submission order makes them exactly the graph's older neighbors.
-        self.ancestors[change.change_id] = self.conflict_graph.ancestors(
-            change.change_id
-        )
+        record.ancestors = self.conflict_graph.ancestors(change.change_id)
         self.strategy.on_submit(change, self._view)
         return record
 
@@ -350,20 +340,21 @@ class PlannerEngine:
         graph = self.conflict_graph
         if ahead_id not in graph or behind_id not in graph:
             return False
-        behind_ancestors = self.ancestors[behind_id]
+        behind_ancestors = self.records[behind_id].ancestors
         if ahead_id not in behind_ancestors:
             return False
+        ahead_ancestors = self.records[ahead_id].ancestors
         position = behind_ancestors.index(ahead_id)
         del behind_ancestors[position]
-        self.ancestors[ahead_id].append(behind_id)
+        ahead_ancestors.append(behind_id)
         if self._ancestors_have_cycle():
             # Roll back: the swap would deadlock decisions.  Both lists
-            # end up exactly as they were — the ancestry version is not
-            # bumped, so nobody may see a refused reorder.
-            self.ancestors[ahead_id].pop()
+            # end up exactly as they were and the strategy is not told.
+            ahead_ancestors.pop()
             behind_ancestors.insert(position, ahead_id)
             return False
-        self._ancestry_version += 1
+        self.reorders_applied += 1
+        self.strategy.on_reorder(ahead_id, behind_id, self._view)
         return True
 
     def _ancestors_have_cycle(self) -> bool:
@@ -374,12 +365,13 @@ class PlannerEngine:
         deep-queue benchmark, not a pathology).
         """
         pending_ids = set(self.conflict_graph.in_order())
+        records = self.records
         state: Dict[ChangeId, int] = {}  # 0=visiting, 1=done
         for root in pending_ids:
             if root in state:
                 continue
             # Stack of (node, iterator over its remaining ancestors).
-            stack = [(root, iter(self.ancestors.get(root, ())))]
+            stack = [(root, iter(records[root].ancestors))]
             state[root] = 0
             while stack:
                 node, ancestors_iter = stack[-1]
@@ -393,9 +385,7 @@ class PlannerEngine:
                     if mark == 1:
                         continue
                     state[ancestor] = 0
-                    stack.append(
-                        (ancestor, iter(self.ancestors.get(ancestor, ())))
-                    )
+                    stack.append((ancestor, iter(records[ancestor].ancestors)))
                     advanced = True
                     break
                 if not advanced:
@@ -602,6 +592,9 @@ class PlannerEngine:
                 change_record.speculations_succeeded += 1
             else:
                 change_record.speculations_failed += 1
+            self.strategy.on_build_finished(
+                key, record.execution.success, self._view
+            )
 
         decisions: List[Decision] = []
         custom = self.strategy.interpret(
@@ -617,7 +610,7 @@ class PlannerEngine:
     def _decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
         """The build that settles ``change_id``, once all ancestors decided."""
         committed: Set[ChangeId] = set()
-        for ancestor_id in self.ancestors[change_id]:
+        for ancestor_id in self.records[change_id].ancestors:
             verdict = self.decided.get(ancestor_id)
             if verdict is None:
                 return None  # an ancestor is still pending
@@ -639,7 +632,7 @@ class PlannerEngine:
         exact = self.builds.get(decisive)
         if exact is not None and exact.done and not exact.aborted:
             return exact
-        ancestor_set = set(self.ancestors[change_id])
+        ancestor_set = set(self.records[change_id].ancestors)
         for key in self._builds_by_change.get(change_id, ()):
             build = self.builds.get(key)
             if build is None or not build.done or build.aborted:

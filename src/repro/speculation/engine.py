@@ -17,17 +17,19 @@ change lives in the merge heap (the greedy best-first property called
 out in section 7.1).
 
 Selection is *incremental across epochs*: the engine keeps one table
-entry per pending change — its frozen ancestor tuple, the speculation
-counters its ``P_succ`` was asked under, ``P_succ``, the ``P_conf`` of
-each ancestor asked so far, ``P_commit``, its pending ancestors with their
-``P_commit``, its top value and, once popped, its enumerator — plus an
-ancestor → children index over the pending changes.  A round
+entry per pending change — its record (whose ``ancestors`` list is the
+one the planner edits), ``P_succ``, the ``P_conf`` of each ancestor asked
+so far, ``P_commit``, its pending ancestors with their ``P_commit``, its
+top value and, once popped, its enumerator — plus an ancestor → children
+index over the pending changes.  The caller tells it what moved
+(:meth:`SpeculationEngine.on_submit`, :meth:`~SpeculationEngine.on_decision`,
+:meth:`~SpeculationEngine.on_reorder`,
+:meth:`~SpeculationEngine.on_build_finished`); each call updates the
+table and marks the changes whose own ``P_commit`` inputs moved *dirty*.
+A round
 
-* scans the pending order once for arrivals, departures, edited ancestor
-  lists and moved counters (a reorder reaches it as the caller's
-  ``ancestry_version``; a caller that passes none gets every ancestor
-  list compared).  A moved counter re-asks ``P_succ``, but dirties the
-  change only when the answer differs bit for bit from the held one;
+* re-asks ``P_succ`` of the changes whose counters moved, and dirties one
+  only when the answer differs bit for bit from the held one;
 * walks the dirty set's downstream cone through the children index and
   re-sweeps ``P_commit`` only there, in queue order, reusing every other
   value bit-for-bit (``commit_prob_reused_total``) — a round in which
@@ -36,11 +38,11 @@ ancestor → children index over the pending changes.  A round
   their ``P_commit`` moved; everything else keeps its enumerator —
   memoized prefix and heap state — untouched.
 
-The table relies on one planner invariant: a pending change's ancestors
-change status only when a change leaves the pending order, i.e.
-``decided`` grows by exactly the departures a round sees.  The engine
-checks it every round and runs the round cold when it does not hold (and
-the next round too, while a pending change already has a verdict).
+An engine without a table (new, or after
+:meth:`~SpeculationEngine.invalidate_carry_over`) ignores those calls and
+builds its table from the inputs of the first round or batch plan that
+reaches it: state written without the calls (a snapshot restore) is
+picked up whole.
 
 Incremental selection is bit-identical to from-scratch selection: every
 reused value was produced by the same deterministic recurrence the
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -180,10 +183,8 @@ class _Entry:
     """What selection keeps about one pending change across rounds."""
 
     __slots__ = (
-        "change",
+        "record",
         "benefit",
-        "ancestors",
-        "counters",
         "p_success",
         "p_conflict",
         "p_commit",
@@ -193,16 +194,11 @@ class _Entry:
         "enumerator",
     )
 
-    def __init__(self, change: Change, benefit: float) -> None:
-        self.change = change
+    def __init__(self, record: ChangeRecord, benefit: float) -> None:
+        #: ``record.ancestors``: *all* conflicting predecessors, pending or
+        #: decided, in the caller's order.
+        self.record = record
         self.benefit = benefit
-        #: Frozen tuple of *all* conflicting predecessors, pending or
-        #: decided, in the caller's order; ``None`` until a selection round
-        #: has seen the change (batch planning may meet it first).
-        self.ancestors: Optional[Tuple[ChangeId, ...]] = None
-        #: ``(speculations_succeeded, speculations_failed)`` that
-        #: ``p_success`` was asked under; ``None`` before the first ask.
-        self.counters: Optional[Tuple[int, int]] = None
         self.p_success = 0.0
         #: ``P_conf(other, this change)`` for every ``other`` asked so far.
         self.p_conflict: Dict[ChangeId, float] = {}
@@ -215,17 +211,6 @@ class _Entry:
         self.top = 0.0
         #: Built the first round the merge pops the change.
         self.enumerator: Optional[SubsetEnumerator] = None
-
-
-#: ``(entry, its record, the record's speculation counters)`` of a change
-#: whose ``P_succ`` must be (re)asked.
-_StaleSuccess = Tuple[_Entry, Optional[ChangeRecord], Tuple[int, int]]
-
-
-def _speculation_counters(record: Optional[ChangeRecord]) -> Tuple[int, int]:
-    if record is None:
-        return (0, 0)
-    return (record.speculations_succeeded, record.speculations_failed)
 
 
 class SpeculationEngine:
@@ -244,41 +229,102 @@ class SpeculationEngine:
         #: Nodes generated during the current selection round.
         self._nodes_expanded = 0
         self.bind_recorder(recorder)
-        self.invalidate_carry_over()
 
     def bind_recorder(self, recorder: Recorder) -> None:
-        """Attach an observability recorder (planner-injected); the stats
-        start over and are exposed on it."""
+        """Attach an observability recorder (planner-injected, once per
+        planner); the stats and the table start over."""
         self._recorder = recorder
         self._metrics: Optional[_SelectionMetrics] = None
         self.stats = SpeculationEngineStats()
         recorder.expose(self.stats)
+        self.invalidate_carry_over()
 
     def invalidate_carry_over(self) -> None:
-        """Drop all incremental state; the next round recomputes cold."""
-        #: One entry per pending change (see the module docstring).
-        self._entries: Dict[ChangeId, _Entry] = {}
+        """Drop the table; the next round or batch plan builds it from its
+        inputs, and calls until then are ignored."""
+        #: One entry per pending change (see the module docstring), or
+        #: ``None`` while there is no table.
+        self._entries: Optional[Dict[ChangeId, _Entry]] = None
         #: Pending ancestor -> the pending changes that list it.
         self._children: Dict[ChangeId, Set[ChangeId]] = {}
-        #: The pending order the last round saw.
-        self._order: List[ChangeId] = []
-        self._ancestry_version: Optional[int] = None
-        self._decided_count = 0
-        #: Changes whose re-asked ``P_succ`` differed from the held one
-        #: since the last round's scan; the next round dirties them.
-        self._moved: Set[ChangeId] = set()
+        #: Pending changes whose own ``P_commit`` inputs moved since the
+        #: last round.
+        self._dirty: Set[ChangeId] = set()
+        #: Pending changes whose ``P_succ`` must be (re)asked: new ones,
+        #: and those a finished build moved the counters of.
+        self._stale: Set[ChangeId] = set()
 
-    def _entry(
-        self, change_id: ChangeId, changes_by_id: Mapping[ChangeId, Change]
-    ) -> _Entry:
-        """``change_id``'s table entry, created on first sight."""
-        entry = self._entries.get(change_id)
-        if entry is None:
-            change = changes_by_id[change_id]
-            entry = self._entries[change_id] = _Entry(
-                change, self._benefit(change)
-            )
-        return entry
+    # -- what moved ---------------------------------------------------------
+
+    def on_submit(self, record: ChangeRecord) -> None:
+        """A change arrived, listing pending ancestors only."""
+        entries = self._entries
+        if entries is None:
+            return
+        change_id = record.change_id
+        entries[change_id] = _Entry(record, self._benefit(record.change))
+        self._index(change_id)
+        self._dirty.add(change_id)
+        self._stale.add(change_id)
+
+    def on_decision(self, change_id: ChangeId) -> None:
+        """A pending change was decided and left the queue."""
+        entries = self._entries
+        if entries is None:
+            return
+        children = self._children
+        for ancestor_id in entries.pop(change_id).record.ancestors:
+            siblings = children.get(ancestor_id)
+            if siblings is not None:
+                siblings.discard(change_id)
+        # Its children now see it as certain (0.0 or 1.0).
+        self._dirty.update(children.pop(change_id, ()))
+        self._dirty.discard(change_id)
+        self._stale.discard(change_id)
+
+    def on_reorder(self, ahead_id: ChangeId, behind_id: ChangeId) -> None:
+        """``ahead_id`` left ``behind_id``'s ancestor list and
+        ``behind_id`` joined ``ahead_id``'s (both pending)."""
+        if self._entries is None:
+            return
+        children = self._children
+        children[ahead_id].discard(behind_id)
+        children.setdefault(behind_id, set()).add(ahead_id)
+        self._dirty.update((ahead_id, behind_id))
+
+    def on_build_finished(self, change_id: ChangeId) -> None:
+        """A finished build moved a pending change's speculation counters."""
+        if self._entries is not None:
+            self._stale.add(change_id)
+
+    def _index(self, change_id: ChangeId) -> None:
+        """Enter ``change_id`` in its pending ancestors' children sets."""
+        entries = self._entries
+        children = self._children
+        for ancestor_id in entries[change_id].record.ancestors:
+            if ancestor_id in entries:
+                children.setdefault(ancestor_id, set()).add(change_id)
+
+    def _table(
+        self,
+        pending: Sequence[Change],
+        records: Mapping[ChangeId, ChangeRecord],
+    ) -> Dict[ChangeId, _Entry]:
+        """The table, built from ``pending`` and ``records`` when there is
+        none: every entry new, dirty and stale."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = {
+                change.change_id: _Entry(
+                    records[change.change_id], self._benefit(change)
+                )
+                for change in pending
+            }
+            for change_id in entries:
+                self._index(change_id)
+            self._dirty.update(entries)
+            self._stale.update(entries)
+        return entries
 
     # -- probability plumbing ------------------------------------------------
 
@@ -314,6 +360,7 @@ class SpeculationEngine:
     def plan_risk_batches(
         self,
         candidates: Sequence[ChangeId],
+        pending: Sequence[Change],
         records: Mapping[ChangeId, ChangeRecord],
         changes_by_id: Mapping[ChangeId, Change],
         batch_size: int,
@@ -329,20 +376,14 @@ class SpeculationEngine:
         *is* its decisive success probability, so the batch value — the
         Equations 1-5 mass a single build decides — is the sum of member
         ``P_succ``.  Probabilities are read from and kept in the table
-        entries the selection path uses, so batch planning never re-asks
-        the predictor for an answer selection already paid for.
+        entries the selection path uses (``pending`` and ``records`` build
+        it if there is none), so batch planning never re-asks the
+        predictor for an answer selection already paid for.
         """
         if len(candidates) < 2:
             return []
-        entries = self._entries
-        stale: List[_StaleSuccess] = []
-        for change_id in candidates:
-            entry = self._entry(change_id, changes_by_id)
-            record = records.get(change_id)
-            counters = _speculation_counters(record)
-            if counters != entry.counters:
-                stale.append((entry, record, counters))
-        self._ask_p_success(stale)
+        entries = self._table(pending, records)
+        self._ask_p_success(candidates)
 
         def p_success(change_id: ChangeId) -> float:
             return entries[change_id].p_success
@@ -363,9 +404,9 @@ class SpeculationEngine:
             min_joint_success=min_joint_success,
         )
 
-    def _ask_p_success(self, stale: Sequence[_StaleSuccess]) -> None:
-        """Refresh ``P_succ`` of every stale entry, in one vectorized call
-        when the predictor has one.
+    def _ask_p_success(self, change_ids: Iterable[ChangeId]) -> None:
+        """Refresh ``P_succ`` of the stale ones among ``change_ids``, in
+        their order, in one vectorized call when the predictor has one.
 
         Predictors exposing ``p_success_many`` (the learned one routes it
         through ``LogisticRegression.predict_many``) answer all of them
@@ -376,26 +417,28 @@ class SpeculationEngine:
         one) re-answers every completed speculation with the same number,
         and nothing downstream of it has to be re-swept.
         """
+        stale = self._stale
         if not stale:
+            return
+        entries = self._entries
+        asked = [entries[cid] for cid in change_ids if cid in stale]
+        if not asked:
             return
         many = getattr(self._predictor, "p_success_many", None)
         if many is not None:
-            values = [
-                float(value)
-                for value in many(
-                    [(entry.change, record) for entry, record, _ in stale]
-                )
-            ]
+            pairs = [(entry.record.change, entry.record) for entry in asked]
+            values = [float(value) for value in many(pairs)]
         else:
             values = [
-                self._predictor.p_success(entry.change, record)
-                for entry, record, _ in stale
+                self._predictor.p_success(entry.record.change, entry.record)
+                for entry in asked
             ]
-        for (entry, _, counters), value in zip(stale, values):
-            entry.counters = counters
+        for entry, value in zip(asked, values):
+            change_id = entry.record.change_id
+            stale.discard(change_id)
             if value != entry.p_success:
                 entry.p_success = value
-                self._moved.add(entry.change.change_id)
+                self._dirty.add(change_id)
 
     def _p_conflict(
         self,
@@ -407,7 +450,7 @@ class SpeculationEngine:
         value = entry.p_conflict.get(other_id)
         if value is None:
             value = entry.p_conflict[other_id] = self._predictor.p_conflict(
-                changes_by_id[other_id], entry.change
+                changes_by_id[other_id], entry.record.change
             )
         return value
 
@@ -416,27 +459,23 @@ class SpeculationEngine:
     def select_builds(
         self,
         pending: Sequence[Change],
-        ancestors: Mapping[ChangeId, Sequence[ChangeId]],
         records: Mapping[ChangeId, ChangeRecord],
         decided: Mapping[ChangeId, bool],
         budget: int,
         changes_by_id: Optional[Mapping[ChangeId, Change]] = None,
-        ancestry_version: Optional[int] = None,
     ) -> List[ScoredBuild]:
         """The top-``budget`` builds by value, best first.
 
-        ``pending`` must be in submission order.  ``ancestors`` maps each
-        pending change to *all* its conflicting predecessors (pending or
-        decided, in submission order); ``decided`` maps decided change ids
-        to whether they committed.  ``changes_by_id`` must cover pending
-        changes *and* decided ancestors; it defaults to the pending set,
-        which suffices only when nothing has been decided yet.
+        ``pending`` must be in submission order.  ``records`` covers the
+        pending changes; ``records[c].ancestors`` lists *all* of ``c``'s
+        conflicting predecessors (pending or decided).  ``decided`` maps
+        decided change ids to whether they committed.  ``changes_by_id``
+        must cover pending changes *and* decided ancestors; it defaults to
+        the pending set, which suffices only when nothing has been decided
+        yet.
 
-        ``ancestry_version`` is the caller's promise about ``ancestors``:
-        while it repeats the value of the previous round, no change the
-        engine has already seen had its ancestor list edited (the planner
-        bumps it on every applied reorder).  Without it every pending
-        change's ancestor list is compared against the table each round.
+        A carried table trusts the ``on_*`` calls to have told it every
+        change to these inputs since the previous round.
         """
         if budget <= 0:
             return []
@@ -446,14 +485,15 @@ class SpeculationEngine:
         stats = self.stats
         stats.selections += 1
         try:
-            dirty = self._fold_events(
-                order, ancestors, records, decided, changes_by_id, ancestry_version
-            )
+            self._table(pending, records)
+            self._ask_p_success(order)
+            dirty = self._dirty
             cone_order: List[ChangeId] = []
             if dirty:
                 cone = self._downstream_cone(dirty)
                 cone_order = [cid for cid in order if cid in cone]
                 self._sweep(cone_order, decided, changes_by_id)
+                dirty.clear()
             selected = self._merge(order, budget, decided, changes_by_id)
         except Exception:
             # A round that fails half-way leaves entries whose dirtiness is
@@ -462,94 +502,9 @@ class SpeculationEngine:
             raise
         stats.commit_prob_recomputed += len(cone_order)
         stats.commit_prob_reused += len(order) - len(cone_order)
-        self._order = order
         if self._recorder.enabled:
             self._record_selection(selected)
         return selected
-
-    def _fold_events(
-        self,
-        order: List[ChangeId],
-        ancestors: Mapping[ChangeId, Sequence[ChangeId]],
-        records: Mapping[ChangeId, ChangeRecord],
-        decided: Mapping[ChangeId, bool],
-        changes_by_id: Mapping[ChangeId, Change],
-        ancestry_version: Optional[int],
-    ) -> Set[ChangeId]:
-        """Bring the table up to date with what moved since the last round.
-
-        Drops the entries of departed changes, creates entries for
-        arrivals, re-freezes edited ancestor lists, re-asks ``P_succ``
-        where speculation counters moved, and keeps the children index in
-        step.  Returns the *dirty* pending changes — those whose own
-        ``P_commit`` inputs moved; their downstream cone is what the round
-        must recompute.
-        """
-        entries = self._entries
-        departed: List[ChangeId] = []
-        if order != self._order or len(entries) != len(order):
-            current = set(order)
-            departed = [cid for cid in entries if cid not in current]
-        decided_count = len(decided)
-        if decided_count - self._decided_count != len(departed) or not all(
-            cid in decided for cid in departed
-        ):
-            # The invariant the table rests on — ``decided`` grows by
-            # exactly the changes that left the pending order — does not
-            # hold for this caller: answer this round from nothing.
-            self.invalidate_carry_over()
-            entries = self._entries
-            departed = []
-            if any(cid in decided for cid in order):
-                # A pending change already has a verdict.  Its departure
-                # would not grow ``decided`` and could hide a new verdict
-                # from the count: the next round runs from nothing too.
-                decided_count = -1
-        children = self._children
-        dirty: Set[ChangeId] = set()
-        for change_id in departed:
-            self._unindex(change_id, entries.pop(change_id))
-            # A departed ancestor is now certain (0.0 or 1.0).
-            dirty.update(children.pop(change_id, ()))
-
-        compare_ancestors = (
-            ancestry_version is None
-            or ancestry_version != self._ancestry_version
-        )
-        stale: List[_StaleSuccess] = []
-        for change_id in order:
-            entry = self._entry(change_id, changes_by_id)
-            if compare_ancestors or entry.ancestors is None:
-                frozen = tuple(ancestors.get(change_id, ()))
-                if frozen != entry.ancestors:
-                    self._unindex(change_id, entry)
-                    entry.ancestors = frozen
-                    entry.pending = None
-                    for ancestor_id in frozen:
-                        if ancestor_id not in decided:
-                            children.setdefault(ancestor_id, set()).add(
-                                change_id
-                            )
-                    dirty.add(change_id)
-            record = records.get(change_id)
-            counters = _speculation_counters(record)
-            if counters != entry.counters:
-                stale.append((entry, record, counters))
-        self._ask_p_success(stale)
-        dirty.update(self._moved)
-        self._moved.clear()
-        dirty.difference_update(departed)
-        self._ancestry_version = ancestry_version
-        self._decided_count = decided_count
-        return dirty
-
-    def _unindex(self, change_id: ChangeId, entry: _Entry) -> None:
-        """Take ``change_id`` out of its ancestors' children sets."""
-        children = self._children
-        for ancestor_id in entry.ancestors or ():
-            siblings = children.get(ancestor_id)
-            if siblings is not None:
-                siblings.discard(change_id)
 
     def _downstream_cone(self, dirty: Set[ChangeId]) -> Set[ChangeId]:
         """``dirty`` plus every pending change downstream of it.
@@ -609,7 +564,7 @@ class SpeculationEngine:
         changes_by_id: Mapping[ChangeId, Change],
     ) -> bool:
         """``P_commit = P_succ · Π (1 - P_commit(a) · P_conf(a, C))`` over
-        ``entry``'s ancestors in tuple order, asking ``P_conf`` only for an
+        ``entry``'s ancestors in list order, asking ``P_conf`` only for an
         ancestor that can still commit.
 
         When the pending ancestors or their ``P_commit`` moved, the
@@ -626,7 +581,7 @@ class SpeculationEngine:
         p = entry.p_success
         pending_ancestors: List[ChangeId] = []
         probabilities: List[float] = []
-        for ancestor_id in entry.ancestors:
+        for ancestor_id in entry.record.ancestors:
             verdict = decided.get(ancestor_id)
             if verdict is None:
                 ancestor = entries.get(ancestor_id)
@@ -709,11 +664,11 @@ class SpeculationEngine:
             return
         self.stats.enumerators_rebuilt += 1
         entry.enumerator = SubsetEnumerator(
-            entry.change.change_id,
+            entry.record.change_id,
             entry.pending,
             dict(zip(entry.pending, entry.probabilities)),
             known_committed=frozenset(
-                a for a in entry.ancestors if decided.get(a)
+                a for a in entry.record.ancestors if decided.get(a)
             ),
             benefit=entry.benefit,
         )

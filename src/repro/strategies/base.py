@@ -4,6 +4,14 @@ A strategy owns build selection; the planner owns everything else.  The
 hooks — no-ops here, called unconditionally by the planner and the
 service — let strategies maintain internal state (batching), reorder the
 queue, or feed online learning (SubmitQueue's developer-history features).
+
+The planner tells a strategy everything that moves the selection inputs,
+as it happens: a submit (:meth:`Strategy.on_submit`), a decision
+(:meth:`Strategy.on_decision`), an applied reorder
+(:meth:`Strategy.on_reorder`) and a finished build that moved a pending
+change's speculation counters (:meth:`Strategy.on_build_finished`).  A
+strategy that carries state between rounds keeps it current from these
+calls; it never has to diff the view.
 """
 
 from __future__ import annotations
@@ -46,6 +54,17 @@ class Strategy(abc.ABC):
     ) -> Sequence[Tuple[ChangeId, ChangeId]]:
         """``(ahead, behind)`` swaps to try before this epoch's selection."""
         return ()
+
+    def on_reorder(self, ahead_id: ChangeId, behind_id: ChangeId,
+                   view: PlannerView) -> None:
+        """Called after an applied reorder: ``ahead_id`` left
+        ``behind_id``'s ancestor list and ``behind_id`` joined
+        ``ahead_id``'s."""
+
+    def on_build_finished(self, key: BuildKey, success: bool,
+                          view: PlannerView) -> None:
+        """Called after a finished build bumped its pending change's
+        speculation counters, before the build is interpreted."""
 
     def on_decision(self, change: Change, decision: Decision,
                     view: PlannerView) -> None:

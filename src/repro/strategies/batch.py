@@ -88,7 +88,7 @@ class BatchStrategy(Strategy):
         # Committed predecessors of any member are already on HEAD; fold
         # them in so the stacked snapshot matches what a rebase would see.
         for member in group:
-            for ancestor_id in view.ancestors.get(member, ()):
+            for ancestor_id in view.records[member].ancestors:
                 if view.decided.get(ancestor_id, False):
                     assumed.add(ancestor_id)
         assumed.discard(last)

@@ -54,7 +54,7 @@ class ReorderingSubmitQueueStrategy(SubmitQueueStrategy):
             record = view.records.get(change.change_id)
             if self.predictor.p_success(change, record) < self.healthy_above:
                 continue
-            for ancestor_id in list(view.ancestors.get(change.change_id, ())):
+            for ancestor_id in list(view.records[change.change_id].ancestors):
                 ancestor = pending.get(ancestor_id)
                 if ancestor is None:
                     continue  # already decided; nothing to jump

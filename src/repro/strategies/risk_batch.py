@@ -138,7 +138,7 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         decided = view.decided
         return all(
             ancestor in decided
-            for ancestor in view.ancestors.get(change_id, ())
+            for ancestor in view.records[change_id].ancestors
         )
 
     def _group_key(
@@ -155,7 +155,7 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         assumed: Set[ChangeId] = set(members[:-1])
         decided = view.decided
         for member in members:
-            for ancestor in view.ancestors.get(member, ()):
+            for ancestor in view.records[member].ancestors:
                 if decided.get(ancestor, False):
                     assumed.add(ancestor)
         return BuildKey(members[-1], frozenset(assumed))
@@ -164,7 +164,8 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         selected: List[BuildKey] = []
         seen: Set[BuildKey] = set()
         riding: Set[ChangeId] = set()
-        pending_ids = {change.change_id for change in view.pending}
+        pending = view.pending
+        pending_ids = {change.change_id for change in pending}
 
         # 0. In-flight batch builds keep their registration and stay
         # selected: replans happen on every arrival, and dropping a
@@ -218,14 +219,15 @@ class RiskBatchStrategy(SubmitQueueStrategy):
         # member faster than any batch could, so batches only form when
         # the queue is deeper than the worker pool — the saturated regime
         # where trading per-member latency for per-build throughput wins.
-        if len(selected) < budget and len(view.pending) > budget:
+        if len(selected) < budget and len(pending) > budget:
             candidates = [
                 change.change_id
-                for change in view.pending
+                for change in pending
                 if self._eligible(change.change_id, view, riding)
             ]
             plans = self.engine.plan_risk_batches(
                 candidates,
+                pending,
                 view.records,
                 view.changes_by_id,
                 batch_size=self.batch_size,

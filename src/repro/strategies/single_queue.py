@@ -29,7 +29,7 @@ class SingleQueueStrategy(Strategy):
 
     def _decisive_key(self, view: PlannerView, change_id) -> Optional[BuildKey]:
         committed = set()
-        for ancestor_id in view.ancestors.get(change_id, ()):
+        for ancestor_id in view.records[change_id].ancestors:
             verdict = view.decided.get(ancestor_id)
             if verdict is None:
                 return None

@@ -34,7 +34,7 @@ class SpeculateAllStrategy(Strategy):
         for change in view.pending:
             if len(selected) >= budget:
                 break
-            ancestors = view.ancestors.get(change.change_id, ())
+            ancestors = view.records[change.change_id].ancestors
             known_committed = frozenset(
                 a for a in ancestors if decided.get(a, False)
             )

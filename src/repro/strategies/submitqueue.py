@@ -16,7 +16,7 @@ from repro.planner.planner import Decision, PlannerView
 from repro.predictor.predictors import LearnedPredictor, Predictor
 from repro.speculation.engine import BenefitFunction, SpeculationEngine
 from repro.strategies.base import Strategy
-from repro.types import BuildKey
+from repro.types import BuildKey, ChangeId
 
 
 class SubmitQueueStrategy(Strategy):
@@ -44,17 +44,29 @@ class SubmitQueueStrategy(Strategy):
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
         scored = self.engine.select_builds(
             pending=view.pending,
-            ancestors=view.ancestors,
             records=view.records,
             decided=view.decided,
             budget=budget,
             changes_by_id=view.changes_by_id,
-            ancestry_version=view.ancestry_version,
         )
         return [build.key for build in scored]
 
+    # The planner's pushes keep the engine's table current.
+
+    def on_submit(self, change: Change, view: PlannerView) -> None:
+        self.engine.on_submit(view.records[change.change_id])
+
+    def on_reorder(self, ahead_id: ChangeId, behind_id: ChangeId,
+                   view: PlannerView) -> None:
+        self.engine.on_reorder(ahead_id, behind_id)
+
+    def on_build_finished(self, key: BuildKey, success: bool,
+                          view: PlannerView) -> None:
+        self.engine.on_build_finished(key.change_id)
+
     def on_decision(self, change: Change, decision: Decision,
                     view: PlannerView) -> None:
+        self.engine.on_decision(change.change_id)
         # Keep the learned predictor's developer history current; static
         # and oracle predictors have no feedback surface.
         if isinstance(self.predictor, LearnedPredictor):

@@ -124,17 +124,6 @@ class TestConflictGraph:
         assert graph.ancestors(b.change_id) == [a.change_id]
         assert graph.ancestors(a.change_id) == []
 
-    def test_components(self):
-        graph = self._graph()
-        a = self._labeled(["//x:1"])
-        b = self._labeled(["//x:1"])
-        c = self._labeled(["//y:1"])
-        for change in (a, b, c):
-            graph.add(change)
-        components = graph.components()
-        assert [a.change_id, b.change_id] in components
-        assert [c.change_id] in components
-
     def test_remove_drops_edges(self):
         graph = self._graph()
         a = self._labeled(["//x:1"])

@@ -262,7 +262,7 @@ class TestIndexedService:
             cross = _cross_island(slot=last, source_index=1)
             for change in (a, b, cross):
                 service.submit(change)
-            assert service.planner.ancestors[cross.change_id] == [
+            assert service.planner.records[cross.change_id].ancestors == [
                 a.change_id,
                 b.change_id,
             ]

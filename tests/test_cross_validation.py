@@ -50,12 +50,14 @@ class TestEngineVsExhaustive:
             labeled("c4", ["//a"]),
         ]
         ancestors = {"c1": [], "c2": [], "c3": ["c1", "c2"], "c4": ["c1", "c3"]}
-        records = {c.change_id: ChangeRecord(change=c) for c in pending}
+        records = {
+            c.change_id: ChangeRecord(change=c, ancestors=ancestors[c.change_id])
+            for c in pending
+        }
         changes_by_id = {c.change_id: c for c in pending}
 
         scored = engine.select_builds(
-            pending, ancestors, records, {}, budget=50,
-            changes_by_id=changes_by_id,
+            pending, records, {}, budget=50, changes_by_id=changes_by_id
         )
         commit_probabilities = engine.commit_probabilities(
             pending, ancestors, records, {}, changes_by_id

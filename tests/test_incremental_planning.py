@@ -1,6 +1,9 @@
 """Unit tests for incremental epoch planning.
 
-Covers the incremental layers this subsystem stacks:
+Covers the incremental layers this subsystem stacks.  The engine is told
+what moved (``on_submit``, ``on_decision``, ``on_build_finished``), as the
+planner tells it through the strategy, and each record carries its
+change's ancestor list:
 
 * the speculation engine's unchanged round (a no-op epoch performs zero
   predictor calls and returns the identical selection);
@@ -88,9 +91,13 @@ def build_queue(n=6, conflict_rate=0.5):
     return pending, ancestors
 
 
-def engine_inputs(pending):
+def engine_inputs(pending, ancestors):
+    """``changes_by_id``, and records carrying ``ancestors``' lists."""
     changes_by_id = {c.change_id: c for c in pending}
-    records = {c.change_id: ChangeRecord(change=c) for c in pending}
+    records = {
+        c.change_id: ChangeRecord(change=c, ancestors=ancestors.get(c.change_id, []))
+        for c in pending
+    }
     return changes_by_id, records
 
 
@@ -99,15 +106,15 @@ class TestEngineFingerprint:
         predictor = CountingPredictor(StaticPredictor(0.8, 0.3))
         engine = SpeculationEngine(predictor)
         pending, ancestors = build_queue(6)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
 
         first = engine.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         calls_after_first = predictor.calls
         assert calls_after_first > 0
         second = engine.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         assert predictor.calls == calls_after_first  # zero new model calls
         assert second == first  # same builds, same order, same values
@@ -116,25 +123,25 @@ class TestEngineFingerprint:
     def test_skip_result_is_a_copy(self):
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
         pending, ancestors = build_queue(4)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         first = engine.select_builds(
-            pending, ancestors, records, {}, budget=4, changes_by_id=changes_by_id
+            pending, records, {}, budget=4, changes_by_id=changes_by_id
         )
         first.clear()  # caller mutates its list...
         second = engine.select_builds(
-            pending, ancestors, records, {}, budget=4, changes_by_id=changes_by_id
+            pending, records, {}, budget=4, changes_by_id=changes_by_id
         )
         assert second  # ...without corrupting the engine's memo
 
     def test_budget_change_invalidates_fingerprint(self):
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
         pending, ancestors = build_queue(5)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         engine.select_builds(
-            pending, ancestors, records, {}, budget=2, changes_by_id=changes_by_id
+            pending, records, {}, budget=2, changes_by_id=changes_by_id
         )
         bigger = engine.select_builds(
-            pending, ancestors, records, {}, budget=6, changes_by_id=changes_by_id
+            pending, records, {}, budget=6, changes_by_id=changes_by_id
         )
         assert len(bigger) > 2
 
@@ -142,17 +149,18 @@ class TestEngineFingerprint:
         shared = StaticPredictor(0.8, 0.3)
         warm = SpeculationEngine(shared)
         pending, ancestors = build_queue(6)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         warm.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         # A completed speculation moves one change's dynamic counters.
         records[pending[2].change_id].speculations_succeeded += 1
+        warm.on_build_finished(pending[2].change_id)
         incremental = warm.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         cold = SpeculationEngine(shared).select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         assert incremental == cold
         assert warm.stats.commit_prob_reused > 0  # upstream of the dirty change
@@ -161,18 +169,19 @@ class TestEngineFingerprint:
         shared = StaticPredictor(0.8, 0.3)
         warm = SpeculationEngine(shared)
         pending, ancestors = build_queue(6)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         warm.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         decided = {pending[0].change_id: True}
+        warm.on_decision(pending[0].change_id)
         still_pending = pending[1:]
         incremental = warm.select_builds(
-            still_pending, ancestors, records, decided, budget=8,
+            still_pending, records, decided, budget=8,
             changes_by_id=changes_by_id,
         )
         cold = SpeculationEngine(shared).select_builds(
-            still_pending, ancestors, records, decided, budget=8,
+            still_pending, records, decided, budget=8,
             changes_by_id=changes_by_id,
         )
         assert incremental == cold
@@ -181,14 +190,14 @@ class TestEngineFingerprint:
         predictor = CountingPredictor(StaticPredictor(0.8, 0.3))
         engine = SpeculationEngine(predictor)
         pending, ancestors = build_queue(4)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         first = engine.select_builds(
-            pending, ancestors, records, {}, budget=4, changes_by_id=changes_by_id
+            pending, records, {}, budget=4, changes_by_id=changes_by_id
         )
         calls = predictor.calls
         engine.invalidate_carry_over()
         second = engine.select_builds(
-            pending, ancestors, records, {}, budget=4, changes_by_id=changes_by_id
+            pending, records, {}, budget=4, changes_by_id=changes_by_id
         )
         assert predictor.calls > calls  # really recomputed
         assert second == first
@@ -231,19 +240,22 @@ class TestSelectionCostIsIndependentOfLifetime:
         history = {f"old-{i:04d}": bool(i % 3) for i in range(1998)}
         history[landed.change_id] = True
         history[bounced.change_id] = False
-        changes_by_id, records = engine_inputs(pending + [landed, bounced])
+        changes_by_id, records = engine_inputs(
+            pending + [landed, bounced], ancestors
+        )
 
         warm = SpeculationEngine(shared)
         for bump in (None, pending[1]):
             if bump is not None:
                 records[bump.change_id].speculations_failed += 1
+                warm.on_build_finished(bump.change_id)
             selection = warm.select_builds(
-                pending, ancestors, PointLookupsOnly(records),
+                pending, PointLookupsOnly(records),
                 PointLookupsOnly(history), budget=8,
                 changes_by_id=changes_by_id,
             )
             cold = SpeculationEngine(shared).select_builds(
-                pending, ancestors, records, history, budget=8,
+                pending, records, history, budget=8,
                 changes_by_id=changes_by_id,
             )
             assert selection and selection == cold
@@ -257,10 +269,10 @@ class TestEnumeratorCarryOver:
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
         pending = [labeled((f"//solo{i}",), salt=i) for i in range(12)]
         ancestors = {c.change_id: [] for c in pending}
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         for _ in range(2):
             selection = engine.select_builds(
-                pending, ancestors, records, {}, budget=3,
+                pending, records, {}, budget=3,
                 changes_by_id=changes_by_id,
             )
         assert [b.change_id for b in selection] == [
@@ -272,9 +284,9 @@ class TestEnumeratorCarryOver:
     def test_unrelated_arrival_reuses_enumerators(self):
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
         pending, ancestors = build_queue(5)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         engine.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         built_cold = engine.stats.enumerators_rebuilt
         assert built_cold == 5
@@ -283,10 +295,11 @@ class TestEnumeratorCarryOver:
         pending = pending + [newcomer]
         ancestors = dict(ancestors)
         ancestors[newcomer.change_id] = []
-        changes_by_id, records2 = engine_inputs(pending)
-        records.update({newcomer.change_id: records2[newcomer.change_id]})
+        changes_by_id, records2 = engine_inputs(pending, ancestors)
+        records[newcomer.change_id] = records2[newcomer.change_id]
+        engine.on_submit(records[newcomer.change_id])
         engine.select_builds(
-            pending, ancestors, records, {}, budget=8, changes_by_id=changes_by_id
+            pending, records, {}, budget=8, changes_by_id=changes_by_id
         )
         assert engine.stats.enumerators_reused == 5  # all five carried over
         assert engine.stats.enumerators_rebuilt == built_cold + 1  # newcomer
@@ -299,10 +312,10 @@ class TestObsCounters:
         engine = SpeculationEngine(StaticPredictor(0.8, 0.3))
         engine.bind_recorder(recorder)
         pending, ancestors = build_queue(4)
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         for _ in range(3):
             engine.select_builds(
-                pending, ancestors, records, {}, budget=4,
+                pending, records, {}, budget=4,
                 changes_by_id=changes_by_id,
             )
         registry = recorder.registry
@@ -347,14 +360,14 @@ class TestIncrementalProbabilities:
         )
         return pending, ancestors, p_success
 
-    def run_round(self, engine, pending, ancestors, records):
-        changes_by_id, _ = engine_inputs(pending)
+    def run_round(self, engine, pending, records):
+        changes_by_id = {c.change_id: c for c in pending}
         before = (
             engine.stats.commit_prob_recomputed,
             engine.stats.commit_prob_reused,
         )
         selection = engine.select_builds(
-            pending, ancestors, records, {}, budget=8,
+            pending, records, {}, budget=8,
             changes_by_id=changes_by_id,
         )
         return (
@@ -366,23 +379,25 @@ class TestIncrementalProbabilities:
     def test_dirty_cone_is_downstream_closure(self):
         pending, ancestors, p_success = self.dag()
         a, b, c, d, e = pending
-        _, records = engine_inputs(pending)
+        _, records = engine_inputs(pending, ancestors)
         engine = SpeculationEngine(DictPredictor(p_success))
-        self.run_round(engine, pending, ancestors, records)
+        self.run_round(engine, pending, records)
         # b's P_succ moves: the cone is {b, c, e}; a and d are reused.
         p_success[b.change_id] = 0.5
         records[b.change_id].speculations_succeeded += 1
-        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        engine.on_build_finished(b.change_id)
+        _, recomputed, reused = self.run_round(engine, pending, records)
         assert (recomputed, reused) == (3, 2)
         # d's P_succ moves: the cone is {d, e}.
         p_success[d.change_id] = 0.3
         records[d.change_id].speculations_failed += 1
-        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        engine.on_build_finished(d.change_id)
+        _, recomputed, reused = self.run_round(engine, pending, records)
         assert (recomputed, reused) == (2, 3)
         # Nothing moved, only the budget: every value is reused.
-        changes_by_id, _ = engine_inputs(pending)
+        changes_by_id = {c.change_id: c for c in pending}
         engine.select_builds(
-            pending, ancestors, records, {}, budget=3,
+            pending, records, {}, budget=3,
             changes_by_id=changes_by_id,
         )
         assert engine.stats.commit_prob_recomputed == 5 + 3 + 2
@@ -391,19 +406,20 @@ class TestIncrementalProbabilities:
     def test_incremental_sweep_matches_full_and_counts_reuse(self):
         pending, ancestors, p_success = self.dag()
         d = pending[3]
-        _, records = engine_inputs(pending)
+        _, records = engine_inputs(pending, ancestors)
         predictor = DictPredictor(p_success)
         engine = SpeculationEngine(predictor)
-        self.run_round(engine, pending, ancestors, records)
+        self.run_round(engine, pending, records)
         # d's inputs move (its P_succ is re-asked under the new
         # counters); a, b, c are untouched.
         p_success[d.change_id] = 0.1
         records[d.change_id].speculations_failed += 1
+        engine.on_build_finished(d.change_id)
         incremental, recomputed, reused = self.run_round(
-            engine, pending, ancestors, records
+            engine, pending, records
         )
         full, _, _ = self.run_round(
-            SpeculationEngine(predictor), pending, ancestors, records
+            SpeculationEngine(predictor), pending, records
         )
         assert incremental == full
         assert (recomputed, reused) == (2, 3)  # cone {d, e}; a, b, c reused
@@ -413,21 +429,22 @@ class TestIncrementalProbabilities:
         comes back bit-equal: the round re-asks, re-sweeps nothing, and
         still answers what a cold engine answers."""
         pending, ancestors, p_success = self.dag()
-        _, records = engine_inputs(pending)
+        _, records = engine_inputs(pending, ancestors)
         predictor = CountingPredictor(DictPredictor(p_success))
         engine = SpeculationEngine(predictor)
-        self.run_round(engine, pending, ancestors, records)
+        self.run_round(engine, pending, records)
         for record in records.values():
             record.speculations_succeeded += 1
+            engine.on_build_finished(record.change_id)
         asked = predictor.success_calls
         warm, recomputed, reused = self.run_round(
-            engine, pending, ancestors, records
+            engine, pending, records
         )
         assert predictor.success_calls == asked + 5
         assert (recomputed, reused) == (0, 5)
         cold, _, _ = self.run_round(
             SpeculationEngine(DictPredictor(p_success)),
-            pending, ancestors, records,
+            pending, records,
         )
         assert warm == cold
 
@@ -436,32 +453,33 @@ class TestIncrementalProbabilities:
         the next selection round must still re-sweep that change's cone."""
         pending, ancestors, p_success = self.dag()
         a = pending[0]
-        changes_by_id, records = engine_inputs(pending)
+        changes_by_id, records = engine_inputs(pending, ancestors)
         predictor = DictPredictor(p_success)
         engine = SpeculationEngine(predictor)
-        self.run_round(engine, pending, ancestors, records)
+        self.run_round(engine, pending, records)
         p_success[a.change_id] = 0.2
         records[a.change_id].speculations_failed += 1
+        engine.on_build_finished(a.change_id)
         engine.plan_risk_batches(
-            [a.change_id, pending[3].change_id], records, changes_by_id,
+            [a.change_id, pending[3].change_id], pending, records, changes_by_id,
             batch_size=4, member_confidence=0.0, max_pair_conflict=1.0,
             min_joint_success=0.0,
         )
-        warm, recomputed, _ = self.run_round(engine, pending, ancestors, records)
+        warm, recomputed, _ = self.run_round(engine, pending, records)
         cold, _, _ = self.run_round(
-            SpeculationEngine(predictor), pending, ancestors, records
+            SpeculationEngine(predictor), pending, records
         )
         assert warm == cold
         assert recomputed == 4  # a, b, c, e: a's downstream cone
 
     def test_no_previous_falls_back_to_full(self):
         pending, ancestors, p_success = self.dag()
-        _, records = engine_inputs(pending)
+        _, records = engine_inputs(pending, ancestors)
         engine = SpeculationEngine(DictPredictor(p_success))
-        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        _, recomputed, reused = self.run_round(engine, pending, records)
         assert (recomputed, reused) == (5, 0)
         engine.invalidate_carry_over()
-        _, recomputed, reused = self.run_round(engine, pending, ancestors, records)
+        _, recomputed, reused = self.run_round(engine, pending, records)
         assert (recomputed, reused) == (5, 0)
 
 
@@ -577,21 +595,24 @@ class TestLongChainCycleCheck:
         for i in range(n):
             change = labeled(("//deep",), salt=i)
             # Bypass submit(): the O(n^2) conflict-graph scan is not under
-            # test, the cycle walk over planner.ancestors is.
+            # test, the cycle walk over the records' ancestor lists is.
             planner.conflict_graph.add(change, candidate_ids=())
-            planner.ancestors[change.change_id] = (
-                [chain[-1].change_id] if chain else []
+            planner.records[change.change_id] = ChangeRecord(
+                change=change, ancestors=[chain[-1].change_id] if chain else []
             )
             chain.append(change)
+        records = planner.records
         # Give the tail a second ancestor so a reorder can close a triangle.
         x, y, z = (c.change_id for c in chain[-3:])
-        planner.ancestors[z] = [x, y]
+        records[z].ancestors = [x, y]
         assert planner._ancestors_have_cycle() is False
         # z jumping x would leave x -> z -> y -> x: caught and rolled back
         # (the check walks the whole 1500-deep chain without recursing).
         assert not planner.reorder(x, z)
         # Rollback restores the edge set (append order is not preserved).
-        assert set(planner.ancestors[z]) == {x, y}
+        assert set(records[z].ancestors) == {x, y}
+        assert planner.reorders_applied == 0
         # An adjacent swap closes no cycle and is applied.
         assert planner.reorder(y, z)
-        assert z in planner.ancestors[y] and y not in planner.ancestors[z]
+        assert z in records[y].ancestors and y not in records[z].ancestors
+        assert planner.reorders_applied == 1

@@ -49,9 +49,9 @@ class TestSubmission:
         planner.submit(a, 0.0)
         planner.submit(b, 1.0)
         planner.submit(c, 2.0)
-        assert planner.ancestors[a.change_id] == []
-        assert planner.ancestors[b.change_id] == [a.change_id]
-        assert planner.ancestors[c.change_id] == []
+        assert planner.records[a.change_id].ancestors == []
+        assert planner.records[b.change_id].ancestors == [a.change_id]
+        assert planner.records[c.change_id].ancestors == []
         assert planner.pending_count() == 3
 
     def test_plan_starts_builds_within_capacity(self):

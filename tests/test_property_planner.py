@@ -79,7 +79,7 @@ class TestPlannerInvariants:
             change = record.change
             committed_ancestors = [
                 planner.all_changes[a]
-                for a in planner.ancestors[change.change_id]
+                for a in planner.records[change.change_id].ancestors
                 if planner.decided.get(a, False)
             ]
             should_commit = change.ground_truth.individually_ok and not any(
@@ -99,8 +99,8 @@ class TestPlannerInvariants:
         decided_at = {
             r.change_id: r.decided_at for r in planner.records.values()
         }
-        for change_id, ancestors in planner.ancestors.items():
-            for ancestor_id in ancestors:
+        for change_id, record in planner.records.items():
+            for ancestor_id in record.ancestors:
                 assert decided_at[ancestor_id] <= decided_at[change_id]
 
     def test_always_green_no_committed_real_conflicts(self, strategy_name, seed):
@@ -113,7 +113,7 @@ class TestPlannerInvariants:
         # Concurrently-pending committed pairs must be conflict-free;
         # concurrency is recorded by the ancestors relation.
         for change in committed:
-            for ancestor_id in planner.ancestors[change.change_id]:
+            for ancestor_id in planner.records[change.change_id].ancestors:
                 if planner.decided.get(ancestor_id, False):
                     ancestor = planner.all_changes[ancestor_id]
                     if strategy_name == "batch":

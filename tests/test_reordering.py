@@ -48,10 +48,10 @@ class TestReorderPrimitive:
         fast = labeled(["//x"], duration=10.0)
         planner.submit(slow, 0.0)
         planner.submit(fast, 1.0)
-        assert planner.ancestors[fast.change_id] == [slow.change_id]
+        assert planner.records[fast.change_id].ancestors == [slow.change_id]
         assert planner.reorder(slow.change_id, fast.change_id)
-        assert planner.ancestors[fast.change_id] == []
-        assert planner.ancestors[slow.change_id] == [fast.change_id]
+        assert planner.records[fast.change_id].ancestors == []
+        assert planner.records[slow.change_id].ancestors == [fast.change_id]
 
     def test_swap_requires_existing_edge(self):
         planner = make_planner()
@@ -82,9 +82,9 @@ class TestReorderPrimitive:
         # b jumps a, then c jumps b: order becomes c < b < a, still a DAG.
         assert planner.reorder(a.change_id, b.change_id)
         assert planner.reorder(b.change_id, c.change_id)
-        assert planner.ancestors[a.change_id] == [b.change_id]
-        assert planner.ancestors[b.change_id] == [c.change_id]
-        assert planner.ancestors[c.change_id] == []
+        assert planner.records[a.change_id].ancestors == [b.change_id]
+        assert planner.records[b.change_id].ancestors == [c.change_id]
+        assert planner.records[c.change_id].ancestors == []
 
     def test_cycle_creating_swap_refused(self):
         planner = make_planner()
@@ -97,8 +97,8 @@ class TestReorderPrimitive:
         assert planner.reorder(a.change_id, b.change_id)
         # c jumping b would close a -> b -> c -> a: refused, rolled back.
         assert not planner.reorder(b.change_id, c.change_id)
-        assert b.change_id in planner.ancestors[c.change_id]
-        assert c.change_id not in planner.ancestors[b.change_id]
+        assert b.change_id in planner.records[c.change_id].ancestors
+        assert c.change_id not in planner.records[b.change_id].ancestors
 
     def test_jumper_commits_first_then_jumped_builds_on_it(self):
         planner = make_planner()
@@ -136,7 +136,7 @@ class TestReorderingStrategy:
         planner.submit(doomed, 0.0)
         planner.submit(healthy, 1.0)
         plan_and_resolve(planner, 1.0)  # applies the proposal, then selects
-        assert planner.ancestors[healthy.change_id] == []
+        assert planner.records[healthy.change_id].ancestors == []
         # The healthy change decides without waiting for the doomed one.
         decisions = planner.complete(BuildKey(healthy.change_id), 11.0)
         assert decisions and decisions[0].committed
@@ -179,6 +179,6 @@ class TestReorderingStrategy:
         plan_and_resolve(planner, 2.0)
         jumped = [
             cid for cid in (first.change_id, second.change_id)
-            if doomed.change_id not in planner.ancestors[cid]
+            if doomed.change_id not in planner.records[cid].ancestors
         ]
         assert len(jumped) == 1, "only one change may jump the doomed one"

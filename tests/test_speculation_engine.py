@@ -28,10 +28,12 @@ def labeled(name, targets, ok=True, rate=0.0, salt=0):
 
 def select(engine, pending, ancestors, decided=None, budget=10):
     changes_by_id = {c.change_id: c for c in pending}
-    records = {c.change_id: ChangeRecord(change=c) for c in pending}
+    records = {
+        c.change_id: ChangeRecord(change=c, ancestors=ancestors[c.change_id])
+        for c in pending
+    }
     return engine.select_builds(
         pending=pending,
-        ancestors=ancestors,
         records=records,
         decided=decided or {},
         budget=budget,
@@ -94,8 +96,7 @@ class TestSelection:
         changes_by_id["cr"] = rejected
         scored = engine.select_builds(
             pending=pending,
-            ancestors={"c2": ["c0", "cr"]},
-            records={},
+            records={"c2": ChangeRecord(change=pending[0], ancestors=["c0", "cr"])},
             decided={"c0": True, "cr": False},
             budget=5,
             changes_by_id=changes_by_id,
