@@ -16,7 +16,7 @@ parallel.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 from repro.changes.change import Change
 from repro.errors import UnknownChangeError
@@ -125,6 +125,12 @@ class ConflictGraph:
         ]
         older.sort(key=lambda cid: self._order[cid])
         return older
+
+    @property
+    def positions(self) -> Mapping[ChangeId, int]:
+        """Each pending change's queue position (its submission sequence
+        number); reorders edit ancestor lists, never positions."""
+        return self._order
 
     def in_order(self) -> List[ChangeId]:
         """All pending change ids, oldest first."""

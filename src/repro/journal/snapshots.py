@@ -328,6 +328,9 @@ def restore_service(
         )
     for change_id, ancestors in state["ancestors"]:
         planner.records[change_id].ancestors = list(ancestors)
+    # The undecided counts and ready memo follow from the records (empty
+    # for today's quiescent snapshots).
+    planner.reindex()
     planner.reorders_applied = state["ancestry_version"]
     planner.stats = PlannerStats(**state["stats"])
     # Rebind the exposed series to the restored counts.

@@ -18,6 +18,12 @@ Event-driven core shared by every strategy:
   build is the one whose assumed set equals the ancestors that actually
   committed), cascading until a fixpoint.
 
+Each pending change carries a count of its undecided ancestors.  A
+decision decrements its dependents' counts and a reorder moves one unit;
+a change whose count reaches zero is *ready*, and its decisive key is
+memoised then.  The decision step visits only ready changes, so its cost
+follows what a completion moved, not the length of the queue.
+
 The strategy is told what moved rather than left to find it: a submit, a
 decision, an applied reorder and a finished build each reach it as a
 hook call (:class:`~repro.strategies.base.Strategy`).
@@ -28,16 +34,19 @@ the planner is a pure state machine over ``now`` values it is handed.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.changes.change import Change
@@ -236,6 +245,11 @@ class PlannerView:
     def running_keys(self) -> Set[BuildKey]:
         return set(self._planner.workers.running_builds())
 
+    def decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
+        """The build that settles a pending change, or ``None`` while one
+        of its ancestors is undecided."""
+        return self._planner.decisive_key(change_id)
+
     def conflict_degree(self, change_id: ChangeId) -> int:
         """Number of pending changes this one conflicts with (any order)."""
         return len(self._planner.conflict_graph.neighbors(change_id))
@@ -293,6 +307,12 @@ class PlannerEngine:
         self.all_changes: Dict[ChangeId, Change] = {}
         self.builds: Dict[BuildKey, BuildRecord] = {}
         self._builds_by_change: Dict[ChangeId, List[BuildKey]] = {}
+        #: Per pending change, the entries of its ancestor list not yet
+        #: decided.
+        self._undecided: Dict[ChangeId, int] = {}
+        #: Pending changes with no undecided ancestor: their decisive key
+        #: and ancestor set, memoised when the count reached zero.
+        self._ready: Dict[ChangeId, Tuple[BuildKey, FrozenSet[ChangeId]]] = {}
         self.stats = PlannerStats()
         recorder.expose(self.stats)
         self._view = PlannerView(self)
@@ -322,8 +342,44 @@ class PlannerEngine:
         # Ancestors are the conflicting changes that were already pending;
         # submission order makes them exactly the graph's older neighbors.
         record.ancestors = self.conflict_graph.ancestors(change.change_id)
+        self._track(change.change_id, record.ancestors)
         self.strategy.on_submit(change, self._view)
         return record
+
+    def _track(self, change_id: ChangeId, ancestors: List[ChangeId]) -> None:
+        """Count a pending change's undecided ancestors; at zero it is
+        ready at once."""
+        decided = self.decided
+        count = 0
+        for ancestor_id in ancestors:
+            if ancestor_id not in decided:
+                count += 1
+        self._undecided[change_id] = count
+        if not count:
+            self._release(change_id)
+
+    def reindex(self) -> None:
+        """Rebuild the undecided counts and the ready memo from the
+        records, for a planner whose records were written directly (a
+        restored snapshot)."""
+        self._undecided.clear()
+        self._ready.clear()
+        for change_id, record in self.records.items():
+            if not record.state.is_terminal:
+                self._track(change_id, record.ancestors)
+
+    def _release(self, change_id: ChangeId) -> None:
+        """Memoise the decisive key of a change whose ancestors are all
+        decided.  Its ancestor list cannot change while it stays ready: a
+        reorder only edits lists of changes with a pending ancestor, or
+        makes this one wait again."""
+        ancestors = self.records[change_id].ancestors
+        decided = self.decided
+        committed = frozenset([a for a in ancestors if decided[a]])
+        self._ready[change_id] = (
+            BuildKey(change_id, committed),
+            frozenset(ancestors),
+        )
 
     # -- reordering (section 10 future work) ---------------------------------
 
@@ -353,6 +409,12 @@ class PlannerEngine:
             ahead_ancestors.pop()
             behind_ancestors.insert(position, ahead_id)
             return False
+        # One pending ancestor moved from ``behind``'s list to ``ahead``'s.
+        self._undecided[ahead_id] += 1
+        self._ready.pop(ahead_id, None)
+        self._undecided[behind_id] -= 1
+        if not self._undecided[behind_id]:
+            self._release(behind_id)
         self.reorders_applied += 1
         self.strategy.on_reorder(ahead_id, behind_id, self._view)
         return True
@@ -445,7 +507,7 @@ class PlannerEngine:
         # the system always makes progress.
         head = self.conflict_graph.head()
         if not started and self.workers.busy == 0 and head is not None:
-            key = self._decisive_key(head.change_id)
+            key = self.decisive_key(head.change_id)
             if key is not None:
                 existing = self.builds.get(key)
                 if existing is None or existing.aborted or not existing.done:
@@ -607,19 +669,20 @@ class PlannerEngine:
         decisions.extend(self._decide_ready(now))
         return decisions
 
-    def _decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
-        """The build that settles ``change_id``, once all ancestors decided."""
-        committed: Set[ChangeId] = set()
-        for ancestor_id in self.records[change_id].ancestors:
-            verdict = self.decided.get(ancestor_id)
-            if verdict is None:
-                return None  # an ancestor is still pending
-            if verdict:
-                committed.add(ancestor_id)
-        return BuildKey(change_id, frozenset(committed))
+    def decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
+        """The build that settles a pending ``change_id``, once all its
+        ancestors are decided (``None`` before)."""
+        ready = self._ready.get(change_id)
+        return None if ready is None else ready[0]
 
-    def _usable_build(self, change_id: ChangeId, decisive: BuildKey) -> Optional[BuildRecord]:
-        """A finished build whose result decides ``change_id``.
+    def _usable_build(
+        self,
+        change_id: ChangeId,
+        decisive: BuildKey,
+        ancestors: FrozenSet[ChangeId],
+    ) -> Optional[BuildRecord]:
+        """A finished build whose result decides ``change_id``, whose
+        ancestor set is ``ancestors``.
 
         The decisive key itself always qualifies.  So does any finished
         build whose assumed set (a) covers exactly the committed conflicting
@@ -629,32 +692,46 @@ class PlannerEngine:
         equivalent to HEAD plus the change.  Optimistic (Zuul-style) chains
         rely on this rule to convert their all-ahead builds into decisions.
         """
-        exact = self.builds.get(decisive)
+        builds = self.builds
+        exact = builds.get(decisive)
         if exact is not None and exact.done and not exact.aborted:
             return exact
-        ancestor_set = set(self.records[change_id].ancestors)
+        decided = self.decided
         for key in self._builds_by_change.get(change_id, ()):
-            build = self.builds.get(key)
+            build = builds.get(key)
             if build is None or not build.done or build.aborted:
                 continue
-            if key.assumed & frozenset(ancestor_set) != decisive.assumed:
+            if key.assumed & ancestors != decisive.assumed:
                 continue
-            extras = key.assumed - frozenset(ancestor_set)
-            if all(self.decided.get(extra, False) for extra in extras):
+            for extra in key.assumed - ancestors:
+                if not decided.get(extra, False):
+                    break
+            else:
                 return build
         return None
 
     def _decide_ready(self, now: float) -> List[Decision]:
-        """Commit/reject every change whose decisive build has finished."""
+        """Commit/reject every ready change whose decisive build has
+        finished, in passes until one decides nothing.
+
+        A pass visits the ready changes in queue position.  A change a
+        decision releases joins the pass when it sits behind the decided
+        one and waits for the next pass otherwise; every ready change is
+        re-checked on every pass, because a committed non-ancestor can make
+        a finished build of it usable (the committed-extras rule).
+        """
         decisions: List[Decision] = []
+        ready = self._ready
+        position = self.conflict_graph.positions
         progressed = True
-        while progressed:
+        while progressed and ready:
             progressed = False
-            for change_id in self.conflict_graph.in_order():
-                key = self._decisive_key(change_id)
-                if key is None:
-                    continue
-                build = self._usable_build(change_id, key)
+            visit = [(position[change_id], change_id) for change_id in ready]
+            heapq.heapify(visit)
+            while visit:
+                at, change_id = heapq.heappop(visit)
+                key, ancestors = ready[change_id]
+                build = self._usable_build(change_id, key, ancestors)
                 if build is None:
                     continue
                 decision = Decision(
@@ -665,21 +742,44 @@ class PlannerEngine:
                     if not build.execution.success
                     else "decisive build passed",
                 )
-                self._apply_decision(decision)
+                for released in self._apply_decision(decision):
+                    if position[released] > at:
+                        heapq.heappush(visit, (position[released], released))
                 decisions.append(decision)
                 progressed = True
         return decisions
 
-    def _apply_decision(self, decision: Decision) -> None:
+    def _settle(self, change_id: ChangeId) -> List[ChangeId]:
+        """Count a decision against its pending dependents; returns the
+        ones it left with no undecided ancestor.  Runs while the decided
+        change is still in the conflict graph, whose edges name them."""
+        self._ready.pop(change_id, None)
+        neighbors = self.conflict_graph.neighbors(change_id)
+        if self._undecided.pop(change_id):
+            # Decided ahead of an ancestor (a strategy's own verdict):
+            # its pending ancestors are neighbors, not dependents.
+            neighbors.difference_update(self.records[change_id].ancestors)
+        undecided = self._undecided
+        released: List[ChangeId] = []
+        for dependent in neighbors:
+            undecided[dependent] -= 1
+            if not undecided[dependent]:
+                self._release(dependent)
+                released.append(dependent)
+        return released
+
+    def _apply_decision(self, decision: Decision) -> List[ChangeId]:
+        """Record a verdict; returns the changes it made ready."""
         change_id = decision.change_id
         record = self.records[change_id]
         if record.state.is_terminal:
-            return
+            return []
         if decision.committed:
             record.mark_committed(decision.at, decision.reason or "committed")
         else:
             record.mark_rejected(decision.at, decision.reason or "rejected")
         self.decided[change_id] = decision.committed
+        released = self._settle(change_id)
         self.conflict_graph.remove(change_id)
         self._decision_log.append(decision)
         if self._metrics is not None:
@@ -692,6 +792,7 @@ class PlannerEngine:
         if decision.committed:
             self.controller.on_commit(change, self.all_changes)
         self.strategy.on_decision(change, decision, self._view)
+        return released
 
     # -- inspection ---------------------------------------------------------
 

@@ -291,6 +291,11 @@ class SpeculationEngine:
         children[ahead_id].discard(behind_id)
         children.setdefault(behind_id, set()).add(ahead_id)
         self._dirty.update((ahead_id, behind_id))
+        # ``ahead``'s enumerator folded in the committed ancestors it had.
+        # Should ``behind`` be decided before the next round, ``ahead``'s
+        # pending ancestors read as they did, so the recompute would keep
+        # an enumerator that misses the new committed one.
+        self._entries[ahead_id].enumerator = None
 
     def on_build_finished(self, change_id: ChangeId) -> None:
         """A finished build moved a pending change's speculation counters."""

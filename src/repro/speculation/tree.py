@@ -60,7 +60,10 @@ def top_p_needed(commit_probabilities: Iterable[float]) -> float:
     """
     probability = 1.0
     for p in commit_probabilities:
-        probability *= _likelier_outcome(p)[1]
+        # _likelier_outcome(p)[1] inline: clamped to [0, 1], an ancestor
+        # at 0 or 1 (NaN clamps to 0) multiplies by 1.0, which is exact.
+        if 0.0 < p < 1.0:
+            probability *= p if p >= 0.5 else 1.0 - p
     return probability
 
 

@@ -15,7 +15,7 @@ for a thousand daily changes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.planner.planner import PlannerView
 from repro.strategies.base import Strategy
@@ -27,16 +27,6 @@ class SingleQueueStrategy(Strategy):
 
     name = "Single-Queue"
 
-    def _decisive_key(self, view: PlannerView, change_id) -> Optional[BuildKey]:
-        committed = set()
-        for ancestor_id in view.records[change_id].ancestors:
-            verdict = view.decided.get(ancestor_id)
-            if verdict is None:
-                return None
-            if verdict:
-                committed.add(ancestor_id)
-        return BuildKey(change_id, frozenset(committed))
-
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
         selected: List[BuildKey] = []
         serial_head_taken = False
@@ -45,13 +35,13 @@ class SingleQueueStrategy(Strategy):
                 break
             if view.conflict_degree(change.change_id) == 0:
                 # Independent: build (decisively) in parallel.
-                key = self._decisive_key(view, change.change_id)
+                key = view.decisive_key(change.change_id)
                 if key is not None:
                     selected.append(key)
             elif not serial_head_taken:
                 # Head of the single queue: only this one may build.
                 serial_head_taken = True
-                key = self._decisive_key(view, change.change_id)
+                key = view.decisive_key(change.change_id)
                 if key is not None:
                     selected.append(key)
         return selected

@@ -4,11 +4,18 @@ The package folds a stack ``H ⊕ S ⊕ C`` onto its memoized base context
 and builds the dirty closure.  These references apply the patches one at
 a time to a plain dict and load both sides as roots, so ``build_between``
 compares every hash in topological order.  Both must agree bit for bit.
+
+The planner decides from undecided-ancestor counts and a ready memo;
+:class:`ScanningPlannerEngine` decides by re-walking every pending
+change's ancestor list after every completion.  Both must log the same
+decisions in the same order.
 """
 
 from repro.buildsys.executor import BuildContext
 from repro.errors import BuildSystemError, PatchConflictError
 from repro.planner.controller import FullStackBuildController
+from repro.planner.planner import Decision, PlannerEngine
+from repro.types import BuildKey
 
 
 def graph_structure(graph):
@@ -59,3 +66,61 @@ class ScratchBuildController(FullStackBuildController):
         except BuildSystemError as exc:
             return self._unbuildable(key, f"build graph error: {exc}")
         return self._execution_from_report(key, report)
+
+
+class ScanningPlannerEngine(PlannerEngine):
+    """The decision step as a full scan: after every completion, walk the
+    whole queue in order, derive each change's decisive key from its
+    ancestor list, and repeat until a pass decides nothing.  The stall
+    guard and strategies reading ``decisive_key`` get the same walk."""
+
+    def decisive_key(self, change_id):
+        committed = set()
+        for ancestor_id in self.records[change_id].ancestors:
+            verdict = self.decided.get(ancestor_id)
+            if verdict is None:
+                return None  # an ancestor is still pending
+            if verdict:
+                committed.add(ancestor_id)
+        return BuildKey(change_id, frozenset(committed))
+
+    def _scan_usable_build(self, change_id, decisive):
+        exact = self.builds.get(decisive)
+        if exact is not None and exact.done and not exact.aborted:
+            return exact
+        ancestor_set = frozenset(self.records[change_id].ancestors)
+        for key in self._builds_by_change.get(change_id, ()):
+            build = self.builds.get(key)
+            if build is None or not build.done or build.aborted:
+                continue
+            if key.assumed & ancestor_set != decisive.assumed:
+                continue
+            extras = key.assumed - ancestor_set
+            if all(self.decided.get(extra, False) for extra in extras):
+                return build
+        return None
+
+    def _decide_ready(self, now):
+        decisions = []
+        progressed = True
+        while progressed:
+            progressed = False
+            for change_id in self.conflict_graph.in_order():
+                key = self.decisive_key(change_id)
+                if key is None:
+                    continue
+                build = self._scan_usable_build(change_id, key)
+                if build is None:
+                    continue
+                decision = Decision(
+                    change_id=change_id,
+                    committed=build.execution.success,
+                    at=now,
+                    reason=build.execution.failure_reason
+                    if not build.execution.success
+                    else "decisive build passed",
+                )
+                self._apply_decision(decision)
+                decisions.append(decision)
+                progressed = True
+        return decisions

@@ -205,3 +205,73 @@ class TestEquivalentBuildRule:
         # a commits; b is decided by the equivalent stacked build.
         assert ids == {a.change_id, b.change_id}
         assert planner.records[b.change_id].state is ChangeState.COMMITTED
+
+
+class TestCommittedExtraTrap:
+    """A ready change can become decidable through a change it does not
+    wait on: its finished build stacked a pending non-ancestor, and the
+    build decides it the moment that extra commits.  The decision step
+    must re-check every ready change, not only what a decision releases."""
+
+    @pytest.mark.parametrize("extra_behind", [False, True])
+    def test_decided_exactly_when_the_extra_commits(self, extra_behind):
+        planner = make_planner()
+        subject = labeled(["//y"])
+        extra = labeled(["//x"])
+        bystander = labeled(["//z"])
+        # The extra sits ahead of the subject in the queue, or behind it.
+        order = [subject, extra] if extra_behind else [extra, subject]
+        for change in order + [bystander]:
+            planner.submit(change, 0.0)
+        assert planner.records[subject.change_id].ancestors == []
+        stacked = BuildKey(subject.change_id, frozenset({extra.change_id}))
+        planner._start_batch(
+            [stacked, BuildKey(bystander.change_id), BuildKey(extra.change_id)],
+            0.0,
+        )
+        planner.resolve_pending()
+        assert planner.complete(stacked, 10.0) == []
+        # Another change's verdict does not settle the subject either.
+        decisions = planner.complete(BuildKey(bystander.change_id), 20.0)
+        assert [d.change_id for d in decisions] == [bystander.change_id]
+        assert planner.records[subject.change_id].state is ChangeState.PENDING
+        decisions = planner.complete(BuildKey(extra.change_id), 30.0)
+        assert [(d.change_id, d.committed, d.at) for d in decisions] == [
+            (extra.change_id, True, 30.0),
+            (subject.change_id, True, 30.0),
+        ]
+        assert planner.pending_count() == 0
+
+
+class TestDecisionPasses:
+    """The decision step keeps the full queue scan's pass order."""
+
+    def test_release_at_an_earlier_position_waits_for_the_next_pass(self):
+        planner = make_planner()
+        jumped = labeled(["//x"])
+        jumper = labeled(["//x"])
+        behind = labeled(["//q"])
+        for change in (jumped, jumper, behind):
+            planner.submit(change, 0.0)
+        # ``jumper`` jumps ``jumped``: the earlier change now waits on the
+        # later one, so the later one's verdict releases it.
+        assert planner.reorder(jumped.change_id, jumper.change_id)
+        assume_jumper = frozenset({jumper.change_id})
+        keys = [
+            BuildKey(jumped.change_id, assume_jumper),
+            BuildKey(behind.change_id, assume_jumper),
+            BuildKey(jumper.change_id),
+        ]
+        planner._start_batch(keys, 0.0)
+        planner.resolve_pending()
+        assert planner.complete(keys[0], 10.0) == []
+        assert planner.complete(keys[1], 10.0) == []
+        decisions = planner.complete(keys[2], 20.0)
+        # One pass decides ``jumper`` and then ``behind`` (its build stacked
+        # the now-committed jumper); ``jumped`` sits ahead of the change
+        # that released it, so it is decided by the next pass.
+        assert [d.change_id for d in decisions] == [
+            jumper.change_id,
+            behind.change_id,
+            jumped.change_id,
+        ]

@@ -17,7 +17,7 @@ receives before that, and must build its table from the tables then
 
 import hashlib
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
@@ -152,6 +152,19 @@ class TestIncrementalSelectionEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(steps=st.lists(step_strategy, min_size=1, max_size=30),
            join=st.integers(min_value=0, max_value=30))
+    # A jumper decided before the next round: the jumped change's pending
+    # ancestors read as before the reorder, but it gained a committed one.
+    @example(
+        steps=[
+            (ARRIVE, 0, False, 1, False),
+            (ARRIVE, 0, False, 1, False),
+            (DECIDE, 0, False, 1, False),
+            (ARRIVE, 1, False, 1, True),
+            (REORDER, 0, False, 1, False),
+            (DECIDE, 0, True, 1, False),
+        ],
+        join=0,
+    )
     def test_carried_over_engine_matches_fresh(self, steps, join):
         predictor = HashPredictor()
         pushed = SpeculationEngine(predictor)
