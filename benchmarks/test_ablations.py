@@ -13,8 +13,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.changes.truth import potential_conflict
-from repro.experiments.runner import CellSummary, format_table, make_stream, run_cell
-from repro.metrics.percentile import summarize
+from repro.experiments.runner import format_table, make_stream, run_cell
 from repro.predictor.predictors import OraclePredictor, StaticPredictor
 from repro.strategies.batch import BatchStrategy
 from repro.strategies.oracle import OracleStrategy
@@ -45,7 +44,7 @@ class TestPredictorQualityAblation:
             result = run_cell(
                 SubmitQueueStrategy(predictor), stream, WORKERS, potential_conflict
             )
-            stats = summarize(result.turnaround_values())
+            stats = result.turnaround
             p95[label] = stats["p95"]
             rows.append(
                 [label, f"{stats['p50']:.0f}", f"{stats['p95']:.0f}",
@@ -80,17 +79,15 @@ class TestStepEliminationAblation:
                 ["mode", "total build-min", "P95 turnaround"],
                 [
                     ["eliminate covered steps", f"{with_elim.build_minutes:.0f}",
-                     f"{summarize(with_elim.turnaround_values())['p95']:.0f}"],
+                     f"{with_elim.turnaround['p95']:.0f}"],
                     ["re-run stacked steps", f"{without.build_minutes:.0f}",
-                     f"{summarize(without.turnaround_values())['p95']:.0f}"],
+                     f"{without.turnaround['p95']:.0f}"],
                 ],
                 title="Ablation: minimal-build-steps elimination (section 6)",
             ),
         )
         assert with_elim.build_minutes <= without.build_minutes
-        assert summarize(with_elim.turnaround_values())["p95"] <= summarize(
-            without.turnaround_values()
-        )["p95"] * 1.05
+        assert with_elim.turnaround["p95"] <= without.turnaround["p95"] * 1.05
 
 
 class TestBatchingAblation:
@@ -100,16 +97,16 @@ class TestBatchingAblation:
             BatchStrategy(batch_size=batch_size), stream, WORKERS,
             potential_conflict,
         )
-        stats = summarize(result.turnaround_values())
+        stats = result.turnaround
         # Batches land whole or bisect: everyone decided either way.
-        assert result.changes_committed + result.changes_rejected == CHANGES
+        assert result.committed + result.rejected == CHANGES
         # Record the tradeoff for the results file.
         emit(
             f"ablation_batch_{batch_size}",
             format_table(
                 ["batch size", "P50", "P95", "builds", "throughput/h"],
                 [[str(batch_size), f"{stats['p50']:.0f}", f"{stats['p95']:.0f}",
-                  str(result.builds_completed),
+                  str(result.builds_finished),
                   f"{result.throughput_per_hour:.1f}"]],
                 title="Ablation: Chromium-style batching",
             ),
@@ -124,8 +121,8 @@ class TestBatchingAblation:
             potential_conflict,
         )
         assert (
-            summarize(submitqueue.turnaround_values())["p95"]
-            < summarize(batched.turnaround_values())["p95"]
+            submitqueue.turnaround["p95"]
+            < batched.turnaround["p95"]
         )
 
 
@@ -163,11 +160,11 @@ class TestRiskBatchingAblation:
             ("naive batch(8)", naive),
             ("risk batch(8)", risk),
         ]:
-            stats = summarize(result.turnaround_values())
+            stats = result.turnaround
             rows.append(
                 [label, f"{result.throughput_per_hour:.1f}",
-                 str(result.builds_completed),
-                 str(result.changes_committed),
+                 str(result.builds_finished),
+                 str(result.committed),
                  f"{stats['p95']:.0f}"]
             )
         emit(
@@ -184,10 +181,10 @@ class TestRiskBatchingAblation:
         )
         # Every change still gets an individual decision (no shippable-batch
         # semantics), and batching must not lose commits.
-        assert risk.changes_committed + risk.changes_rejected == CHANGES
-        assert risk.changes_committed >= plain.changes_committed - 2
+        assert risk.committed + risk.rejected == CHANGES
+        assert risk.committed >= plain.committed - 2
         # The win: fewer builds, more changes landed per simulated hour.
-        assert risk.builds_completed < plain.builds_completed
+        assert risk.builds_finished < plain.builds_finished
         assert risk.throughput_per_hour > plain.throughput_per_hour
         assert risk_strategy.batch_stats.batches_landed > 0
 
@@ -222,10 +219,10 @@ class TestFutureWorkAblations:
                 [
                     ["0", str(without.builds_aborted),
                      f"{without.wasted_minutes:.0f}",
-                     f"{summarize(without.turnaround_values())['p95']:.0f}"],
+                     f"{without.turnaround['p95']:.0f}"],
                     ["10", str(with_grace.builds_aborted),
                      f"{with_grace.wasted_minutes:.0f}",
-                     f"{summarize(with_grace.turnaround_values())['p95']:.0f}"],
+                     f"{with_grace.turnaround['p95']:.0f}"],
                 ],
                 title="Ablation: build-preemption grace (section 10)",
             ),
@@ -244,24 +241,24 @@ class TestFutureWorkAblations:
             ReorderingSubmitQueueStrategy(OraclePredictor()), stream, WORKERS,
             potential_conflict,
         )
-        plain_stats = summarize(plain.turnaround_values())
-        reordered_stats = summarize(reordered.turnaround_values())
+        plain_stats = plain.turnaround
+        reordered_stats = reordered.turnaround
         emit(
             "ablation_reordering",
             format_table(
                 ["mode", "P50", "P95", "commits"],
                 [
                     ["submission order", f"{plain_stats['p50']:.0f}",
-                     f"{plain_stats['p95']:.0f}", str(plain.changes_committed)],
+                     f"{plain_stats['p95']:.0f}", str(plain.committed)],
                     ["doomed-jump reordering", f"{reordered_stats['p50']:.0f}",
                      f"{reordered_stats['p95']:.0f}",
-                     str(reordered.changes_committed)],
+                     str(reordered.committed)],
                 ],
                 title="Ablation: change reordering (section 10)",
             ),
         )
         # Reordering must never lose commits, and should not hurt the tail.
-        assert reordered.changes_committed >= plain.changes_committed - 1
+        assert reordered.committed >= plain.committed - 1
         assert reordered_stats["p95"] <= plain_stats["p95"] * 1.1
 
     def test_independent_batching_saves_builds(self, stream):
@@ -281,18 +278,18 @@ class TestFutureWorkAblations:
             format_table(
                 ["mode", "builds completed", "commits", "P95 turnaround"],
                 [
-                    ["separate builds", str(plain.builds_completed),
-                     str(plain.changes_committed),
-                     f"{summarize(plain.turnaround_values())['p95']:.0f}"],
-                    ["batched independents", str(batched.builds_completed),
-                     str(batched.changes_committed),
-                     f"{summarize(batched.turnaround_values())['p95']:.0f}"],
+                    ["separate builds", str(plain.builds_finished),
+                     str(plain.committed),
+                     f"{plain.turnaround['p95']:.0f}"],
+                    ["batched independents", str(batched.builds_finished),
+                     str(batched.committed),
+                     f"{batched.turnaround['p95']:.0f}"],
                 ],
                 title="Ablation: batching independent changes (section 10)",
             ),
         )
-        assert batched.builds_completed < plain.builds_completed
-        assert batched.changes_committed >= plain.changes_committed - 3
+        assert batched.builds_finished < plain.builds_finished
+        assert batched.committed >= plain.committed - 3
 
 
 def test_benchmark_plan_epoch(benchmark, trained_predictor):

@@ -24,9 +24,11 @@ import pytest
 
 from benchmarks.conftest import emit, record_bench
 from repro.changes.truth import build_outcome, potential_conflict
-from repro.experiments.runner import format_table, make_stream, run_cell
+from repro.experiments.runner import format_table, make_stream
 from repro.parallel import workload
+from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import OraclePredictor
+from repro.sim.simulator import Simulation
 from repro.strategies.risk_batch import RiskBatchStrategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.workload.repo_synth import MonorepoSpec
@@ -46,11 +48,7 @@ MIN_JOINT_SUCCESS = 0.3
 _SMOKE_ONLY = os.environ.get("BATCH_BENCH_SMOKE") == "1"
 
 
-def _committed_ids(result):
-    return [d.change_id for d in result.decisions if d.committed]
-
-
-def _red_commits(result, stream):
+def _red_commits(decisions, stream):
     """Committed changes that would have broken the mainline.
 
     Replays the commit sequence over the ground-truth labels: change ``c``
@@ -67,7 +65,7 @@ def _red_commits(result, stream):
     landed = []  # (change, decided_at)
     red = []
     for decision in sorted(
-        (d for d in result.decisions if d.committed), key=lambda d: d.at
+        (d for d in decisions if d.committed), key=lambda d: d.at
     ):
         change = changes_by_id[decision.change_id]
         co_pending = [
@@ -81,17 +79,25 @@ def _red_commits(result, stream):
     return red
 
 
-def _run_pair(stream, workers):
-    plain = run_cell(
-        SubmitQueueStrategy(OraclePredictor()), stream, workers,
-        potential_conflict,
+def _run(strategy, stream, workers):
+    """One cell: its run summary and its decision log."""
+    simulation = Simulation(
+        strategy=strategy,
+        controller=LabelBuildController(),
+        workers=workers,
+        conflict_predicate=potential_conflict,
     )
+    return simulation.run(list(stream)), simulation.planner.decisions()
+
+
+def _run_pair(stream, workers):
+    plain = _run(SubmitQueueStrategy(OraclePredictor()), stream, workers)
     strategy = RiskBatchStrategy(
         OraclePredictor(),
         batch_size=BATCH_SIZE,
         min_joint_success=MIN_JOINT_SUCCESS,
     )
-    batched = run_cell(strategy, stream, workers, potential_conflict)
+    batched = _run(strategy, stream, workers)
     return plain, batched, strategy.batch_stats
 
 
@@ -104,7 +110,9 @@ def test_batch_throughput_figure12_highload():
     rows = []
     speedups = {}
     for workers in WORKER_SWEEP:
-        plain, batched, stats = _run_pair(stream, workers)
+        (plain, plain_log), (batched, batched_log), stats = _run_pair(
+            stream, workers
+        )
         speedup = (
             batched.throughput_per_hour / plain.throughput_per_hour
             if plain.throughput_per_hour > 0
@@ -116,9 +124,9 @@ def test_batch_throughput_figure12_highload():
         # between the modes, so commit-set membership may swap within a
         # conflicting pair — but the landed count must agree and neither
         # mode may ship a red commit.
-        assert abs(batched.changes_committed - plain.changes_committed) <= 2
-        assert _red_commits(batched, stream) == []
-        assert _red_commits(plain, stream) == []
+        assert abs(batched.committed - plain.committed) <= 2
+        assert _red_commits(batched_log, stream) == []
+        assert _red_commits(plain_log, stream) == []
 
         rows.append(
             (

@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import format_table
-from repro.metrics.percentile import summarize
 from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import OraclePredictor
 from repro.sim.simulator import Simulation
@@ -62,18 +61,18 @@ def main() -> None:
             conflict_predicate=potential_conflict,
         )
         result = simulation.run(list(stream))
-        stats = summarize(result.turnaround_values())
+        stats = result.turnaround
         if oracle_summary is None:
             oracle_summary = stats
         rows.append(
             [
-                result.strategy_name,
+                strategy.name,
                 f"{stats['p50']:.0f}",
                 f"{stats['p95']:.0f}",
                 f"{stats['p50'] / oracle_summary['p50']:.2f}x",
                 f"{stats['p95'] / oracle_summary['p95']:.2f}x",
                 f"{result.throughput_per_hour:.0f}/h",
-                f"{result.changes_committed}/{result.changes_submitted}",
+                f"{result.committed}/{result.submitted}",
                 str(result.builds_aborted),
             ]
         )

@@ -20,7 +20,6 @@ from dataclasses import replace
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import format_table
-from repro.metrics.percentile import summarize
 from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import OraclePredictor
 from repro.sim.simulator import Simulation
@@ -65,11 +64,11 @@ def main() -> None:
             workers=args.workers,
             conflict_predicate=potential_conflict,
         ).run(stream)
-        stats = summarize(result.turnaround_values())
+        stats = result.turnaround
         rows.append(
             [f"{rate:g}/h", f"{stats['p50']:.0f}", f"{stats['p95']:.0f}",
              f"{result.throughput_per_hour:.0f}/h",
-             f"{result.changes_committed}/{result.changes_submitted}"]
+             f"{result.committed}/{result.submitted}"]
         )
     print(
         format_table(

@@ -16,7 +16,6 @@ from dataclasses import replace
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import format_table
-from repro.metrics.percentile import summarize
 from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import OraclePredictor, StaticPredictor
 from repro.predictor.training import train_models
@@ -67,7 +66,7 @@ def main() -> None:
             workers=200,
             conflict_predicate=potential_conflict,
         ).run(list(stream))
-        stats = summarize(result.turnaround_values())
+        stats = result.turnaround
         if oracle_stats is None:
             oracle_stats = stats
         rows.append(

@@ -11,9 +11,9 @@ Quickstart::
 
     sim, stream = quickstart_components(rate_per_hour=300, count=200,
                                         workers=100)
-    result = sim.run(stream)
-    print(result.strategy_name, result.changes_committed,
-          result.throughput_per_hour)
+    summary = sim.run(stream)  # a repro.metrics.RunSummary
+    print(summary.committed, summary.throughput_per_hour,
+          summary.turnaround["p95"])
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -28,7 +28,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.strategies``  SubmitQueue / Oracle / baselines
 ``repro.sim``         discrete-event simulator
 ``repro.workload``    synthetic monorepos and change streams
-``repro.metrics``     percentiles, CDFs, greenness tracking
+``repro.metrics``     run summary, percentiles, CDFs, greenness tracking
 ``repro.service``     the submit/status API facade
 ``repro.experiments`` one module per paper figure
 ===================  ====================================================

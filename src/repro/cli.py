@@ -180,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     from repro import quickstart_components
-    from repro.metrics.percentile import summarize
     from repro.obs.recorder import NULL_RECORDER, Recorder
 
     recorder = Recorder() if args.trace else NULL_RECORDER
@@ -188,14 +187,14 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
         rate_per_hour=args.rate, count=args.changes, workers=args.workers,
         seed=args.seed, recorder=recorder,
     )
-    result = simulation.run(stream)
-    stats = summarize(result.turnaround_values())
+    summary = simulation.run(stream)
+    turnaround = summary.turnaround
     print(
-        f"{result.strategy_name}: {result.changes_committed}/"
-        f"{result.changes_submitted} landed, "
-        f"P50 {stats['p50']:.0f} min, P95 {stats['p95']:.0f} min, "
-        f"throughput {result.throughput_per_hour:.0f}/h, "
-        f"utilization {result.utilization:.0%}"
+        f"{simulation.planner.strategy.name}: {summary.committed}/"
+        f"{summary.submitted} landed, "
+        f"P50 {turnaround['p50']:.0f} min, P95 {turnaround['p95']:.0f} min, "
+        f"throughput {summary.throughput_per_hour:.0f}/h, "
+        f"utilization {summary.utilization:.0%}"
     )
     if args.trace:
         for path in _write_trace_outputs(recorder, args.trace):
@@ -359,9 +358,9 @@ def _cmd_journal(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.runner import (
-        CellSummary,
         format_table,
         make_stream,
+        oracle_ratios,
         run_cell,
         strategy_factories,
     )
@@ -371,16 +370,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     base = None
     for factory in (OracleStrategy, *strategy_factories().values()):
-        cell = CellSummary.from_result(
-            run_cell(factory(), stream, args.workers), args.rate
-        )
+        strategy = factory()
+        summary = run_cell(strategy, stream, args.workers)
         if base is None:
-            base = cell
-        ratios = cell.normalized(base)
+            base = summary
+        ratios = oracle_ratios(summary, base)
+        turnaround = summary.turnaround
         rows.append(
-            [cell.strategy, f"{cell.p50:.0f}", f"{cell.p95:.0f}",
+            [strategy.name, f"{turnaround['p50']:.0f}",
+             f"{turnaround['p95']:.0f}",
              f"{ratios['p50']:.2f}x", f"{ratios['p95']:.2f}x",
-             f"{cell.throughput:.0f}/h"]
+             f"{summary.throughput_per_hour:.0f}/h"]
         )
     print(
         format_table(

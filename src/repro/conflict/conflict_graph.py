@@ -3,8 +3,7 @@
 Nodes are pending change ids; an undirected edge joins two changes that
 potentially conflict.  The nodes, in submission order, are also the
 pending queue — SubmitQueue's "illusion of a single queue" (section 3.2):
-iteration, :meth:`ConflictGraph.head` and :meth:`ConflictGraph.in_order`
-walk them oldest first.
+iteration and :meth:`ConflictGraph.in_order` walk them oldest first.
 
 At submit the planner asks ``ancestors(c)``: the earlier pending changes
 that conflict with ``c``, the only changes ``c`` must speculate on.  It
@@ -47,10 +46,6 @@ class ConflictGraph:
     def __iter__(self) -> Iterator[Change]:
         """Pending changes, oldest first."""
         return iter(self._changes.values())
-
-    def head(self) -> Optional[Change]:
-        """Oldest pending change, or ``None`` when empty."""
-        return next(iter(self._changes.values()), None)
 
     def change(self, change_id: ChangeId) -> Change:
         try:

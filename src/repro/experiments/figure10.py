@@ -39,7 +39,7 @@ def run(
     for rate in rates:
         stream = make_stream(rate, changes_per_rate, seed=seed)
         result = run_cell(OracleStrategy(), stream, workers, potential_conflict)
-        cdf = Cdf(result.turnaround_values())
+        cdf = Cdf(result.turnarounds)
         cdf_by_rate[rate] = cdf.series(grid_minutes)
         p50[rate] = cdf.quantile(0.5)
         p99[rate] = cdf.quantile(0.99)

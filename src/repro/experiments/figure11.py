@@ -10,17 +10,17 @@ chart (~80–130×, reported in the text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import (
-    CellSummary,
-    format_table,
     make_stream,
+    oracle_ratios,
     run_cell,
     strategy_factories,
 )
+from repro.metrics.summary import RunSummary
 from repro.predictor.predictors import Predictor
 from repro.strategies.oracle import OracleStrategy
 
@@ -34,7 +34,7 @@ class Figure11Result:
     #: strategy name -> (rate, workers) -> normalized {p50,p95,p99,throughput}
     normalized: Dict[str, Dict[Cell, Dict[str, float]]]
     #: raw summaries including the Oracle baseline
-    raw: Dict[str, Dict[Cell, CellSummary]]
+    raw: Dict[str, Dict[Cell, RunSummary]]
 
 
 def run(
@@ -47,7 +47,7 @@ def run(
 ) -> Figure11Result:
     """Sweep the (rate, workers) grid for the named strategies."""
     factories = strategy_factories(predictor)
-    raw: Dict[str, Dict[Cell, CellSummary]] = {"Oracle": {}}
+    raw: Dict[str, Dict[Cell, RunSummary]] = {"Oracle": {}}
     for name in strategies:
         raw[name] = {}
     normalized: Dict[str, Dict[Cell, Dict[str, float]]] = {
@@ -57,18 +57,16 @@ def run(
         stream = make_stream(rate, changes_per_cell, seed=seed)
         for worker_count in workers:
             cell: Cell = (rate, worker_count)
-            oracle_result = run_cell(
+            oracle = run_cell(
                 OracleStrategy(), stream, worker_count, potential_conflict
             )
-            oracle_summary = CellSummary.from_result(oracle_result, rate)
-            raw["Oracle"][cell] = oracle_summary
+            raw["Oracle"][cell] = oracle
             for name in strategies:
-                result = run_cell(
+                summary = run_cell(
                     factories[name](), stream, worker_count, potential_conflict
                 )
-                summary = CellSummary.from_result(result, rate)
                 raw[name][cell] = summary
-                normalized[name][cell] = summary.normalized(oracle_summary)
+                normalized[name][cell] = oracle_ratios(summary, oracle)
     return Figure11Result(
         rates=list(rates),
         workers=list(workers),

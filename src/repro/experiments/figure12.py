@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import (
-    CellSummary,
     format_table,
     make_stream,
     run_cell,
@@ -61,30 +60,22 @@ def run(
         stream = make_stream(rate, changes_per_cell, seed=seed)
         for worker_count in workers:
             cell: Cell = (rate, worker_count)
-            oracle = CellSummary.from_result(
-                run_cell(OracleStrategy(), stream, worker_count, potential_conflict),
-                rate,
-            )
+            oracle = run_cell(
+                OracleStrategy(), stream, worker_count, potential_conflict
+            ).throughput_per_hour
             for name in strategies:
                 cell_recorder = NULL_RECORDER
                 if trace_pending and name == trace_strategy:
                     cell_recorder = recorder
                     trace_pending = False
-                summary = CellSummary.from_result(
-                    run_cell(
-                        factories[name](),
-                        stream,
-                        worker_count,
-                        potential_conflict,
-                        recorder=cell_recorder,
-                    ),
-                    rate,
-                )
-                normalized[name][cell] = (
-                    summary.throughput / oracle.throughput
-                    if oracle.throughput > 0
-                    else 0.0
-                )
+                throughput = run_cell(
+                    factories[name](),
+                    stream,
+                    worker_count,
+                    potential_conflict,
+                    recorder=cell_recorder,
+                ).throughput_per_hour
+                normalized[name][cell] = throughput / oracle if oracle > 0 else 0.0
     return Figure12Result(
         rates=list(rates), workers=list(workers), normalized_throughput=normalized
     )

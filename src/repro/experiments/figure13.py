@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import (
-    CellSummary,
     all_conflict,
     format_table,
     make_stream,
@@ -59,21 +58,13 @@ def run(
         for worker_count in workers:
             cell: Cell = (rate, worker_count)
             for name in names:
-                with_analyzer = CellSummary.from_result(
-                    run_cell(
-                        factories[name](), stream, worker_count, potential_conflict
-                    ),
-                    rate,
-                )
-                without_analyzer = CellSummary.from_result(
-                    run_cell(factories[name](), stream, worker_count, all_conflict),
-                    rate,
-                )
-                improvement[name][cell] = (
-                    1.0 - with_analyzer.p95 / without_analyzer.p95
-                    if without_analyzer.p95 > 0
-                    else 0.0
-                )
+                on = run_cell(
+                    factories[name](), stream, worker_count, potential_conflict
+                ).turnaround["p95"]
+                off = run_cell(
+                    factories[name](), stream, worker_count, all_conflict
+                ).turnaround["p95"]
+                improvement[name][cell] = 1.0 - on / off if off > 0 else 0.0
     return Figure13Result(
         rates=list(rates), workers=list(workers), improvement=improvement
     )

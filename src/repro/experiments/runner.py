@@ -9,16 +9,16 @@ section 8.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.changes.change import Change
 from repro.changes.truth import potential_conflict
-from repro.metrics.percentile import summarize
+from repro.metrics.summary import RunSummary
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.planner.controller import LabelBuildController
 from repro.predictor.predictors import OraclePredictor, Predictor
-from repro.sim.simulator import Simulation, SimulationResult
+from repro.sim.simulator import Simulation
 from repro.strategies.base import Strategy
 from repro.strategies.optimistic import OptimisticStrategy
 from repro.strategies.oracle import OracleStrategy
@@ -67,7 +67,7 @@ def run_cell(
     conflict_predicate: Callable[[Change, Change], bool] = potential_conflict,
     step_elimination: bool = True,
     recorder: Recorder = NULL_RECORDER,
-) -> SimulationResult:
+) -> RunSummary:
     """Run one strategy over one stream on one worker count."""
     simulation = Simulation(
         strategy=strategy,
@@ -79,50 +79,22 @@ def run_cell(
     return simulation.run(list(stream))
 
 
-@dataclass
-class CellSummary:
-    """Turnaround/throughput summary for one (strategy, rate, workers)."""
+def oracle_ratios(summary: RunSummary, oracle: RunSummary) -> Dict[str, float]:
+    """P50/P95/P99 turnaround and throughput of ``summary`` over the
+    Oracle run's on the same stream (``inf`` where the Oracle's is 0)."""
 
-    strategy: str
-    rate: float
-    workers: int
-    p50: float
-    p95: float
-    p99: float
-    throughput: float
-    committed: int
-    submitted: int
-    aborted_builds: int
+    def ratio(mine: float, base: float) -> float:
+        return mine / base if base > 0 else float("inf")
 
-    @classmethod
-    def from_result(
-        cls, result: SimulationResult, rate: float
-    ) -> "CellSummary":
-        stats = summarize(result.turnaround_values())
-        return cls(
-            strategy=result.strategy_name,
-            rate=rate,
-            workers=result.workers,
-            p50=stats["p50"],
-            p95=stats["p95"],
-            p99=stats["p99"],
-            throughput=result.throughput_per_hour,
-            committed=result.changes_committed,
-            submitted=result.changes_submitted,
-            aborted_builds=result.builds_aborted,
-        )
-
-    def normalized(self, oracle: "CellSummary") -> Dict[str, float]:
-        """P50/P95/P99 and throughput ratios against the Oracle cell."""
-        def ratio(mine: float, base: float) -> float:
-            return mine / base if base > 0 else float("inf")
-
-        return {
-            "p50": ratio(self.p50, oracle.p50),
-            "p95": ratio(self.p95, oracle.p95),
-            "p99": ratio(self.p99, oracle.p99),
-            "throughput": ratio(self.throughput, oracle.throughput),
-        }
+    mine, base = summary.turnaround, oracle.turnaround
+    return {
+        "p50": ratio(mine["p50"], base["p50"]),
+        "p95": ratio(mine["p95"], base["p95"]),
+        "p99": ratio(mine["p99"], base["p99"]),
+        "throughput": ratio(
+            summary.throughput_per_hour, oracle.throughput_per_hour
+        ),
+    }
 
 
 def format_table(

@@ -18,7 +18,6 @@ from typing import Dict
 
 from repro.changes.truth import potential_conflict
 from repro.experiments.runner import all_conflict, format_table, run_cell
-from repro.metrics.percentile import summarize
 from repro.strategies.oracle import OracleStrategy
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.scenarios import BACKEND_WORKLOAD, IOS_WORKLOAD
@@ -48,12 +47,12 @@ def run(
                          ("wide (backend)", BACKEND_WORKLOAD)):
         generator = WorkloadGenerator(replace(config, seed=seed))
         stream = generator.stream(rate_per_hour, changes)
-        with_analyzer = run_cell(
+        on = run_cell(
             OracleStrategy(), stream, workers, potential_conflict
-        )
-        without_analyzer = run_cell(OracleStrategy(), stream, workers, all_conflict)
-        on = summarize(with_analyzer.turnaround_values())["p95"]
-        off = summarize(without_analyzer.turnaround_values())["p95"]
+        ).turnaround["p95"]
+        off = run_cell(OracleStrategy(), stream, workers, all_conflict).turnaround[
+            "p95"
+        ]
         improvement[name] = 1.0 - on / off if off > 0 else 0.0
         p95_with[name] = on
         p95_without[name] = off

@@ -15,6 +15,7 @@ from repro.errors import JournalCorruptError, JournalError
 from repro.journal import records as rec
 from repro.journal.recovery import read_journal, recover
 from repro.journal.sink import events_path
+from repro.metrics.summary import RunSummary
 
 #: Stable display order for per-type counts.
 _TYPE_ORDER = [
@@ -45,8 +46,8 @@ class JournalSummary:
     first_at: float = 0.0
     last_at: float = 0.0
     snapshots_at: List[int] = field(default_factory=list)
-    commits: int = 0
-    rejected: int = 0
+    #: The run the journal records, folded from its lifecycle records.
+    run: Optional[RunSummary] = None
 
 
 def summarize(journal_dir: str) -> JournalSummary:
@@ -59,17 +60,11 @@ def summarize(journal_dir: str) -> JournalSummary:
         torn = os.path.getsize(path) - scanned.valid_bytes
     counts: Dict[str, int] = {}
     snapshots_at: List[int] = []
-    commits = 0
-    rejected = 0
     for index, record in enumerate(records):
         kind = str(record["t"])
         counts[kind] = counts.get(kind, 0) + 1
         if kind == rec.SNAPSHOT:
             snapshots_at.append(index)
-        elif kind == rec.COMMIT:
-            commits += 1
-        elif kind == rec.DECISION and not record["committed"]:
-            rejected += 1
     return JournalSummary(
         path=path,
         schema_version=int(records[0]["v"]),
@@ -80,8 +75,7 @@ def summarize(journal_dir: str) -> JournalSummary:
         first_at=float(records[0]["at"]),
         last_at=float(records[-1]["at"]),
         snapshots_at=snapshots_at,
-        commits=commits,
-        rejected=rejected,
+        run=RunSummary.from_records(records),
     )
 
 
@@ -104,7 +98,10 @@ def format_summary(summary: JournalSummary) -> str:
             lines.append(f"  {kind:13s} {summary.counts[kind]}")
     for kind in sorted(set(summary.counts) - set(_TYPE_ORDER)):
         lines.append(f"  {kind:13s} {summary.counts[kind]}")
-    lines.append(f"commits: {summary.commits}, rejected: {summary.rejected}")
+    run = summary.run
+    lines.append(f"commits: {run.committed}, rejected: {run.rejected}")
+    for name, value in run.contract().items():
+        lines.append(f"  {name:22s} {value!r}")
     if summary.snapshots_at:
         positions = ", ".join(str(i) for i in summary.snapshots_at)
         lines.append(f"snapshots at record positions: {positions}")

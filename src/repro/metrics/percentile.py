@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
@@ -27,3 +28,13 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         "mean": float(np.mean(data)),
         "count": float(data.size),
     }
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in (0, 1]): the benchmark's
+    definition, an observed value rather than an interpolation; 0.0 for
+    an empty sample."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]

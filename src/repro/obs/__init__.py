@@ -15,7 +15,9 @@ perf/fault-injection roadmap items build on):
 * :mod:`repro.obs.schema` — the JSONL trace schema and validator;
 * :mod:`repro.obs.slo` — rolling-window SLO aggregation (turnaround
   percentiles, speculation hit rate, worker utilization) for the HTTP
-  observability service (imported lazily: it needs numpy);
+  observability service, folded from the recorder's lifecycle records
+  by :class:`~repro.metrics.summary.RunSummary`, not from the trace
+  (imported lazily: it needs numpy);
 * :mod:`repro.obs.inspect` — the ``obs report``/``obs trace`` CLI
   machinery.
 

@@ -53,6 +53,10 @@ class Recorder:
         simulated clock."""
         self._clock = clock
 
+    def now(self) -> float:
+        """The bound clock's reading: the horizon of a read made now."""
+        return self._clock()
+
     # -- metrics passthrough -------------------------------------------------
 
     def counter(self, name: str, help: str = "", labels=None):
@@ -113,7 +117,7 @@ class Recorder:
     def trace(self, at: Optional[float] = None) -> List[Dict[str, object]]:
         """Span/event records of the run so far: :func:`fold` with spans
         still open ending at ``at`` (default: the current clock)."""
-        horizon = self._clock() if at is None else float(at)
+        horizon = self.now() if at is None else float(at)
         return fold(self.records, self._workers, self.tracer, horizon)
 
     # -- export --------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.changes.change import Change
+from repro.metrics.summary import RunSummary
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
@@ -58,21 +59,22 @@ class CellResult:
     wall_seconds: float
     fingerprint: str
     decisions: Tuple[Tuple[str, bool, float], ...]
-    builds_started: int
     steps_executed: int
-    sim_minutes: float = 0.0
+    summary: RunSummary
     mainline_green: bool = True
 
     @property
+    def builds_started(self) -> int:
+        return self.summary.builds_started
+
+    @property
     def committed(self) -> int:
-        return sum(1 for _, committed, _ in self.decisions if committed)
+        return self.summary.committed
 
     @property
     def changes_per_hour(self) -> float:
         """Simulated-time landing rate (the paper's figure-12 metric)."""
-        if self.sim_minutes <= 0.0:
-            return 0.0
-        return self.committed / self.sim_minutes * 60.0
+        return self.summary.throughput_per_hour
 
 
 def run_cell(
@@ -127,7 +129,7 @@ def run_cell(
 
     fingerprint = fingerprint_digest(service)
     stats = service.planner.stats
-    sim_minutes = service.clock.now
+    summary = RunSummary.from_planner(service.planner, service.clock.now)
     mainline_green = all(service.repo.mainline_green_flags())
     service.close()
     return CellResult(
@@ -137,8 +139,7 @@ def run_cell(
         decisions=tuple(
             (d.change_id, d.committed, d.at) for d in decisions
         ),
-        builds_started=stats.builds_started,
         steps_executed=stats.steps_executed,
-        sim_minutes=sim_minutes,
+        summary=summary,
         mainline_green=mainline_green,
     )

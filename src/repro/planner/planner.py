@@ -502,17 +502,19 @@ class PlannerEngine:
         started = self._start_batch(to_start, now)
 
         # Stall guard: if the strategy selected nothing runnable while work
-        # is pending, force the oldest pending change's decisive build (its
-        # ancestors are all decided by definition of "oldest pending"), so
-        # the system always makes progress.
-        head = self.conflict_graph.head()
-        if not started and self.workers.busy == 0 and head is not None:
-            key = self.decisive_key(head.change_id)
-            if key is not None:
+        # is pending, force the decisive build of the oldest pending change
+        # that has one (every ancestor decided), so the system always makes
+        # progress.  Without reorders that is the queue head; after one, the
+        # head may wait on a change behind it.
+        if not started and self.workers.busy == 0:
+            for change in self.conflict_graph:
+                key = self.decisive_key(change.change_id)
+                if key is None:
+                    continue
                 existing = self.builds.get(key)
                 if existing is None or existing.aborted or not existing.done:
-                    if not self.workers.is_running(key):
-                        started = self._start_batch([key], now)
+                    started = self._start_batch([key], now)
+                break
         if self._metrics is not None:
             self._record_epoch()
         return PlanResult(started=started, aborted=aborted)
@@ -709,6 +711,12 @@ class PlannerEngine:
             else:
                 return build
         return None
+
+    def decide_ready(self, now: float) -> List[Decision]:
+        """The decision step a completion ends with, for an event loop that
+        stalled: a reorder can leave a change ready whose decisive build
+        has already finished, and no completion will come to decide it."""
+        return self._decide_ready(now)
 
     def _decide_ready(self, now: float) -> List[Decision]:
         """Commit/reject every ready change whose decisive build has

@@ -160,16 +160,15 @@ class WorkerPool:
 
     # -- accounting ----------------------------------------------------------
 
-    def utilization(self, now: float) -> float:
-        """Fraction of wall-clock×capacity spent busy, up to ``now``."""
-        if now <= 0.0:
-            return 0.0
+    def busy_minutes(self, now: float) -> float:
+        """Worker minutes spent building up to ``now``, in-flight builds
+        included."""
         total = 0.0
         for worker in self._workers:
             total += worker.total_busy
             if worker.busy_with is not None:
                 total += max(0.0, now - worker.busy_since)
-        return total / (now * self.capacity)
+        return total
 
     def load_imbalance(self, now: Optional[float] = None) -> float:
         """Max-minus-min cumulative busy time across workers.

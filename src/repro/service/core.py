@@ -359,8 +359,9 @@ class CoreService:
     def _step(self, guard: Optional[float]) -> List[Decision]:
         """Advance the event loop by exactly one step.
 
-        Pops the next completion event (or replans on a stall) and applies
-        its decisions.  Both the pump loop and journal replay drive the
+        Pops the next completion event and applies its decisions; on a
+        stall (no event, changes pending) it decides what is decidable or
+        else replans.  Both the pump loop and journal replay drive the
         service through this method — replay passes ``guard=None`` since a
         journal is finite.  Every step journals its *input* (the stall or
         the build completion) before applying it, so a crash mid-step
@@ -372,32 +373,40 @@ class CoreService:
         self._resolve_builds()
         handle = self._events.pop()
         if handle is None:
-            # No events but changes pending: replan (the stall guard in
-            # the planner will start the head's decisive build).
+            # No events but changes pending.  A reorder can leave a change
+            # ready whose decisive build already finished: decide it now.
+            # Otherwise replan (the planner's stall guard starts the
+            # decisive build of the oldest ready change).
             self._emit(rec.stall_record, self.clock.now)
-            self._replan()
-            self._resolve_builds()
-            if not self._events:
-                raise SimulationError("core service stalled with pending changes")
-            return []
-        self.clock.advance_to(handle.time)
-        if guard is not None and self.clock.now > guard:
-            raise SimulationError("pump exceeded max_pump_minutes")
-        if isinstance(handle.payload, _QueuedSubmission):
-            # A scheduled submission reached its fire time: accept it
-            # exactly as an interactive submit() at this instant would be
-            # — journaled first, then planned — so replay re-drives it
-            # from the journal's submit record.
-            change = handle.payload.change
-            del self._submission_handles[change.change_id]
-            self.submit(change)
-            return []
-        key = handle.payload
-        self._completion_handles.pop(key, None)
-        success = self.planner.builds[key].execution.success
-        self._emit(rec.build_finish_record, self.clock.now, key, success)
-        mainline_before = self.repo.mainline_length()
-        new_decisions = self.planner.complete(key, self.clock.now)
+            mainline_before = self.repo.mainline_length()
+            new_decisions = self.planner.decide_ready(self.clock.now)
+            if not new_decisions:
+                self._replan()
+                self._resolve_builds()
+                if not self._events:
+                    raise SimulationError(
+                        "core service stalled with pending changes"
+                    )
+                return []
+        else:
+            self.clock.advance_to(handle.time)
+            if guard is not None and self.clock.now > guard:
+                raise SimulationError("pump exceeded max_pump_minutes")
+            if isinstance(handle.payload, _QueuedSubmission):
+                # A scheduled submission reached its fire time: accept it
+                # exactly as an interactive submit() at this instant would
+                # be — journaled first, then planned — so replay re-drives
+                # it from the journal's submit record.
+                change = handle.payload.change
+                del self._submission_handles[change.change_id]
+                self.submit(change)
+                return []
+            key = handle.payload
+            self._completion_handles.pop(key, None)
+            success = self.planner.builds[key].execution.success
+            self._emit(rec.build_finish_record, self.clock.now, key, success)
+            mainline_before = self.repo.mainline_length()
+            new_decisions = self.planner.complete(key, self.clock.now)
         # Batch-protocol strategies buffer their resolutions (batch landed /
         # bisected) during complete(); drain them unconditionally so the
         # buffer never grows.  Batching-off runs emit no batch records,

@@ -13,7 +13,7 @@ from repro.sim.clock import Clock
 from repro.sim.events import EventHandle, EventQueue
 from repro.sim.arrivals import poisson_arrivals
 from repro.sim.durations import BuildDurationModel, ANDROID_DURATIONS, IOS_DURATIONS
-from repro.sim.simulator import Simulation, SimulationResult
+from repro.sim.simulator import Simulation
 
 __all__ = [
     "ANDROID_DURATIONS",
@@ -23,6 +23,5 @@ __all__ = [
     "EventQueue",
     "IOS_DURATIONS",
     "Simulation",
-    "SimulationResult",
     "poisson_arrivals",
 ]

@@ -101,7 +101,7 @@ class TestFullStackSimulation:
             conflict_predicate=analyzer.conflict,
         )
         result = simulation.run(stream)
-        assert result.changes_submitted == 6
+        assert result.submitted == 6
         planner = simulation.planner
         for change_id, expected in expected_states.items():
             actual = planner.records[change_id].state

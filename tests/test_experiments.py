@@ -17,10 +17,10 @@ from repro.experiments import (
     wide_vs_deep,
 )
 from repro.experiments.runner import (
-    CellSummary,
     all_conflict,
     format_table,
     make_stream,
+    oracle_ratios,
     run_cell,
     strategy_factories,
 )
@@ -36,7 +36,7 @@ class TestRunner:
     def test_run_cell_decides_everything(self):
         stream = make_stream(200, 30, seed=2)
         result = run_cell(OracleStrategy(), stream, 32)
-        assert result.changes_committed + result.changes_rejected == 30
+        assert result.committed + result.rejected == 30
 
     def test_all_conflict_predicate(self):
         stream = make_stream(200, 3, seed=3)
@@ -46,8 +46,8 @@ class TestRunner:
 
     def test_cell_summary_normalization(self):
         stream = make_stream(200, 25, seed=4)
-        oracle = CellSummary.from_result(run_cell(OracleStrategy(), stream, 32), 200)
-        normalized = oracle.normalized(oracle)
+        oracle = run_cell(OracleStrategy(), stream, 32)
+        normalized = oracle_ratios(oracle, oracle)
         assert normalized["p50"] == pytest.approx(1.0)
         assert normalized["throughput"] == pytest.approx(1.0)
 

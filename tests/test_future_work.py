@@ -182,7 +182,7 @@ class TestIndependentBatchStrategy:
             workers=8,
             conflict_predicate=potential_conflict,
         ).run(list(stream))
-        assert batched.changes_committed + batched.changes_rejected == 60
+        assert batched.committed + batched.rejected == 60
         # The whole point: better hardware utilization via fewer builds.
-        assert batched.builds_completed < plain.builds_completed
-        assert batched.changes_committed >= plain.changes_committed - 2
+        assert batched.builds_finished < plain.builds_finished
+        assert batched.committed >= plain.committed - 2

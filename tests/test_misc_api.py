@@ -84,7 +84,7 @@ class TestWorkerPoolAccounting:
         assert set(pool.running_builds()) == set(keys)
 
     def test_utilization_zero_at_time_zero(self):
-        assert WorkerPool(1).utilization(0.0) == 0.0
+        assert WorkerPool(1).busy_minutes(0.0) == 0.0
 
 
 class TestBuildReportAccessors:

@@ -101,7 +101,7 @@ class TestDisabledOverhead:
         null_result = run_once(NullRecorder())
         disabled = time.perf_counter() - start
 
-        assert null_result.changes_committed == baseline_result.changes_committed
+        assert null_result.committed == baseline_result.committed
         assert disabled < baseline * 3 + 0.25
 
     def test_disabled_run_is_bit_identical_to_live_run(self):
@@ -113,10 +113,6 @@ class TestDisabledOverhead:
             count=40, seed=5, recorder=Recorder()
         )
         recorded = recorded_sim.run(stream2)
-        assert plain.changes_committed == recorded.changes_committed
-        # Change ids differ between generator instances (a global
-        # counter), so compare the turnaround distribution, not the keys.
-        assert sorted(plain.turnarounds.values()) == pytest.approx(
-            sorted(recorded.turnarounds.values())
-        )
+        assert plain.committed == recorded.committed
+        assert plain.turnarounds == recorded.turnarounds
         assert plain.builds_started == recorded.builds_started

@@ -1,9 +1,9 @@
 """Rolling-window SLO aggregation (`repro.obs.slo`).
 
-`compute_slo` is a pure fold over parsed trace records, so these tests
-drive it with hand-built record dicts: window cuts, turnaround
-percentiles, speculation hit rate, worker utilization, and the live
-`SloAggregator` view over a real traced run.
+`compute_slo` renders the records feeder of `RunSummary` over a window,
+so these tests drive it with hand-built lifecycle records: window cuts,
+turnaround percentiles, speculation hit rate, worker utilization, and
+the live `SloAggregator` view over a real recorded run.
 """
 
 import pytest
@@ -14,33 +14,20 @@ from repro.obs.slo import DEFAULT_WINDOW_MINUTES, SloAggregator, compute_slo
 from repro.types import BuildKey
 
 
-def _decision(at, verdict="committed", turnaround=None, event_id=1):
-    attrs = {"verdict": verdict}
-    if turnaround is not None:
-        attrs["turnaround"] = turnaround
-    return {
-        "type": "event",
-        "id": event_id,
-        "name": "decision",
-        "cat": "queue",
-        "track": "service",
-        "at": at,
-        "attrs": attrs,
-    }
+def _decision(at, verdict="committed", turnaround=None):
+    return rec.decision_record(at, "c1", verdict == "committed", "", turnaround)
 
 
-def _build(start, end, span_id=1, **attrs):
-    return {
-        "type": "span",
-        "id": span_id,
-        "name": "build",
-        "cat": "build",
-        "track": "change:c1",
-        "start": start,
-        "end": end,
-        "parent": None,
-        "attrs": attrs,
-    }
+def _build(start, end, change="c1", success=None, aborted=False):
+    """A build started at ``start`` that finished (or was aborted) at
+    ``end``: its ``build_start`` record and the record that closed it."""
+    key = BuildKey(change, frozenset())
+    closing = (
+        rec.epoch_record(end, [], [key], 1)
+        if aborted
+        else rec.build_finish_record(end, key, success)
+    )
+    return [rec.build_start_record(start, key, end - start), closing]
 
 
 class TestComputeSlo:
@@ -59,10 +46,7 @@ class TestComputeSlo:
             SloAggregator(Recorder(), window_minutes=-1.0)
 
     def test_turnaround_percentiles_from_decision_events(self):
-        records = [
-            _decision(float(i), turnaround=float(i + 1), event_id=i + 1)
-            for i in range(10)
-        ]
+        records = [_decision(float(i), turnaround=float(i + 1)) for i in range(10)]
         payload = compute_slo(records, window_minutes=100.0)
         summary = payload["turnaround_minutes"]
         assert summary["count"] == 10
@@ -71,9 +55,9 @@ class TestComputeSlo:
 
     def test_window_cuts_old_decisions(self):
         records = [
-            _decision(0.0, turnaround=100.0, event_id=1),  # outside
-            _decision(50.0, verdict="rejected", turnaround=2.0, event_id=2),
-            _decision(60.0, turnaround=4.0, event_id=3),
+            _decision(0.0, turnaround=100.0),  # outside
+            _decision(50.0, verdict="rejected", turnaround=2.0),
+            _decision(60.0, turnaround=4.0),
         ]
         payload = compute_slo(records, now=60.0, window_minutes=20.0)
         assert payload["now"] == 60.0
@@ -82,16 +66,16 @@ class TestComputeSlo:
         assert payload["turnaround_minutes"]["mean"] == pytest.approx(3.0)
 
     def test_now_defaults_to_latest_record_horizon(self):
-        records = [_decision(10.0, event_id=1), _build(0.0, 30.0, span_id=2)]
+        records = [_decision(10.0), *_build(0.0, 30.0, success=True)]
         payload = compute_slo(records)
         assert payload["now"] == 30.0
 
     def test_speculation_hit_rate_excludes_aborted(self):
         records = [
-            _build(0.0, 10.0, span_id=1, success=True),
-            _build(0.0, 10.0, span_id=2, success=False),
-            _build(0.0, 10.0, span_id=3, success=True),
-            _build(0.0, 10.0, span_id=4, aborted=True),
+            *_build(0.0, 10.0, "c1", success=True),
+            *_build(0.0, 10.0, "c2", success=False),
+            *_build(0.0, 10.0, "c3", success=True),
+            *_build(0.0, 10.0, "c4", aborted=True),
         ]
         payload = compute_slo(records, window_minutes=20.0)
         spec = payload["speculation"]
@@ -103,8 +87,8 @@ class TestComputeSlo:
 
     def test_builds_count_only_when_they_finish_in_window(self):
         records = [
-            _build(0.0, 5.0, span_id=1, success=True),  # ends before lo
-            _build(8.0, 12.0, span_id=2, success=True),  # ends inside
+            *_build(0.0, 5.0, "c1", success=True),  # ends before lo
+            *_build(8.0, 12.0, "c2", success=True),  # ends inside
         ]
         payload = compute_slo(records, now=20.0, window_minutes=10.0)
         assert payload["speculation"]["builds"] == 1
@@ -113,8 +97,8 @@ class TestComputeSlo:
 
     def test_utilization_against_capacity(self):
         records = [
-            _build(0.0, 10.0, span_id=1, success=True),
-            _build(0.0, 10.0, span_id=2, success=True),
+            *_build(0.0, 10.0, "c1", success=True),
+            *_build(0.0, 10.0, "c2", success=True),
         ]
         payload = compute_slo(
             records, now=10.0, window_minutes=10.0, worker_capacity=4
@@ -125,24 +109,16 @@ class TestComputeSlo:
 
     def test_non_numeric_turnaround_is_skipped(self):
         records = [
-            _decision(1.0, turnaround=True, event_id=1),  # bool is not a time
-            _decision(2.0, turnaround="3.0", event_id=2),
-            _decision(3.0, turnaround=4.0, event_id=3),
+            _decision(1.0, turnaround=True),  # bool is not a time
+            _decision(2.0, turnaround="3.0"),
+            _decision(3.0, turnaround=4.0),
         ]
         payload = compute_slo(records, window_minutes=10.0)
         assert payload["turnaround_minutes"]["count"] == 1
 
 
-def _batch(at, kind="landed", size=3, depth=0, event_id=1):
-    return {
-        "type": "event",
-        "id": event_id,
-        "name": "batch",
-        "cat": "planner",
-        "track": "service",
-        "at": at,
-        "attrs": {"kind": kind, "size": size, "depth": depth},
-    }
+def _batch(at, kind="landed", size=3, depth=0):
+    return rec.batch_record(at, kind, [f"m{i}" for i in range(size)], depth)
 
 
 class TestBatchingSection:
@@ -152,9 +128,9 @@ class TestBatchingSection:
 
     def test_folds_landed_and_bisected_batches(self):
         records = [
-            _batch(1.0, kind="landed", size=4, depth=0, event_id=1),
-            _batch(2.0, kind="bisect", size=4, depth=0, event_id=2),
-            _batch(3.0, kind="landed", size=2, depth=1, event_id=3),
+            _batch(1.0, kind="landed", size=4, depth=0),
+            _batch(2.0, kind="bisect", size=4, depth=0),
+            _batch(3.0, kind="landed", size=2, depth=1),
         ]
         payload = compute_slo(records, window_minutes=10.0)
         batching = payload["batching"]
@@ -166,8 +142,8 @@ class TestBatchingSection:
 
     def test_window_cuts_old_batch_events(self):
         records = [
-            _batch(0.0, kind="landed", size=4, event_id=1),  # outside
-            _batch(55.0, kind="landed", size=2, event_id=2),
+            _batch(0.0, kind="landed", size=4),  # outside
+            _batch(55.0, kind="landed", size=2),
         ]
         payload = compute_slo(records, now=60.0, window_minutes=20.0)
         batching = payload["batching"]
@@ -187,7 +163,7 @@ class TestBatchingSection:
             recorder=recorder,
         )
         assert result.committed == len(changes)
-        payload = compute_slo(recorder.trace(), window_minutes=1e9)
+        payload = compute_slo(recorder.records, window_minutes=1e9)
         assert payload["batching"]["batches_landed"] >= 1
         assert payload["batching"]["members_committed"] >= 2
 
@@ -229,12 +205,34 @@ class TestSloAggregator:
             recorder, window_minutes=10.0, worker_capacity=1
         )
         payload = aggregator.snapshot(now=4.0)
-        # Still open, so no verdict yet — but its 4 elapsed minutes are
-        # busy time (and it "finished" at the snapshot horizon).
+        # Still running, so no verdict yet — but its 4 elapsed minutes
+        # are busy time.
         assert payload["workers"]["busy_minutes"] == pytest.approx(4.0)
+        assert payload["speculation"]["builds"] == 0
         # Re-reading never double-counts: the fold is stateless.
         again = aggregator.snapshot(now=4.0)
         assert again["workers"]["busy_minutes"] == pytest.approx(4.0)
+
+    def test_running_build_is_not_a_finished_failure(self):
+        clock = [0.0]
+        recorder = Recorder(clock=lambda: clock[0])
+        done, running = BuildKey("c1", frozenset()), BuildKey("c2", frozenset())
+        recorder.event(rec.epoch_record(0.0, [done, running], [], 2))
+        recorder.event(rec.build_start_record(0.0, done, 3.0))
+        recorder.event(rec.build_start_record(0.0, running, 9.0))
+        clock[0] = 3.0
+        recorder.event(rec.build_finish_record(3.0, done, True))
+        clock[0] = 5.0
+        aggregator = SloAggregator(recorder, window_minutes=10.0, worker_capacity=2)
+        payload = aggregator.snapshot()
+        assert payload["speculation"] == {
+            "builds": 1,
+            "succeeded": 1,
+            "aborted": 0,
+            "hit_rate": 1.0,
+        }
+        # The running build's five minutes so far are busy time.
+        assert payload["workers"]["busy_minutes"] == pytest.approx(8.0)
 
     def test_live_service_slo_is_coherent(self):
         from repro.serve import build_quickstart_service

@@ -7,6 +7,7 @@ from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
 from repro.planner.workers import WorkerPool
+from repro.strategies.optimistic import OptimisticStrategy
 from repro.strategies.oracle import OracleStrategy
 from repro.strategies.single_queue import SingleQueueStrategy
 from repro.types import BuildKey, ChangeState
@@ -178,6 +179,54 @@ class TestStallGuard:
         result = plan_and_resolve(planner, 0.0)
         assert len(result.started) == 1
         assert result.started[0] == BuildKey(change.change_id)
+
+    def test_oldest_ready_change_forced_after_a_reorder(self):
+        """After ``jumper`` jumps ``jumped`` the queue head waits on a
+        change behind it; the guard forces the oldest change that is ready
+        instead of the head, so an optimistic chain whose builds are all
+        finished and unusable still drains."""
+        planner = make_planner(workers=2, strategy=OptimisticStrategy())
+        jumped, jumper = labeled(["//x"]), labeled(["//x"])
+        planner.submit(jumped, 0.0)
+        planner.submit(jumper, 0.0)
+        assert planner.reorder(jumped.change_id, jumper.change_id)
+        now = 0.0
+        for _ in range(4):
+            if not planner.pending_count():
+                break
+            started = plan_and_resolve(planner, now).started
+            assert started, "stalled with every worker idle"
+            now += 30.0
+            for key in started:
+                planner.complete(key, now)
+        assert [d.change_id for d in planner.decisions()] == [
+            jumper.change_id,
+            jumped.change_id,
+        ]
+
+    def test_stall_step_decides_what_a_reorder_left_decidable(self):
+        """Jumping back after both builds finished makes ``first`` ready
+        again with its decisive build already done: no build is left to
+        force and no completion will come, so the service's stall step
+        (``decide_ready``) decides it."""
+        planner = make_planner(workers=2, strategy=OptimisticStrategy())
+        first, second = labeled(["//x"], ok=False), labeled(["//x"], ok=False)
+        planner.submit(first, 0.0)
+        planner.submit(second, 0.0)
+        started = plan_and_resolve(planner, 0.0).started
+        assert planner.reorder(first.change_id, second.change_id)
+        for key in started:
+            assert planner.complete(key, 30.0) == []
+        assert planner.reorder(second.change_id, first.change_id)
+        assert plan_and_resolve(planner, 31.0).started == []
+        decisions = planner.decide_ready(31.0)
+        assert [(d.change_id, d.committed) for d in decisions] == [
+            (first.change_id, False)
+        ]
+        (key,) = plan_and_resolve(planner, 32.0).started
+        assert key == BuildKey(second.change_id)
+        planner.complete(key, 62.0)
+        assert planner.pending_count() == 0
 
 
 class TestEquivalentBuildRule:

@@ -186,20 +186,26 @@ def test_decision_log_equals_full_scan(name, steps):
         _step(run, op, selector, change, now)
         _step(reference, op, selector, change, now)
         _assert_same(run, reference)
-    # Drain until a round starts nothing.  A forced reorder under the
-    # optimistic chain can leave two changes waiting on each other; both
-    # sides must still agree on everything they decided.
+    # Drain as the service does.  With nothing in flight (a stall) decide
+    # what a reorder left decidable; otherwise the stall guard starts the
+    # oldest ready change's decisive build — so nothing is left pending.
     while run.planner.pending_count():
         now += 1.0
         run.plan(now)
         reference.plan(now)
         _assert_same(run, reference)
         if not run.in_flight:
-            break
+            decided = run.planner.decide_ready(now)
+            reference.planner.decide_ready(now)
+            _assert_same(run, reference)
+            if not decided:
+                break
         while run.in_flight:
             run.complete(0, now)
             reference.complete(0, now)
             _assert_same(run, reference)
+    assert run.planner.pending_count() == 0
+    assert reference.planner.pending_count() == 0
 
 
 class VerdictOnEveryBuild(SubmitQueueStrategy):

@@ -68,8 +68,8 @@ class TestPlannerInvariants:
 
     def test_liveness_every_change_decided(self, strategy_name, seed):
         planner, result = self._run(strategy_name, seed)
-        assert result.changes_committed + result.changes_rejected == (
-            result.changes_submitted
+        assert result.committed + result.rejected == (
+            result.submitted
         )
         assert planner.pending_count() == 0
 

@@ -44,7 +44,6 @@ class TestQueueProperties:
                 queue.remove(victim.change_id)
         assert [c.change_id for c in queue] == [c.change_id for c in reference]
         assert queue.in_order() == [c.change_id for c in reference]
-        assert queue.head() is (reference[0] if reference else None)
         assert len(queue) == len(reference)
         if reference:
             tail = reference[-1].change_id

@@ -4,6 +4,7 @@ durations) and the end-to-end simulator."""
 import numpy as np
 import pytest
 
+from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.errors import ClockError, SimulationError
 from repro.planner.controller import LabelBuildController
@@ -14,6 +15,7 @@ from repro.sim.clock import Clock
 from repro.sim.durations import BuildDurationModel, IOS_DURATIONS
 from repro.sim.events import EventQueue
 from repro.sim.simulator import Simulation
+from repro.strategies.optimistic import OptimisticStrategy
 from repro.strategies.oracle import OracleStrategy
 from repro.vcs.repository import Repository
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
@@ -127,10 +129,10 @@ class TestSimulation:
             conflict_predicate=potential_conflict,
         )
         result = sim.run(stream)
-        assert result.changes_submitted == 40
-        assert result.changes_committed + result.changes_rejected == 40
+        assert result.submitted == 40
+        assert result.committed + result.rejected == 40
         assert len(result.turnarounds) == 40
-        assert all(t >= 0 for t in result.turnarounds.values())
+        assert all(t >= 0 for t in result.turnarounds)
 
     def test_throughput_positive(self):
         result = Simulation(
@@ -155,7 +157,7 @@ class TestSimulation:
 
         first, second = run(), run()
         assert first.turnarounds == second.turnarounds
-        assert first.changes_committed == second.changes_committed
+        assert first.committed == second.committed
 
     def test_more_workers_never_hurt_oracle(self):
         stream = small_stream(count=60, rate=240.0, seed=11)
@@ -172,10 +174,7 @@ class TestSimulation:
             conflict_predicate=potential_conflict,
         ).run(list(stream))
         assert many.makespan_minutes <= few.makespan_minutes
-        from repro.metrics.percentile import summarize
-        assert summarize(many.turnaround_values())["p95"] <= summarize(
-            few.turnaround_values()
-        )["p95"]
+        assert many.turnaround["p95"] <= few.turnaround["p95"]
 
     def test_empty_stream(self):
         result = Simulation(
@@ -184,7 +183,7 @@ class TestSimulation:
             workers=2,
             conflict_predicate=potential_conflict,
         ).run([])
-        assert result.changes_submitted == 0
+        assert result.submitted == 0
         assert result.makespan_minutes == 0.0
 
     def test_max_minutes_raises(self):
@@ -243,13 +242,13 @@ class TestOneDriver:
         spaced = small_stream(count=30, rate=90.0, seed=7)
         stream = [(0.0, change) for _, change in spaced[:8]] + spaced[8:]
         sim = label_simulation(STRATEGIES[name]())
-        result = sim.run(list(stream))
+        sim.run(list(stream))
         service = label_service(STRATEGIES[name]())
         for at, change in stream:
             service.enqueue(change, at=at)
         decisions = service.pump()
         assert len(decisions) == 30
-        assert result.decisions == decisions
+        assert sim.planner.decisions() == decisions
         assert outcome(sim.planner) == outcome(service.planner)
 
     def test_burst_at_zero_equals_submit_calls(self, name):
@@ -267,5 +266,53 @@ class TestOneDriver:
         sim = label_simulation(STRATEGIES[name]())
         result = sim.run(stream)
         stats = sim.planner.stats
-        assert result.changes_submitted == 120
+        assert result.submitted == 120
         assert stats.plan_calls == 120 + stats.builds_completed
+
+
+class _ScriptedReorders(OptimisticStrategy):
+    """The optimistic chain, with reorders proposed at given plan calls."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+        self.plans = 0
+
+    def propose_reorders(self, view):
+        self.plans += 1
+        return self.script.get(self.plans, [])
+
+
+class TestStallStep:
+    def test_stall_decides_what_a_reorder_left_decidable(self):
+        """``second`` jumps ``first`` (plan 2); once both builds have
+        finished, ``first`` jumps back (plan 4) and is ready with its
+        decisive build done.  No build is left to start and no completion
+        will come, so the stall step decides it, and the stall guard then
+        forces ``second``'s decisive build."""
+        first, second = (
+            Change(
+                change_id=next_change_id(),
+                revision_id="R1",
+                developer=Developer("dev1"),
+                ground_truth=GroundTruth(
+                    individually_ok=False, target_names=frozenset({"//x"})
+                ),
+                build_duration=30.0,
+            )
+            for _ in range(2)
+        )
+        strategy = _ScriptedReorders(
+            {
+                2: [(first.change_id, second.change_id)],
+                4: [(second.change_id, first.change_id)],
+            }
+        )
+        service = label_service(strategy)
+        service.submit(first)
+        service.submit(second)
+        decisions = service.pump()
+        assert [(d.change_id, d.committed, d.at) for d in decisions] == [
+            (first.change_id, False, 30.0),
+            (second.change_id, False, 60.0),
+        ]

@@ -122,5 +122,5 @@ def test_live_trace_equals_replayed_trace(tmp_path, backend, batching):
 
     capacity = service.planner.workers.capacity
     assert compute_slo(
-        replayed.trace(at=now), now=now, worker_capacity=capacity
-    ) == compute_slo(live.trace(at=now), now=now, worker_capacity=capacity)
+        replayed.records, now=now, worker_capacity=capacity
+    ) == compute_slo(live.records, now=now, worker_capacity=capacity)

@@ -66,7 +66,7 @@ class TestWorkerPool:
         key = BuildKey("c1")
         pool.assign(key, now=0.0)
         pool.release(key, now=50.0)
-        assert pool.utilization(now=100.0) == pytest.approx(0.25)
+        assert pool.busy_minutes(now=100.0) == 50.0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -78,8 +78,8 @@ class TestWorkerPool:
         pool.assign(done, now=0.0)
         pool.release(done, now=50.0)
         pool.assign(BuildKey("c2"), now=60.0)
-        # 50 finished minutes + 40 in-flight minutes over 100 x 2 capacity.
-        assert pool.utilization(now=100.0) == pytest.approx(0.45)
+        # 50 finished minutes + 40 in-flight minutes.
+        assert pool.busy_minutes(now=100.0) == 90.0
 
     def test_load_imbalance_with_and_without_in_flight(self):
         pool = WorkerPool(2)
