@@ -12,11 +12,14 @@ so EXPERIMENTS.md can reference the latest run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pathlib
 import platform
 
 import pytest
+
+from repro.changes import change as change_module
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -31,6 +34,27 @@ _EMITTED = []
 #: changes/hour), ``sweep`` (candidate vs. full conflict sweep latency +
 #: fingerprint smoke).
 _BENCH: dict = {}
+
+
+#: First change-id number of each module that mints from its own
+#: sequence: blocks far above the shared one, so every id stays unique in
+#: the process (ground truth and predictors memoise by id).
+_CHANGE_ID_BLOCKS = {"test_ablations": 10_000_001, "test_batch_throughput": 20_000_001}
+
+
+@pytest.fixture(scope="module")
+def module_change_ids(request):
+    """Mint the module's change ids from its own block.
+
+    Ids order every id tie-break and name the changes a fingerprint
+    covers, so a table minted from the shared sequence would depend on
+    which tests ran earlier in the process.
+    """
+    name = request.module.__name__.rsplit(".", 1)[-1]
+    saved = change_module._change_counter
+    change_module._change_counter = itertools.count(_CHANGE_ID_BLOCKS[name])
+    yield
+    change_module._change_counter = saved
 
 
 def emit(name: str, text: str) -> None:

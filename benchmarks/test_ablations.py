@@ -23,6 +23,9 @@ RATE = 300
 WORKERS = 200
 CHANGES = 200
 
+#: The module mints change ids from its own block, whatever ran before it.
+pytestmark = pytest.mark.usefixtures("module_change_ids")
+
 
 @pytest.fixture(scope="module")
 def stream():

@@ -47,6 +47,9 @@ MIN_JOINT_SUCCESS = 0.3
 
 _SMOKE_ONLY = os.environ.get("BATCH_BENCH_SMOKE") == "1"
 
+#: The module mints change ids from its own block, whatever ran before it.
+pytestmark = pytest.mark.usefixtures("module_change_ids")
+
 
 def _red_commits(decisions, stream):
     """Committed changes that would have broken the mainline.

@@ -173,17 +173,17 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
             float(span["end"]) - float(span["start"])  # type: ignore[arg-type]
             for span in builds
         ]
-        succeeded = sum(
-            1 for span in builds if (span.get("attrs") or {}).get("success")
-        )
-        aborted = sum(
-            1 for span in builds if (span.get("attrs") or {}).get("aborted")
-        )
+        outcomes = [span.get("attrs") or {} for span in builds]
+        succeeded = sum(1 for attrs in outcomes if attrs.get("success") is True)
+        failed = sum(1 for attrs in outcomes if attrs.get("success") is False)
+        aborted = sum(1 for attrs in outcomes if attrs.get("aborted"))
         lines.append("")
         lines.append(f"-- builds ({len(builds)} spans) --")
+        # A build span with no outcome was still open when the trace was
+        # written: running, not failed.
         lines.append(
-            f"succeeded {succeeded}, aborted {aborted}, "
-            f"failed {len(builds) - succeeded - aborted}"
+            f"succeeded {succeeded}, aborted {aborted}, failed {failed}, "
+            f"running {len(builds) - succeeded - failed - aborted}"
         )
         lines.append(
             f"duration min/mean/max: {min(durations):.1f} / "

@@ -44,9 +44,8 @@ class Recorder:
         #: The lifecycle records :meth:`event` took, in emission order.
         self.records: List[Mapping[str, object]] = []
         #: Worker responses by the position of the ``build_start`` record
-        #: that took them, and responses still waiting for that record.
+        #: they came back for.
         self._workers: Dict[int, object] = {}
-        self._parked: Dict[Tuple, List[object]] = {}
 
     def bind_clock(self, clock: Clock) -> None:
         """Point span stamps and the trace horizon at the owner's
@@ -95,24 +94,13 @@ class Recorder:
     # -- lifecycle records -----------------------------------------------------
 
     def event(self, record: Mapping[str, object]) -> None:
-        """Keep one lifecycle record as is; a ``build_start`` also takes
-        the worker response parked for its key."""
-        if self._parked and record["t"] == "build_start":
-            key = record["key"]
-            ident = (key["c"], tuple(key["a"]))
-            parked = self._parked.get(ident)
-            if parked:
-                self._workers[len(self.records)] = parked.pop(0)
-                if not parked:
-                    del self._parked[ident]
+        """Keep one lifecycle record as is."""
         self.records.append(record)
 
-    def park_worker_spans(self, key, response) -> None:
-        """Hold a worker's response for ``key`` (a ``BuildKey``) until the
-        key's next ``build_start`` record; responses arrive in dispatch
-        order, the order of those records."""
-        ident = (key.change_id, tuple(sorted(key.assumed)))
-        self._parked.setdefault(ident, []).append(response)
+    def attach_worker(self, response) -> None:
+        """Keep a traced worker response with the ``build_start`` record
+        just taken: the trace renders its spans under that build."""
+        self._workers[len(self.records) - 1] = response
 
     def trace(self, at: Optional[float] = None) -> List[Dict[str, object]]:
         """Span/event records of the run so far: :func:`fold` with spans
@@ -384,9 +372,6 @@ class NullRecorder(Recorder):
         return span
 
     def event(self, record) -> None:
-        pass
-
-    def park_worker_spans(self, key, response) -> None:
         pass
 
     def jsonl_records(self) -> List[Dict[str, object]]:

@@ -17,19 +17,19 @@ from repro.planner.controller import (
 from repro.planner.planner import (
     BuildRecord,
     Decision,
+    Epoch,
     PlannerEngine,
     PlannerView,
-    ScheduledBuild,
 )
 
 __all__ = [
     "BuildController",
     "BuildRecord",
     "Decision",
+    "Epoch",
     "FullStackBuildController",
     "LabelBuildController",
     "PlannerEngine",
     "PlannerView",
-    "ScheduledBuild",
     "WorkerPool",
 ]

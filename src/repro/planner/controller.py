@@ -19,8 +19,9 @@ Two fidelities behind one interface:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.executor import BuildContext, BuildExecutor, BuildReport
@@ -53,20 +54,20 @@ class BuildExecution:
     #: Targets the build covered, in build order (empty for label-mode
     #: builds and merge conflicts).
     targets_built: Tuple[TargetName, ...] = ()
+    #: The traced worker response the build came back in, whose
+    #: wall-clock step spans the recorder renders under its build span.
+    worker: object = field(default=None, compare=False, repr=False)
 
 
 class BuildController(abc.ABC):
     """Interface the planner uses to run builds.
 
     The planner only ever *dispatches* a batch and later *resolves* it
-    (section 6: builds run asynchronously and report back); a controller
-    that has nowhere else to run them inherits the defaults below, which
-    run the batch at dispatch and hand the outcomes over at resolution.
+    (section 6: builds run asynchronously and report back): a dispatch
+    returns a handle, and calling the handle yields the batch's
+    executions.  A controller that has nowhere else to run them inherits
+    the default below, which runs the batch at dispatch.
     """
-
-    def __init__(self) -> None:
-        #: Batches run at dispatch and not yet resolved, in dispatch order.
-        self._parked: List[List[Tuple[BuildKey, BuildExecution]]] = []
 
     @abc.abstractmethod
     def execute(
@@ -98,21 +99,14 @@ class BuildController(abc.ABC):
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
         decided: Optional[Mapping[ChangeId, bool]] = None,
-    ) -> None:
-        """Start one epoch's builds; :meth:`resolve_dispatches` reports them.
+    ) -> Callable[[], List[BuildExecution]]:
+        """Start one epoch's builds; the returned handle yields their
+        executions in selection order.
 
         ``decided`` is passed on to :meth:`execute_batch`.
         """
         executions = self.execute_batch(keys, changes_by_id, decided)
-        self._parked.append(list(zip(keys, executions)))
-
-    def resolve_dispatches(
-        self,
-    ) -> List[List[Tuple[BuildKey, BuildExecution]]]:
-        """Every dispatched batch's ``(key, execution)`` pairs, in dispatch
-        order and, within a batch, selection order."""
-        resolved, self._parked = self._parked, []
-        return resolved
+        return lambda: executions
 
     def on_commit(
         self, change: Change, changes_by_id: Mapping[ChangeId, Change]
@@ -143,7 +137,6 @@ class LabelBuildController(BuildController):
         stacking_overhead: float = 0.35,
         default_duration: float = 30.0,
     ) -> None:
-        super().__init__()
         if stacking_overhead < 0.0:
             raise ValueError("stacking_overhead must be non-negative")
         self.step_elimination = step_elimination
@@ -250,7 +243,6 @@ class FullStackBuildController(BuildController):
         cache: Optional[ArtifactCache] = None,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
-        super().__init__()
         self._repo = repo
         self.recorder = recorder
         self.executor = BuildExecutor(cache, recorder=recorder)
@@ -269,9 +261,6 @@ class FullStackBuildController(BuildController):
         #: Synthetic wall cost per hermetic step, forwarded to workers.
         self.step_wall_seconds = 0.0
         self._base_snapshot_memo: Optional[Tuple[CommitId, Dict]] = None
-        #: Batches shipped to the backend but not yet merged back, in
-        #: dispatch order: ``(backend token, keys)``.
-        self._pending_dispatches: List[Tuple[object, List[BuildKey]]] = []
 
     def refresh_base(self) -> None:
         """Re-pin the merge base to the current mainline HEAD."""
@@ -365,11 +354,8 @@ class FullStackBuildController(BuildController):
         self.step_wall_seconds = step_wall_seconds
 
     def detach_backend(self) -> None:
-        """Back to running batches inline."""
-        if self._pending_dispatches:
-            raise ParallelExecutionError(
-                "cannot detach a backend with unresolved dispatched batches"
-            )
+        """Back to running batches inline; a batch already dispatched
+        keeps its backend in its handle."""
         self._backend = None
 
     def _request_snapshot(self) -> Dict:
@@ -447,9 +433,8 @@ class FullStackBuildController(BuildController):
         downstream decision) is bit-identical to what the serial oracle
         computes.
 
-        A traced response goes to the recorder, which keeps it with the
-        key's next ``build_start`` record; the trace renders its
-        wall-clock step spans under that build's span.
+        A traced response rides on the execution (``worker``); the trace
+        renders its wall-clock step spans under that build's span.
         """
         if response is None or response.error is not None:
             reason = "no response" if response is None else response.error
@@ -461,46 +446,46 @@ class FullStackBuildController(BuildController):
             unbuildable = f"merge conflict: {response.merge_conflict}"
         elif response.graph_error is not None:
             unbuildable = f"build graph error: {response.graph_error}"
-        if response.step_spans:
-            self.recorder.park_worker_spans(key, response)
         if unbuildable is not None:
-            return self._unbuildable(key, unbuildable)
-        cache = self.executor.cache
-        report = BuildReport()
-        report.targets_built.extend(response.targets)
-        for step in response.steps:
-            result = cache.get(step.digest, step.kind)
-            if result is None:
-                result = StepResult(
-                    StepSpec(step.target, step.kind), step.passed, step.log
-                )
-                cache.put(step.digest, step.kind, result)
-            report.append(result)
-        self.executor.record_report(report)
-        return self._execution_from_report(key, report)
+            execution = self._unbuildable(key, unbuildable)
+        else:
+            cache = self.executor.cache
+            report = BuildReport()
+            report.targets_built.extend(response.targets)
+            for step in response.steps:
+                result = cache.get(step.digest, step.kind)
+                if result is None:
+                    result = StepResult(
+                        StepSpec(step.target, step.kind), step.passed, step.log
+                    )
+                    cache.put(step.digest, step.kind, result)
+                report.append(result)
+            self.executor.record_report(report)
+            execution = self._execution_from_report(key, report)
+        if response.step_spans:
+            execution = replace(execution, worker=response)
+        return execution
 
     def dispatch_batch(
         self,
         keys: Sequence[BuildKey],
         changes_by_id: Mapping[ChangeId, Change],
         decided: Optional[Mapping[ChangeId, bool]] = None,
-    ) -> None:
+    ) -> Callable[[], List[BuildExecution]]:
         """Start one epoch's builds without waiting for them.
 
-        Without a backend the batch runs now through :meth:`execute_batch`
-        and is parked.  With one, requests are serialized against the
-        *current* base head (no mainline commit can land between a
-        dispatch and its resolution — resolutions happen before the event
-        loop pops anything) and shipped to the backend.  Either way the
-        matching :meth:`resolve_dispatches` call hands the outcomes over
-        later, in dispatch order, at the driver's next quiescent point.
+        Without a backend the batch runs now through :meth:`execute_batch`.
+        With one, requests are serialized against the *current* base head
+        (no mainline commit can land between a dispatch and its resolution
+        — resolutions happen before the event loop pops anything) and
+        shipped to the backend.  Either way the returned handle yields the
+        executions, at the driver's next quiescent point.
 
         While a recorder is attached, each request asks its worker to
         capture per-step wall spans.
         """
         if self._backend is None:
-            super().dispatch_batch(keys, changes_by_id, decided)
-            return
+            return super().dispatch_batch(keys, changes_by_id, decided)
         requests = [
             self._build_request(
                 position,
@@ -512,36 +497,27 @@ class FullStackBuildController(BuildController):
             for position, key in enumerate(keys)
         ]
         token = self._backend.submit_batch(requests)
-        self._pending_dispatches.append((token, list(keys)))
+        return partial(self._collect, self._backend, token, list(keys))
 
-    def resolve_dispatches(
-        self,
-    ) -> List[List[Tuple[BuildKey, BuildExecution]]]:
-        """Wait for every dispatched batch and merge it, in dispatch order.
+    def _collect(
+        self, backend, token, keys: List[BuildKey]
+    ) -> List[BuildExecution]:
+        """Wait for one shipped batch and merge it, in selection order.
 
-        Merging in dispatch order (and, within a batch, selection order)
-        makes the parent's artifact cache evolve exactly as running the
-        batches inline at dispatch does — the property the bit-identity
-        oracle tests pin.
+        Handles are called in dispatch order, so the parent's artifact
+        cache evolves exactly as running the batches inline at dispatch
+        does — the property the bit-identity oracle tests pin.
         """
-        if self._backend is None:
-            return super().resolve_dispatches()
-        pending, self._pending_dispatches = self._pending_dispatches, []
-        resolved: List[List[Tuple[BuildKey, BuildExecution]]] = []
-        for token, keys in pending:
-            responses = self._backend.collect(token)
-            if len(responses) != len(keys):
-                raise ParallelExecutionError(
-                    f"backend returned {len(responses)} responses "
-                    f"for {len(keys)} requests"
-                )
-            resolved.append(
-                [
-                    (key, self._merge_response(key, response))
-                    for key, response in zip(keys, responses)
-                ]
+        responses = backend.collect(token)
+        if len(responses) != len(keys):
+            raise ParallelExecutionError(
+                f"backend returned {len(responses)} responses "
+                f"for {len(keys)} requests"
             )
-        return resolved
+        return [
+            self._merge_response(key, response)
+            for key, response in zip(keys, responses)
+        ]
 
     # -- execution ----------------------------------------------------------
 

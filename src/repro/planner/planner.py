@@ -7,12 +7,13 @@ Event-driven core shared by every strategy:
 * :meth:`PlannerEngine.plan` — ask the strategy for the current most
   valuable builds, abort running builds that fell out of the selection,
   assign newly selected ones to free workers and dispatch them to the
-  build controller;
+  build controller; the returned :class:`Epoch` holds the batch until it
+  resolves;
 * :meth:`PlannerEngine.resolve_pending` — the one way an outcome comes
   back (section 6's asynchronous build controller): the driver calls it
   at its next quiescent point and times a completion event for every
-  build it returns, whether the controller ran the builds inline or on
-  worker processes;
+  live build of every epoch it returns, whether the controller ran the
+  builds inline or on worker processes;
 * :meth:`PlannerEngine.complete` — record a finished build, then commit or
   reject every change whose fate is now decided (a change's *decisive*
   build is the one whose assumed set equals the ancestors that actually
@@ -35,7 +36,7 @@ the planner is a pure state machine over ``now`` values it is handed.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -58,20 +59,6 @@ from repro.obs.registry import metric_field
 from repro.planner.controller import BuildController, BuildExecution
 from repro.planner.workers import WorkerPool
 from repro.types import BuildKey, ChangeId
-
-
-@dataclass(frozen=True)
-class ScheduledBuild:
-    """A resolved build whose completion the driver must time.
-
-    Minted only by :meth:`PlannerEngine.resolve_pending`: a build has no
-    duration until its dispatch resolves, so :meth:`PlannerEngine.plan`
-    reports bare keys and the driver schedules completion events from
-    what resolution returns.
-    """
-
-    key: BuildKey
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -102,6 +89,33 @@ class BuildRecord:
     @property
     def done(self) -> bool:
         return self.completed_at is not None
+
+
+@dataclass
+class Epoch:
+    """One :meth:`PlannerEngine.plan` call, held from dispatch until its
+    batch resolves.
+
+    ``queue``, ``busy`` and ``capacity`` are read after the epoch's starts
+    (no decision lands inside a plan), for an epoch that started or
+    aborted anything.  ``builds`` are the started builds'
+    records and ``batch`` the controller's handle on them, both in
+    selection order; :meth:`PlannerEngine.resolve_pending` calls the
+    handle and fills ``executions`` (the whole batch) and ``live`` (the
+    builds neither aborted nor re-dispatched since, whose completions the
+    driver times at ``at + execution.duration``).
+    """
+
+    at: float
+    started: List[BuildKey] = field(default_factory=list)
+    aborted: List[BuildKey] = field(default_factory=list)
+    queue: int = 0
+    busy: int = 0
+    capacity: int = 0
+    builds: List[BuildRecord] = field(default_factory=list)
+    batch: Optional[Callable[[], List[BuildExecution]]] = None
+    executions: List[BuildExecution] = field(default_factory=list)
+    live: List[BuildRecord] = field(default_factory=list)
 
 
 @dataclass
@@ -320,9 +334,9 @@ class PlannerEngine:
         self._metrics = _PlannerMetrics(recorder) if recorder.enabled else None
         #: Applied reorders, for the state fingerprint and the snapshot.
         self.reorders_applied = 0
-        #: One ``(dispatch clock, records)`` entry per batch handed to the
-        #: controller and not yet resolved, in dispatch order.
-        self._pending_resolution: List[tuple] = []
+        #: Epochs that started or aborted builds and are not yet resolved,
+        #: in plan order (which is dispatch order).
+        self._unresolved: List[Epoch] = []
 
     # -- submission ---------------------------------------------------------
 
@@ -457,11 +471,13 @@ class PlannerEngine:
 
     # -- planning -----------------------------------------------------------
 
-    def plan(self, now: float) -> "PlanResult":
+    def plan(self, now: float) -> Epoch:
         """One epoch: select builds, abort stale ones, start new ones.
 
         Every call consults the strategy; the driver calls it once per
         event (submission, build completion, stall), never on a timer.
+        An epoch that started or aborted anything waits for
+        :meth:`resolve_pending`.
         """
         self.stats.plan_calls += 1
         for ahead_id, behind_id in self.strategy.propose_reorders(self._view):
@@ -499,25 +515,31 @@ class PlannerEngine:
             if existing is not None and existing.done and not existing.aborted:
                 continue  # result already known; never rebuild
             to_start.append(key)
-        started = self._start_batch(to_start, now)
+        epoch = self._start_batch(to_start, now)
 
         # Stall guard: if the strategy selected nothing runnable while work
         # is pending, force the decisive build of the oldest pending change
         # that has one (every ancestor decided), so the system always makes
         # progress.  Without reorders that is the queue head; after one, the
         # head may wait on a change behind it.
-        if not started and self.workers.busy == 0:
+        if not epoch.started and self.workers.busy == 0:
             for change in self.conflict_graph:
                 key = self.decisive_key(change.change_id)
                 if key is None:
                     continue
                 existing = self.builds.get(key)
                 if existing is None or existing.aborted or not existing.done:
-                    started = self._start_batch([key], now)
+                    epoch = self._start_batch([key], now)
                 break
+        epoch.aborted = aborted
+        if epoch.started or aborted:
+            epoch.queue = len(self.conflict_graph)
+            epoch.busy = self.workers.busy
+            epoch.capacity = self.workers.capacity
+            self._unresolved.append(epoch)
         if self._metrics is not None:
             self._record_epoch()
-        return PlanResult(started=started, aborted=aborted)
+        return epoch
 
     def _record_epoch(self) -> None:
         """Set the epoch gauges (no decision lands inside a plan, so the
@@ -529,29 +551,28 @@ class PlannerEngine:
         )
         self._metrics.load_imbalance.set(self.workers.load_imbalance())
 
-    def _start_batch(self, keys: List[BuildKey], now: float) -> List[BuildKey]:
-        """Assign workers to a batch of selected builds and dispatch it.
+    def _start_batch(self, keys: List[BuildKey], now: float) -> Epoch:
+        """Assign workers to a batch of selected builds and dispatch it;
+        the epoch that holds it is returned for :meth:`plan` to finish.
 
         Worker slots are claimed in longest-processing-time-first order
         over the pool's EWMA duration history (section 6's history-based
-        balancing); everything else — records, the dispatch, the
-        returned keys — stays in selection order, so event timing and
-        build outcomes are unchanged by the assignment policy.
+        balancing); everything else — records, the dispatch, the started
+        keys — stays in selection order, so event timing and build
+        outcomes are unchanged by the assignment policy.
 
         Everything the *selection* depends on (worker occupancy, running
         set, per-change counters) is updated here; executions, step
         counters and durations arrive at :meth:`resolve_pending`.
         """
-        if not keys:
-            return []
-        self._assign_workers(keys, now)
-        records = [self._register_dispatch(key, now) for key in keys]
-        self.controller.dispatch_batch(keys, self.all_changes, self.decided)
-        # The records minted above ride along: resolution must only time
-        # a completion for a dispatch that is still current (not aborted,
-        # not superseded by a re-dispatch).
-        self._pending_resolution.append((now, records))
-        return list(keys)
+        epoch = Epoch(at=now, started=list(keys))
+        if keys:
+            self._assign_workers(keys, now)
+            epoch.builds = [self._register_dispatch(key, now) for key in keys]
+            epoch.batch = self.controller.dispatch_batch(
+                keys, self.all_changes, self.decided
+            )
+        return epoch
 
     def _assign_workers(self, keys: List[BuildKey], now: float) -> None:
         for key in self.workers.assignment_order(keys):
@@ -582,42 +603,33 @@ class PlannerEngine:
         self.stats.builds_started += 1
         return build
 
-    def resolve_pending(self) -> List["ResolvedBatch"]:
-        """Merge every dispatched batch back in — the quiescent point.
+    def resolve_pending(self) -> List[Epoch]:
+        """Merge every dispatched batch back in — the quiescent point —
+        and hand over the unresolved epochs, in plan order.
 
         The one place executions enter the planner.  Drivers call it
         before their event loop pops anything, so the clock has not moved
-        since the dispatches: completion events are timed at
-        ``batch.at + duration``, and the controller merges batches in
-        dispatch order, so the artifact cache — and with it every
-        duration and decision — evolves identically whether the builds
-        ran inline or on a backend.
+        since the dispatches: completions are timed at
+        ``epoch.at + duration``, and the batches merge in dispatch order,
+        so the artifact cache — and with it every duration and decision —
+        evolves identically whether the builds ran inline or on a backend.
         """
-        if not self._pending_resolution:
-            return []
-        pending, self._pending_resolution = self._pending_resolution, []
-        merged = self.controller.resolve_dispatches()
-        batches: List[ResolvedBatch] = []
-        for (at, records), results in zip(pending, merged):
-            executions: List[BuildExecution] = []
-            live: List[ScheduledBuild] = []
-            for record, (key, execution) in zip(records, results):
+        epochs, self._unresolved = self._unresolved, []
+        for epoch in epochs:
+            if epoch.batch is None:
+                continue
+            epoch.executions, epoch.batch = epoch.batch(), None
+            for record, execution in zip(epoch.builds, epoch.executions):
                 record.execution = execution
                 self.stats.steps_executed += execution.steps_executed
                 self.stats.steps_cached += execution.steps_cached
-                executions.append(execution)
                 # Time a completion only for dispatches that are still
                 # current: aborted or re-dispatched keys were merged for
                 # their cache effects but must not produce a (duplicate)
                 # event.
-                if not record.aborted and self.builds.get(key) is record:
-                    live.append(
-                        ScheduledBuild(key=key, duration=execution.duration)
-                    )
-            batches.append(
-                ResolvedBatch(at=at, executions=executions, live=live)
-            )
-        return batches
+                if not record.aborted and self.builds.get(record.key) is record:
+                    epoch.live.append(record)
+        return epochs
 
     def _abort(self, key: BuildKey, now: float) -> None:
         # completed=False keeps the partial interval out of the worker
@@ -814,26 +826,3 @@ class PlannerEngine:
     def pending_count(self) -> int:
         return len(self.conflict_graph)
 
-
-@dataclass(frozen=True)
-class PlanResult:
-    """What one :meth:`PlannerEngine.plan` call did."""
-
-    #: Builds dispatched this epoch, in selection order.  Durations exist
-    #: only on what :meth:`PlannerEngine.resolve_pending` returns.
-    started: List[BuildKey]
-    aborted: List[BuildKey]
-
-
-@dataclass(frozen=True)
-class ResolvedBatch:
-    """One dispatched batch after resolution.
-
-    ``executions`` covers the whole batch in selection order (for
-    journaling); ``live`` holds only the builds that still need a
-    completion event timed at ``at + duration``.
-    """
-
-    at: float
-    executions: List[BuildExecution]
-    live: List[ScheduledBuild]

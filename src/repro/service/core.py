@@ -15,7 +15,7 @@ mainline and the mainline is verifiably green after every pump.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.changes.change import Change
@@ -69,18 +69,6 @@ class CoreServiceConfig:
     #: execution purely synthetic).  Wall-clock only — never influences
     #: simulated durations or decisions.
     step_wall_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class _Epoch:
-    """What one ``plan()`` did, as its journal records will say it."""
-
-    at: float
-    started: List[BuildKey]
-    aborted: List[BuildKey]
-    queue: int
-    busy: int
-    capacity: int
 
 
 @dataclass(frozen=True)
@@ -157,9 +145,6 @@ class CoreService:
         #: Scheduled-but-not-yet-accepted submissions by change id, in
         #: enqueue order.
         self._submission_handles: Dict[ChangeId, EventHandle] = {}
-        #: Epochs that started or aborted builds and are not yet resolved,
-        #: in plan order; _resolve_builds journals and times them.
-        self._unresolved_epochs: List[_Epoch] = []
         self._head_at_analyzer = None
         self._backend = None
         if config.build_backend is not None:
@@ -313,7 +298,8 @@ class CoreService:
 
         Anything still dispatched resolves first so the service is left
         at a quiescent point (pump() always drains, so this only does
-        work when a caller closes between a submit and its pump).
+        work when a caller closes between a submit and its pump); no
+        dispatched batch outlives the backend.
         """
         self._resolve_builds()
         if self._backend is not None:
@@ -449,20 +435,7 @@ class CoreService:
         return new_decisions
 
     def _replan(self) -> None:
-        result = self.planner.plan(self.clock.now)
-        if result.started or result.aborted:
-            workers = self.planner.workers
-            self._unresolved_epochs.append(
-                _Epoch(
-                    at=self.clock.now,
-                    started=result.started,
-                    aborted=result.aborted,
-                    queue=self.planner.pending_count(),
-                    busy=workers.busy,
-                    capacity=workers.capacity,
-                )
-            )
-        for key in result.aborted:
+        for key in self.planner.plan(self.clock.now).aborted:
             pending = self._completion_handles.pop(key, None)
             if pending is not None:
                 self._events.cancel(pending)
@@ -472,34 +445,26 @@ class CoreService:
 
         The pump's deterministic quiescent point, and the only place an
         ``epoch`` / ``build_start`` / ``worker`` record is emitted or a
-        completion event is timed: every unresolved epoch is taken in
-        plan order, its records are emitted (timestamped at the plan
-        instant, which the clock has not left) with the durations its
+        completion event is timed: every epoch the planner resolves is
+        taken in plan order, its records are emitted (timestamped at the
+        plan instant, which the clock has not left) with the durations its
         batch resolved to, and its live builds' completions are pushed at
         that instant plus their durations.
         """
-        if not self._unresolved_epochs:
-            return
-        epochs, self._unresolved_epochs = self._unresolved_epochs, []
-        # plan() dispatches at most one batch, so the epochs that started
-        # builds pair off with the resolved batches in order.
-        batches = iter(self.planner.resolve_pending())
-        for epoch in epochs:
-            if not epoch.started:
-                executions, live = (), ()
-            else:
-                batch = next(batches)
-                executions, live = batch.executions, batch.live
+        recorder = self.recorder
+        for epoch in self.planner.resolve_pending():
+            at = epoch.at
             self._emit(
-                rec.epoch_record, epoch.at, epoch.started, epoch.aborted, epoch.queue
+                rec.epoch_record, at, epoch.started, epoch.aborted, epoch.queue
             )
-            for execution in executions:
+            for execution in epoch.executions:
                 self._emit(
-                    rec.build_start_record, epoch.at, execution.key, execution.duration
+                    rec.build_start_record, at, execution.key, execution.duration
                 )
-            self._emit(rec.worker_record, epoch.at, epoch.busy, epoch.capacity)
-            for scheduled in live:
-                handle = self._events.push(
-                    epoch.at + scheduled.duration, scheduled.key
+                if execution.worker is not None and recorder.enabled:
+                    recorder.attach_worker(execution.worker)
+            self._emit(rec.worker_record, at, epoch.busy, epoch.capacity)
+            for build in epoch.live:
+                self._completion_handles[build.key] = self._events.push(
+                    at + build.execution.duration, build.key
                 )
-                self._completion_handles[scheduled.key] = handle

@@ -49,12 +49,19 @@ def monorepo() -> SyntheticMonorepo:
 def plan_and_resolve(planner, now):
     """One planner epoch the way every driver runs it: plan, then resolve.
 
-    Returns the ``PlanResult``; afterwards each started build's execution
-    is on ``planner.builds[key].execution`` and ``complete()`` may fire.
+    Returns the ``Epoch``; afterwards each started build's execution is on
+    ``planner.builds[key].execution`` and ``complete()`` may fire.
     """
-    result = planner.plan(now)
+    epoch = planner.plan(now)
     planner.resolve_pending()
-    return result
+    return epoch
+
+
+def start_builds(planner, keys, now):
+    """Dispatch ``keys`` as one epoch outside ``plan()`` — no selection,
+    no aborts — and resolve it, so ``complete()`` may fire for each."""
+    planner._unresolved.append(planner._start_batch(keys, now))
+    planner.resolve_pending()
 
 
 def full_sweep_service(repo, strategy, **kwargs):

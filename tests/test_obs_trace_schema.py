@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.journal import records as rec
 from repro.obs.inspect import format_report, load_trace
 from repro.obs.recorder import Recorder
 from repro.obs.schema import validate_file, validate_jsonl, validate_records
@@ -13,6 +14,7 @@ from repro.obs.tracer import chrome_trace_from_records
 from repro.predictor.predictors import StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.submitqueue import SubmitQueueStrategy
+from repro.types import BuildKey
 from repro.workload.repo_synth import MonorepoSpec, SyntheticMonorepo
 
 
@@ -127,6 +129,18 @@ class TestGoldenTrace:
         assert "epoch loop" in report
         assert "-- metrics --" in report
         assert "builds started" in report
+
+    def test_report_counts_an_open_build_as_running(self, tmp_path):
+        """A trace written mid-run holds build spans with no outcome yet;
+        the report counts them as running, not failed."""
+        key = BuildKey("c1", frozenset())
+        recorder = Recorder(clock=lambda: 4.0)
+        recorder.event(rec.epoch_record(1.0, [key], [], 1))
+        recorder.event(rec.build_start_record(1.0, key, 10.0))
+        path = tmp_path / "mid.jsonl"
+        recorder.write_jsonl(str(path))
+        report = format_report(load_trace(str(path)))
+        assert "succeeded 0, aborted 0, failed 0, running 1" in report
 
 
 class TestValidatorRejections:

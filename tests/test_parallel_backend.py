@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from repro.errors import ParallelExecutionError, PlannerError
-from repro.journal import JournalWriter, fingerprint_digest, recover
+from repro.journal import (
+    JournalWriter,
+    events_path,
+    fingerprint_digest,
+    read_journal,
+    recover,
+)
 from repro.parallel import ProcessBuildBackend, create_build_backend
 from repro.parallel.payload import BuildRequest
 from repro.parallel.worker import execute_request, reset_worker_state
@@ -219,6 +225,37 @@ def test_worker_duration_history_shared_across_backends(cell):
     )
     assert oracle.planner.workers.duration_history()  # non-empty
     process.close()
+
+
+def test_close_between_submit_and_pump_resolves_the_dispatch(cell, tmp_path):
+    """Closing with a batch still dispatched resolves it first: the journal
+    ends with its epoch's records, as the backend-less run's does, and
+    the backend holds nothing in flight when it shuts down."""
+    journals = {}
+    for spec in (None, "process:2"):
+        journal_dir = str(tmp_path / str(spec))
+        writer = JournalWriter(journal_dir)
+        service = make_service(cell, spec, journal=writer)
+        service.submit(copy.deepcopy(cell[1][0]))
+        if spec is not None:
+            backend = service._backend
+            assert backend._inflight
+            in_flight_at_close = []
+            shut_down = backend.close
+            backend.close = lambda: (
+                in_flight_at_close.append(dict(backend._inflight)),
+                shut_down(),
+            )
+        service.close()
+        writer.close()
+        journals[spec] = read_journal(events_path(journal_dir)).records
+    assert in_flight_at_close == [{}]
+    assert [r["t"] for r in journals["process:2"][-3:]] == [
+        "epoch",
+        "build_start",
+        "worker",
+    ]
+    assert journals["process:2"] == journals[None]
 
 
 # -- recovery needs no backend -----------------------------------------------

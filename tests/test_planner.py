@@ -12,7 +12,7 @@ from repro.strategies.oracle import OracleStrategy
 from repro.strategies.single_queue import SingleQueueStrategy
 from repro.types import BuildKey, ChangeState
 
-from .conftest import plan_and_resolve
+from .conftest import plan_and_resolve, start_builds
 
 DEV = Developer("dev1")
 
@@ -238,14 +238,14 @@ class TestEquivalentBuildRule:
         planner.submit(a, 0.0)
         planner.submit(b, 0.0)
         # Manually start b's all-ahead build plus a's decisive build.
-        planner._start_batch(
+        start_builds(
+            planner,
             [
                 BuildKey(a.change_id),
                 BuildKey(b.change_id, frozenset({a.change_id})),
             ],
             0.0,
         )
-        planner.resolve_pending()
         planner.complete(BuildKey(b.change_id, frozenset({a.change_id})), 25.0)
         # b cannot decide yet: a (the stacked extra) is still pending.
         assert planner.records[b.change_id].state is ChangeState.PENDING
@@ -274,11 +274,11 @@ class TestCommittedExtraTrap:
             planner.submit(change, 0.0)
         assert planner.records[subject.change_id].ancestors == []
         stacked = BuildKey(subject.change_id, frozenset({extra.change_id}))
-        planner._start_batch(
+        start_builds(
+            planner,
             [stacked, BuildKey(bystander.change_id), BuildKey(extra.change_id)],
             0.0,
         )
-        planner.resolve_pending()
         assert planner.complete(stacked, 10.0) == []
         # Another change's verdict does not settle the subject either.
         decisions = planner.complete(BuildKey(bystander.change_id), 20.0)
@@ -311,8 +311,7 @@ class TestDecisionPasses:
             BuildKey(behind.change_id, assume_jumper),
             BuildKey(jumper.change_id),
         ]
-        planner._start_batch(keys, 0.0)
-        planner.resolve_pending()
+        start_builds(planner, keys, 0.0)
         assert planner.complete(keys[0], 10.0) == []
         assert planner.complete(keys[1], 10.0) == []
         decisions = planner.complete(keys[2], 20.0)

@@ -49,6 +49,7 @@ from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey
 from repro.workload.repo_synth import SyntheticMonorepo
 
+from .conftest import start_builds
 from .journal_harness import (
     REPO_SEED,
     SNAPSHOT_EVERY,
@@ -230,14 +231,14 @@ def test_verdict_ahead_of_an_ancestor_matches_full_scan():
         for change in (first, middle, last):
             run.planner.submit(change, 0.0)
         # ``last`` waits on both; ``middle`` is decided before ``first``.
-        run.planner._start_batch(
+        start_builds(
+            run.planner,
             [
                 BuildKey(middle.change_id, frozenset({first.change_id})),
                 BuildKey(first.change_id),
             ],
             0.0,
         )
-        run.planner.resolve_pending()
         run.planner.complete(
             BuildKey(middle.change_id, frozenset({first.change_id})), 1.0
         )

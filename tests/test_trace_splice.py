@@ -10,6 +10,7 @@ instead of running to the horizon.
 
 import copy
 import math
+from collections import Counter
 
 import pytest
 
@@ -61,14 +62,15 @@ COMPILE = WorkerSpan("t:compile", "step", 0.5, 1.5, target="t", step="compile")
 
 def _dispatched(*responses, clock=None):
     """A recorder holding one epoch that starts ``KEY`` at minute 1 (a
-    three-minute build) per response, each response parked first; every
-    epoch after the first aborts the dispatch before it."""
+    three-minute build) per response, each response attached to its
+    ``build_start``; every epoch after the first aborts the dispatch
+    before it."""
     recorder = Recorder(clock)
     for response in responses:
         aborted = [KEY] if recorder.records else []
-        recorder.park_worker_spans(KEY, response)
         recorder.event(rec.epoch_record(1.0, [KEY], aborted, 1))
         recorder.event(rec.build_start_record(1.0, KEY, 3.0))
+        recorder.attach_worker(response)
     return recorder
 
 
@@ -307,6 +309,53 @@ class TestDispatchSplice:
             assert {e["pid"] for e in chrome["traceEvents"]} == {1, 2}
         finally:
             core.close()
+
+
+class _SelectsNothingOnce(SubmitQueueStrategy):
+    """SubmitQueue that selects nothing at its third epoch: the builds
+    running then are aborted, and the stall guard or a later epoch
+    dispatches them again."""
+
+    def __init__(self, predictor):
+        super().__init__(predictor)
+        self._epochs = 0
+
+    def select(self, view, budget):
+        self._epochs += 1
+        return [] if self._epochs == 3 else super().select(view, budget)
+
+
+def test_one_merge_span_under_each_worker_build():
+    """Each build span of a traced ``process:2`` run holds exactly one
+    ``merge`` worker span — its own response's — also for a key that was
+    aborted and then dispatched again."""
+    files, batch = _mint(seed=11, count=6)
+    recorder = Recorder()
+    core = CoreService(
+        Repository(dict(files)),
+        _SelectsNothingOnce(StaticPredictor(success=0.9, conflict=0.05)),
+        config=CoreServiceConfig(workers=2, build_backend="process:2"),
+        recorder=recorder,
+    )
+    try:
+        for change in copy.deepcopy(batch):
+            core.submit(change)
+        core.pump()
+    finally:
+        core.close()
+    starts = Counter(
+        (r["key"]["c"], tuple(r["key"]["a"]))
+        for r in recorder.records
+        if r["t"] == "build_start"
+    )
+    assert max(starts.values()) > 1, "no key was dispatched twice"
+    records = recorder.trace()
+    builds = [r["id"] for r in records if r["name"] == "build"]
+    assert len(builds) == sum(starts.values())
+    merges = Counter(
+        r["parent"] for r in _worker_spans(records) if r["name"] == "merge"
+    )
+    assert merges == Counter(builds)
 
 
 def _mint(seed, count):
