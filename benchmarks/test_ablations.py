@@ -273,7 +273,7 @@ class TestFutureWorkAblations:
             potential_conflict,
         )
         batched = run_cell(
-            IndependentBatchStrategy(OraclePredictor(), batch_size=4),
+            IndependentBatchStrategy(OraclePredictor()),
             stream, WORKERS, potential_conflict,
         )
         emit(

@@ -14,11 +14,15 @@ from typing import Dict, Iterable, Tuple
 
 from repro.changes.change import Change, GroundTruth
 
-#: Memoized pairwise real-conflict verdicts, keyed by sorted change-id
-#: pair.  Change ids are globally unique (monotonic counter), so entries
-#: never collide across workloads; the hot simulation loops evaluate the
-#: same pairs millions of times.
-_REAL_CONFLICT_CACHE: Dict[Tuple[str, str], bool] = {}
+#: Memoized pairwise real-conflict verdicts: sorted change-id pair ->
+#: (the pair's ground truths, verdict).  The hot simulation loops evaluate
+#: the same pairs millions of times.  An entry answers only for equal
+#: ground truths — the verdict's other input — so two changes that reuse
+#: ids (ids restart per process, or per benchmark module) are decided
+#: afresh.
+_REAL_CONFLICT_CACHE: Dict[
+    Tuple[str, str], Tuple[Tuple[GroundTruth, GroundTruth], bool]
+] = {}
 
 
 def _require_truth(change: Change) -> GroundTruth:
@@ -72,14 +76,17 @@ def real_conflict(first: Change, second: Change) -> bool:
     ``1 - sqrt((1-q_a)(1-q_b))`` (geometric-mean escalation, so a pair of
     risky changes conflicts more often than either rate alone).
     """
-    key = (
-        (first.change_id, second.change_id)
-        if first.change_id <= second.change_id
-        else (second.change_id, first.change_id)
-    )
+    if first.change_id <= second.change_id:
+        key = (first.change_id, second.change_id)
+        truths = (first.ground_truth, second.ground_truth)
+    else:
+        key = (second.change_id, first.change_id)
+        truths = (second.ground_truth, first.ground_truth)
     cached = _REAL_CONFLICT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    # Tuple comparison tries identity first: the same truth objects cost
+    # no field comparison.
+    if cached is not None and cached[0] == truths:
+        return cached[1]
     if not module_overlap(first, second):
         verdict = False
     else:
@@ -87,7 +94,7 @@ def real_conflict(first: Change, second: Change) -> bool:
         rate_b = _require_truth(second).real_conflict_rate
         combined = 1.0 - ((1.0 - rate_a) * (1.0 - rate_b)) ** 0.5
         verdict = _pair_coin(first, second) < combined
-    _REAL_CONFLICT_CACHE[key] = verdict
+    _REAL_CONFLICT_CACHE[key] = (truths, verdict)
     return verdict
 
 

@@ -214,7 +214,7 @@ def format_report(trace: TraceData, max_epochs: int = 40) -> str:
     for name, label in (
         ("service_turnaround_minutes", "turnaround"),
         ("planner_build_duration_minutes", "build duration"),
-        ("speculation_build_value", "selected build value"),
+        ("speculation_build_value", "selected build value (P_needed)"),
         ("executor_parallel_worker_busy_seconds", "worker busy (wall s)"),
         ("executor_parallel_batch_seconds", "batch wall (s)"),
     ):

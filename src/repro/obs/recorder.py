@@ -324,9 +324,6 @@ class _NullMetric:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 

@@ -144,9 +144,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
@@ -233,11 +230,12 @@ class _Family:
 class MetricsRegistry:
     """Get-or-create factory and exposition surface for all series."""
 
-    def __init__(self, max_series_per_metric: int = 1000) -> None:
-        if max_series_per_metric <= 0:
-            raise MetricsError("max_series_per_metric must be positive")
+    #: Label sets one metric may grow to; one more is a cardinality
+    #: explosion and raises.
+    MAX_SERIES_PER_METRIC = 1000
+
+    def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
-        self.max_series_per_metric = max_series_per_metric
 
     # -- registration --------------------------------------------------------
 
@@ -274,9 +272,10 @@ class MetricsRegistry:
             if help_text and not family.help:
                 family.help = help_text
         key = _label_key(labels)
-        if key not in family.series and len(family.series) >= self.max_series_per_metric:
+        cap = self.MAX_SERIES_PER_METRIC
+        if key not in family.series and len(family.series) >= cap:
             raise MetricsError(
-                f"metric {name} exceeded {self.max_series_per_metric} series "
+                f"metric {name} exceeded {cap} series "
                 "(label cardinality explosion)"
             )
         return family, key

@@ -123,30 +123,23 @@ class BuildController(abc.ABC):
 
 
 class LabelBuildController(BuildController):
-    """Ground-truth outcomes with a step-elimination cost model.
+    """Ground-truth outcomes with a step-elimination cost model."""
 
-    ``stacking_overhead`` is the fraction of each stacked change's duration
-    that re-runs when elimination is disabled (the paper's build controller
-    "eliminates build steps that are being executed by prior builds";
-    turning that off makes deep speculation proportionally costlier).
-    """
+    #: The fraction of each stacked change's duration that re-runs when
+    #: elimination is disabled (the paper's build controller "eliminates
+    #: build steps that are being executed by prior builds"; turning that
+    #: off makes deep speculation proportionally costlier).
+    STACKING_OVERHEAD = 0.35
+    #: Minutes a build of a change with no sampled duration takes.
+    DEFAULT_DURATION = 30.0
 
-    def __init__(
-        self,
-        step_elimination: bool = True,
-        stacking_overhead: float = 0.35,
-        default_duration: float = 30.0,
-    ) -> None:
-        if stacking_overhead < 0.0:
-            raise ValueError("stacking_overhead must be non-negative")
+    def __init__(self, step_elimination: bool = True) -> None:
         self.step_elimination = step_elimination
-        self.stacking_overhead = stacking_overhead
-        self.default_duration = default_duration
 
     def _duration_of(self, change: Change) -> float:
         if change.build_duration is not None:
             return change.build_duration
-        return self.default_duration
+        return self.DEFAULT_DURATION
 
     def execute(
         self, key: BuildKey, changes_by_id: Mapping[ChangeId, Change]
@@ -156,7 +149,7 @@ class LabelBuildController(BuildController):
         success = stack_outcome(assumed + [change])
         duration = self._duration_of(change)
         if not self.step_elimination:
-            duration += self.stacking_overhead * sum(
+            duration += self.STACKING_OVERHEAD * sum(
                 self._duration_of(other) for other in assumed
             )
         return BuildExecution(

@@ -33,29 +33,19 @@ class _Worker:
 
 
 class WorkerPool:
-    """Fixed-capacity pool with history-based (EWMA + LPT) assignment.
+    """Fixed-capacity pool with history-based (EWMA + LPT) assignment."""
 
-    ``ewma_alpha`` weights the newest completed duration when updating a
-    change's estimate; ``history_capacity`` bounds the per-change history
-    map (LRU) so long simulations hold memory steady.
-    """
+    #: Weight of the newest completed duration in a change's estimate.
+    EWMA_ALPHA = 0.25
+    #: Changes the duration history holds (LRU), so long simulations hold
+    #: memory steady.
+    HISTORY_CAPACITY = 4096
 
-    def __init__(
-        self,
-        capacity: int,
-        ewma_alpha: float = 0.25,
-        history_capacity: int = 4096,
-    ) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("worker capacity must be positive")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if history_capacity <= 0:
-            raise ValueError("history_capacity must be positive")
         self._workers: List[_Worker] = [_Worker(i) for i in range(capacity)]
         self._by_build: Dict[BuildKey, _Worker] = {}
-        self._ewma_alpha = ewma_alpha
-        self._history_capacity = history_capacity
         self._duration_ewma: "OrderedDict[ChangeId, float]" = OrderedDict()
 
     @property
@@ -101,11 +91,12 @@ class WorkerPool:
         if previous is None:
             self._duration_ewma[change_id] = minutes
         else:
+            alpha = self.EWMA_ALPHA
             self._duration_ewma[change_id] = (
-                self._ewma_alpha * minutes + (1.0 - self._ewma_alpha) * previous
+                alpha * minutes + (1.0 - alpha) * previous
             )
         self._duration_ewma.move_to_end(change_id)
-        while len(self._duration_ewma) > self._history_capacity:
+        while len(self._duration_ewma) > self.HISTORY_CAPACITY:
             self._duration_ewma.popitem(last=False)
 
     def assignment_order(self, keys: Sequence[BuildKey]) -> List[BuildKey]:

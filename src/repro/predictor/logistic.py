@@ -22,34 +22,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class LogisticRegression:
-    """L2-regularized binary logistic regression.
+    """L2-regularized binary logistic regression."""
 
-    Parameters
-    ----------
-    l2:
-        Regularization strength (applied to weights, not the intercept).
-    learning_rate:
-        Initial gradient-descent step size; halved when a step fails to
-        reduce the loss.
-    max_iter:
-        Gradient steps before giving up.
-    tol:
-        Convergence threshold on the loss decrease.
-    """
+    #: Regularization strength (applied to weights, not the intercept).
+    L2 = 1e-3
+    #: Initial gradient-descent step size; halved when a step fails to
+    #: reduce the loss.
+    LEARNING_RATE = 1.0
+    #: Gradient steps before giving up.
+    MAX_ITER = 500
+    #: Convergence threshold on the loss decrease.
+    TOL = 1e-7
 
-    def __init__(
-        self,
-        l2: float = 1e-3,
-        learning_rate: float = 1.0,
-        max_iter: int = 500,
-        tol: float = 1e-7,
-    ) -> None:
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        self.l2 = l2
-        self.learning_rate = learning_rate
-        self.max_iter = max_iter
-        self.tol = tol
+    def __init__(self) -> None:
         self.weights_: Optional[np.ndarray] = None
         self.intercept_: float = 0.0
         self._mean: Optional[np.ndarray] = None
@@ -80,12 +65,12 @@ class LogisticRegression:
         n, d = Xs.shape
         w = np.zeros(d)
         b = float(np.log((y.mean() + 1e-9) / (1.0 - y.mean() + 1e-9)))
-        rate = self.learning_rate
+        rate = self.LEARNING_RATE
         loss = self._loss(Xs, y, w, b)
-        for iteration in range(self.max_iter):
+        for iteration in range(self.MAX_ITER):
             p = _sigmoid(Xs @ w + b)
             error = p - y
-            grad_w = Xs.T @ error / n + self.l2 * w
+            grad_w = Xs.T @ error / n + self.L2 * w
             grad_b = float(error.mean())
             # Backtracking: shrink the step until the loss improves.
             while rate > 1e-8:
@@ -100,7 +85,7 @@ class LogisticRegression:
             improvement = loss - loss_new
             w, b, loss = w_new, b_new, loss_new
             self.n_iter_ = iteration + 1
-            if improvement < self.tol:
+            if improvement < self.TOL:
                 break
         self.weights_ = w
         self.intercept_ = b
@@ -110,7 +95,7 @@ class LogisticRegression:
         p = _sigmoid(Xs @ w + b)
         eps = 1e-12
         nll = -np.mean(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
-        return float(nll + 0.5 * self.l2 * float(w @ w))
+        return float(nll + 0.5 * self.L2 * float(w @ w))
 
     # -- prediction ---------------------------------------------------------
 

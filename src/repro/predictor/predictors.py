@@ -32,42 +32,43 @@ from repro.changes.truth import real_conflict
 from repro.predictor.features import FeatureExtractor
 from repro.predictor.logistic import LogisticRegression
 
-#: Default LRU capacity for the learned predictor's probability memos —
-#: ample for every simulation in the repo while bounding a long service
-#: run (the pair cache is quadratic in pending changes).
-DEFAULT_PREDICTOR_CACHE_CAPACITY = 1 << 16
-
 
 def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
 class _LruCache:
-    """Bounded probability memo (the buildsys artifact-cache LRU idiom)."""
+    """Bounded probability memo (the buildsys artifact-cache LRU idiom).
+
+    Keyed by change ids, an entry also holds the changes it was computed
+    from and answers only for equal ones: a different change that reuses
+    an id (ids restart per process, or per benchmark module) is asked
+    afresh instead of getting another change's probability.
+    """
 
     __slots__ = ("capacity", "_entries", "stats")
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, float]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Tuple[tuple, float]]" = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple) -> Optional[float]:
-        value = self._entries.get(key)
-        if value is None:
+    def get(self, key: tuple, changes: tuple) -> Optional[float]:
+        entry = self._entries.get(key)
+        # Tuple comparison tries identity first: the same change objects
+        # cost no field comparison.
+        if entry is None or entry[0] != changes:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return value
+        return entry[1]
 
-    def put(self, key: tuple, value: float) -> None:
-        self._entries[key] = value
+    def put(self, key: tuple, changes: tuple, value: float) -> None:
+        self._entries[key] = (changes, value)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -119,12 +120,16 @@ class StaticPredictor(Predictor):
 class LearnedPredictor(Predictor):
     """Logistic-regression predictor over extracted features."""
 
+    #: Entries each probability memo holds (LRU): ample for every
+    #: simulation in the repo while bounding a long service run (the pair
+    #: memo is quadratic in pending changes).
+    CACHE_CAPACITY = 1 << 16
+
     def __init__(
         self,
         success_model: LogisticRegression,
         conflict_model: LogisticRegression,
         extractor: Optional[FeatureExtractor] = None,
-        cache_capacity: int = DEFAULT_PREDICTOR_CACHE_CAPACITY,
     ) -> None:
         self._success_model = success_model
         self._conflict_model = conflict_model
@@ -133,8 +138,8 @@ class LearnedPredictor(Predictor):
         # cache per (change, dynamic counters) and per pair.  LRU-bounded
         # so a long service run holds memory steady (the pair cache grows
         # quadratically with pending changes otherwise).
-        self._success_cache = _LruCache(cache_capacity)
-        self._conflict_cache = _LruCache(cache_capacity)
+        self._success_cache = _LruCache(self.CACHE_CAPACITY)
+        self._conflict_cache = _LruCache(self.CACHE_CAPACITY)
 
     @property
     def cache_evictions(self) -> int:
@@ -159,11 +164,11 @@ class LearnedPredictor(Predictor):
 
     def p_success(self, change: Change, record: Optional[ChangeRecord] = None) -> float:
         key = self._success_key(change, record)
-        cached = self._success_cache.get(key)
+        cached = self._success_cache.get(key, (change,))
         if cached is None:
             vector = self.extractor.success_vector(change, record)
             cached = _clamp(self._success_model.predict_one(vector))
-            self._success_cache.put(key, cached)
+            self._success_cache.put(key, (change,), cached)
         return cached
 
     def p_success_many(
@@ -179,7 +184,9 @@ class LearnedPredictor(Predictor):
         cold_vectors: List[Sequence[float]] = []
         cold_indices: List[int] = []
         for index, (change, record) in enumerate(pairs):
-            cached = self._success_cache.get(self._success_key(change, record))
+            cached = self._success_cache.get(
+                self._success_key(change, record), (change,)
+            )
             values.append(cached)
             if cached is None:
                 cold_vectors.append(self.extractor.success_vector(change, record))
@@ -189,21 +196,24 @@ class LearnedPredictor(Predictor):
             for index, raw in zip(cold_indices, predicted):
                 change, record = pairs[index]
                 value = _clamp(float(raw))
-                self._success_cache.put(self._success_key(change, record), value)
+                self._success_cache.put(
+                    self._success_key(change, record), (change,), value
+                )
                 values[index] = value
         return values  # type: ignore[return-value]  # every slot is filled now
 
     def p_conflict(self, first: Change, second: Change) -> float:
-        key = (
-            (first.change_id, second.change_id)
+        pair = (
+            (first, second)
             if first.change_id <= second.change_id
-            else (second.change_id, first.change_id)
+            else (second, first)
         )
-        cached = self._conflict_cache.get(key)
+        key = (pair[0].change_id, pair[1].change_id)
+        cached = self._conflict_cache.get(key, pair)
         if cached is None:
             vector = self.extractor.conflict_vector(first, second)
             cached = _clamp(self._conflict_model.predict_one(vector))
-            self._conflict_cache.put(key, cached)
+            self._conflict_cache.put(key, pair, cached)
         return cached
 
     # Feedback hooks: the planner calls these as changes decide so the

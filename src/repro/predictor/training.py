@@ -120,7 +120,6 @@ def recursive_feature_elimination(
     y: np.ndarray,
     feature_names: Sequence[str],
     keep: int,
-    l2: float = 1e-3,
 ) -> List[int]:
     """RFE: repeatedly drop the feature with the smallest |weight|.
 
@@ -132,7 +131,7 @@ def recursive_feature_elimination(
         raise ValueError("keep must be in [1, n_features]")
     surviving = list(range(len(feature_names)))
     while len(surviving) > keep:
-        model = LogisticRegression(l2=l2).fit(X[:, surviving], y)
+        model = LogisticRegression().fit(X[:, surviving], y)
         weights = np.abs(model.standardized_weights())
         drop_position = int(np.argmin(weights))
         surviving.pop(drop_position)
@@ -192,7 +191,6 @@ def train_models(
     history: Sequence[Change],
     train_fraction: float = 0.7,
     seed: int = 0,
-    l2: float = 1e-3,
 ) -> Tuple[LearnedPredictor, TrainingReport]:
     """Train success + conflict models on historical changes.
 
@@ -208,8 +206,8 @@ def train_models(
     Xs_tr, ys_tr, Xs_va, ys_va = train_test_split(X_s, y_s, train_fraction, seed)
     Xc_tr, yc_tr, Xc_va, yc_va = train_test_split(X_c, y_c, train_fraction, seed)
 
-    success_model = LogisticRegression(l2=l2).fit(Xs_tr, ys_tr)
-    conflict_model = LogisticRegression(l2=l2).fit(Xc_tr, yc_tr)
+    success_model = LogisticRegression().fit(Xs_tr, ys_tr)
+    conflict_model = LogisticRegression().fit(Xc_tr, yc_tr)
 
     report = TrainingReport(
         success_metrics=evaluate_classifier(success_model, Xs_va, ys_va),

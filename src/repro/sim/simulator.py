@@ -6,9 +6,9 @@ enqueues every change of a pre-timed stream at its arrival time and
 pumps once, so label-mode figures run through exactly the loop the
 served system runs: one ``plan()`` per submission, build completion or
 stall, never one on a timer.  The run drains until every submitted
-change is decided (or the ``max_minutes`` horizon trips), and returns
-the run's :class:`~repro.metrics.summary.RunSummary` from the planner's
-tables.
+change is decided (or the :attr:`Simulation.MAX_MINUTES` horizon trips),
+and returns the run's :class:`~repro.metrics.summary.RunSummary` from
+the planner's tables.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from repro.vcs.repository import Repository
 class Simulation:
     """One end-to-end run of a strategy over a change stream."""
 
+    #: Simulated minutes a run may last before the pump gives up: a year.
+    MAX_MINUTES = 60.0 * 24 * 365
+
     def __init__(
         self,
         strategy,
         controller: BuildController,
         workers: int,
         conflict_predicate: Callable[[Change, Change], bool],
-        max_minutes: float = 60.0 * 24 * 365,
         recorder: Recorder = NULL_RECORDER,
     ) -> None:
         # Function-level: repro.service.core imports repro.sim.clock and
@@ -42,7 +44,9 @@ class Simulation:
         self.service = CoreService(
             Repository(),
             strategy,
-            CoreServiceConfig(workers=workers, max_pump_minutes=max_minutes),
+            CoreServiceConfig(
+                workers=workers, max_pump_minutes=self.MAX_MINUTES
+            ),
             controller=controller,
             recorder=recorder,
             conflict_predicate=conflict_predicate,

@@ -47,10 +47,12 @@ picked up whole.
 Incremental selection is bit-identical to from-scratch selection: every
 reused value was produced by the same deterministic recurrence the
 from-scratch path would re-run.  This assumes the predictor is
-deterministic in ``(change id, speculation counters)`` for ``p_success``
-and in the id pair for ``p_conflict`` — true of every predictor in this
-repo (the learned one caches on exactly those keys) — and that the
-benefit function is a pure function of the change.
+deterministic in ``(change, speculation counters)`` for ``p_success``
+and in the change pair for ``p_conflict`` — true of every predictor in
+this repo (the learned one caches on exactly those).
+
+A build's value is the paper's ``V = B · P_needed`` with the benefit
+``B ≡ 1`` of its evaluation, so a value *is* the build's ``P_needed``.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -82,10 +83,6 @@ from repro.speculation.probability import (
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator, top_p_needed
 from repro.types import BuildKey, ChangeId
 
-#: Benefit assigned to a build; the paper uses 1 for all builds but allows
-#: priorities (security patches, team quotas) — callers may override.
-BenefitFunction = Callable[[Change], float]
-
 
 @dataclass(frozen=True)
 class ScoredBuild:
@@ -93,7 +90,6 @@ class ScoredBuild:
 
     key: BuildKey
     value: float
-    p_needed: float
     conditional_success: float
 
     @property
@@ -146,7 +142,6 @@ class _SelectionMetrics:
         "nodes_expanded",
         "selected",
         "value_hist",
-        "p_needed_hist",
     )
 
     def __init__(self, recorder: Recorder) -> None:
@@ -163,20 +158,6 @@ class _SelectionMetrics:
             "Value of each selected build (Equations 1-5).",
             buckets=UNIT_BUCKETS,
         )
-        self.p_needed_hist = recorder.histogram(
-            "speculation_p_needed",
-            "P_needed of each selected build.",
-            buckets=UNIT_BUCKETS,
-        )
-
-
-def unit_benefit(change) -> float:
-    """The default benefit function: every change is worth 1.0.
-
-    A named top-level function (not a lambda) so engine configurations
-    remain picklable for process dispatch.
-    """
-    return 1.0
 
 
 class _Entry:
@@ -184,7 +165,6 @@ class _Entry:
 
     __slots__ = (
         "record",
-        "benefit",
         "p_success",
         "p_conflict",
         "p_commit",
@@ -194,11 +174,10 @@ class _Entry:
         "enumerator",
     )
 
-    def __init__(self, record: ChangeRecord, benefit: float) -> None:
+    def __init__(self, record: ChangeRecord) -> None:
         #: ``record.ancestors``: *all* conflicting predecessors, pending or
         #: decided, in the caller's order.
         self.record = record
-        self.benefit = benefit
         self.p_success = 0.0
         #: ``P_conf(other, this change)`` for every ``other`` asked so far.
         self.p_conflict: Dict[ChangeId, float] = {}
@@ -216,19 +195,14 @@ class _Entry:
 class SpeculationEngine:
     """Selects the most valuable speculative builds under a budget."""
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        benefit: Optional[BenefitFunction] = None,
-        min_value: float = 1e-9,
-        recorder: Recorder = NULL_RECORDER,
-    ) -> None:
+    #: Builds worth less than this are never selected.
+    MIN_VALUE = 1e-9
+
+    def __init__(self, predictor: Predictor) -> None:
         self._predictor = predictor
-        self._benefit = benefit if benefit is not None else unit_benefit
-        self._min_value = min_value
         #: Nodes generated during the current selection round.
         self._nodes_expanded = 0
-        self.bind_recorder(recorder)
+        self.bind_recorder(NULL_RECORDER)
 
     def bind_recorder(self, recorder: Recorder) -> None:
         """Attach an observability recorder (planner-injected, once per
@@ -262,7 +236,7 @@ class SpeculationEngine:
         if entries is None:
             return
         change_id = record.change_id
-        entries[change_id] = _Entry(record, self._benefit(record.change))
+        entries[change_id] = _Entry(record)
         self._index(change_id)
         self._dirty.add(change_id)
         self._stale.add(change_id)
@@ -320,9 +294,7 @@ class SpeculationEngine:
         entries = self._entries
         if entries is None:
             entries = self._entries = {
-                change.change_id: _Entry(
-                    records[change.change_id], self._benefit(change)
-                )
+                change.change_id: _Entry(records[change.change_id])
                 for change in pending
             }
             for change_id in entries:
@@ -613,7 +585,7 @@ class SpeculationEngine:
         if pending != entry.pending or pending_p != entry.probabilities:
             entry.pending = pending
             entry.probabilities = pending_p
-            entry.top = top_p_needed(pending_p) * entry.benefit
+            entry.top = top_p_needed(pending_p)
             entry.enumerator = None
         return True
 
@@ -643,7 +615,7 @@ class SpeculationEngine:
         selected: List[ScoredBuild] = []
         while heap and len(selected) < budget:
             neg_value, position, index, entry, node = heapq.heappop(heap)
-            if -neg_value < self._min_value:
+            if -neg_value < self.MIN_VALUE:
                 # The k-way merge pops values in non-increasing order, so
                 # everything left is worthless too: stop, do not exhaust
                 # the exponential enumerators.
@@ -675,7 +647,6 @@ class SpeculationEngine:
             known_committed=frozenset(
                 a for a in entry.record.ancestors if decided.get(a)
             ),
-            benefit=entry.benefit,
         )
 
     def _node_at(self, entry: _Entry, index: int) -> Optional[SpeculationNode]:
@@ -699,7 +670,6 @@ class SpeculationEngine:
         metrics.selected.set(len(selected))
         for build in selected:
             metrics.value_hist.observe(build.value)
-            metrics.p_needed_hist.observe(build.p_needed)
 
     def _score(
         self,
@@ -718,6 +688,5 @@ class SpeculationEngine:
         return ScoredBuild(
             key=node.key,
             value=node.value,
-            p_needed=node.p_needed,
             conditional_success=conditional,
         )

@@ -4,8 +4,9 @@ For a change with ``k`` undecided conflicting ancestors there are ``2^k``
 candidate builds — one per assumed-outcome subset.  The engine must find
 the most valuable few *without* materializing the exponential tree
 (section 7.1: greedy best-first, O(n) space).  :class:`SubsetEnumerator`
-yields a change's builds in non-increasing ``P_needed`` order using the
-classic lazy top-k scheme over independent bits:
+yields a change's builds in non-increasing ``P_needed`` order — a node's
+``value``, the benefit being 1 — using the classic lazy top-k scheme over
+independent bits:
 
 * assign each ancestor its likelier outcome — that subset has the maximum
   probability;
@@ -32,12 +33,11 @@ from repro.types import BuildKey, ChangeId
 
 @dataclass(frozen=True)
 class SpeculationNode:
-    """One candidate build with its selection metrics."""
+    """One candidate build and its value, ``P_needed`` (Equations 1-5
+    with every build's benefit 1)."""
 
     key: BuildKey
-    p_needed: float
     value: float
-    conditional_success: float = 1.0
 
     @property
     def change_id(self) -> ChangeId:
@@ -87,11 +87,9 @@ class SubsetEnumerator:
         pending_ancestors: Sequence[ChangeId],
         commit_probabilities: Mapping[ChangeId, float],
         known_committed: FrozenSet[ChangeId] = frozenset(),
-        benefit: float = 1.0,
     ) -> None:
         self._change_id = change_id
         self._known_committed = known_committed
-        self._benefit = benefit
 
         likely: List[Tuple[float, ChangeId, bool]] = []
         base_probability = 1.0
@@ -151,11 +149,7 @@ class SubsetEnumerator:
         if flips and last + 1 < n:
             slid = flips[:-1] + (last + 1,)
             heapq.heappush(self._heap, (-self._probability_of(slid), slid))
-        node = SpeculationNode(
-            key=self._key_for(flips),
-            p_needed=probability,
-            value=probability * self._benefit,
-        )
+        node = SpeculationNode(key=self._key_for(flips), value=probability)
         self._nodes.append(node)
         return node
 
@@ -208,7 +202,6 @@ def enumerate_tree(
                         key=BuildKey(
                             change_id, frozenset(subset) | known_committed
                         ),
-                        p_needed=probability,
                         value=probability,
                     )
                 )

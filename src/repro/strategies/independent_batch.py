@@ -9,8 +9,8 @@ result in higher turnaround time."
 This strategy implements that refinement on top of SubmitQueue selection:
 pending changes that (a) conflict with nothing pending, (b) have no
 undecided predecessors in their batch, and (c) the predictor deems likely
-to succeed (``p_success >= confidence``) are grouped into combined builds
-of up to ``batch_size``.  Everything else falls back to ordinary
+to succeed (``p_success >= CONFIDENCE``) are grouped into combined builds
+of up to ``BATCH_SIZE``.  Everything else falls back to ordinary
 SubmitQueue speculation.  A failed combined build simply dissolves the
 group — members revert to individual decisive builds, paying the
 turnaround penalty the paper predicts for mispredictions.
@@ -23,8 +23,6 @@ from typing import Dict, List, Optional, Set
 from repro.changes.change import Change
 from repro.planner.planner import Decision, PlannerView
 from repro.predictor.predictors import Predictor
-from repro.speculation.engine import SpeculationEngine
-from repro.strategies.base import Strategy
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey, ChangeId
 
@@ -34,19 +32,13 @@ class IndependentBatchStrategy(SubmitQueueStrategy):
 
     name = "SubmitQueue+batch"
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        batch_size: int = 4,
-        confidence: float = 0.9,
-    ) -> None:
+    #: Changes per combined build, at most.
+    BATCH_SIZE = 4
+    #: ``p_success`` a change needs to ride in a combined build.
+    CONFIDENCE = 0.9
+
+    def __init__(self, predictor: Predictor) -> None:
         super().__init__(predictor)
-        if batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-        self.batch_size = batch_size
-        self.confidence = confidence
         #: Change id -> the batch (ordered ids) it currently rides in.
         self._batch_of: Dict[ChangeId, List[ChangeId]] = {}
         #: Batches whose combined build failed: members go solo.
@@ -58,7 +50,7 @@ class IndependentBatchStrategy(SubmitQueueStrategy):
         if view.conflict_degree(change.change_id) != 0:
             return False
         record = view.records.get(change.change_id)
-        return self.predictor.p_success(change, record) >= self.confidence
+        return self.predictor.p_success(change, record) >= self.CONFIDENCE
 
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
         # Re-form batches from scratch each epoch from batchable changes
@@ -68,8 +60,8 @@ class IndependentBatchStrategy(SubmitQueueStrategy):
         ]
         self._batch_of = {}
         selected: List[BuildKey] = []
-        for start in range(0, len(batchable), self.batch_size):
-            group = batchable[start : start + self.batch_size]
+        for start in range(0, len(batchable), self.BATCH_SIZE):
+            group = batchable[start : start + self.BATCH_SIZE]
             if len(group) < 2:
                 break  # singleton tail: leave it to normal speculation
             ids = [c.change_id for c in group]

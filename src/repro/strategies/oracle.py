@@ -9,10 +9,7 @@ aborts, and never wastes a worker.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.predictor.predictors import OraclePredictor
-from repro.speculation.engine import BenefitFunction
 from repro.strategies.submitqueue import SubmitQueueStrategy
 
 
@@ -21,5 +18,5 @@ class OracleStrategy(SubmitQueueStrategy):
 
     name = "Oracle"
 
-    def __init__(self, benefit: Optional[BenefitFunction] = None) -> None:
-        super().__init__(OraclePredictor(), benefit=benefit)
+    def __init__(self) -> None:
+        super().__init__(OraclePredictor())

@@ -9,11 +9,11 @@ between starvation and fairness."
 
 This strategy extends SubmitQueue with a conservative reorder policy: a
 pending change may jump a conflicting predecessor when the predictor is
-confident the predecessor is doomed (``p_success <= doomed_below``) and
-the jumper healthy (``p_success >= healthy_above``) — the case where
+confident the predecessor is doomed (``p_success <= DOOMED_BELOW``) and
+the jumper healthy (``p_success >= HEALTHY_ABOVE``) — the case where
 waiting is pure loss, since a rejected predecessor never constrains the
 jumper anyway.  Fairness is preserved by capping how many changes may
-jump any single predecessor (``max_jumps``), bounding starvation.
+jump any single predecessor (``MAX_JUMPS``), bounding starvation.
 """
 
 from __future__ import annotations
@@ -32,19 +32,15 @@ class ReorderingSubmitQueueStrategy(SubmitQueueStrategy):
 
     name = "SubmitQueue+reorder"
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        doomed_below: float = 0.3,
-        healthy_above: float = 0.85,
-        max_jumps: int = 3,
-    ) -> None:
+    #: A predecessor this unlikely to pass may be jumped ...
+    DOOMED_BELOW = 0.3
+    #: ... by a change at least this likely to pass ...
+    HEALTHY_ABOVE = 0.85
+    #: ... by at most this many changes.
+    MAX_JUMPS = 3
+
+    def __init__(self, predictor: Predictor) -> None:
         super().__init__(predictor)
-        if not 0.0 <= doomed_below <= healthy_above <= 1.0:
-            raise ValueError("need 0 <= doomed_below <= healthy_above <= 1")
-        self.doomed_below = doomed_below
-        self.healthy_above = healthy_above
-        self.max_jumps = max_jumps
         self._jumps_over: Dict[ChangeId, int] = defaultdict(int)
 
     def propose_reorders(self, view: PlannerView) -> List[Tuple[ChangeId, ChangeId]]:
@@ -52,18 +48,18 @@ class ReorderingSubmitQueueStrategy(SubmitQueueStrategy):
         pending = {change.change_id: change for change in view.pending}
         for change in view.pending:
             record = view.records.get(change.change_id)
-            if self.predictor.p_success(change, record) < self.healthy_above:
+            if self.predictor.p_success(change, record) < self.HEALTHY_ABOVE:
                 continue
             for ancestor_id in list(view.records[change.change_id].ancestors):
                 ancestor = pending.get(ancestor_id)
                 if ancestor is None:
                     continue  # already decided; nothing to jump
-                if self._jumps_over[ancestor_id] >= self.max_jumps:
+                if self._jumps_over[ancestor_id] >= self.MAX_JUMPS:
                     continue  # fairness: the doomed change keeps its turn
                 ancestor_record = view.records.get(ancestor_id)
                 if (
                     self.predictor.p_success(ancestor, ancestor_record)
-                    <= self.doomed_below
+                    <= self.DOOMED_BELOW
                 ):
                     proposals.append((ancestor_id, change.change_id))
                     self._jumps_over[ancestor_id] += 1

@@ -46,7 +46,6 @@ from repro.speculation.batching import (
     DEFAULT_MIN_JOINT_SUCCESS,
     bisect_halves,
 )
-from repro.speculation.engine import BenefitFunction
 from repro.strategies.submitqueue import SubmitQueueStrategy
 from repro.types import BuildKey, ChangeId
 
@@ -83,13 +82,12 @@ class RiskBatchStrategy(SubmitQueueStrategy):
     def __init__(
         self,
         predictor: Predictor,
-        benefit: Optional[BenefitFunction] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         member_confidence: float = DEFAULT_MEMBER_CONFIDENCE,
         max_pair_conflict: float = DEFAULT_MAX_PAIR_CONFLICT,
         min_joint_success: float = DEFAULT_MIN_JOINT_SUCCESS,
     ) -> None:
-        super().__init__(predictor, benefit=benefit)
+        super().__init__(predictor)
         if batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         for knob, value in (

@@ -9,12 +9,12 @@ commit in parallel.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.changes.change import Change
 from repro.planner.planner import Decision, PlannerView
 from repro.predictor.predictors import LearnedPredictor, Predictor
-from repro.speculation.engine import BenefitFunction, SpeculationEngine
+from repro.speculation.engine import SpeculationEngine
 from repro.strategies.base import Strategy
 from repro.types import BuildKey, ChangeId
 
@@ -24,13 +24,9 @@ class SubmitQueueStrategy(Strategy):
 
     name = "SubmitQueue"
 
-    def __init__(
-        self,
-        predictor: Predictor,
-        benefit: Optional[BenefitFunction] = None,
-    ) -> None:
+    def __init__(self, predictor: Predictor) -> None:
         self.predictor = predictor
-        self.engine = SpeculationEngine(predictor, benefit=benefit)
+        self.engine = SpeculationEngine(predictor)
 
     def bind_recorder(self, recorder) -> None:
         """Forward the planner-injected recorder to the speculation engine."""

@@ -98,6 +98,28 @@ class TestGroundTruthRelations:
         b = labeled(["//m:1"], rate=0.0)
         assert not real_conflict(a, b)
 
+    def test_reused_ids_are_decided_by_their_own_truth(self):
+        """The verdict memo answers for the pair's ground truths, not for
+        its ids alone: a second pair reusing the first one's ids (ids
+        restart per process) is decided afresh."""
+
+        def pair(rate):
+            return [
+                Change(
+                    change_id, next_revision_id(), DEV,
+                    ground_truth=GroundTruth(
+                        target_names=frozenset({"//m:1"}),
+                        conflict_salt=salt,
+                        real_conflict_rate=rate,
+                    ),
+                )
+                for change_id, salt in (("D-reused-1", 1), ("D-reused-2", 2))
+            ]
+
+        assert not real_conflict(*pair(0.0))
+        assert real_conflict(*pair(1.0))
+        assert not real_conflict(*reversed(pair(0.0)))
+
     def test_real_conflict_deterministic(self):
         a = labeled(["//m:1"], rate=0.5, salt=123)
         b = labeled(["//m:1"], rate=0.5, salt=456)

@@ -2,7 +2,8 @@
 
 Five ``CoreServiceConfig`` fields, one spec grammar (``process[:N]``),
 one build-backend seam, one build path, one journal schema version.  A new option, spec
-name, or constructor argument has to change this module.
+name, or constructor argument has to change this module.  A tuning value
+that only ever takes one value is a class constant, not an argument.
 """
 
 import dataclasses
@@ -15,10 +16,23 @@ from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
 from repro.journal.snapshots import decode_config, encode_config
 from repro.parallel import BuildRequest, ProcessBuildBackend, create_build_backend
-from repro.planner.controller import FullStackBuildController
+from repro.obs.registry import Gauge, MetricsRegistry
+from repro.planner.controller import FullStackBuildController, LabelBuildController
 from repro.planner.planner import PlannerEngine
+from repro.planner.workers import WorkerPool
+from repro.predictor.logistic import LogisticRegression
+from repro.predictor.predictors import LearnedPredictor
+from repro.predictor.training import recursive_feature_elimination, train_models
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sim.simulator import Simulation
+from repro.speculation import engine as speculation_engine
+from repro.speculation.engine import ScoredBuild, SpeculationEngine
+from repro.speculation.tree import SpeculationNode, SubsetEnumerator
+from repro.strategies.independent_batch import IndependentBatchStrategy
+from repro.strategies.oracle import OracleStrategy
+from repro.strategies.reordering import ReorderingSubmitQueueStrategy
+from repro.strategies.risk_batch import RiskBatchStrategy
+from repro.strategies.submitqueue import SubmitQueueStrategy
 
 BUILD_SPECS = (None, "process", "process:2")
 #: What the ``init`` record's ``queue_backend`` key held while the
@@ -58,11 +72,90 @@ def test_analyzer_constructor_arguments():
     ]
 
 
+def parameters(function):
+    return list(inspect.signature(function).parameters)
+
+
 def test_simulation_constructor_arguments():
-    assert list(inspect.signature(Simulation.__init__).parameters) == [
+    # The pump guard is Simulation.MAX_MINUTES.
+    assert parameters(Simulation.__init__) == [
         "self", "strategy", "controller", "workers", "conflict_predicate",
-        "max_minutes", "recorder",
+        "recorder",
     ]
+
+
+#: Every build's benefit is 1 and each tuning value these took has one
+#: value in use, so none is an argument.
+SIGNATURES = [
+    (SpeculationEngine.__init__, ["self", "predictor"]),
+    (SubsetEnumerator.__init__, [
+        "self", "change_id", "pending_ancestors", "commit_probabilities",
+        "known_committed",
+    ]),
+    (SubmitQueueStrategy.__init__, ["self", "predictor"]),
+    (OracleStrategy.__init__, ["self"]),
+    # The batching knobs stay: they are journaled in the init record, and
+    # batch_size/min_joint_success take two values in the benchmarks.
+    (RiskBatchStrategy.__init__, [
+        "self", "predictor", "batch_size", "member_confidence",
+        "max_pair_conflict", "min_joint_success",
+    ]),
+    (ReorderingSubmitQueueStrategy.__init__, ["self", "predictor"]),
+    (IndependentBatchStrategy.__init__, ["self", "predictor"]),
+    (LabelBuildController.__init__, ["self", "step_elimination"]),
+    (WorkerPool.__init__, ["self", "capacity"]),
+    (LearnedPredictor.__init__, [
+        "self", "success_model", "conflict_model", "extractor",
+    ]),
+    (MetricsRegistry.__init__, ["self"]),
+    (LogisticRegression.__init__, ["self"]),
+    (train_models, ["history", "train_fraction", "seed"]),
+    (recursive_feature_elimination, ["X", "y", "feature_names", "keep"]),
+]
+
+
+@pytest.mark.parametrize(
+    "function, expected", SIGNATURES,
+    ids=[function.__qualname__ for function, _ in SIGNATURES],
+)
+def test_single_valued_options_are_not_arguments(function, expected):
+    assert parameters(function) == expected
+
+
+@pytest.mark.parametrize("owner, name, value", [
+    (SpeculationEngine, "MIN_VALUE", 1e-9),
+    (ReorderingSubmitQueueStrategy, "DOOMED_BELOW", 0.3),
+    (ReorderingSubmitQueueStrategy, "HEALTHY_ABOVE", 0.85),
+    (ReorderingSubmitQueueStrategy, "MAX_JUMPS", 3),
+    (IndependentBatchStrategy, "BATCH_SIZE", 4),
+    (IndependentBatchStrategy, "CONFIDENCE", 0.9),
+    (LabelBuildController, "STACKING_OVERHEAD", 0.35),
+    (LabelBuildController, "DEFAULT_DURATION", 30.0),
+    (WorkerPool, "EWMA_ALPHA", 0.25),
+    (WorkerPool, "HISTORY_CAPACITY", 4096),
+    (LearnedPredictor, "CACHE_CAPACITY", 1 << 16),
+    (MetricsRegistry, "MAX_SERIES_PER_METRIC", 1000),
+    (Simulation, "MAX_MINUTES", 60.0 * 24 * 365),
+    (LogisticRegression, "L2", 1e-3),
+    (LogisticRegression, "LEARNING_RATE", 1.0),
+    (LogisticRegression, "MAX_ITER", 500),
+    (LogisticRegression, "TOL", 1e-7),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_each_bound_is_a_constant_holding_its_value(owner, name, value):
+    assert getattr(owner, name) == value
+
+
+def test_one_value_per_build():
+    # V = B * P_needed with B = 1: a build carries its value alone.
+    assert [f.name for f in dataclasses.fields(ScoredBuild)] == [
+        "key", "value", "conditional_success",
+    ]
+    assert [f.name for f in dataclasses.fields(SpeculationNode)] == [
+        "key", "value",
+    ]
+    assert not hasattr(speculation_engine, "BenefitFunction")
+    assert not hasattr(speculation_engine, "unit_benefit")
+    assert not hasattr(Gauge, "dec")
 
 
 @pytest.mark.parametrize("queue_spec", LEGACY_QUEUE_SPECS)

@@ -37,11 +37,14 @@ def labeled(name, targets):
 
 class TestEngineVsExhaustive:
     @pytest.mark.parametrize("p_success", [0.5, 0.7, 0.95])
-    def test_engine_selection_matches_exhaustive_top_k(self, p_success):
+    def test_engine_selection_matches_exhaustive_top_k(
+        self, p_success, monkeypatch
+    ):
         """The lazy k-way merge must produce the same value sequence as
         sorting the fully materialized speculation graph."""
+        monkeypatch.setattr(SpeculationEngine, "MIN_VALUE", 0.0)
         predictor = StaticPredictor(success=p_success, conflict=0.0)
-        engine = SpeculationEngine(predictor, min_value=0.0)
+        engine = SpeculationEngine(predictor)
         # Figure-6/7 mix: c1 ⊥ c2, both conflict c3; c4 conflicts c1.
         pending = [
             labeled("c1", ["//a"]),

@@ -93,12 +93,6 @@ class TestPreemptionGrace:
 
 
 class TestIndependentBatchStrategy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndependentBatchStrategy(OraclePredictor(), batch_size=1)
-        with pytest.raises(ValueError):
-            IndependentBatchStrategy(OraclePredictor(), confidence=1.5)
-
     def _planner(self, strategy, workers=4):
         return PlannerEngine(
             strategy=strategy,
@@ -107,8 +101,9 @@ class TestIndependentBatchStrategy:
             conflict_predicate=potential_conflict,
         )
 
-    def test_independent_green_changes_batch_and_commit(self):
-        strategy = IndependentBatchStrategy(OraclePredictor(), batch_size=3)
+    def test_independent_green_changes_batch_and_commit(self, monkeypatch):
+        monkeypatch.setattr(IndependentBatchStrategy, "BATCH_SIZE", 3)
+        strategy = IndependentBatchStrategy(OraclePredictor())
         planner = self._planner(strategy)
         changes = [labeled([f"//t{i}"]) for i in range(3)]
         for i, change in enumerate(changes):
@@ -122,8 +117,9 @@ class TestIndependentBatchStrategy:
             assert planner.records[change.change_id].state is ChangeState.COMMITTED
             assert "batch" in planner.records[change.change_id].decision_reason
 
-    def test_unlikely_changes_not_batched(self):
-        strategy = IndependentBatchStrategy(OraclePredictor(), batch_size=3)
+    def test_unlikely_changes_not_batched(self, monkeypatch):
+        monkeypatch.setattr(IndependentBatchStrategy, "BATCH_SIZE", 3)
+        strategy = IndependentBatchStrategy(OraclePredictor())
         planner = self._planner(strategy)
         good = labeled(["//a"])
         bad = labeled(["//b"], ok=False)       # oracle knows it fails
@@ -136,11 +132,12 @@ class TestIndependentBatchStrategy:
             assert bad.change_id not in key.assumed
             assert key.change_id != bad.change_id
 
-    def test_failed_batch_dissolves_to_solo_builds(self):
+    def test_failed_batch_dissolves_to_solo_builds(self, monkeypatch):
+        monkeypatch.setattr(IndependentBatchStrategy, "BATCH_SIZE", 3)
         # Static predictor confidently batches everything; one member is
         # secretly broken, so the combined build fails and members go solo.
         strategy = IndependentBatchStrategy(
-            StaticPredictor(success=0.99, conflict=0.0), batch_size=3
+            StaticPredictor(success=0.99, conflict=0.0)
         )
         planner = self._planner(strategy)
         changes = [labeled([f"//t{i}"]) for i in range(2)]
@@ -171,7 +168,7 @@ class TestIndependentBatchStrategy:
 
         stream = make_stream(200, 60, seed=77)
         batched = Simulation(
-            strategy=IndependentBatchStrategy(OraclePredictor(), batch_size=4),
+            strategy=IndependentBatchStrategy(OraclePredictor()),
             controller=LabelBuildController(),
             workers=8,
             conflict_predicate=potential_conflict,

@@ -485,7 +485,7 @@ class TestIncrementalProbabilities:
 
 class TestPredictorCaches:
     @staticmethod
-    def make_learned(cache_capacity=None):
+    def make_learned():
         import numpy as np
 
         from repro.predictor.features import CONFLICT_FEATURES, SUCCESS_FEATURES
@@ -500,13 +500,13 @@ class TestPredictorCaches:
             np.array([[0.0] * len(CONFLICT_FEATURES), [1.0] * len(CONFLICT_FEATURES)]),
             np.array([0, 1]),
         )
-        kwargs = {}
-        if cache_capacity is not None:
-            kwargs["cache_capacity"] = cache_capacity
-        return LearnedPredictor(smodel, cmodel, **kwargs)
+        return LearnedPredictor(smodel, cmodel)
 
-    def test_lru_bounds_the_success_cache(self):
-        predictor = self.make_learned(cache_capacity=4)
+    def test_lru_bounds_the_success_cache(self, monkeypatch):
+        from repro.predictor.predictors import LearnedPredictor
+
+        monkeypatch.setattr(LearnedPredictor, "CACHE_CAPACITY", 4)
+        predictor = self.make_learned()
         changes = [labeled((f"//c{i}",), salt=i) for i in range(10)]
         values = {c.change_id: predictor.p_success(c) for c in changes}
         success_stats, _ = predictor.cache_stats
@@ -516,14 +516,49 @@ class TestPredictorCaches:
         # Evicted entries recompute to the same value.
         assert predictor.p_success(changes[0]) == values[changes[0].change_id]
 
-    def test_lru_bounds_the_conflict_cache(self):
-        predictor = self.make_learned(cache_capacity=3)
+    def test_lru_bounds_the_conflict_cache(self, monkeypatch):
+        from repro.predictor.predictors import LearnedPredictor
+
+        monkeypatch.setattr(LearnedPredictor, "CACHE_CAPACITY", 3)
+        predictor = self.make_learned()
         changes = [labeled((f"//c{i}",), salt=i) for i in range(5)]
         for other in changes[1:]:
             predictor.p_conflict(changes[0], other)
         assert len(predictor._conflict_cache) == 3
         _, conflict_stats = predictor.cache_stats
         assert conflict_stats.evictions == 1
+
+    def test_a_reused_id_is_asked_afresh(self):
+        """The memos answer for the changes they were computed from: a
+        different change reusing an id (ids restart per process, and one
+        trained predictor may serve several runs) gets its own
+        probability, not the first one's."""
+
+        def change(change_id, count):
+            return Change(
+                change_id=change_id,
+                revision_id="R1",
+                developer=DEV,
+                ground_truth=GroundTruth(
+                    target_names=frozenset(f"//t{i}" for i in range(count))
+                ),
+            )
+
+        predictor = self.make_learned()
+        small, large = change("D-reused", 1), change("D-reused", 6)
+        other = change("D-other", 1)
+        fresh = self.make_learned()
+        assert predictor.p_success(small) == fresh.p_success(small)
+        assert predictor.p_success(large) == fresh.p_success(large)
+        assert predictor.p_success(small) != predictor.p_success(large)
+        assert predictor.p_success_many([(small, None)]) == [
+            fresh.p_success(small)
+        ]
+        assert predictor.p_conflict(small, other) == fresh.p_conflict(small, other)
+        assert predictor.p_conflict(other, large) == fresh.p_conflict(other, large)
+        assert predictor.p_conflict(small, other) != predictor.p_conflict(
+            large, other
+        )
 
     def test_cache_hits_counted(self):
         predictor = self.make_learned()

@@ -52,8 +52,9 @@ class TestKindAndLabelConsistency:
         with pytest.raises(MetricsError, match="uses labels"):
             registry.counter("y_total")  # no labels at all
 
-    def test_cardinality_cap(self):
-        registry = MetricsRegistry(max_series_per_metric=3)
+    def test_cardinality_cap(self, monkeypatch):
+        monkeypatch.setattr(MetricsRegistry, "MAX_SERIES_PER_METRIC", 3)
+        registry = MetricsRegistry()
         for index in range(3):
             registry.counter("z_total", labels={"id": str(index)})
         with pytest.raises(MetricsError, match="cardinality"):

@@ -1,9 +1,8 @@
 """Pickling regressions for the process backend (satellite S6).
 
 Everything that crosses the process boundary — requests, responses —
-must round-trip through pickle, and the configurable hooks that used to
-be lambdas (the speculation engine's default benefit function) must be
-top-level functions so engine-bearing objects stay picklable.
+must round-trip through pickle, and engine-bearing objects must stay
+picklable (no lambda may ride on them).
 """
 
 import pickle
@@ -100,11 +99,10 @@ def test_response_roundtrips():
     assert clone == response
 
 
-def test_speculation_engine_default_benefit_is_picklable():
+def test_speculation_engine_is_picklable():
     from repro.predictor.predictors import StaticPredictor
-    from repro.speculation.engine import SpeculationEngine, unit_benefit
+    from repro.speculation.engine import SpeculationEngine
 
-    assert pickle.loads(pickle.dumps(unit_benefit)) is unit_benefit
     engine = SpeculationEngine(
         StaticPredictor(success=0.9, conflict=0.05)
     )

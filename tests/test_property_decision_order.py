@@ -76,11 +76,13 @@ class SpreadPredictor(Predictor):
         return 0.2
 
 
+class _TwoJumpsStrategy(ReorderingSubmitQueueStrategy):
+    MAX_JUMPS = 2
+
+
 STRATEGIES = {
     "submitqueue": lambda: SubmitQueueStrategy(StaticPredictor(0.8, 0.1)),
-    "reordering": lambda: ReorderingSubmitQueueStrategy(
-        SpreadPredictor(), max_jumps=2
-    ),
+    "reordering": lambda: _TwoJumpsStrategy(SpreadPredictor()),
     "optimistic": OptimisticStrategy,
     "risk-batch": lambda: RiskBatchStrategy(
         StaticPredictor(0.95, 0.02), batch_size=3

@@ -221,7 +221,7 @@ class TestIncrementalSelectionEquivalence:
                 pending, records, decided, budget, changes_by_id=changes_by_id
             )
             # Frozen-dataclass equality: same keys, same order, and the
-            # floats (value, p_needed, conditional_success) bit-identical.
+            # floats (value, conditional_success) bit-identical.
             for engine in engines:
                 assert engine.select_builds(
                     pending, records, decided, budget,

@@ -40,7 +40,7 @@ class TestProbabilityProperties:
         enumerator = SubsetEnumerator("x", ancestors, probs)
         nodes = list(enumerator)
         assert len(nodes) == 2 ** len(ancestors)
-        values = [node.p_needed for node in nodes]
+        values = [node.value for node in nodes]
         assert all(x >= y - 1e-12 for x, y in zip(values, values[1:]))
         assert abs(sum(values) - 1.0) < 1e-9
         # Keys are unique and each probability equals the subset product.
@@ -50,18 +50,16 @@ class TestProbabilityProperties:
             for a in ancestors:
                 p = min(1.0, max(0.0, probs[a]))
                 expected *= p if a in node.key.assumed else 1.0 - p
-            assert abs(node.p_needed - expected) < 1e-9
+            assert abs(node.value - expected) < 1e-9
 
-    @given(probs_strategy, st.floats(min_value=0.0, max_value=4.0))
+    @given(probs_strategy)
     @settings(max_examples=150)
-    def test_top_value_is_the_first_node_exactly(self, probs, benefit):
-        """The merge ranks an unpopped change by ``top_p_needed × benefit``;
-        that must be its enumerator's first value, bit for bit."""
+    def test_top_value_is_the_first_node_exactly(self, probs):
+        """The merge ranks an unpopped change by ``top_p_needed``; that
+        must be its enumerator's first value, bit for bit."""
         ancestors = sorted(probs)
-        first = SubsetEnumerator("x", ancestors, probs, benefit=benefit).node_at(0)
-        top = top_p_needed(probs[a] for a in ancestors)
-        assert first.p_needed == top
-        assert first.value == top * benefit
+        first = SubsetEnumerator("x", ancestors, probs).node_at(0)
+        assert first.value == top_p_needed(probs[a] for a in ancestors)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

@@ -122,12 +122,6 @@ class TestReorderPrimitive:
 
 
 class TestReorderingStrategy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReorderingSubmitQueueStrategy(
-                OraclePredictor(), doomed_below=0.9, healthy_above=0.3
-            )
-
     def test_healthy_change_jumps_doomed_predecessor(self):
         strategy = ReorderingSubmitQueueStrategy(OraclePredictor())
         planner = make_planner(strategy=strategy)
@@ -168,8 +162,9 @@ class TestReorderingStrategy:
         assert reordered is not None and plain is not None
         assert reordered <= plain
 
-    def test_max_jumps_caps_starvation(self):
-        strategy = ReorderingSubmitQueueStrategy(OraclePredictor(), max_jumps=1)
+    def test_max_jumps_caps_starvation(self, monkeypatch):
+        monkeypatch.setattr(ReorderingSubmitQueueStrategy, "MAX_JUMPS", 1)
+        strategy = ReorderingSubmitQueueStrategy(OraclePredictor())
         planner = make_planner(strategy=strategy)
         doomed = labeled(["//x"], ok=False)
         first = labeled(["//x"])

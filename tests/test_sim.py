@@ -186,14 +186,14 @@ class TestSimulation:
         assert result.submitted == 0
         assert result.makespan_minutes == 0.0
 
-    def test_max_minutes_raises(self):
+    def test_max_minutes_raises(self, monkeypatch):
+        monkeypatch.setattr(Simulation, "MAX_MINUTES", 10.0)
         with pytest.raises(SimulationError):
             Simulation(
                 strategy=OracleStrategy(),
                 controller=LabelBuildController(),
                 workers=2,
                 conflict_predicate=potential_conflict,
-                max_minutes=10.0,
             ).run(small_stream())
 
 

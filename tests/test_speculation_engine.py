@@ -84,7 +84,7 @@ class TestSelection:
             BuildKey("c2", frozenset({"c1"})),
             BuildKey("c3", frozenset({"c1"})),
         ]
-        assert all(s.p_needed == pytest.approx(1.0) for s in scored)
+        assert all(s.value == pytest.approx(1.0) for s in scored)
 
     def test_decided_ancestors_fold_into_keys(self):
         engine = SpeculationEngine(StaticPredictor(success=0.9, conflict=0.0))
@@ -102,27 +102,17 @@ class TestSelection:
             changes_by_id=changes_by_id,
         )
         assert scored[0].key == BuildKey("c2", frozenset({"c0"}))
-        assert scored[0].p_needed == pytest.approx(1.0)
+        assert scored[0].value == pytest.approx(1.0)
 
-    def test_min_value_stops_enumeration(self):
-        engine = SpeculationEngine(
-            StaticPredictor(success=0.5, conflict=0.0), min_value=0.4
-        )
+    def test_min_value_stops_enumeration(self, monkeypatch):
+        monkeypatch.setattr(SpeculationEngine, "MIN_VALUE", 0.4)
+        engine = SpeculationEngine(StaticPredictor(success=0.5, conflict=0.0))
         pending = [labeled("c1", ["//a"]), labeled("c2", ["//a"])]
         ancestors = {"c1": [], "c2": ["c1"]}
         scored = select(engine, pending, ancestors, budget=10)
         # c1's root build has value 1.0; c2's builds have value 0.5 each,
         # which passes 0.4; deeper values would be cut.
         assert all(s.value >= 0.4 for s in scored)
-
-    def test_benefit_function_prioritizes(self):
-        engine = SpeculationEngine(
-            StaticPredictor(success=0.9, conflict=0.0),
-            benefit=lambda change: 10.0 if change.change_id == "vip" else 1.0,
-        )
-        pending = [labeled("c1", ["//a"]), labeled("vip", ["//b"])]
-        scored = select(engine, pending, {"c1": [], "vip": []}, budget=2)
-        assert scored[0].key.change_id == "vip"
 
     def test_conditional_success_reported(self):
         engine = SpeculationEngine(StaticPredictor(success=0.8, conflict=0.1))

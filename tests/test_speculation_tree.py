@@ -85,27 +85,27 @@ class TestSubsetEnumerator:
         assert len(emitted) == len(expected)
         # Probabilities must be emitted in non-increasing order and match
         # the brute-force multiset.
-        values = [node.p_needed for node in emitted]
+        values = [node.value for node in emitted]
         assert values == sorted(values, reverse=True)
         assert sorted(round(v, 12) for v in values) == sorted(
             round(p, 12) for p, _ in expected
         )
         # The top node must carry the argmax probability (ties at p=0.5
         # make several subsets equally optimal, so compare values).
-        assert emitted[0].p_needed == pytest.approx(expected[0][0])
+        assert emitted[0].value == pytest.approx(expected[0][0])
         # Each emitted probability must equal the true product for its key.
         for node in emitted:
             p = 1.0
             for a in ancestors:
                 p *= probs[a] if a in node.key.assumed else 1 - probs[a]
-            assert node.p_needed == pytest.approx(p)
+            assert node.value == pytest.approx(p)
 
     def test_no_ancestors_single_node(self):
         enumerator = SubsetEnumerator("x", [], {})
         nodes = list(enumerator)
         assert len(nodes) == 1
         assert nodes[0].key == BuildKey("x", frozenset())
-        assert nodes[0].p_needed == 1.0
+        assert nodes[0].value == 1.0
 
     def test_lazy_top_k_of_large_space(self):
         """Only asking for the top few never materializes 2^40 subsets."""
@@ -113,16 +113,10 @@ class TestSubsetEnumerator:
         probs = {a: 0.9 for a in ancestors}
         enumerator = SubsetEnumerator("x", ancestors, probs)
         top = [next(enumerator) for _ in range(5)]
-        assert top[0].p_needed == pytest.approx(0.9 ** 40)
+        assert top[0].value == pytest.approx(0.9 ** 40)
         # Second-best flips exactly one ancestor.
-        assert top[1].p_needed == pytest.approx(0.9 ** 39 * 0.1)
+        assert top[1].value == pytest.approx(0.9 ** 39 * 0.1)
         assert len(top[1].key.assumed) == 39
-
-    def test_benefit_scales_value(self):
-        enumerator = SubsetEnumerator("x", [], {}, benefit=3.0)
-        node = next(enumerator)
-        assert node.value == pytest.approx(3.0)
-        assert node.p_needed == pytest.approx(1.0)
 
     def test_keys_unique(self):
         probs = {"a": 0.6, "b": 0.5, "c": 0.4}

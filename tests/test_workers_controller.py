@@ -103,10 +103,11 @@ class TestDurationHistory:
         assert pool.estimate("c1") == pytest.approx(40.0)
 
     def test_ewma_update_rule(self):
-        pool = WorkerPool(2, ewma_alpha=0.5)
+        pool = WorkerPool(2)
         pool.observe_duration("c1", 40.0)
         pool.observe_duration("c1", 20.0)
-        assert pool.estimate("c1") == pytest.approx(30.0)
+        # EWMA_ALPHA = 0.25 of the newest: 0.25 * 20 + 0.75 * 40.
+        assert pool.estimate("c1") == pytest.approx(35.0)
 
     def test_aborted_release_keeps_history_clean(self):
         pool = WorkerPool(2)
@@ -140,22 +141,15 @@ class TestDurationHistory:
         keys = [BuildKey("a"), BuildKey("b"), BuildKey("c")]
         assert pool.assignment_order(keys) == keys
 
-    def test_history_capacity_is_bounded(self):
-        pool = WorkerPool(1, history_capacity=2)
+    def test_history_capacity_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(WorkerPool, "HISTORY_CAPACITY", 2)
+        pool = WorkerPool(1)
         pool.observe_duration("c1", 1.0)
         pool.observe_duration("c2", 2.0)
         pool.observe_duration("c3", 3.0)
         assert pool.estimate("c1") is None  # evicted LRU
         assert pool.estimate("c2") == pytest.approx(2.0)
         assert pool.estimate("c3") == pytest.approx(3.0)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            WorkerPool(2, ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            WorkerPool(2, ewma_alpha=1.5)
-        with pytest.raises(ValueError):
-            WorkerPool(2, history_capacity=0)
 
 
 class TestLabelBuildController:
@@ -192,18 +186,19 @@ class TestLabelBuildController:
 
     def test_step_elimination_cost_model(self):
         with_elim = LabelBuildController(step_elimination=True)
-        without = LabelBuildController(step_elimination=False, stacking_overhead=0.5)
+        without = LabelBuildController(step_elimination=False)
         a = labeled("a", targets=("//x",), duration=40.0)
         b = labeled("b", targets=("//y",), duration=30.0)
         key = BuildKey("b", frozenset({"a"}))
         assert with_elim.execute(key, {"a": a, "b": b}).duration == 30.0
-        assert without.execute(key, {"a": a, "b": b}).duration == pytest.approx(50.0)
+        # STACKING_OVERHEAD = 0.35 of the stacked change's 40 minutes.
+        assert without.execute(key, {"a": a, "b": b}).duration == pytest.approx(44.0)
 
     def test_default_duration_fallback(self):
-        controller = LabelBuildController(default_duration=7.0)
+        controller = LabelBuildController()
         change = labeled("c1", duration=None)
         change.build_duration = None
-        assert controller.execute(BuildKey("c1"), {"c1": change}).duration == 7.0
+        assert controller.execute(BuildKey("c1"), {"c1": change}).duration == 30.0
 
 
 class TestFullStackBuildController:
