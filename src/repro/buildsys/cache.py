@@ -51,25 +51,26 @@ class ArtifactCache:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        # Each entry stores both spellings of the result — (un-cached as
-        # put, cached-marked as get returns) — so a hit hands back a stored
-        # object instead of allocating a dataclass copy per lookup.
-        self._entries: "OrderedDict[Tuple[str, StepKind], Tuple[StepResult, StepResult]]" = (
+        #: Each entry stores both spellings of the result — (un-cached as
+        #: put, cached-marked as get returns) — so a hit hands back a
+        #: stored object instead of allocating a dataclass copy per lookup.
+        #: The executor's step loop reads it as :meth:`get` does.
+        self.entries: "OrderedDict[Tuple[str, StepKind], Tuple[StepResult, StepResult]]" = (
             OrderedDict()
         )
         self.stats = CacheStats()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def get(self, digest: str, kind: StepKind) -> Optional[StepResult]:
         """The cached result, marked ``cached=True``, or None on a miss."""
         key = (digest, kind)
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self.entries.move_to_end(key)
         self.stats.hits += 1
         return entry[1]
 
@@ -78,10 +79,10 @@ class ArtifactCache:
         key = (digest, kind)
         spec, passed, log = result.spec, result.passed, result.log
         stored = result if not result.cached else StepResult(spec, passed, log)
-        self._entries[key] = (stored, StepResult(spec, passed, log, True))
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self.entries[key] = (stored, StepResult(spec, passed, log, True))
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
             self.stats.evictions += 1
 
     def items(self):
@@ -91,9 +92,9 @@ class ArtifactCache:
         order into an empty cache reproduces both contents and eviction
         order, which is how journal snapshots persist cache warmth.
         """
-        for key, (stored, _cached) in self._entries.items():
+        for key, (stored, _cached) in self.entries.items():
             yield key, stored
 
     def clear(self) -> None:
         """Drop all entries; counters keep accumulating."""
-        self._entries.clear()
+        self.entries.clear()

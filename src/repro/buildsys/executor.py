@@ -36,12 +36,7 @@ from repro.buildsys.hashing import (
     TargetHasher,
     incremental_hashes,
 )
-from repro.buildsys.loader import (
-    build_file_package,
-    load_build_graph,
-    parse_build_file,
-    reload_packages,
-)
+from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_target, summarize
 from repro.buildsys.target import Target
 from repro.obs.recorder import NULL_RECORDER, Recorder
@@ -68,20 +63,22 @@ class BuildReport:
     )
 
     def __post_init__(self) -> None:
-        seeded = self.results
-        self.results = []
-        for result in seeded:
-            self.append(result)
+        self.results = list(self.results)
+        self._tally(self.results)
 
     def append(self, result: StepResult) -> None:
         """Record one step result, keeping the running counters in sync."""
         self.results.append(result)
-        if result.cached:
-            self._cached += 1
-        else:
-            self._executed += 1
-        if not result.passed and self._first_failure is None:
-            self._first_failure = result
+        self._tally((result,))
+
+    def _tally(self, results: Iterable[StepResult]) -> None:
+        for result in results:
+            if result.cached:
+                self._cached += 1
+            else:
+                self._executed += 1
+            if not result.passed and self._first_failure is None:
+                self._first_failure = result
 
     @property
     def success(self) -> bool:
@@ -130,7 +127,6 @@ class BuildContext:
         "dirty_since_base",
         "rehashed",
         "depth",
-        "_topo_holder",
         "_digest_memo",
     )
 
@@ -143,7 +139,6 @@ class BuildContext:
         dirty_since_base: Optional[frozenset] = None,
         rehashed: int = 0,
         depth: int = 0,
-        topo_holder: Optional[list] = None,
         digest_memo: Optional[DigestMemo] = None,
     ) -> None:
         self.snapshot = snapshot
@@ -159,10 +154,6 @@ class BuildContext:
         self.rehashed = rehashed
         #: Overlay layers between ``snapshot`` and the nearest plain dict.
         self.depth = depth
-        # One-element list shared by every context holding the *same* graph
-        # object, so the topological position index is computed at most
-        # once per distinct graph.
-        self._topo_holder = topo_holder if topo_holder is not None else [None]
         # Shared by every context derived from this one — and by every
         # root loaded with the same memo — so a target whose inputs any of
         # them hashed is never digested twice.
@@ -200,7 +191,10 @@ class BuildContext:
             self.graph, self.hashes, graph, snapshot, touched, self._digest_memo
         )
         directives = summarize(
-            map(graph.target, seeds), snapshot, self.directives, graph
+            [graph.by_name[name] for name in seeds],
+            snapshot,
+            self.directives,
+            graph.changes_since(self.graph)[1],
         )
         accumulated = (
             frozenset(dirty)
@@ -215,7 +209,6 @@ class BuildContext:
             dirty_since_base=accumulated,
             rehashed=computed,
             depth=self.depth + 1,
-            topo_holder=self._topo_holder if graph is self.graph else None,
             digest_memo=self._digest_memo,
         )
 
@@ -271,27 +264,13 @@ class BuildContext:
             self.directives,
             dirty_since_base=None,
             depth=depth,
-            topo_holder=self._topo_holder,
             digest_memo=self._digest_memo,
         )
 
-    def topo_index(self) -> Dict[TargetName, int]:
-        """Target -> position in the full graph's topological order.
-
-        ``topological_order`` is a deterministic function of the graph's
-        nodes and edges, so sorting any affected subset by this index
-        reproduces exactly the order filtering the full order gives.
-        """
-        holder = self._topo_holder
-        if holder[0] is None:
-            holder[0] = {
-                name: position
-                for position, name in enumerate(self.graph.topological_order())
-            }
-        return holder[0]
-
     def affected_against(self, base: "BuildContext") -> List[TargetName]:
-        """Targets whose digest differs from ``base``, in build order.
+        """Targets whose digest differs from ``base``, in build order: the
+        graph's full topological order, which decides the step that fails
+        first under ``stop_on_failure``.
 
         When this context was derived (transitively) from ``base``, only
         the accumulated dirty set can differ — everything else was copied
@@ -303,7 +282,7 @@ class BuildContext:
             candidates = self.dirty_since_base
         base_hashes = base.hashes
         hashes = self.hashes
-        index = self.topo_index()
+        index = self.graph.topo_index()
         affected = [
             name
             for name in candidates
@@ -312,43 +291,20 @@ class BuildContext:
         affected.sort(key=index.__getitem__)
         return affected
 
-    def added_targets(
-        self, older: "BuildContext", changed_paths: Iterable[Path]
-    ) -> Optional[List[Target]]:
+    def added_targets(self, older: "BuildContext") -> Optional[List[Target]]:
         """The targets this graph declares beyond ``older``'s, when that is
         all that differs: every target of ``older`` is still declared here
         with the same definition.  ``None`` when one was removed or
         redeclared; ``[]`` when the two graphs have the same structure.
 
-        ``changed_paths`` covers every path that differs between the two
-        snapshots, so only the BUILD files among them can declare anything
-        differently: the cost is re-reading those files on both sides,
-        never the graph.
+        Read off :meth:`BuildGraph.changes_since`: O(1) when this graph was
+        spliced from ``older``'s, a pass over both graphs otherwise; no
+        BUILD file is parsed again.
         """
-        added: List[Target] = []
-        for path in changed_paths:
-            package = build_file_package(path)
-            if package is None:
-                continue
-            before = {
-                target.name: target.definition()
-                for target in _declared(older.snapshot, package, path)
-            }
-            for target in _declared(self.snapshot, package, path):
-                definition = before.pop(target.name, None)
-                if definition is None:
-                    added.append(target)
-                elif definition != target.definition():
-                    return None
-            if before:
-                return None
-        return added
-
-
-def _declared(snapshot: Mapping[Path, str], package: str, path: Path) -> List[Target]:
-    """The targets one package's BUILD file declares in ``snapshot``."""
-    content = snapshot.get(path)
-    return [] if content is None else parse_build_file(package, content)
+        changed, gone = self.graph.changes_since(older.graph)
+        if gone or any(name in older.graph for name in changed):
+            return None
+        return [self.graph.target(name) for name in changed]
 
 
 class BuildExecutor:
@@ -404,27 +360,48 @@ class BuildExecutor:
         stop_on_failure: bool,
     ) -> BuildReport:
         """The one step loop over ``order``, a build-ordered subset of
-        ``context``'s targets."""
+        ``context``'s targets.
+
+        It reads the digests and the cache's entries as dicts, counting
+        hits and misses as :meth:`ArtifactCache.get` would, and calls out
+        only for a target's first miss (its evaluation) and each store.
+        """
         graph = context.graph
+        targets = graph.by_name
         hashes = context.hashes
+        moved: Mapping[TargetName, str] = {}
+        if isinstance(hashes, HashOverlay):
+            moved, hashes = hashes.delta, hashes.root
         directives = context.directives
-        report = BuildReport()
+        cache = self.cache
+        entries, stats = cache.entries, cache.stats
+        results: List[StepResult] = []
+        built: List[TargetName] = []
         for name in order:
-            target = graph.target(name)
-            digest = hashes[name]
-            report.targets_built.append(name)
+            target = targets[name]
+            digest = moved.get(name) or hashes[name]
+            built.append(name)
             evaluated = None
             for position, kind in enumerate(target.steps):
-                result = self.cache.get(digest, kind)
-                if result is None:
+                key = (digest, kind)
+                entry = entries.get(key)
+                if entry is None:
+                    stats.misses += 1
                     if evaluated is None:
                         evaluated = evaluate_target(graph, target, directives)
                     result = evaluated[position]
-                    self.cache.put(digest, kind, result)
-                report.append(result)
+                    cache.put(digest, kind, result)
+                else:
+                    entries.move_to_end(key)
+                    stats.hits += 1
+                    result = entry[1]
+                results.append(result)
                 if stop_on_failure and not result.passed:
-                    self.record_report(report)
-                    return report
+                    break
+            else:
+                continue
+            break
+        report = BuildReport(results, built)
         self.record_report(report)
         return report
 

@@ -8,31 +8,23 @@ A target's hash digests
 * the hashes of its direct dependencies — which transitively cover the
   whole dependency closure.
 
-Consequences the rest of the system (and the property tests) rely on:
-hashing is pure — same graph + files, same hashes; editing any file in a
-target's transitive closure changes its hash; and touching anything
-*outside* that closure never does.  Hashes are computed once per target in
-dependency-first order and memoized.
-
-Three shortcuts keep analysis cheap at scale (the section-7.1 story: a
-change touching 3 files pays for its reverse-dependency closure, not the
-whole repo — and co-pending changes that stack the same patches pay for
-a target once between them):
+Hashing is pure — same graph + files, same hashes; editing any file in
+a target's transitive closure changes its hash, touching anything outside
+it never does.  Digests are computed once per target, dependencies first
+(in the graph's depth order), and memoized.  Three shortcuts keep
+analysis cheap at scale (section 7.1: a change pays for its
+reverse-dependency closure, not the repo):
 
 * :meth:`TargetHasher.hash_of` digests only the requested target's
-  dependency (ancestor) chain, never the whole graph;
-* a hasher *seeded* with a prior hash map and a dirty set recomputes only
-  the dirty targets' reverse-dependency closure — everything outside that
-  closure reuses the seed digest verbatim (skyframe-style dirty-set
-  invalidation), read through the seed map rather than copied out of it.
-  :func:`dirty_targets` derives a sound dirty set from the touched paths
-  plus structural diffs between two graphs, and a content-only rehash
-  returns a :class:`HashOverlay` holding just the closure;
-* a digest is a pure function of the target's declaration, its sources'
-  contents and its dependencies' digests, so hashers that share a
-  :class:`DigestMemo` share digests across graphs and snapshots: a target
-  whose inputs one speculation stack already hashed costs the next stack
-  a dict lookup instead of a sha256 over re-encoded sources.
+  dependency chain;
+* a hasher *seeded* with a prior hash map and a dirty set
+  (:func:`dirty_targets`) recomputes only the dirty set's
+  reverse-dependency closure and reads every other digest through the
+  seed map (skyframe-style invalidation); a content-only rehash returns a
+  :class:`HashOverlay` holding just the closure;
+* hashers that share a :class:`DigestMemo` share digests across graphs
+  and snapshots: a target whose inputs one speculation stack already
+  hashed costs the next a dict lookup instead of a sha256.
 """
 
 from __future__ import annotations
@@ -41,7 +33,7 @@ import hashlib
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.target import Target, hash_frame
+from repro.buildsys.target import hash_frame
 from repro.types import Path, TargetName
 
 _ABSENT_FRAME = hash_frame(b"absent", b"<missing>")
@@ -66,30 +58,22 @@ class DigestMemo:
     rejected or superseded patch's content for the life of the service.
     """
 
-    __slots__ = ("_young", "_old")
+    __slots__ = ("young", "old")
 
     def __init__(self) -> None:
-        self._young: Dict[tuple, str] = {}
-        self._old: Dict[tuple, str] = {}
+        #: The two generations, read and filled by
+        #: :meth:`TargetHasher._compute`'s loop: a digest found in ``old``
+        #: or computed afresh is stored in ``young``.
+        self.young: Dict[tuple, str] = {}
+        self.old: Dict[tuple, str] = {}
 
     def __len__(self) -> int:
-        return len(self._young) + len(self._old)
-
-    def get(self, key: tuple) -> Optional[str]:
-        digest = self._young.get(key)
-        if digest is None:
-            digest = self._old.get(key)
-            if digest is not None:
-                self._young[key] = digest
-        return digest
-
-    def put(self, key: tuple, digest: str) -> None:
-        self._young[key] = digest
+        return len(self.young) + len(self.old)
 
     def rotate(self) -> None:
         """Start a new generation; entries idle for two are dropped."""
-        self._old = self._young
-        self._young = {}
+        self.old = self.young
+        self.young = {}
 
 
 class HashOverlay(Mapping[TargetName, str]):
@@ -149,33 +133,16 @@ def dirty_targets(
     """Targets of ``graph`` whose seed hash (from ``base_graph``'s map) is stale.
 
     A target is dirty when a touched path is one of its sources, or when
-    its declaration differs from ``base_graph``'s (new targets included).
-    When ``graph`` *is* ``base_graph`` — what
-    :func:`repro.buildsys.loader.reload_packages` returns for a
-    content-only change — no declaration can differ and only the touched
-    paths' owners are returned, O(touched).  Otherwise targets structurally
-    shared between the graphs are identity-compared first, so the scan
-    costs O(targets) pointer checks plus O(touched).
-
-    Reverse-dependency propagation is *not* included — callers (and the
-    seeded :class:`TargetHasher`) expand the closure themselves.
+    its declaration differs from ``base_graph``'s (new targets included):
+    :meth:`BuildGraph.changes_since`, which is O(1) for the graph itself
+    (a content-only change) or a graph spliced from it.  Reverse-dependency
+    propagation is *not* included — callers (and the seeded
+    :class:`TargetHasher`) expand the closure themselves.
     """
     dirty: Set[TargetName] = set()
     for path in touched_paths:
         dirty.update(graph.targets_owning(path))
-    if graph is base_graph:
-        return dirty
-    for target in graph:
-        if target.name in dirty:
-            continue
-        if target.name not in base_graph:
-            dirty.add(target.name)
-            continue
-        base_target = base_graph.target(target.name)
-        if base_target is target:
-            continue
-        if base_target.definition() != target.definition():
-            dirty.add(target.name)
+    dirty.update(graph.changes_since(base_graph)[0])
     return dirty
 
 
@@ -184,17 +151,12 @@ class TargetHasher:
 
     Without seeds every digest is computed on demand.  With
     ``seed_hashes``/``dirty``, digests outside the dirty set's
-    reverse-dependency closure are read from the seed map (never copied
-    out of it) — the caller guarantees the seeds were computed on a
-    graph/snapshot pair that differs from this one only at the dirty
-    targets (see :func:`dirty_targets`).
-
-    ``computed`` counts digests resolved outside the seed map, whether
-    :class:`DigestMemo` already knew them or not; ``dirty_closure`` is the
-    set a seeded hasher will recompute (empty when unseeded).
-
-    ``digest_memo`` shares digests with other hashers (see the module
-    docstring); a hasher built without one uses a private empty memo.
+    reverse-dependency closure are read from the seed map — the caller
+    guarantees the seeds were computed on a graph/snapshot pair that
+    differs from this one only at the dirty targets.  ``computed`` counts
+    digests resolved outside the seed map, memo hit or not;
+    ``dirty_closure`` is the set a seeded hasher recomputes (empty when
+    unseeded); ``digest_memo`` defaults to a private empty memo.
     """
 
     def __init__(
@@ -221,57 +183,68 @@ class TargetHasher:
                 name for name in (dirty or ()) if name in graph
             )
 
-    def _digest(self, target: Target) -> str:
-        head, src_frames, dep_frames = target.hash_frames
-        files = self._files
-        memo = self._memo
-        seeds = self._seeds
-        contents = tuple([files.get(src) for src in target.srcs])
-        # Dependencies first: a dep inside the closure is already in the
-        # memo, one outside it keeps its seed digest.
-        dep_digests = tuple(
-            [
-                memo[dep] if dep in memo else seeds.get(dep, "<unknown>")
-                for dep in target.deps
-            ]
-        )
-        self.computed += 1
-        # ``head`` frames the name and the step list; with srcs and deps
-        # it is the whole declaration.
-        key = (head, target.srcs, target.deps, contents, dep_digests)
-        digest = self._digests.get(key)
-        if digest is None:
-            parts = [head]
-            for frame, content in zip(src_frames, contents):
-                parts.append(frame)
-                if content is None:
-                    parts.append(_ABSENT_FRAME)
-                else:
-                    parts.append(hash_frame(b"content", content.encode("utf-8")))
-            for frame, dep_digest in zip(dep_frames, dep_digests):
-                parts.append(frame)
-                parts.append(hash_frame(b"dephash", dep_digest.encode("ascii")))
-            digest = hashlib.sha256(b"".join(parts)).hexdigest()
-            self._digests.put(key, digest)
-        return digest
-
     def _compute(self, names: Iterable[TargetName]) -> None:
         """Digest ``names`` (skipping memoized and seeded ones)
-        dependencies-first.
+        dependencies-first: in the order of the graph's depth index, one
+        loop with no call per target.
 
-        A cyclic subgraph fails with DependencyCycleError rather than
+        A cyclic graph fails with DependencyCycleError rather than
         hashing garbage.
         """
         memo, seeds, closure = self._memo, self._seeds, self.dirty_closure
+        graph = self._graph
+        depth = graph.depth_index()
         missing = [
             name
             for name in names
-            if name not in memo and (name in closure or name not in seeds)
+            if name not in memo
+            and name in depth
+            and (name in closure or name not in seeds)
         ]
         if not missing:
             return
-        for name in self._graph.induced_order(missing):
-            memo[name] = self._digest(self._graph.target(name))
+        missing.sort(key=depth.__getitem__)
+        targets, files = graph.by_name, self._files
+        # One generation pair for the whole walk: nothing rotates the memo
+        # in between.
+        young, old = self._digests.young, self._digests.old
+        for name in missing:
+            target = targets[name]
+            head, src_frames, dep_frames = target.hash_frames
+            srcs, deps = target.srcs, target.deps
+            contents = tuple(map(files.get, srcs))
+            # Dependencies first: a dep inside the closure is already in
+            # the memo, one outside it keeps its seed digest.
+            dep_digests = []
+            for dep in deps:
+                dep_digests.append(
+                    memo[dep] if dep in memo else seeds.get(dep, "<unknown>")
+                )
+            # ``head`` frames the name and the step list; with srcs and
+            # deps it is the whole declaration.
+            key = (head, srcs, deps, contents, tuple(dep_digests))
+            digest = young.get(key)
+            if digest is None:
+                digest = old.get(key)
+                if digest is None:
+                    parts = [head]
+                    for frame, content in zip(src_frames, contents):
+                        parts.append(frame)
+                        if content is None:
+                            parts.append(_ABSENT_FRAME)
+                        else:
+                            parts.append(
+                                hash_frame(b"content", content.encode("utf-8"))
+                            )
+                    for frame, dep_digest in zip(dep_frames, dep_digests):
+                        parts.append(frame)
+                        parts.append(
+                            hash_frame(b"dephash", dep_digest.encode("ascii"))
+                        )
+                    digest = hashlib.sha256(b"".join(parts)).hexdigest()
+                young[key] = digest
+            memo[name] = digest
+        self.computed += len(missing)
 
     def hash_of(self, name: TargetName) -> str:
         """Algorithm-1 hash of one target (raises for unknown targets).
@@ -298,19 +271,17 @@ class TargetHasher:
     def all_hashes(self) -> Dict[TargetName, str]:
         """Name-to-hash for every target in the graph.
 
-        Unseeded, this is the hasher's own map, not a copy; seeded, the
-        seeds the graph still holds outside the closure, then the
-        closure."""
-        if not self._seeds:
+        Unseeded, this is the hasher's own map, not a copy; seeded, a copy
+        of the seeds (made in C, not a pass over the targets) less the
+        names the graph lost, updated with the closure."""
+        seeds = self._seeds
+        if not seeds:
             if len(self._memo) != len(self._graph):
-                self._compute(self._graph.names())
+                self._compute(self._graph.by_name)
             return self._memo
-        graph, closure = self._graph, self.dirty_closure
-        hashes = {
-            name: digest
-            for name, digest in self._seeds.items()
-            if name in graph and name not in closure
-        }
+        hashes = seeds.to_dict() if isinstance(seeds, HashOverlay) else dict(seeds)
+        for name in hashes.keys() - self._graph.by_name.keys():
+            del hashes[name]
         hashes.update(self.closure_hashes())
         return hashes
 

@@ -159,15 +159,13 @@ def reload_packages(
     """Splice re-parsed packages into a structurally-shared graph.
 
     Only BUILD files among ``touched_paths`` are re-parsed from
-    ``snapshot``; every other package's :class:`Target` objects are shared
-    with ``base_graph`` (identity-shared, which :func:`~repro.buildsys.hashing.dirty_targets`
-    exploits).  Handles packages being added (new BUILD file), rewritten,
-    and deleted (BUILD file gone from ``snapshot``).
-
-    When no touched path is a BUILD file the graph cannot have changed and
-    ``base_graph`` itself is returned.  Like :func:`load_build_graph`, the
-    result is validated; the caller's ``touched_paths`` must cover every
-    path that differs between ``base_graph``'s snapshot and ``snapshot``.
+    ``snapshot``, and :meth:`~repro.buildsys.graph.BuildGraph.splice`
+    replaces just their packages' targets (added, rewritten or deleted
+    packages alike); everything else is shared with ``base_graph``.  When
+    no touched path is a BUILD file, ``base_graph`` itself is returned.
+    Like :func:`load_build_graph`, the result is validated; the caller's
+    ``touched_paths`` must cover every path that differs between
+    ``base_graph``'s snapshot and ``snapshot``.
     """
     touched_packages = {
         package
@@ -176,22 +174,21 @@ def reload_packages(
     }
     if not touched_packages:
         return base_graph
-    graph = BuildGraph()
-    for target in base_graph:
-        if target.package not in touched_packages:
-            graph.add_target(target)
-    for package in sorted(touched_packages):
-        build_path = f"{package}/{BUILD_FILE_NAME}" if package else BUILD_FILE_NAME
-        content = snapshot.get(build_path)
-        if content is None:
-            continue  # package deleted
-        for target in parse_build_file(package, content):
-            try:
-                graph.add_target(target)
-            except ValueError as exc:
-                raise BuildFileError(str(exc)) from None
-    graph.validate()
-    return graph
+    try:
+        return base_graph.splice(
+            (package, _declared(snapshot, package))
+            for package in sorted(touched_packages)
+        )
+    except ValueError as exc:
+        raise BuildFileError(str(exc)) from None
+
+
+def _declared(snapshot: Mapping[Path, str], package: str) -> List[Target]:
+    """The targets one package's BUILD file declares in ``snapshot``
+    (none when the file is absent)."""
+    path = f"{package}/{BUILD_FILE_NAME}" if package else BUILD_FILE_NAME
+    content = snapshot.get(path)
+    return [] if content is None else parse_build_file(package, content)
 
 
 def load_build_graph(snapshot: Mapping[Path, str]) -> BuildGraph:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import Target
@@ -104,25 +104,36 @@ def summarize(
     targets: Iterable[Target],
     snapshot: Mapping[Path, str],
     prior: DirectiveSummaries = DirectiveSummaries({}, frozenset()),
-    graph: Optional[BuildGraph] = None,
+    gone: Iterable[TargetName] = (),
 ) -> DirectiveSummaries:
     """``prior`` with ``targets`` re-read from ``snapshot`` and without the
-    targets that left ``graph``; ``prior`` itself when nothing moved."""
-    by_target = dict(prior.by_target)
+    ``gone`` ones (targets the graph lost); ``prior`` itself when nothing
+    moved.  Costs the targets named: ``prior`` is compared entry by entry
+    and copied only when one moved."""
+    held = prior.by_target
+    moved = {name: None for name in gone if name in held}
     for target in targets:
         fails, conflicts = scan_directives(
             [snapshot.get(path, "") for path in target.srcs]
         )
+        summary = None
         if fails or conflicts:
-            by_target[target.name] = (frozenset(fails), tuple(conflicts.items()))
-        else:
-            by_target.pop(target.name, None)
-    if graph is not None:
-        by_target = {n: s for n, s in by_target.items() if n in graph}
-    if by_target == prior.by_target:
+            summary = (frozenset(fails), tuple(conflicts.items()))
+        if held.get(target.name) != summary:
+            moved[target.name] = summary
+    if not moved:
         return prior
-    bearers = frozenset(name for name, summary in by_target.items() if summary[1])
-    return DirectiveSummaries(by_target, bearers)
+    by_target, bearers = dict(held), set(prior.token_bearers)
+    for name, summary in moved.items():
+        if summary is None:
+            del by_target[name]
+        else:
+            by_target[name] = summary
+        if summary is not None and summary[1]:
+            bearers.add(name)
+        else:
+            bearers.discard(name)
+    return DirectiveSummaries(by_target, frozenset(bearers))
 
 
 def evaluate_target(

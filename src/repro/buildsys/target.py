@@ -92,8 +92,9 @@ class Target:
         object.__setattr__(self, "deps", deps)
         object.__setattr__(self, "steps", steps)
 
-    @property
+    @cached_property
     def package(self) -> str:
+        """The label's package, parsed once per target."""
         return target_package(self.name)
 
     @property

@@ -227,7 +227,7 @@ class ConflictAnalyzer:
             taint.update(base.hashes.keys() - merged.hashes.keys())
             # The structure is the base's iff the reloaded packages add,
             # redeclare and remove nothing.
-            structure_changed = merged.added_targets(base, touched) != []
+            structure_changed = merged.added_targets(base) != []
         self.stats.analyses += 1
         self.stats.targets_rehashed += merged.rehashed
         self.stats.targets_total += len(merged.graph)
@@ -408,8 +408,9 @@ class ConflictAnalyzer:
         and a content-only analysis reads the current base's graph.  So a
         survivor keeps its taint and touched paths, and its
         candidate-index entries stand; dropped analyses leave the index.
-        The cost is re-reading the committed BUILD files plus one test
-        per cached analysis, never the repository's targets.
+        The cost is one test per cached analysis plus the graphs'
+        difference: the splice's own record when one commit landed since
+        the old base, a pass over both graphs when several did.
         """
         self.stats.head_advances += 1
         old, self._base = self._base, new_base
@@ -418,7 +419,7 @@ class ConflictAnalyzer:
         if committed_paths is not None:
             committed = frozenset(committed_paths)
             structural_commit = new_base.graph is not old.graph
-            added = new_base.added_targets(old, committed) if structural_commit else []
+            added = new_base.added_targets(old) if structural_commit else []
             if added is not None:
                 added_names = {target.name for target in added}
                 read_paths = {src for target in added for src in target.srcs}

@@ -3,7 +3,9 @@
 Commits store layered deltas over their parent, so creating a speculative
 merge commit is O(size of patch), not O(size of repo).  Snapshot lookups
 walk the layer chain; :class:`Snapshot` also memoizes a flattened view once
-a full materialization is requested.
+a full materialization is requested.  The repository keeps HEAD's tree
+flat as well, so a mainline commit checks its patch in O(patch) however
+long the history grows.
 
 The repository additionally tracks mainline *health* (green/red) per
 commit, which the trunk-based-development simulation (Figure 14) and the
@@ -144,6 +146,8 @@ class Repository:
         self._commits[root.commit_id] = root
         self._head: CommitId = root.commit_id
         self._mainline_history.append(root.commit_id)
+        #: HEAD's tree, flat: a patch onto HEAD is checked against it.
+        self._head_files: Dict[Path, Optional[str]] = dict(root_delta)
 
     # -- commits ----------------------------------------------------------
 
@@ -177,8 +181,8 @@ class Repository:
         Raises :class:`repro.errors.PatchConflictError` when the patch does
         not apply cleanly on the parent snapshot.
         """
-        parent_snapshot = self.snapshot(parent_id)
-        patch.check_applies(parent_snapshot)
+        at_head = parent_id == self._head
+        patch.check_applies(self._head_files if at_head else self.snapshot(parent_id))
         commit = Commit(
             _next_commit_id(),
             parent_id,
@@ -232,6 +236,11 @@ class Repository:
         commit.green = green
         self._head = commit.commit_id
         self._mainline_history.append(commit.commit_id)
+        for path, content in commit.delta.items():
+            if content is None:
+                self._head_files.pop(path, None)
+            else:
+                self._head_files[path] = content
         return commit
 
     def mark_red(self, commit_id: CommitId) -> None:

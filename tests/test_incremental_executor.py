@@ -87,10 +87,10 @@ class TestBuildContext:
         context, patch = _ctx_and_patch(
             tiny_snapshot, {"app/app.py": "APP = 30\n"}
         )
-        index_before = context.topo_index()
+        index_before = context.graph.topo_index()
         derived = _derive(context, patch)
         assert derived.graph is context.graph
-        assert derived.topo_index() is index_before
+        assert derived.graph.topo_index() is index_before
 
     def test_dirty_since_base_accumulates_along_chain(self, tiny_snapshot):
         context = BuildContext.load(dict(tiny_snapshot))

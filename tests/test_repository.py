@@ -83,6 +83,36 @@ class TestCommits:
         }
 
 
+class TestMainlineCommitCost:
+    def test_lookups_per_commit_do_not_grow_with_history(self, monkeypatch):
+        """Each commit adds a path the tree lacks, so checking it against a
+        chain-walking snapshot would visit every commit back to the root:
+        the 2,000th commit would cost 2,000 lookups, the first one."""
+        repo = Repository({"seed.py": "s0"})
+        lookups = [0]
+        commit = Repository.commit
+
+        def counting(self, commit_id):
+            lookups[0] += 1
+            return commit(self, commit_id)
+
+        monkeypatch.setattr(Repository, "commit", counting)
+        per_commit = []
+        for index in range(2000):
+            before = lookups[0]
+            repo.commit_to_mainline(Patch.adding({f"f{index}.py": f"v{index}"}))
+            per_commit.append(lookups[0] - before)
+        assert sum(per_commit[-100:]) == sum(per_commit[:100])
+
+        # The flat head view follows deletes and re-adds.
+        repo.commit_to_mainline(Patch.deleting(["f7.py"]))
+        with pytest.raises(PatchConflictError):
+            repo.commit_to_mainline(Patch.deleting(["f7.py"]))
+        repo.commit_to_mainline(Patch.adding({"f7.py": "again"}))
+        assert repo.snapshot()["f7.py"] == "again"
+        assert len(repo.snapshot()) == 2001
+
+
 class TestGreenness:
     def test_green_by_default(self, repo):
         repo.commit_to_mainline(Patch.modifying({"a.py": "a1"}))
