@@ -198,7 +198,6 @@ class TestFutureWorkAblations:
     def test_preemption_grace_reduces_waste(self, stream, trained_predictor):
         learned, _ = trained_predictor
         from repro.planner.planner import PlannerEngine
-        from repro.planner.workers import WorkerPool
         from repro.planner.controller import LabelBuildController
         from repro.sim.simulator import Simulation
 
@@ -299,14 +298,13 @@ def test_benchmark_plan_epoch(benchmark, trained_predictor):
     """Microbenchmark: one planner epoch over a loaded queue."""
     from repro.planner.controller import LabelBuildController
     from repro.planner.planner import PlannerEngine
-    from repro.planner.workers import WorkerPool
 
     learned, _ = trained_predictor
     stream = make_stream(RATE, 150, seed=9)
     planner = PlannerEngine(
         strategy=SubmitQueueStrategy(learned),
         controller=LabelBuildController(),
-        workers=WorkerPool(200),
+        workers=200,
         conflict_predicate=potential_conflict,
     )
     for time, change in stream:
@@ -316,7 +314,7 @@ def test_benchmark_plan_epoch(benchmark, trained_predictor):
         result = planner.plan(0.0)
         # Abort everything so the next iteration replans from scratch
         # (planner._abort keys stay restartable and unindexed twice).
-        for key in planner.workers.running_builds():
+        for key in list(planner.running):
             planner._abort(key, 0.0)
         return len(result.started)
 

@@ -24,7 +24,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.conflict``    target-hash conflict analysis (Eq. 6, union graph)
 ``repro.speculation`` speculation graph, Equations 1-5, build selection
 ``repro.predictor``   logistic-regression success/conflict models
-``repro.planner``     planner engine, build controller, worker pool
+``repro.planner``     planner engine, build controller
 ``repro.strategies``  SubmitQueue / Oracle / baselines
 ``repro.sim``         discrete-event simulator
 ``repro.workload``    synthetic monorepos and change streams

@@ -14,12 +14,17 @@ from typing import Dict, Iterable, Tuple
 
 from repro.changes.change import Change, GroundTruth
 
+#: Entries the real-conflict memo holds; a full memo starts afresh.
+REAL_CONFLICT_CACHE_CAPACITY = 1 << 16
+
 #: Memoized pairwise real-conflict verdicts: sorted change-id pair ->
 #: (the pair's ground truths, verdict).  The hot simulation loops evaluate
 #: the same pairs millions of times.  An entry answers only for equal
 #: ground truths — the verdict's other input — so two changes that reuse
 #: ids (ids restart per process, or per benchmark module) are decided
-#: afresh.
+#: afresh.  The memo is process-global and every run mints new ids, so
+#: it is bounded: when full it is emptied and refills as one new
+#: generation, the way ``DigestMemo.rotate`` retires a generation.
 _REAL_CONFLICT_CACHE: Dict[
     Tuple[str, str], Tuple[Tuple[GroundTruth, GroundTruth], bool]
 ] = {}
@@ -94,6 +99,8 @@ def real_conflict(first: Change, second: Change) -> bool:
         rate_b = _require_truth(second).real_conflict_rate
         combined = 1.0 - ((1.0 - rate_a) * (1.0 - rate_b)) ** 0.5
         verdict = _pair_coin(first, second) < combined
+    if len(_REAL_CONFLICT_CACHE) >= REAL_CONFLICT_CACHE_CAPACITY:
+        _REAL_CONFLICT_CACHE.clear()
     _REAL_CONFLICT_CACHE[key] = (truths, verdict)
     return verdict
 

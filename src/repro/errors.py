@@ -89,7 +89,7 @@ class PlannerError(ReproError):
 
 
 class NoWorkerAvailableError(PlannerError):
-    """A build was dispatched while no worker slot was free."""
+    """A build was dispatched while every worker was busy."""
 
 
 class PredictorError(ReproError):

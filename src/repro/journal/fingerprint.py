@@ -1,11 +1,10 @@
 """Canonical state fingerprints: the replay-determinism oracle.
 
 :func:`state_fingerprint` reduces a ``CoreService`` to a JSON-native
-structure covering everything behaviour-relevant — pending queue and its
-sequencing (a change's sequence number is its position in the planner's
-records), decision history, ledger rows, frozen ancestor lists,
-scheduled events, worker accounting, repository content and health, and
-the planner's aggregate counters.  Two services with equal fingerprints
+structure covering everything behaviour-relevant — pending queue in
+order, decision history, ledger rows, frozen ancestor lists, running
+builds, scheduled events, repository content and health, and the
+planner's aggregate counters.  Two services with equal fingerprints
 make identical decisions on identical future inputs.
 
 Deliberately excluded:
@@ -39,7 +38,6 @@ def state_fingerprint(service) -> Dict[str, object]:
     """A JSON-native digestible view of everything behaviour-relevant."""
     planner = service.planner
     repo = service.repo
-    workers = planner.workers
     # Submissions scheduled via enqueue() but not yet accepted.  The key
     # appears only when non-empty so fingerprints of services that never
     # enqueue (every journal snapshot — pumps drain the queue first, and
@@ -59,8 +57,6 @@ def state_fingerprint(service) -> Dict[str, object]:
             "head_digest": snapshot_digest(repo.snapshot().to_dict()),
         },
         "pending": planner.conflict_graph.in_order(),
-        "sequences": sorted([cid, seq] for seq, cid in enumerate(planner.records)),
-        "next_seq": len(planner.records),
         "decided": [[cid, v] for cid, v in planner.decided.items()],
         "decisions": [
             [d.change_id, d.committed, d.at, d.reason]
@@ -83,19 +79,13 @@ def state_fingerprint(service) -> Dict[str, object]:
             cid: list(record.ancestors) for cid, record in planner.records.items()
         },
         "ancestry_version": planner.reorders_applied,
-        "running": sorted(key.label() for key in workers.running_builds()),
+        "running": sorted(key.label() for key in planner.running),
         "scheduled": sorted(
             [handle.time, key.label()]
             for key, handle in service._completion_handles.items()
             if not handle.cancelled
         ),
         "stats": asdict(planner.stats),
-        "workers": {
-            "ewma": [[cid, value] for cid, value in workers._duration_ewma.items()],
-            "slots": [
-                [slot.total_busy, slot.builds_run] for slot in workers._workers
-            ],
-        },
     }
 
 

@@ -48,7 +48,11 @@ from repro.vcs.patch import FileOp, OpKind, Patch
 #: folds from them — ``epoch`` its pending-queue depth (``queue``),
 #: ``build_finish`` the build's outcome (``success``, ``null`` in v3) and
 #: ``decision`` the change's turnaround in minutes (``turnaround``).
-SCHEMA_VERSION = 4
+#: v5: ``epoch.aborted`` lists the aborted builds in dispatch order, and
+#: a ``snapshot`` state drops the worker-slot history (``workers``) and
+#: the sequence numbers its ledger order already gives (``sequences``,
+#: ``next_seq``).
+SCHEMA_VERSION = 5
 
 INIT = "init"
 SUBMIT = "submit"

@@ -4,8 +4,9 @@ Snapshots are taken only when the service is *quiescent* — no pending
 changes, no scheduled events, no busy workers — so the serialized state
 is exactly the carry-over that outlives a pump: the repository (content
 and per-commit greenness, never raw commit ids, which come from a
-process-global counter), the planner's ledger/decision history, queue
-sequencing, worker duration history, and the shared artifact cache.
+process-global counter), the planner's ledger (in submission order, which
+is the queue sequencing), decision history and counters, and the shared
+artifact cache.
 
 What is deliberately *not* captured — analyzer caches, memoized build
 contexts, strategy carry-over — is exactly
@@ -41,7 +42,7 @@ def is_quiescent(service) -> bool:
     return (
         service.planner.pending_count() == 0
         and not service._events
-        and service.planner.workers.busy == 0
+        and not service.planner.running
     )
 
 
@@ -232,7 +233,6 @@ def capture_state(service) -> Dict[str, object]:
     if not is_quiescent(service):
         raise JournalError("snapshots require a quiescent service")
     planner = service.planner
-    workers = planner.workers
     cache = _artifact_cache_of(service)
     return {
         "at": service.clock.now,
@@ -251,21 +251,8 @@ def capture_state(service) -> Dict[str, object]:
             [change_id, list(record.ancestors)]
             for change_id, record in planner.records.items()
         ],
-        "sequences": [
-            [change_id, seq] for seq, change_id in enumerate(planner.records)
-        ],
-        "next_seq": len(planner.records),
         "ancestry_version": planner.reorders_applied,
         "stats": asdict(planner.stats),
-        "workers": {
-            "ewma": [
-                [change_id, value]
-                for change_id, value in workers._duration_ewma.items()
-            ],
-            "slots": [
-                [slot.total_busy, slot.builds_run] for slot in workers._workers
-            ],
-        },
         "artifact_cache": []
         if cache is None
         else [
@@ -310,13 +297,6 @@ def restore_service(
         record = _decode_ledger_record(payload)
         planner.records[record.change_id] = record
         planner.all_changes[record.change_id] = record.change
-    # Sequence numbers are positions in the ledger; a snapshot that says
-    # otherwise was not written by this program.
-    sequences = [[cid, seq] for seq, cid in enumerate(planner.records)]
-    if state["sequences"] != sequences or state["next_seq"] != len(sequences):
-        raise JournalCorruptError(
-            "snapshot sequence numbers disagree with its ledger order"
-        )
     planner.decided = {change_id: verdict for change_id, verdict in state["decided"]}
     planner._decision_log = [
         Decision(change_id=cid, committed=committed, at=at, reason=reason)
@@ -335,19 +315,6 @@ def restore_service(
     planner.stats = PlannerStats(**state["stats"])
     # Rebind the exposed series to the restored counts.
     recorder.expose(planner.stats)
-
-    workers = planner.workers
-    for change_id, value in state["workers"]["ewma"]:
-        workers._duration_ewma[change_id] = value
-    slots = state["workers"]["slots"]
-    if len(slots) != len(workers._workers):
-        raise JournalCorruptError(
-            f"snapshot describes {len(slots)} workers, config has "
-            f"{len(workers._workers)}"
-        )
-    for slot, (total_busy, builds_run) in zip(workers._workers, slots):
-        slot.total_busy = total_busy
-        slot.builds_run = builds_run
 
     cache = _artifact_cache_of(service)
     if cache is not None:

@@ -71,7 +71,7 @@ class RunSummary:
 
         Successes are the changes' speculation counters, which a restored
         snapshot carries (its build table starts empty)."""
-        stats, workers = planner.stats, planner.workers
+        stats = planner.stats
         decisions = planner.decisions()
         records = planner.records
         committed = sum(1 for decision in decisions if decision.committed)
@@ -88,9 +88,9 @@ class RunSummary:
             builds_aborted=stats.builds_aborted,
             build_minutes=stats.build_minutes,
             wasted_minutes=stats.wasted_minutes,
-            busy_minutes=workers.busy_minutes(now),
+            busy_minutes=planner.busy_minutes(now),
             window_minutes=now,
-            capacity=workers.capacity,
+            capacity=planner.workers,
         )
 
     @classmethod

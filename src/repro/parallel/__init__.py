@@ -4,7 +4,7 @@ A batch runs in exactly one of two places: in-process at dispatch (no
 backend — the serial oracle) or on a :class:`ProcessBuildBackend`.
 Backend selection lives in exactly one place — :func:`create_build_backend`:
 callers name a *spec* string, never the class, and everything upstream of
-the backend seam (`BuildExecutor`, `WorkerPool`, the planner) stays
+the backend seam (`BuildExecutor`, the planner) stays
 backend-agnostic.
 
 Spec grammar: ``"process"`` / ``"process:N"`` — a ``ProcessPoolExecutor``

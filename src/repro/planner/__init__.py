@@ -2,13 +2,12 @@
 
 The planner engine runs the epoch loop: ask the strategy for the builds
 worth running, abort running builds that fell out of the selection,
-schedule new ones onto workers, and commit or reject changes as decisive
-build results arrive.  The build controller supplies per-build outcomes
-and durations in either fidelity (label mode or full-stack), implements
-minimal-build-step elimination, and load-balances workers.
+start new ones while workers are free, and commit or reject changes as
+decisive build results arrive.  The build controller supplies per-build
+outcomes and durations in either fidelity (label mode or full-stack) and
+implements minimal-build-step elimination.
 """
 
-from repro.planner.workers import WorkerPool
 from repro.planner.controller import (
     BuildController,
     FullStackBuildController,
@@ -31,5 +30,4 @@ __all__ = [
     "LabelBuildController",
     "PlannerEngine",
     "PlannerView",
-    "WorkerPool",
 ]

@@ -6,8 +6,8 @@ Event-driven core shared by every strategy:
   graph, set the change's conflicting-ancestor list on its record;
 * :meth:`PlannerEngine.plan` — ask the strategy for the current most
   valuable builds, abort running builds that fell out of the selection,
-  assign newly selected ones to free workers and dispatch them to the
-  build controller; the returned :class:`Epoch` holds the batch until it
+  start newly selected ones while workers are free and dispatch them to
+  the build controller; the returned :class:`Epoch` holds the batch until it
   resolves;
 * :meth:`PlannerEngine.resolve_pending` — the one way an outcome comes
   back (section 6's asynchronous build controller): the driver calls it
@@ -53,11 +53,10 @@ from typing import (
 from repro.changes.change import Change
 from repro.changes.state import ChangeRecord
 from repro.conflict.conflict_graph import ConflictGraph
-from repro.errors import PlannerError
+from repro.errors import NoWorkerAvailableError, PlannerError
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.registry import metric_field
 from repro.planner.controller import BuildController, BuildExecution
-from repro.planner.workers import WorkerPool
 from repro.types import BuildKey, ChangeId
 
 
@@ -144,8 +143,9 @@ class PlannerStats:
     plan_calls: int = metric_field(
         "planner_plan_calls_total", "Planner epochs (plan() calls)."
     )
-    #: Never incremented; kept because state fingerprints carry its key.
-    plan_calls_skipped: int = 0
+    #: Never incremented and not a field, so no encoding carries it;
+    #: ``bench/worker.py`` still reads it.
+    plan_calls_skipped = 0
     #: Build steps actually executed / eliminated across started builds.
     steps_executed: int = metric_field(
         "build_steps_executed_total",
@@ -174,10 +174,6 @@ class _PlannerMetrics:
         "decisions_committed",
         "decisions_rejected",
         "turnaround",
-        "assignment_estimate",
-        "assignments_warm",
-        "assignments_cold",
-        "load_imbalance",
     )
 
     def __init__(self, recorder: Recorder) -> None:
@@ -209,25 +205,6 @@ class _PlannerMetrics:
             "service_turnaround_minutes",
             "Submission-to-decision turnaround.",
         )
-        self.assignment_estimate = recorder.histogram(
-            "planner_worker_assignment_estimate_minutes",
-            "EWMA duration estimates at assignment time (history-based "
-            "load balancing, section 6).",
-        )
-        self.assignments_warm = recorder.counter(
-            "planner_worker_assignments_total",
-            "Worker assignments by history availability.",
-            labels={"history": "warm"},
-        )
-        self.assignments_cold = recorder.counter(
-            "planner_worker_assignments_total",
-            "Worker assignments by history availability.",
-            labels={"history": "cold"},
-        )
-        self.load_imbalance = recorder.gauge(
-            "planner_worker_load_imbalance_minutes",
-            "Max-minus-min cumulative busy minutes across workers.",
-        )
 
 
 class PlannerView:
@@ -257,7 +234,7 @@ class PlannerView:
         return self._planner.all_changes
 
     def running_keys(self) -> Set[BuildKey]:
-        return set(self._planner.workers.running_builds())
+        return set(self._planner.running)
 
     def decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
         """The build that settles a pending change, or ``None`` while one
@@ -270,14 +247,14 @@ class PlannerView:
 
 
 class PlannerEngine:
-    """Shared orchestration: conflict graph (the pending queue) + workers +
-    decisions."""
+    """Shared orchestration: conflict graph (the pending queue) + worker
+    count + decisions."""
 
     def __init__(
         self,
         strategy,
         controller: BuildController,
-        workers: WorkerPool,
+        workers: int,
         conflict_predicate: Callable[[Change, Change], bool],
         preemption_grace: float = 0.0,
         recorder: Recorder = NULL_RECORDER,
@@ -285,7 +262,12 @@ class PlannerEngine:
             Callable[[Change, Sequence[Change]], Optional[Iterable[ChangeId]]]
         ] = None,
     ) -> None:
-        """``preemption_grace``: a running build within this many minutes
+        """``workers``: the build fleet's size.  Workers are
+        interchangeable — a build completes at dispatch time plus its
+        duration whichever one runs it — so the fleet is a count, and at
+        most that many builds run at once.
+
+        ``preemption_grace``: a running build within this many minutes
         of completion is never aborted even when deselected — the paper's
         section-10 build-preemption refinement ("if a build is near its
         completion, it might be beneficial to continue running its build
@@ -304,12 +286,17 @@ class PlannerEngine:
         Without it — label mode, and the reference the identity tests
         compare against — every submission is checked against every
         pending change."""
+        if workers <= 0:
+            raise ValueError("worker capacity must be positive")
         if preemption_grace < 0:
             raise ValueError("preemption_grace must be non-negative")
         self.preemption_grace = preemption_grace
         self.strategy = strategy
         self.controller = controller
         self.workers = workers
+        #: Builds dispatched and neither finished nor aborted, in dispatch
+        #: order.
+        self.running: Dict[BuildKey, BuildRecord] = {}
         strategy.bind_recorder(recorder)
         self._conflict_candidates = conflict_candidates
         #: The pending changes, in submission order, and their conflicts.
@@ -482,34 +469,29 @@ class PlannerEngine:
         self.stats.plan_calls += 1
         for ahead_id, behind_id in self.strategy.propose_reorders(self._view):
             self.reorder(ahead_id, behind_id)
-        budget = self.workers.capacity
-        selected: List[BuildKey] = self.strategy.select(self._view, budget)
+        selected: List[BuildKey] = self.strategy.select(self._view, self.workers)
         selected_set = set(selected)
 
         aborted: List[BuildKey] = []
-        for key in self.workers.running_builds():
+        for key, record in list(self.running.items()):
             if key in selected_set:
                 continue
-            if self.preemption_grace > 0.0:
-                record = self.builds.get(key)
-                # Unresolved dispatches have no duration yet; they were
-                # dispatched at the current instant, so "nearly done"
-                # can never apply — fall through to the abort.
-                if record is not None and record.execution is not None:
-                    remaining = (
-                        record.started_at + record.execution.duration - now
-                    )
-                    if 0.0 <= remaining <= self.preemption_grace:
-                        continue  # nearly done: let it finish
+            # Unresolved dispatches have no duration yet; they were
+            # dispatched at the current instant, so "nearly done" can
+            # never apply — fall through to the abort.
+            if self.preemption_grace > 0.0 and record.execution is not None:
+                remaining = record.started_at + record.execution.duration - now
+                if 0.0 <= remaining <= self.preemption_grace:
+                    continue  # nearly done: let it finish
             self._abort(key, now)
             aborted.append(key)
 
         to_start: List[BuildKey] = []
-        free_budget = self.workers.free
+        free_budget = self.free
         for key in selected:
             if len(to_start) >= free_budget:
                 break
-            if self.workers.is_running(key):
+            if key in self.running:
                 continue
             existing = self.builds.get(key)
             if existing is not None and existing.done and not existing.aborted:
@@ -522,7 +504,7 @@ class PlannerEngine:
         # that has one (every ancestor decided), so the system always makes
         # progress.  Without reorders that is the queue head; after one, the
         # head may wait on a change behind it.
-        if not epoch.started and self.workers.busy == 0:
+        if not epoch.started and not self.running:
             for change in self.conflict_graph:
                 key = self.decisive_key(change.change_id)
                 if key is None:
@@ -534,8 +516,8 @@ class PlannerEngine:
         epoch.aborted = aborted
         if epoch.started or aborted:
             epoch.queue = len(self.conflict_graph)
-            epoch.busy = self.workers.busy
-            epoch.capacity = self.workers.capacity
+            epoch.busy = self.busy
+            epoch.capacity = self.workers
             self._unresolved.append(epoch)
         if self._metrics is not None:
             self._record_epoch()
@@ -545,58 +527,45 @@ class PlannerEngine:
         """Set the epoch gauges (no decision lands inside a plan, so the
         queue depth is the epoch's from start to end)."""
         self._metrics.queue_depth.set(len(self.conflict_graph))
-        self._metrics.workers_busy.set(self.workers.busy)
-        self._metrics.worker_utilization.set(
-            self.workers.busy / self.workers.capacity
-        )
-        self._metrics.load_imbalance.set(self.workers.load_imbalance())
+        self._metrics.workers_busy.set(self.busy)
+        self._metrics.worker_utilization.set(self.busy / self.workers)
 
     def _start_batch(self, keys: List[BuildKey], now: float) -> Epoch:
-        """Assign workers to a batch of selected builds and dispatch it;
-        the epoch that holds it is returned for :meth:`plan` to finish.
+        """Start a batch of selected builds on free workers and dispatch
+        it; the epoch that holds it is returned for :meth:`plan` to
+        finish.
 
-        Worker slots are claimed in longest-processing-time-first order
-        over the pool's EWMA duration history (section 6's history-based
-        balancing); everything else — records, the dispatch, the started
-        keys — stays in selection order, so event timing and build
-        outcomes are unchanged by the assignment policy.
-
-        Everything the *selection* depends on (worker occupancy, running
-        set, per-change counters) is updated here; executions, step
-        counters and durations arrive at :meth:`resolve_pending`.
+        Everything the *selection* depends on (the running builds,
+        per-change counters) is updated here; executions, step counters
+        and durations arrive at :meth:`resolve_pending`.
         """
         epoch = Epoch(at=now, started=list(keys))
         if keys:
-            self._assign_workers(keys, now)
             epoch.builds = [self._register_dispatch(key, now) for key in keys]
             epoch.batch = self.controller.dispatch_batch(
                 keys, self.all_changes, self.decided
             )
         return epoch
 
-    def _assign_workers(self, keys: List[BuildKey], now: float) -> None:
-        for key in self.workers.assignment_order(keys):
-            estimate = self.workers.estimate(key.change_id)
-            self.workers.assign(key, now)
-            if self._metrics is not None:
-                if estimate is None:
-                    self._metrics.assignments_cold.inc()
-                else:
-                    self._metrics.assignments_warm.inc()
-                    self._metrics.assignment_estimate.observe(estimate)
-
     def _register_dispatch(self, key: BuildKey, now: float) -> BuildRecord:
         """Mint the build record at dispatch time.
 
         Everything the next ``plan()`` can read is updated here — the
-        build record, per-change counters, ``builds_started`` — while the
-        execution-derived pieces (step counters, duration) wait for
-        :meth:`resolve_pending`.
+        build record, the running builds, per-change counters,
+        ``builds_started`` — while the execution-derived pieces (step
+        counters, duration) wait for :meth:`resolve_pending`.  A build
+        already running, or one more than the workers can take, is
+        refused.
         """
+        if key in self.running:
+            raise ValueError(f"build {key.label()} already running")
+        if len(self.running) >= self.workers:
+            raise NoWorkerAvailableError(key.label())
         if key not in self.builds:
             self._builds_by_change.setdefault(key.change_id, []).append(key)
         build = BuildRecord(key=key, execution=None, started_at=now)
         self.builds[key] = build
+        self.running[key] = build
         record = self.records.get(key.change_id)
         if record is not None:
             record.builds_scheduled += 1
@@ -632,13 +601,9 @@ class PlannerEngine:
         return epochs
 
     def _abort(self, key: BuildKey, now: float) -> None:
-        # completed=False keeps the partial interval out of the worker
-        # pool's duration history — aborts say nothing about build length.
-        self.workers.release(key, now, completed=False)
-        record = self.builds.get(key)
-        if record is not None:
-            record.aborted = True
-            self.stats.wasted_minutes += max(0.0, now - record.started_at)
+        record = self.running.pop(key)
+        record.aborted = True
+        self.stats.wasted_minutes += max(0.0, now - record.started_at)
         change_record = self.records.get(key.change_id)
         if change_record is not None:
             change_record.builds_aborted += 1
@@ -655,7 +620,7 @@ class PlannerEngine:
             raise PlannerError(
                 f"build {key.label()} completed before its dispatch resolved"
             )
-        self.workers.release(key, now)
+        del self.running[key]
         record.completed_at = now
         self.stats.builds_completed += 1
         self.stats.build_minutes += record.execution.duration
@@ -825,4 +790,23 @@ class PlannerEngine:
 
     def pending_count(self) -> int:
         return len(self.conflict_graph)
+
+    @property
+    def busy(self) -> int:
+        """Workers running a build."""
+        return len(self.running)
+
+    @property
+    def free(self) -> int:
+        return self.workers - len(self.running)
+
+    def busy_minutes(self, now: float) -> float:
+        """Worker minutes spent building up to ``now``: finished builds'
+        durations, aborted builds' partial runs and the running builds'
+        elapsed time."""
+        stats = self.stats
+        total = stats.build_minutes + stats.wasted_minutes
+        for record in self.running.values():
+            total += max(0.0, now - record.started_at)
+        return total
 

@@ -157,7 +157,7 @@ class ObservabilityServer:
             aggregator = SloAggregator(
                 self.recorder,
                 window_minutes=self.slo_window_minutes,
-                worker_capacity=self.core.planner.workers.capacity,
+                worker_capacity=self.core.planner.workers,
             )
             payload = aggregator.snapshot()
         payload["ok"] = True

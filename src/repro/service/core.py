@@ -26,7 +26,6 @@ from repro.journal.sink import NULL_JOURNAL, JournalSink
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.planner.controller import BuildController, FullStackBuildController
 from repro.planner.planner import Decision, PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.sim.clock import Clock
 from repro.sim.events import EventHandle, EventQueue
 from repro.strategies.base import Strategy
@@ -125,7 +124,7 @@ class CoreService:
         self.planner = PlannerEngine(
             strategy=strategy,
             controller=self.controller,
-            workers=WorkerPool(config.workers),
+            workers=config.workers,
             conflict_predicate=(
                 conflict_predicate
                 if conflict_predicate is not None

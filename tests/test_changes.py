@@ -23,7 +23,6 @@ from repro.errors import IllegalTransitionError, UnknownChangeError
 from repro.journal import state_fingerprint
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.service.api import SubmitQueueService
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sim.simulator import Simulation
@@ -151,7 +150,7 @@ def label_planner():
     return PlannerEngine(
         SingleQueueStrategy(),
         LabelBuildController(),
-        WorkerPool(1),
+        1,
         conflict_predicate=lambda a, b: False,
     )
 
@@ -258,10 +257,9 @@ class TestPendingQueue:
         service.submit(d)
         fingerprint = state_fingerprint(service)
         assert fingerprint["pending"] == [d.change_id]
-        assert fingerprint["sequences"] == sorted(
-            [change.change_id, seq] for seq, change in enumerate((a, b, c, d))
-        )
-        assert fingerprint["next_seq"] == 4
+        assert list(service.planner.records) == [
+            change.change_id for change in (a, b, c, d)
+        ]
 
     def test_order_survives_removals(self):
         graph = ConflictGraph(lambda a, b: True)

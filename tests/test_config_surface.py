@@ -11,6 +11,7 @@ import inspect
 
 import pytest
 
+from repro.changes import truth
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
@@ -19,7 +20,6 @@ from repro.parallel import BuildRequest, ProcessBuildBackend, create_build_backe
 from repro.obs.registry import Gauge, MetricsRegistry
 from repro.planner.controller import FullStackBuildController, LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.logistic import LogisticRegression
 from repro.predictor.predictors import LearnedPredictor
 from repro.predictor.training import recursive_feature_elimination, train_models
@@ -51,10 +51,13 @@ def test_config_has_exactly_five_fields():
 
 
 def test_planner_constructor_arguments():
-    assert list(inspect.signature(PlannerEngine.__init__).parameters) == [
+    signature = inspect.signature(PlannerEngine.__init__)
+    assert list(signature.parameters) == [
         "self", "strategy", "controller", "workers", "conflict_predicate",
         "preemption_grace", "recorder", "conflict_candidates",
     ]
+    # The fleet is a count, as CoreServiceConfig.workers passes it.
+    assert signature.parameters["workers"].annotation in (int, "int")
 
 
 def test_service_constructor_arguments():
@@ -103,7 +106,6 @@ SIGNATURES = [
     (ReorderingSubmitQueueStrategy.__init__, ["self", "predictor"]),
     (IndependentBatchStrategy.__init__, ["self", "predictor"]),
     (LabelBuildController.__init__, ["self", "step_elimination"]),
-    (WorkerPool.__init__, ["self", "capacity"]),
     (LearnedPredictor.__init__, [
         "self", "success_model", "conflict_model", "extractor",
     ]),
@@ -131,9 +133,8 @@ def test_single_valued_options_are_not_arguments(function, expected):
     (IndependentBatchStrategy, "CONFIDENCE", 0.9),
     (LabelBuildController, "STACKING_OVERHEAD", 0.35),
     (LabelBuildController, "DEFAULT_DURATION", 30.0),
-    (WorkerPool, "EWMA_ALPHA", 0.25),
-    (WorkerPool, "HISTORY_CAPACITY", 4096),
     (LearnedPredictor, "CACHE_CAPACITY", 1 << 16),
+    (truth, "REAL_CONFLICT_CACHE_CAPACITY", 1 << 16),
     (MetricsRegistry, "MAX_SERIES_PER_METRIC", 1000),
     (Simulation, "MAX_MINUTES", 60.0 * 24 * 365),
     (LogisticRegression, "L2", 1e-3),
@@ -189,13 +190,13 @@ def test_build_factory_rejects_bad_specs_with_typed_error(spec):
 
 def test_v2_journal_is_refused_naming_both_versions():
     head = rec.init_record(0.0, {}, {}, {})
-    assert head["v"] == rec.SCHEMA_VERSION == 4
-    for old in (2, 3):
+    assert head["v"] == rec.SCHEMA_VERSION == 5
+    for old in (2, 3, 4):
         head["v"] = old
         with pytest.raises(JournalCorruptError) as excinfo:
             rec.check_records([head])
         assert f"version {old}" in str(excinfo.value)
-        assert "only 4" in str(excinfo.value)
+        assert "only 5" in str(excinfo.value)
 
 
 def test_build_controller_constructor_arguments():

@@ -1,8 +1,13 @@
 """Smoke tests for the experiment modules (tiny sizes; the benchmark
 suite runs them at paper scale)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.changes import truth
 from repro.experiments import (
     buildgraph_stability,
     figure01,
@@ -25,6 +30,36 @@ from repro.experiments.runner import (
     strategy_factories,
 )
 from repro.strategies.oracle import OracleStrategy
+
+#: One figure-12 cell, printed.
+FIGURE12_CELL = (
+    "from repro.experiments import figure12\n"
+    "print(figure12.format_result(figure12.run(rates=(300,), workers=(100,), "
+    "changes_per_cell=100, strategies=('SubmitQueue',))))\n"
+)
+
+
+def test_real_conflict_memo_stays_bounded_across_runs(monkeypatch, capsys):
+    """The process-global real-conflict memo keeps every run's pairs
+    (each run mints new change ids).  Run one figure-12 cell twice in one
+    process with a bound below one run's pairs: the memo stays within it,
+    and both runs print what a fresh interpreter prints."""
+    monkeypatch.setattr(truth, "REAL_CONFLICT_CACHE_CAPACITY", 64)
+    outputs = []
+    for _ in range(2):
+        exec(FIGURE12_CELL, {})
+        outputs.append(capsys.readouterr().out)
+        assert 0 < len(truth._REAL_CONFLICT_CACHE) <= 64
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FIGURE12_CELL],
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        capture_output=True,
+        check=True,
+        text=True,
+        timeout=120,
+    ).stdout
+    assert outputs == [fresh, fresh]
 
 
 class TestRunner:

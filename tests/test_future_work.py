@@ -7,7 +7,6 @@ from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import OraclePredictor, StaticPredictor
 from repro.sim.simulator import Simulation
 from repro.strategies.base import Strategy
@@ -54,7 +53,7 @@ class TestPreemptionGrace:
         return PlannerEngine(
             strategy=_FlipFlopStrategy(key),
             controller=LabelBuildController(),
-            workers=WorkerPool(2),
+            workers=2,
             conflict_predicate=potential_conflict,
             preemption_grace=grace,
         )
@@ -67,7 +66,7 @@ class TestPreemptionGrace:
         plan_and_resolve(planner, 0.0)                      # starts the build
         result = plan_and_resolve(planner, 25.0)            # deselects; 5 min remaining
         assert result.aborted == []
-        assert planner.workers.is_running(key)
+        assert key in planner.running
 
     def test_far_from_done_build_still_aborted(self):
         change = labeled(duration=30.0)
@@ -97,7 +96,7 @@ class TestIndependentBatchStrategy:
         return PlannerEngine(
             strategy=strategy,
             controller=LabelBuildController(),
-            workers=WorkerPool(workers),
+            workers=workers,
             conflict_predicate=potential_conflict,
         )
 

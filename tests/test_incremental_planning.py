@@ -23,7 +23,6 @@ from repro.changes.state import ChangeRecord
 from repro.obs.recorder import Recorder
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import Predictor, StaticPredictor
 from repro.speculation.engine import SpeculationEngine
 from repro.strategies.single_queue import SingleQueueStrategy
@@ -622,7 +621,7 @@ class TestLongChainCycleCheck:
         planner = PlannerEngine(
             strategy=SingleQueueStrategy(),
             controller=LabelBuildController(),
-            workers=WorkerPool(1),
+            workers=1,
             conflict_predicate=lambda a, b: True,  # everyone conflicts
         )
         n = 1500

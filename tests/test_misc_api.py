@@ -7,10 +7,12 @@ from repro.buildsys.steps import StepResult, StepSpec
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.conflict.conflict_graph import ConflictGraph
 from repro.errors import UnknownChangeError
-from repro.planner.workers import WorkerPool
 from repro.types import BuildKey, StepKind
 from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
+
+from .conftest import start_builds
+from .test_workers_controller import fleet
 
 DEV = Developer("dev1")
 
@@ -69,22 +71,14 @@ class TestConflictGraphAccessors:
 
 
 class TestWorkerPoolAccounting:
-    def test_load_imbalance(self):
-        pool = WorkerPool(2)
-        key = BuildKey("c1")
-        pool.assign(key, now=0.0)
-        pool.release(key, now=40.0)
-        assert pool.load_imbalance() == pytest.approx(40.0)
-
     def test_running_builds_listing(self):
-        pool = WorkerPool(2)
+        planner = fleet(2, 30.0, 30.0)
         keys = [BuildKey("c1"), BuildKey("c2")]
-        for key in keys:
-            pool.assign(key, now=0.0)
-        assert set(pool.running_builds()) == set(keys)
+        start_builds(planner, keys, now=0.0)
+        assert list(planner.running) == keys
 
     def test_utilization_zero_at_time_zero(self):
-        assert WorkerPool(1).busy_minutes(0.0) == 0.0
+        assert fleet(1).busy_minutes(0.0) == 0.0
 
 
 class TestBuildReportAccessors:

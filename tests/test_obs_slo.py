@@ -244,7 +244,7 @@ class TestSloAggregator:
             aggregator = SloAggregator(
                 core.recorder,
                 window_minutes=1e9,
-                worker_capacity=core.planner.workers.capacity,
+                worker_capacity=core.planner.workers,
             )
             payload = aggregator.snapshot()
             decided = (

@@ -191,7 +191,7 @@ def test_completing_an_unresolved_dispatch_raises(cell):
     service = make_service(cell, None)
     service.submit(copy.deepcopy(cell[1][0]))
     planner = service.planner
-    (key,) = planner.workers.running_builds()
+    (key,) = planner.running
     assert planner.builds[key].execution is None
     with pytest.raises(PlannerError, match="before its dispatch resolved"):
         planner.complete(key, 1.0)
@@ -211,20 +211,6 @@ def test_interactive_submits_match_enqueued(cell):
     )
     enq.close()
     sub.close()
-
-
-def test_worker_duration_history_shared_across_backends(cell):
-    """S1: worker-observed durations feed the parent pool's EWMA history
-    identically under every backend (merge-back reconstructs canonical
-    durations, so LPT assignment stays bit-identical)."""
-    oracle, _ = run_cell(cell, backend=None)
-    process, _ = run_cell(cell, backend="process:2")
-    assert (
-        oracle.planner.workers.duration_history()
-        == process.planner.workers.duration_history()
-    )
-    assert oracle.planner.workers.duration_history()  # non-empty
-    process.close()
 
 
 def test_close_between_submit_and_pump_resolves_the_dispatch(cell, tmp_path):

@@ -6,7 +6,6 @@ from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.strategies.optimistic import OptimisticStrategy
 from repro.strategies.oracle import OracleStrategy
 from repro.strategies.single_queue import SingleQueueStrategy
@@ -36,7 +35,7 @@ def make_planner(workers=4, strategy=None):
     return PlannerEngine(
         strategy=strategy or OracleStrategy(),
         controller=LabelBuildController(),
-        workers=WorkerPool(workers),
+        workers=workers,
         conflict_predicate=potential_conflict,
     )
 
@@ -61,7 +60,7 @@ class TestSubmission:
             planner.submit(labeled([f"//t{_}"]), 0.0)
         result = plan_and_resolve(planner, 0.0)
         assert len(result.started) == 2
-        assert planner.workers.free == 0
+        assert planner.free == 0
 
 
 class TestDecisions:
@@ -138,7 +137,7 @@ class TestAbort:
         planner.submit(b, 0.0)
         plan_and_resolve(planner, 0.0)
         # Oracle schedules (a) and (b|{}) because a is known to fail.
-        keys = set(planner.workers.running_builds())
+        keys = set(planner.running)
         assert BuildKey(b.change_id, frozenset()) in keys
         # Completing a's build rejects it; b's build stays selected.
         planner.complete(BuildKey(a.change_id), 30.0)
@@ -165,6 +164,38 @@ class TestAbort:
         second = plan_and_resolve(planner, 1.0)  # selects nothing -> aborts (stall guard restarts)
         assert len(second.aborted) == 1
         assert planner.stats.builds_aborted == 1
+
+    def test_aborts_follow_dispatch_order(self):
+        """Workers are interchangeable, so nothing reorders a batch: an
+        epoch aborts its builds in the order they were dispatched, even
+        when the later one is of a change that already finished a build."""
+
+        class ScriptedStrategy(SingleQueueStrategy):
+            selection = []
+
+            def select(self, view, budget):
+                return list(self.selection)
+
+        strategy = ScriptedStrategy()
+        planner = make_planner(workers=2, strategy=strategy)
+        a, b = labeled(["//x"]), labeled(["//y"])
+        planner.submit(a, 0.0)
+        planner.submit(b, 0.0)
+        # A build of b stacked on a (not its ancestor) finishes without
+        # deciding b, since a is still pending.
+        stacked = BuildKey(b.change_id, frozenset({a.change_id}))
+        strategy.selection = [stacked]
+        plan_and_resolve(planner, 0.0)
+        finished_at = planner.builds[stacked].execution.duration
+        assert planner.complete(stacked, finished_at) == []
+
+        first, second = BuildKey(a.change_id), BuildKey(b.change_id)
+        strategy.selection = [first, second]
+        started = plan_and_resolve(planner, finished_at)
+        assert started.started == [first, second]
+        strategy.selection = []
+        aborting = plan_and_resolve(planner, finished_at + 1.0)
+        assert aborting.aborted == [first, second]
 
 
 class TestStallGuard:

@@ -39,7 +39,6 @@ from repro.journal import (
 )
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import Decision, PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import Predictor, StaticPredictor
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.strategies.optimistic import OptimisticStrategy
@@ -129,7 +128,7 @@ class _Run:
         self.planner = engine_class(
             strategy=strategy,
             controller=LabelBuildController(),
-            workers=WorkerPool(2),
+            workers=2,
             conflict_predicate=potential_conflict,
         )
         self.in_flight = []

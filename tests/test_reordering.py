@@ -6,7 +6,6 @@ from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import OraclePredictor
 from repro.strategies.oracle import OracleStrategy
 from repro.strategies.reordering import ReorderingSubmitQueueStrategy
@@ -36,7 +35,7 @@ def make_planner(strategy=None, workers=4):
     return PlannerEngine(
         strategy=strategy or OracleStrategy(),
         controller=LabelBuildController(),
-        workers=WorkerPool(workers),
+        workers=workers,
         conflict_predicate=potential_conflict,
     )
 
@@ -109,14 +108,14 @@ class TestReorderPrimitive:
         assert planner.reorder(doomed.change_id, healthy.change_id)
         plan_and_resolve(planner, 1.0)
         # healthy's decisive build has no ancestors now.
-        assert planner.workers.is_running(BuildKey(healthy.change_id))
+        assert BuildKey(healthy.change_id) in planner.running
         decisions = planner.complete(BuildKey(healthy.change_id), 11.0)
         assert [d.change_id for d in decisions] == [healthy.change_id]
         assert planner.records[healthy.change_id].state is ChangeState.COMMITTED
         # doomed now speculates on the committed jumper.
         plan_and_resolve(planner, 11.0)
         expected = BuildKey(doomed.change_id, frozenset({healthy.change_id}))
-        assert planner.workers.is_running(expected)
+        assert expected in planner.running
         planner.complete(expected, 111.0)
         assert planner.records[doomed.change_id].state is ChangeState.REJECTED
 
@@ -146,7 +145,7 @@ class TestReorderingStrategy:
             for _ in range(6):
                 result = plan_and_resolve(planner, now)
                 running = sorted(
-                    planner.workers.running_builds(), key=lambda k: k.label()
+                    planner.running, key=lambda k: k.label()
                 )
                 if not running:
                     break

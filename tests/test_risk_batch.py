@@ -9,7 +9,6 @@ from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import OraclePredictor, StaticPredictor
 from repro.speculation.batching import (
     BatchPlan,
@@ -45,7 +44,7 @@ def _planner(strategy, workers=2):
     return PlannerEngine(
         strategy=strategy,
         controller=LabelBuildController(),
-        workers=WorkerPool(workers),
+        workers=workers,
         conflict_predicate=potential_conflict,
     )
 
@@ -56,7 +55,7 @@ def _drain(planner, start=0.0, step=40.0, epochs=64):
     now = start
     for _ in range(epochs):
         result = plan_and_resolve(planner, now)
-        running = list(planner.workers.running_builds())
+        running = list(planner.running)
         if not running:
             break
         now += step

@@ -6,7 +6,6 @@ from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.changes.truth import potential_conflict
 from repro.planner.controller import LabelBuildController
 from repro.planner.planner import PlannerEngine
-from repro.planner.workers import WorkerPool
 from repro.predictor.predictors import OraclePredictor, StaticPredictor
 from repro.strategies.batch import BatchStrategy
 from repro.strategies.optimistic import OptimisticStrategy
@@ -40,7 +39,7 @@ def planner_with(strategy, workers=8):
     return PlannerEngine(
         strategy=strategy,
         controller=LabelBuildController(),
-        workers=WorkerPool(workers),
+        workers=workers,
         conflict_predicate=potential_conflict,
     )
 
@@ -126,7 +125,7 @@ class TestOptimistic:
         for i, change in enumerate(changes):
             planner.submit(change, float(i))
         plan_and_resolve(planner, 0.0)
-        for key in list(planner.workers.running_builds()):
+        for key in list(planner.running):
             planner.complete(key, 30.0)
         assert all(
             planner.records[c.change_id].state is ChangeState.COMMITTED
@@ -216,7 +215,7 @@ class TestBatchStrategy:
         # Drive to quiescence: plan, complete, repeat.
         for _ in range(12):
             plan_and_resolve(planner, now)
-            running = list(planner.workers.running_builds())
+            running = list(planner.running)
             if not running:
                 break
             now += 40.0

@@ -120,7 +120,7 @@ def test_live_trace_equals_replayed_trace(tmp_path, backend, batching):
     if batching:
         assert "batch" in names
 
-    capacity = service.planner.workers.capacity
+    capacity = service.planner.workers
     assert compute_slo(
         replayed.records, now=now, worker_capacity=capacity
     ) == compute_slo(live.records, now=now, worker_capacity=capacity)

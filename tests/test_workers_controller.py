@@ -1,4 +1,5 @@
-"""Unit tests for the worker pool and build controllers."""
+"""Unit tests for the worker pool (the planner's worker count) and the
+build controllers."""
 
 import pytest
 
@@ -6,8 +7,11 @@ from repro.buildsys.cache import ArtifactCache
 from repro.changes.change import Change, Developer, GroundTruth, next_change_id
 from repro.errors import NoWorkerAvailableError
 from repro.planner.controller import FullStackBuildController, LabelBuildController
-from repro.planner.workers import WorkerPool
+from repro.planner.planner import PlannerEngine
+from repro.strategies.single_queue import SingleQueueStrategy
 from repro.types import BuildKey
+
+from .conftest import start_builds
 
 DEV = Developer("dev1")
 
@@ -27,129 +31,66 @@ def labeled(name, targets=("//m",), ok=True, rate=0.0, salt=0, duration=30.0):
     )
 
 
+def fleet(workers, *durations):
+    """A planner over ``workers`` workers and one submitted, independent
+    labelled change per duration (ids ``c1``, ``c2``, ...)."""
+    planner = PlannerEngine(
+        SingleQueueStrategy(),
+        LabelBuildController(),
+        workers,
+        conflict_predicate=lambda a, b: False,
+    )
+    for index, duration in enumerate(durations, start=1):
+        change = labeled(f"c{index}", targets=(f"//t{index}",), duration=duration)
+        planner.submit(change, 0.0)
+    return planner
+
+
 class TestWorkerPool:
+    """The worker pool is the planner's worker count and its running
+    builds: workers are interchangeable, so nothing is placed."""
+
     def test_assign_release_cycle(self):
-        pool = WorkerPool(2)
+        planner = fleet(2, 10.0)
         key = BuildKey("c1")
-        pool.assign(key, now=0.0)
-        assert pool.busy == 1 and pool.free == 1
-        assert pool.is_running(key)
-        pool.release(key, now=10.0)
-        assert pool.busy == 0
+        start_builds(planner, [key], now=0.0)
+        assert planner.busy == 1 and planner.free == 1
+        assert key in planner.running
+        planner.complete(key, now=10.0)
+        assert planner.busy == 0 and not planner.running
 
     def test_exhaustion_raises(self):
-        pool = WorkerPool(1)
-        pool.assign(BuildKey("c1"), now=0.0)
+        planner = fleet(1, 10.0, 10.0)
+        start_builds(planner, [BuildKey("c1")], now=0.0)
         with pytest.raises(NoWorkerAvailableError):
-            pool.assign(BuildKey("c2"), now=0.0)
+            start_builds(planner, [BuildKey("c2")], now=0.0)
+        assert list(planner.running) == [BuildKey("c1")]
 
     def test_double_assign_rejected(self):
-        pool = WorkerPool(2)
-        pool.assign(BuildKey("c1"), now=0.0)
+        planner = fleet(2, 10.0)
+        start_builds(planner, [BuildKey("c1")], now=0.0)
         with pytest.raises(ValueError):
-            pool.assign(BuildKey("c1"), now=0.0)
-
-    def test_release_unknown_raises(self):
-        with pytest.raises(KeyError):
-            WorkerPool(1).release(BuildKey("c1"), now=0.0)
-
-    def test_least_loaded_assignment(self):
-        pool = WorkerPool(2)
-        key1 = BuildKey("c1")
-        pool.assign(key1, now=0.0)
-        pool.release(key1, now=100.0)  # worker 0 now has 100 busy-minutes
-        index = pool.assign(BuildKey("c2"), now=100.0)
-        assert index == 1  # the idle worker gets the next build
+            start_builds(planner, [BuildKey("c1")], now=0.0)
 
     def test_utilization(self):
-        pool = WorkerPool(2)
+        planner = fleet(2, 50.0)
         key = BuildKey("c1")
-        pool.assign(key, now=0.0)
-        pool.release(key, now=50.0)
-        assert pool.busy_minutes(now=100.0) == 50.0
+        start_builds(planner, [key], now=0.0)
+        planner.complete(key, now=50.0)
+        assert planner.busy_minutes(now=100.0) == 50.0
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            fleet(0)
 
     def test_utilization_counts_in_flight_builds(self):
-        pool = WorkerPool(2)
+        planner = fleet(2, 50.0, 50.0)
         done = BuildKey("c1")
-        pool.assign(done, now=0.0)
-        pool.release(done, now=50.0)
-        pool.assign(BuildKey("c2"), now=60.0)
+        start_builds(planner, [done], now=0.0)
+        planner.complete(done, now=50.0)
+        start_builds(planner, [BuildKey("c2")], now=60.0)
         # 50 finished minutes + 40 in-flight minutes.
-        assert pool.busy_minutes(now=100.0) == 90.0
-
-    def test_load_imbalance_with_and_without_in_flight(self):
-        pool = WorkerPool(2)
-        done = BuildKey("c1")
-        pool.assign(done, now=0.0)
-        pool.release(done, now=30.0)  # worker 0: 30 busy-minutes
-        running = BuildKey("c2")
-        pool.assign(running, now=30.0)  # goes to idle worker 1
-        # Finished work only: worker 1 has accrued nothing yet.
-        assert pool.load_imbalance() == pytest.approx(30.0)
-        # Including in-flight time, worker 1 has 20 minutes at now=50.
-        assert pool.load_imbalance(now=50.0) == pytest.approx(10.0)
-
-
-class TestDurationHistory:
-    def test_release_feeds_ewma(self):
-        pool = WorkerPool(2)
-        key = BuildKey("c1")
-        pool.assign(key, now=0.0)
-        pool.release(key, now=40.0)
-        assert pool.estimate("c1") == pytest.approx(40.0)
-
-    def test_ewma_update_rule(self):
-        pool = WorkerPool(2)
-        pool.observe_duration("c1", 40.0)
-        pool.observe_duration("c1", 20.0)
-        # EWMA_ALPHA = 0.25 of the newest: 0.25 * 20 + 0.75 * 40.
-        assert pool.estimate("c1") == pytest.approx(35.0)
-
-    def test_aborted_release_keeps_history_clean(self):
-        pool = WorkerPool(2)
-        key = BuildKey("c1")
-        pool.assign(key, now=0.0)
-        pool.release(key, now=5.0, completed=False)
-        assert pool.estimate("c1") is None
-
-    def test_assignment_order_is_lpt_over_estimates(self):
-        pool = WorkerPool(4)
-        pool.observe_duration("short", 5.0)
-        pool.observe_duration("long", 50.0)
-        keys = [
-            BuildKey("cold_a"),
-            BuildKey("short"),
-            BuildKey("long"),
-            BuildKey("cold_b"),
-        ]
-        ordered = pool.assignment_order(keys)
-        # History-backed builds first, longest first; cold builds keep
-        # their submitted order after them.
-        assert [key.change_id for key in ordered] == [
-            "long",
-            "short",
-            "cold_a",
-            "cold_b",
-        ]
-
-    def test_assignment_order_without_history_is_identity(self):
-        pool = WorkerPool(4)
-        keys = [BuildKey("a"), BuildKey("b"), BuildKey("c")]
-        assert pool.assignment_order(keys) == keys
-
-    def test_history_capacity_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(WorkerPool, "HISTORY_CAPACITY", 2)
-        pool = WorkerPool(1)
-        pool.observe_duration("c1", 1.0)
-        pool.observe_duration("c2", 2.0)
-        pool.observe_duration("c3", 3.0)
-        assert pool.estimate("c1") is None  # evicted LRU
-        assert pool.estimate("c2") == pytest.approx(2.0)
-        assert pool.estimate("c3") == pytest.approx(3.0)
+        assert planner.busy_minutes(now=100.0) == 90.0
 
 
 class TestLabelBuildController:
