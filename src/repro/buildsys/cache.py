@@ -54,7 +54,11 @@ class ArtifactCache:
         #: Each entry stores both spellings of the result — (un-cached as
         #: put, cached-marked as get returns) — so a hit hands back a
         #: stored object instead of allocating a dataclass copy per lookup.
-        #: The executor's step loop reads it as :meth:`get` does.
+        #: The executor's step loop reads it as :meth:`get` does and, on
+        #: a miss, stores the evaluator's pair as :meth:`put` would: a
+        #: passing step's pair is its target's
+        #: (:attr:`~repro.buildsys.target.Target.passing_entries`), one
+        #: object shared by every digest that target has.
         self.entries: "OrderedDict[Tuple[str, StepKind], Tuple[StepResult, StepResult]]" = (
             OrderedDict()
         )

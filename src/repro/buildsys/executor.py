@@ -2,7 +2,7 @@
 
 Walks a :class:`BuildContext`'s graph in dependency-first order,
 consulting the artifact cache before every step and asking
-:func:`repro.buildsys.steps.evaluate_target` at most once per target, at
+:func:`repro.buildsys.steps.evaluate_entries` at most once per target, at
 its first miss.  Nothing here reads a source: a :class:`BuildContext`
 carries its targets' directive summaries beside their hashes (``load``
 scans every target, ``derive`` only the dirty seeds).  Two entry points
@@ -37,7 +37,7 @@ from repro.buildsys.hashing import (
     incremental_hashes,
 )
 from repro.buildsys.loader import load_build_graph, reload_packages
-from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_target, summarize
+from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_entries, summarize
 from repro.buildsys.target import Target
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.types import Path, TargetName
@@ -49,9 +49,10 @@ class BuildReport:
     """Everything one build did: per-step results and targets covered.
 
     ``success``/``steps_executed``/``steps_cached`` are running counters
-    maintained by :meth:`append` (and seeded from any ``results`` passed to
-    the constructor) — the planner reads them once per build in its hot
-    loop, so they must not re-scan ``results`` on access.
+    maintained by :meth:`append` (seeded from any ``results`` passed to
+    the constructor, or handed over by :meth:`counted`) — the planner
+    reads them once per build in its hot loop, so they must not re-scan
+    ``results`` on access.
     """
 
     results: List[StepResult] = field(default_factory=list)
@@ -65,6 +66,24 @@ class BuildReport:
     def __post_init__(self) -> None:
         self.results = list(self.results)
         self._tally(self.results)
+
+    @classmethod
+    def counted(
+        cls,
+        results: List[StepResult],
+        targets_built: List[TargetName],
+        executed: int,
+        first_failure: Optional[StepResult],
+    ) -> "BuildReport":
+        """A report over lists its builder already tallied: ``executed`` of
+        ``results`` were cache misses, the rest hits.  The lists are
+        taken as they are, neither copied nor scanned again."""
+        report = cls(targets_built=targets_built)
+        report.results = results
+        report._executed = executed
+        report._cached = len(results) - executed
+        report._first_failure = first_failure
+        return report
 
     def append(self, result: StepResult) -> None:
         """Record one step result, keeping the running counters in sync."""
@@ -276,17 +295,22 @@ class BuildContext:
         the accumulated dirty set can differ — everything else was copied
         verbatim — so the scan is O(dirty), not O(graph).
         """
+        hashes = self.hashes
         if self.dirty_since_base is None:
-            candidates: Iterable[TargetName] = self.hashes
+            candidates: Iterable[TargetName] = hashes
         else:
             candidates = self.dirty_since_base
         base_hashes = base.hashes
-        hashes = self.hashes
+        # An overlay is read as its two dicts, as ``_run`` reads it.
+        moved: Mapping[TargetName, str] = {}
+        if isinstance(hashes, HashOverlay):
+            moved, hashes = hashes.delta, hashes.root
         index = self.graph.topo_index()
         affected = [
             name
             for name in candidates
-            if name in hashes and base_hashes.get(name) != hashes[name]
+            if name in hashes
+            and base_hashes.get(name) != (moved.get(name) or hashes[name])
         ]
         affected.sort(key=index.__getitem__)
         return affected
@@ -362,9 +386,12 @@ class BuildExecutor:
         """The one step loop over ``order``, a build-ordered subset of
         ``context``'s targets.
 
-        It reads the digests and the cache's entries as dicts, counting
-        hits and misses as :meth:`ArtifactCache.get` would, and calls out
-        only for a target's first miss (its evaluation) and each store.
+        It reads the digests and the cache's entries as dicts and stores
+        a miss's result pair straight into them, with
+        :meth:`ArtifactCache.put`'s LRU position and eviction; it counts
+        hits, misses and the report's tallies as it goes and calls out
+        only for a target's first miss (its evaluation).  A passing step
+        allocates nothing: its pair is its target's.
         """
         graph = context.graph
         targets = graph.by_name
@@ -374,9 +401,11 @@ class BuildExecutor:
             moved, hashes = hashes.delta, hashes.root
         directives = context.directives
         cache = self.cache
-        entries, stats = cache.entries, cache.stats
+        entries, capacity, stats = cache.entries, cache.capacity, cache.stats
         results: List[StepResult] = []
         built: List[TargetName] = []
+        executed = 0
+        first_failure: Optional[StepResult] = None
         for name in order:
             target = targets[name]
             digest = moved.get(name) or hashes[name]
@@ -386,22 +415,30 @@ class BuildExecutor:
                 key = (digest, kind)
                 entry = entries.get(key)
                 if entry is None:
-                    stats.misses += 1
+                    # A miss stores the evaluator's pair as it is — for a
+                    # passing step the target's own — where ``put`` would.
                     if evaluated is None:
-                        evaluated = evaluate_target(graph, target, directives)
-                    result = evaluated[position]
-                    cache.put(digest, kind, result)
+                        evaluated = evaluate_entries(graph, target, directives)
+                    entry = entries[key] = evaluated[position]
+                    while len(entries) > capacity:
+                        entries.popitem(last=False)
+                        stats.evictions += 1
+                    executed += 1
+                    result = entry[0]
                 else:
                     entries.move_to_end(key)
-                    stats.hits += 1
                     result = entry[1]
                 results.append(result)
-                if stop_on_failure and not result.passed:
-                    break
+                if not result.passed and first_failure is None:
+                    first_failure = result
+                    if stop_on_failure:
+                        break
             else:
                 continue
             break
-        report = BuildReport(results, built)
+        stats.misses += executed
+        stats.hits += len(results) - executed
+        report = BuildReport.counted(results, built, executed, first_failure)
         self.record_report(report)
         return report
 

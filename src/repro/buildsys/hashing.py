@@ -35,6 +35,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import hash_frame
 from repro.types import Path, TargetName
+from repro.vcs.patch import SnapshotOverlay
 
 _ABSENT_FRAME = hash_frame(b"absent", b"<missing>")
 
@@ -205,6 +206,12 @@ class TargetHasher:
             return
         missing.sort(key=depth.__getitem__)
         targets, files = graph.by_name, self._files
+        # An overlay's layers are merged once for the whole walk, so a
+        # target whose sources no layer names reads them from the root in
+        # one C-level ``map``.
+        layered: Mapping[Path, Optional[str]] = {}
+        if isinstance(files, SnapshotOverlay):
+            layered, files = files.layered()
         # One generation pair for the whole walk: nothing rotates the memo
         # in between.
         young, old = self._digests.young, self._digests.old
@@ -212,7 +219,13 @@ class TargetHasher:
             target = targets[name]
             head, src_frames, dep_frames = target.hash_frames
             srcs, deps = target.srcs, target.deps
-            contents = tuple(map(files.get, srcs))
+            if layered.keys().isdisjoint(srcs):
+                contents = tuple(map(files.get, srcs))
+            else:
+                contents = tuple(
+                    layered[src] if src in layered else files.get(src)
+                    for src in srcs
+                )
             # Dependencies first: a dep inside the closure is already in
             # the memo, one outside it keeps its seed digest.
             dep_digests = []

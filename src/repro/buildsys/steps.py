@@ -20,18 +20,21 @@ changes that each build but whose *combination* breaks tests.
 
 Sources are scanned where they change, not where they are built: a
 :class:`DirectiveSummaries` holds what each target's *own* sources say,
-and :func:`evaluate_target` — the one evaluator — reads every step result
-of a target off it.  A target's closure count is the sum of the per-target
-counts over the *set* ``{target} | transitive_deps``: a source two targets
-list counts once for each of them, a target reached along both sides of a
-diamond counts once (so the counts are not folded dependencies-first).
+and :func:`evaluate_entries` — the one evaluator, which
+:func:`evaluate_target` spells as a list — reads every step result of a
+target off it.  A passing step's result is built once per target
+declaration and shared by every digest the target ever has.  A target's
+closure count is the sum of the per-target counts over the *set*
+``{target} | transitive_deps``: a source two targets list counts once for
+each of them, a target reached along both sides of a diamond counts once
+(so the counts are not folded dependencies-first).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import Target
@@ -136,19 +139,36 @@ def summarize(
     return DirectiveSummaries(by_target, frozenset(bearers))
 
 
-def evaluate_target(
+def step_entry(
+    name: TargetName, kind: StepKind, passed: bool, verdict: str
+) -> Tuple[StepResult, StepResult]:
+    """One step's result in both spellings the artifact cache stores: as
+    run, and marked ``cached`` as a hit returns it."""
+    spec = StepSpec(name, kind)
+    log = f"{name} {kind.value}: {verdict}"
+    return StepResult(spec, passed, log), StepResult(spec, passed, log, True)
+
+
+def evaluate_entries(
     graph: BuildGraph,
     target: Target,
     summaries: DirectiveSummaries,
-) -> List[StepResult]:
-    """Run every step of ``target`` hermetically, in ``target.steps`` order.
+) -> Sequence[Tuple[StepResult, StepResult]]:
+    """Run every step of ``target`` hermetically, in ``target.steps``
+    order, as :func:`step_entry` pairs the executor stores in the artifact
+    cache as they are.
 
     FAIL directives act on the target's *own* sources; CONFLICT tokens are
     counted over the transitive dependency closure, because a conflict
     between a dependency's change and a dependent's change only surfaces
-    when the dependent's tests see both.
+    when the dependent's tests see both.  A passing step's pair is the
+    target's own :attr:`~repro.buildsys.target.Target.passing_entries`,
+    built once per declaration; only a failing step allocates.  With no
+    FAIL directive and no colliding token the target's tuple itself is
+    returned.
     """
     name = target.name
+    passing = target.passing_entries
     failing = summaries.by_target.get(name, ((),))[0]
     colliding = ""
     bearers = summaries.token_bearers
@@ -160,17 +180,26 @@ def evaluate_target(
             for token, count in summaries.by_target[bearer][1]:
                 counts[token] = counts.get(token, 0) + count
         colliding = ", ".join(sorted(t for t, c in counts.items() if c >= 2))
+    if not failing and not colliding:
+        return passing
     run = []
-    for kind in target.steps:
+    for kind, entry in zip(target.steps, passing):
         step = kind.value
         if step in failing:
-            passed, log = False, f"FAIL:{step} directive present"
+            entry = step_entry(name, kind, False, f"FAIL:{step} directive present")
         elif colliding and kind in CONFLICT_SENSITIVE_STEPS:
-            passed, log = False, "conflicting tokens " + colliding
-        else:
-            passed, log = True, "ok"
-        run.append(StepResult(StepSpec(name, kind), passed, f"{name} {step}: {log}"))
+            entry = step_entry(name, kind, False, "conflicting tokens " + colliding)
+        run.append(entry)
     return run
+
+
+def evaluate_target(
+    graph: BuildGraph,
+    target: Target,
+    summaries: DirectiveSummaries,
+) -> List[StepResult]:
+    """:func:`evaluate_entries` as a list of the as-run results."""
+    return [result for result, _cached in evaluate_entries(graph, target, summaries)]
 
 
 def evaluate_step(

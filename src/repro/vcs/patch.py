@@ -94,6 +94,21 @@ class SnapshotOverlay(Mapping[Path, str]):
                 return default if content is None else content
         return self._root.get(path, default)
 
+    def layered(self) -> Tuple[Mapping[Path, Optional[str]], Mapping[Path, str]]:
+        """``(delta, root)`` for a reader of many paths: every layer's delta
+        merged, the nearest winning and ``None`` marking a deletion, over
+        the first mapping below that is not an overlay.  A path ``delta``
+        names reads from it; any other reads from ``root``.  Costs the
+        layers' total size — nothing for a one-layer view, whose own delta
+        is returned (read-only, like the view)."""
+        layers = self._layers
+        if len(layers) == 1:
+            return self._delta, self._root
+        merged: Dict[Path, Optional[str]] = {}
+        for delta in reversed(layers):
+            merged.update(delta)
+        return merged, self._root
+
     def _effective_keys(self) -> List[Path]:
         if self._keys is None:
             keys = [p for p in self._base if p not in self._delta]

@@ -51,6 +51,34 @@ class TestGoldenFixture:
             == _pinned("fingerprint.txt")
         )
 
+    def test_prefix_replays_past_its_snapshot(self, tmp_path):
+        """The whole fixture ends in a snapshot, so ``verify --replay``
+        re-drives nothing after it.  Its first 40 lines end at a
+        ``pump_end`` whose newest snapshot is line 19: replaying them
+        checks real inputs, and recovering them lands where replaying
+        the same prefix from ``init`` — its snapshot line dropped — does.
+        """
+        lines = _pinned("events.jsonl").splitlines(keepends=True)[:40]
+        assert '"t":"snapshot"' in lines[18]
+        prefix = tmp_path / "prefix"
+        genesis = tmp_path / "genesis"
+        for directory, kept in (
+            (prefix, lines),
+            (genesis, [line for line in lines if '"t":"snapshot"' not in line]),
+        ):
+            directory.mkdir()
+            (directory / "events.jsonl").write_text("".join(kept), encoding="utf-8")
+        result = verify_journal(str(prefix), replay=True)
+        assert result.ok, result.error
+        assert result.replayed > 0 and result.verified > 0
+        from_snapshot = recover(str(prefix), attach=False)
+        from_init = recover(str(genesis), attach=False)
+        assert from_snapshot.snapshot_restored
+        assert not from_init.snapshot_restored
+        assert fingerprint_digest(from_snapshot.service) == fingerprint_digest(
+            from_init.service
+        )
+
     def test_generator_reproduces_fixture_bytes(self, tmp_path):
         """The live service still regenerates the fixture byte-for-byte.
 
