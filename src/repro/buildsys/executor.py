@@ -145,7 +145,6 @@ class BuildContext:
         "directives",
         "dirty_since_base",
         "rehashed",
-        "depth",
         "_digest_memo",
     )
 
@@ -157,7 +156,6 @@ class BuildContext:
         directives: DirectiveSummaries,
         dirty_since_base: Optional[frozenset] = None,
         rehashed: int = 0,
-        depth: int = 0,
         digest_memo: Optional[DigestMemo] = None,
     ) -> None:
         self.snapshot = snapshot
@@ -171,8 +169,6 @@ class BuildContext:
         self.dirty_since_base = dirty_since_base
         #: Digests recomputed when this context was derived (0 for roots).
         self.rehashed = rehashed
-        #: Overlay layers between ``snapshot`` and the nearest plain dict.
-        self.depth = depth
         # Shared by every context derived from this one — and by every
         # root loaded with the same memo — so a target whose inputs any of
         # them hashed is never digested twice.
@@ -227,7 +223,6 @@ class BuildContext:
             directives,
             dirty_since_base=accumulated,
             rehashed=computed,
-            depth=self.depth + 1,
             digest_memo=self._digest_memo,
         )
 
@@ -250,31 +245,23 @@ class BuildContext:
             delta.update(patch.delta())
         return self.derive(SnapshotOverlay(self.snapshot, delta), delta)
 
-    def as_root(self, flatten_above_depth: Optional[int] = None) -> "BuildContext":
+    def as_root(self) -> "BuildContext":
         """This context re-labelled as a derivation root (new mainline base).
 
-        ``flatten_above_depth`` bounds overlay-chain depth: when the chain
-        behind ``snapshot`` is deeper, the snapshot is materialized into a
-        plain dict so per-file lookups stay O(1) as the base advances
-        commit after commit (amortized O(repo / flatten_above_depth)).
+        Its snapshot is flattened into a plain dict — a C-level copy of
+        the base dict with the delta applied — so every overlay derived
+        from a root is one layer over a dict, and its hash map is a plain
+        dict for the same reason.
 
         A new base is a new generation of the shared digest memo: digests
         no derivation has asked for since the previous base are retired.
-        Its hash map is a plain dict, so overlays derived from it stay
-        one level deep.
         """
-        snapshot: Mapping[Path, str] = self.snapshot
+        snapshot = self.snapshot
+        if isinstance(snapshot, SnapshotOverlay):
+            snapshot = snapshot.to_dict()
         hashes = self.hashes
         if isinstance(hashes, HashOverlay):
             hashes = hashes.to_dict()
-        depth = self.depth
-        if (
-            flatten_above_depth is not None
-            and depth > flatten_above_depth
-            and hasattr(snapshot, "to_dict")
-        ):
-            snapshot = snapshot.to_dict()
-            depth = 0
         self._digest_memo.rotate()
         return BuildContext(
             snapshot,
@@ -282,7 +269,6 @@ class BuildContext:
             hashes,
             self.directives,
             dirty_since_base=None,
-            depth=depth,
             digest_memo=self._digest_memo,
         )
 

@@ -206,9 +206,9 @@ class TargetHasher:
             return
         missing.sort(key=depth.__getitem__)
         targets, files = graph.by_name, self._files
-        # An overlay's layers are merged once for the whole walk, so a
-        # target whose sources no layer names reads them from the root in
-        # one C-level ``map``.
+        # An overlay is read as its delta and its base, so a target whose
+        # sources the delta does not name reads them from the base in one
+        # C-level ``map``.
         layered: Mapping[Path, Optional[str]] = {}
         if isinstance(files, SnapshotOverlay):
             layered, files = files.layered()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.executor import BuildContext, BuildExecutor, BuildReport
@@ -221,9 +221,6 @@ class FullStackBuildController(BuildController):
     ``tests/oracles.py``; hypothesis property tests enforce it).
     """
 
-    #: Materialize the base snapshot into a plain dict once its overlay
-    #: chain (one layer per landed commit) exceeds this depth.
-    BASE_FLATTEN_DEPTH = 8
     #: Simulated minutes an executed step costs.
     STEP_MINUTES = 1.0
     #: Simulated minutes a step the artifact cache eliminated costs; also
@@ -253,7 +250,6 @@ class FullStackBuildController(BuildController):
         self._backend = None
         #: Synthetic wall cost per hermetic step, forwarded to workers.
         self.step_wall_seconds = 0.0
-        self._base_snapshot_memo: Optional[Tuple[CommitId, Dict]] = None
 
     def refresh_base(self) -> None:
         """Re-pin the merge base to the current mainline HEAD."""
@@ -285,10 +281,7 @@ class FullStackBuildController(BuildController):
             # snapshot, so the derivation cannot conflict.
             advanced = self._derive_stack(old_ctx, (change.patch,))
             self.stats.base_context_advances += 1
-            self._base = (
-                self.base_commit_id,
-                advanced.as_root(self.BASE_FLATTEN_DEPTH),
-            )
+            self._base = (self.base_commit_id, advanced.as_root())
 
     # -- base context ---------------------------------------------------------
 
@@ -301,8 +294,8 @@ class FullStackBuildController(BuildController):
         controller: commits advance it.
 
         Reading it is not a build — the service's conflict analyzer
-        borrows its base here, and backend requests ship its snapshot —
-        so it may count a load, never a reuse.
+        borrows its base here, and backend requests ship its snapshot,
+        one plain dict per head — so it may count a load, never a reuse.
         """
         context = self._memoized_base()
         if context is None:
@@ -351,20 +344,6 @@ class FullStackBuildController(BuildController):
         keeps its backend in its handle."""
         self._backend = None
 
-    def _request_snapshot(self) -> Dict:
-        """The base head's snapshot as a plain (picklable) dict, memoized
-        per head — requests for one epoch all share the same object, and
-        fork-started workers share it copy-on-write."""
-        memo = self._base_snapshot_memo
-        if memo is not None and memo[0] == self.base_commit_id:
-            return memo[1]
-        snapshot = self.base_context().snapshot
-        materialized = (
-            snapshot.to_dict() if hasattr(snapshot, "to_dict") else dict(snapshot)
-        )
-        self._base_snapshot_memo = (self.base_commit_id, materialized)
-        return materialized
-
     def _stack(
         self,
         key: BuildKey,
@@ -407,7 +386,7 @@ class FullStackBuildController(BuildController):
             build_id=build_id,
             change_id=key.change_id,
             base_commit_id=self.base_commit_id,
-            base_snapshot=self._request_snapshot(),
+            base_snapshot=self.base_context().snapshot,
             assumed=tuple((other.change_id, other.patch) for other in assumed),
             patch=change.patch,
             step_wall_seconds=self.step_wall_seconds,

@@ -25,89 +25,48 @@ class SnapshotOverlay(Mapping[Path, str]):
 
     Applying a patch to a million-file monorepo snapshot must not copy the
     whole file dict (section 7.1's scalability requirement); the overlay
-    stores only the delta and delegates everything else to the base, which
-    may itself be a plain dict, a :class:`repro.vcs.repository.Snapshot`,
-    or another overlay.
+    stores only the delta and delegates everything else to the base.
 
-    Chains stay shallow however many overlays are stacked: a new overlay
-    *absorbs* a base overlay whose delta is no larger than its own (and
-    then that one's base, while the rule still holds) instead of pointing
-    at it.  Each absorption copies no more than the delta already in
-    hand, and it leaves layer sizes strictly growing downward.  N stacked
-    overlays of one new path each therefore behave like a binary counter
-    — at most ``ceil(log2 N) + 1`` layers, not N — and a delta of many
-    paths swallows every smaller layer under it.  (Overlays that keep
-    re-editing the same few paths merge into layers smaller than the
-    number of overlays they hold; the strictly growing sizes still bound
-    k layers by k(k+1)/2 <= N.)  Absorbing changes neither the mapping
-    the overlay stands for nor its iteration order.
+    Every root the program derives from is a plain dict — a loaded
+    context's snapshot, or a new mainline base that
+    :meth:`repro.buildsys.executor.BuildContext.as_root` flattened with
+    :meth:`to_dict` — so a view is one layer over a dict.  A view over
+    another view (the conflict analyzer's pair merge) reads through it.
 
     The view is immutable.  Iteration and ``len`` memoize the effective key
     set on first use; equality compares item-by-item against any mapping so
     overlays remain interchangeable with the dicts they replaced.
     """
 
-    __slots__ = ("_base", "_delta", "_keys", "_layers", "_root")
+    __slots__ = ("_base", "_delta", "_keys")
 
     def __init__(self, base: Mapping[Path, str],
                  delta: Mapping[Path, Optional[str]]) -> None:
-        merged = dict(delta)
-        while isinstance(base, SnapshotOverlay) and len(base._delta) <= len(merged):
-            # Paths only the absorbed layer names keep their place ahead of
-            # this layer's own, which is where iteration put them before.
-            absorbed = {
-                path: content
-                for path, content in base._delta.items()
-                if path not in merged
-            }
-            absorbed.update(merged)
-            merged = absorbed
-            base = base._base
         self._base = base
-        self._delta = merged
+        self._delta: Dict[Path, Optional[str]] = dict(delta)
         self._keys: Optional[List[Path]] = None
-        #: Every delta between this view and ``_root``, nearest first, and
-        #: the first mapping below that is not an overlay: reads walk them
-        #: in a loop instead of recursing layer by layer.
-        if isinstance(base, SnapshotOverlay):
-            self._layers: Tuple[Dict[Path, Optional[str]], ...] = (
-                merged,
-            ) + base._layers
-            self._root: Mapping[Path, str] = base._root
-        else:
-            self._layers = (merged,)
-            self._root = base
 
     def __getitem__(self, path: Path) -> str:
-        for delta in self._layers:
-            if path in delta:
-                content = delta[path]
-                if content is None:
-                    raise KeyError(path)
-                return content
-        return self._root[path]
+        delta = self._delta
+        if path in delta:
+            content = delta[path]
+            if content is None:
+                raise KeyError(path)
+            return content
+        return self._base[path]
 
     def get(self, path: Path, default=None):
-        for delta in self._layers:
-            if path in delta:
-                content = delta[path]
-                return default if content is None else content
-        return self._root.get(path, default)
+        delta = self._delta
+        if path in delta:
+            content = delta[path]
+            return default if content is None else content
+        return self._base.get(path, default)
 
     def layered(self) -> Tuple[Mapping[Path, Optional[str]], Mapping[Path, str]]:
-        """``(delta, root)`` for a reader of many paths: every layer's delta
-        merged, the nearest winning and ``None`` marking a deletion, over
-        the first mapping below that is not an overlay.  A path ``delta``
-        names reads from it; any other reads from ``root``.  Costs the
-        layers' total size — nothing for a one-layer view, whose own delta
-        is returned (read-only, like the view)."""
-        layers = self._layers
-        if len(layers) == 1:
-            return self._delta, self._root
-        merged: Dict[Path, Optional[str]] = {}
-        for delta in reversed(layers):
-            merged.update(delta)
-        return merged, self._root
+        """``(delta, base)`` for a reader of many paths: a path ``delta``
+        names reads from it (``None`` marks a deletion); any other reads
+        from ``base``.  Both are shared, read-only like the view."""
+        return self._delta, self._base
 
     def _effective_keys(self) -> List[Path]:
         if self._keys is None:
@@ -124,10 +83,10 @@ class SnapshotOverlay(Mapping[Path, str]):
         return len(self._effective_keys())
 
     def __contains__(self, path: object) -> bool:
-        for delta in self._layers:
-            if path in delta:
-                return delta[path] is not None  # type: ignore[index]
-        return path in self._root
+        delta = self._delta
+        if path in delta:
+            return delta[path] is not None  # type: ignore[index]
+        return path in self._base
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mapping):
@@ -144,8 +103,18 @@ class SnapshotOverlay(Mapping[Path, str]):
         return f"SnapshotOverlay({len(self._delta)} delta paths over {type(self._base).__name__})"
 
     def to_dict(self) -> Dict[Path, str]:
-        """A plain-dict copy of the effective snapshot."""
-        return {path: self[path] for path in self}
+        """A plain-dict copy of the effective snapshot: a C-level copy of
+        the base with the delta applied, O(delta) Python work.  A modified
+        path keeps its place in the base's order; an added one comes
+        last."""
+        base = self._base
+        flat = base.to_dict() if isinstance(base, SnapshotOverlay) else dict(base)
+        delta = self._delta
+        flat.update(delta)
+        for path, content in delta.items():
+            if content is None:
+                del flat[path]
+        return flat
 
 
 class OpKind(enum.Enum):

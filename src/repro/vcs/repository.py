@@ -1,11 +1,13 @@
 """The in-memory repository: commits, snapshots, and the mainline.
 
-Commits store layered deltas over their parent, so creating a speculative
-merge commit is O(size of patch), not O(size of repo).  Snapshot lookups
-walk the layer chain; :class:`Snapshot` also memoizes a flattened view once
-a full materialization is requested.  The repository keeps HEAD's tree
-flat as well, so a mainline commit checks its patch in O(patch) however
-long the history grows.
+Commits store deltas over their parent, so a commit is O(size of patch),
+not O(size of repo).  Snapshot lookups walk the commit chain;
+:class:`Snapshot` also memoizes a flattened view once a full
+materialization is requested.  The repository keeps HEAD's tree flat as
+well, so a mainline commit checks its patch in O(patch) however long the
+history grows.  Speculative merge states are never commits: the planner
+builds them as :class:`repro.buildsys.executor.BuildContext` overlays over
+the mainline base.
 
 The repository additionally tracks mainline *health* (green/red) per
 commit, which the trunk-based-development simulation (Figure 14) and the
@@ -133,9 +135,8 @@ class Repository:
     """An append-only commit DAG with one mainline.
 
     The mainline is the paper's *master*: a linear history whose HEAD only
-    moves via :meth:`commit_to_mainline`.  Speculative merge states are
-    created with :meth:`make_commit` without moving the mainline, mirroring
-    how SubmitQueue builds candidate merges off to the side.
+    moves via :meth:`commit_to_mainline`, the program's one caller of
+    :meth:`make_commit`.
     """
 
     def __init__(self, initial_files: Optional[Mapping[Path, str]] = None) -> None:

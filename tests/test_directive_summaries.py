@@ -282,7 +282,7 @@ def test_carried_summaries_equal_a_fresh_load(data):
         if step == "chain":
             context = derived
         else:
-            context = derived.as_root(0 if step == "flat_root" else None)
+            context = derived.as_root()
             assert context.directives is derived.directives
 
 

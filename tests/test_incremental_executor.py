@@ -18,7 +18,7 @@ from repro.buildsys.steps import StepResult, StepSpec
 from repro.obs.recorder import Recorder
 from repro.planner.controller import FullStackBuildController
 from repro.types import BuildKey, StepKind
-from repro.vcs.patch import Patch
+from repro.vcs.patch import Patch, SnapshotOverlay
 
 from .conftest import TINY_FILES
 from .oracles import ScratchBuildController, build_affected
@@ -123,22 +123,26 @@ class TestBuildContext:
         assert incremental.targets_built == scratch.targets_built
         assert incremental.results == scratch.results
 
-    def test_as_root_flattens_deep_overlay_chains(self, tiny_snapshot):
-        context = BuildContext.load(dict(tiny_snapshot))
-        content = dict(tiny_snapshot)
-        for round_number in range(3):
-            edit = {"tool/tool.py": f"TOOL = {round_number}\n"}
-            patch = Patch.modifying(edit, base=content)
-            context = _derive(context, patch)
-            content.update(edit)
-        assert context.depth == 3
-        kept = context.as_root(flatten_above_depth=8)
-        assert kept.depth == 3 and kept.snapshot is context.snapshot
-        flattened = context.as_root(flatten_above_depth=2)
-        assert flattened.depth == 0
-        assert isinstance(flattened.snapshot, dict)
-        assert flattened.snapshot == dict(context.snapshot)
-        assert flattened.dirty_since_base is None
+    def test_as_root_flattens_a_derived_snapshot_without_reading_it(
+        self, tiny_snapshot, monkeypatch
+    ):
+        context, patch = _ctx_and_patch(tiny_snapshot, {"tool/tool.py": "TOOL = 1\n"})
+        derived = _derive(context, patch)
+        assert isinstance(derived.snapshot, SnapshotOverlay)
+        reads = []
+        original = SnapshotOverlay.__getitem__
+
+        def counting(self, path):
+            reads.append(path)
+            return original(self, path)
+
+        monkeypatch.setattr(SnapshotOverlay, "__getitem__", counting)
+        root = derived.as_root()
+        # The flatten is a dict copy plus the delta: no per-path read.
+        assert reads == []
+        assert type(root.snapshot) is dict
+        assert root.snapshot == dict(tiny_snapshot, **{"tool/tool.py": "TOOL = 1\n"})
+        assert root.dirty_since_base is None
 
 
 class TestBuildReport:
@@ -265,18 +269,33 @@ class TestIncrementalController:
         assert monorepo.repo.is_green()
 
     def test_one_derive_per_commit_and_one_load_across_commits(
-        self, monorepo, derive_calls
+        self, monorepo, derive_calls, monkeypatch
     ):
         controller = FullStackBuildController(monorepo.repo)
+        derived = []
+        original = FullStackBuildController._derive_stack
+
+        def capturing(self, context, patches):
+            derived.append(original(self, context, patches))
+            return derived[-1]
+
+        monkeypatch.setattr(FullStackBuildController, "_derive_stack", capturing)
         changes = {}
-        for _ in range(FullStackBuildController.BASE_FLATTEN_DEPTH + 2):
+        for _ in range(10):
             change = monorepo.make_clean_change()
             changes[change.change_id] = change
             assert controller.execute(BuildKey(change.change_id), changes).success
+            # A build's merged snapshot is one overlay over the base dict.
+            build = derived[-1].snapshot
+            assert isinstance(build, SnapshotOverlay)
+            assert build.layered()[1] is controller.base_context().snapshot
             before = len(derive_calls)
             controller.on_commit(change, changes)
             assert len(derive_calls) == before + 1
-        # The base advanced commit by commit, past a flatten, on one load.
+            head = controller.base_context().snapshot
+            assert type(head) is dict
+            assert head == monorepo.repo.snapshot().to_dict()
+        # The base advanced commit by commit, each a flat dict, on one load.
         assert controller.stats.base_context_loads == 1
         assert controller.stats.base_context_advances == len(changes)
         assert len(derive_calls) == 2 * len(changes)
