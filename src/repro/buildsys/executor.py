@@ -30,12 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.buildsys.cache import ArtifactCache
 from repro.buildsys.graph import BuildGraph
-from repro.buildsys.hashing import (
-    DigestMemo,
-    HashOverlay,
-    TargetHasher,
-    incremental_hashes,
-)
+from repro.buildsys.hashing import DigestMemo, TargetHasher, incremental_hashes
 from repro.buildsys.loader import load_build_graph, reload_packages
 from repro.buildsys.steps import DirectiveSummaries, StepResult, evaluate_entries, summarize
 from repro.buildsys.target import Target
@@ -160,8 +155,8 @@ class BuildContext:
     ) -> None:
         self.snapshot = snapshot
         self.graph = graph
-        #: A plain dict for a root; a derive that kept the graph holds a
-        #: :class:`~repro.buildsys.hashing.HashOverlay` of its closure.
+        #: A plain dict for a root; a derive that kept the graph holds its
+        #: closure's digests as a :class:`SnapshotOverlay` over the base's.
         self.hashes = hashes
         #: What each target's own sources say: scanned whole by ``load``,
         #: by ``derive`` only where a source or a declaration changed.
@@ -260,7 +255,7 @@ class BuildContext:
         if isinstance(snapshot, SnapshotOverlay):
             snapshot = snapshot.to_dict()
         hashes = self.hashes
-        if isinstance(hashes, HashOverlay):
+        if isinstance(hashes, SnapshotOverlay):
             hashes = hashes.to_dict()
         self._digest_memo.rotate()
         return BuildContext(
@@ -288,9 +283,9 @@ class BuildContext:
             candidates = self.dirty_since_base
         base_hashes = base.hashes
         # An overlay is read as its two dicts, as ``_run`` reads it.
-        moved: Mapping[TargetName, str] = {}
-        if isinstance(hashes, HashOverlay):
-            moved, hashes = hashes.delta, hashes.root
+        moved: Mapping[TargetName, Optional[str]] = {}
+        if isinstance(hashes, SnapshotOverlay):
+            moved, hashes = hashes.layered()
         index = self.graph.topo_index()
         affected = [
             name
@@ -382,9 +377,9 @@ class BuildExecutor:
         graph = context.graph
         targets = graph.by_name
         hashes = context.hashes
-        moved: Mapping[TargetName, str] = {}
-        if isinstance(hashes, HashOverlay):
-            moved, hashes = hashes.delta, hashes.root
+        moved: Mapping[TargetName, Optional[str]] = {}
+        if isinstance(hashes, SnapshotOverlay):
+            moved, hashes = hashes.layered()
         directives = context.directives
         cache = self.cache
         entries, capacity, stats = cache.entries, cache.capacity, cache.stats

@@ -218,11 +218,6 @@ class BuildGraph:
                     frontier.append(dependent)
         return seen
 
-    def dependents_of(self, name: TargetName) -> Set[TargetName]:
-        """Direct reverse dependencies of one target."""
-        self.target(name)
-        return set(self._dependents.get(name, ()))
-
     def direct_dependents(self, name: TargetName) -> AbstractSet[TargetName]:
         """Targets of this graph that list ``name`` as a dependency.
 
@@ -319,9 +314,3 @@ class BuildGraph:
     def depth(self) -> int:
         """Number of targets on the longest dependency chain."""
         return max(self.depth_index().values(), default=0)
-
-    def roots(self) -> Set[TargetName]:
-        """Targets nothing depends on (the graph's top)."""
-        return {
-            name for name in self._targets if not self._dependents.get(name)
-        }

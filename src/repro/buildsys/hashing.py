@@ -11,17 +11,15 @@ A target's hash digests
 Hashing is pure — same graph + files, same hashes; editing any file in
 a target's transitive closure changes its hash, touching anything outside
 it never does.  Digests are computed once per target, dependencies first
-(in the graph's depth order), and memoized.  Three shortcuts keep
+(in the graph's depth order), and memoized.  Two shortcuts keep
 analysis cheap at scale (section 7.1: a change pays for its
 reverse-dependency closure, not the repo):
 
-* :meth:`TargetHasher.hash_of` digests only the requested target's
-  dependency chain;
 * a hasher *seeded* with a prior hash map and a dirty set
   (:func:`dirty_targets`) recomputes only the dirty set's
   reverse-dependency closure and reads every other digest through the
   seed map (skyframe-style invalidation); a content-only rehash returns a
-  :class:`HashOverlay` holding just the closure;
+  :class:`~repro.vcs.patch.SnapshotOverlay` holding just the closure;
 * hashers that share a :class:`DigestMemo` share digests across graphs
   and snapshots: a target whose inputs one speculation stack already
   hashed costs the next a dict lookup instead of a sha256.
@@ -30,7 +28,7 @@ reverse-dependency closure, not the repo):
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.buildsys.graph import BuildGraph
 from repro.buildsys.target import hash_frame
@@ -75,55 +73,6 @@ class DigestMemo:
         """Start a new generation; entries idle for two are dropped."""
         self.old = self.young
         self.young = {}
-
-
-class HashOverlay(Mapping[TargetName, str]):
-    """A content-only derive's hash map: its closure's digests over a root's.
-
-    A derive that touches no BUILD file keeps the base graph, so its key
-    set is the base's and only the dirty closure's digests can move;
-    holding just those makes the map O(closure) instead of a copy of the
-    whole graph's.  ``root`` is always a plain dict — an overlay built
-    over another one folds that one's delta into its own — so every read
-    is at most two dict lookups.
-    """
-
-    __slots__ = ("root", "delta")
-
-    def __init__(
-        self, base: Mapping[TargetName, str], delta: Dict[TargetName, str]
-    ) -> None:
-        if isinstance(base, HashOverlay):
-            delta = {**base.delta, **delta}
-            base = base.root
-        self.root = base
-        self.delta = delta
-
-    def __getitem__(self, name: TargetName) -> str:
-        digest = self.delta.get(name)
-        return self.root[name] if digest is None else digest
-
-    def get(self, name: TargetName, default=None):
-        digest = self.delta.get(name)
-        return self.root.get(name, default) if digest is None else digest
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.root
-
-    def __iter__(self) -> Iterator[TargetName]:
-        return iter(self.root)
-
-    def __len__(self) -> int:
-        return len(self.root)
-
-    def __repr__(self) -> str:
-        return f"HashOverlay({len(self.delta)} of {len(self.root)} digests moved)"
-
-    def to_dict(self) -> Dict[TargetName, str]:
-        """A plain-dict copy of the effective map."""
-        merged = dict(self.root)
-        merged.update(self.delta)
-        return merged
 
 
 def dirty_targets(
@@ -259,22 +208,6 @@ class TargetHasher:
             memo[name] = digest
         self.computed += len(missing)
 
-    def hash_of(self, name: TargetName) -> str:
-        """Algorithm-1 hash of one target (raises for unknown targets).
-
-        Digests only the target's ancestor chain (its transitive deps and
-        itself), not the whole graph.
-        """
-        self._graph.target(name)
-        if name not in self._memo and (
-            name in self.dirty_closure or name not in self._seeds
-        ):
-            chain = self._graph.transitive_deps(name)
-            chain.add(name)
-            self._compute(chain)
-        digest = self._memo.get(name)
-        return self._seeds[name] if digest is None else digest
-
     def closure_hashes(self) -> Dict[TargetName, str]:
         """The dirty closure's digests — the only ones a seeded hasher
         can move — in dependencies-first order."""
@@ -292,7 +225,7 @@ class TargetHasher:
             if len(self._memo) != len(self._graph):
                 self._compute(self._graph.by_name)
             return self._memo
-        hashes = seeds.to_dict() if isinstance(seeds, HashOverlay) else dict(seeds)
+        hashes = seeds.to_dict() if isinstance(seeds, SnapshotOverlay) else dict(seeds)
         for name in hashes.keys() - self._graph.by_name.keys():
             del hashes[name]
         hashes.update(self.closure_hashes())
@@ -315,15 +248,16 @@ def incremental_hashes(
     and the seeds themselves (:func:`dirty_targets`).
 
     When ``graph`` *is* ``base_graph`` (a content-only change) the map is
-    a :class:`HashOverlay` of the closure over ``base_hashes``: O(closure),
-    nothing copied.  A structural change gets a plain dict.
+    a :class:`~repro.vcs.patch.SnapshotOverlay` of the closure over
+    ``base_hashes``: O(closure), the base map not copied.  A structural
+    change gets a plain dict.
     """
     seeds = dirty_targets(base_graph, graph, touched_paths)
     hasher = TargetHasher(
         graph, files, seed_hashes=base_hashes, dirty=seeds, digest_memo=digest_memo
     )
     if graph is base_graph:
-        hashes: Mapping[TargetName, str] = HashOverlay(
+        hashes: Mapping[TargetName, str] = SnapshotOverlay(
             base_hashes, hasher.closure_hashes()
         )
     else:

@@ -36,7 +36,7 @@ from repro.errors import (
 )
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.registry import metric_field
-from repro.types import BuildKey, ChangeId, CommitId, TargetName
+from repro.types import BuildKey, ChangeId, TargetName
 from repro.vcs.patch import Patch
 from repro.vcs.repository import Repository
 
@@ -239,9 +239,9 @@ class FullStackBuildController(BuildController):
         self.base_commit_id = repo.head()
         self.stats = ExecutorReuseStats()
         recorder.expose(self.stats)
-        #: The one memoized base context and the head it is for — the
-        #: mainline only moves forward, so no older head is asked for again.
-        self._base: Tuple[Optional[CommitId], Optional[BuildContext]] = (None, None)
+        #: The one memoized base context, for ``base_commit_id`` — only
+        #: :meth:`on_commit` moves the head, and it advances this too.
+        self._base: Optional[BuildContext] = None
         #: Target digests shared by every context this controller loads or
         #: derives; a generation ends each time the base advances.
         self._digest_memo = DigestMemo()
@@ -250,10 +250,6 @@ class FullStackBuildController(BuildController):
         self._backend = None
         #: Synthetic wall cost per hermetic step, forwarded to workers.
         self.step_wall_seconds = 0.0
-
-    def refresh_base(self) -> None:
-        """Re-pin the merge base to the current mainline HEAD."""
-        self.base_commit_id = self._repo.head()
 
     def on_commit(
         self, change: Change, changes_by_id: Mapping[ChangeId, Change]
@@ -268,26 +264,23 @@ class FullStackBuildController(BuildController):
         """
         if change.patch is None:
             raise ValueError(f"change {change.change_id} carries no patch")
-        old_ctx = self._memoized_base()
+        # No context is the new head's until the advance below succeeds.
+        old_ctx, self._base = self._base, None
         self._repo.commit_to_mainline(
             change.patch,
             message=change.description or change.change_id,
             author=change.developer_id,
             green=True,
         )
-        self.refresh_base()
+        self.base_commit_id = self._repo.head()
         if old_ctx is not None:
             # commit_to_mainline just applied this patch to the same
             # snapshot, so the derivation cannot conflict.
             advanced = self._derive_stack(old_ctx, (change.patch,))
             self.stats.base_context_advances += 1
-            self._base = (self.base_commit_id, advanced.as_root())
+            self._base = advanced.as_root()
 
     # -- base context ---------------------------------------------------------
-
-    def _memoized_base(self) -> Optional[BuildContext]:
-        commit_id, context = self._base
-        return context if commit_id == self.base_commit_id else None
 
     def base_context(self) -> BuildContext:
         """The current base commit's context, loaded at most once per
@@ -297,20 +290,20 @@ class FullStackBuildController(BuildController):
         borrows its base here, and backend requests ship its snapshot,
         one plain dict per head — so it may count a load, never a reuse.
         """
-        context = self._memoized_base()
+        context = self._base
         if context is None:
             context = BuildContext.load(
                 self._repo.snapshot(self.base_commit_id).to_dict(),
                 self._digest_memo,
             )
             self.stats.base_context_loads += 1
-            self._base = (self.base_commit_id, context)
+            self._base = context
         return context
 
     def _build_base_context(self) -> BuildContext:
         """:meth:`base_context` on behalf of a build: answering from the
         memoized context counts as a reuse."""
-        context = self._memoized_base()
+        context = self._base
         if context is None:
             return self.base_context()
         self.stats.base_context_reuses += 1

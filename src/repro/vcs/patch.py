@@ -25,10 +25,13 @@ class SnapshotOverlay(Mapping[Path, str]):
 
     Applying a patch to a million-file monorepo snapshot must not copy the
     whole file dict (section 7.1's scalability requirement); the overlay
-    stores only the delta and delegates everything else to the base.
+    stores only the delta and delegates everything else to the base.  It
+    serves both maps a derived build context holds: its files, and — when
+    the derive kept the base graph — its target digests, the dirty
+    closure's over the base's hash dict.
 
     Every root the program derives from is a plain dict — a loaded
-    context's snapshot, or a new mainline base that
+    context's snapshot and hash map, or a new mainline base that
     :meth:`repro.buildsys.executor.BuildContext.as_root` flattened with
     :meth:`to_dict` — so a view is one layer over a dict.  A view over
     another view (the conflict analyzer's pair merge) reads through it.

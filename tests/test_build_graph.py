@@ -113,7 +113,7 @@ class TestTraversal:
         }
 
     def test_dependents_of(self, diamond):
-        assert diamond.dependents_of("//g:base") == {"//g:left", "//g:right"}
+        assert diamond.direct_dependents("//g:base") == {"//g:left", "//g:right"}
 
     def test_targets_owning(self):
         graph = BuildGraph([t("//g:a", srcs=["g/x.py"])])
@@ -142,6 +142,5 @@ class TestStructure:
         b = BuildGraph([t("//g:a"), t("//g:b")])
         assert graph_structure(a) != graph_structure(b)
 
-    def test_depth_and_roots(self, diamond):
+    def test_depth(self, diamond):
         assert diamond.depth() == 3
-        assert diamond.roots() == {"//g:top"}

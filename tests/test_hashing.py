@@ -35,7 +35,7 @@ class TestTargetHasher:
         graph = load_build_graph(chain_snapshot)
         first = TargetHasher(graph, chain_snapshot)
         second = TargetHasher(graph, chain_snapshot)
-        assert first.hash_of("//top:top") == second.hash_of("//top:top")
+        assert first.all_hashes()["//top:top"] == second.all_hashes()["//top:top"]
 
     def test_source_change_ripples_to_dependents(self, chain_snapshot):
         graph = load_build_graph(chain_snapshot)
@@ -62,14 +62,14 @@ class TestTargetHasher:
                         Target("//p:u", srcs=("p/y.py",))])
         b = BuildGraph([Target("//p:t", srcs=("p/x.py",), deps=("//p:u",)),
                         Target("//p:u", srcs=("p/y.py",))])
-        ha = TargetHasher(a, files).hash_of("//p:t")
-        hb = TargetHasher(b, files).hash_of("//p:t")
+        ha = TargetHasher(a, files).all_hashes()["//p:t"]
+        hb = TargetHasher(b, files).all_hashes()["//p:t"]
         assert ha != hb
 
     def test_missing_source_hashes_differently_from_present(self):
         graph = BuildGraph([Target("//p:t", srcs=("p/x.py",))])
-        with_src = TargetHasher(graph, {"p/x.py": ""}).hash_of("//p:t")
-        without = TargetHasher(graph, {}).hash_of("//p:t")
+        with_src = TargetHasher(graph, {"p/x.py": ""}).all_hashes()["//p:t"]
+        without = TargetHasher(graph, {}).all_hashes()["//p:t"]
         assert with_src != without
 
     def test_digest_is_the_documented_frame_sequence(self):

@@ -1,9 +1,8 @@
 """Unit tests for the incremental conflict-analysis machinery.
 
 Covers the copy-on-write snapshot overlay, package-granular graph
-reloading, dirty-set seeded hashing, the ancestor-chain ``hash_of`` fix,
-and the analyzer's carry-over across mainline advances (revalidation,
-recomputation, and ``forget`` eviction).
+reloading, dirty-set seeded hashing, and the analyzer's carry-over across
+mainline advances (revalidation, recomputation, and ``forget`` eviction).
 """
 
 import copy
@@ -167,31 +166,6 @@ class TestDirtySetHashing:
         hashes = hasher.all_hashes()
         assert hasher.computed == 1  # app is a root: closure is just itself
         assert hashes["//base:base"] == base_hashes["//base:base"]
-
-
-class TestHashOfAncestorChain:
-    def test_hash_of_digests_only_the_dependency_closure(self, tiny_snapshot):
-        graph = load_build_graph(tiny_snapshot)
-        hasher = TargetHasher(graph, tiny_snapshot)
-        digest = hasher.hash_of("//lib:lib")
-        # lib depends only on base: tool and app must not have been hashed.
-        assert hasher.computed == 2
-        assert digest == TargetHasher(graph, tiny_snapshot).all_hashes()["//lib:lib"]
-
-    def test_hash_of_memoizes_across_calls(self, tiny_snapshot):
-        graph = load_build_graph(tiny_snapshot)
-        hasher = TargetHasher(graph, tiny_snapshot)
-        hasher.hash_of("//app:app")  # base, lib, app
-        assert hasher.computed == 3
-        hasher.hash_of("//lib:lib")
-        assert hasher.computed == 3  # already memoized
-        hasher.hash_of("//tool:tool")
-        assert hasher.computed == 4
-
-    def test_unknown_target_still_raises(self, tiny_snapshot):
-        graph = load_build_graph(tiny_snapshot)
-        with pytest.raises(UnknownTargetError):
-            TargetHasher(graph, tiny_snapshot).hash_of("//nope:nope")
 
 
 class TestAnalyzerIncrementalAnalyze:

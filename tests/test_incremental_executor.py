@@ -144,6 +144,36 @@ class TestBuildContext:
         assert root.snapshot == dict(tiny_snapshot, **{"tool/tool.py": "TOOL = 1\n"})
         assert root.dirty_since_base is None
 
+    def test_a_content_only_hash_map_is_one_overlay_over_the_root_dict(
+        self, tiny_snapshot
+    ):
+        context, patch = _ctx_and_patch(tiny_snapshot, {"lib/lib.py": "LIB = 3\n"})
+        derived = context.derive_stack((patch,))
+        hashes = derived.hashes
+        assert isinstance(hashes, SnapshotOverlay)
+        assert hashes.layered()[1] is context.hashes
+        assert hashes == BuildContext.load(dict(derived.snapshot)).hashes
+        root = derived.as_root()
+        assert type(root.hashes) is dict
+        assert root.hashes == hashes
+
+        structural = context.derive_stack(
+            (
+                Patch(
+                    [
+                        *Patch.modifying(
+                            {"tool/BUILD": "target(name = 'tool', srcs = "
+                             "['tool.py', 'extra.py'], deps = [])\n"},
+                            base=tiny_snapshot,
+                        ),
+                        *Patch.adding({"tool/extra.py": "EXTRA = 5\n"}),
+                    ]
+                ),
+            )
+        )
+        assert type(structural.hashes) is dict
+        assert structural.hashes == BuildContext.load(dict(structural.snapshot)).hashes
+
 
 class TestBuildReport:
     def test_running_counters_via_append(self):

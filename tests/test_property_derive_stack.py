@@ -57,7 +57,9 @@ def _packages(current):
 def _deletable_packages(current):
     """Packages no other target depends on (deleting one keeps the graph valid)."""
     graph = load_build_graph(current)
-    return sorted(graph.target(name).package for name in graph.roots())
+    return sorted(
+        target.package for target in graph if not graph.direct_dependents(target.name)
+    )
 
 
 def _modify(current, path, content):

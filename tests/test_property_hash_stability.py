@@ -84,8 +84,8 @@ class TestClosureOutsideIsInvisible:
         edited = data.draw(st.sampled_from(outside), label="edited non-dep")
         src = graph.target(edited).srcs[0]
         changed = dict(files, **{src: files[src] + "#edit"})
-        before = TargetHasher(graph, files).hash_of(observed)
-        after = TargetHasher(graph, changed).hash_of(observed)
+        before = TargetHasher(graph, files).all_hashes()[observed]
+        after = TargetHasher(graph, changed).all_hashes()[observed]
         assert before == after
 
     @given(graph_and_files())
@@ -113,8 +113,8 @@ class TestClosureInsideAlwaysRipples:
         edited = data.draw(st.sampled_from(closure), label="edited dep")
         src = graph.target(edited).srcs[0]
         changed = dict(files, **{src: files[src] + "#edit"})
-        before = TargetHasher(graph, files).hash_of(observed)
-        after = TargetHasher(graph, changed).hash_of(observed)
+        before = TargetHasher(graph, files).all_hashes()[observed]
+        after = TargetHasher(graph, changed).all_hashes()[observed]
         assert before != after
 
 
