@@ -645,7 +645,7 @@ class PlannerEngine:
             for decision in custom:
                 self._apply_decision(decision)
                 decisions.append(decision)
-        decisions.extend(self._decide_ready(now))
+        decisions.extend(self.decide_ready(now))
         return decisions
 
     def decisive_key(self, change_id: ChangeId) -> Optional[BuildKey]:
@@ -690,14 +690,13 @@ class PlannerEngine:
         return None
 
     def decide_ready(self, now: float) -> List[Decision]:
-        """The decision step a completion ends with, for an event loop that
-        stalled: a reorder can leave a change ready whose decisive build
-        has already finished, and no completion will come to decide it."""
-        return self._decide_ready(now)
-
-    def _decide_ready(self, now: float) -> List[Decision]:
         """Commit/reject every ready change whose decisive build has
         finished, in passes until one decides nothing.
+
+        Every completion ends with this step; an event loop that stalled
+        calls it too, since a reorder can leave a change ready whose
+        decisive build has already finished, and no completion will come
+        to decide it.
 
         A pass visits the ready changes in queue position.  A change a
         decision releases joins the pass when it sits behind the decided

@@ -10,36 +10,28 @@ needed.  It combines:
   best-first enumeration of a change's builds in decreasing value order;
 * :mod:`repro.speculation.engine` — the engine: merges per-change
   enumerators into a global top-value selection under a worker budget
-  (greedy best-first, O(live changes) memory, section 7.1).
+  (greedy best-first, O(live changes) memory, section 7.1) and returns
+  the selected nodes, each a build key and its value ``P_needed``;
+* :mod:`repro.speculation.batching` — the risk-batching strategy's
+  greedy grouping (each batch is its member ids in submission order) and
+  its bisection split.
 """
 
 from repro.speculation.batching import (
-    BatchPlan,
     bisect_halves,
     joint_success_probability,
     plan_batches,
 )
-from repro.speculation.engine import (
-    ScoredBuild,
-    SpeculationEngine,
-    SpeculationEngineStats,
-)
-from repro.speculation.probability import (
-    conditional_success,
-    estimate_commit_probabilities,
-    p_needed,
-)
+from repro.speculation.engine import SpeculationEngine, SpeculationEngineStats
+from repro.speculation.probability import estimate_commit_probabilities, p_needed
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator, enumerate_tree
 
 __all__ = [
-    "BatchPlan",
-    "ScoredBuild",
     "SpeculationEngine",
     "SpeculationEngineStats",
     "SpeculationNode",
     "SubsetEnumerator",
     "bisect_halves",
-    "conditional_success",
     "enumerate_tree",
     "estimate_commit_probabilities",
     "joint_success_probability",

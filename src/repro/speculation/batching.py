@@ -4,10 +4,12 @@ The paper's SubmitQueue builds one speculation path per pending change, so
 at high arrival rates the worker pool saturates and throughput flat-lines
 (the Figure 12 ceiling).  This module plans *speculative batches*: groups
 of pending changes the predictor scores as jointly low-risk, built as a
-single stacked speculation node.  A batch prices the sum of its members'
-commit-probability mass (Equations 1-5) against one build cost, so at
-saturation each worker-slot decides several changes per build instead of
-one.
+single stacked speculation node, so at saturation each worker slot
+decides several changes per build instead of one.  A batch is its member
+ids in submission order.  Batches are formed greedily in that order under
+three predictor gates (per-member success, pairwise conflict, joint
+success); nothing prices or ranks them, and the strategy selects them
+ahead of ordinary speculation.
 
 Unlike Chromium-style batching (``repro.strategies.batch``, the paper's
 critique), batch membership here never weakens the shippable-commit
@@ -19,7 +21,6 @@ this module owns only the risk math and the greedy grouping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from repro.types import ChangeId
@@ -38,27 +39,6 @@ DEFAULT_MAX_PAIR_CONFLICT = 0.15
 
 #: Default floor on the whole batch's joint success probability.
 DEFAULT_MIN_JOINT_SUCCESS = 0.45
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """One planned speculative batch.
-
-    ``members`` is in submission order — the order the batch's patches are
-    stacked, the order a passing batch commits, and the order bisection
-    halves preserve.  ``value`` is the summed commit-probability mass the
-    batch decides with a single build (the Equations 1-5 extension:
-    batch value = sum of member mass / one build cost); ``joint_success``
-    is the predictor's probability that the stacked build passes.
-    """
-
-    members: Tuple[ChangeId, ...]
-    joint_success: float
-    value: float
-
-    def __post_init__(self) -> None:
-        if len(self.members) < 2:
-            raise ValueError("a batch needs at least two members")
 
 
 def joint_success_probability(
@@ -85,13 +65,13 @@ def plan_batches(
     candidates: Sequence[ChangeId],
     p_success: Callable[[ChangeId], float],
     p_conflict: Callable[[ChangeId, ChangeId], float],
-    commit_mass: Callable[[ChangeId], float],
     batch_size: int = DEFAULT_BATCH_SIZE,
     member_confidence: float = DEFAULT_MEMBER_CONFIDENCE,
     max_pair_conflict: float = DEFAULT_MAX_PAIR_CONFLICT,
     min_joint_success: float = DEFAULT_MIN_JOINT_SUCCESS,
-) -> List[BatchPlan]:
-    """Greedily group ``candidates`` into jointly-low-risk batches.
+) -> List[Tuple[ChangeId, ...]]:
+    """Greedily group ``candidates`` into jointly-low-risk batches, each
+    its member ids in submission order.
 
     ``candidates`` must already be eligible (pending, every conflicting
     ancestor decided) and in submission order; grouping preserves that
@@ -107,20 +87,12 @@ def plan_batches(
     """
     if batch_size < 2:
         return []
-    plans: List[BatchPlan] = []
+    plans: List[Tuple[ChangeId, ...]] = []
     group: List[ChangeId] = []
 
     def flush() -> None:
         if len(group) >= 2:
-            plans.append(
-                BatchPlan(
-                    members=tuple(group),
-                    joint_success=joint_success_probability(
-                        group, p_success, p_conflict
-                    ),
-                    value=sum(commit_mass(member) for member in group),
-                )
-            )
+            plans.append(tuple(group))
         group.clear()
 
     for candidate in candidates:

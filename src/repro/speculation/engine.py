@@ -10,7 +10,10 @@ across all pending changes (section 3.2).  The engine:
 3. pops globally best builds until the budget is filled or values
    vanish; a change gets a lazy
    :class:`~repro.speculation.tree.SubsetEnumerator` (its builds in
-   decreasing value) the first time the merge pops it.
+   decreasing value) the first time the merge pops it;
+4. returns the popped nodes
+   (:class:`~repro.speculation.tree.SpeculationNode`) themselves: a
+   build's key and value are all its callers read.
 
 Memory stays O(pending changes + budget): only one frontier node per
 change lives in the merge heap (the greedy best-first property called
@@ -53,6 +56,9 @@ this repo (the learned one caches on exactly those).
 
 A build's value is the paper's ``V = B · P_needed`` with the benefit
 ``B ≡ 1`` of its evaluation, so a value *is* the build's ``P_needed``.
+:meth:`SpeculationEngine.plan_risk_batches` answers the risk-batching
+strategy from the same table: each batch is its member ids, nothing
+more.
 """
 
 from __future__ import annotations
@@ -75,26 +81,10 @@ from repro.changes.state import ChangeRecord
 from repro.obs.recorder import NULL_RECORDER, Recorder
 from repro.obs.registry import UNIT_BUCKETS, metric_field
 from repro.predictor.predictors import Predictor
-from repro.speculation.batching import BatchPlan, plan_batches
-from repro.speculation.probability import (
-    conditional_success,
-    estimate_commit_probabilities,
-)
+from repro.speculation.batching import plan_batches
+from repro.speculation.probability import estimate_commit_probabilities
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator, top_p_needed
-from repro.types import BuildKey, ChangeId
-
-
-@dataclass(frozen=True)
-class ScoredBuild:
-    """A selected build with the metrics that justified it."""
-
-    key: BuildKey
-    value: float
-    conditional_success: float
-
-    @property
-    def change_id(self) -> ChangeId:
-        return self.key.change_id
+from repro.types import ChangeId
 
 
 @dataclass
@@ -344,15 +334,13 @@ class SpeculationEngine:
         member_confidence: float,
         max_pair_conflict: float,
         min_joint_success: float,
-    ) -> List["BatchPlan"]:
-        """Greedy jointly-low-risk batches over ``candidates``.
+    ) -> List[Tuple[ChangeId, ...]]:
+        """Greedy jointly-low-risk batches over ``candidates``, each its
+        members in submission order.
 
         ``candidates`` must be pending changes whose conflicting ancestors
         are all decided, in submission order (the strategy layer enforces
-        eligibility).  With no pending ancestors a candidate's commit mass
-        *is* its decisive success probability, so the batch value — the
-        Equations 1-5 mass a single build decides — is the sum of member
-        ``P_succ``.  Probabilities are read from and kept in the table
+        eligibility).  Probabilities are read from and kept in the table
         entries the selection path uses (``pending`` and ``records`` build
         it if there is none), so batch planning never re-asks the
         predictor for an answer selection already paid for.
@@ -374,7 +362,6 @@ class SpeculationEngine:
             candidates,
             p_success,
             p_conflict,
-            commit_mass=p_success,
             batch_size=batch_size,
             member_confidence=member_confidence,
             max_pair_conflict=max_pair_conflict,
@@ -440,7 +427,7 @@ class SpeculationEngine:
         decided: Mapping[ChangeId, bool],
         budget: int,
         changes_by_id: Optional[Mapping[ChangeId, Change]] = None,
-    ) -> List[ScoredBuild]:
+    ) -> List[SpeculationNode]:
         """The top-``budget`` builds by value, best first.
 
         ``pending`` must be in submission order.  ``records`` covers the
@@ -471,7 +458,7 @@ class SpeculationEngine:
                 cone_order = [cid for cid in order if cid in cone]
                 self._sweep(cone_order, decided, changes_by_id)
                 dirty.clear()
-            selected = self._merge(order, budget, decided, changes_by_id)
+            selected = self._merge(order, budget, decided)
         except Exception:
             # A round that fails half-way leaves entries whose dirtiness is
             # forgotten; the next round must not trust any of them.
@@ -594,8 +581,7 @@ class SpeculationEngine:
         order: List[ChangeId],
         budget: int,
         decided: Mapping[ChangeId, bool],
-        changes_by_id: Mapping[ChangeId, Change],
-    ) -> List[ScoredBuild]:
+    ) -> List[SpeculationNode]:
         """Pop the globally best builds off the per-change enumerators.
 
         A max-heap of ``(negated value, queue position, ...)`` holds one
@@ -612,7 +598,7 @@ class SpeculationEngine:
         ]
         heapq.heapify(heap)
         self._nodes_expanded = 0
-        selected: List[ScoredBuild] = []
+        selected: List[SpeculationNode] = []
         while heap and len(selected) < budget:
             neg_value, position, index, entry, node = heapq.heappop(heap)
             if -neg_value < self.MIN_VALUE:
@@ -629,7 +615,7 @@ class SpeculationEngine:
                 heapq.heappush(
                     heap, (-successor.value, position, index + 1, entry, successor)
                 )
-            selected.append(self._score(node, entry, changes_by_id))
+            selected.append(node)
         return selected
 
     def _prepare_enumerator(
@@ -661,7 +647,7 @@ class SpeculationEngine:
             self._nodes_expanded += 1
         return node
 
-    def _record_selection(self, selected: Sequence[ScoredBuild]) -> None:
+    def _record_selection(self, selected: Sequence[SpeculationNode]) -> None:
         """Publish one selection round's shape to the registry."""
         if self._metrics is None:
             self._metrics = _SelectionMetrics(self._recorder)
@@ -670,23 +656,3 @@ class SpeculationEngine:
         metrics.selected.set(len(selected))
         for build in selected:
             metrics.value_hist.observe(build.value)
-
-    def _score(
-        self,
-        node: SpeculationNode,
-        entry: _Entry,
-        changes_by_id: Mapping[ChangeId, Change],
-    ) -> ScoredBuild:
-        stacked = [a for a in entry.pending if a in node.key.assumed]
-        # Both probabilities were already asked while estimating P_commit
-        # (this round or a prior one); answer from the entry instead of
-        # re-asking the predictor per selected build.
-        conditional = conditional_success(
-            entry.p_success,
-            (self._p_conflict(entry, other, changes_by_id) for other in stacked),
-        )
-        return ScoredBuild(
-            key=node.key,
-            value=node.value,
-            conditional_success=conditional,
-        )

@@ -3,13 +3,6 @@
 Notation (section 4.2): for a build ``B_{S.C}`` that applies change ``C``
 on top of an assumed-committed set ``S`` of its conflicting ancestors,
 
-* the build's *conditional success* probability generalizes Equation 4::
-
-      P_succ(B_{S.C} | S committed) = P_succ(C) - Σ_{a∈S} P_conf(a, C)
-
-  (a change fails on a stack either on its own or by conflicting with a
-  stacked change; pairwise conflict probabilities union-bound the latter);
-
 * the probability the build's result is *needed* generalizes Equations
   1–3 and 5: the realized outcome set of ``C``'s ancestors must equal
   ``S``::
@@ -22,7 +15,7 @@ on top of an assumed-committed set ``S`` of its conflicting ancestors,
       P_commit(C) = P_succ(C) · Π_{a∈anc(C)} (1 - P_commit(a)·P_conf(a, C))
 
   For small conflict probabilities this agrees with the paper's
-  subtraction (Equation 4 is its first-order expansion), but it does not
+  Equation 4 subtraction (its first-order expansion), but it does not
   saturate at zero when a change has hundreds of conflicting ancestors —
   which real monorepo queues do (Figure 1's dense conflict regime).
   Already-decided ancestors contribute exactly 0 or 1, which is how build
@@ -38,10 +31,6 @@ from repro.types import ChangeId
 
 #: Probability a change commits, per change id.
 CommitProbabilities = Dict[ChangeId, float]
-
-
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
 
 
 def estimate_commit_probabilities(
@@ -75,7 +64,7 @@ def estimate_commit_probabilities(
                 p_anc = result[ancestor_id]
                 if p_anc > 0.0:
                     p *= 1.0 - p_anc * p_conflict(ancestor_id, change_id)
-            result[change_id] = _clamp(p)
+            result[change_id] = min(1.0, max(0.0, p))
         if len(deferred) == len(remaining):
             raise KeyError(
                 "ancestor cycle or missing ancestors for: "
@@ -104,11 +93,3 @@ def p_needed(
             break
     return probability
 
-
-def conditional_success(
-    p_success_alone: float,
-    conflict_probabilities: Iterable[float],
-) -> float:
-    """Equation 4 generalized: success probability on top of a stack."""
-    p = p_success_alone - sum(conflict_probabilities)
-    return _clamp(p)

@@ -5,10 +5,11 @@ arrival rates the worker pool saturates and throughput flat-lines (the
 Figure 12 ceiling).  This strategy extends SubmitQueue selection with
 *speculative batches*: pending changes whose conflicting ancestors are
 all decided and that the section-7.2 predictor scores as jointly
-low-risk (per-member ``p_success`` confidence, pairwise ``p_conflict``
-gating, a joint-success floor — :mod:`repro.speculation.batching`) are
-stacked into one build whose value is the sum of the members'
-commit-probability mass against a single build cost.
+low-risk are stacked into one build.  Batches are formed greedily, in
+submission order, under three predictor gates (per-member ``p_success``
+confidence, pairwise ``p_conflict`` gating, a joint-success floor —
+:mod:`repro.speculation.batching`); nothing prices or ranks them, and
+they are selected ahead of ordinary speculation.
 
 The per-change shippable-commit guarantee is preserved, unlike the
 Chromium-style :class:`~repro.strategies.batch.BatchStrategy` the paper
@@ -200,10 +201,9 @@ class RiskBatchStrategy(SubmitQueueStrategy):
             open_halves.append((live, depth))
             if live in surviving_members:
                 continue  # this half's build is already in flight
-            if len(live) == 1:
-                key = self._group_key(live, view)  # == the decisive key
-            else:
-                key = self._group_key(live, view)
+            # A singleton's key is its decisive key.
+            key = self._group_key(live, view)
+            if len(live) > 1:
                 self._groups[key] = (live, depth)
                 riding.update(live)
             if key not in seen and len(selected) < budget:
@@ -233,14 +233,14 @@ class RiskBatchStrategy(SubmitQueueStrategy):
                 max_pair_conflict=self.max_pair_conflict,
                 min_joint_success=self.min_joint_success,
             )
-            for plan in plans:
+            for members in plans:
                 if len(selected) >= budget:
                     break
-                key = self._group_key(plan.members, view)
+                key = self._group_key(members, view)
                 if key in seen:
                     continue
-                self._groups[key] = (plan.members, 0)
-                riding.update(plan.members)
+                self._groups[key] = (members, 0)
+                riding.update(members)
                 seen.add(key)
                 selected.append(key)
 

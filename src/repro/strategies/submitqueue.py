@@ -38,14 +38,14 @@ class SubmitQueueStrategy(Strategy):
         return self.engine.stats
 
     def select(self, view: PlannerView, budget: int) -> List[BuildKey]:
-        scored = self.engine.select_builds(
+        nodes = self.engine.select_builds(
             pending=view.pending,
             records=view.records,
             decided=view.decided,
             budget=budget,
             changes_by_id=view.changes_by_id,
         )
-        return [build.key for build in scored]
+        return [node.key for node in nodes]
 
     # The planner's pushes keep the engine's table current.
 

@@ -36,8 +36,11 @@ class SnapshotOverlay(Mapping[Path, str]):
     :meth:`to_dict` — so a view is one layer over a dict.  A view over
     another view (the conflict analyzer's pair merge) reads through it.
 
-    The view is immutable.  Iteration and ``len`` memoize the effective key
-    set on first use; equality compares item-by-item against any mapping so
+    The view keeps the ``delta`` it is handed, uncopied: the caller gives
+    up a dict it will not touch again (a fresh :meth:`Patch.delta`, a
+    stacked derive's local delta, a hasher's closure memo).  The view is
+    immutable.  Iteration and ``len`` memoize the effective key set on
+    first use; equality compares item-by-item against any mapping so
     overlays remain interchangeable with the dicts they replaced.
     """
 
@@ -46,7 +49,7 @@ class SnapshotOverlay(Mapping[Path, str]):
     def __init__(self, base: Mapping[Path, str],
                  delta: Mapping[Path, Optional[str]]) -> None:
         self._base = base
-        self._delta: Dict[Path, Optional[str]] = dict(delta)
+        self._delta = delta
         self._keys: Optional[List[Path]] = None
 
     def __getitem__(self, path: Path) -> str:

@@ -100,7 +100,7 @@ class ScanningPlannerEngine(PlannerEngine):
                 return build
         return None
 
-    def _decide_ready(self, now):
+    def decide_ready(self, now):
         decisions = []
         progressed = True
         while progressed:

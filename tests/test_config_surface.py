@@ -12,6 +12,8 @@ import inspect
 import pytest
 
 from repro.changes import truth
+from repro.changes.change import Change, Developer, GroundTruth
+from repro.changes.state import ChangeRecord
 from repro.conflict.analyzer import ConflictAnalyzer
 from repro.errors import JournalCorruptError, ParallelExecutionError
 from repro.journal import records as rec
@@ -21,12 +23,12 @@ from repro.obs.registry import Gauge, MetricsRegistry
 from repro.planner.controller import FullStackBuildController, LabelBuildController
 from repro.planner.planner import PlannerEngine
 from repro.predictor.logistic import LogisticRegression
-from repro.predictor.predictors import LearnedPredictor
+from repro.predictor.predictors import LearnedPredictor, StaticPredictor
 from repro.predictor.training import recursive_feature_elimination, train_models
 from repro.service.core import CoreService, CoreServiceConfig
 from repro.sim.simulator import Simulation
 from repro.speculation import engine as speculation_engine
-from repro.speculation.engine import ScoredBuild, SpeculationEngine
+from repro.speculation.engine import SpeculationEngine
 from repro.speculation.tree import SpeculationNode, SubsetEnumerator
 from repro.strategies.independent_batch import IndependentBatchStrategy
 from repro.strategies.oracle import OracleStrategy
@@ -147,13 +149,26 @@ def test_each_bound_is_a_constant_holding_its_value(owner, name, value):
 
 
 def test_one_value_per_build():
-    # V = B * P_needed with B = 1: a build carries its value alone.
-    assert [f.name for f in dataclasses.fields(ScoredBuild)] == [
-        "key", "value", "conditional_success",
-    ]
+    # V = B * P_needed with B = 1: a build carries its value alone, and
+    # selection returns the merge's nodes themselves.
     assert [f.name for f in dataclasses.fields(SpeculationNode)] == [
         "key", "value",
     ]
+    change = Change(
+        change_id="c1",
+        revision_id="R1",
+        developer=Developer("dev1"),
+        ground_truth=GroundTruth(
+            individually_ok=True, target_names=frozenset({"//a"})
+        ),
+    )
+    selected = SpeculationEngine(StaticPredictor()).select_builds(
+        pending=[change],
+        records={"c1": ChangeRecord(change=change, ancestors=[])},
+        decided={},
+        budget=1,
+    )
+    assert [type(node) for node in selected] == [SpeculationNode]
     assert not hasattr(speculation_engine, "BenefitFunction")
     assert not hasattr(speculation_engine, "unit_benefit")
     assert not hasattr(Gauge, "dec")

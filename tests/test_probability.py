@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.speculation.probability import (
-    conditional_success,
     estimate_commit_probabilities,
     p_needed,
 )
@@ -83,15 +82,3 @@ class TestPNeeded:
             for subset in itertools.combinations(["a", "b", "c"], size)
         )
         assert total == pytest.approx(1.0)
-
-
-class TestConditionalSuccess:
-    def test_equation4(self):
-        """P_succ(B_1.2 | B_1) = P_succ(C2) - P_conf(C1, C2)."""
-        assert conditional_success(0.8, [0.1]) == pytest.approx(0.7)
-
-    def test_clamped_at_zero(self):
-        assert conditional_success(0.3, [0.2, 0.2, 0.2]) == 0.0
-
-    def test_clamped_at_one(self):
-        assert conditional_success(1.5, []) == 1.0

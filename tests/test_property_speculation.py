@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.speculation.probability import (
-    conditional_success,
     estimate_commit_probabilities,
     p_needed,
 )
@@ -77,14 +76,3 @@ class TestProbabilityProperties:
         )
         for cid in order:
             assert 0.0 <= result[cid] <= table[cid] + 1e-12
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-                 max_size=6),
-    )
-    @settings(max_examples=100)
-    def test_conditional_success_bounds(self, base, conflicts):
-        value = conditional_success(base, conflicts)
-        assert 0.0 <= value <= 1.0
-        assert value <= base + 1e-12

@@ -121,5 +121,5 @@ class TestSelection:
         scored = select(engine, pending, ancestors, budget=10)
         by_key = {s.key: s for s in scored}
         stacked = by_key[BuildKey("c2", frozenset({"c1"}))]
-        # Equation 4: 0.8 - 0.1
-        assert stacked.conditional_success == pytest.approx(0.7)
+        # The build stacked on c1 is needed exactly when c1 commits.
+        assert stacked.value == pytest.approx(0.8)
